@@ -1,33 +1,26 @@
 #!/usr/bin/env python
 """MPL sweep: shared join arrangements vs per-query build-side hash tables.
 
-Two sections, both written to ``BENCH_arrangements.json`` at the repo root:
-
-* ``build_path`` -- the isolated build-side indexing cost at each
-  multiprogramming level: N concurrent SSB Q3.2-shaped queries each need a
-  single-match index over their (filtered) dimension build inputs.  The
-  private mode pays a full dict build plus single-match flatten *per
-  query*; the shared mode pays one refcounted
-  :class:`~repro.storage.arrangements.Arrangement` build per (table, key)
-  and memoized view seeds/fetches thereafter.  The crossover is the story:
-  at MPL 1 the arrangement's up-front index build can lose, and by MPL >= 8
-  sharing wins outright -- one build amortized over every concurrent
-  query.  Build/hit counters come from the real cache.
-* ``end_to_end`` -- full-engine batches (QPipe-SP and CJOIN-SP) with the
-  ``arrangements`` fast path off vs on, **asserted bit-identical** in
-  simulated results (the golden-determinism contract).  End-to-end host
-  time is dominated by the discrete-event simulator, and every build-input
-  read is still drained and charged per query by design, so these rows
-  document safety (~parity), not the sharing win -- that is what
-  ``build_path`` isolates.
+Written to ``BENCH_arrangements.json`` at the repo root: the isolated
+build-side indexing cost at each multiprogramming level.  N concurrent SSB
+Q3.2-shaped queries each need a single-match index over their (filtered)
+dimension build inputs.  A private build pays a full dict build plus
+single-match flatten *per query* (what the join stage still does when the
+build side is not a unique base-table scan); the shared path pays one
+refcounted :class:`~repro.storage.arrangements.Arrangement` build per
+(table, key) and memoized view seeds/fetches thereafter.  The crossover is
+the story: at MPL 1 the arrangement's up-front index build can lose, and by
+MPL >= 8 sharing wins outright -- one build amortized over every concurrent
+query.  Build/hit counters come from the real cache, and the two paths'
+views are asserted equal.
 
 Usage::
 
     python benchmarks/bench_arrangements.py          # default sweep
     python benchmarks/bench_arrangements.py --fast   # CI smoke
 
-Exits non-zero only on crash or on a simulated-results mismatch between
-the two end-to-end modes; speedup thresholds are warn-only."""
+Exits non-zero only on crash or on a view mismatch between the two paths;
+speedup thresholds are warn-only."""
 
 from __future__ import annotations
 
@@ -41,18 +34,12 @@ import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.bench.runner import run_batch
-from repro.bench.workload import q32_limited_plans_workload
 from repro.data import generate_ssb
-from repro.engine.config import CJOIN_SP, QPIPE_SP, arrangements_default, fast_path
 from repro.query.expr import Between, Cmp
 from repro.storage.arrangements import ARRANGEMENTS, single_match_table
-from repro.storage.manager import StorageConfig
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT_PATH = ROOT / "BENCH_arrangements.json"
-
-ENGINES = {"QPipe-SP": QPIPE_SP, "CJOIN-SP": CJOIN_SP}
 
 #: Q3.2-shaped build sides: (dim table, key column, predicate pool).
 #: Concurrent queries cycle through the pool -- the Figure 14/15
@@ -74,9 +61,6 @@ def _timed(fn, reps: int):
     return min(times), out
 
 
-# ----------------------------------------------------------------------
-# Section 1: the isolated build path.
-# ----------------------------------------------------------------------
 def bench_build_path(ds, mpl: int, reps: int) -> dict:
     """Index MPL concurrent queries' build sides, private vs shared.
 
@@ -135,51 +119,6 @@ def bench_build_path(ds, mpl: int, reps: int) -> dict:
     }
 
 
-# ----------------------------------------------------------------------
-# Section 2: end-to-end safety (bit-identical simulated results).
-# ----------------------------------------------------------------------
-def _fingerprint(result) -> dict:
-    return {
-        "sim_seconds": result.sim_seconds,
-        "response_times": result.response_times,
-        "cpu_breakdown": result.cpu_breakdown,
-    }
-
-
-def bench_end_to_end(ds, engine_name: str, mpl: int, seed: int, reps: int) -> dict:
-    config = ENGINES[engine_name]
-    workload = q32_limited_plans_workload(mpl, min(4, mpl), seed)
-    storage = StorageConfig(resident="memory")
-
-    def run():
-        return run_batch(ds.tables, config, workload, storage)
-
-    with fast_path(batch_kernels=True, fuse_charges=True, arrangements=False):
-        private_s, private = _timed(run, reps)
-
-    def run_shared():
-        ARRANGEMENTS.clear()
-        return run()
-
-    with fast_path(batch_kernels=True, fuse_charges=True, arrangements=True):
-        shared_s, shared = _timed(run_shared, reps)
-    stats = ARRANGEMENTS.stats()
-    if _fingerprint(private) != _fingerprint(shared):
-        raise SystemExit(
-            f"SIMULATED RESULTS DIVERGED for {engine_name} at MPL {mpl}: "
-            "shared arrangements changed ticks or charges -- this is a "
-            "bug, not a perf issue"
-        )
-    return {
-        "mpl": mpl,
-        "private_s": round(private_s, 3),
-        "shared_s": round(shared_s, 3),
-        "ratio": round(private_s / shared_s, 2) if shared_s else None,
-        "hits": stats["hits"],
-        "bit_identical": True,
-    }
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--fast", action="store_true",
@@ -191,10 +130,7 @@ def main(argv: list[str] | None = None) -> int:
                              "2 with --fast)")
     args = parser.parse_args(argv)
     reps = args.reps if args.reps is not None else (2 if args.fast else 5)
-    if args.fast:
-        mpls, sf, e2e_mpl = (1, 4, 8), 0.5, 8
-    else:
-        mpls, sf, e2e_mpl = (1, 2, 4, 8, 16), 1.0, 16
+    mpls, sf = ((1, 4, 8), 0.5) if args.fast else ((1, 2, 4, 8, 16), 1.0)
     seed = 42
 
     ds = generate_ssb(sf, seed)
@@ -209,13 +145,6 @@ def main(argv: list[str] | None = None) -> int:
               f"shared {cell['shared_s']:>9}s  speedup {cell['speedup']}x  "
               f"(builds {cell['builds']}, hits {cell['hits']})")
 
-    end_to_end: dict = {}
-    for engine_name in ENGINES:
-        cell = bench_end_to_end(ds, engine_name, e2e_mpl, seed, reps)
-        end_to_end[f"{engine_name}/mpl{e2e_mpl}"] = cell
-        print(f"  {engine_name}/mpl{e2e_mpl}: bit-identical, "
-              f"host ratio {cell['ratio']}x, {cell['hits']} arrangement hits")
-
     report = {
         "host": {
             "python": platform.python_version(),
@@ -223,13 +152,11 @@ def main(argv: list[str] | None = None) -> int:
             "mode": "fast" if args.fast else "default",
             "cpus": os.cpu_count(),
             "reps": reps,
-            "arrangements_default": arrangements_default(),
         },
         "sf": sf,
         "mpls": list(mpls),
         "points": points,
         "speedup": speedup,
-        "end_to_end": end_to_end,
     }
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
@@ -237,8 +164,8 @@ def main(argv: list[str] | None = None) -> int:
     slow = [k for k, v in speedup.items()
             if int(k.rsplit("mpl", 1)[1]) >= 8 and (v or 0) <= 1.0]
     if slow:
-        # Warn-only: host load varies, and the determinism assertions are
-        # the real gate.  CI fails only on crash or result divergence.
+        # Warn-only: host load varies.  CI fails only on crash or on a
+        # view mismatch.
         print(f"WARNING: no shared-arrangement win at high MPL for: "
               f"{', '.join(slow)}", file=sys.stderr)
     return 0

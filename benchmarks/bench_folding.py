@@ -94,9 +94,7 @@ def sweep(full: bool = False):
     cells = {}
     for overlap in overlaps:
         for fold in (False, True):
-            with fast_path(
-                batch_kernels=True, fuse_charges=True, query_folding=fold
-            ):
+            with fast_path(query_folding=fold):
                 cells[(overlap, fold)] = serve(
                     tables,
                     policy="adaptive",
@@ -201,9 +199,7 @@ def check_results_identical(n: int) -> dict:
     for name, config in ENGINES.items():
         per_mode = {}
         for fold in (False, True):
-            with fast_path(
-                batch_kernels=True, fuse_charges=True, query_folding=fold
-            ):
+            with fast_path(query_folding=fold):
                 sim = Simulator(PAPER_MACHINE)
                 storage = StorageManager(
                     sim, DEFAULT_COST_MODEL, dataset.tables, _storage()

@@ -1,10 +1,10 @@
 #!/usr/bin/env python
 """Perf-trajectory collation: every committed ``BENCH_*.json`` in one table.
 
-Each optimization PR commits its own benchmark artifact (wall-clock A/B
-rows, shard-scaling curves, adaptive-ordering speedups, ...) with its own
-shape.  This harness reads them all and flattens the headline numbers into
-one diffable result table -- the offline result-table pattern from
+Each optimization PR commits its own benchmark artifact (shard-scaling
+curves, adaptive-ordering speedups, fold sweeps, ...) with its own shape.
+This harness reads them all and flattens the headline numbers into one
+diffable result table -- the offline result-table pattern from
 ``MBradbury__slp`` noted in ROADMAP.md -- so PR-over-PR speedups show up
 as one-line diffs of ``BENCH_trajectory.json`` instead of requiring a
 per-artifact archaeology pass.
@@ -39,27 +39,6 @@ def _row(artifact: str, row: str, metric: str, value) -> dict:
     if isinstance(value, float):
         value = round(value, 4)
     return {"artifact": artifact, "row": row, "metric": metric, "value": value}
-
-
-def _collate_wallclock(doc: dict) -> list[dict]:
-    rows = []
-    for name, eng in sorted(doc.get("engines", {}).items()):
-        rows.append(_row("wallclock", name, "speedup", eng["speedup"]))
-        rows.append(_row("wallclock", name, "before_s", eng["before_s"]))
-        rows.append(_row("wallclock", name, "after_s", eng["after_s"]))
-        resident = eng.get("bytes_resident")
-        if resident:
-            rows.append(
-                _row("wallclock", name, "bytes_packed_vs_boxed",
-                     resident["packed_vs_boxed"])
-            )
-    for name, exp in sorted(doc.get("experiments", {}).items()):
-        rows.append(_row("wallclock", name, "speedup", exp["speedup"]))
-    mem = doc.get("memory", {})
-    for metric in ("columns_vs_rows", "packed_vs_boxed"):
-        if metric in mem:
-            rows.append(_row("wallclock", "memory", metric, mem[metric]))
-    return rows
 
 
 def _collate_shard_scaling(doc: dict) -> list[dict]:
@@ -131,7 +110,6 @@ def _collate_gqp_ordering(doc: dict) -> list[dict]:
 #: shape.
 COLLATORS = {
     "BENCH_arrangements": _collate_arrangements,
-    "BENCH_wallclock": _collate_wallclock,
     "BENCH_shard_scaling": _collate_shard_scaling,
     "BENCH_gqp_ordering": _collate_gqp_ordering,
     "BENCH_folding": _collate_folding,

@@ -296,7 +296,7 @@ class ResultCache:
         )
 
 
-def cached_query_centric_plan(storage, spec):
+def cached_query_centric_plan(storage, spec, query_folding: bool):
     """The spec's query-centric plan when a result-cache hit is likely for
     it -- its root signature (or, under a sort root, the aggregate below)
     is resident in ``storage``'s cache -- else ``None``.
@@ -304,8 +304,11 @@ def cached_query_centric_plan(storage, spec):
     This is the routing layer's cache discount (HybridEngine and the
     service router both call it): a likely hit replays materialized pages
     at memory-read cost, so the query should stay query-centric instead of
-    paying GQP admission.  Plan construction is pure bookkeeping with no
-    simulated cost; the replay worker pays the probe cycles."""
+    paying GQP admission.  ``query_folding`` is the resolved setting of
+    the query-centric engine that will run the plan: only an engine that
+    folds replays a merely *subsuming* entry.  Plan construction is pure
+    bookkeeping with no simulated cost; the replay worker pays the probe
+    cycles."""
     cache = storage.result_cache
     if cache is None:
         return None
@@ -320,9 +323,7 @@ def cached_query_centric_plan(storage, spec):
     # Under query folding, a *subsuming* entry serves the query the same
     # way (residual replay at memory-read cost), so the routing discount
     # applies to partial hits too.
-    from repro.sim.fastpath import query_folding_default  # deferred: layering
-
-    if query_folding_default():
+    if query_folding:
         roots = [plan.child, plan] if isinstance(plan, SortNode) else [plan]
         if any(cache.has_subsuming(r) for r in roots):
             return plan

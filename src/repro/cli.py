@@ -490,12 +490,9 @@ def cmd_list(_args) -> int:
     print()
     print(
         format_table(
-            "fast-path planes (env escape hatches; all default on)",
-            ["env", "plane"],
+            "query folding (env; default on)",
+            ["env", "behavior"],
             [
-                ["REPRO_COLUMNAR=0", "columnar pages -> row batches"],
-                ["REPRO_PACKED=0", "packed column vectors -> boxed lists"],
-                ["REPRO_ARRANGE=0", "shared join arrangements -> private builds"],
                 ["REPRO_FOLD=0", "subsumption query folding -> exact-match "
                  "sharing only (WoP, cache, arrangements)"],
             ],

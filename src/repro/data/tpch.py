@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.data.rng import make_rng
-from repro.sim.fastpath import packed_storage_active
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -54,14 +53,12 @@ def generate_tpch(sf: float = 1.0, seed: int = 42) -> TpchDataset:
     """Generate (and memoize) lineitem at scale factor ``sf``.
 
     Real cardinality 6,000,000 x SF; generated min(6000 x SF, 60000) rows
-    with a matching row weight (same scale substitution as SSB).  Like
-    :func:`repro.data.ssb.generate_ssb`, the memo key includes the
-    effective packed-storage flag (layout is baked in at build time)."""
-    return _generate_tpch(sf, seed, packed_storage_active())
+    with a matching row weight (same scale substitution as SSB)."""
+    return _generate_tpch(sf, seed)
 
 
 @lru_cache(maxsize=8)
-def _generate_tpch(sf: float, seed: int, _packed: bool) -> TpchDataset:
+def _generate_tpch(sf: float, seed: int) -> TpchDataset:
     if sf <= 0:
         raise ValueError("scale factor must be positive")
     rng = make_rng(seed, "lineitem")

@@ -20,23 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Fast-path defaults (the vectorized data plane and the simulator's fused
-# CPU charges).  Both are *wall-clock* optimizations: simulated results are
-# bit-identical either way (tests/engine/test_golden_determinism.py holds
-# them to that).  They live in repro.sim.fastpath (the simulator consults
-# fuse_charges itself); re-exported here because engine code and benchmarks
-# treat them as engine configuration.
+# Process-wide defaults of the knobs that change simulated time (folding
+# and the adaptive GQP plane) live in repro.sim.fastpath; re-exported here
+# because engine code and benchmarks treat them as engine configuration.
 from repro.sim.fastpath import (  # noqa: F401  (re-exports)
-    arrangements_default,
-    batch_kernels_default,
-    columnar_pages_default,
     fast_path,
-    fuse_charges_default,
     gqp_adaptive_ordering_default,
     gqp_filter_kernels_default,
     gqp_plane,
-    packed_storage_active,
-    packed_storage_default,
     query_folding_default,
     set_gqp_plane,
 )
@@ -94,54 +85,24 @@ class EngineConfig:
     #: buffer pool already holds base pages); 'join' may be opted in, at
     #: the price of spilling potentially fact-sized intermediate results.
     result_cache_stages: tuple[str, ...] = ("aggregate", "sort", "cjoin")
-    #: wall-clock fast paths (None = follow the module-level default; see
-    #: ``fast_path`` above).  ``batch_kernels`` routes per-row hot loops
-    #: through ``Expr.compile_batch`` vectorized kernels; ``fuse_charges``
-    #: lets workers yield fused CPU commands (one event per charge *group*).
-    #: Neither changes a single simulated tick.
-    batch_kernels: bool | None = None
-    fuse_charges: bool | None = None
-    #: columnar pages (None = follow the process-wide default): scans emit
-    #: ``ColumnBatch`` column views and the stages run late-materialized --
-    #: selection vectors instead of filtered row lists, join tails instead
-    #: of wide output tuples.  Charges are computed from row counts, which
-    #: the columnar plane keeps identical, so like the other fast-path
-    #: flags it never changes a simulated tick.
-    columnar_pages: bool | None = None
-    #: packed column storage (None = follow the process-wide default):
-    #: tables hold typed ``array`` / dictionary-encoded column vectors
-    #: (see ``repro.storage.packed``) and selection runs on codes and
-    #: memoized predicate bitmaps.  The layout is decided when a table is
-    #: *built*, so this knob matters to dataset generation and the shard
-    #: partitioner rather than to per-engine execution; it rides along
-    #: here so sweeps and workers capture/replay one coherent flag set.
-    packed_storage: bool | None = None
-    #: shared join arrangements (None = follow the process-wide default):
-    #: the hash-join stage and CJOIN admission probe one refcounted
-    #: build-side index per (table, key column) from
-    #: :data:`repro.storage.arrangements.ARRANGEMENTS` instead of each
-    #: query building its own.  Every simulated charge is still paid per
-    #: query (only the host-side structure is shared), so like the other
-    #: fast-path flags it never changes a simulated tick.
-    arrangements: bool | None = None
     #: subsumption-based query folding (None = follow the process-wide
     #: default, ``REPRO_FOLD``): admission, the result cache, and the
     #: arrangement cache match by *subsumption* (:mod:`repro.query.subsume`)
     #: in addition to exact signatures -- a satellite attaches to a
     #: superset host through a residual post-filter, a cache probe answers
     #: from a superset entry, a range probe rides a sibling arrangement.
-    #: Folding skips sub-plan work, so unlike the flags above it *changes
-    #: simulated timing*; query results stay bit-identical (golden suite
-    #: fingerprint-asserts both planes).
+    #: Folding skips sub-plan work, so it *changes simulated timing*; query
+    #: results stay bit-identical (golden suite fingerprint-asserts both
+    #: planes).
     query_folding: bool | None = None
     #: the adaptive GQP data plane (None = follow the process-wide default;
-    #: see ``gqp_plane`` / ``set_gqp_plane``).  Unlike the fast-path flags,
-    #: these *change simulated results* when enabled: ``gqp_adaptive_ordering``
-    #: re-sorts the CJOIN filter chain most-selective-first at logical-tick
-    #: boundaries, and ``gqp_filter_kernels`` probes filters columnar-style
-    #: and skips filters irrelevant to every surviving query on a page.
-    #: Both default off, keeping default runs bit-identical to the golden
-    #: metrics snapshot.
+    #: see ``gqp_plane`` / ``set_gqp_plane``).  These *change simulated
+    #: results* when enabled: ``gqp_adaptive_ordering`` re-sorts the CJOIN
+    #: filter chain most-selective-first at logical-tick boundaries, and
+    #: ``gqp_filter_kernels`` probes filters columnar-style and skips
+    #: filters irrelevant to every surviving query on a page.  Both default
+    #: off, keeping default runs bit-identical to the golden metrics
+    #: snapshot.
     gqp_adaptive_ordering: bool | None = None
     gqp_filter_kernels: bool | None = None
     #: adaptive-ordering tuning: re-sort check cadence in preprocessor pages
@@ -152,23 +113,6 @@ class EngineConfig:
     gqp_reorder_interval: int = 16
     gqp_selectivity_alpha: float = 0.3
     gqp_order_hysteresis: float = 0.05
-
-    def use_batch_kernels(self) -> bool:
-        return batch_kernels_default() if self.batch_kernels is None else self.batch_kernels
-
-    def use_fuse_charges(self) -> bool:
-        return fuse_charges_default() if self.fuse_charges is None else self.fuse_charges
-
-    def use_columnar_pages(self) -> bool:
-        return columnar_pages_default() if self.columnar_pages is None else self.columnar_pages
-
-    def use_packed_storage(self) -> bool:
-        if self.packed_storage is None:
-            return packed_storage_default() and self.use_columnar_pages()
-        return self.packed_storage
-
-    def use_arrangements(self) -> bool:
-        return arrangements_default() if self.arrangements is None else self.arrangements
 
     def use_query_folding(self) -> bool:
         return query_folding_default() if self.query_folding is None else self.query_folding

@@ -104,7 +104,9 @@ class HybridEngine:
     def _cached_query_centric_plan(self, spec: StarQuerySpec) -> "PlanNode | None":
         from repro.cache import cached_query_centric_plan
 
-        return cached_query_centric_plan(self.storage, spec)
+        return cached_query_centric_plan(
+            self.storage, spec, self.query_centric.config.use_query_folding()
+        )
 
     def submit_plan(self, plan, label: str = "", spec: StarQuerySpec | None = None) -> QueryHandle:
         """Non-star plans (e.g. TPC-H Q1) always run query-centric: the GQP

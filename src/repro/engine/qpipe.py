@@ -102,13 +102,7 @@ class QPipeEngine:
     # ------------------------------------------------------------------
     def new_exchange(self, name: str) -> Any:
         if self.config.comm == "spl":
-            return SplExchange(
-                self.sim,
-                self.cost,
-                self.config.spl_max_pages,
-                name,
-                fuse=self.config.use_fuse_charges(),
-            )
+            return SplExchange(self.sim, self.cost, self.config.spl_max_pages, name)
         return FifoExchange(self.sim, self.cost, self.config.fifo_capacity, name)
 
     # ------------------------------------------------------------------
@@ -226,8 +220,6 @@ class QPipeEngine:
         simulated tick.  The view itself is resolved in the join stage
         (seeded from the first query's drained build rows, memoized per
         predicate on the arrangement)."""
-        if not self.config.use_arrangements():
-            return None
         inner, predicate = unwrap_selects(node.build)
         if not isinstance(inner, ScanNode) or node.build_key not in inner.table.schema:
             return None
@@ -244,14 +236,7 @@ class QPipeEngine:
         inner, predicate = unwrap_selects(child)
         child_packet = self._build(inner, query)
         reader = child_packet.connect(budget=self._budget_for(inner))
-        return FilteredInput(
-            reader,
-            self.cost,
-            predicate,
-            inner.schema,
-            batch=self.config.use_batch_kernels(),
-            fuse=self.config.use_fuse_charges(),
-        )
+        return FilteredInput(reader, self.cost, predicate, inner.schema)
 
     # ------------------------------------------------------------------
     def sharing_summary(self) -> dict[str, int]:

@@ -261,11 +261,7 @@ class Stage:
         SPL reader under the pull model)."""
         cost = self.engine.cost
         exchange = packet.exchange
-        op = ResidualOperator(
-            plan,
-            host.node.schema,
-            batch_kernels=self.engine.config.use_batch_kernels(),
-        )
+        op = ResidualOperator(plan, host.node.schema)
         yield cost.fold_search(examined)
         terms = plan.residual_terms
         first = True
@@ -322,11 +318,7 @@ class Stage:
         every page passes through the residual operator first."""
         cost = self.engine.cost
         exchange = packet.exchange
-        op = ResidualOperator(
-            plan,
-            entry.node.schema,
-            batch_kernels=self.engine.config.use_batch_kernels(),
-        )
+        op = ResidualOperator(plan, entry.node.schema)
         yield cost.fold_search(examined)
         yield CPU(cost.cache_probe, "misc")
         terms = plan.residual_terms

@@ -129,20 +129,15 @@ class AggregateStage(Stage):
         specs = node.aggregates
         nspecs = len(specs)
         groups: dict[tuple, _Accumulator] = {}
-        fuse = self.engine.config.use_fuse_charges()
         # Group-key extraction hoisted out of the per-row loop; keys stay
         # tuples (out_rows concatenates them) even for a single column.
         key_of = row_key_fn(group_idx)
         get_group = groups.get
 
         while True:
-            # Fast mode: the input hands back its per-batch charge so it
-            # rides in front of our aggregation charge (see join._work).
-            if fuse:
-                batch, fc = yield from child_input.read_fused()
-            else:
-                batch = yield from child_input.read()
-                fc = None
+            # The input hands back its per-batch charge so it rides in
+            # front of our aggregation charge (see join._work).
+            batch, fc = yield from child_input.read_fused()
             if batch is END:
                 break
             n, w = len(batch), batch.weight
@@ -152,19 +147,15 @@ class AggregateStage(Stage):
                 continue
             # Group-table hashing counts as aggregation work (the paper's
             # "Hashing" bucket covers hash-join hash()/equal() only).
-            if fuse:
-                hash_cmd = CPU(cost.hash_func * n * w, "aggregation")
-                agg_cmd = cost.aggregate(n, w, functions=nspecs)
-                if fc is not None:
-                    cmd = CPU_FUSED(fc, hash_cmd, agg_cmd)
-                else:
-                    cmd = CPU_FUSED(hash_cmd, agg_cmd)
-                # Accumulation is pure computation; nothing is emitted
-                # until END, so the next read's lock charge rides along.
-                yield child_input.fuse_next_lock(cmd)
+            hash_cmd = CPU(cost.hash_func * n * w, "aggregation")
+            agg_cmd = cost.aggregate(n, w, functions=nspecs)
+            if fc is not None:
+                cmd = CPU_FUSED(fc, hash_cmd, agg_cmd)
             else:
-                yield CPU(cost.hash_func * n * w, "aggregation")
-                yield cost.aggregate(n, w, functions=nspecs)
+                cmd = CPU_FUSED(hash_cmd, agg_cmd)
+            # Accumulation is pure computation; nothing is emitted until
+            # END, so the next read's lock charge rides along.
+            yield child_input.fuse_next_lock(cmd)
             if isinstance(batch, ColumnBatch):
                 accumulate_columnar(
                     batch, n, w, group_idx, specs, value_fns, schema, groups

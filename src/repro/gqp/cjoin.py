@@ -27,7 +27,7 @@ from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
 from repro.sim.sync import Channel, Condition
 from repro.gqp.bitmap import SlotAllocator
 from repro.gqp.ordering import ChainOrderer
-from repro.query.expr import column_indices, row_key_fn
+from repro.query.expr import column_indices, compile_selection, row_key_fn
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.packed import as_list
 from repro.storage.page import Batch, ColumnBatch
@@ -200,6 +200,7 @@ class CJoinPipeline:
         #: admission; only the Python list comprehension is reused.  Entries
         #: are read-only downstream (_apply_admission never mutates them).
         self._dim_sel_cache: dict[tuple, list] = {}
+        self.storage.invalidation_listeners.append(self._drop_dim_selections)
         self.active: dict[int, _QueryState] = {}
         self.pending: list["Packet"] = []
         self.slots = SlotAllocator()
@@ -336,7 +337,7 @@ class CJoinPipeline:
                 addressed.append(state)
             filters, filter_pos = self._filter_chain()
             item = _WorkItem(
-                batch=page.to_batch(self.engine.config.use_columnar_pages()),
+                batch=page.to_batch(),
                 mask=mask,
                 addressed=addressed,
                 filters=filters,
@@ -417,7 +418,7 @@ class CJoinPipeline:
         the buffer pool."""
         cost = self.cost
         dim = self.storage.table(dimspec.dim_table)
-        kernel = None
+        select = None
         terms = 0
         cached = None
         cache_key = None
@@ -428,24 +429,19 @@ class CJoinPipeline:
             if cached is None and self.engine.config.use_query_folding():
                 # Query folding: derive this selection from a subsuming
                 # sibling selection or a sorted arrangement variant
-                # instead of compiling a fresh predicate kernel.  The page
-                # loop below still charges every scan/predicate cycle
-                # (kernel stays None), so simulated ticks are unchanged.
+                # instead of compiling a fresh selection.  The page loop
+                # below still charges every scan/predicate cycle (select
+                # stays None), so simulated ticks are unchanged.
                 cached = self._fold_dim_selected(dim, dimspec)
             if cached is None:
-                if self.engine.config.use_batch_kernels():
-                    kernel = dimspec.predicate.compile_batch(dim.schema)
-                else:
-                    pred = dimspec.predicate.compile(dim.schema)
-                    kernel = lambda rows, _p=pred: [r for r in rows if _p(r)]  # noqa: E731
-        fuse = self.engine.config.use_fuse_charges()
-        # Fuse mode: prepay the next page's buffer-pool latch charge at the
-        # tail of this page's scan/predicate command -- only pure compute
-        # happens in between, so the charge instants are unchanged and one
+                select = compile_selection(dimspec.predicate, dim.schema)
+        # Prepay the next page's buffer-pool latch charge at the tail of
+        # this page's scan/predicate command -- only pure compute happens
+        # in between, so the charge instants are unchanged and one
         # simulator event per page disappears (admission scans every dim
         # page per admitted query, the hottest page loop in CJOIN).
-        prepay = self.storage.latch_prepay_charge() if fuse else None
-        fused_cmds: dict[int, Any] = {}
+        prepay = self.storage.latch_prepay_charge()
+        fused_cmds: dict[int, Any] = {}  # immutable, so cached per page length
         last = dim.num_pages - 1
         prepaid = False
         selected: list[tuple] = []
@@ -453,40 +449,35 @@ class CJoinPipeline:
             page = yield from self.storage.read_page(dim, page_index, latch_prepaid=prepaid)
             rows = page.rows
             n = len(rows)
-            if dimspec.predicate is not None:
-                scan_cmd = cost.scan(n, page.weight)
-                pred_cmd = cost.predicate(n, page.weight, max(terms, 1))
-                if fuse:
-                    if prepay is not None and page_index < last:
-                        cmd = fused_cmds.get(n)
-                        if cmd is None:
-                            cmd = fused_cmds[n] = CPU_FUSED(scan_cmd, pred_cmd, prepay)
-                        prepaid = True
-                    else:
-                        cmd = CPU_FUSED(scan_cmd, pred_cmd)
-                        prepaid = False
-                    yield cmd
-                else:
-                    yield scan_cmd
-                    yield pred_cmd
-                if kernel is not None:
-                    selected.extend(kernel(rows))
-            else:
-                if prepay is not None and page_index < last:
-                    cmd = fused_cmds.get(n)
-                    if cmd is None:
-                        cmd = fused_cmds[n] = CPU_FUSED(cost.scan(n, page.weight), prepay)
-                    prepaid = True
-                else:
-                    cmd = cost.scan(n, page.weight)
-                    prepaid = False
-                yield cmd
+            prepaid = prepay is not None and page_index < last
+            cmd = fused_cmds.get(n) if prepaid else None
+            if cmd is None:
+                parts = [cost.scan(n, page.weight)]
+                if dimspec.predicate is not None:
+                    parts.append(cost.predicate(n, page.weight, max(terms, 1)))
+                if prepaid:
+                    parts.append(prepay)
+                cmd = CPU_FUSED(*parts)
+                if prepaid:
+                    fused_cmds[n] = cmd
+            yield cmd
+            if dimspec.predicate is None:
                 selected.extend(rows)
+            elif select is not None:
+                # Over the page's cached row tuples: every admission's
+                # selection then shares one tuple per dimension row.
+                selected.extend(select(Batch(rows, page.weight)).rows)
         if cached is not None:
             return cached
         if cache_key is not None:
             self._dim_sel_cache[cache_key] = selected
         return selected
+
+    def _drop_dim_selections(self, table_name: str) -> None:
+        """``StorageManager.notify_update`` hook: forget the memoized
+        selections over an updated dimension (the next admission rescans)."""
+        for key in [k for k in self._dim_sel_cache if k[0] == table_name]:
+            del self._dim_sel_cache[key]
 
     def _fold_dim_selected(self, dim, dimspec) -> list | None:
         """Derive one admission's dim-scan selection from already-shared
@@ -521,8 +512,6 @@ class CJoinPipeline:
             self._dim_sel_cache[(dimspec.dim_table, predicate)] = selected
             metrics.bump("cjoin_fold_dim_sibling")
             return selected
-        if not self.engine.config.use_arrangements():
-            return None
         sr = split_range(predicate)
         if sr is None:
             return None
@@ -546,40 +535,35 @@ class CJoinPipeline:
         filters with its selected dimension tuples, and register its point
         of entry on the circular fact scan."""
         cost = self.cost
-        fuse = self.engine.config.use_fuse_charges()
         node, agg_node = self._split_node(packet)
         slot = self.slots.alloc()
         bit = 1 << slot
         referenced = {d.dim_table for d, _ in plans}
-        use_arr = self.engine.config.use_arrangements()
         for dimspec, selected in plans:
             flt = self._ensure_filter(dimspec)
             key_idx = flt.dim_key_idx
             ht = flt.ht
             inserts = 0
             annotations = 0
-            arr = None
-            if use_arr:
-                # Shared arrangement: the dimension's key extraction is
-                # memoized per predicate, and base-key uniqueness makes
-                # every selected subset unique, so the set-equality check
-                # below is skipped (it would always pass).  All admission
-                # charges (dim scans above, hashing/build/bitmap below)
-                # are still paid per admitted query -- only the Python
-                # key list is reused across concurrent admissions.
-                arr = ARRANGEMENTS.acquire(
-                    self.storage.table(dimspec.dim_table), dimspec.dim_key
-                )
-            if arr is not None and arr.unique:
+            # Shared arrangement: the dimension's key extraction is
+            # memoized per predicate, and base-key uniqueness makes every
+            # selected subset unique, so the set-equality check below is
+            # skipped (it would always pass).  All admission charges (dim
+            # scans above, hashing/build/bitmap below) are still paid per
+            # admitted query -- only the Python key list is reused across
+            # concurrent admissions.
+            arr = ARRANGEMENTS.acquire(
+                self.storage.table(dimspec.dim_table), dimspec.dim_key
+            )
+            if arr.unique:
                 keys = arr.keys_for(selected, dimspec.predicate)
                 unique = True
             else:
                 keys = [r[key_idx] for r in selected]
                 unique = len(set(keys)) == len(keys)
-            if arr is not None:
-                # Transient pin: held only across the key extraction; the
-                # extended filter owns its own _Entry table afterwards.
-                ARRANGEMENTS.release(arr)
+            # Transient pin: held only across the key extraction; the
+            # extended filter owns its own _Entry table afterwards.
+            ARRANGEMENTS.release(arr)
             if unique:
                 # Unique keys (dimensions keyed by primary key -- the
                 # common case): probe the hash table in one C-level map
@@ -612,11 +596,7 @@ class CJoinPipeline:
             if cmds:
                 # Pure bookkeeping between the charges (pipeline paused):
                 # fuse them into one event per extended filter.
-                if fuse and len(cmds) > 1:
-                    yield CPU_FUSED(*cmds)
-                else:
-                    for cmd in cmds:
-                        yield cmd
+                yield CPU_FUSED(*cmds)
         for name, flt in self.filters.items():
             if name in referenced:
                 flt.referencing.add(slot)
@@ -737,11 +717,7 @@ class CJoinPipeline:
             # payload) costs the same as a query-centric join's output
             # materialization.
             cmds.append(cost.emit_join(len(new_rows), w))
-        if self.engine.config.use_fuse_charges():
-            yield CPU_FUSED(*cmds)
-        else:
-            for cmd in cmds:
-                yield cmd
+        yield CPU_FUSED(*cmds)
         item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
 
     # ------------------------------------------------------------------
@@ -813,10 +789,10 @@ class CJoinPipeline:
         """Drive the whole chain through the columnar kernels, fusing the
         bitmap-AND charge groups of consecutive filters into one simulator
         event (charge values and their order match the per-filter path;
-        only skipped filters' charges are elided).  ``prefix`` (fuse mode
-        only) is the caller's page-sync charge, riding at the head of the
-        fused command -- its charge instant is unchanged and one more
-        simulator event per page disappears."""
+        only skipped filters' charges are elided).  ``prefix`` is the
+        caller's page-sync charge, riding at the head of the fused command
+        -- its charge instant is unchanged and one more simulator event per
+        page disappears."""
         cmds: list[CpuCommand] = [] if prefix is None else [prefix]
         base = len(cmds)
         for flt in item.filters:
@@ -824,11 +800,7 @@ class CJoinPipeline:
                 break
             self._filter_kernel(item, flt, cmds)
         if len(cmds) > base:
-            if self.engine.config.use_fuse_charges():
-                yield CPU_FUSED(*cmds)
-            else:
-                for cmd in cmds:
-                    yield cmd
+            yield CPU_FUSED(*cmds)
         elif prefix is not None:
             yield prefix
 
@@ -836,20 +808,16 @@ class CJoinPipeline:
         """Horizontal configuration: each worker carries a page through the
         whole filter chain."""
         cost = self.cost
-        # The per-page sync charge is immutable -- build it once.  In fuse
-        # mode (with the chain kernels and no adaptive orderer, whose EWMA
-        # folds are order-sensitive across workers) it rides at the head of
-        # the chain's fused command instead of being its own event.
+        # The per-page sync charge is immutable -- build it once.  With the
+        # chain kernels and no adaptive orderer (whose EWMA folds are
+        # order-sensitive across workers) it rides at the head of the
+        # chain's fused command instead of being its own event.
         sync = CPU(cost.filter_sync_page, "locks")
         while True:
             item = yield from self._page_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover - pipeline never closes
                 return
-            fuse_sync = (
-                self.filter_kernels
-                and self.orderer is None
-                and self.engine.config.use_fuse_charges()
-            )
+            fuse_sync = self.filter_kernels and self.orderer is None
             if not fuse_sync:
                 yield sync
             rows = item.batch.rows
@@ -879,11 +847,7 @@ class CJoinPipeline:
             if item is Channel.CLOSED:  # pragma: no cover
                 return
             use_kernel = self.filter_kernels and position < len(item.filters)
-            fuse_sync = (
-                use_kernel
-                and self.orderer is None
-                and self.engine.config.use_fuse_charges()
-            )
+            fuse_sync = use_kernel and self.orderer is None
             if not fuse_sync:
                 yield sync
             if position == 0:
@@ -897,11 +861,7 @@ class CJoinPipeline:
                     base = len(cmds)
                     self._filter_kernel(item, item.filters[position], cmds)
                     if len(cmds) > base:
-                        if self.engine.config.use_fuse_charges():
-                            yield CPU_FUSED(*cmds)
-                        else:
-                            for cmd in cmds:
-                                yield cmd
+                        yield CPU_FUSED(*cmds)
                     elif fuse_sync:
                         yield sync
                 else:
@@ -939,7 +899,6 @@ class CJoinPipeline:
             bms = item.bms
             dims = item.dims
             filter_pos = item.filter_pos
-            fuse = self.engine.config.use_fuse_charges()
             for state in item.addressed:
                 # The bitmap pass is one comprehension over the parallel
                 # ``bms`` list with the query's bit pre-bound -- no per-row
@@ -966,11 +925,7 @@ class CJoinPipeline:
                             "aggregation",
                         ))
                 if cmds:
-                    if fuse:
-                        yield CPU_FUSED(*cmds)
-                    else:
-                        for cmd in cmds:
-                            yield cmd
+                    yield CPU_FUSED(*cmds)
                 if out:
                     if state.agg_groups is not None:
                         # Shared aggregation: fold into running sums instead

@@ -13,7 +13,6 @@ from repro.parallel.cells import (
     CellSpec,
     DatasetSpec,
     WorkloadSpec,
-    current_fast_flags,
     execute_cell,
 )
 from repro.parallel.fabric import (
@@ -40,7 +39,6 @@ __all__ = [
     "WorkerHandle",
     "WorkerUnresponsive",
     "WorkloadSpec",
-    "current_fast_flags",
     "execute_cell",
     "resolve_jobs",
     "run_cells",

@@ -16,9 +16,10 @@ never from shared mutable state.
   ``random.Random`` from ``(seed, kind, params...)`` via
   :func:`repro.data.rng.make_rng`, so no draw depends on how many cells
   ran before this one, in which order, or in which process.
-* The host fast-path flags are captured into the spec at *enumeration*
-  time (``fast_flags``), so a ``with fast_path(...)`` block in the parent
-  applies to workers too -- they don't inherit context managers.
+* The folding and GQP-plane defaults are captured into the spec at
+  *enumeration* time (``query_folding``, ``gqp_flags``), so a ``with
+  fast_path(...)`` / ``gqp_plane(...)`` block in the parent applies to
+  workers too -- they don't inherit context managers.
 
 The result is the same for any worker count and any execution order,
 which is what lets :mod:`repro.parallel.fabric` merge by key.
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -54,15 +54,10 @@ from repro.bench.workload import (
 )
 from repro.engine.config import (
     EngineConfig,
-    arrangements_default,
-    batch_kernels_default,
-    columnar_pages_default,
     fast_path,
-    fuse_charges_default,
     gqp_adaptive_ordering_default,
     gqp_filter_kernels_default,
     gqp_plane,
-    packed_storage_default,
     query_folding_default,
 )
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
@@ -73,37 +68,17 @@ __all__ = [
     "CellSpec",
     "DatasetSpec",
     "WorkloadSpec",
-    "current_fast_flags",
     "current_gqp_flags",
     "execute_cell",
 ]
 
 
-def current_fast_flags() -> tuple[bool, bool, bool, bool, bool, bool]:
-    """The parent's (batch_kernels, fuse_charges, columnar_pages,
-    packed_storage, arrangements, query_folding) defaults, captured into
-    each spec so workers replay the parent's execution mode -- including a
-    ``REPRO_COLUMNAR=0`` row-mode, ``REPRO_PACKED=0`` boxed-layout,
-    ``REPRO_ARRANGE=0`` private-builds, or ``REPRO_FOLD=0`` exact-match
-    parent.  Unlike the first five, ``query_folding`` changes simulated
-    timing, so shipping it with the cell is also what keeps a folding
-    sweep byte-identical across any worker count."""
-    return (
-        batch_kernels_default(),
-        fuse_charges_default(),
-        columnar_pages_default(),
-        packed_storage_default(),
-        arrangements_default(),
-        query_folding_default(),
-    )
-
-
 def current_gqp_flags() -> tuple[bool, bool]:
     """The parent's (adaptive_ordering, filter_kernels) adaptive-GQP
-    defaults.  Captured into each spec like ``fast_flags`` -- but these
-    *change simulated results*, so shipping them with the cell is what
-    keeps a ``--gqp-ordering adaptive`` sweep byte-identical across any
-    worker count."""
+    defaults.  Captured into each spec so workers replay the parent's
+    mode: these *change simulated results*, so shipping them with the cell
+    is what keeps a ``--gqp-ordering adaptive`` sweep byte-identical
+    across any worker count."""
     return (gqp_adaptive_ordering_default(), gqp_filter_kernels_default())
 
 
@@ -204,11 +179,11 @@ class CellSpec:
     mode: str = "batch"
     n_clients: int = 0
     duration: float = 0.0
-    #: (batch_kernels, fuse_charges, columnar_pages, packed_storage,
-    #: arrangements) captured in the parent at enumeration time; workers
-    #: re-apply them around the run (dataset generation included -- table
-    #: layout is decided at build time).
-    fast_flags: tuple[bool, ...] = field(default_factory=current_fast_flags)
+    #: the parent's folding default at enumeration time; workers re-apply
+    #: it around the run.  Folding changes simulated timing, so shipping
+    #: it with the cell is what keeps a sweep byte-identical across any
+    #: worker count (and a ``REPRO_FOLD=0`` parent an exact-match sweep).
+    query_folding: bool = field(default_factory=query_folding_default)
     #: (adaptive_ordering, filter_kernels) likewise -- engine configs with
     #: the GQP knobs at ``None`` resolve against these inside the worker.
     gqp_flags: tuple[bool, bool] = field(default_factory=current_gqp_flags)
@@ -247,14 +222,7 @@ def execute_cell(spec: CellSpec) -> CellResult:
     code path for serial and parallel execution: ``jobs=1`` calls it in
     the parent, ``jobs=N`` in workers -- same function, same results."""
     t0 = time.perf_counter()
-    flags = spec.fast_flags
-    ctx = fast_path(*flags) if flags != current_fast_flags() else nullcontext()
-    gflags = spec.gqp_flags
-    gctx = gqp_plane(*gflags) if gflags != current_gqp_flags() else nullcontext()
-    with ctx, gctx:
-        # Generate inside the flag context: the packed/columnar layout is
-        # baked into tables at build time, and the dataset memo is keyed
-        # by the effective layout flags (see repro.data.ssb).
+    with fast_path(spec.query_folding), gqp_plane(*spec.gqp_flags):
         dataset = spec.dataset.generate()
         if spec.mode == "batch":
             result: RunResult | ThroughputResult = run_batch(

@@ -1,68 +1,52 @@
-"""Scalar expressions over rows.
+"""Scalar expressions, and the one way predicates select rows.
 
-Expressions are small immutable ASTs with four capabilities:
+Expressions are small immutable ASTs:
 
-* ``compile(schema)`` -- build a fast ``row -> value`` closure (predicates
-  are evaluated millions of times; attribute lookups are hoisted out);
-* ``compile_batch(schema)`` -- build a *batch kernel* evaluating the
-  predicate over a whole sequence of rows in one call (see below);
+* ``compile(schema)`` -- a ``row -> value`` closure.  This is how *value*
+  expressions (aggregate inputs, arithmetic) are evaluated, and the
+  row-at-a-time oracle every selection kernel is held to;
 * ``signature`` -- a canonical, hashable encoding used for common-sub-plan
   detection (two predicates share iff their signatures are equal);
 * ``terms`` -- the number of primitive comparisons, used by the cost model
   to charge predicate-evaluation cycles.
 
-Batch kernels
--------------
-``compile_batch(schema)`` returns ``rows -> list of passing rows``;
-``compile_batch(schema, indices=True)`` returns ``rows -> list of passing
-indices`` (for callers that filter parallel lists, e.g. CJOIN's
-distributor).  The hot shapes -- single-column comparison against a
-constant, inclusive range, set membership, and conjunctions of those --
-compile to a single list comprehension with the column index and constants
-hoisted into the closure, amortizing the per-row interpretation cost the
-same way vectorized engines amortize per-tuple interpretation over blocks.
-Every other shape falls back to wrapping the row closure, so the kernel is
-*always* semantically identical to filtering with ``compile``: it selects
-exactly the same rows in the same order (tests/query/test_batch_kernels.py
-holds every shape to that).
-
-Column kernels
+One data plane
 --------------
-``compile_cols(schema)`` is the columnar-page counterpart: it returns a
-kernel ``(col_of, n, sel=None) -> passing positions`` that evaluates the
-predicate directly over column vectors -- ``col_of(i)`` yields logical
-column ``i`` of a batch, ``sel`` restricts evaluation to a previous pass's
-survivors (conjunctions cascade selection vectors instead of rebuilding
-rows).  The pass positions equal the positions row-wise evaluation would
-keep, in the same order (the property suite in ``tests/storage`` holds
-arbitrary schemas/predicates to that).  Shapes without a column form
-return ``None`` and the caller falls back to the row kernel.
+Every operator that filters -- consumer-side inputs, the Volcano baseline,
+fold residuals, CJOIN's admission scans -- goes through
+:func:`compile_selection`: ``(predicate, schema) -> (batch -> filtered
+batch)``.  Scans emit :class:`~repro.storage.page.ColumnBatch` views over
+packed column vectors; the selection looks at the batch it is handed and
+takes the cheapest form that batch supports, always keeping exactly the
+rows ``compile`` would keep, in the same order:
 
-When a column arrives dictionary-encoded (``packed_storage`` fast path,
-see :mod:`repro.storage.packed`), the leaf kernels switch to
-predicate-on-dictionary evaluation: the predicate is applied once per
-*distinct value* into a 256-byte pass table memoized on the shared
-``Dictionary`` by the predicate's signature, then a full page filters
-with one C-level ``codes.translate`` + ``itertools.compress`` pass and a
-refinement pass indexes codes only.  Survivor positions and order are
-unchanged, so this is invisible to simulated results.
+1. **bitmap** -- a column batch with no selection vector yet (a page view)
+   whose referenced columns are all dictionary-encoded: per-column
+   predicate bitmaps are memoized on the column by predicate signature, so
+   recurring predicates across concurrent queries AND/OR/complement cached
+   ints (this is also the only columnar form ``Or``/``Not`` have);
+2. **selection vector** -- any other column batch, for predicate shapes
+   with a column form (comparison against a constant, range, membership,
+   conjunctions of those): each conjunct refines the previous one's
+   survivor positions, and a dictionary-encoded column is filtered on its
+   raw code bytes through a 256-entry pass table built once per (table,
+   predicate);
+3. **rows** -- row batches (what aggregates, sorts and cache replays
+   emit), and column batches whose predicate has no column form: one list
+   comprehension over the materialized rows, comparison inlined.
 
-Mask kernels
-------------
-``compile_mask(schema)`` returns ``(col_of, n) -> int bitmap | None``:
-the predicate's live mask over a full batch, built from per-column
-predicate bitmaps memoized on dictionary columns (``mask_for``).
-Conjunction/disjunction/negation become single-int ``&``/``|``/``^``
-operations, which also gives ``Or``/``Not`` a columnar form.  A kernel
-returns ``None`` at call time when some referenced column is not
-dictionary-encoded; callers then fall back to ``compile_cols`` /
-``compile_batch``.  Masks select exactly the positions row-wise
-evaluation keeps.
+Which form runs is decided by the *data* (batch type, selection present,
+column encoding), never by configuration.  The three per-node builders
+behind the tiers -- ``compile_mask``, ``compile_cols``, ``compile_batch`` --
+have no caller outside this module; the property suites in
+``tests/query/`` and ``tests/storage/`` hold each of them to ``compile``
+on arbitrary schemas and predicates.
+``compile_batch(schema, indices=True)`` returns passing *indices* instead
+of rows.
 
 The module also hosts the shared schema->column-index helpers
-(:func:`column_indices`, :func:`row_key_fn`, :func:`value_column`) that
-the aggregation stage, the CJOIN distributor and the consumer-side inputs
-previously each rebuilt by hand."""
+(:func:`column_indices`, :func:`row_key_fn`, :func:`value_column`) used by
+the aggregation stage and the CJOIN distributor."""
 
 from __future__ import annotations
 
@@ -71,6 +55,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.storage.packed import DictColumn
+from repro.storage.page import Batch, ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
@@ -139,7 +124,7 @@ def _col_kernel(
     """Assemble a column kernel from a full-scan and a refinement pass.
 
     ``key`` (the predicate's signature) and ``value_pred`` (a plain
-    ``value -> bool`` closure) power the dictionary fast path: when the
+    ``value -> bool`` closure) power the dictionary form: when the
     column arrives dictionary-encoded, the predicate is folded into a
     pass table once per (table, predicate) and pages filter on raw code
     bytes -- same survivors, same order."""
@@ -218,6 +203,34 @@ def value_column(expr: "Expr", schema: "Schema", column_of: Callable, n: int):
     return None
 
 
+def compile_selection(
+    predicate: "Expr", schema: "Schema"
+) -> Callable[["Batch | ColumnBatch"], "Batch | ColumnBatch"]:
+    """The selection operator for ``predicate`` over batches of ``schema``:
+    ``batch -> the sub-batch of passing rows`` (same rows, same order as
+    filtering with ``predicate.compile``).  Pure computation -- callers
+    charge the predicate cycles.  See the module docstring for how the
+    bitmap / selection-vector / row form is picked per batch."""
+    mask_kernel = predicate.compile_mask(schema)
+    col_kernel = predicate.compile_cols(schema)
+    row_kernel = predicate.compile_batch(schema)
+
+    def select(batch):
+        if isinstance(batch, ColumnBatch):
+            if mask_kernel is not None and batch.sel is None:
+                # Unselected view: the columns are the base vectors (mask
+                # bit p == base row p).  A selected batch would have to
+                # gather its columns just to find they are not encoded.
+                mask = mask_kernel(batch.column, len(batch))
+                if mask is not None:
+                    return batch.take_mask(mask)
+            if col_kernel is not None:
+                return batch.take(col_kernel(batch.column, len(batch)))
+        return Batch(row_kernel(batch.rows), batch.weight)
+
+    return select
+
+
 class Expr:
     """Base class for scalar expressions."""
 
@@ -229,7 +242,8 @@ class Expr:
     def compile_batch(
         self, schema: "Schema", indices: bool = False
     ) -> Callable[[Sequence[tuple]], list]:
-        """Batch selection kernel (see module docstring).
+        """Row kernel ``rows -> passing rows`` (``indices=True``: passing
+        indices), the third tier of :func:`compile_selection`.
 
         Generic fallback: wrap the row closure.  Subclasses with a hot
         shape override this with a fused one-pass comprehension."""
@@ -239,16 +253,17 @@ class Expr:
         return lambda rows: [r for r in rows if pred(r)]
 
     def compile_cols(self, schema: "Schema") -> Callable | None:
-        """Column selection kernel (see module docstring), or ``None`` when
-        this shape has no column form and the caller must fall back to the
-        row kernel."""
+        """Selection-vector kernel ``(col_of, n, sel=None) -> passing
+        positions`` -- ``col_of(i)`` yields logical column ``i``, ``sel``
+        restricts evaluation to a previous pass's survivors -- or ``None``
+        when this shape has no column form."""
         return None
 
     def compile_mask(self, schema: "Schema") -> Callable | None:
-        """Mask kernel ``(col_of, n) -> int bitmap | None`` (see module
-        docstring), or ``None`` when this shape has no mask form.  The
-        kernel itself returns ``None`` at call time when a referenced
-        column is not dictionary-encoded."""
+        """Bitmap kernel ``(col_of, n) -> int bitmap | None`` over a full
+        batch, or ``None`` when this shape has no mask form.  The kernel
+        itself returns ``None`` at call time when a referenced column is
+        not dictionary-encoded."""
         return None
 
     @property
@@ -611,8 +626,7 @@ class Or(Expr):
         return lambda row: any(f(row) for f in fns)
 
     def compile_mask(self, schema: "Schema") -> Callable | None:
-        """Disjunction mask kernel: OR the parts' memoized bitmaps --
-        the first columnar form disjunctions have had."""
+        """Disjunction mask kernel: OR the parts' memoized bitmaps."""
         kernels = [p.compile_mask(schema) for p in self.parts]
         if any(k is None for k in kernels):
             return None

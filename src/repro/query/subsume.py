@@ -50,7 +50,18 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.query.expr import And, Between, Cmp, Col, Const, Expr, InSet, Not, Or
+from repro.query.expr import (
+    And,
+    Between,
+    Cmp,
+    Col,
+    Const,
+    Expr,
+    InSet,
+    Not,
+    Or,
+    compile_selection,
+)
 from repro.query.plan import (
     AggregateNode,
     CJoinNode,
@@ -59,6 +70,7 @@ from repro.query.plan import (
     SelectNode,
     SortNode,
 )
+from repro.storage.page import Batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
@@ -688,15 +700,12 @@ class ResidualOperator:
 
     __slots__ = ("plan", "_filter", "_project", "_groups", "_measures", "_key_idx")
 
-    def __init__(self, plan: FoldPlan, provider_schema: "Schema", batch_kernels: bool = True):
+    def __init__(self, plan: FoldPlan, provider_schema: "Schema"):
         self.plan = plan
         self._filter: Callable[[list], list] | None = None
         if plan.residual is not None:
-            if batch_kernels:
-                self._filter = plan.residual.compile_batch(provider_schema)
-            else:
-                pred = plan.residual.compile(provider_schema)
-                self._filter = lambda rows, _p=pred: [r for r in rows if _p(r)]
+            select = compile_selection(plan.residual, provider_schema)
+            self._filter = lambda rows: select(Batch(rows)).rows
         self._project: Callable[[tuple], tuple] | None = None
         if plan.project is not None:
             idx = plan.project

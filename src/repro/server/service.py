@@ -275,7 +275,9 @@ class QueryService:
             # replays materialized pages at memory-read cost, so it stays
             # query-centric instead of paying GQP admission -- and does not
             # perturb the policy's pressure feedback (it adds ~no load).
-            cached_plan = cached_query_centric_plan(self.storage, job.spec)
+            cached_plan = cached_query_centric_plan(
+                self.storage, job.spec, self.query_centric.config.use_query_folding()
+            )
             if cached_plan is not None:
                 route = QUERY_CENTRIC
                 self.metrics.record_cache_route()

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import zlib
 
-from repro.sim.fastpath import columnar_pages_default
 from repro.storage import packed as packedmod
 from repro.storage.table import Table
 
@@ -56,78 +55,54 @@ def assign_shards(n_rows: int, n_shards: int, mode: str = "hash", salt: int = 0)
 
 
 def partition_table(
-    table: Table,
-    n_shards: int,
-    mode: str = "hash",
-    salt: int = 0,
-    columnar: bool | None = None,
+    table: Table, n_shards: int, mode: str = "hash", salt: int = 0
 ) -> list[Table]:
     """Split ``table`` into ``n_shards`` tables (same name, schema, row
     weight and page granularity; possibly empty -- a shard with no fact
     rows is legal and handled by the worker).
 
-    With the columnar plane on (the default), shards are built column-wise
-    from the parent table's cached column vectors and row tuples are never
-    materialized: ``range`` mode *slices* each vector (one C-level copy of
-    the references per column per shard -- the page-range path), ``hash``
-    mode *gathers* through a per-shard index list.  Both feed
-    :meth:`Table.from_columns`, whose pages carry the same row counts,
-    weights and byte accounting as the row constructor's, so simulated
-    results are identical to the row path (the shard fingerprint test in
-    ``tests/shard`` holds both layouts to one snapshot)."""
-    if columnar is None:
-        columnar = columnar_pages_default()
-    if columnar:
-        cols = table.columns()
-        n = table.num_rows
-        builds: list[tuple] = []
-        if mode == "range":
-            block = -(-n // n_shards) if n else 1
-            for k in range(n_shards):
-                start = min(k * block, n)
-                end = n if k == n_shards - 1 else min((k + 1) * block, n)
-                builds.append(tuple(col[start:end] for col in cols))
-        elif mode == "hash":
-            assignment = assign_shards(n, n_shards, mode, salt)
-            index: list[list[int]] = [[] for _ in range(n_shards)]
-            for i, shard in enumerate(assignment):
-                index[shard].append(i)
-            for idx in index:
-                # gather_column keeps packed layouts packed: dictionary
-                # columns gather their byte codes (sharing the value
-                # table), typed arrays gather into typed arrays -- the
-                # shard inherits the parent's representation instead of
-                # falling back to boxed lists.
-                builds.append(
-                    tuple(packedmod.gather_column(col, idx) for col in cols)
-                )
-        else:
-            raise ValueError(
-                f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})"
-            )
-        return [
-            Table.from_columns(
-                table.name,
-                table.schema,
-                shard_cols,
-                row_weight=table.row_weight,
-                tuples_per_page=table.tuples_per_page,
-            )
-            for shard_cols in builds
-        ]
-    assignment = assign_shards(table.num_rows, n_shards, mode, salt)
-    buckets: list[list[tuple]] = [[] for _ in range(n_shards)]
-    for row, shard in zip(table.iter_rows(), assignment):
-        buckets[shard].append(row)
+    Shards are built column-wise from the parent table's cached column
+    vectors and row tuples are never materialized: ``range`` mode *slices*
+    each vector (one C-level copy of the references per column per shard
+    -- the page-range path), ``hash`` mode *gathers* through a per-shard
+    index list.  Both feed :meth:`Table.from_columns`, whose pages carry
+    the same row counts, weights and byte accounting as the row
+    constructor's, so simulated charges do not depend on how a shard was
+    built."""
+    cols = table.columns()
+    n = table.num_rows
+    builds: list[tuple] = []
+    if mode == "range":
+        block = -(-n // n_shards) if n else 1
+        for k in range(n_shards):
+            start = min(k * block, n)
+            end = n if k == n_shards - 1 else min((k + 1) * block, n)
+            builds.append(tuple(col[start:end] for col in cols))
+    elif mode == "hash":
+        assignment = assign_shards(n, n_shards, mode, salt)
+        index: list[list[int]] = [[] for _ in range(n_shards)]
+        for i, shard in enumerate(assignment):
+            index[shard].append(i)
+        for idx in index:
+            # gather_column keeps packed layouts packed: dictionary
+            # columns gather their byte codes (sharing the value table),
+            # typed arrays gather into typed arrays -- the shard inherits
+            # the parent's representation instead of falling back to
+            # boxed lists.
+            builds.append(tuple(packedmod.gather_column(col, idx) for col in cols))
+    else:
+        raise ValueError(
+            f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})"
+        )
     return [
-        Table(
+        Table.from_columns(
             table.name,
             table.schema,
-            rows,
+            shard_cols,
             row_weight=table.row_weight,
             tuples_per_page=table.tuples_per_page,
         )
-        for rows in buckets
+        for shard_cols in builds
     ]
 
 
@@ -144,23 +119,14 @@ def partition_shipping(shard: Table) -> dict[str, int]:
       buffer was copied;
     * ``DictColumn`` -- the code bytes were copied (slice or gather),
       the dictionary value table stays shared: ``len(codes)`` bytes;
-    * boxed column vectors -- one machine-word reference per cell;
-    * row-built shards (columnar plane off) -- one reference per row
-      (the tuples themselves are shared with the parent table).
+    * boxed column vectors -- one machine-word reference per cell.
 
     The scatter-cost model charges these bytes (plus a per-page term) on
     each shard's virtual timeline at service start-up; see
     :class:`repro.shard.service.ShardService`."""
     word = 8  # CPython reference width on every supported platform
-    cols = shard._cols
-    if cols is None:
-        return {
-            "rows": shard.num_rows,
-            "pages": shard.num_pages,
-            "shipped_bytes": word * shard.num_rows,
-        }
     shipped = 0
-    for col in cols:
+    for col in shard.columns():
         t = type(col)
         if t is packedmod.PackedNumeric:
             if type(col.data) is not memoryview:
@@ -183,19 +149,13 @@ def shard_tables(
     n_shards: int,
     mode: str = "hash",
     salt: int = 0,
-    columnar: bool | None = None,
 ) -> dict[str, Table]:
     """One shard's view of the database: its fact partition plus every
-    dimension replicated (shared by reference -- tables are immutable).
-    ``columnar`` picks the partition build (see :func:`partition_table`);
-    the shard worker passes its shipped flag so the layout follows the
-    *parent's* mode, not the worker process's import-time default."""
+    dimension replicated (shared by reference -- tables are immutable)."""
     if fact_table not in tables:
         raise ValueError(f"unknown fact table {fact_table!r}")
     if not 0 <= shard_id < n_shards:
         raise ValueError(f"shard_id {shard_id} out of range for {n_shards} shards")
     out = dict(tables)
-    out[fact_table] = partition_table(
-        tables[fact_table], n_shards, mode, salt, columnar=columnar
-    )[shard_id]
+    out[fact_table] = partition_table(tables[fact_table], n_shards, mode, salt)[shard_id]
     return out

@@ -58,6 +58,7 @@ from repro.shard.metrics import ShardServiceMetrics
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
 from repro.shard.worker import shard_worker_main
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.storage.arrangements import ARRANGEMENTS
 
 __all__ = ["MergedResult", "ShardReport", "ShardService", "serve_sharded"]
 
@@ -119,14 +120,12 @@ class ShardService:
         # Fork-COW prewarm (same trick as the sweep fabric): generate the
         # dataset in the parent before spawning so every worker inherits
         # the memoized tables copy-on-write instead of regenerating them.
-        # With the columnar plane on, also materialize the fact table's
-        # column vectors: the workers' zero-copy partition slices/gathers
-        # (repro.shard.partition) then read shared pages instead of each
-        # re-deriving columns from row tuples.
+        # Also materialize the column caches: the workers' zero-copy
+        # partition slices/gathers (repro.shard.partition) then read shared
+        # pages instead of each re-deriving them.
         ds = config.dataset.generate()
-        if config.fast_flags[2]:
-            for table in ds.tables.values():
-                table.warm_columns()
+        for table in ds.tables.values():
+            table.warm_columns()
         # Shared-arrangement prewarm (same fork-COW trick): build each
         # dimension's join arrangement on its key (first schema column --
         # the generators' PK-first convention) BEFORE spawning, so every
@@ -136,17 +135,12 @@ class ShardService:
         # the scatter-cost prewarm); reusing queries pay only their probe
         # cost, which their simulated service times already contain.
         arrange_cycles = 0.0
-        if len(config.fast_flags) > 4 and config.fast_flags[4]:
-            from repro.storage.arrangements import ARRANGEMENTS
-
-            for name in sorted(ds.tables):
-                if name == config.fact_table:
-                    continue
-                table = ds.tables[name]
-                ARRANGEMENTS.release(
-                    ARRANGEMENTS.acquire(table, table.schema.columns[0].name)
-                )
-                arrange_cycles += DEFAULT_COST_MODEL.arrange_cycles(table.real_rows)
+        for name in sorted(ds.tables):
+            if name == config.fact_table:
+                continue
+            table = ds.tables[name]
+            ARRANGEMENTS.release(ARRANGEMENTS.acquire(table, table.schema.columns[0].name))
+            arrange_cycles += DEFAULT_COST_MODEL.arrange_cycles(table.real_rows)
         self.workers = [
             WorkerHandle(shard_worker_main, args=(i, config), name=f"shard-{i}")
             for i in range(config.n_shards)

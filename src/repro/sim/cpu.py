@@ -67,11 +67,7 @@ class CpuPool:
         self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
         self._seq = 0
         self._version = 0  # invalidates scheduled completion events
-        #: metrics hook for fused charges: called as ``charge(thread,
-        #: cycles, category)`` exactly when a fused part *starts* -- the
-        #: same instant its unfused equivalent would have been dispatched.
-        self.charge: Callable[["SimThread", float, str], None] | None = None
-        # ---- armed-event dedup (owned by Simulator._arm_pool fast path):
+        # ---- armed-event dedup (owned by Simulator._arm_pool):
         # time of the single live completion event, a token invalidating
         # superseded events, and the freshest (time, version) estimate.
         self.armed_when: float | None = None
@@ -172,10 +168,10 @@ class CpuPool:
         """Remove and return every thread whose work is complete at ``now``.
 
         An entry that still carries fused parts does not resume its thread;
-        instead its returned callable charges the next part and re-enters
-        the pool.  The caller invokes the callables in completion order, so
-        both the metrics-charge order and the pool insertion order are
-        exactly what the unfused charge sequence would have produced."""
+        instead its returned callable starts the next part and re-enters the
+        pool.  The caller invokes the callables in completion order, so the
+        pool insertion order is exactly what the unfused charge sequence
+        would have produced."""
         self.advance(now)
         done: list[tuple["SimThread", Callable[[], None]]] = []
         eps = 1e-9 * max(1.0, abs(self.service))
@@ -192,15 +188,13 @@ class CpuPool:
     def _part_continuation(
         self, now: float, thread: "SimThread", on_done: Callable[[], None], rest: tuple
     ) -> Callable[[], None]:
-        """Continuation for the next part of a fused charge: meter it and
-        re-enter the pool, mirroring what dispatching it separately would
-        have done at this exact instant."""
+        """Continuation for the next part of a fused charge: re-enter the
+        pool, mirroring what dispatching it separately would have done at
+        this exact instant (metering is the simulator's job, see
+        ``Simulator._service_pool``)."""
 
         def start_next_part() -> None:
-            cycles, category = rest[0]
-            if self.charge is not None:
-                self.charge(thread, cycles, category)
-            self.add(now, thread, cycles, on_done, rest[1:])
+            self.add(now, thread, rest[0][0], on_done, rest[1:])
 
         return start_next_part
 

@@ -1,96 +1,47 @@
-"""Process-wide execution-plane switchboards.
+"""Process-wide defaults of the two execution-plane choices that *change
+simulated time*.
 
-Two independent *wall-clock-only* optimizations share the fast-path
-switchboard:
+The host data plane itself has no switches: charges are fused, predicates
+run as batch kernels, scans emit column views over packed vectors and join
+builds go through shared arrangements, always (``docs/performance.md``
+records the measurements behind that).  What stays selectable is what
+moves a simulated tick:
 
-* ``batch_kernels`` -- engine hot loops call ``Expr.compile_batch``
-  vectorized kernels instead of per-row closures;
-* ``fuse_charges`` -- workers yield :func:`repro.sim.commands.CPU_FUSED`
-  commands, and the simulator services the resulting completion chains
-  inline (see ``Simulator._service_pool``) instead of one heap event per
-  charge;
-* ``columnar_pages`` -- scan sources emit
-  :class:`~repro.storage.page.ColumnBatch` column views instead of row
-  batches, and the data plane runs late-materialized (selection vectors,
-  column kernels, join tails) until an emit point forces row tuples.
-  Charges are computed from row *counts*, which the columnar plane keeps
-  identical, so simulated results are bit-identical either way;
-* ``packed_storage`` -- tables build their column vectors *packed*
-  (:mod:`repro.storage.packed`): typed ``array`` buffers for numeric
-  kinds, dictionary-encoded codes for low-cardinality columns, shared
-  zero-copy by pages and shard partitions, with predicate-on-dictionary
-  selection kernels and memoized per-page predicate bitmaps.  Only
-  meaningful under ``columnar_pages`` (packing decides how column
-  vectors are *stored*; the columnar plane decides whether they are
-  *used*), so :func:`packed_storage_active` ANDs the two.  Like the
-  other fast-path flags it never changes a simulated tick;
-* ``arrangements`` -- join consumers share refcounted build-side
-  indexes (:mod:`repro.storage.arrangements`): one hash arrangement per
-  (table, key column) built on first demand and probed by every
-  concurrent query joining on that key, instead of each query building
-  its own dict.  Every simulated charge (build-input reads, hashing,
-  insert bookkeeping, admission scans) is still paid per query -- only
-  the host-side Python data structure is shared -- so simulated results
-  stay bit-identical either way;
 * ``query_folding`` -- the sharing layers (WoP registry, result cache,
   arrangements) match plans by *subsumption*
   (:mod:`repro.query.subsume`), not just exact signature equality: a
   packet can attach to a host whose output strictly contains its own
   through a residual post-filter, a cache probe can answer from a
   superset entry, and a range probe can ride a sibling arrangement's
-  sorted variant.  Unlike the other fast-path flags, folding changes
-  *simulated timing* (folded satellites skip sub-plan work and pay
-  fold-search/residual charges instead); query **results** stay
-  bit-identical, which the golden suite fingerprint-asserts.
+  sorted variant.  Folded satellites skip sub-plan work and pay
+  fold-search/residual charges instead; query **results** stay
+  bit-identical, which the golden suite fingerprint-asserts.  Default on;
+  ``REPRO_FOLD=0`` seeds it off at import time (spawned benchmark/worker
+  processes inherit the parent's choice) and :func:`fast_path` pins it
+  for a block.
 
-All default on; ``fast_path(False, False, False, False, False)``
-restores the row-at-a-time "before" behavior for benchmarking and for
-the golden determinism tests, which hold the modes to *bit-identical*
-simulated results.  ``REPRO_COLUMNAR=0`` / ``REPRO_PACKED=0`` /
-``REPRO_ARRANGE=0`` / ``REPRO_FOLD=0`` seed the columnar / packed /
-arrangement / folding defaults off at import time (spawned
-benchmark/worker processes inherit the parent's choice).
+* the **adaptive GQP data plane** (:mod:`repro.gqp.ordering`):
+  ``gqp_adaptive_ordering`` -- the CJOIN filter chain re-sorts itself
+  most-selective-first at logical-tick boundaries -- and
+  ``gqp_filter_kernels`` -- columnar filter probing with chain-fused
+  charges and pass-mask short-circuiting (fewer doomed tuples reach later
+  filters; irrelevant filters are skipped).  Both default *off*, so
+  default runs stay bit-identical to the committed golden metrics;
+  ``REPRO_GQP_ORDERING=adaptive`` and ``REPRO_GQP_KERNELS=1`` seed them at
+  import time.
 
-Because folding moves simulated ticks, ``fast_path(...)`` resolves
-``fold=None`` to **False** -- every context pinned for golden/wallclock
-comparisons stays on the reference (fold-off) timing plane unless it
-opts in explicitly -- while the *process default* outside any context
-is on (``REPRO_FOLD`` seeded).
-
-A second switchboard carries the process-wide defaults of the **adaptive
-GQP data plane** (:mod:`repro.gqp.ordering`):
-
-* ``gqp_adaptive_ordering`` -- the CJOIN filter chain re-sorts itself
-  most-selective-first at logical-tick boundaries;
-* ``gqp_filter_kernels`` -- columnar filter probing with chain-fused
-  charges and pass-mask short-circuiting.
-
-Unlike the fast path, these two **change simulated results when enabled**
-(fewer doomed tuples reach later filters; irrelevant filters are skipped).
-They default *off*, so default runs stay bit-identical to the committed
-golden metrics; ``EngineConfig`` fields set to ``None`` fall back to these
-defaults, which makes one env var / context manager flip whole sweeps.
-The environment variables ``REPRO_GQP_ORDERING=adaptive`` and
-``REPRO_GQP_KERNELS=1`` seed the defaults at import time so freshly
-spawned benchmark/worker processes inherit the parent's choice.
-
-This lives in :mod:`repro.sim` (the lowest layer) because the simulator
-itself consults ``fuse_charges``; engine code imports the same switches
-through :mod:`repro.engine.config`, which re-exports them."""
+``EngineConfig`` fields set to ``None`` fall back to these defaults, which
+makes one env var / context manager flip whole sweeps.  This lives in
+:mod:`repro.sim` (the lowest layer) so every layer can read it; engine code
+imports the same switches through :mod:`repro.engine.config`, which
+re-exports them."""
 
 from __future__ import annotations
 
 import contextlib
 import os
 
-_FAST_PATH = {
-    "batch_kernels": True,
-    "fuse_charges": True,
-    "columnar_pages": os.environ.get("REPRO_COLUMNAR", "1") not in ("0", "false"),
-    "packed_storage": os.environ.get("REPRO_PACKED", "1") not in ("0", "false"),
-    "arrangements": os.environ.get("REPRO_ARRANGE", "1") not in ("0", "false"),
-    "query_folding": os.environ.get("REPRO_FOLD", "1") not in ("0", "false"),
-}
+_query_folding = os.environ.get("REPRO_FOLD", "1") not in ("0", "false")
 
 _GQP_PLANE = {
     "adaptive_ordering": os.environ.get("REPRO_GQP_ORDERING", "") == "adaptive",
@@ -98,82 +49,22 @@ _GQP_PLANE = {
 }
 
 
-def batch_kernels_default() -> bool:
-    """Process-wide default for vectorized batch kernels."""
-    return _FAST_PATH["batch_kernels"]
-
-
-def fuse_charges_default() -> bool:
-    """Process-wide default for fused simulator CPU charges."""
-    return _FAST_PATH["fuse_charges"]
-
-
-def columnar_pages_default() -> bool:
-    """Process-wide default for the columnar (late-materialized) data plane."""
-    return _FAST_PATH["columnar_pages"]
-
-
-def packed_storage_default() -> bool:
-    """Process-wide default for packed (typed/dictionary) column vectors."""
-    return _FAST_PATH["packed_storage"]
-
-
-def arrangements_default() -> bool:
-    """Process-wide default for shared (refcounted) join arrangements."""
-    return _FAST_PATH["arrangements"]
-
-
 def query_folding_default() -> bool:
     """Process-wide default for subsumption-based query folding."""
-    return _FAST_PATH["query_folding"]
-
-
-def packed_storage_active() -> bool:
-    """Whether tables should build packed column vectors *right now*:
-    packed storage only pays off when the columnar plane consumes it, so
-    the packed flag is effective only under ``columnar_pages``."""
-    return _FAST_PATH["packed_storage"] and _FAST_PATH["columnar_pages"]
+    return _query_folding
 
 
 @contextlib.contextmanager
-def fast_path(
-    batch_kernels: bool = True,
-    fuse_charges: bool = True,
-    columnar_pages: bool | None = None,
-    packed_storage: bool | None = None,
-    arrangements: bool | None = None,
-    query_folding: bool | None = None,
-):
-    """Temporarily override the fast-path defaults (benchmarking/tests).
-
-    ``columnar_pages=None`` follows ``batch_kernels`` -- the historical
-    two-argument calls ``fast_path(False, False)`` / ``fast_path(True,
-    True)`` keep meaning "everything off" / "everything on" --
-    ``packed_storage=None`` follows the resolved ``columnar_pages``, and
-    ``arrangements=None`` follows ``batch_kernels`` for the same
-    everything-off/everything-on reason.
-
-    ``query_folding=None`` resolves to **False**, not to the process
-    default: folding changes simulated ticks, and every pinned context
-    (golden suites, wallclock A/B runs, shard workers replaying a parent's
-    flags) must stay on the reference timing plane unless it asks for
-    folding explicitly."""
-    saved = dict(_FAST_PATH)
-    _FAST_PATH["batch_kernels"] = batch_kernels
-    _FAST_PATH["fuse_charges"] = fuse_charges
-    columnar = batch_kernels if columnar_pages is None else columnar_pages
-    _FAST_PATH["columnar_pages"] = columnar
-    _FAST_PATH["packed_storage"] = (
-        columnar if packed_storage is None else packed_storage
-    )
-    _FAST_PATH["arrangements"] = (
-        batch_kernels if arrangements is None else arrangements
-    )
-    _FAST_PATH["query_folding"] = bool(query_folding)
+def fast_path(query_folding: bool):
+    """Pin the process-wide folding default for a block (tests, benchmarks,
+    workers replaying the mode their parent captured)."""
+    global _query_folding
+    saved = _query_folding
+    _query_folding = query_folding
     try:
         yield
     finally:
-        _FAST_PATH.update(saved)
+        _query_folding = saved
 
 
 def gqp_adaptive_ordering_default() -> bool:

@@ -73,7 +73,7 @@ class IoDevice:
         self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
         self._seq = 0
         self._version = 0
-        # ---- armed-event dedup (owned by Simulator._arm_pool fast path)
+        # ---- armed-event dedup (owned by Simulator._arm_pool)
         self.armed_when: float | None = None
         self.arm_token = 0
         self.fresh_when: float | None = None

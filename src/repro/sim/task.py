@@ -65,9 +65,8 @@ class SimThread:
         self.finish_time: float | None = None
         # Monotonic token used to invalidate stale unblock() calls.
         self._wake_token = 0
-        # Completion callback cached by the simulator's fast path (the
-        # slow path allocates a fresh, behaviorally identical closure per
-        # dispatch, as the seed implementation did).
+        # Completion callback, built once by the simulator on the first
+        # dispatch (it closes only over the thread and the simulator).
         self._waker: Callable[[], None] | None = None
 
     @property

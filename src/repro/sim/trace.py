@@ -104,7 +104,7 @@ class Tracer:
             return
         self.sim._dispatch = self._orig_dispatch  # type: ignore[method-assign]
         self.sim._finish = self._orig_finish  # type: ignore[method-assign]
-        self.sim._fast_resume = self.sim._fuse and "_dispatch" not in self.sim.__dict__
+        self.sim._fast_resume = "_dispatch" not in self.sim.__dict__
         self._orig_dispatch = None
         self._orig_finish = None
 

@@ -14,9 +14,7 @@ Determinism contract (the same one ``CJoinPipeline._dim_sel_cache``
 established): sharing an arrangement never changes a simulated tick.
 Every consumer keeps yielding the exact charges of a private build --
 build-input page reads, hashing/insert cycles, admission scans -- and
-only the *host-side Python data structure* is reused.  The golden suite
-(``tests/engine/test_golden_determinism.py``) holds simulated metrics to
-bit-identical with the ``arrangements`` fast-path flag on vs off.
+only the *host-side Python data structure* is reused.
 
 Contents of one arrangement:
 
@@ -406,6 +404,5 @@ class ArrangementCache:
 
 
 #: The process-wide cache every consumer shares (QPipe hash joins, CJOIN
-#: admission, shard prewarm + workers).  Gated by the ``arrangements``
-#: fast-path flag at each consumer, not here.
+#: admission, shard prewarm + workers).
 ARRANGEMENTS = ArrangementCache()

@@ -56,7 +56,7 @@ class BufferPool:
     @property
     def latch_charge(self):
         """The latch acquisition charge (a cached immutable CpuCommand, or
-        None when acquisition is free).  Callers in fuse mode may *prepay*
+        None when acquisition is free).  Scan loops may *prepay*
         it by fusing it into the tail of the CPU command that immediately
         precedes their next ``read_page(..., latch_prepaid=True)`` -- legal
         because the charge is the first thing ``read_page`` yields, so its

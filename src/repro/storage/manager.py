@@ -8,7 +8,7 @@ state: the buffer pool, the OS cache, metrics).  The immutable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.sim.machine import GB
 from repro.storage.bufferpool import BufferPool
@@ -81,6 +81,10 @@ class StorageManager:
             self.result_cache = ResultCache(
                 sim, config.result_cache_bytes, config.result_cache_policy
             )
+        #: ``table_name -> None`` callbacks run by :meth:`notify_update`:
+        #: holders of derived state this manager does not own (e.g. a CJOIN
+        #: pipeline's memoized dimension selections) register their drop.
+        self.invalidation_listeners: list[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
     def table(self, name: str) -> Table:
@@ -102,12 +106,15 @@ class StorageManager:
         dropped.  Shared join arrangements over the table are dropped too
         (concurrent holders finish on their pinned snapshot; the next
         acquirer rebuilds) -- tracked by the arrangement cache's own
-        counters, not this return value.  (Tables themselves are immutable
-        in this simulator; the hook exists so update-carrying workloads
-        keep shared derived state consistent.)"""
+        counters, not this return value -- and every registered
+        ``invalidation_listeners`` callback runs.  (Tables themselves are
+        immutable in this simulator; the hook exists so update-carrying
+        workloads keep shared derived state consistent.)"""
         from repro.storage.arrangements import ARRANGEMENTS
 
         ARRANGEMENTS.invalidate_table(table_name)
+        for listener in self.invalidation_listeners:
+            listener(table_name)
         if self.result_cache is None:
             return 0
         return self.result_cache.invalidate_table(table_name)

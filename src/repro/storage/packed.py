@@ -1,8 +1,7 @@
 """Packed column vectors: typed arrays and dictionary-encoded columns.
 
-This module is the storage half of the ``packed_storage`` fast path (see
-:mod:`repro.sim.fastpath`): instead of tuples/lists of *boxed* Python
-objects, hot-path column vectors are held as
+How tables store their column vectors: instead of tuples/lists of *boxed*
+Python objects, column vectors are held as
 
 * :class:`PackedNumeric` -- an ``array.array`` of machine ints (``'q'``)
   or doubles (``'d'``), 8 bytes per value.  Slicing goes through

@@ -9,12 +9,13 @@ loaded from rows pay nothing until a columnar consumer asks for
 partitions, see :func:`repro.shard.partition.partition_table`) never
 materialize row tuples unless a row consumer forces them.
 
-A :class:`Batch` is the unit of data flow between operators (through FIFO
-buffers and Shared Pages Lists); scan stages turn pages into batches,
-operators transform batches.  With the ``columnar_pages`` fast path on,
-scans emit :class:`ColumnBatch` instead: base column vectors plus a
-*selection vector* (``sel``) of live positions and an optional per-row
-``tail`` of join-attached payload tuples.  Selections shrink ``sel``
+Batches are the unit of data flow between operators (through FIFO buffers
+and Shared Pages Lists); scan stages turn pages into batches, operators
+transform batches.  Scans emit :class:`ColumnBatch`: base column vectors
+plus a *selection vector* (``sel``) of live positions and an optional
+per-row ``tail`` of join-attached payload tuples; operators whose output
+is freshly computed rows (aggregates, sort, cache replay, fold residuals)
+emit the row form, :class:`Batch`.  Selections shrink ``sel``
 without touching the columns, joins append to ``tail`` without rebuilding
 wide row tuples, and ``.rows`` materializes lazily only at emit points
 (sort, client collection, push-SP copies) -- late materialization.
@@ -174,16 +175,13 @@ class ColumnPage:
         return len(cols[0]) if cols else 0
 
     # -- batches --------------------------------------------------------
-    def to_batch(self, columnar: bool = False) -> "Batch | ColumnBatch":
-        """A Batch viewing this page -- zero-copy: the batch shares the
-        page's row tuple / column vectors (safe because batches are never
-        mutated in place; see the module docstring).  ``columnar=True``
-        hands out a :class:`ColumnBatch` over the page's columns whose
-        ``.rows`` resolves through the page cache, so repeated circular
-        scans materialize row tuples at most once per page."""
-        if columnar:
-            return ColumnBatch(self.columns, None, self.weight, src=self)
-        return Batch(self.rows, self.weight)
+    def to_batch(self) -> "ColumnBatch":
+        """A :class:`ColumnBatch` viewing this page -- zero-copy: the batch
+        shares the page's column vectors (safe because batches are never
+        mutated in place; see the module docstring), and its ``.rows``
+        resolves through the page cache, so repeated circular scans
+        materialize row tuples at most once per page."""
+        return ColumnBatch(self.columns, None, self.weight, src=self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Page {self.table_name}[{self.index}] rows={len(self)}>"

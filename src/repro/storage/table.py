@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Sequence
 
-from repro.sim.fastpath import packed_storage_active
 from repro.storage import packed as packedmod
 from repro.storage.page import Page
 from repro.storage.schema import Schema
@@ -37,7 +36,7 @@ class Table:
         rows: Sequence[tuple],
         row_weight: float = 1.0,
         tuples_per_page: int = TUPLES_PER_PAGE,
-        packed: bool | None = None,
+        packed: bool = True,
     ):
         if row_weight <= 0:
             raise ValueError("row_weight must be positive")
@@ -55,8 +54,6 @@ class Table:
         self.pages: list[Page] = []
         self._cols: tuple[Sequence[Any], ...] | None = None
         rows = list(rows)
-        if packed is None:
-            packed = packed_storage_active()
         if packed and rows and len(schema):
             # Pack once at load: whole-table typed/dictionary vectors;
             # pages hold zero-copy slices (memoryview for arrays, shared
@@ -65,18 +62,7 @@ class Table:
             self._cols = packedmod.pack_columns(
                 [list(c) for c in zip(*rows)], schema
             )
-            for start in range(0, len(rows), tuples_per_page):
-                end = min(start + tuples_per_page, len(rows))
-                self.pages.append(
-                    Page(
-                        table_name=name,
-                        index=len(self.pages),
-                        rows=None,
-                        weight=self.row_weight,
-                        real_bytes=(end - start) * self.row_weight * schema.row_bytes,
-                        columns=tuple(col[start:end] for col in self._cols),
-                    )
-                )
+            self._slice_pages(len(rows))
         else:
             for start in range(0, len(rows), tuples_per_page):
                 chunk = rows[start : start + tuples_per_page]
@@ -100,7 +86,7 @@ class Table:
         columns: Sequence[Sequence[Any]],
         row_weight: float = 1.0,
         tuples_per_page: int = TUPLES_PER_PAGE,
-        packed: bool | None = None,
+        packed: bool = True,
     ) -> "Table":
         """Build a table from per-column vectors without materializing row
         tuples.  Pages slice the vectors (a C-level operation per column
@@ -109,7 +95,7 @@ class Table:
         row constructor's, so simulated charges do not depend on which
         way a table was built.  Already-packed input vectors (shard
         partitions slicing/gathering a packed parent) are kept as-is;
-        plain vectors are packed when the packed fast path is active."""
+        plain vectors are packed unless ``packed=False``."""
         if len(columns) != len(schema):
             raise ValueError(
                 f"column count {len(columns)} does not match schema arity {len(schema)}"
@@ -128,25 +114,29 @@ class Table:
         for col in columns:
             if len(col) != n:
                 raise ValueError("ragged columns")
-        if packed is None:
-            packed = packed_storage_active()
         if packed:
             columns = packedmod.pack_columns(columns, schema)
         table._cols = tuple(columns)
-        for start in range(0, n, tuples_per_page):
-            end = min(start + tuples_per_page, n)
-            table.pages.append(
-                Page(
-                    table_name=name,
-                    index=len(table.pages),
-                    rows=None,
-                    weight=table.row_weight,
-                    real_bytes=(end - start) * table.row_weight * schema.row_bytes,
-                    columns=tuple(col[start:end] for col in columns),
-                )
-            )
+        table._slice_pages(n)
         table.num_rows = n
         return table
+
+    def _slice_pages(self, n: int) -> None:
+        """Append the pages of an ``n``-row column-built table: each page
+        holds slices of the table's column vectors."""
+        cols = self._cols
+        for start in range(0, n, self.tuples_per_page):
+            end = min(start + self.tuples_per_page, n)
+            self.pages.append(
+                Page(
+                    table_name=self.name,
+                    index=len(self.pages),
+                    rows=None,
+                    weight=self.row_weight,
+                    real_bytes=(end - start) * self.row_weight * self.schema.row_bytes,
+                    columns=tuple(col[start:end] for col in cols),
+                )
+            )
 
     # ------------------------------------------------------------------
     @property
@@ -195,9 +185,9 @@ class Table:
         """The columns in their tightest faithful representation (see
         :func:`repro.storage.packed.pack_column`): dictionary codes for
         low-cardinality columns, ``array`` buffers for numeric kinds,
-        boxed lists only as the fallback.  When the table was built with
-        packed storage on, this *is* the live hot-path representation;
-        otherwise it is computed on the fly for the memory report."""
+        boxed lists only as the fallback.  For a packed table this *is* the
+        live representation; for ``packed=False`` it is computed on the fly
+        for the memory report."""
         return [
             packedmod.pack_column(col, cd.kind)
             for col, cd in zip(self.columns(), self.schema.columns)

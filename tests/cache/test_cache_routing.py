@@ -1,9 +1,13 @@
 """Cache-aware routing (hybrid engine + service layer) and run-for-run
 determinism of cache-enabled service runs."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.baselines import evaluate_plan
 from repro.data import generate_ssb
+from repro.engine.config import QPIPE_SP, fast_path
 from repro.engine.hybrid import HybridEngine
 from repro.query.ssb_queries import q32
 from repro.server.service import job_factory, recurring_job_factory, serve
@@ -57,6 +61,31 @@ class TestHybridDiscount:
         assert hybrid.routed["gqp"] == 1
         assert "cache-discount" not in hybrid.routed
         assert not h.query.cache_served
+
+    def test_subsuming_entry_is_no_discount_for_an_engine_that_does_not_fold(self, ssb):
+        """Only a *subsuming* entry is resident (the exact one is absent):
+        the discount follows the query-centric engine's own fold setting,
+        not the process default -- a fold-off engine would not replay the
+        entry, so at saturation the query goes to the GQP and is computed."""
+        narrow = q32(*SPEC_ARGS)
+        with fast_path(query_folding=True):
+            sim = Simulator(MachineSpec())
+            storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
+            hybrid = HybridEngine(
+                sim, storage, threshold=1, qc_config=replace(QPIPE_SP, query_folding=False)
+            )
+            hybrid.submit(q32("CHINA", "FRANCE", 1992, 1997))  # superset of narrow
+            sim.run()
+            assert storage.result_cache.has_subsuming(
+                narrow.to_query_centric_plan(ssb.tables).child
+            )
+            hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))  # saturates
+            h = hybrid.submit(narrow)
+            sim.run()
+        assert "cache-discount" not in hybrid.routed
+        assert hybrid.routed["gqp"] == 1
+        assert not h.query.cache_served
+        assert h.results == evaluate_plan(narrow.to_query_centric_plan(ssb.tables))
 
     def test_no_cache_reproduces_plain_routing(self, ssb):
         sim = Simulator(MachineSpec())

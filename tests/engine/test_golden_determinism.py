@@ -1,16 +1,16 @@
-"""Golden determinism: the fast path must not change a single simulated tick.
+"""Golden determinism: simulated behavior is pinned, tick for tick.
 
-Each seeded SSB workload runs twice through the same engine configuration --
-once with batch kernels and fused charges disabled (the row-at-a-time
-"before") and once enabled -- and the complete ``Metrics.to_dict()`` view,
-the final simulated clock, and every per-query response time must match
-*bitwise* (``==`` on floats, no tolerance).
+A committed snapshot (``golden_metrics.json``) holds, for a seeded SSB
+workload on every engine configuration, the complete ``Metrics.to_dict()``
+view, the final simulated clock and every per-query response time, compared
+*bitwise* (``==`` on floats, no tolerance).  It is the sole tick-level
+reference: any change to simulated behavior -- intended or not -- shows up
+as a diff of that file, which must then be regenerated deliberately
+(``python tests/engine/test_golden_determinism.py``) and reviewed.
 
-A committed snapshot (``golden_metrics.json``) additionally pins the
-fast-path numbers across commits: any change to simulated behavior --
-intended or not -- shows up as a diff of that file, which must then be
-regenerated deliberately (``python tests/engine/test_golden_determinism.py``)
-and reviewed."""
+Query folding deliberately changes simulated timing, so the snapshot is
+taken fold-off and the fold tests below assert what folding must preserve:
+bit-identical query *results*."""
 
 import json
 import pathlib
@@ -44,9 +44,9 @@ def ssb():
     return generate_ssb(0.5, seed=21)
 
 
-def _run_mix_inner(ssb, config_key: str) -> dict:
-    """One seeded 6-query Q3.2 mix under the *current* process flags;
-    returns a JSON-safe measurement dict."""
+def run_mix(ssb, config_key: str) -> dict:
+    """One seeded 6-query Q3.2 mix on the reference (fold-off) timing
+    plane; returns a JSON-safe measurement dict."""
     sim = Simulator(MACHINE)
     storage = StorageManager(
         sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory")
@@ -57,8 +57,9 @@ def _run_mix_inner(ssb, config_key: str) -> dict:
     else:
         engine = QPipeEngine(sim, storage, config)
     rng = make_rng(77, "golden", config_key)
-    handles = [engine.submit(random_q32(rng)) for _ in range(6)]
-    sim.run()
+    with fast_path(query_folding=False):
+        handles = [engine.submit(random_q32(rng)) for _ in range(6)]
+        sim.run()
     times = sorted(h.response_time for h in handles)
     n = len(times)
     return {
@@ -71,173 +72,13 @@ def _run_mix_inner(ssb, config_key: str) -> dict:
     }
 
 
-def run_mix(
-    ssb, config_key: str, *, batch: bool, fuse: bool, columnar: bool | None = None
-) -> dict:
-    """:func:`_run_mix_inner` under a ``fast_path`` context.
-    ``columnar=None`` follows ``batch`` (the fast_path default)."""
-    with fast_path(batch_kernels=batch, fuse_charges=fuse, columnar_pages=columnar):
-        return _run_mix_inner(ssb, config_key)
-
-
-@pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
-def test_fast_path_is_bit_identical(ssb, config_key):
-    slow = run_mix(ssb, config_key, batch=False, fuse=False)
-    fast = run_mix(ssb, config_key, batch=True, fuse=True)
-    assert fast == slow  # bitwise: dict equality compares floats with ==
-
-
-@pytest.mark.parametrize(
-    "batch,fuse", [(True, False), (False, True)], ids=["kernels-only", "fusion-only"]
-)
-def test_each_fast_path_is_independently_identical(ssb, batch, fuse):
-    base = run_mix(ssb, "CJOIN-SP", batch=False, fuse=False)
-    assert run_mix(ssb, "CJOIN-SP", batch=batch, fuse=fuse) == base
-
-
-@pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
-def test_columnar_plane_is_bit_identical(ssb, config_key):
-    """The columnar (late-materialized) data plane changes only host-side
-    layout: batches, selection vectors and join tails carry the same row
-    counts as the row plane, so every charge -- and therefore every
-    simulated tick -- must match bitwise with the toggle alone flipped."""
-    rows = run_mix(ssb, config_key, batch=True, fuse=True, columnar=False)
-    cols = run_mix(ssb, config_key, batch=True, fuse=True, columnar=True)
-    assert cols == rows
-
-
-@pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
-def test_packed_storage_is_bit_identical(config_key):
-    """Packed vectors (typed arrays + dictionary codes) change only how
-    column values are *stored*.  Every kernel -- dictionary pass tables,
-    memoized predicate masks, typed-array decodes -- keeps the same
-    survivors in the same order and decodes the exact original values, so
-    the full metrics view must match bitwise against boxed vectors.  The
-    dataset is regenerated inside each context: layout is baked in at
-    table build time (the memo is keyed by the effective flag)."""
-    results = []
-    for packed in (False, True):
-        with fast_path(
-            batch_kernels=True,
-            fuse_charges=True,
-            columnar_pages=True,
-            packed_storage=packed,
-        ):
-            data = generate_ssb(0.5, seed=21)
-            results.append(_run_mix_inner(data, config_key))
-    assert results[0] == results[1]  # bitwise: == on floats
-
-
-@pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
-def test_arrangements_are_bit_identical(ssb, config_key):
-    """Shared join arrangements reuse the *host-side* build index across
-    queries; every simulated charge (build-input reads, hashing/insert
-    cycles, CJOIN admission scans) is still paid per query, so the full
-    metrics view must match bitwise with the toggle alone flipped."""
-    results = []
-    for arrange in (False, True):
-        with fast_path(
-            batch_kernels=True,
-            fuse_charges=True,
-            arrangements=arrange,
-        ):
-            results.append(_run_mix_inner(ssb, config_key))
-    assert results[0] == results[1]  # bitwise: == on floats
-
-
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_shard_fingerprints_identical_arrangements_vs_naive(ssb, mode):
-    """A shard engine probing shared arrangements must be indistinguishable
-    from one building private hash tables: identical partial-aggregate
-    state and identical simulated service time on every shard, for either
-    placement mode."""
-    from repro.parallel.cells import DatasetSpec
-    from repro.query.ssb_queries import q32
-    from repro.shard.partition import shard_tables
-    from repro.shard.spec import ShardConfig
-    from repro.shard.worker import execute_shard_query
-
-    spec = q32("CHINA", "FRANCE", 1993, 1996)
-    outcomes = []
-    for arrange in (False, True):
-        with fast_path(batch_kernels=True, fuse_charges=True, arrangements=arrange):
-            config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
-            per_shard = []
-            for shard in range(2):
-                view = shard_tables(ssb.tables, "lineorder", shard, 2, mode, 21)
-                per_shard.append(execute_shard_query(view, spec, config))
-            outcomes.append(per_shard)
-    assert outcomes[0] == outcomes[1]  # bitwise: == on floats
-
-
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_shard_fingerprints_identical_row_vs_columnar_partitioning(ssb, mode):
-    """Zero-copy shard partitions (column slices / gathers through
-    ``Table.from_columns``) must be *indistinguishable* from row-built
-    partitions to a shard engine: identical partial-aggregate state and
-    identical simulated service time on every shard."""
-    from repro.parallel.cells import DatasetSpec
-    from repro.query.ssb_queries import q32
-    from repro.shard.partition import shard_tables
-    from repro.shard.spec import ShardConfig
-    from repro.shard.worker import execute_shard_query
-
-    spec = q32("CHINA", "FRANCE", 1993, 1996)
-    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
-    for shard in range(2):
-        fingerprints = []
-        for columnar in (False, True):
-            view = shard_tables(
-                ssb.tables, "lineorder", shard, 2, mode, 21, columnar=columnar
-            )
-            state, svc = execute_shard_query(view, spec, config)
-            fingerprints.append((state, svc))
-        assert fingerprints[0] == fingerprints[1]  # bitwise: == on floats
-
-
-@pytest.mark.parametrize("mode", ["hash", "range"])
-def test_shard_fingerprints_identical_packed_vs_boxed(mode):
-    """Packed shard partitions -- zero-copy ``memoryview`` range slices
-    and single-pass code/array gathers -- must be indistinguishable from
-    boxed-list partitions to a shard engine: identical partial-aggregate
-    state and identical simulated service time on every shard, for either
-    placement mode."""
-    from repro.parallel.cells import DatasetSpec
-    from repro.query.ssb_queries import q32
-    from repro.shard.partition import shard_tables
-    from repro.shard.spec import ShardConfig
-    from repro.shard.worker import execute_shard_query
-
-    spec = q32("CHINA", "FRANCE", 1993, 1996)
-    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
-    outcomes = []
-    for packed in (False, True):
-        with fast_path(
-            batch_kernels=True,
-            fuse_charges=True,
-            columnar_pages=True,
-            packed_storage=packed,
-        ):
-            data = generate_ssb(0.5, seed=21)
-            per_shard = []
-            for shard in range(2):
-                view = shard_tables(
-                    data.tables, "lineorder", shard, 2, mode, 21, columnar=True
-                )
-                per_shard.append(execute_shard_query(view, spec, config))
-            outcomes.append(per_shard)
-    assert outcomes[0] == outcomes[1]  # bitwise: == on floats
-
-
 # ---------------------------------------------------------------------------
-# Query folding (subsumption lattice, sixth fast-path flag)
+# Query folding (subsumption lattice)
 # ---------------------------------------------------------------------------
 # Folding deliberately CHANGES simulated timing -- a folded satellite reads
 # the host's stream instead of running its own sub-plan -- so the invariant
-# here is different from the other planes: query *results* must be
-# bit-identical fold-on vs fold-off, while fold-OFF metrics stay pinned by
-# the committed snapshot (every other test in this file runs inside a
-# ``fast_path`` context, which resolves ``query_folding=None`` to False).
+# here is that query *results* are bit-identical fold-on vs fold-off, while
+# fold-OFF metrics stay pinned by the committed snapshot.
 
 
 def _result_fingerprint(rows) -> str:
@@ -277,7 +118,7 @@ def _run_fold_mix(ssb, config_key: str, fold: bool):
     from repro.sim.commands import SLEEP
     from repro.storage.manager import StorageConfig as SC
 
-    with fast_path(batch_kernels=True, fuse_charges=True, query_folding=fold):
+    with fast_path(query_folding=fold):
         sim = Simulator(MACHINE)
         storage = StorageManager(
             sim,
@@ -329,7 +170,7 @@ def test_query_folding_fires_on_overlap(ssb):
 
 @pytest.mark.parametrize("mode", ["hash", "range"])
 def test_shard_fingerprints_identical_fold_vs_naive(ssb, mode):
-    """The fold flag rides ShardConfig's fast_flags into workers; a shard
+    """The fold flag rides ShardConfig.query_folding into workers; a shard
     engine running under it must produce identical partial-aggregate state
     and identical simulated service time as the unfolded plane, for either
     placement mode."""
@@ -342,7 +183,7 @@ def test_shard_fingerprints_identical_fold_vs_naive(ssb, mode):
     spec = q32("CHINA", "FRANCE", 1993, 1996)
     outcomes = []
     for fold in (False, True):
-        with fast_path(batch_kernels=True, fuse_charges=True, query_folding=fold):
+        with fast_path(query_folding=fold):
             config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
             per_shard = []
             for shard in range(2):
@@ -365,7 +206,7 @@ def test_matches_committed_golden_snapshot(ssb):
     )
     golden = json.loads(GOLDEN_PATH.read_text())
     measured = {
-        key: _jsonify(run_mix(ssb, key, batch=True, fuse=True)) for key in CONFIGS
+        key: _jsonify(run_mix(ssb, key)) for key in CONFIGS
     }
     assert measured == golden
 
@@ -373,7 +214,7 @@ def test_matches_committed_golden_snapshot(ssb):
 if __name__ == "__main__":  # regenerate the snapshot
     data = generate_ssb(0.5, seed=21)
     snapshot = {
-        key: _jsonify(run_mix(data, key, batch=True, fuse=True)) for key in CONFIGS
+        key: _jsonify(run_mix(data, key)) for key in CONFIGS
     }
     GOLDEN_PATH.write_text(json.dumps(snapshot, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

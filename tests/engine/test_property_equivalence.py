@@ -8,6 +8,13 @@ baseline -- must produce the reference evaluator's exact result multiset.
 This is the paper's implicit invariant (sharing never changes answers)
 exercised far from the SSB happy path: skewed keys, dangling foreign keys,
 empty selections, single-row dimensions.
+
+Dimension sizes straddle the 256/257 dictionary-encoding boundary and every
+dimension carries a mixed int/float column, so all three column layouts a
+table can pick from its data -- dictionary codes, typed arrays and boxed
+lists (``repro.storage.packed.pack_column``) -- and all three selection
+forms (``repro.query.expr.compile_selection``) are held to the oracle on
+every engine shape.
 """
 
 import pytest
@@ -16,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import VolcanoEngine, evaluate_plan
 from repro.engine import CJOIN_SP, QPIPE, QPIPE_SP, QPipeEngine
-from repro.query.expr import Between, Col
+from repro.query.expr import And, Between, Col, Or
 from repro.query.plan import AggSpec, DimJoinSpec
 from repro.query.star import StarQuerySpec
 from repro.sim import Simulator
@@ -41,8 +48,22 @@ def dim_schema(i: int) -> Schema:
     """Per-dimension column names (joins concatenate schemas, so names must
     be unique across the star -- SSB guarantees this with its prefixes)."""
     return Schema(
-        [Column(f"d{i}_key"), Column(f"d{i}_attr"), Column(f"d{i}_val")], row_bytes=24.0
+        [
+            Column(f"d{i}_key"),
+            Column(f"d{i}_attr"),
+            Column(f"d{i}_val"),
+            Column(f"d{i}_wide"),  # distinct per row
+            Column(f"d{i}_mix"),  # ints and floats interleaved
+        ],
+        row_bytes=40.0,
     )
+
+
+def wide_and_mix(k: int) -> tuple:
+    """Row ``k``'s (wide, mix) values.  Past 256 rows ``wide`` outgrows the
+    dictionary encoding (typed array) and ``mix`` -- unpackable as either
+    numeric kind -- stays a boxed list."""
+    return (k * 7 + 3, k if k % 2 else k + 0.5)
 
 
 @st.composite
@@ -52,11 +73,18 @@ def star_case(draw):
     dims = {}
     dim_sizes = []
     for i in range(n_dims):
-        size = draw(st.integers(1, 25))
-        rows = [
-            (k, draw(st.integers(0, 9)), draw(st.integers(0, 100)))
-            for k in range(1, size + 1)
-        ]
+        size = draw(st.one_of(st.integers(1, 25), st.sampled_from([256, 257, 300])))
+        if size <= 25:
+            rows = [
+                (k, draw(st.integers(0, 9)), draw(st.integers(0, 100))) + wide_and_mix(k)
+                for k in range(1, size + 1)
+            ]
+        else:
+            # Too many rows to draw value by value: two drawn strides.
+            a, b = draw(st.integers(1, 9)), draw(st.integers(1, 100))
+            rows = [
+                (k, k * a % 10, k * b % 101) + wide_and_mix(k) for k in range(1, size + 1)
+            ]
         dims[f"dim{i}"] = Table(
             f"dim{i}", dim_schema(i), rows, row_weight=draw(st.sampled_from([1.0, 10.0]))
         )
@@ -79,19 +107,25 @@ def star_case(draw):
     fact = Table("fact", fact_schema, fact_rows, row_weight=draw(st.sampled_from([1.0, 100.0])))
 
     dim_specs = []
+    group_by = ("f_group",) if draw(st.booleans()) else ()
     for i in range(n_dims):
         lo = draw(st.integers(0, 9))
         hi = draw(st.integers(lo, 9))
-        dim_specs.append(
-            DimJoinSpec(
-                f"dim{i}",
-                f"fk{i}",
-                f"d{i}_key",
-                Between(f"d{i}_attr", lo, hi),
-                payload=(f"d{i}_val",) if draw(st.booleans()) else (),
-            )
+        predicate = Between(f"d{i}_attr", lo, hi)
+        # Optionally involve the wide / mixed columns: a conjunction keeps
+        # a column form, a disjunction falls back to rows unless every
+        # column it reads is dictionary-encoded.
+        other = draw(st.sampled_from([None, f"d{i}_wide", f"d{i}_mix"]))
+        if other is not None:
+            cut = draw(st.integers(0, dim_sizes[i] * 7))
+            extra = Between(other, cut // 2, cut)
+            predicate = draw(st.sampled_from([And, Or]))(predicate, extra)
+        payload = draw(
+            st.sampled_from([(), (f"d{i}_val",), (f"d{i}_mix",), (f"d{i}_val", f"d{i}_wide")])
         )
-    group_by = ("f_group",) if draw(st.booleans()) else ()
+        if f"d{i}_mix" in payload and draw(st.booleans()):
+            group_by += (f"d{i}_mix",)
+        dim_specs.append(DimJoinSpec(f"dim{i}", f"fk{i}", f"d{i}_key", predicate, payload=payload))
     spec = StarQuerySpec(
         fact_table="fact",
         dims=tuple(dim_specs),

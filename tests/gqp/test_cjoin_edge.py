@@ -169,3 +169,27 @@ class TestEdgeCases:
         sim.run()
         assert norm(h_a.results) == oracle_a
         assert norm(h_b.results) == oracle_b
+
+    def test_notify_update_drops_memoized_dim_selections(self, ssb):
+        """An update to a dimension must reach the pipeline's admission
+        memo: re-admitting the same predicate recomputes its selection
+        instead of serving the pre-update list, while selections over
+        untouched dimensions stay memoized."""
+        sim, eng = make_engine(ssb)
+        spec = q32("CHINA", "FRANCE", 1993, 1996)
+        h1 = eng.submit(spec)
+        sim.run()
+        memo = eng.cjoin_stage.pipeline_for("lineorder")._dim_sel_cache
+        before = dict(memo)
+        date_keys = [k for k in before if k[0] == "date"]
+        assert date_keys and len(date_keys) < len(before)
+        eng.storage.notify_update("date")
+        assert memo == {k: v for k, v in before.items() if k[0] != "date"}
+        h2 = eng.submit(spec)
+        sim.run()
+        for key, rows in before.items():
+            if key[0] == "date":
+                assert memo[key] is not rows and memo[key] == rows
+            else:
+                assert memo[key] is rows
+        assert h2.results == h1.results

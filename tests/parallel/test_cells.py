@@ -23,8 +23,6 @@ from repro.parallel import (
     CellSpec,
     DatasetSpec,
     WorkloadSpec,
-    current_fast_flags,
-    execute_cell,
     run_cells,
 )
 
@@ -99,21 +97,31 @@ def test_workload_specs_match_generators():
         assert spec.build(ds) == expected
 
 
-def test_fast_flags_captured_at_enumeration():
+def test_fold_context_at_enumeration_reaches_worker():
     """A ``with fast_path(...)`` around spec enumeration reaches workers:
-    the flags ride in the spec, not in process-global state."""
-    with fast_path(batch_kernels=False, fuse_charges=False):
-        spec = _specs(1)[0]
-        assert spec.fast_flags == (False, False, False, False, False, False)
-    # Outside the context the columnar flag falls back to its env default
-    # (REPRO_COLUMNAR), so only pin the first two here.
-    assert current_fast_flags()[:2] == (True, True)
-    # Executing outside the context still replays the captured slow path,
-    # and simulated results equal the fast path's (the golden guarantee).
-    slow = execute_cell(spec)
-    fast = execute_cell(_specs(1)[0])
-    assert slow.result.response_times == fast.result.response_times
-    assert slow.result.sim_seconds == fast.result.sim_seconds
+    the fold setting rides in the spec, not in process-global state (pool
+    workers never see the parent's context manager)."""
+
+    def spec(key: str) -> CellSpec:
+        return CellSpec(
+            key=key,
+            config=CJOIN_SP,
+            dataset=DatasetSpec("ssb", sf=0.5, seed=42),
+            workload=WorkloadSpec("q32-random", n=4, seed=42),
+        )
+
+    with fast_path(query_folding=True):
+        on = spec("on")
+    with fast_path(query_folding=False):
+        off = spec("off")
+    assert (on.query_folding, off.query_folding) == (True, False)
+    outcome = run_cells([on, off], jobs=2)
+
+    def fold_counters(key: str) -> set[str]:
+        return {k for k in outcome.cell(key).counts if "fold" in k}
+
+    assert fold_counters("on"), "no fold fired in the fold-on worker"
+    assert not fold_counters("off")
 
 
 def test_bad_specs_rejected():

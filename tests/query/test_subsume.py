@@ -143,18 +143,15 @@ def test_residual_restores_strong_exactly(weak, extra, rows):
     weak=maybe_predicates,
     extra=conj_lists,
     rows=rows_strategy,
-    kernels=st.booleans(),
 )
-def test_residual_operator_equals_direct(weak, extra, rows, kernels):
+def test_residual_operator_equals_direct(weak, extra, rows):
     """Streaming the provider's (weak-filtered) rows through the compiled
     ResidualOperator must equal evaluating the consumer's predicate
-    directly, on both the batch-kernel and row-closure filter paths."""
+    directly."""
     strong = and_of(conjuncts(weak) + extra)
     ok, residual = predicate_subsumes(weak, strong)
     assert ok
-    op = ResidualOperator(
-        FoldPlan(residual=and_of(residual)), SCHEMA, batch_kernels=kernels
-    )
+    op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
     assert op.apply(provider_rows) == [rows[i] for i in passing(strong, rows)]
 

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Not, Or
-from repro.shard.partition import partition_table
+from repro.shard.partition import assign_shards, partition_table
 from repro.storage.page import ColumnPage, full_mask, mask_to_sel, sel_to_mask
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -172,8 +172,27 @@ def test_sel_mask_round_trip(data, n):
 
 
 # ----------------------------------------------------------------------
-# Shard partitioning: columnar build == row build
+# Shard partitioning: column-wise build == row-by-row reference
 # ----------------------------------------------------------------------
+def reference_partitions(table, n_shards, mode, salt):
+    """Row-built reference: bucket the row tuples by ``assign_shards``."""
+    buckets = [[] for _ in range(n_shards)]
+    placement = assign_shards(table.num_rows, n_shards, mode, salt)
+    for row, shard in zip(table.iter_rows(), placement):
+        buckets[shard].append(row)
+    return [
+        Table(
+            table.name,
+            table.schema,
+            rows,
+            row_weight=table.row_weight,
+            tuples_per_page=table.tuples_per_page,
+            packed=False,
+        )
+        for rows in buckets
+    ]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=rows_strategy,
@@ -183,8 +202,8 @@ def test_sel_mask_round_trip(data, n):
 )
 def test_partition_layouts_hold_identical_rows(rows, n_shards, mode, salt):
     table = Table("fact", SCHEMA, rows, tuples_per_page=7)
-    row_parts = partition_table(table, n_shards, mode, salt, columnar=False)
-    col_parts = partition_table(table, n_shards, mode, salt, columnar=True)
+    row_parts = reference_partitions(table, n_shards, mode, salt)
+    col_parts = partition_table(table, n_shards, mode, salt)
     assert len(row_parts) == len(col_parts) == n_shards
     for rp, cp in zip(row_parts, col_parts):
         assert list(cp.iter_rows()) == list(rp.iter_rows())

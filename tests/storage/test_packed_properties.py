@@ -1,6 +1,6 @@
 """Property suite for packed column vectors (:mod:`repro.storage.packed`).
 
-Holds the invariants the ``packed_storage`` fast path rests on, over
+Holds the invariants packed column storage rests on, over
 *arbitrary* generated inputs:
 
 * **Round trip** -- ``decode(encode(col)) == col`` element for element,
@@ -36,6 +36,7 @@ from repro.storage.packed import (
 from repro.storage.page import mask_to_sel, sel_to_mask
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.storage.test_columnar_properties import reference_partitions
 
 # ----------------------------------------------------------------------
 # Strategies.  Small-int relations (values collide often -> dictionary
@@ -245,9 +246,9 @@ def test_packed_table_round_trips_rows_and_columns(rows, tpp):
 def test_partition_layouts_equal_packed_vs_boxed(rows, n_shards, mode, salt):
     packed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=True)
     boxed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=False)
-    packed_parts = partition_table(packed_t, n_shards, mode, salt, columnar=True)
-    boxed_parts = partition_table(boxed_t, n_shards, mode, salt, columnar=True)
-    row_parts = partition_table(boxed_t, n_shards, mode, salt, columnar=False)
+    packed_parts = partition_table(packed_t, n_shards, mode, salt)
+    boxed_parts = partition_table(boxed_t, n_shards, mode, salt)
+    row_parts = reference_partitions(boxed_t, n_shards, mode, salt)
     assert len(packed_parts) == len(boxed_parts) == n_shards
     for pp, bp, rp in zip(packed_parts, boxed_parts, row_parts):
         assert list(pp.iter_rows()) == list(bp.iter_rows()) == list(rp.iter_rows())
@@ -268,9 +269,9 @@ def test_range_partitions_of_typed_arrays_ship_zero_bytes(base, n, n_shards):
     col = [base + j for j in range(n)]  # card > 256 -> array('q')
     table = Table.from_columns("fact", schema, (col,), packed=True)
     assert type(table.columns()[0]) is PackedNumeric
-    for shard in partition_table(table, n_shards, "range", 0, columnar=True):
+    for shard in partition_table(table, n_shards, "range", 0):
         assert partition_shipping(shard)["shipped_bytes"] == 0
-    hashed = partition_table(table, n_shards, "hash", 0, columnar=True)
+    hashed = partition_table(table, n_shards, "hash", 0)
     assert sum(partition_shipping(s)["shipped_bytes"] for s in hashed) == 8 * n
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, fold_plan
 from repro.storage.page import Batch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -115,6 +116,9 @@ class ResultCache:
         self.policy = policy
         self.max_entry_fraction = max_entry_fraction
         self._entries: dict[tuple, CacheEntry] = {}  # insertion-ordered
+        # The entries that recorded their plan node, searchable by
+        # subsumption (entries without one only serve exact hits).
+        self._fold_index = FoldIndex()
         self._filling: set[tuple] = set()  # keys with an in-flight fill
         self._bytes = 0.0
         self._tick = 0  # logical clock: deterministic LRU / tie-breaks
@@ -149,7 +153,7 @@ class ResultCache:
     def contains_any(self, keys: Iterable[tuple]) -> bool:
         return any(k in self._entries for k in keys)
 
-    def probe_subsuming(self, node) -> tuple[CacheEntry, "FoldPlan", int] | None:
+    def probe_subsuming(self, node) -> tuple[CacheEntry, FoldPlan, int] | None:
         """Partial-hit probe: the cheapest entry whose recorded plan
         *subsumes* ``node`` (repro.query.subsume), as ``(entry, fold plan,
         candidates examined)``.  Called only after an exact :meth:`probe`
@@ -157,13 +161,8 @@ class ResultCache:
         terms and no roll-up first, then smallest entry with the highest
         benefit-per-byte (cheapest to replay, most worth keeping hot), then
         insertion order."""
-        from repro.query.subsume import FoldPlanner  # deferred: layering
-
         planner = FoldPlanner(node)
-        sig = node.signature
-        for entry in self._entries.values():
-            if entry.node is None or entry.key == sig:
-                continue
+        for entry in self._fold_candidates(node):
             planner.consider(
                 entry.node,
                 entry,
@@ -178,20 +177,27 @@ class ResultCache:
         entry.last_used = self._tick
         self.fold_hits += 1
         self.sim.metrics.bump("result_cache_fold_hits")
-        return entry, plan, planner.examined
+        # Charged per entry that *could* have been a provider (it has a
+        # node and another key), whatever the index spared the host clock.
+        examined = len(self._fold_index)
+        exact = self._entries.get(node.signature)
+        if exact is not None and exact.node is not None:
+            examined -= 1
+        return entry, plan, examined
 
     def has_subsuming(self, node) -> bool:
         """Silent fold-hit test (no counters) -- the routing layer's
         "would folding likely serve this query from cache?" probe."""
-        from repro.query.subsume import fold_plan  # deferred: layering
+        return any(
+            fold_plan(node, entry.node) is not None
+            for entry in self._fold_candidates(node)
+        )
 
-        sig = node.signature
-        for entry in self._entries.values():
-            if entry.node is None or entry.key == sig:
-                continue
-            if fold_plan(node, entry.node) is not None:
-                return True
-        return False
+    def _fold_candidates(self, node) -> list[CacheEntry]:
+        """The entries that may subsume ``node`` (a superset, from the
+        index), minus the entry under its own key -- an exact probe's."""
+        exact = self._entries.get(node.signature)
+        return [e for e in self._fold_index.candidates(node) if e is not exact]
 
     # -- fills ----------------------------------------------------------
     def begin_fill(self, key: tuple) -> bool:
@@ -225,15 +231,16 @@ class ResultCache:
             self.rejected += 1
             self.sim.metrics.bump("result_cache_rejected")
             return False
-        old = self._entries.pop(key, None)
-        if old is not None:
-            self._bytes -= old.nbytes
+        if key in self._entries:
+            self._drop(key)
         while self._bytes + nbytes > self.capacity_bytes and self._entries:
             self._evict_one()
         self._tick += 1
-        self._entries[key] = CacheEntry(
+        entry = self._entries[key] = CacheEntry(
             key, batches, nbytes, cost_seconds, tables, stage, self._tick, node=node
         )
+        if node is not None:
+            self._fold_index.add(node, entry)
         self._bytes += nbytes
         self.insertions += 1
         self.sim.metrics.bump("result_cache_insertions")
@@ -244,8 +251,7 @@ class ResultCache:
             victim = min(self._entries.values(), key=lambda e: (e.last_used, e.seq))
         else:  # benefit per byte; seq breaks exact-score ties deterministically
             victim = min(self._entries.values(), key=lambda e: (e.benefit_per_byte(), e.seq))
-        del self._entries[victim.key]
-        self._bytes -= victim.nbytes
+        self._drop(victim.key)
         self.evictions += 1
         self.sim.metrics.bump("result_cache_evictions")
 
@@ -255,14 +261,21 @@ class ResultCache:
         many were dropped."""
         dead = [k for k, e in self._entries.items() if table_name in e.tables]
         for key in dead:
-            self._bytes -= self._entries.pop(key).nbytes
+            self._drop(key)
         if dead:
             self.invalidated += len(dead)
             self.sim.metrics.bump("result_cache_invalidated", len(dead))
         return len(dead)
 
+    def _drop(self, key: tuple) -> None:
+        """Remove the entry under ``key`` from every structure."""
+        entry = self._entries.pop(key)
+        self._bytes -= entry.nbytes
+        self._fold_index.discard(entry)
+
     def clear(self) -> None:
         self._entries.clear()
+        self._fold_index = FoldIndex()
         self._bytes = 0.0
 
     # -- introspection --------------------------------------------------

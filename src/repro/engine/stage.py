@@ -18,7 +18,8 @@ producer pacing.
 
 Under query folding (``EngineConfig.query_folding``; see
 :mod:`repro.query.subsume`), both layers also match by *subsumption*.  When
-no exact host or cache entry exists, admission searches the registry for a
+no exact host or cache entry exists, admission searches the registry
+(through the :class:`~repro.query.subsume.FoldIndex` kept beside it) for a
 host whose plan subsumes the packet's and -- if one is inside its WoP --
 attaches through a residual operator: a worker streams the host's output
 through the compiled post-filter (or roll-up re-aggregation) into the
@@ -39,7 +40,7 @@ from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity
 from repro.query.plan import referenced_tables
-from repro.query.subsume import FoldPlan, FoldPlanner, ResidualOperator
+from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, ResidualOperator
 from repro.sim.commands import CPU
 from repro.storage.page import Batch
 
@@ -58,6 +59,8 @@ class Stage:
         self.name = name
         self.wop = STAGE_WOP.get(name, WindowOfOpportunity.NONE)
         self._registry: dict[tuple, Packet] = {}
+        # The registry's hosts again, searchable by subsumption.
+        self._fold_index = FoldIndex()
         self.packets_admitted = 0
         self.packets_shared = 0
         self.packets_cached = 0
@@ -117,8 +120,7 @@ class Stage:
             return True
         packet.exchange = self.engine.new_exchange(f"{self.name}.p{packet.packet_id}")
         if self.sp_enabled:
-            # Replaces a host that fell out of its WoP, if any.
-            self._registry[packet.signature] = packet
+            self._register(packet)
         if cache is not None and self._fill_eligible(packet, cache):
             self.engine.sim.spawn(
                 self._fill_cache(packet, cache),
@@ -126,10 +128,20 @@ class Stage:
             )
         return False
 
+    def _register(self, packet: Packet) -> None:
+        """Make ``packet`` the host for its signature, replacing a host
+        that fell out of its WoP, if any."""
+        old = self._registry.get(packet.signature)
+        if old is not None:
+            self._fold_index.discard(old)
+        self._registry[packet.signature] = packet
+        self._fold_index.add(packet.node, packet)
+
     def unregister(self, packet: Packet) -> None:
         """Remove a host from the registry (step WoP: on first output)."""
         if self._registry.get(packet.signature) is packet:
             del self._registry[packet.signature]
+            self._fold_index.discard(packet)
 
     def spawn_worker(self, packet: Packet, gen: Generator[Any, Any, Any]) -> None:
         self.engine.sim.spawn(
@@ -215,35 +227,49 @@ class Stage:
         has already started emitting is skipped (pages before the attach
         point would be lost)."""
         planner = FoldPlanner(packet.node)
-        for sig, host in self._registry.items():
-            if sig == packet.signature:
-                continue  # exact attach was already tried (and missed)
-            if host.started_emitting or not host.can_attach():
-                continue
-            exchange = host.exchange
-            if exchange is None or exchange.kind != "spl":
-                continue  # pull-model only: a FIFO host would pay the copies
-            planner.consider(host.node, host, tie_break=(host.packet_id,))
+        # Exact attach was already tried (and missed).
+        exact = self._registry.get(packet.signature)
+        for host in self._fold_index.candidates(packet.node):
+            if host is not exact and self._fold_eligible(host):
+                planner.consider(host.node, host, tie_break=(host.packet_id,))
         best = planner.best()
         if best is None:
             return False
         host, plan = best
+        # The search is charged per *eligible* host, whatever the index
+        # spared the host clock (what an indexed search should cost in
+        # simulated time is a separate, tick-moving decision).
+        examined = sum(
+            1
+            for h in self._registry.values()
+            if h is not exact and self._fold_eligible(h)
+        )
         reader = host.exchange.open_reader()
         packet.exchange = self.engine.new_exchange(f"{self.name}.p{packet.packet_id}")
         self.packets_folded += 1
         self.engine.sim.metrics.bump(f"fold_attach:{self._sharing_label(packet)}")
         # The folded packet is a full host for its own exact signature:
         # identical arrivals attach to it, and it may spill to the cache.
-        self._registry[packet.signature] = packet
+        self._register(packet)
         if cache is not None and self._fill_eligible(packet, cache):
             self.engine.sim.spawn(
                 self._fill_cache(packet, cache),
                 name=f"cachefill-{self.name}-p{packet.packet_id}",
             )
         self.spawn_worker(
-            packet, self._fold_from_host(packet, host, reader, plan, planner.examined)
+            packet, self._fold_from_host(packet, host, reader, plan, examined)
         )
         return True
+
+    @staticmethod
+    def _fold_eligible(host: Packet) -> bool:
+        """May a newcomer still fold into ``host``?  Inside its WoP, not
+        yet emitting (pages before the attach point would be lost), and
+        pull-model only: a FIFO host would pay the copies."""
+        if host.started_emitting or not host.can_attach():
+            return False
+        exchange = host.exchange
+        return exchange is not None and exchange.kind == "spl"
 
     def _fold_from_host(
         self,

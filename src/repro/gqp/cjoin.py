@@ -20,7 +20,8 @@ records the new query's point of entry on the fact table's circular scan.
 
 from __future__ import annotations
 
-from operator import itemgetter
+from functools import reduce
+from operator import itemgetter, or_
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
@@ -899,6 +900,10 @@ class CJoinPipeline:
             bms = item.bms
             dims = item.dims
             filter_pos = item.filter_pos
+            # Most addressed queries have no surviving tuple on a given
+            # page: one OR over the page's bitmaps tells which do (with a
+            # single addressed query the pass below is that same one pass).
+            live = reduce(or_, bms, 0) if len(item.addressed) > 1 else -1
             for state in item.addressed:
                 # The bitmap pass is one comprehension over the parallel
                 # ``bms`` list with the query's bit pre-bound -- no per-row
@@ -907,7 +912,7 @@ class CJoinPipeline:
                 # values and order match the unfused sequence exactly.
                 bit = state.bit
                 pred = state.fact_pred
-                sel = [j for j, bm in enumerate(bms) if bm & bit]
+                sel = [j for j, bm in enumerate(bms) if bm & bit] if live & bit else []
                 cmds = []
                 if sel and pred is not None:
                     cmds.append(cost.predicate(len(sel), w, max(state.fact_pred_terms, 1)))

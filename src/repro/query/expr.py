@@ -234,7 +234,9 @@ def compile_selection(
 class Expr:
     """Base class for scalar expressions."""
 
-    __slots__ = ()
+    # Expressions are immutable; :mod:`repro.query.subsume` memoizes its
+    # per-predicate classification here so it dies with the expression.
+    __slots__ = ("_fold_summary",)
 
     def compile(self, schema: "Schema") -> Callable[[tuple], Any]:
         raise NotImplementedError

@@ -71,15 +71,25 @@ class DimJoinSpec:
 class PlanNode:
     """Base class for plan nodes."""
 
-    __slots__ = ("_signature",)
+    # Lazily filled, per-node memos (nodes are immutable): the signature,
+    # the output schema of the nodes that *build* one, and the fold-search
+    # summary owned by :mod:`repro.query.subsume`.
+    __slots__ = ("_signature", "_schema", "_fold_summary")
 
     @property
     def children(self) -> tuple["PlanNode", ...]:
         return ()
 
+    def _compute_schema(self) -> Schema:
+        raise NotImplementedError
+
     @property
     def schema(self) -> Schema:
-        raise NotImplementedError
+        schema = getattr(self, "_schema", None)
+        if schema is None:
+            schema = self._compute_schema()
+            object.__setattr__(self, "_schema", schema)
+        return schema
 
     def _compute_signature(self) -> tuple:
         raise NotImplementedError
@@ -160,8 +170,7 @@ class HashJoinNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.probe, self.build)
 
-    @property
-    def schema(self) -> Schema:
+    def _compute_schema(self) -> Schema:
         return self.probe.schema.concat(self.build.schema)
 
     def _compute_signature(self) -> tuple:
@@ -190,8 +199,7 @@ class AggregateNode(PlanNode):
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
 
-    @property
-    def schema(self) -> Schema:
+    def _compute_schema(self) -> Schema:
         cols = [self.child.schema.column(g) for g in self.group_by]
         cols += [Column(a.name, "float") for a in self.aggregates]
         return Schema(cols, row_bytes=8.0 * len(cols))
@@ -263,8 +271,7 @@ class CJoinNode(PlanNode):
     def fact_table(self) -> str:
         return self.fact_table_obj.name
 
-    @property
-    def schema(self) -> Schema:
+    def _compute_schema(self) -> Schema:
         cols = [self.fact_table_obj.schema.column(c) for c in self.fact_payload]
         for d in self.dims:
             cols += [Column(c, "str") for c in d.payload]

@@ -28,6 +28,13 @@ that all three layers consult:
   output projection and an optional :class:`Regroup` (roll-up
   re-aggregation), or ``None`` when the provider cannot serve the
   consumer.
+* :class:`FoldIndex` -- the search structure behind the WoP registry and
+  the result cache: providers bucketed by plan *shape* and posted under
+  the values of one finite-value constraint, so an admission runs
+  :func:`fold_plan` on a handful of candidates instead of every in-flight
+  host or cache entry.  Both sides of every test read per-node and
+  per-predicate summaries derived once and memoized on the (immutable)
+  node or expression.
 * :class:`FoldPlanner` -- ranks candidate providers (in-flight hosts,
   cached entries) and keeps the cheapest fold; :class:`ResidualOperator`
   is the compiled runtime form the engine workers stream batches through.
@@ -76,6 +83,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
 
 __all__ = [
+    "FoldIndex",
     "FoldPlan",
     "FoldPlanner",
     "Regroup",
@@ -183,17 +191,41 @@ class _Constraint:
             if self.values is not None:
                 # A finite set cannot contain a (non-degenerate) interval;
                 # the one decidable case is a single-point interval.
-                if (
-                    other.lo is not None
-                    and other.lo == other.hi
-                    and not other.lo_open
-                    and not other.hi_open
-                ):
+                if other.is_point():
                     return self.admits(other.lo)
                 return False
             return self._interval_contains(other)
         except TypeError:
             return False  # incomparable value types: undecidable, so no
+
+    def is_point(self) -> bool:
+        """An interval closed on one single value (``Between(x, x)``)."""
+        return (
+            self.lo is not None
+            and self.lo == self.hi
+            and not self.lo_open
+            and not self.hi_open
+        )
+
+    def probe_value(self) -> Any:
+        """One value every *finite value set* containing this region must
+        hold -- the :class:`FoldIndex` lookup key: a surviving point of the
+        value set, or the single point of a closed interval (what
+        :meth:`contains` decides against a set).  ``_UNBOUNDED`` when the
+        region is a proper interval (no set contains it), ``_EMPTY`` when
+        no point survives (every region contains it, vacuously).  Raises
+        ``TypeError`` on incomparable value types."""
+        if self.values is None:
+            return self.lo if self.is_point() else _UNBOUNDED
+        for x in self.values:
+            if self.admits(x):
+                return x
+        return _EMPTY
+
+
+#: :meth:`_Constraint.probe_value` outcomes that are not a value.
+_UNBOUNDED = object()
+_EMPTY = object()
 
 
 def _classify(conj: Expr) -> tuple[str, _Constraint] | None:
@@ -225,30 +257,54 @@ def _classify(conj: Expr) -> tuple[str, _Constraint] | None:
     return None
 
 
-def _constraint_map(
-    parts: list[Expr],
-) -> tuple[dict[str, _Constraint], list[Expr]]:
-    """Split conjuncts into per-column merged constraints plus the opaque
-    leftovers."""
-    cols: dict[str, _Constraint] = {}
-    opaque: list[Expr] = []
-    for p in parts:
-        info = _classify(p)
-        if info is None:
-            opaque.append(p)
-            continue
-        col, c = info
-        merged = cols.get(col)
-        if merged is None:
-            cols[col] = c
-        else:
-            if c.lo is not None:
-                merged.add_lo(c.lo, c.lo_open)
-            if c.hi is not None:
-                merged.add_hi(c.hi, c.hi_open)
+class _PredSummary:
+    """One conjunctive predicate, classified once: its conjuncts with
+    their signatures and per-conjunct constraints, the merged per-column
+    constraints and the opaque conjuncts' signatures.  Memoized on the
+    expression (:attr:`Expr._fold_summary`), so every subsumption test
+    after the first reads it instead of re-deriving both sides."""
+
+    __slots__ = ("conj", "conj_sigs", "classified", "cols", "opaque_sigs")
+
+    def __init__(self, predicate: Expr | None):
+        self.conj = tuple(conjuncts(predicate))
+        self.conj_sigs = tuple(c.signature for c in self.conj)
+        self.classified = tuple(_classify(c) for c in self.conj)
+        #: column -> the region all of its conjuncts together allow
+        self.cols: dict[str, _Constraint] = {}
+        opaque: list[tuple] = []
+        for sig, info in zip(self.conj_sigs, self.classified):
+            if info is None:
+                opaque.append(sig)
+                continue
+            col, c = info
+            merged = self.cols.get(col)
+            if merged is None:
+                merged = self.cols[col] = _Constraint()
+            try:
+                if c.lo is not None:
+                    merged.add_lo(c.lo, c.lo_open)
+                if c.hi is not None:
+                    merged.add_hi(c.hi, c.hi_open)
+            except TypeError:
+                # Bounds of incomparable types on one column: undecidable,
+                # so this conjunct only ever matches by signature.
+                opaque.append(sig)
             if c.values is not None:
                 merged.add_values(c.values)
-    return cols, opaque
+        self.opaque_sigs = tuple(opaque)
+
+
+_NO_PREDICATE = _PredSummary(None)
+
+
+def _pred_summary(predicate: Expr | None) -> _PredSummary:
+    if predicate is None:
+        return _NO_PREDICATE
+    summary = getattr(predicate, "_fold_summary", None)
+    if summary is None:
+        summary = predicate._fold_summary = _PredSummary(predicate)
+    return summary
 
 
 def predicate_subsumes(
@@ -260,32 +316,34 @@ def predicate_subsumes(
     ``weak AND residual`` selects *exactly* the rows of ``strong`` (the
     dropped conjuncts are each implied by ``weak``), so a consumer can run
     the residual as a post-filter over the provider's output."""
-    if weak is None:
-        return True, conjuncts(strong)
-    if strong is None:
+    return _subsumes(_pred_summary(weak), _pred_summary(strong))
+
+
+def _subsumes(weak: _PredSummary, strong: _PredSummary) -> tuple[bool, list[Expr]]:
+    """:func:`predicate_subsumes` over two classified predicates."""
+    if not weak.conj:
+        return True, list(strong.conj)
+    if not strong.conj:
         return False, []
-    wconj = conjuncts(weak)
-    sconj = conjuncts(strong)
-    ssigs = {c.signature for c in sconj}
-    wcols, wopaque = _constraint_map(wconj)
-    scols, _ = _constraint_map(sconj)
     # Every opaque conjunct of the weak side must literally reappear.
-    for o in wopaque:
-        if o.signature not in ssigs:
+    ssigs = strong.conj_sigs
+    for sig in weak.opaque_sigs:
+        if sig not in ssigs:
             return False, []
     # Every column the weak side constrains must be constrained at least
     # as tightly by the strong side.
+    wcols = weak.cols
+    scols = strong.cols
     for col, wc in wcols.items():
         sc = scols.get(col)
         if sc is None or not wc.contains(sc):
             return False, []
     # Residual: strong conjuncts not implied by the weak predicate.
-    wsigs = {c.signature for c in wconj}
+    wsigs = weak.conj_sigs
     residual: list[Expr] = []
-    for cj in sconj:
-        if cj.signature in wsigs:
+    for cj, sig, info in zip(strong.conj, strong.conj_sigs, strong.classified):
+        if sig in wsigs:
             continue
-        info = _classify(cj)
         if info is not None:
             col, cc = info
             wc = wcols.get(col)
@@ -457,19 +515,21 @@ class FoldPlan:
         return (self.residual_terms, 1 if self.regroup is not None else 0)
 
 
-def _schema_names(node: PlanNode) -> list[str]:
-    return [c.name for c in node.schema.columns]
-
-
 def _residual_over(
-    residual: list[Expr], available: set[str]
+    residual: list[Expr], available: Schema | tuple[str, ...]
 ) -> list[Expr] | None:
     """The residual conjuncts, provided every referenced column survives
     into the provider's output (else the fold is impossible)."""
     for r in residual:
-        if not r.columns() <= available:
+        if not all(c in available for c in r.columns()):
             return None
     return residual
+
+
+def _within(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
+    """``set(small) <= set(big)`` for the short name tuples of payloads and
+    group-bys; equal tuples (the common case) build no set."""
+    return small == big or set(small) <= set(big)
 
 
 def _unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
@@ -482,75 +542,154 @@ def _unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
     return node, predicate
 
 
-def _child_residual(
-    consumer_child: PlanNode, provider_child: PlanNode
-) -> tuple[bool, list[Expr]]:
+#: One operator input with its select chain unwrapped: the node below the
+#: chain and the chain's classified predicate.
+_Input = tuple[PlanNode, _PredSummary]
+
+
+class _Summary:
+    """Everything fold search reads from one stage-root plan node, derived
+    once and memoized on the node (:attr:`PlanNode._fold_summary`).
+
+    ``shape`` is hashable and holds all that two plans must agree on
+    *exactly* to fold: node type, fact table and dimension join keys,
+    join keys, sort keys, the shapes of the select-unwrapped inputs and
+    the exact signature of any sub-plan the lattice only matches exactly.
+    ``slots`` lists, in one traversal order fixed by the shape, the
+    classified predicate of every place :func:`fold_plan` tests
+    containment -- per node: a CJOIN's dimensions then its fact predicate;
+    each input's select chain followed by the slots of the join below it.
+    Two nodes of one shape therefore pair up slot by slot."""
+
+    __slots__ = ("shape", "slots", "inputs", "aggs", "post_keys")
+
+    def __init__(self, node: PlanNode):
+        #: select-unwrapped inputs (aggregate/sort: one; hash join: probe, build)
+        self.inputs: tuple[_Input, ...] = ()
+        #: aggregate: ``(func, expr signature)`` per aggregate
+        self.aggs: tuple[tuple, ...] = ()
+        if isinstance(node, CJoinNode):
+            self.shape: tuple = (
+                "cjoin",
+                node.fact_table,
+                tuple((d.dim_table, d.fact_fk, d.dim_key) for d in node.dims),
+            )
+            self.slots: tuple[_PredSummary, ...] = tuple(
+                _pred_summary(d.predicate) for d in node.dims
+            ) + (_pred_summary(node.fact_predicate),)
+        elif isinstance(node, HashJoinNode):
+            self._take_inputs(("hashjoin", node.probe_key, node.build_key), node.probe, node.build)
+        elif isinstance(node, AggregateNode):
+            self._take_inputs(("aggregate",), node.child)
+            self.aggs = tuple(
+                (a.func, a.expr.signature if a.expr else None) for a in node.aggregates
+            )
+        elif isinstance(node, SortNode):
+            self._take_inputs(("sort", node.keys), node.child)
+        else:  # only ever matched by signature equality
+            self.shape = ("exact", node.signature)
+            self.slots = ()
+        #: where :class:`FoldIndex` posts this node as a provider: one
+        #: ``(slot, column, value)`` key per value of its first finite-value
+        #: constraint, or the unkeyed list (``None``) when it has none
+        self.post_keys: tuple = next(
+            (
+                tuple((i, col, v) for v in c.values)
+                for i, slot in enumerate(self.slots)
+                for col, c in slot.cols.items()
+                if c.values is not None
+            ),
+            (None,),
+        )
+
+    def _take_inputs(self, head: tuple, *children: PlanNode) -> None:
+        shape = head
+        slots: tuple[_PredSummary, ...] = ()
+        inputs: list[_Input] = []
+        for child in children:
+            inner, predicate = _unwrap_selects(child)
+            pred = _pred_summary(predicate)
+            inputs.append((inner, pred))
+            slots += (pred,)
+            if isinstance(inner, (CJoinNode, HashJoinNode)):
+                below = _summary(inner)
+                shape += (below.shape,)
+                slots += below.slots
+            else:
+                shape += (("exact", inner.signature),)
+        self.shape = shape
+        self.slots = slots
+        self.inputs = tuple(inputs)
+
+
+def _summary(node: PlanNode) -> _Summary:
+    summary = getattr(node, "_fold_summary", None)
+    if summary is None:
+        summary = _Summary(node)
+        object.__setattr__(node, "_fold_summary", summary)
+    return summary
+
+
+def _child_residual(consumer: _Input, provider: _Input) -> tuple[bool, list[Expr]]:
     """Subsumption between two operator *inputs* (select chains included):
     ``(ok, residual conjuncts over the provider child's output schema)``."""
-    ci, cpred = _unwrap_selects(consumer_child)
-    pi, ppred = _unwrap_selects(provider_child)
+    ci, cpred = consumer
+    pi, ppred = provider
     if ci.signature == pi.signature:
-        return predicate_subsumes(ppred, cpred)
+        return _subsumes(ppred, cpred)
     if isinstance(ci, CJoinNode) and isinstance(pi, CJoinNode):
         # Aggregations over CJOIN outputs: the star itself may subsume.
+        # A projection below an aggregation would shift the column
+        # positions its exprs resolve against; require equal payloads.
         plan = _fold_cjoin(ci, pi)
-        if plan is None or plan.project is not None:
-            # A projection below an aggregation would shift the column
-            # positions its exprs resolve against; require equal payloads.
-            return False, []
-        ok, outer = predicate_subsumes(ppred, cpred)
-        if not ok:
-            return False, []
-        return True, conjuncts(plan.residual) + outer
-    if isinstance(ci, HashJoinNode) and isinstance(pi, HashJoinNode):
+        if plan is not None and plan.project is not None:
+            plan = None
+    elif isinstance(ci, HashJoinNode) and isinstance(pi, HashJoinNode):
         # Query-centric join trees: recurse -- a narrower dimension
         # predicate anywhere in the tree surfaces as a residual over the
         # join's output (``_fold_join`` never projects, so column
         # positions are stable for the consuming operator's exprs).
         plan = _fold_join(ci, pi)
-        if plan is None:
-            return False, []
-        ok, outer = predicate_subsumes(ppred, cpred)
-        if not ok:
-            return False, []
-        return True, conjuncts(plan.residual) + outer
-    return False, []
+    else:
+        plan = None
+    if plan is None:
+        return False, []
+    ok, outer = _subsumes(ppred, cpred)
+    if not ok:
+        return False, []
+    return True, conjuncts(plan.residual) + outer
 
 
 def _fold_aggregate(
     consumer: AggregateNode, provider: AggregateNode
 ) -> FoldPlan | None:
-    if not set(consumer.group_by) <= set(provider.group_by):
+    if not _within(consumer.group_by, provider.group_by):
         return None
-    ok, residual = _child_residual(consumer.child, provider.child)
+    cs, ps = _summary(consumer), _summary(provider)
+    ok, residual = _child_residual(cs.inputs[0], ps.inputs[0])
     if not ok:
         return None
     # The residual runs over the provider's *output groups*, so it may
     # only reference columns the provider grouped by (within one group
     # all rows agree on those columns, making the group-level filter
     # exactly equivalent to the row-level one).
-    residual = _residual_over(residual, set(provider.group_by))
+    residual = _residual_over(residual, provider.group_by)
     if residual is None:
         return None
-    out_names = _schema_names(provider)
+    out = provider.schema
     n_groups = len(provider.group_by)
     # Map each consumer aggregate onto a provider aggregate with the same
     # function and expression.
     matches: list[int] = []
-    for a in consumer.aggregates:
-        want = (a.func, a.expr.signature if a.expr else None)
-        for j, p in enumerate(provider.aggregates):
-            if (p.func, p.expr.signature if p.expr else None) == want:
-                matches.append(n_groups + j)
-                break
-        else:
+    for want in cs.aggs:
+        try:
+            matches.append(n_groups + ps.aggs.index(want))
+        except ValueError:
             return None
-    if set(consumer.group_by) == set(provider.group_by):
+    if _within(provider.group_by, consumer.group_by):
         # Same grouping: groups pass through (filter + projection only).
-        project: tuple[int, ...] | None = tuple(
-            [out_names.index(g) for g in consumer.group_by] + matches
-        )
-        if project == tuple(range(len(project))) and len(project) == len(out_names):
+        project: tuple[int, ...] | None = out.indices(consumer.group_by) + tuple(matches)
+        if project == tuple(range(len(out))):
             project = None
         return FoldPlan(residual=and_of(residual), project=project)
     # Proper subset: roll finalized measures up into coarser groups.
@@ -561,61 +700,48 @@ def _fold_aggregate(
             return None
         measures.append((merge, src))
     regroup = Regroup(
-        key_idx=tuple(out_names.index(g) for g in consumer.group_by),
+        key_idx=out.indices(consumer.group_by),
         measures=tuple(measures),
     )
     return FoldPlan(residual=and_of(residual), regroup=regroup)
 
 
 def _fold_cjoin(consumer: CJoinNode, provider: CJoinNode) -> FoldPlan | None:
-    if consumer.fact_table != provider.fact_table:
-        return None
-    if len(consumer.dims) != len(provider.dims):
-        return None
-    out_names = _schema_names(provider)
-    if len(set(out_names)) != len(out_names):
-        return None  # ambiguous column names: cannot resolve a residual
-    available = set(out_names)
-    residual: list[Expr] = []
+    cs, ps = _summary(consumer), _summary(provider)
+    if cs.shape != ps.shape:
+        return None  # another fact table or dimension join list
     for cd, pd in zip(consumer.dims, provider.dims):
-        if (cd.dim_table, cd.fact_fk, cd.dim_key) != (pd.dim_table, pd.fact_fk, pd.dim_key):
+        if not _within(cd.payload, pd.payload):
             return None
-        if not set(cd.payload) <= set(pd.payload):
-            return None
-        ok, res = predicate_subsumes(pd.predicate, cd.predicate)
+    if not _within(consumer.fact_payload, provider.fact_payload):
+        return None
+    # Dimension predicates in join order, then the fact predicate.
+    residual: list[Expr] = []
+    for cpred, ppred in zip(cs.slots, ps.slots):
+        ok, res = _subsumes(ppred, cpred)
         if not ok:
             return None
         residual.extend(res)
-    if not set(consumer.fact_payload) <= set(provider.fact_payload):
-        return None
-    ok, res = predicate_subsumes(provider.fact_predicate, consumer.fact_predicate)
-    if not ok:
-        return None
-    residual.extend(res)
-    checked = _residual_over(residual, available)
+    out = provider.schema
+    checked = _residual_over(residual, out)
     if checked is None:
         return None
-    consumer_names = _schema_names(consumer)
-    if consumer_names == out_names:
-        project = None
-    else:
-        project = tuple(out_names.index(n) for n in consumer_names)
+    names = consumer.schema.names
+    project = None if names == out.names else out.indices(names)
     return FoldPlan(residual=and_of(checked), project=project)
 
 
 def _fold_join(consumer: HashJoinNode, provider: HashJoinNode) -> FoldPlan | None:
     if (consumer.probe_key, consumer.build_key) != (provider.probe_key, provider.build_key):
         return None
-    ok_p, res_p = _child_residual(consumer.probe, provider.probe)
+    cs, ps = _summary(consumer), _summary(provider)
+    ok_p, res_p = _child_residual(cs.inputs[0], ps.inputs[0])
     if not ok_p:
         return None
-    ok_b, res_b = _child_residual(consumer.build, provider.build)
+    ok_b, res_b = _child_residual(cs.inputs[1], ps.inputs[1])
     if not ok_b:
         return None
-    out_names = _schema_names(provider)
-    if len(set(out_names)) != len(out_names):
-        return None
-    checked = _residual_over(res_p + res_b, set(out_names))
+    checked = _residual_over(res_p + res_b, provider.schema)
     if checked is None:
         return None
     return FoldPlan(residual=and_of(checked))
@@ -624,11 +750,10 @@ def _fold_join(consumer: HashJoinNode, provider: HashJoinNode) -> FoldPlan | Non
 def _fold_sort(consumer: SortNode, provider: SortNode) -> FoldPlan | None:
     if consumer.keys != provider.keys:
         return None
-    ok, res = _child_residual(consumer.child, provider.child)
+    ok, res = _child_residual(_summary(consumer).inputs[0], _summary(provider).inputs[0])
     if not ok:
         return None
-    out_names = _schema_names(provider)
-    checked = _residual_over(res, set(out_names))
+    checked = _residual_over(res, provider.schema)
     if checked is None:
         return None
     # A filter of a sorted stream is sorted: no re-sort needed.
@@ -653,29 +778,133 @@ def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
 
 
 # ---------------------------------------------------------------------------
+# Search: one index behind the WoP registry and the result cache
+# ---------------------------------------------------------------------------
+class _Bucket:
+    """The providers of one shape: ``posted`` maps a provider's posting
+    key ``(slot, column, value)`` -- or ``None`` for providers without a
+    finite-value constraint -- to the tokens posted under it."""
+
+    __slots__ = ("members", "posted")
+
+    def __init__(self) -> None:
+        self.members: dict[Any, None] = {}
+        self.posted: dict[Any, dict[Any, None]] = {}
+
+
+class FoldIndex:
+    """Which providers can possibly subsume a consumer, without testing
+    each: :meth:`candidates` returns a **superset** of the providers ``p``
+    with ``fold_plan(consumer, p) is not None``.
+
+    Providers are bucketed by summary shape (plans of different shapes
+    never fold).  Inside a bucket a provider is posted under every value
+    of its first finite-value constraint: it can only subsume consumers
+    whose region on that column is itself finite and inside the value set,
+    so a consumer finds it with one dictionary lookup on one of its own
+    surviving values.  Providers without such a constraint are always
+    candidates.  Everything is lazy: providers are summarized on the first
+    search that finds the index non-empty, so a registry nobody searches
+    (folding off) or that is empty at every admission (MPL 1) builds no
+    summary.  Tokens are hashable, unique, and added at most once until
+    discarded."""
+
+    __slots__ = ("_pending", "_posted", "_buckets")
+
+    def __init__(self) -> None:
+        self._pending: dict[Any, PlanNode] = {}  # added, not yet summarized
+        self._posted: dict[Any, PlanNode] = {}
+        self._buckets: dict[tuple, _Bucket] = {}
+
+    def __len__(self) -> int:
+        return len(self._pending) + len(self._posted)
+
+    def add(self, node: PlanNode, token: Any) -> None:
+        """Index ``node`` as a provider; ``token`` is what
+        :meth:`candidates` hands back."""
+        self._pending[token] = node
+
+    def discard(self, token: Any) -> None:
+        """Forget ``token`` (a no-op when it is not indexed)."""
+        if self._pending.pop(token, None) is not None:
+            return
+        node = self._posted.pop(token, None)
+        if node is None:
+            return
+        summary = _summary(node)
+        bucket = self._buckets[summary.shape]
+        del bucket.members[token]
+        if not bucket.members:
+            del self._buckets[summary.shape]
+            return
+        for key in summary.post_keys:
+            tokens = bucket.posted[key]
+            del tokens[token]
+            if not tokens:
+                del bucket.posted[key]
+
+    def candidates(self, consumer: PlanNode) -> list:
+        """Tokens of every provider that may subsume ``consumer``."""
+        if not self:
+            return []
+        if self._pending:
+            self._post_pending()
+        summary = _summary(consumer)
+        bucket = self._buckets.get(summary.shape)
+        if bucket is None:
+            return []
+        posted = bucket.posted
+        found = list(posted.get(None, ()))
+        # A keyed provider's value set must contain the consumer's whole
+        # region on that column; probe with one point of the region.
+        try:
+            for i, slot in enumerate(summary.slots):
+                for col, region in slot.cols.items():
+                    value = region.probe_value()
+                    if value is _UNBOUNDED:
+                        continue  # no value set contains an interval
+                    if value is _EMPTY:
+                        return list(bucket.members)  # contained in anything
+                    found.extend(posted.get((i, col, value), ()))
+        except TypeError:
+            return list(bucket.members)  # incomparable types: undecidable
+        return found
+
+    def _post_pending(self) -> None:
+        for token, node in self._pending.items():
+            summary = _summary(node)
+            bucket = self._buckets.get(summary.shape)
+            if bucket is None:
+                bucket = self._buckets[summary.shape] = _Bucket()
+            bucket.members[token] = None
+            for key in summary.post_keys:
+                bucket.posted.setdefault(key, {})[token] = None
+        self._posted.update(self._pending)
+        self._pending.clear()
+
+
+# ---------------------------------------------------------------------------
 # Planner + runtime operator
 # ---------------------------------------------------------------------------
 class FoldPlanner:
     """Ranks candidate providers for one consumer node and keeps the
-    cheapest fold.  ``examined`` counts subsumption tests so the engine
-    can charge ``CostModel.fold_probe`` per candidate considered."""
+    cheapest fold."""
 
-    __slots__ = ("node", "examined", "_best")
+    __slots__ = ("node", "_best")
 
     def __init__(self, node: PlanNode):
         self.node = node
-        self.examined = 0
         self._best: tuple[tuple, Any, FoldPlan] | None = None
 
     def consider(self, provider_node: PlanNode, token: Any, tie_break: tuple = ()) -> None:
         """Test one provider; ``token`` is handed back by :meth:`best`.
         ``tie_break`` orders equal-cost folds deterministically (e.g.
-        registration order, cache bytes)."""
-        self.examined += 1
+        registration order, cache bytes) and should end in a unique id;
+        without one the first provider considered wins a tie."""
         plan = fold_plan(self.node, provider_node)
         if plan is None:
             return
-        score = plan.cost_rank() + tie_break + (self.examined,)
+        score = plan.cost_rank() + tie_break
         if self._best is None or score < self._best[0]:
             self._best = (score, token, plan)
 

@@ -132,6 +132,24 @@ class TestInvalidation:
         sim.run()
         assert not h.query.cache_served
 
+    def test_update_retires_subsuming_entries_from_the_fold_search(self, ssb):
+        """``notify_update`` must reach the cache's fold index too: after
+        it no probe may be answered from a dropped, merely *subsuming*
+        entry, and a refill is searchable again."""
+        sim, storage, engine = make_engine(ssb)
+        cache = storage.result_cache
+        narrow = q32("CHINA", "FRANCE", 1994, 1995).to_query_centric_plan(ssb.tables).child
+        engine.submit(q32(*SPEC_ARGS))
+        sim.run()
+        assert cache.has_subsuming(narrow)
+        storage.notify_update("date")
+        assert len(cache) == len(cache._fold_index) == 0
+        assert not cache.has_subsuming(narrow)
+        assert cache.probe_subsuming(narrow) is None
+        engine.submit(q32(*SPEC_ARGS))
+        sim.run()
+        assert cache.has_subsuming(narrow)
+
     def test_notify_update_without_cache_is_noop(self, ssb):
         sim = Simulator(MachineSpec())
         storage = StorageManager(

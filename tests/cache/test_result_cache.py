@@ -4,9 +4,14 @@ byte-budgeted eviction under both policies, table invalidation."""
 import pytest
 
 from repro.cache import CACHE_POLICIES, ResultCache
+from repro.query.expr import Between, Col
+from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
+from repro.query.subsume import fold_plan
 from repro.sim import Simulator
 from repro.sim.machine import MachineSpec
 from repro.storage.page import Batch
+from repro.storage.schema import Column, Schema
+from repro.storage.table import Table
 
 
 def make_cache(capacity=1000.0, policy="benefit", max_entry_fraction=0.5):
@@ -143,6 +148,91 @@ class TestInvalidation:
         cache.clear()
         assert len(cache) == 0
         assert cache.resident_bytes == 0.0
+
+
+YEARS = Table("years", Schema([Column("year"), Column("v")], row_bytes=16), [], packed=False)
+
+
+def yearly(lo, hi):
+    """sum(v) by year over ``lo <= year <= hi``: a wider range subsumes a
+    narrower one (residual = the narrower range over the group column)."""
+    return AggregateNode(
+        SelectNode(ScanNode(YEARS), Between("year", lo, hi)),
+        ("year",),
+        (AggSpec("sum", Col("v"), "total"),),
+    )
+
+
+def admit_node(cache, node, nbytes=100.0, key=None):
+    assert cache.admit(
+        node.signature if key is None else key,
+        entry_batches(),
+        nbytes,
+        1.0,
+        frozenset({"years"}),
+        "aggregate",
+        node=node,
+    )
+
+
+class TestSubsumingProbes:
+    """``probe_subsuming`` / ``has_subsuming`` search an index kept beside
+    the entries: it must follow every way an entry leaves the cache."""
+
+    def test_probe_finds_the_cheapest_subsuming_entry(self):
+        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        admit_node(cache, yearly(1990, 1999))
+        admit_node(cache, yearly(1992, 1997))
+        admit_node(cache, yearly(1994, 1994))  # too narrow to serve the probe
+        cache.admit(("no", "node"), entry_batches(), 10.0, 1.0, frozenset(), "sort")
+        consumer = yearly(1993, 1995)
+        assert cache.has_subsuming(consumer)
+        entry, plan, examined = cache.probe_subsuming(consumer)
+        # Equal residual cost and bytes: benefit-per-byte ties, insertion order wins.
+        assert entry.key == yearly(1990, 1999).signature
+        assert plan == fold_plan(consumer, entry.node)
+        # The charge counts every entry that could have been a provider,
+        # not the few the index handed to the subsumption test.
+        assert examined == 3
+        assert cache.fold_hits == 1
+
+    def test_examined_skips_the_entry_under_the_probes_own_key(self):
+        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        admit_node(cache, yearly(1990, 1999))
+        admit_node(cache, yearly(1993, 1995))
+        _, _, examined = cache.probe_subsuming(yearly(1993, 1995))
+        assert examined == 1
+
+    def test_evicted_entry_is_never_returned(self):
+        _, cache = make_cache(capacity=250.0, policy="lru", max_entry_fraction=1.0)
+        admit_node(cache, yearly(1990, 1999))
+        assert cache.has_subsuming(yearly(1993, 1995))  # indexes the entry
+        admit_node(cache, yearly(2000, 2009))
+        admit_node(cache, yearly(2010, 2019))  # evicts the 1990s
+        assert cache.evictions == 1
+        assert not cache.has_subsuming(yearly(1993, 1995))
+        assert cache.probe_subsuming(yearly(1993, 1995)) is None
+        assert len(cache._fold_index) == len(cache) == 2
+
+    def test_readmitted_key_serves_the_new_entry_only(self):
+        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        admit_node(cache, yearly(1990, 1999))
+        stale = cache.probe_subsuming(yearly(1993, 1995))[0]
+        admit_node(cache, yearly(1990, 1999), nbytes=200.0)  # same key, new entry
+        fresh = cache.probe_subsuming(yearly(1993, 1995))[0]
+        assert fresh is not stale and fresh.nbytes == 200.0
+        assert len(cache._fold_index) == 1
+
+    def test_invalidated_and_cleared_entries_are_never_returned(self):
+        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        admit_node(cache, yearly(1990, 1999))
+        assert cache.has_subsuming(yearly(1993, 1995))
+        assert cache.invalidate_table("years") == 1
+        assert not cache.has_subsuming(yearly(1993, 1995))
+        assert len(cache._fold_index) == 0
+        admit_node(cache, yearly(1990, 1999))
+        cache.clear()
+        assert cache.probe_subsuming(yearly(1993, 1995)) is None
 
 
 class TestStats:

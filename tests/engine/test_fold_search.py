@@ -1,0 +1,114 @@
+"""The fold search behind the WoP registry: index lifecycle and scaling.
+
+``Stage`` keeps a :class:`~repro.query.subsume.FoldIndex` beside its
+signature registry.  These tests pin what the index may never do --
+return a host that left the registry, or outlive a drained batch -- and
+gate the point of having it: the number of full subsumption tests per
+admission must not grow with the number of in-flight hosts.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+import repro.query.subsume as subsume
+from repro.baselines import evaluate_plan
+from repro.bench.workload import q32_random_workload
+from repro.data import generate_ssb
+from repro.engine import CJOIN_SP, QPIPE_SP, QPipeEngine
+from repro.query.ssb_queries import q32
+from repro.sim import Simulator
+from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.sim.machine import MachineSpec
+from repro.storage import StorageConfig, StorageManager
+
+
+@pytest.fixture(scope="module")
+def ssb():
+    return generate_ssb(0.5, seed=41)
+
+
+def norm(rows):
+    return sorted(
+        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
+    )
+
+
+def make_engine(ssb, config):
+    sim = Simulator(MachineSpec())
+    storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory"))
+    return sim, QPipeEngine(sim, storage, replace(config, query_folding=True))
+
+
+def stages(engine):
+    found = [engine.scan_stage, engine.join_stage, engine.agg_stage, engine.sort_stage]
+    if engine.cjoin_stage is not None:
+        found.append(engine.cjoin_stage)
+    return found
+
+
+class TestIndexLifecycle:
+    @pytest.mark.parametrize("config", [QPIPE_SP, CJOIN_SP], ids=lambda c: c.name)
+    def test_index_tracks_the_registry_and_drains_empty(self, ssb, config):
+        sim, engine = make_engine(ssb, config)
+        for job in q32_random_workload(64, seed=5):
+            engine.submit(job.spec)
+        for stage in stages(engine):  # mid-flight: one token per registered host
+            assert len(stage._fold_index) == len(stage._registry)
+        sim.run()
+        assert sum(v for k, v in sim.metrics.counts.items() if k.startswith("fold_attach:")) > 0
+        for stage in stages(engine):
+            assert stage._registry == {}, stage.name
+            assert len(stage._fold_index) == 0, stage.name
+
+    def test_unregistered_and_overwritten_hosts_are_never_candidates(self, ssb):
+        """``unregister`` and the same-signature overwrite (a new host
+        replacing one that fell out of its WoP) both retire the old token."""
+        sim, engine = make_engine(ssb, CJOIN_SP)
+        stage = engine.cjoin_stage
+        broad = q32("CHINA", "FRANCE", 1992, 1997).to_gqp_plan(ssb.tables).child.child
+        narrow = q32("CHINA", "FRANCE", 1993, 1995).to_gqp_plan(ssb.tables).child.child
+        query = engine.submit(q32("JAPAN", "JAPAN", 1992, 1992)).query
+
+        def host():
+            packet = stage.make_packet(broad, query)
+            assert stage.admit(packet) is False  # becomes a host
+            return packet
+
+        first = host()
+        assert stage._fold_index.candidates(narrow) == [first]
+        first.finished = True  # fell out of its WoP without unregistering
+        second = host()  # same signature: overwrites the registry slot
+        assert stage._registry[broad.signature] is second
+        assert stage._fold_index.candidates(narrow) == [second]
+        stage.unregister(first)  # stale unregister: must not touch the new host
+        assert stage._fold_index.candidates(narrow) == [second]
+        stage.unregister(second)
+        assert stage._fold_index.candidates(narrow) == []
+        assert len(stage._fold_index) == len(stage._registry)
+
+
+class TestScaling:
+    #: Full subsumption tests per admitted query.  A walk over every
+    #: in-flight host costs about n/2 of them (32 at n=64, 128 at n=256).
+    MAX_FOLD_TESTS_PER_QUERY = 8
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_fold_tests_per_admission_do_not_grow_with_the_batch(self, ssb, n, monkeypatch):
+        calls = []
+        real = subsume.fold_plan
+        monkeypatch.setattr(
+            subsume, "fold_plan", lambda c, p: calls.append(1) or real(c, p)
+        )
+        sim, engine = make_engine(ssb, CJOIN_SP)
+        specs = [job.spec for job in q32_random_workload(n, seed=5)]
+        handles = [engine.submit(spec) for spec in specs]
+        sim.run()
+        assert len(calls) <= self.MAX_FOLD_TESTS_PER_QUERY * n
+        # The search still finds what a full walk finds...
+        assert sum(v for k, v in sim.metrics.counts.items() if k.startswith("fold_attach:")) > 0
+        # ...and every answer is the reference evaluator's.
+        for spec, handle in zip(specs, handles):
+            assert norm(handle.results) == norm(
+                evaluate_plan(spec.to_query_centric_plan(ssb.tables))
+            )

@@ -29,8 +29,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Not, Or
-from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
+from repro.query.plan import (
+    AggregateNode,
+    AggSpec,
+    CJoinNode,
+    DimJoinSpec,
+    HashJoinNode,
+    ScanNode,
+    SelectNode,
+    SortNode,
+)
 from repro.query.subsume import (
+    FoldIndex,
     FoldPlan,
     FoldPlanner,
     ResidualOperator,
@@ -41,6 +51,7 @@ from repro.query.subsume import (
     predicate_subsumes,
     split_range,
 )
+from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -318,3 +329,354 @@ def test_fold_planner_prefers_fewest_residual_terms():
     token, plan = planner.best()
     assert token == "near"
     assert plan.residual.columns() == {"b"}
+
+
+# ----------------------------------------------------------------------
+# Search: memoized summaries and the FoldIndex
+#
+# Generated plans of every shape the lattice handles, over predicates
+# that stress the index's fallbacks: opaque ``!=``/``Or`` conjuncts,
+# value sets whose intersection is empty, contradictory equalities,
+# ``Between(x, x)`` points, inverted ranges and mixed int/float/str
+# values (undecidable comparisons).  The references -- a from-scratch
+# predicate derivation and a brute-force walk over every provider -- live
+# here, not in the module under test.
+# ----------------------------------------------------------------------
+mixed_values = st.sampled_from([0, 1, 2, 3, 4, 1.0, 2.5, "a", "b"])
+
+FACT = Table(
+    "f",
+    Schema([Column("fk1"), Column("fk2"), Column("m"), Column("q")], row_bytes=32),
+    [],
+    packed=False,
+)
+DIM1 = Table("d1", Schema([Column("k1"), Column("x"), Column("y")], row_bytes=24), [], packed=False)
+DIM2 = Table("d2", Schema([Column("k2"), Column("u"), Column("v")], row_bytes=24), [], packed=False)
+COLSETS = {"f": ("m", "q"), "d1": ("x", "y"), "d2": ("u", "v")}
+
+
+def mixed_leaves(cols):
+    col = st.sampled_from(cols)
+    cmps = st.builds(
+        Cmp, st.sampled_from(["<", "<=", "=", "=", "!=", ">=", ">"]), col, mixed_values
+    )
+    ranges = st.builds(Between, col, mixed_values, mixed_values)
+    points = st.builds(lambda c, v: Between(c, v, v), col, mixed_values)
+    insets = st.builds(
+        lambda c, vs: InSet(c, tuple(vs)),
+        col,
+        st.lists(mixed_values, min_size=1, max_size=3),
+    )
+    ors = st.builds(
+        lambda c, a, b: Or(Cmp("=", c, a), Cmp(">", c, b)), col, mixed_values, mixed_values
+    )
+    return st.one_of(cmps, ranges, points, insets, ors)
+
+
+@st.composite
+def leaf_pools(draw):
+    """A few leaves per table: predicates drawn as sub-conjunctions of one
+    pool subsume each other often, so positive cases are not rare."""
+    return {
+        t: draw(st.lists(mixed_leaves(cols), min_size=2, max_size=4))
+        for t, cols in COLSETS.items()
+    }
+
+
+class PlanDraw:
+    """The draws behind one generated plan.  ``pick`` makes a structural
+    choice and logs it; a *variant* (``replay=`` an earlier log) repeats
+    those choices -- so it has the same shape -- while ``free`` choices
+    (payloads, group-by, aggregate lists) are drawn afresh and every
+    predicate gains freshly drawn conjuncts, which is how subsuming pairs
+    of every shape become common instead of vanishingly rare."""
+
+    def __init__(self, draw, pool, replay=None):
+        self.free = draw
+        self.pool = pool
+        self.log = []
+        self._replay = None if replay is None else iter(replay)
+
+    def pick(self, strategy):
+        if self._replay is not None:
+            return next(self._replay)
+        value = self.free(strategy)
+        self.log.append(value)
+        return value
+
+    def pred(self, table):
+        parts = self.pick(st.lists(st.sampled_from(self.pool[table]), max_size=2))
+        if self._replay is not None:
+            parts = parts + self.free(st.lists(st.sampled_from(self.pool[table]), max_size=2))
+        return and_of(parts)
+
+    def chain(self, table_obj):
+        """A scan under zero to two fused selects."""
+        node = ScanNode(table_obj)
+        for _ in range(self.pick(st.integers(0, 2))):
+            node = SelectNode(node, self.pick(st.sampled_from(self.pool[table_obj.name])))
+        if self._replay is not None and self.free(st.booleans()):
+            node = SelectNode(node, self.free(st.sampled_from(self.pool[table_obj.name])))
+        return node
+
+
+def draw_star(d, full_payload=False):
+    payload1 = ("x", "y") if full_payload else d.free(st.sampled_from([("x", "y"), ("x",), ("y", "x")]))
+    payload2 = ("u", "v") if full_payload else d.free(st.sampled_from([("u",), ("u", "v")]))
+    dims = [DimJoinSpec("d1", "fk1", "k1", d.pred("d1"), payload1)]
+    if d.pick(st.booleans()):
+        dims.append(DimJoinSpec("d2", "fk2", "k2", d.pred("d2"), payload2))
+    return CJoinNode(
+        FACT,
+        tuple(dims),
+        ("m", "q") if full_payload else d.free(st.sampled_from([("m", "q"), ("m",)])),
+        d.pred("f"),
+    )
+
+
+def draw_join_tree(d):
+    tree = HashJoinNode(d.chain(FACT), d.chain(DIM1), "fk1", "k1")
+    if d.pick(st.booleans()):
+        probe = tree
+        if d.pick(st.booleans()):  # a select over the lower join's output
+            probe = SelectNode(tree, d.pick(st.sampled_from(d.pool["d1"] + d.pool["f"])))
+        tree = HashJoinNode(probe, d.chain(DIM2), "fk2", "k2")
+    return tree
+
+
+def draw_aggregate(d):
+    """Aggregates over stars (equal payloads, as a fold below an
+    aggregation requires) and join trees, grouped finely or coarsely
+    (roll-ups) with overlapping aggregate lists."""
+    from repro.query.expr import Col
+
+    if d.pick(st.booleans()):
+        child = draw_star(d, full_payload=True)
+    else:
+        child = draw_join_tree(d)
+    if d.pick(st.booleans()):
+        child = SelectNode(child, d.pick(st.sampled_from(d.pool["d1"])))
+    group_by = d.free(st.sampled_from([("x", "y"), ("y", "x"), ("x",), ("y",), ()]))
+    total, count = AggSpec("sum", Col("m"), "s"), AggSpec("count", None, "n")
+    aggs = d.free(
+        st.sampled_from(
+            [(total, count), (total,), (count, total), (total, AggSpec("avg", Col("m"), "mean"))]
+        )
+    )
+    return AggregateNode(child, group_by, aggs)
+
+
+def draw_sort(d):
+    kind = d.pick(st.integers(0, 3))
+    if kind == 0:
+        child = draw_aggregate(d)  # below a sort, matched by exact signature only
+    elif kind == 1:
+        child = draw_join_tree(d)
+    else:
+        child = d.chain(FACT)
+    return SortNode(child, ((d.pick(st.sampled_from(["m", "q"])), d.pick(st.booleans())),))
+
+
+def draw_scan(d):
+    return ScanNode(d.pick(st.sampled_from([FACT, DIM1])))
+
+
+PLAN_KINDS = [draw_star, draw_join_tree, draw_aggregate, draw_sort, draw_scan]
+
+
+@st.composite
+def plan_families(draw):
+    """Two to nine stage-root plans of at most two kinds over one leaf
+    pool: independent draws plus narrowed variants of them."""
+    pool = draw(leaf_pools())
+    kinds = draw(st.lists(st.sampled_from(PLAN_KINDS), min_size=1, max_size=2))
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(kinds))
+        base = PlanDraw(draw, pool)
+        plans.append(kind(base))
+        for _ in range(draw(st.integers(1 if len(plans) == 1 else 0, 2))):
+            plans.append(kind(PlanDraw(draw, pool, replay=base.log)))
+    return plans
+
+
+def _indexed(plans):
+    index = FoldIndex()
+    for i, p in enumerate(plans):
+        index.add(p, i)
+    return index
+
+
+@settings(max_examples=250, deadline=None)
+@given(plans=plan_families())
+def test_index_candidates_are_a_superset_of_every_subsuming_provider(plans):
+    index = _indexed(plans)
+    assert len(index) == len(plans)
+    for consumer in plans:
+        found = index.candidates(consumer)
+        assert len(found) == len(set(found)), "a provider was returned twice"
+        subsuming = {
+            i for i, p in enumerate(plans) if fold_plan(consumer, p) is not None
+        }
+        assert subsuming <= set(found)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans=plan_families())
+def test_planner_fed_from_index_picks_what_a_full_walk_picks(plans):
+    index = _indexed(plans)
+    for consumer in plans:
+        walk, indexed = FoldPlanner(consumer), FoldPlanner(consumer)
+        for i, p in enumerate(plans):
+            walk.consider(p, i, tie_break=(i,))
+        for i in index.candidates(consumer):
+            indexed.consider(plans[i], i, tie_break=(i,))
+        assert indexed.best() == walk.best()
+
+
+@settings(max_examples=150, deadline=None)
+@given(plans=plan_families(), data=st.data())
+def test_index_never_returns_a_discarded_provider(plans, data):
+    """Discards may hit providers still pending (never searched) and
+    providers already posted; neither may ever come back."""
+    index = _indexed(plans)
+    if data.draw(st.booleans()):
+        index.candidates(plans[0])  # post everything added so far
+    gone = set(data.draw(st.lists(st.sampled_from(range(len(plans))), unique=True)))
+    for i in gone:
+        index.discard(i)
+    index.discard("never added")
+    assert len(index) == len(plans) - len(gone)
+    for consumer in plans:
+        found = set(index.candidates(consumer))
+        assert not found & gone
+        assert {
+            i
+            for i, p in enumerate(plans)
+            if i not in gone and fold_plan(consumer, p) is not None
+        } <= found
+    for i in set(range(len(plans))) - gone:
+        index.discard(i)
+    assert len(index) == 0 and not index._buckets
+    assert index.candidates(plans[0]) == []
+
+
+def test_index_is_lazy():
+    """Adding providers, and searching an empty index, derive nothing."""
+    def broad():
+        return AggregateNode(
+            SelectNode(ScanNode(FACT), Between("m", 0, 9)), ("q",), _aggs()[1:2]
+        )
+
+    index, provider, consumer = FoldIndex(), broad(), broad()
+    assert index.candidates(consumer) == []
+    index.add(provider, "p")
+    index.discard("p")
+    assert index.candidates(consumer) == []
+    for node in (provider, consumer):
+        assert getattr(node, "_fold_summary", None) is None
+    index.add(provider, "p")
+    assert index.candidates(consumer) == ["p"]
+    assert provider._fold_summary is not None
+
+
+def test_index_probe_points_vacuous_regions_and_incomparable_values():
+    """The documented edge cases, pinned: a closed single-point interval
+    probes as a value (exactly as ``_Constraint.contains`` decides it),
+    int/float equality follows ``==``, and a consumer whose region is
+    empty, or whose values cannot be compared, gets the whole bucket."""
+    def sorted_where(pred):
+        return SortNode(SelectNode(ScanNode(FACT), pred), (("m", True),))
+
+    one_two = sorted_where(InSet("m", (1, 2)))
+    three = sorted_where(InSet("m", (3,)))
+    unkeyed = sorted_where(Cmp(">=", "m", 0))
+    other_shape = SortNode(SelectNode(ScanNode(FACT), InSet("m", (1, 2))), (("q", True),))
+    index = _indexed([one_two, three, unkeyed, other_shape])
+
+    def check(consumer, expect):
+        found = sorted(index.candidates(consumer))
+        assert found == expect
+        assert {
+            i
+            for i, p in enumerate([one_two, three, unkeyed, other_shape])
+            if fold_plan(consumer, p) is not None
+        } <= set(found)
+
+    check(sorted_where(Between("m", 1, 1)), [0, 2])
+    check(sorted_where(Cmp("=", "m", 2.0)), [0, 2])
+    check(sorted_where(InSet("m", (1, 2))), [0, 2])  # same signature as a provider
+    check(sorted_where(Between("m", 1, 2)), [2])  # no value set holds an interval
+    check(sorted_where(Cmp("!=", "m", 1)), [2])
+    check(sorted_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), [0, 1, 2])  # empty
+    check(sorted_where(And(InSet("m", ("a",)), Cmp(">", "m", 1))), [0, 1, 2])  # TypeError
+    assert fold_plan(sorted_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), three) is not None
+
+
+def _ref_constraint_map(parts):
+    cols, opaque = {}, []
+    for p in parts:
+        info = _classify(p)
+        if info is None:
+            opaque.append(p)
+            continue
+        col, c = info
+        merged = cols.get(col)
+        if merged is None:
+            cols[col] = c
+        else:
+            if c.lo is not None:
+                merged.add_lo(c.lo, c.lo_open)
+            if c.hi is not None:
+                merged.add_hi(c.hi, c.hi_open)
+            if c.values is not None:
+                merged.add_values(c.values)
+    return cols, opaque
+
+
+def ref_predicate_subsumes(weak, strong):
+    """``predicate_subsumes`` derived from scratch for one pair -- the
+    per-pair derivation the memoized summaries replaced."""
+    if weak is None:
+        return True, conjuncts(strong)
+    if strong is None:
+        return False, []
+    wconj, sconj = conjuncts(weak), conjuncts(strong)
+    ssigs = {c.signature for c in sconj}
+    wcols, wopaque = _ref_constraint_map(wconj)
+    scols, _ = _ref_constraint_map(sconj)
+    if any(o.signature not in ssigs for o in wopaque):
+        return False, []
+    for col, wc in wcols.items():
+        sc = scols.get(col)
+        if sc is None or not wc.contains(sc):
+            return False, []
+    wsigs = {c.signature for c in wconj}
+    residual = []
+    for cj in sconj:
+        if cj.signature in wsigs:
+            continue
+        info = _classify(cj)
+        if info is not None:
+            col, cc = info
+            wc = wcols.get(col)
+            if wc is not None and cc.contains(wc):
+                continue
+        residual.append(cj)
+    return True, residual
+
+
+@settings(max_examples=300, deadline=None)
+@given(pool=leaf_pools(), data=st.data())
+def test_summary_based_subsumption_equals_from_scratch_derivation(pool, data):
+    leaves_ = pool["d1"] + [Cmp(op, "x", v) for op, v in (("=", 1), ("=", 2), (">=", 1.0))]
+    preds = st.one_of(st.none(), st.lists(st.sampled_from(leaves_), min_size=1, max_size=4).map(and_of))
+    weak, strong = data.draw(preds), data.draw(preds)
+    try:
+        expected = ref_predicate_subsumes(weak, strong)
+    except TypeError:
+        # Two bounds of incomparable types on one column crashed the
+        # per-pair derivation; the summary treats the conjunct as opaque.
+        expected = predicate_subsumes(weak, strong)  # must not raise
+    assert predicate_subsumes(weak, strong) == expected
+    assert predicate_subsumes(weak, strong) == expected  # now read from the memo

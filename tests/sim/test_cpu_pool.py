@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim.cpu import CpuPool, cycles_for_seconds
@@ -139,6 +139,9 @@ class TestConservation:
         cores=st.integers(1, 32),
         works=st.lists(st.floats(1e6, 5e9), min_size=1, max_size=20),
     )
+    # Two near-equal works on one core complete together, the longer one a
+    # cycle early: inside the pool's relative epsilon, outside an absolute one.
+    @example(cores=1, works=[4999999535.0, 4999999534.0])
     def test_total_cycles_bounded_by_capacity(self, cores, works):
         hz = 1e9
         pool = CpuPool(cores, hz, oversub_penalty=0.0)
@@ -159,8 +162,11 @@ class TestConservation:
         assert finish >= capacity_bound - 1e-6
         assert finish <= serial_bound + 1e-6
         # Saturated all along if len(works) >= cores at all times is not
-        # guaranteed, but finish can never beat perfect parallelism:
-        assert finish * cores * hz >= total - 1e-3
+        # guaranteed, but finish can never beat perfect parallelism -- by
+        # more than ``pop_completed``'s documented tolerance: a thread
+        # completes within 1e-9 of the service delivered to it, so the pool
+        # may run ahead by that share of the total work, no more.
+        assert finish * cores * hz >= total * (1 - 1e-9) - 1e-3
 
     @settings(max_examples=40, deadline=None)
     @given(works=st.lists(st.floats(1e6, 2e9), min_size=2, max_size=12))

@@ -66,14 +66,9 @@ class CpuPool:
         # (target service, seq, thread, on_done, remaining fused parts)
         self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
         self._seq = 0
-        self._version = 0  # invalidates scheduled completion events
-        # ---- armed-event dedup (owned by Simulator._arm_pool):
-        # time of the single live completion event, a token invalidating
-        # superseded events, and the freshest (time, version) estimate.
-        self.armed_when: float | None = None
-        self.arm_token = 0
-        self.fresh_when: float | None = None
-        self.fresh_version = -1
+        #: Completion slot, owned by the simulator: the time of the pool's
+        #: next completion as of its last membership change (inf = idle).
+        self.armed_when = math.inf
         # ---- metrics -------------------------------------------------
         self.util_integral = 0.0  # integral of busy cores over time
         self.busy_time = 0.0  # wall time with >= 1 runnable thread
@@ -134,23 +129,25 @@ class CpuPool:
             self._last_update = now
 
     # ------------------------------------------------------------------
+    # Reference model.  The simulator never calls the three methods below:
+    # ``Simulator._resume`` / ``_service_pool`` inline their arithmetic.
+    # They stay as the specification the inlined form is checked against
+    # (tests/sim/test_completion_slots.py runs both on generated schedules
+    # and compares to the last bit; tests/sim/test_cpu_pool.py pins them).
     def add(
         self,
         now: float,
         thread: "SimThread",
         cycles: float,
         on_done: Callable[[], None],
-        rest: tuple = (),
     ) -> None:
         """Enter ``thread`` into the pool for ``cycles`` of work; call
-        ``on_done`` (engine resume hook) when the work completes.  ``rest``
-        carries the remaining ``(cycles, category)`` parts of a fused
-        command, consumed sequentially before ``on_done`` fires."""
+        ``on_done`` when the work completes.  (A fused command is this,
+        once per part, each from its predecessor's ``on_done``.)"""
         self.advance(now)
         target = self.service + max(cycles, 0.0)
         self._seq += 1
-        heapq.heappush(self._heap, (target, self._seq, thread, on_done, rest))
-        self._version += 1
+        heapq.heappush(self._heap, (target, self._seq, thread, on_done, ()))
 
     def next_completion(self, now: float) -> float | None:
         """Simulated time of the earliest completion, or None if idle."""
@@ -165,45 +162,16 @@ class CpuPool:
         return now + remaining / rate
 
     def pop_completed(self, now: float) -> list[tuple["SimThread", Callable[[], None]]]:
-        """Remove and return every thread whose work is complete at ``now``.
-
-        An entry that still carries fused parts does not resume its thread;
-        instead its returned callable starts the next part and re-enters the
-        pool.  The caller invokes the callables in completion order, so the
-        pool insertion order is exactly what the unfused charge sequence
-        would have produced."""
+        """Remove and return every thread whose work is complete at ``now``,
+        in completion order; the caller invokes the callables in that
+        order *after* the whole batch is popped."""
         self.advance(now)
         done: list[tuple["SimThread", Callable[[], None]]] = []
         eps = 1e-9 * max(1.0, abs(self.service))
         while self._heap and self._heap[0][0] <= self.service + eps:
-            _, _, thread, on_done, rest = heapq.heappop(self._heap)
-            if rest:
-                done.append((thread, self._part_continuation(now, thread, on_done, rest)))
-            else:
-                done.append((thread, on_done))
-        if done:
-            self._version += 1
+            _, _, thread, on_done, _rest = heapq.heappop(self._heap)
+            done.append((thread, on_done))
         return done
-
-    def _part_continuation(
-        self, now: float, thread: "SimThread", on_done: Callable[[], None], rest: tuple
-    ) -> Callable[[], None]:
-        """Continuation for the next part of a fused charge: re-enter the
-        pool, mirroring what dispatching it separately would have done at
-        this exact instant (metering is the simulator's job, see
-        ``Simulator._service_pool``)."""
-
-        def start_next_part() -> None:
-            self.add(now, thread, rest[0][0], on_done, rest[1:])
-
-        return start_next_part
-
-    @property
-    def version(self) -> int:
-        """Monotonic counter bumped on every membership change; scheduled
-        completion events carry the version they were computed under and are
-        discarded if it no longer matches."""
-        return self._version
 
     # ------------------------------------------------------------------
     def avg_cores_used(self, window: float) -> float:

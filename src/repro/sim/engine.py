@@ -3,14 +3,15 @@
 :class:`Simulator` owns the clock, the event heap, the GPS CPU pool and the
 disk devices, and drives simulated threads (generators) by interpreting the
 commands they yield.  The loop is fully deterministic: ties on the event heap
-break by insertion order and nothing consults wall-clock time or unseeded
-randomness.
+break by insertion order, a pool completion that ties a heap event runs
+after it, and nothing consults wall-clock time or unseeded randomness.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, ClassVar, Generator
+from math import inf
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator
 
 from repro.sim.commands import BLOCK, CpuCommand, IoCommand, SleepCommand
 from repro.sim.cpu import CpuPool
@@ -18,6 +19,9 @@ from repro.sim.iodev import IoDevice
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.metrics import Metrics
 from repro.sim.task import SimThread, ThreadState
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.trace import Tracer
 
 
 class DeadlockError(RuntimeError):
@@ -62,15 +66,21 @@ class Simulator:
             )
             for d in machine.disks
         }
+        # Pool completions never enter the event heap: each pool keeps its
+        # next-completion time in its ``armed_when`` slot and the run loop
+        # fires whichever comes first of ``_heap[0]`` and the slots (ties:
+        # the heap, then the pools in this order).
+        self._pools: tuple[CpuPool | IoDevice, ...] = (self.cpu, *self.devices.values())
+        self._rivals = {p: tuple(q for q in self._pools if q is not p) for p in self._pools}
         self.metrics = Metrics()
+        #: Observer of every yielded command and thread exit
+        #: (:meth:`repro.sim.trace.Tracer.attach` sets it); None = off.
+        self.tap: Tracer | None = None
         self.current: SimThread | None = None
         self.threads: list[SimThread] = []
         self._daemons: set[SimThread] = set()
         self._pending_error: tuple[SimThread, BaseException] | None = None
         self._run_until: float | None = None
-        # True while _resume may take its inline CPU branch: _dispatch not
-        # wrapped on the instance (Tracer flips this).
-        self._fast_resume = True
         # Cached metric-dict references (refreshed at run() entry: the
         # service tier swaps sim.metrics for an extended object after
         # construction) -- saves an attribute hop per dispatched command.
@@ -103,10 +113,10 @@ class Simulator:
         self.threads.append(thread)
         if daemon:
             self._daemons.add(thread)
-        # Resume events are (thread, value, 0) tuples interpreted by the run
+        # Resume events are (thread, value) tuples interpreted by the run
         # loop -- no per-event closure allocation (see ``run``).
         self._seq += 1
-        heapq.heappush(self._heap, (self.now, self._seq, (thread, None, 0)))
+        heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
         return thread
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
@@ -124,7 +134,7 @@ class Simulator:
             return False
         thread.state = ThreadState.READY
         self._seq += 1
-        heapq.heappush(self._heap, (self.now, self._seq, (thread, value, 0)))
+        heapq.heappush(self._heap, (self.now, self._seq, (thread, value)))
         return True
 
     # ------------------------------------------------------------------
@@ -144,13 +154,12 @@ class Simulator:
             return
         finally:
             self.current = prev
-        if type(cmd) is CpuCommand and self._fast_resume:
-            # _dispatch's CPU branch with CpuPool.add + next_completion +
-            # the dedup arm of _arm_pool inlined (one advance, one push,
-            # the exact same arithmetic) -- every worker yield funnels
-            # through here, so the extra calls are measurable.  Skipped
-            # whenever _dispatch is wrapped on the instance (e.g. an
-            # attached Tracer), so hooks keep seeing every command.
+        if self.tap is not None:
+            self.tap.on_command(thread, cmd)
+        if type(cmd) is CpuCommand:
+            # CpuPool.add + next_completion inlined (one advance, one pool
+            # push, the exact same arithmetic) -- every worker yield
+            # funnels through here, so the extra calls are measurable.
             cycles = cmd.cycles
             category = cmd.category
             self._by_category[category] += cycles
@@ -159,7 +168,7 @@ class Simulator:
             if cycles <= 0 and not rest:
                 thread.state = ThreadState.READY
                 self._seq += 1
-                heapq.heappush(self._heap, (self.now, self._seq, (thread, None, 0)))
+                heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
                 return
             thread.state = ThreadState.ON_CPU
             pool = self.cpu
@@ -189,26 +198,19 @@ class Simulator:
                 pheap,
                 (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, waker, rest),
             )
-            pool._version += 1
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
                 rate = rates[n]
             except IndexError:
                 rate = pool._rate_for(n)
-            when = now + (remaining if remaining > 0.0 else 0.0) / rate
-            pool.fresh_when = when
-            pool.fresh_version = pool._version
-            armed = pool.armed_when
-            if armed is None or when < armed:
-                # Strict <: an event already armed at exactly `when` fires
-                # at the same instant -- re-pushing would just stale it and
-                # cost an extra heap round-trip per command.
-                self._push_pool_event(pool, when)
+            pool.armed_when = now + (remaining if remaining > 0.0 else 0.0) / rate
             return
         self._dispatch(thread, cmd)
 
     def _finish(self, thread: SimThread, result: Any = None, error: BaseException | None = None) -> None:
+        if self.tap is not None:
+            self.tap.on_finish(thread, error)
         thread.result = result
         thread.error = error
         thread.state = ThreadState.FAILED if error else ThreadState.DONE
@@ -223,28 +225,11 @@ class Simulator:
                 self._pending_error = (thread, error)
 
     def _dispatch(self, thread: SimThread, cmd: Any) -> None:
-        # type-is instead of isinstance: the command classes are final by
-        # design and this check runs once per yielded command.
+        """Everything but a CPU command (``_resume`` holds that branch).
+        type-is instead of isinstance: the command classes are final by
+        design and this check runs once per yielded command."""
         cmd_type = type(cmd)
-        if cmd_type is CpuCommand:
-            cycles = cmd.cycles
-            category = cmd.category
-            # charge_cpu inlined (one dispatch per yielded command).
-            self._by_category[category] += cycles
-            self._by_query[(thread.query_id, category)] += cycles
-            rest = cmd.rest
-            if cycles <= 0 and not rest:
-                thread.state = ThreadState.READY
-                self._seq += 1
-                heapq.heappush(self._heap, (self.now, self._seq, (thread, None, 0)))
-                return
-            thread.state = ThreadState.ON_CPU
-            # Only reached with _dispatch wrapped (Tracer): _resume holds
-            # the inlined form of these two calls, same arithmetic.
-            pool = self.cpu
-            pool.add(self.now, thread, cycles, self._make_waker(thread), rest)
-            self._arm_pool(pool)
-        elif cmd_type is IoCommand:
+        if cmd_type is IoCommand:
             device = self.devices.get(cmd.device)
             if device is None:
                 raise SimulationError(f"unknown device {cmd.device!r} (thread {thread.name})")
@@ -252,12 +237,11 @@ class Simulator:
             if nbytes <= 0:
                 thread.state = ThreadState.READY
                 self._seq += 1
-                heapq.heappush(self._heap, (self.now, self._seq, (thread, None, 0)))
+                heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
                 return
             thread.state = ThreadState.ON_IO
-            # Inline IoDevice.add + next_completion + the dedup arm of
-            # _arm_pool (the _resume CPU branch, for the shared-bandwidth
-            # device): one advance, one push, same arithmetic.
+            # Inline IoDevice.add + next_completion (the _resume CPU
+            # branch, for the shared-bandwidth device): same arithmetic.
             now = self.now
             waker = thread._waker
             if waker is None:
@@ -284,19 +268,13 @@ class Simulator:
             service = device.service
             device._seq += 1
             heapq.heappush(pheap, (service + charged, device._seq, thread, waker, ()))
-            device._version += 1
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
                 rate = rates[n]
             except IndexError:
                 rate = device._rate_for(n)
-            when = now + (remaining if remaining > 0.0 else 0.0) / rate
-            device.fresh_when = when
-            device.fresh_version = device._version
-            armed = device.armed_when
-            if armed is None or when < armed:
-                self._push_pool_event(device, when)
+            device.armed_when = now + (remaining if remaining > 0.0 else 0.0) / rate
         elif cmd_type is SleepCommand:
             thread.state = ThreadState.SLEEPING
 
@@ -328,51 +306,18 @@ class Simulator:
         thread._waker = wake
         return wake
 
-    def _arm_pool(self, pool: CpuPool | IoDevice) -> None:
-        """Schedule the pool's next completion on the event heap, keeping
-        at most ONE live event per pool.
-
-        Every call records ``when`` as the pool's *fresh* estimate but only
-        pushes when it is earlier than the live event -- a later estimate
-        means the live, earlier event will fire first and *chase* the fresh
-        estimate by re-pushing itself at it.  Chasing re-materializes the
-        exact event time computed here (never recomputes it at fire time,
-        which would change the float).  An estimate can only move *later*
-        (entries leave a cumulative-service pool in target order), so the
-        events this elides are ones that would have fired before the
-        member's actual pop time and found nothing due."""
-        when = pool.next_completion(self.now)
-        if when is None:
-            return
-        pool.fresh_when = when
-        pool.fresh_version = pool.version
-        armed = pool.armed_when
-        if armed is not None and when >= armed:
-            return  # the live event at `armed` fires first (or now) and chases
-        self._push_pool_event(pool, when)
-
-    def _push_pool_event(self, pool: CpuPool | IoDevice, when: float) -> None:
-        """Push the pool's single live completion event: a ``(pool, token)``
-        tuple interpreted by the run loop (no per-event closure); ``when``
-        is always >= ``self.now`` here."""
-        token = pool.arm_token + 1
-        pool.arm_token = token
-        pool.armed_when = when
-        self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, (pool, token)))
-
     def _service_pool(self, pool: CpuPool | IoDevice) -> None:
         """Pop and process the pool's due completions at ``self.now``:
-        ``pop_completed``, the fused-part continuations, ``next_completion``
-        and the re-arm, all inlined.
+        ``pop_completed``, the fused-part continuations and
+        ``next_completion``, all inlined.
 
         Servicing a pool is *the* hot loop of a simulated run -- every CPU
         charge and every disk read funnels through here -- so this flattens
         what is otherwise ~10 Python calls per completion into a single
         frame.  Every float operation is kept literally identical to the
-        pool method it replaces (``advance``'s service/utilization updates,
-        ``pop_completed``'s epsilon test, ``_part_continuation``'s
-        charge-and-re-add, ``next_completion``'s remaining/rate division).
+        pool reference method it replaces (``advance``'s service/utilization
+        updates, ``pop_completed``'s epsilon test, the charge-and-re-add of
+        a fused part, ``next_completion``'s remaining/rate division).
 
         Structure per round: (1) advance the pool to ``self.now``; (2)
         two-phase pop -- collect *all* due entries first, then process them
@@ -380,15 +325,16 @@ class Simulator:
         the next part and re-enters the pool; re-entries become due in a
         later round, exactly as ``pop_completed`` batches them); (3) if
         the pool's next completion is strictly earlier than every pending
-        heap event (and inside the run window), jump the clock there and
-        continue inline; otherwise arm the pool's single live event and
-        return.  Ties defer to the heap, whose event holds the older seq."""
+        heap event and every other pool's slot (and inside the run window),
+        jump the clock there and continue in this frame; otherwise leave it
+        in the pool's ``armed_when`` slot for the run loop and return."""
         now = self.now
         heap = self._heap
         pheap = pool._heap
         rates = pool._rates
         rate_for = pool._rate_for
         until = self._run_until
+        rivals = self._rivals[pool]
         is_cpu = pool is self.cpu
         cores = self.cpu.cores
         by_category = self._by_category
@@ -418,17 +364,11 @@ class Simulator:
             service = pool.service
             mag = abs(service)
             limit = service + 1e-9 * (mag if mag > 1.0 else 1.0)
-            if not pheap or pheap[0][0] > limit:
+            if pheap[0][0] > limit:
                 # Float round-off left the top element a hair short; nudge.
-                when = now + 1e-9
-                pool.fresh_when = when
-                pool.fresh_version = pool._version
-                armed = pool.armed_when
-                if armed is None or when < armed:
-                    self._push_pool_event(pool, when)
+                pool.armed_when = now + 1e-9
                 return
             e = heappop(pheap)
-            pool._version += 1
             if pheap and pheap[0][0] <= limit:
                 due = [e]
                 while pheap and pheap[0][0] <= limit:
@@ -437,7 +377,7 @@ class Simulator:
                     rest = e[4]
                     if rest:
                         # Next part of a fused charge: meter it and re-enter
-                        # the pool at this instant (CpuPool._part_continuation).
+                        # the pool at this instant.
                         thread = e[2]
                         cycles, category = rest[0]
                         by_category[category] += cycles
@@ -447,7 +387,6 @@ class Simulator:
                             pheap,
                             (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, e[3], rest[1:]),
                         )
-                        pool._version += 1
                     else:
                         # Devirtualized waker: the cached completion callback
                         # just flips the thread READY and resumes it.
@@ -471,7 +410,6 @@ class Simulator:
                         pheap,
                         (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, e[3], rest[1:]),
                     )
-                    pool._version += 1
                 else:
                     on_done = e[3]
                     thread = e[2]
@@ -482,6 +420,7 @@ class Simulator:
                         on_done()
             # ---- inline pool.next_completion(now) + cascade decision ----
             if not pheap:
+                pool.armed_when = inf
                 return
             remaining = pheap[0][0] - service
             n = len(pheap)
@@ -490,28 +429,23 @@ class Simulator:
             except IndexError:
                 rate = rate_for(n)
             when = now + (remaining if remaining > 0.0 else 0.0) / rate
+            pool.armed_when = when
             if (
                 (heap and when >= heap[0][0])
                 or (until is not None and when > until)
                 or self._pending_error is not None
             ):
-                pool.fresh_when = when
-                pool.fresh_version = pool._version
-                armed = pool.armed_when
-                if armed is None or when < armed:
-                    token = pool.arm_token + 1
-                    pool.arm_token = token
-                    pool.armed_when = when
-                    self._seq += 1
-                    heappush(heap, (when, self._seq, (pool, token)))
                 return
+            for rival in rivals:
+                if when >= rival.armed_when:
+                    return
             now = when
             self.now = when
 
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:
-        """Process events until the heap drains (or simulated time passes
-        ``until``).  Returns the final simulated time.
+        """Process events until the heap and the pools drain (or simulated
+        time passes ``until``).  Returns the final simulated time.
 
         Raises
         ------
@@ -523,60 +457,51 @@ class Simulator:
         prev_active = Simulator._active
         Simulator._active = self
         self._run_until = until
-        self._fast_resume = "_dispatch" not in self.__dict__
         self._by_category = self.metrics.cpu_cycles_by_category
         self._by_query = self.metrics.cpu_cycles_by_query
         # The event loop runs hundreds of thousands of iterations per
         # simulated second; hoist every per-iteration attribute lookup.
         heap = self._heap
+        pools = self._pools
         heappop = heapq.heappop
-        heappush = heapq.heappush
         service_pool = self._service_pool
-        push_pool_event = self._push_pool_event
         resume = self._resume
         try:
-            while heap:
-                item = heappop(heap)
-                when = item[0]
+            while True:
+                pool = None
+                when = inf
+                for p in pools:
+                    if p.armed_when < when:
+                        pool = p
+                        when = p.armed_when
+                if heap and heap[0][0] <= when:
+                    pool = None
+                    when = heap[0][0]
+                elif pool is None:
+                    self._check_deadlock()
+                    break
                 if until is not None and when > until:
-                    heappush(heap, item)  # keep it pending for a later run()
-                    self.now = until
+                    self.now = until  # the event stays pending for a later run()
                     break
                 self.now = when
-                fn = item[2]
-                if type(fn) is tuple:
-                    if len(fn) == 2:
-                        # A pool's live completion event: validate
-                        # the token, chase a later fresh estimate, or service.
-                        pool = fn[0]
-                        if fn[1] == pool.arm_token:
-                            pool.armed_when = None
-                            if pool.fresh_version == pool._version:
-                                fresh = pool.fresh_when
-                                if fresh is not None and fresh > when:
-                                    # Completion moved later after this event
-                                    # was armed (members joined); chase the
-                                    # recorded fresh estimate.
-                                    push_pool_event(pool, fresh)
-                                else:
-                                    service_pool(pool)
-                    else:
-                        # A thread resume event: (thread, value, 0) -- the
+                if pool is not None:
+                    service_pool(pool)
+                else:
+                    fn = heappop(heap)[2]
+                    if type(fn) is tuple:
+                        # A thread resume event: (thread, value) -- the
                         # closure-free form of spawn/unblock scheduling.
                         resume(fn[0], fn[1])
-                else:
-                    fn()
+                    else:
+                        fn()
                 if self._pending_error is not None:
                     thread, error = self._pending_error
                     raise SimulationError(
                         f"unhandled exception in simulated thread {thread.name!r}"
                     ) from error
-            else:
-                self._check_deadlock()
             # Settle pool metric integrals at the final time.
-            self.cpu.advance(self.now)
-            for device in self.devices.values():
-                device.advance(self.now)
+            for p in pools:
+                p.advance(self.now)
             return self.now
         finally:
             Simulator._active = prev_active if prev_active is not None else self

@@ -22,6 +22,7 @@ order is fixed by remaining bytes).
 from __future__ import annotations
 
 import heapq
+from math import inf
 from typing import TYPE_CHECKING, Callable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,12 +73,8 @@ class IoDevice:
         # service loop can treat both pool kinds uniformly.
         self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
         self._seq = 0
-        self._version = 0
-        # ---- armed-event dedup (owned by Simulator._arm_pool)
-        self.armed_when: float | None = None
-        self.arm_token = 0
-        self.fresh_when: float | None = None
-        self.fresh_version = -1
+        #: Completion slot, owned by the simulator (see CpuPool.armed_when).
+        self.armed_when = inf
         # ---- metrics -------------------------------------------------
         self.bytes_delivered = 0.0  # real (un-inflated) bytes handed to readers
         self.busy_time = 0.0
@@ -126,6 +123,8 @@ class IoDevice:
             self._last_update = now
 
     # ------------------------------------------------------------------
+    # Reference model (see the note in CpuPool): the simulator inlines
+    # these three in ``Simulator._dispatch`` / ``_service_pool``.
     def add(
         self,
         now: float,
@@ -143,7 +142,6 @@ class IoDevice:
         target = self.service + charged
         self._seq += 1
         heapq.heappush(self._heap, (target, self._seq, thread, on_done, ()))
-        self._version += 1
 
     def next_completion(self, now: float) -> float | None:
         self.advance(now)
@@ -162,13 +160,7 @@ class IoDevice:
         while self._heap and self._heap[0][0] <= self.service + eps:
             _, _, thread, on_done, _rest = heapq.heappop(self._heap)
             done.append((thread, on_done))
-        if done:
-            self._version += 1
         return done
-
-    @property
-    def version(self) -> int:
-        return self._version
 
     # ------------------------------------------------------------------
     def avg_read_rate(self, window: float) -> float:

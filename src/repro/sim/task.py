@@ -49,7 +49,6 @@ class SimThread:
         "_joiners",
         "start_time",
         "finish_time",
-        "_wake_token",
         "_waker",
     )
 
@@ -63,8 +62,6 @@ class SimThread:
         self._joiners: list["SimThread"] = []
         self.start_time: float | None = None
         self.finish_time: float | None = None
-        # Monotonic token used to invalidate stale unblock() calls.
-        self._wake_token = 0
         # Completion callback, built once by the simulator on the first
         # dispatch (it closes only over the thread and the simulator).
         self._waker: Callable[[], None] | None = None

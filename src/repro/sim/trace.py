@@ -5,10 +5,11 @@ Attach a :class:`Tracer` to a simulator to record thread lifecycle events
 Useful for debugging engine pipelines ("who is the producer waiting on?"),
 for the deadlock reports' context, and for rendering per-thread timelines.
 
-The tracer hooks the command-dispatch path non-invasively: it wraps
-:meth:`Simulator._dispatch` and :meth:`Simulator._finish`; detach restores
-the originals.  Tracing is off unless explicitly attached (zero overhead on
-normal runs).
+The tracer is the simulator's *tap*: :meth:`Tracer.attach` stores it in
+``Simulator.tap`` and the event loop then reports every yielded command and
+every thread exit to it; detach clears the attribute.  Unattached, a run
+pays one ``is None`` test per resumed command and nothing else, and an
+attached tracer only observes -- the traced run executes the same code.
 """
 
 from __future__ import annotations
@@ -63,50 +64,23 @@ class Tracer:
         self.thread_filter = thread_filter
         self.events: list[TraceEvent] = []
         self.dropped = 0
-        self._orig_dispatch: Any = None
-        self._orig_finish: Any = None
 
     # ------------------------------------------------------------------
     @property
     def attached(self) -> bool:
-        return self._orig_dispatch is not None
+        return self.sim.tap is self
 
     def attach(self) -> "Tracer":
-        """Hook the simulator's dispatch/finish paths; returns self."""
-        if self.attached:
+        """Become the simulator's tap; returns self."""
+        if self.sim.tap is not None:
             raise RuntimeError("tracer already attached")
-        sim = self.sim
-        self._orig_dispatch = sim._dispatch
-        self._orig_finish = sim._finish
-
-        def dispatch(thread: "SimThread", cmd: Any) -> None:
-            self._record_command(thread, cmd)
-            self._orig_dispatch(thread, cmd)
-
-        def finish(thread: "SimThread", result: Any = None, error: Any = None) -> None:
-            self._record(
-                thread.name,
-                "failed" if error is not None else "done",
-                repr(error) if error is not None else "",
-            )
-            self._orig_finish(thread, result=result, error=error)
-
-        sim._dispatch = dispatch  # type: ignore[method-assign]
-        sim._finish = finish  # type: ignore[method-assign]
-        # _resume's inline CPU branch would bypass the wrapper; disable it
-        # so the hook sees every command.
-        sim._fast_resume = False
+        self.sim.tap = self
         return self
 
     def detach(self) -> None:
-        """Restore the simulator's original dispatch/finish paths."""
-        if not self.attached:
-            return
-        self.sim._dispatch = self._orig_dispatch  # type: ignore[method-assign]
-        self.sim._finish = self._orig_finish  # type: ignore[method-assign]
-        self.sim._fast_resume = "_dispatch" not in self.sim.__dict__
-        self._orig_dispatch = None
-        self._orig_finish = None
+        """Stop observing the simulator."""
+        if self.attached:
+            self.sim.tap = None
 
     def __enter__(self) -> "Tracer":
         return self.attach()
@@ -115,7 +89,8 @@ class Tracer:
         self.detach()
 
     # ------------------------------------------------------------------
-    def _record_command(self, thread: "SimThread", cmd: Any) -> None:
+    def on_command(self, thread: "SimThread", cmd: Any) -> None:
+        """Tap entry point: ``thread`` yielded ``cmd``."""
         if isinstance(cmd, CpuCommand):
             self._record(thread.name, "cpu", f"{cmd.cycles:.3g} cycles [{cmd.category}]")
         elif isinstance(cmd, IoCommand):
@@ -125,6 +100,13 @@ class Tracer:
             self._record(thread.name, "sleep", f"{cmd.delay:.3g} s")
         elif cmd is BLOCK:
             self._record(thread.name, "block")
+
+    def on_finish(self, thread: "SimThread", error: BaseException | None) -> None:
+        """Tap entry point: ``thread`` returned or raised ``error``."""
+        if error is not None:
+            self._record(thread.name, "failed", repr(error))
+        else:
+            self._record(thread.name, "done")
 
     def _record(self, thread: str, kind: str, detail: str = "") -> None:
         if self.thread_filter is not None and not self.thread_filter(thread):

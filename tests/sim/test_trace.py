@@ -117,3 +117,29 @@ class TestTracer:
         assert any(t.startswith("scan-") for t in threads)
         assert any("-join-" in t for t in threads)
         assert any("-client" in t for t in threads)
+
+    def test_traced_run_is_the_untraced_run(self):
+        """The tap only observes: the same engine workload, traced or not,
+        runs the same code -- identical per-thread finish times and
+        identical metrics."""
+        from repro.data import generate_ssb
+        from repro.engine import CJOIN_SP, QPipeEngine
+        from repro.query.ssb_queries import q32
+        from repro.sim.costmodel import DEFAULT_COST_MODEL
+        from repro.storage import StorageConfig, StorageManager
+
+        ssb = generate_ssb(0.5, seed=3)
+
+        def run(traced: bool):
+            sim = Simulator(MachineSpec(cores=4))
+            tracer = Tracer(sim).attach() if traced else None
+            storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="disk"))
+            eng = QPipeEngine(sim, storage, CJOIN_SP)
+            eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
+            eng.submit(q32("JAPAN", "CHINA", 1992, 1995))
+            sim.run()
+            assert tracer is None or {"cpu", "io", "block", "done"} <= {e.kind for e in tracer.events}
+            # Spawn order, not names: packet ids come from a process-wide counter.
+            return [t.finish_time for t in sim.threads], sim.metrics.to_dict(), sim.now
+
+        assert run(traced=True) == run(traced=False)

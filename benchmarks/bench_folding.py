@@ -1,13 +1,13 @@
 #!/usr/bin/env python
 """Similarity sweep: subsumption-based query folding vs exact-match sharing.
 
-The fold plane (``REPRO_FOLD``) pays off exactly where exact-signature
-sharing misses: queries that *overlap* without being identical.  The
-sweep serves the ``folding:<overlap>`` workload -- an ``overlap``
-fraction of queries narrows one of four broad Q3.2 templates to a random
-year sub-range (sub-ranges rarely coincide, so exact matching almost
-never fires on them) -- with folding off and on, both modes running the
-same 64 MB result cache, and checks:
+Query folding (``EngineConfig.query_folding``) pays off exactly where
+exact-signature sharing misses: queries that *overlap* without being
+identical.  The sweep serves the ``folding:<overlap>`` workload -- an
+``overlap`` fraction of queries narrows one of four broad Q3.2 templates
+to a random year sub-range (sub-ranges rarely coincide, so exact matching
+almost never fires on them) -- with folding off and on, both modes
+running the same 64 MB result cache, and checks:
 
 * at 0% overlap folding is free: p95 within +/-3% of fold-off (admission
   probes the lattice and finds nothing; no residuals are built);
@@ -39,6 +39,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -51,7 +52,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.reporting import format_table
 from repro.data import generate_ssb
-from repro.engine.config import CJOIN_SP, QPIPE_SP, fast_path
+from repro.engine.config import CJOIN_SP, QPIPE_SP
 from repro.engine.qpipe import QPipeEngine
 from repro.server import serve
 from repro.server.service import folding_job_factory
@@ -94,17 +95,18 @@ def sweep(full: bool = False):
     cells = {}
     for overlap in overlaps:
         for fold in (False, True):
-            with fast_path(query_folding=fold):
-                cells[(overlap, fold)] = serve(
-                    tables,
-                    policy="adaptive",
-                    arrival="poisson",
-                    rate=ARRIVAL_RATE,
-                    duration=duration,
-                    seed=SERVE_SEED,
-                    workload=f"folding:{overlap}",
-                    storage_config=_storage(),
-                )
+            cells[(overlap, fold)] = serve(
+                tables,
+                policy="adaptive",
+                arrival="poisson",
+                rate=ARRIVAL_RATE,
+                duration=duration,
+                seed=SERVE_SEED,
+                workload=f"folding:{overlap}",
+                storage_config=_storage(),
+                qc_config=dataclasses.replace(QPIPE_SP, query_folding=fold),
+                gqp_config=dataclasses.replace(CJOIN_SP, query_folding=fold),
+            )
     return overlaps, cells
 
 
@@ -199,15 +201,16 @@ def check_results_identical(n: int) -> dict:
     for name, config in ENGINES.items():
         per_mode = {}
         for fold in (False, True):
-            with fast_path(query_folding=fold):
-                sim = Simulator(PAPER_MACHINE)
-                storage = StorageManager(
-                    sim, DEFAULT_COST_MODEL, dataset.tables, _storage()
-                )
-                engine = QPipeEngine(sim, storage, config)
-                handles = [engine.submit(spec) for spec in specs]
-                sim.run()
-                per_mode[fold] = [_fingerprint(h.results) for h in handles]
+            sim = Simulator(PAPER_MACHINE)
+            storage = StorageManager(
+                sim, DEFAULT_COST_MODEL, dataset.tables, _storage()
+            )
+            engine = QPipeEngine(
+                sim, storage, dataclasses.replace(config, query_folding=fold)
+            )
+            handles = [engine.submit(spec) for spec in specs]
+            sim.run()
+            per_mode[fold] = [_fingerprint(h.results) for h in handles]
         for k, (a, b) in enumerate(zip(per_mode[False], per_mode[True])):
             if a != b:
                 print(

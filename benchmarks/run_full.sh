@@ -5,9 +5,6 @@
 # Set REPRO_JOBS=N to run each figure's cells across N worker processes
 # on the parallel fabric (results are byte-identical to a serial run);
 # REPRO_PROGRESS=1 adds ordered per-cell progress lines to the log.
-# REPRO_GQP_ORDERING=adaptive / REPRO_GQP_KERNELS=1 switch the GQP data
-# plane (default: static chain order, row-wise probes — the paper's
-# configuration; see docs/performance.md).
 # Exits non-zero at the first failing figure -- a failed cell raises a
 # structured SweepError rather than silently truncating a figure.
 set -u
@@ -19,17 +16,7 @@ mkdir -p benchmarks/out
 : "${REPRO_JOBS:=1}"
 export REPRO_JOBS
 
-# GQP data-plane knobs ride through to every figure (and, via the fabric's
-# flag capture, to every worker process) when set by the caller.
-# REPRO_FOLD=0 rides through the same way: the similarity figures then
-# measure exact-match sharing only (no subsumption folding).
-[ -n "${REPRO_GQP_ORDERING:-}" ] && export REPRO_GQP_ORDERING
-[ -n "${REPRO_GQP_KERNELS:-}" ] && export REPRO_GQP_KERNELS
-[ -n "${REPRO_FOLD:-}" ] && export REPRO_FOLD
-
-echo "=== FULL RUN start $(date +%T) jobs=${REPRO_JOBS}" \
-     "gqp=${REPRO_GQP_ORDERING:-static}/kernels=${REPRO_GQP_KERNELS:-0}" \
-     "fold=${REPRO_FOLD:-1} ===" >> "$LOG"
+echo "=== FULL RUN start $(date +%T) jobs=${REPRO_JOBS} ===" >> "$LOG"
 summary=""
 for f in fig6_push_vs_pull fig11_selectivity fig10_concurrency fig12_selectivity_conc \
          fig13_scalefactor fig14_similarity fig15_plans fig16_mix; do

@@ -2,7 +2,7 @@
 """Perf-trajectory collation: every committed ``BENCH_*.json`` in one table.
 
 Each optimization PR commits its own benchmark artifact (shard-scaling
-curves, adaptive-ordering speedups, fold sweeps, ...) with its own shape.
+curves, arrangement speedups, fold sweeps, ...) with its own shape.
 This harness reads them all and flattens the headline numbers into one
 diffable result table -- the offline result-table pattern from
 ``MBradbury__slp`` noted in ROADMAP.md -- so PR-over-PR speedups show up
@@ -96,14 +96,6 @@ def _collate_folding(doc: dict) -> list[dict]:
     return rows
 
 
-def _collate_gqp_ordering(doc: dict) -> list[dict]:
-    return [
-        _row("gqp_ordering", key.removeprefix("speedup_"), "speedup", value)
-        for key, value in sorted(doc.items())
-        if key.startswith("speedup_")
-    ]
-
-
 #: One collator per known artifact stem; unknown BENCH_*.json files get a
 #: generic pass that lifts any top-level numeric "speedup*" keys, so a new
 #: benchmark appears in the trajectory before anyone teaches this file its
@@ -111,7 +103,6 @@ def _collate_gqp_ordering(doc: dict) -> list[dict]:
 COLLATORS = {
     "BENCH_arrangements": _collate_arrangements,
     "BENCH_shard_scaling": _collate_shard_scaling,
-    "BENCH_gqp_ordering": _collate_gqp_ordering,
     "BENCH_folding": _collate_folding,
 }
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.data.rng import make_rng
-from repro.data.ssb import SSB_NATIONS, SSB_REGIONS, YEARS, SsbDataset
+from repro.data.ssb import SsbDataset
 from repro.data.tpch import TpchDataset
-from repro.query.expr import Between, Cmp, Col
-from repro.query.plan import AggSpec, DimJoinSpec, PlanNode
+from repro.query.plan import PlanNode
 from repro.query.ssb_queries import (
     q32_selectivity,
     random_q11,
@@ -75,100 +74,6 @@ def q32_selectivity_workload(n: int, selectivity: float, seed: int = 1) -> list[
     similarity factor is minimal."""
     rng = make_rng(seed, "q32-sel", selectivity)
     return [QueryJob(spec=q32_selectivity(selectivity, rng)) for _ in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# GQP filter-chain ordering workloads (adaptive-ordering benchmark)
-# ---------------------------------------------------------------------------
-
-
-def _star_3dim(dims: tuple[DimJoinSpec, ...], label: str) -> StarQuerySpec:
-    return StarQuerySpec(
-        fact_table="lineorder",
-        dims=dims,
-        group_by=("c_city", "s_city", "d_year"),
-        aggregates=(AggSpec("sum", Col("lo_revenue"), "revenue"),),
-        order_by=(("d_year", True), ("revenue", False)),
-        label=label,
-    )
-
-
-def gqp_skewed_workload(n: int, seed: int = 1) -> list[QueryJob]:
-    """``n`` Q3.2-shaped queries whose *plan-insertion* dimension order is
-    pessimal for a static CJOIN chain: the pass-everything date filter
-    (full year range) comes first, a region filter (~1/5 of customers)
-    second, and the most selective nation filter (~1/25 of suppliers)
-    last.  Adaptive ordering should learn to invert the chain; the gap to
-    a static run is the adaptive plane's headline win."""
-    rng = make_rng(seed, "gqp-skew")
-    jobs: list[QueryJob] = []
-    for _ in range(n):
-        region = rng.choice(SSB_REGIONS)
-        nation = rng.choice(SSB_NATIONS)
-        dims = (
-            DimJoinSpec(
-                "date",
-                "lo_orderdate",
-                "d_datekey",
-                Between("d_year", YEARS[0], YEARS[-1]),
-                payload=("d_year",),
-            ),
-            DimJoinSpec(
-                "customer",
-                "lo_custkey",
-                "c_custkey",
-                Cmp("=", "c_region", region),
-                payload=("c_city",),
-            ),
-            DimJoinSpec(
-                "supplier",
-                "lo_suppkey",
-                "s_suppkey",
-                Cmp("=", "s_nation", nation),
-                payload=("s_city",),
-            ),
-        )
-        jobs.append(QueryJob(spec=_star_3dim(dims, "gqp-skew")))
-    return jobs
-
-
-def gqp_uniform_workload(n: int, seed: int = 1) -> list[QueryJob]:
-    """``n`` Q3.2-shaped queries whose three filters have *similar* pass
-    rates (region predicates on customer and supplier, a two-year date
-    range): no chain order is much better than another, so adaptive
-    ordering should neither help nor thrash here -- the control arm of
-    the ordering benchmark."""
-    rng = make_rng(seed, "gqp-uniform")
-    jobs: list[QueryJob] = []
-    for _ in range(n):
-        c_region = rng.choice(SSB_REGIONS)
-        s_region = rng.choice(SSB_REGIONS)
-        y1 = rng.randrange(YEARS[0], YEARS[-1])
-        dims = (
-            DimJoinSpec(
-                "date",
-                "lo_orderdate",
-                "d_datekey",
-                Between("d_year", y1, y1 + 1),
-                payload=("d_year",),
-            ),
-            DimJoinSpec(
-                "customer",
-                "lo_custkey",
-                "c_custkey",
-                Cmp("=", "c_region", c_region),
-                payload=("c_city",),
-            ),
-            DimJoinSpec(
-                "supplier",
-                "lo_suppkey",
-                "s_suppkey",
-                Cmp("=", "s_region", s_region),
-                payload=("s_city",),
-            ),
-        )
-        jobs.append(QueryJob(spec=_star_3dim(dims, "gqp-uniform")))
-    return jobs
 
 
 # ---------------------------------------------------------------------------

@@ -317,7 +317,7 @@ def cached_query_centric_plan(storage, spec, query_folding: bool):
     This is the routing layer's cache discount (HybridEngine and the
     service router both call it): a likely hit replays materialized pages
     at memory-read cost, so the query should stay query-centric instead of
-    paying GQP admission.  ``query_folding`` is the resolved setting of
+    paying GQP admission.  ``query_folding`` is the setting of
     the query-centric engine that will run the plan: only an engine that
     folds replays a merely *subsuming* entry.  Plan construction is pure
     bookkeeping with no simulated cost; the replay worker pays the probe

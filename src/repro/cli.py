@@ -114,26 +114,6 @@ def _storage_config(args) -> StorageConfig:
     return StorageConfig(resident="memory", **cache_kwargs)
 
 
-def _apply_gqp_plane(args) -> None:
-    """Apply ``--gqp-ordering`` / ``--gqp-kernels`` to the process-wide
-    adaptive-GQP defaults.  The engine presets leave the corresponding
-    ``EngineConfig`` fields at ``None``, so this one call reaches every
-    engine a command builds -- including the CJOIN-SP configs hard-wired
-    inside the hybrid and service routers.  The environment variables make
-    spawned sweep workers inherit the choice."""
-    import os
-
-    from repro.engine.config import set_gqp_plane
-
-    ordering = getattr(args, "gqp_ordering", None)
-    if ordering is not None:
-        set_gqp_plane(adaptive_ordering=(ordering == "adaptive"))
-        os.environ["REPRO_GQP_ORDERING"] = ordering
-    if getattr(args, "gqp_kernels", None):
-        set_gqp_plane(filter_kernels=True)
-        os.environ["REPRO_GQP_KERNELS"] = "1"
-
-
 def _build_workload(args):
     if args.workload == "tpch-q1":
         dataset = generate_tpch(args.sf, args.seed)
@@ -159,7 +139,6 @@ def _build_workload(args):
 
 def cmd_run(args) -> int:
     """Run one workload on one engine configuration and print metrics."""
-    _apply_gqp_plane(args)
     tables, jobs = _build_workload(args)
     result = _runner.run_batch(tables, CONFIGS[args.config], jobs, _storage_config(args))
     rows = [
@@ -264,7 +243,6 @@ def cmd_sweep(args) -> int:
     from repro.bench.reporting import format_sweep_summary
     from repro.parallel import JOBS_ENV, SweepError, resolve_jobs
 
-    _apply_gqp_plane(args)
     experiments = _experiments()
     names = args.names or list(experiments)
     unknown = [n for n in names if n not in experiments]
@@ -346,7 +324,6 @@ def cmd_serve(args) -> int:
     from repro.server.config import ServiceConfig
     from repro.server.service import serve
 
-    _apply_gqp_plane(args)
     if args.shards is not None:
         return _serve_sharded(args)
     if args.fingerprints is not None:
@@ -475,42 +452,10 @@ def cmd_list(_args) -> int:
             ],
         )
     )
-    print()
-    print(
-        format_table(
-            "GQP data plane (--gqp-ordering / --gqp-kernels)",
-            ["knob", "behavior"],
-            [
-                ["static", "filter chain stays in plan-insertion order (default)"],
-                ["adaptive", "chain re-sorts most-selective-first at logical ticks"],
-                ["--gqp-kernels", "columnar FK probing + pass-mask filter skipping"],
-            ],
-        )
-    )
-    print()
-    print(
-        format_table(
-            "query folding (env; default on)",
-            ["env", "behavior"],
-            [
-                ["REPRO_FOLD=0", "subsumption query folding -> exact-match "
-                 "sharing only (WoP, cache, arrangements)"],
-            ],
-        )
-    )
     return 0
 
 
 # ---------------------------------------------------------------------------
-
-
-def _add_gqp_flags(p: argparse.ArgumentParser) -> None:
-    """The adaptive-GQP data plane knobs (see: repro list)."""
-    p.add_argument("--gqp-ordering", choices=("static", "adaptive"), default=None,
-                   help="CJOIN filter-chain ordering (default: static)")
-    p.add_argument("--gqp-kernels", action="store_true", default=None,
-                   help="columnar CJOIN filter kernels (batch FK probe, "
-                   "chain-fused charges, pass-mask filter skipping)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -539,7 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="result-cache eviction policy (see: repro list)")
     p_run.add_argument("--profile", action="store_true",
                        help="cProfile the run and print the hottest functions")
-    _add_gqp_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_query = sub.add_parser("query", help="run one SSB query and print its rows")
@@ -582,7 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="suppress per-cell progress and rendered tables")
     p_sweep.add_argument("--fail-fast", action="store_true",
                          help="stop at the first failed experiment")
-    _add_gqp_flags(p_sweep)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_serve = sub.add_parser(
@@ -627,7 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--json", action="store_true", help="dump the report as JSON")
     p_serve.add_argument("--profile", action="store_true",
                          help="cProfile the run and print the hottest functions")
-    _add_gqp_flags(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
 
     p_list = sub.add_parser("list", help="list configurations, workloads, experiments")

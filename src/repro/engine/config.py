@@ -20,18 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-# Process-wide defaults of the knobs that change simulated time (folding
-# and the adaptive GQP plane) live in repro.sim.fastpath; re-exported here
-# because engine code and benchmarks treat them as engine configuration.
-from repro.sim.fastpath import (  # noqa: F401  (re-exports)
-    fast_path,
-    gqp_adaptive_ordering_default,
-    gqp_filter_kernels_default,
-    gqp_plane,
-    query_folding_default,
-    set_gqp_plane,
-)
-
 
 @dataclass(frozen=True)
 class EngineConfig:
@@ -85,47 +73,15 @@ class EngineConfig:
     #: buffer pool already holds base pages); 'join' may be opted in, at
     #: the price of spilling potentially fact-sized intermediate results.
     result_cache_stages: tuple[str, ...] = ("aggregate", "sort", "cjoin")
-    #: subsumption-based query folding (None = follow the process-wide
-    #: default, ``REPRO_FOLD``): admission, the result cache, and the
-    #: arrangement cache match by *subsumption* (:mod:`repro.query.subsume`)
-    #: in addition to exact signatures -- a satellite attaches to a
-    #: superset host through a residual post-filter, a cache probe answers
-    #: from a superset entry, a range probe rides a sibling arrangement.
-    #: Folding skips sub-plan work, so it *changes simulated timing*; query
-    #: results stay bit-identical (golden suite fingerprint-asserts both
-    #: planes).
-    query_folding: bool | None = None
-    #: the adaptive GQP data plane (None = follow the process-wide default;
-    #: see ``gqp_plane`` / ``set_gqp_plane``).  These *change simulated
-    #: results* when enabled: ``gqp_adaptive_ordering`` re-sorts the CJOIN
-    #: filter chain most-selective-first at logical-tick boundaries, and
-    #: ``gqp_filter_kernels`` probes filters columnar-style and skips
-    #: filters irrelevant to every surviving query on a page.  Both default
-    #: off, keeping default runs bit-identical to the golden metrics
-    #: snapshot.
-    gqp_adaptive_ordering: bool | None = None
-    gqp_filter_kernels: bool | None = None
-    #: adaptive-ordering tuning: re-sort check cadence in preprocessor pages
-    #: (the horizontal config's logical tick; the vertical config re-sorts
-    #: at admission pauses), EWMA smoothing of observed per-filter pass
-    #: rates, and the pass-rate margin an adjacent filter pair must be out
-    #: of order by before the chain re-sorts (hysteresis against thrash).
-    gqp_reorder_interval: int = 16
-    gqp_selectivity_alpha: float = 0.3
-    gqp_order_hysteresis: float = 0.05
-
-    def use_query_folding(self) -> bool:
-        return query_folding_default() if self.query_folding is None else self.query_folding
-
-    def use_gqp_adaptive_ordering(self) -> bool:
-        if self.gqp_adaptive_ordering is None:
-            return gqp_adaptive_ordering_default()
-        return self.gqp_adaptive_ordering
-
-    def use_gqp_filter_kernels(self) -> bool:
-        if self.gqp_filter_kernels is None:
-            return gqp_filter_kernels_default()
-        return self.gqp_filter_kernels
+    #: subsumption-based query folding: admission, the result cache, and
+    #: the arrangement cache match by *subsumption*
+    #: (:mod:`repro.query.subsume`) in addition to exact signatures -- a
+    #: satellite attaches to a superset host through a residual
+    #: post-filter, a cache probe answers from a superset entry, a range
+    #: probe rides a sibling arrangement.  Folding skips sub-plan work, so
+    #: it *changes simulated timing*; query results stay bit-identical
+    #: (golden suite fingerprint-asserts both settings).
+    query_folding: bool = True
 
     def __post_init__(self) -> None:
         if self.comm not in ("spl", "fifo"):
@@ -142,12 +98,6 @@ class EngineConfig:
             raise ValueError("gqp_batched_execution requires use_cjoin")
         if self.cjoin_threads not in ("horizontal", "vertical"):
             raise ValueError("cjoin_threads must be 'horizontal' or 'vertical'")
-        if self.gqp_reorder_interval < 1:
-            raise ValueError("gqp_reorder_interval must be >= 1")
-        if not 0.0 < self.gqp_selectivity_alpha <= 1.0:
-            raise ValueError("gqp_selectivity_alpha must be in (0, 1]")
-        if not 0.0 <= self.gqp_order_hysteresis < 1.0:
-            raise ValueError("gqp_order_hysteresis must be in [0, 1)")
         allowed = {"tablescan", "join", "aggregate", "sort", "cjoin"}
         unknown = set(self.result_cache_stages) - allowed
         if unknown:

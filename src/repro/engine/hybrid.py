@@ -61,9 +61,7 @@ class HybridEngine:
         #: default: the machine saturates (one plan busies ~2 cores).
         self.threshold = threshold if threshold is not None else saturation_threshold(sim.machine)
         #: the two routed configurations; overridable so sweeps can vary
-        #: e.g. the CJOIN thread layout or adaptive-ordering tuning.  The
-        #: presets leave the adaptive-GQP knobs at ``None``, so the
-        #: process-wide ``set_gqp_plane`` defaults flow through here too.
+        #: e.g. the CJOIN thread layout or query folding.
         self.query_centric = QPipeEngine(sim, storage, qc_config, cost)
         self.gqp = QPipeEngine(sim, storage, gqp_config, cost)
         self._in_flight = 0
@@ -105,7 +103,7 @@ class HybridEngine:
         from repro.cache import cached_query_centric_plan
 
         return cached_query_centric_plan(
-            self.storage, spec, self.query_centric.config.use_query_folding()
+            self.storage, spec, self.query_centric.config.query_folding
         )
 
     def submit_plan(self, plan, label: str = "", spec: StarQuerySpec | None = None) -> QueryHandle:

@@ -113,7 +113,7 @@ class Stage:
                 self.packets_shared += 1
                 self._record_sharing(packet)
                 return True
-        fold_on = self.engine.config.use_query_folding()
+        fold_on = self.engine.config.query_folding
         if fold_on and self.sp_enabled and self._try_fold_host(packet, cache):
             return True
         if fold_on and cache is not None and self._try_fold_cached(packet, cache):

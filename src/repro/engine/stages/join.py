@@ -137,7 +137,7 @@ class HashJoinStage(Stage):
         collect: list[tuple] | None = None
         fold_view = False
         if shared is not None and not shared[0].has_single_view(shared[1]):
-            if self.engine.config.use_query_folding() and shared[0].has_subsuming_view(
+            if self.engine.config.query_folding and shared[0].has_subsuming_view(
                 shared[1]
             ):
                 fold_view = True

@@ -24,7 +24,6 @@ admission, bitmaps and distribution entirely (CJOIN-SP).
 
 from repro.gqp.bitmap import SlotAllocator
 from repro.gqp.cjoin import CJoinPipeline, Filter
-from repro.gqp.ordering import ChainOrderer
 from repro.gqp.stage import CJoinStage
 
-__all__ = ["ChainOrderer", "CJoinPipeline", "CJoinStage", "Filter", "SlotAllocator"]
+__all__ = ["CJoinPipeline", "CJoinStage", "Filter", "SlotAllocator"]

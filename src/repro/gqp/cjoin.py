@@ -21,17 +21,15 @@ records the new query's point of entry on the fact table's circular scan.
 from __future__ import annotations
 
 from functools import reduce
-from operator import itemgetter, or_
+from operator import or_
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
 from repro.sim.sync import Channel, Condition
 from repro.gqp.bitmap import SlotAllocator
-from repro.gqp.ordering import ChainOrderer
 from repro.query.expr import column_indices, compile_selection, row_key_fn
 from repro.storage.arrangements import ARRANGEMENTS
-from repro.storage.packed import as_list
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import Batch
 from repro.storage.prefetch import PageSource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -63,10 +61,6 @@ class Filter:
         "ht",
         "pass_mask",
         "referencing",
-        "fk_get",
-        "ewma_pass",
-        "probe_rows",
-        "pass_rows",
     )
 
     def __init__(self, dim_name: str, fact_fk_idx: int, dim_key_idx: int, weight: float):
@@ -77,13 +71,6 @@ class Filter:
         self.ht: dict[Any, _Entry] = {}
         self.pass_mask = 0  # bits of queries that do not reference this dim
         self.referencing: set[int] = set()  # slots that do
-        self.fk_get = itemgetter(fact_fk_idx)  # FK column extractor (kernels)
-        #: observed selectivity (see repro.gqp.ordering): EWMA of per-page
-        #: pass rates, plus cumulative probe/pass row counts.  Maintained
-        #: only when adaptive ordering is on; stats retire with the filter.
-        self.ewma_pass: float | None = None
-        self.probe_rows = 0
-        self.pass_rows = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Filter {self.dim_name} entries={len(self.ht)}>"
@@ -149,7 +136,6 @@ class _WorkItem:
         "rows",
         "bms",
         "dims",
-        "live",
     )
 
     def __init__(
@@ -170,9 +156,6 @@ class _WorkItem:
         self.rows: list[tuple] = []
         self.bms: list[int] = []
         self.dims: list[tuple] = []
-        #: OR of the surviving rows' bitmaps (maintained by the columnar
-        #: kernels only; drives the irrelevant-filter short-circuit)
-        self.live = mask
 
 
 class CJoinPipeline:
@@ -205,21 +188,6 @@ class CJoinPipeline:
         self.active: dict[int, _QueryState] = {}
         self.pending: list["Packet"] = []
         self.slots = SlotAllocator()
-
-        #: adaptive data plane (repro.gqp.ordering): both default off, in
-        #: which case the chain stays in plan-insertion order and every
-        #: charge is bit-identical to the reference implementation.
-        self.filter_kernels = cfg.use_gqp_filter_kernels()
-        self._vertical = cfg.cjoin_threads == "vertical"
-        self.orderer: ChainOrderer | None = (
-            ChainOrderer(
-                alpha=cfg.gqp_selectivity_alpha,
-                interval=cfg.gqp_reorder_interval,
-                hysteresis=cfg.gqp_order_hysteresis,
-            )
-            if cfg.use_gqp_adaptive_ordering()
-            else None
-        )
 
         self._page_chan = Channel(self.sim, capacity=4, name=f"cjoin.{fact_table.name}.pages")
         self._dist_chan = Channel(self.sim, capacity=8, name=f"cjoin.{fact_table.name}.dist")
@@ -261,36 +229,6 @@ class CJoinPipeline:
             self._chain_snapshot = snap
         return snap
 
-    def _observe(self, flt: Filter, n_in: int, n_out: int) -> None:
-        """Feed one filter application's (rows in, rows out) to the chain
-        orderer and surface the running selectivity through the metrics
-        counters.  No-op (and no counters) without adaptive ordering, so
-        default-mode metrics stay bit-identical."""
-        orderer = self.orderer
-        if orderer is None or n_in <= 0:
-            return
-        orderer.observe(flt, n_in, n_out)
-        metrics = self.sim.metrics
-        name = flt.dim_name
-        metrics.bump(f"cjoin_filter_probes.{name}", n_in)
-        metrics.bump(f"cjoin_filter_passes.{name}", n_out)
-        metrics.set_count(
-            f"cjoin_filter_pass_permille.{name}", int(round(flt.ewma_pass * 1000))
-        )
-
-    def _reorder_chain(self) -> CpuCommand | None:
-        """Re-sort ``self.filters`` most-selective-first (hysteresis
-        permitting) and return the bookkeeping charge, or ``None`` when the
-        order stands.  In-flight work items keep the snapshot they were
-        tagged with, so a re-sort only affects pages not yet preprocessed."""
-        order = self.orderer.propose(list(self.filters.values()))
-        if order is None:
-            return None
-        self.filters = {name: self.filters[name] for name in order}
-        self._chain_snapshot = None
-        self.sim.metrics.bump("cjoin_chain_reorders")
-        return self.cost.reorder(len(order))
-
     # ------------------------------------------------------------------
     # Preprocessor
     # ------------------------------------------------------------------
@@ -319,14 +257,6 @@ class CJoinPipeline:
                 )
             page = yield from self._source.next()
             yield cost.preprocess(len(page), page.weight)
-            orderer = self.orderer
-            if orderer is not None and not self._vertical and orderer.tick_page():
-                # Horizontal logical tick: every ``gqp_reorder_interval``
-                # pages the preprocessor may re-sort the chain; pages
-                # already in flight keep their own snapshot.
-                reorder_cmd = self._reorder_chain()
-                if reorder_cmd is not None:
-                    yield reorder_cmd
             mask = 0
             addressed: list[_QueryState] = []
             for state in addressable:
@@ -395,13 +325,6 @@ class CJoinPipeline:
             for packet, plans in prepared:
                 yield from self._apply_admission(packet, plans)
                 touched.update(d.dim_table for d, _ in plans)
-            if self.orderer is not None and self._vertical:
-                # Vertical logical tick: the per-position workers hand
-                # pages stage to stage, so the chain only re-sorts while
-                # the pipeline is provably drained -- at admission pauses.
-                reorder_cmd = self._reorder_chain()
-                if reorder_cmd is not None:
-                    yield reorder_cmd
             # The pipeline stall itself (re-adjusting filters, 3.1 (e)).
             yield SLEEP(cost.admission_pause + cost.admission_pause_per_filter * len(touched))
             self._pause_requested = False
@@ -427,7 +350,7 @@ class CJoinPipeline:
             terms = dimspec.predicate.terms
             cache_key = (dimspec.dim_table, dimspec.predicate)
             cached = self._dim_sel_cache.get(cache_key)
-            if cached is None and self.engine.config.use_query_folding():
+            if cached is None and self.engine.config.query_folding:
                 # Query folding: derive this selection from a subsuming
                 # sibling selection or a sorted arrangement variant
                 # instead of compiling a fresh selection.  The page loop
@@ -707,7 +630,6 @@ class CJoinPipeline:
                 add_row(row)
                 add_bm(bm)
                 add_dim(dims + (dim_row,))
-        self._observe(flt, n, len(new_rows))
         cmds = [
             cost.hashing(n, w),
             cost.probe(n, w, shared=True),
@@ -721,119 +643,25 @@ class CJoinPipeline:
         yield CPU_FUSED(*cmds)
         item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
 
-    # ------------------------------------------------------------------
-    # Columnar filter kernels (gqp_filter_kernels)
-    # ------------------------------------------------------------------
-    def _filter_kernel(self, item: _WorkItem, flt: Filter, cmds: list[CpuCommand]) -> None:
-        """Columnar version of :meth:`_apply_one_filter`: hoists the FK
-        column once, probes with a pre-bound ``dict.get`` over the column,
-        and appends its charges to ``cmds`` instead of yielding them (the
-        caller fuses the whole chain's charges into one event).
-
-        Short-circuit: a filter whose ``pass_mask`` covers every *live*
-        bit on the page cannot kill a tuple and no surviving query reads
-        its dimension payload -- the kernel only appends the positional
-        placeholder column (chain positions must stay aligned with the
-        snapshot's ``filter_pos``) and charges nothing, which is the one
-        way kernels mode changes simulated charges."""
-        rows = item.rows
-        n = len(rows)
-        if n == 0:
-            return
-        pass_mask = flt.pass_mask
-        if item.live & ~pass_mask == 0:
-            item.dims = [d + (None,) for d in item.dims]
-            self.sim.metrics.bump("cjoin_filters_skipped")
-            return
-        cost = self.cost
-        batch = item.batch
-        w = batch.weight
-        if type(batch) is ColumnBatch and n == len(batch):
-            # First filter of a columnar page: the FK keys come straight
-            # off the page's column vector -- no per-row tuple access.
-            # Packed vectors decode once per page (memoized) so revisits
-            # probe cached boxed keys.
-            entries = list(map(flt.ht.get, as_list(batch.column(flt.fact_fk_idx))))
-        else:
-            entries = list(map(flt.ht.get, map(flt.fk_get, rows)))  # hoisted FK probe
-        new_rows: list[tuple] = []
-        new_bms: list[int] = []
-        new_dims: list[tuple] = []
-        add_row = new_rows.append
-        add_bm = new_bms.append
-        add_dim = new_dims.append
-        live = 0
-        for row, bm, dim, entry in zip(rows, item.bms, item.dims, entries):
-            if entry is None:
-                bm &= pass_mask
-                dim_row = None
-            else:
-                bm &= entry.bitmap | pass_mask
-                dim_row = entry.row
-            if bm:
-                add_row(row)
-                add_bm(bm)
-                add_dim(dim + (dim_row,))
-                live |= bm
-        self._observe(flt, n, len(new_rows))
-        cmds.append(cost.hashing(n, w))
-        cmds.append(cost.probe(n, w, shared=True))
-        cmds.append(cost.bitmap_and(n, w, item.high_slots))
-        if new_rows:
-            cmds.append(cost.emit_join(len(new_rows), w))
-        item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
-        item.live = live
-
-    def _apply_chain_kernel(
-        self, item: _WorkItem, prefix: CpuCommand | None = None
-    ) -> Iterator[Any]:
-        """Drive the whole chain through the columnar kernels, fusing the
-        bitmap-AND charge groups of consecutive filters into one simulator
-        event (charge values and their order match the per-filter path;
-        only skipped filters' charges are elided).  ``prefix`` is the
-        caller's page-sync charge, riding at the head of the fused command
-        -- its charge instant is unchanged and one more simulator event per
-        page disappears."""
-        cmds: list[CpuCommand] = [] if prefix is None else [prefix]
-        base = len(cmds)
-        for flt in item.filters:
-            if not item.rows:
-                break
-            self._filter_kernel(item, flt, cmds)
-        if len(cmds) > base:
-            yield CPU_FUSED(*cmds)
-        elif prefix is not None:
-            yield prefix
-
     def _filter_worker(self) -> Iterator[Any]:
         """Horizontal configuration: each worker carries a page through the
         whole filter chain."""
         cost = self.cost
-        # The per-page sync charge is immutable -- build it once.  With the
-        # chain kernels and no adaptive orderer (whose EWMA folds are
-        # order-sensitive across workers) it rides at the head of the
-        # chain's fused command instead of being its own event.
+        # The per-page sync charge is immutable -- build it once.
         sync = CPU(cost.filter_sync_page, "locks")
         while True:
             item = yield from self._page_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover - pipeline never closes
                 return
-            fuse_sync = self.filter_kernels and self.orderer is None
-            if not fuse_sync:
-                yield sync
+            yield sync
             rows = item.batch.rows
             item.rows = rows
             item.bms = [item.mask] * len(rows)
             item.dims = [()] * len(rows)
-            if self.filter_kernels:
-                yield from self._apply_chain_kernel(
-                    item, prefix=sync if fuse_sync else None
-                )
-            else:
-                for flt in item.filters:
-                    if not item.rows:
-                        break
-                    yield from self._apply_one_filter(item, flt)
+            for flt in item.filters:
+                if not item.rows:
+                    break
+                yield from self._apply_one_filter(item, flt)
             yield from self._dist_chan.put(item)
 
     def _vertical_worker(self, position: int) -> Iterator[Any]:
@@ -847,26 +675,14 @@ class CJoinPipeline:
             item = yield from in_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover
                 return
-            use_kernel = self.filter_kernels and position < len(item.filters)
-            fuse_sync = use_kernel and self.orderer is None
-            if not fuse_sync:
-                yield sync
+            yield sync
             if position == 0:
                 rows = item.batch.rows
                 item.rows = rows
                 item.bms = [item.mask] * len(rows)
                 item.dims = [()] * len(rows)
             if position < len(item.filters):
-                if use_kernel:
-                    cmds: list[CpuCommand] = [sync] if fuse_sync else []
-                    base = len(cmds)
-                    self._filter_kernel(item, item.filters[position], cmds)
-                    if len(cmds) > base:
-                        yield CPU_FUSED(*cmds)
-                    elif fuse_sync:
-                        yield sync
-                else:
-                    yield from self._apply_one_filter(item, item.filters[position])
+                yield from self._apply_one_filter(item, item.filters[position])
             if position + 1 < len(item.filters):
                 self._ensure_vertical_worker(position + 1)
                 yield from self._vchans[position + 1].put(item)

@@ -16,10 +16,9 @@ never from shared mutable state.
   ``random.Random`` from ``(seed, kind, params...)`` via
   :func:`repro.data.rng.make_rng`, so no draw depends on how many cells
   ran before this one, in which order, or in which process.
-* The folding and GQP-plane defaults are captured into the spec at
-  *enumeration* time (``query_folding``, ``gqp_flags``), so a ``with
-  fast_path(...)`` / ``gqp_plane(...)`` block in the parent applies to
-  workers too -- they don't inherit context managers.
+* Everything that moves a simulated tick is a field of the cell's
+  ``EngineConfig`` (query folding included), which pickles with the spec;
+  no process-wide state is consulted.
 
 The result is the same for any worker count and any execution order,
 which is what lets :mod:`repro.parallel.fabric` merge by key.
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.bench.runner import (
@@ -43,8 +42,6 @@ from repro.bench.runner import (
 )
 from repro.bench.workload import (
     QueryJob,
-    gqp_skewed_workload,
-    gqp_uniform_workload,
     mix_spec_factory,
     q32_limited_plans_workload,
     q32_random_workload,
@@ -52,14 +49,7 @@ from repro.bench.workload import (
     ssb_mix_workload,
     tpch_q1_workload,
 )
-from repro.engine.config import (
-    EngineConfig,
-    fast_path,
-    gqp_adaptive_ordering_default,
-    gqp_filter_kernels_default,
-    gqp_plane,
-    query_folding_default,
-)
+from repro.engine.config import EngineConfig
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.storage.manager import StorageConfig
 
@@ -68,18 +58,8 @@ __all__ = [
     "CellSpec",
     "DatasetSpec",
     "WorkloadSpec",
-    "current_gqp_flags",
     "execute_cell",
 ]
-
-
-def current_gqp_flags() -> tuple[bool, bool]:
-    """The parent's (adaptive_ordering, filter_kernels) adaptive-GQP
-    defaults.  Captured into each spec so workers replay the parent's
-    mode: these *change simulated results*, so shipping them with the cell
-    is what keeps a ``--gqp-ordering adaptive`` sweep byte-identical
-    across any worker count."""
-    return (gqp_adaptive_ordering_default(), gqp_filter_kernels_default())
 
 
 @dataclass(frozen=True)
@@ -114,8 +94,6 @@ WORKLOAD_KINDS = (
     "ssb-mix",
     "tpch-q1",
     "mix-factory",
-    "gqp-skew",
-    "gqp-uniform",
 )
 
 
@@ -151,10 +129,6 @@ class WorkloadSpec:
             return ssb_mix_workload(self.n, self.seed)
         if self.kind == "tpch-q1":
             return tpch_q1_workload(self.n, dataset)
-        if self.kind == "gqp-skew":
-            return gqp_skewed_workload(self.n, self.seed)
-        if self.kind == "gqp-uniform":
-            return gqp_uniform_workload(self.n, self.seed)
         raise ValueError(f"workload kind {self.kind!r} has no batch form")
 
 
@@ -179,14 +153,6 @@ class CellSpec:
     mode: str = "batch"
     n_clients: int = 0
     duration: float = 0.0
-    #: the parent's folding default at enumeration time; workers re-apply
-    #: it around the run.  Folding changes simulated timing, so shipping
-    #: it with the cell is what keeps a sweep byte-identical across any
-    #: worker count (and a ``REPRO_FOLD=0`` parent an exact-match sweep).
-    query_folding: bool = field(default_factory=query_folding_default)
-    #: (adaptive_ordering, filter_kernels) likewise -- engine configs with
-    #: the GQP knobs at ``None`` resolve against these inside the worker.
-    gqp_flags: tuple[bool, bool] = field(default_factory=current_gqp_flags)
 
     def __post_init__(self) -> None:
         if self.mode not in ("batch", "closed"):
@@ -222,29 +188,28 @@ def execute_cell(spec: CellSpec) -> CellResult:
     code path for serial and parallel execution: ``jobs=1`` calls it in
     the parent, ``jobs=N`` in workers -- same function, same results."""
     t0 = time.perf_counter()
-    with fast_path(spec.query_folding), gqp_plane(*spec.gqp_flags):
-        dataset = spec.dataset.generate()
-        if spec.mode == "batch":
-            result: RunResult | ThroughputResult = run_batch(
-                dataset.tables,
-                spec.config,
-                spec.workload.build(dataset),
-                spec.storage,
-                machine=spec.machine,
-                submit_stagger=spec.submit_stagger,
-            )
-        else:
-            if spec.workload.kind != "mix-factory":
-                raise ValueError("closed-loop cells use the 'mix-factory' workload")
-            result = run_closed_loop(
-                dataset.tables,
-                spec.config,
-                mix_spec_factory(spec.workload.seed),
-                spec.n_clients,
-                spec.duration,
-                spec.storage,
-                machine=spec.machine,
-            )
+    dataset = spec.dataset.generate()
+    if spec.mode == "batch":
+        result: RunResult | ThroughputResult = run_batch(
+            dataset.tables,
+            spec.config,
+            spec.workload.build(dataset),
+            spec.storage,
+            machine=spec.machine,
+            submit_stagger=spec.submit_stagger,
+        )
+    else:
+        if spec.workload.kind != "mix-factory":
+            raise ValueError("closed-loop cells use the 'mix-factory' workload")
+        result = run_closed_loop(
+            dataset.tables,
+            spec.config,
+            mix_spec_factory(spec.workload.seed),
+            spec.n_clients,
+            spec.duration,
+            spec.storage,
+            machine=spec.machine,
+        )
     return CellResult(
         key=spec.key,
         result=result,

@@ -186,10 +186,7 @@ class QueryService:
         self.config = config
         self.storage = StorageManager(self.sim, cost, tables, storage_config)
         #: both engines share the one storage manager (shared circular
-        #: scans, buffer pool and page cache), as in HybridEngine.  The
-        #: preset configs leave the adaptive-GQP knobs at None, so the
-        #: process-wide set_gqp_plane defaults apply unless a caller passes
-        #: an explicit gqp_config.
+        #: scans, buffer pool and page cache), as in HybridEngine.
         self.query_centric = QPipeEngine(self.sim, self.storage, qc_config, cost)
         self.gqp = QPipeEngine(self.sim, self.storage, gqp_config, cost)
         self.policy = make_policy(policy, machine) if isinstance(policy, str) else policy
@@ -276,7 +273,7 @@ class QueryService:
             # query-centric instead of paying GQP admission -- and does not
             # perturb the policy's pressure feedback (it adds ~no load).
             cached_plan = cached_query_centric_plan(
-                self.storage, job.spec, self.query_centric.config.use_query_folding()
+                self.storage, job.spec, self.query_centric.config.query_folding
             )
             if cached_plan is not None:
                 route = QUERY_CENTRIC

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.engine.config import CJOIN_SP, QPIPE_SP, EngineConfig, query_folding_default
-from repro.parallel.cells import DatasetSpec, current_gqp_flags
+from repro.engine.config import CJOIN_SP, QPIPE_SP, EngineConfig
+from repro.parallel.cells import DatasetSpec
 from repro.query.merge import PartialAggState
 from repro.query.star import StarQuerySpec
 from repro.shard.partition import PARTITION_MODES
@@ -49,10 +49,6 @@ class ShardConfig:
     dataset: DatasetSpec = DatasetSpec("ssb", 1.0, 42)
     storage: StorageConfig = StorageConfig()
     machine: MachineSpec = PAPER_MACHINE
-    #: folding / GQP-plane defaults captured at construction in the parent
-    #: (same mechanism as CellSpec: workers replay the parent mode)
-    query_folding: bool = field(default_factory=query_folding_default)
-    gqp_flags: tuple[bool, bool] = field(default_factory=current_gqp_flags)
     #: wall-clock seconds the gather waits per shard before declaring the
     #: worker stuck (kill + respawn, no retry)
     shard_timeout_s: float = 60.0

@@ -29,7 +29,6 @@ import os
 import time
 from typing import Any
 
-from repro.engine.config import fast_path, gqp_plane
 from repro.engine.qpipe import QPipeEngine
 from repro.query.merge import PartialAggregator
 from repro.query.star import StarQuerySpec
@@ -72,58 +71,57 @@ def execute_shard_query(
 
 def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
     """Process entry point: build the shard, handshake, serve requests."""
-    with fast_path(config.query_folding), gqp_plane(*config.gqp_flags):
-        dataset = config.dataset.generate()
-        tables = shard_tables(
-            dataset.tables,
-            config.fact_table,
-            shard_id,
-            config.n_shards,
-            config.partition,
-            config.partition_salt,
-        )
-        fact = tables[config.fact_table]
-        fact_rows = fact.num_rows
-        conn.send(("ready", shard_id, fact_rows, partition_shipping(fact)))
-        while True:
-            try:
-                req: ShardRequest | None = conn.recv()
-            except (EOFError, KeyboardInterrupt):
-                return
-            if req is None:  # orderly shutdown
-                return
-            if req.fault == "crash":
-                os._exit(13)
-            if req.fault == "hang":
-                # Stuck worker: never answer.  The front end's wall-clock
-                # timeout kills this process; the sleep is just a backstop.
-                time.sleep(3600)
-                continue
-            t0 = time.perf_counter()
-            hits0 = ARRANGEMENTS.hits
-            try:
-                state, svc = execute_shard_query(tables, req.spec, config)
-            except Exception as exc:
-                conn.send(
-                    ShardResponse(
-                        seq=req.seq,
-                        shard_id=shard_id,
-                        state={},
-                        svc_seconds=0.0,
-                        wall_s=time.perf_counter() - t0,
-                        fact_rows=fact_rows,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
+    dataset = config.dataset.generate()
+    tables = shard_tables(
+        dataset.tables,
+        config.fact_table,
+        shard_id,
+        config.n_shards,
+        config.partition,
+        config.partition_salt,
+    )
+    fact = tables[config.fact_table]
+    fact_rows = fact.num_rows
+    conn.send(("ready", shard_id, fact_rows, partition_shipping(fact)))
+    while True:
+        try:
+            req: ShardRequest | None = conn.recv()
+        except (EOFError, KeyboardInterrupt):
+            return
+        if req is None:  # orderly shutdown
+            return
+        if req.fault == "crash":
+            os._exit(13)
+        if req.fault == "hang":
+            # Stuck worker: never answer.  The front end's wall-clock
+            # timeout kills this process; the sleep is just a backstop.
+            time.sleep(3600)
+            continue
+        t0 = time.perf_counter()
+        hits0 = ARRANGEMENTS.hits
+        try:
+            state, svc = execute_shard_query(tables, req.spec, config)
+        except Exception as exc:
             conn.send(
                 ShardResponse(
                     seq=req.seq,
                     shard_id=shard_id,
-                    state=state,
-                    svc_seconds=svc,
+                    state={},
+                    svc_seconds=0.0,
                     wall_s=time.perf_counter() - t0,
                     fact_rows=fact_rows,
-                    arrange_hits=ARRANGEMENTS.hits - hits0,
+                    error=f"{type(exc).__name__}: {exc}",
                 )
             )
+            continue
+        conn.send(
+            ShardResponse(
+                seq=req.seq,
+                shard_id=shard_id,
+                state=state,
+                svc_seconds=svc,
+                wall_s=time.perf_counter() - t0,
+                fact_rows=fact_rows,
+                arrange_hits=ARRANGEMENTS.hits - hits0,
+            )
+        )

@@ -80,10 +80,6 @@ class CostModel:
     admission_bitmap: float = 60.0  # extend one dim tuple's bitmap by one query
     admission_pause: float = 4e-3  # seconds of full pipeline stall per batch
     admission_pause_per_filter: float = 1e-3  # extra stall per touched filter
-    #: adaptive ordering: re-sorting the shared filter chain, per filter in
-    #: the chain (selectivity bookkeeping + snapshot invalidation); charged
-    #: only when ``gqp_adaptive_ordering`` actually applies a re-sort
-    reorder_per_filter: float = 2_500.0
 
     # ---- shared result cache (repro.cache) ------------------------------
     #: signature lookup on stage dispatch (hash of an interned plan tuple)
@@ -280,14 +276,6 @@ class CostModel:
             cmd = memo[key] = CPU(
                 self.fold_probe * max(candidates, 1.0) + self.fold_attach, "misc"
             )
-        return cmd
-
-    def reorder(self, n_filters: float) -> CpuCommand:
-        memo = self._memo
-        key = ("reord", n_filters)
-        cmd = memo.get(key)
-        if cmd is None:
-            cmd = memo[key] = CPU(self.reorder_per_filter * n_filters, "misc")
         return cmd
 
 

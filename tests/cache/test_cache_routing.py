@@ -7,7 +7,7 @@ import pytest
 
 from repro.baselines import evaluate_plan
 from repro.data import generate_ssb
-from repro.engine.config import QPIPE_SP, fast_path
+from repro.engine.config import QPIPE_SP
 from repro.engine.hybrid import HybridEngine
 from repro.query.ssb_queries import q32
 from repro.server.service import job_factory, recurring_job_factory, serve
@@ -64,24 +64,24 @@ class TestHybridDiscount:
 
     def test_subsuming_entry_is_no_discount_for_an_engine_that_does_not_fold(self, ssb):
         """Only a *subsuming* entry is resident (the exact one is absent):
-        the discount follows the query-centric engine's own fold setting,
-        not the process default -- a fold-off engine would not replay the
-        entry, so at saturation the query goes to the GQP and is computed."""
+        the discount follows the query-centric engine's own fold setting
+        (the GQP engine here folds) -- a fold-off engine would not replay
+        the entry, so at saturation the query goes to the GQP and is
+        computed."""
         narrow = q32(*SPEC_ARGS)
-        with fast_path(query_folding=True):
-            sim = Simulator(MachineSpec())
-            storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
-            hybrid = HybridEngine(
-                sim, storage, threshold=1, qc_config=replace(QPIPE_SP, query_folding=False)
-            )
-            hybrid.submit(q32("CHINA", "FRANCE", 1992, 1997))  # superset of narrow
-            sim.run()
-            assert storage.result_cache.has_subsuming(
-                narrow.to_query_centric_plan(ssb.tables).child
-            )
-            hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))  # saturates
-            h = hybrid.submit(narrow)
-            sim.run()
+        sim = Simulator(MachineSpec())
+        storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
+        hybrid = HybridEngine(
+            sim, storage, threshold=1, qc_config=replace(QPIPE_SP, query_folding=False)
+        )
+        hybrid.submit(q32("CHINA", "FRANCE", 1992, 1997))  # superset of narrow
+        sim.run()
+        assert storage.result_cache.has_subsuming(
+            narrow.to_query_centric_plan(ssb.tables).child
+        )
+        hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))  # saturates
+        h = hybrid.submit(narrow)
+        sim.run()
         assert "cache-discount" not in hybrid.routed
         assert hybrid.routed["gqp"] == 1
         assert not h.query.cache_served

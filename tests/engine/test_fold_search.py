@@ -7,8 +7,6 @@ gate the point of having it: the number of full subsumption tests per
 admission must not grow with the number of in-flight hosts.
 """
 
-from dataclasses import replace
-
 import pytest
 
 import repro.query.subsume as subsume
@@ -37,7 +35,7 @@ def norm(rows):
 def make_engine(ssb, config):
     sim = Simulator(MachineSpec())
     storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory"))
-    return sim, QPipeEngine(sim, storage, replace(config, query_folding=True))
+    return sim, QPipeEngine(sim, storage, config)
 
 
 def stages(engine):

@@ -14,12 +14,12 @@ bit-identical query *results*."""
 
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
 from repro.data import generate_ssb
 from repro.engine import CJOIN, CJOIN_SP, QPIPE_SP, QPipeEngine
-from repro.engine.config import fast_path
 from repro.baselines import VolcanoEngine
 from repro.query.ssb_queries import random_q32
 from repro.data.rng import make_rng
@@ -44,6 +44,13 @@ def ssb():
     return generate_ssb(0.5, seed=21)
 
 
+def _make_engine(sim, storage, config_key: str, fold: bool):
+    config = CONFIGS[config_key]
+    if config == "postgres":
+        return VolcanoEngine(sim, storage, DEFAULT_COST_MODEL)
+    return QPipeEngine(sim, storage, replace(config, query_folding=fold))
+
+
 def run_mix(ssb, config_key: str) -> dict:
     """One seeded 6-query Q3.2 mix on the reference (fold-off) timing
     plane; returns a JSON-safe measurement dict."""
@@ -51,15 +58,10 @@ def run_mix(ssb, config_key: str) -> dict:
     storage = StorageManager(
         sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory")
     )
-    config = CONFIGS[config_key]
-    if config == "postgres":
-        engine = VolcanoEngine(sim, storage, DEFAULT_COST_MODEL)
-    else:
-        engine = QPipeEngine(sim, storage, config)
+    engine = _make_engine(sim, storage, config_key, fold=False)
     rng = make_rng(77, "golden", config_key)
-    with fast_path(query_folding=False):
-        handles = [engine.submit(random_q32(rng)) for _ in range(6)]
-        sim.run()
+    handles = [engine.submit(random_q32(rng)) for _ in range(6)]
+    sim.run()
     times = sorted(h.response_time for h in handles)
     n = len(times)
     return {
@@ -118,34 +120,29 @@ def _run_fold_mix(ssb, config_key: str, fold: bool):
     from repro.sim.commands import SLEEP
     from repro.storage.manager import StorageConfig as SC
 
-    with fast_path(query_folding=fold):
-        sim = Simulator(MACHINE)
-        storage = StorageManager(
-            sim,
-            DEFAULT_COST_MODEL,
-            ssb.tables,
-            SC(resident="memory", result_cache_bytes=32.0),
-        )
-        config = CONFIGS[config_key]
-        if config == "postgres":
-            engine = VolcanoEngine(sim, storage, DEFAULT_COST_MODEL)
-        else:
-            engine = QPipeEngine(sim, storage, config)
-        jobs = _fold_mix_jobs()
-        handles = []
+    sim = Simulator(MACHINE)
+    storage = StorageManager(
+        sim,
+        DEFAULT_COST_MODEL,
+        ssb.tables,
+        SC(resident="memory", result_cache_bytes=32.0),
+    )
+    engine = _make_engine(sim, storage, config_key, fold)
+    jobs = _fold_mix_jobs()
+    handles = []
 
-        def submitter():
-            for i, spec in enumerate(jobs):
-                handles.append(engine.submit(spec))
-                if i + 1 < len(jobs):
-                    yield SLEEP(0.001)
+    def submitter():
+        for i, spec in enumerate(jobs):
+            handles.append(engine.submit(spec))
+            if i + 1 < len(jobs):
+                yield SLEEP(0.001)
 
-        sim.spawn(submitter(), "submitter")
-        sim.run()
-        folds = {
-            k: v for k, v in sim.metrics.counts.items() if k.startswith("fold_")
-        }
-        return [_result_fingerprint(h.results) for h in handles], folds
+    sim.spawn(submitter(), "submitter")
+    sim.run()
+    folds = {
+        k: v for k, v in sim.metrics.counts.items() if k.startswith("fold_")
+    }
+    return [_result_fingerprint(h.results) for h in handles], folds
 
 
 @pytest.mark.parametrize("config_key", list(CONFIGS), ids=list(CONFIGS))
@@ -169,27 +166,28 @@ def test_query_folding_fires_on_overlap(ssb):
 
 
 @pytest.mark.parametrize("mode", ["hash", "range"])
-def test_shard_fingerprints_identical_fold_vs_naive(ssb, mode):
-    """The fold flag rides ShardConfig.query_folding into workers; a shard
-    engine running under it must produce identical partial-aggregate state
-    and identical simulated service time as the unfolded plane, for either
-    placement mode."""
+def test_shard_fingerprints_identical_fold_vs_naive(ssb, mode, monkeypatch):
+    """A shard engine (one query per fresh simulator) must produce
+    identical partial-aggregate state and identical simulated service time
+    with ``query_folding`` on or off, for either placement mode."""
     from repro.parallel.cells import DatasetSpec
     from repro.query.ssb_queries import q32
     from repro.shard.partition import shard_tables
-    from repro.shard.spec import ShardConfig
+    from repro.shard.spec import SHARD_ENGINES, ShardConfig
     from repro.shard.worker import execute_shard_query
 
     spec = q32("CHINA", "FRANCE", 1993, 1996)
+    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
     outcomes = []
     for fold in (False, True):
-        with fast_path(query_folding=fold):
-            config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", 0.5, 21))
-            per_shard = []
-            for shard in range(2):
-                view = shard_tables(ssb.tables, "lineorder", shard, 2, mode, 21)
-                per_shard.append(execute_shard_query(view, spec, config))
-            outcomes.append(per_shard)
+        monkeypatch.setitem(
+            SHARD_ENGINES, config.engine, replace(CJOIN_SP, query_folding=fold)
+        )
+        per_shard = []
+        for shard in range(2):
+            view = shard_tables(ssb.tables, "lineorder", shard, 2, mode, 21)
+            per_shard.append(execute_shard_query(view, spec, config))
+        outcomes.append(per_shard)
     assert outcomes[0] == outcomes[1]  # bitwise: == on floats
 
 

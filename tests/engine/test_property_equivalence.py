@@ -17,6 +17,8 @@ forms (``repro.query.expr.compile_selection``) are held to the oracle on
 every engine shape.
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -162,9 +164,15 @@ class TestEquivalence:
         # GQP plan through the oracle too (independent code path).
         assert norm(evaluate_plan(spec.to_gqp_plan(tables))) == oracle
 
-        for config in (QPIPE, QPIPE_SP, CJOIN_SP):
+        for config in (
+            QPIPE,
+            QPIPE_SP,
+            CJOIN_SP,
+            replace(QPIPE_SP, query_folding=False),
+            replace(CJOIN_SP, query_folding=False),
+        ):
             for result in run_qpipe(tables, spec, config):
-                assert result == oracle, config.name
+                assert result == oracle, config
 
         sim = Simulator(MachineSpec(cores=8))
         storage = StorageManager(sim, DEFAULT_COST_MODEL, tables, StorageConfig(resident="memory"))

@@ -7,6 +7,8 @@ must not depend on where in the sweep it ran.  These tests execute real
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bench.experiments import fig10_concurrency
@@ -18,7 +20,7 @@ from repro.bench.workload import (
     ssb_mix_workload,
 )
 from repro.data import generate_ssb
-from repro.engine.config import CJOIN_SP, fast_path
+from repro.engine.config import CJOIN_SP
 from repro.parallel import (
     CellSpec,
     DatasetSpec,
@@ -98,30 +100,27 @@ def test_workload_specs_match_generators():
 
 
 def test_fold_context_at_enumeration_reaches_worker():
-    """A ``with fast_path(...)`` around spec enumeration reaches workers:
-    the fold setting rides in the spec, not in process-global state (pool
-    workers never see the parent's context manager)."""
+    """The fold setting rides in the cell's ``EngineConfig`` and nowhere
+    else: a fold-off cell gives the identical ``RunResult`` in the parent
+    (``jobs=1``) and in a pool worker (``jobs=2``), and a different
+    simulated time from its fold-on twin once a fold fires."""
 
-    def spec(key: str) -> CellSpec:
+    def spec(fold: bool) -> CellSpec:
         return CellSpec(
-            key=key,
-            config=CJOIN_SP,
+            key=f"fold={fold}",
+            config=replace(CJOIN_SP, query_folding=fold),
             dataset=DatasetSpec("ssb", sf=0.5, seed=42),
-            workload=WorkloadSpec("q32-random", n=4, seed=42),
+            workload=WorkloadSpec("q32-random", n=16, seed=42),
         )
 
-    with fast_path(query_folding=True):
-        on = spec("on")
-    with fast_path(query_folding=False):
-        off = spec("off")
-    assert (on.query_folding, off.query_folding) == (True, False)
-    outcome = run_cells([on, off], jobs=2)
-
-    def fold_counters(key: str) -> set[str]:
-        return {k for k in outcome.cell(key).counts if "fold" in k}
-
-    assert fold_counters("on"), "no fold fired in the fold-on worker"
-    assert not fold_counters("off")
+    on, off = spec(True), spec(False)
+    serial = run_cells([on, off], jobs=1)
+    parallel = run_cells([on, off], jobs=2)
+    assert serial.cell(off.key) == parallel.cell(off.key)
+    assert serial.cell(on.key) == parallel.cell(on.key)
+    assert any(k.startswith("fold_attach") for k in serial.cell(on.key).counts)
+    assert not [k for k in serial.cell(off.key).counts if "fold" in k]
+    assert serial.cell(on.key).sim_seconds != serial.cell(off.key).sim_seconds
 
 
 def test_bad_specs_rejected():

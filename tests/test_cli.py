@@ -20,6 +20,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--config", "mysql"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--gqp-kernels"],
+            ["sweep", "--gqp-ordering", "adaptive"],
+            ["serve", "--gqp-ordering", "static"],
+        ],
+    )
+    def test_removed_plane_flags_are_unrecognized(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "fig6"])
         assert args.name == "fig6"

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.qpipe import QueryHandle
 from repro.engine.stages.aggregate import _finalize, accumulate_columnar
-from repro.engine.stages.join import probe_columnar
+from repro.engine.stages.join import probe
 from repro.query.expr import compile_selection
 from repro.query.plan import (
     AggregateNode,
@@ -99,20 +99,20 @@ class VolcanoEngine:
     # ------------------------------------------------------------------
     def _backend(self, query: Query, plan: PlanNode, handle: QueryHandle) -> Iterator[Any]:
         yield CPU(self.cost.packet_dispatch, "misc")
-        rows, _w = yield from self._eval(plan)
-        if isinstance(rows, ColumnBatch):
-            rows = list(rows.rows)
+        rel = yield from self._eval(plan)
+        rows = list(rel.rows)
         query.results = rows
         query.finish_time = self.sim.now
         handle.results = rows
         handle.gate.open()
 
     def _eval(self, node: PlanNode) -> Iterator[Any]:
-        """Evaluate bottom-up; a relation is a :class:`ColumnBatch` over
-        the table's column vectors for as long as every operator above the
-        scan has a column form, and a list of row tuples after the first
-        one that does not (aggregates, sorts, predicates without a column
-        kernel).  Charges count rows, never representation.
+        """Evaluate bottom-up; a relation is one batch carrying its row
+        weight -- a :class:`ColumnBatch` over the table's column vectors
+        for as long as every operator above the scan has a column form, a
+        row :class:`Batch` after the first one that does not (aggregates,
+        sorts, predicates without a column form) -- and selection and
+        probe take either.  Charges count rows, never representation.
 
         The tree walk is an explicit stack machine rather than recursive
         ``yield from``: every simulator resume re-enters exactly one
@@ -120,11 +120,11 @@ class VolcanoEngine:
         level (Q3.2 plans are ~6 deep, and the per-page scan yields are the
         hottest resume path in the whole baseline).  Frames are
         ``(node, phase, saved)``; ``result`` carries the last completed
-        subtree's ``(relation, weight)``.  The phase splits reproduce the
+        subtree's relation.  The phase splits reproduce the
         recursive order exactly -- a hash join charges its build *before*
         its probe subtree runs."""
         cost = self.cost
-        result: tuple[Any, float] | None = None
+        result: Batch | ColumnBatch | None = None
         stack: list[tuple[PlanNode, int, Any]] = [(node, 0, None)]
         while stack:
             nd, phase, saved = stack.pop()
@@ -190,41 +190,33 @@ class VolcanoEngine:
                         source.close()
                 # Pages arrive in table order, so the scan output is a
                 # zero-copy view of the table's (cached) column vectors.
-                result = (
-                    ColumnBatch(table.columns(), None, table.row_weight),
-                    table.row_weight,
-                )
+                result = ColumnBatch(table.columns(), None, table.row_weight)
             elif isinstance(nd, SelectNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
                     stack.append((nd.child, 0, None))
                     continue
-                rel, w = result
-                yield cost.predicate(len(rel), w, max(nd.predicate.terms, 1))
-                select = compile_selection(nd.predicate, nd.child.schema)
-                out = select(rel if isinstance(rel, ColumnBatch) else Batch(rel, w))
-                result = (out if isinstance(out, ColumnBatch) else out.rows), w
+                yield cost.predicate(
+                    len(result), result.weight, max(nd.predicate.terms, 1)
+                )
+                result = compile_selection(nd.predicate, nd.child.schema)(result)
             elif isinstance(nd, HashJoinNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
                     stack.append((nd.build, 0, None))
                     continue
                 if phase == 1:
-                    build_rel, bw = result
                     # Build rows materialize either way: they become the
                     # probe output's tail payloads (dims are small
                     # post-filter).
-                    build_rows = (
-                        build_rel.rows
-                        if isinstance(build_rel, ColumnBatch)
-                        else build_rel
-                    )
+                    build_rows, bw = result.rows, result.weight
                     # Star dimensions are keyed by primary key, so the
                     # common case is one row per key: build the flat
                     # single-match dict directly (C-level dict(zip)) and
                     # only fall back to the multi-match table when a
-                    # duplicate key shows up.
-                    table: dict[Any, list[tuple]] | None = None
+                    # duplicate key shows up.  An empty build side leaves
+                    # the empty multi-match table: nothing matches.
+                    table: dict[Any, list[tuple]] = {}
                     single: dict[Any, tuple] | None = None
                     bkey = nd.build.schema.index(nd.build_key)
                     if build_rows:
@@ -234,7 +226,6 @@ class VolcanoEngine:
                         single = dict(zip(bkeys, build_rows))
                         if len(single) != nb:
                             single = None
-                            table = {}
                             setdefault = table.setdefault
                             for k, r in zip(bkeys, build_rows):
                                 setdefault(k, []).append(r)
@@ -242,30 +233,10 @@ class VolcanoEngine:
                     stack.append((nd.probe, 0, None))
                     continue
                 table, single = saved
-                probe_rel, w = result
+                n, w = len(result), result.weight
                 pkey = nd.probe.schema.index(nd.probe_key)
-                n = len(probe_rel)
-                if isinstance(probe_rel, ColumnBatch):
-                    if single is None and table is None:
-                        table = {}  # empty build side: nothing matches
-                    out: Any = probe_columnar(
-                        probe_rel,
-                        pkey,
-                        table.get if table is not None else None,
-                        w,
-                        single,
-                    )
-                elif single is not None:
-                    sget = single.get
-                    out = [
-                        r + m for r in probe_rel if (m := sget(r[pkey])) is not None
-                    ]
-                elif table is not None:
-                    get = table.get
-                    out = [r + m for r in probe_rel for m in get(r[pkey], ())]
-                else:
-                    out = []
-                nout = len(out)
+                result = probe(result, pkey, table.get, w, single)
+                nout = len(result)
                 cmds = []
                 if n:
                     cmds.append(cost.hashing(n, w, equals=nout))
@@ -274,13 +245,12 @@ class VolcanoEngine:
                     cmds.append(cost.emit_join(nout, w))
                 if cmds:
                     yield CPU_FUSED(*cmds)
-                result = out, w
             elif isinstance(nd, AggregateNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
                     stack.append((nd.child, 0, None))
                     continue
-                rel, w = result
+                rel, w = result, result.weight
                 n = len(rel)
                 if n:
                     yield CPU_FUSED(
@@ -303,25 +273,24 @@ class VolcanoEngine:
                         key + tuple(_finalize(specs[i], acc, i) for i in range(len(specs)))
                         for key, acc in groups.items()
                     ]
-                    result = out, 1.0
                 else:
                     from repro.baselines.reference import _aggregate
 
-                    result = _aggregate(nd, rel, w, schema), 1.0
+                    out = _aggregate(nd, rel.rows, w, schema)
+                result = Batch(out, 1.0)
             elif isinstance(nd, SortNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
                     stack.append((nd.child, 0, None))
                     continue
-                rel, w = result
-                rows = list(rel.rows) if isinstance(rel, ColumnBatch) else rel
+                rows = list(result.rows)
                 if rows:
-                    yield cost.sort(len(rows), w)
+                    yield cost.sort(len(rows), result.weight)
                     schema = nd.child.schema
                     for col, ascending in reversed(nd.keys):
                         i = schema.index(col)
                         rows.sort(key=lambda r, i=i: r[i], reverse=not ascending)
-                result = rows, w
+                result = Batch(rows, result.weight)
             elif isinstance(nd, CJoinNode):
                 raise TypeError("the Volcano baseline does not evaluate GQP plans")
             else:

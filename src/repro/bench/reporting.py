@@ -61,18 +61,3 @@ def format_sweep_summary(rows: Sequence[dict[str, Any]]) -> str:
             for r in rows
         ],
     )
-
-
-def format_cell_timings(experiment: str, timings: dict[str, Any], top: int = 0) -> str:
-    """Per-cell host attribution table (slowest first); ``top`` limits the
-    row count, 0 shows every cell."""
-    cells = timings.get("cells", {})
-    ordered = sorted(cells.items(), key=lambda kv: -kv[1]["wall_s"])
-    if top:
-        ordered = ordered[:top]
-    return format_table(
-        f"{experiment}: per-cell timing (jobs={timings.get('jobs', 1)}, "
-        f"total {timings.get('wall_s', 0):g}s)",
-        ["cell", "wall (s)", "worker", "retried"],
-        [[k, v["wall_s"], v["worker"], v["retried"]] for k, v in ordered],
-    )

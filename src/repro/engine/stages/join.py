@@ -28,23 +28,34 @@ from repro.storage.packed import as_list
 from repro.storage.page import Batch, ColumnBatch
 
 
-def probe_columnar(
-    batch: ColumnBatch,
+def probe(
+    batch: "Batch | ColumnBatch",
     probe_key: int,
     get,
     weight: float,
     single: dict[Any, tuple] | None = None,
-) -> ColumnBatch:
-    """Late-materialized hash probe: extract the key column, match, and
-    emit a new selection vector over the *same* base columns plus a tail
-    of matched build rows -- no wide output tuples.  Match order (probe
-    order, then build-insertion order) equals the row-wise probe's, so
-    downstream results and charge counts are identical.
+) -> "Batch | ColumnBatch":
+    """Hash-probe one batch of either layout against a build table:
+    ``get`` is the multi-match table's ``dict.get`` (key -> build rows),
+    ``single`` the flat key -> row table when every key has at most one
+    match (one dict lookup per probe row, same rows in the same order).
+    Match order is probe order, then build-insertion order, whichever
+    layout arrives, so downstream results and charge counts agree.
 
-    With a ``single`` match table the whole probe runs as one C-level
-    ``map(dict.get)`` pass over the key column plus ``is not None``
-    comprehensions (one hash lookup per key, no per-row Python
-    bytecode beyond the loops)."""
+    A row batch yields joined row tuples.  A column batch stays
+    late-materialized: a new selection vector over the *same* base
+    columns plus a tail of matched build rows -- no wide output tuples --
+    and with ``single`` the whole probe is one C-level ``map(dict.get)``
+    pass over the key column plus ``is not None`` comprehensions."""
+    if not isinstance(batch, ColumnBatch):
+        rows = batch.rows
+        if single is not None:
+            sget = single.get
+            return Batch(
+                [r + m for r in rows if (m := sget(r[probe_key])) is not None],
+                weight,
+            )
+        return Batch([r + m for r in rows for m in get(r[probe_key], ())], weight)
     # Packed FK vectors decode once per page (memoized on the column) so
     # the C-level dict probes below run over cached boxed keys instead of
     # re-boxing array elements on every circular-scan revisit.
@@ -185,7 +196,6 @@ class HashJoinStage(Stage):
                 single = shared[0].offer_single_view(shared[1], collect or [])
         else:
             single = single_match_table(table)
-        empty: tuple = ()
         while True:
             batch, fc = yield from probe_input.read_fused()
             if batch is END:
@@ -195,25 +205,7 @@ class HashJoinStage(Stage):
                 if fc is not None:
                     yield probe_input.fuse_next_lock(fc)
                 continue
-            if isinstance(batch, ColumnBatch):
-                out = probe_columnar(batch, probe_key, get, w, single)
-            elif single is not None:
-                # Row-batch single-match fast path (one dict lookup per
-                # probe row; same rows in the same order as the general
-                # loop, since every key has at most one match).
-                sget = single.get
-                out = Batch(
-                    [
-                        r + m
-                        for r in batch.rows
-                        if (m := sget(r[probe_key])) is not None
-                    ],
-                    w,
-                )
-            else:
-                out = Batch(
-                    [r + m for r in batch.rows for m in get(r[probe_key], empty)], w
-                )
+            out = probe(batch, probe_key, get, w, single)
             nout = len(out)
             cmds = [cost.hashing(n, w, equals=nout), cost.probe(n, w)]
             if nout:

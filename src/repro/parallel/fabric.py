@@ -267,10 +267,7 @@ def _prewarm_datasets(items: Sequence[Any]) -> None:
         dataset = getattr(item, "dataset", None)
         if dataset is not None and dataset not in seen:
             seen.add(dataset)
-            # Also materialize the column caches so workers inherit the
-            # vectors copy-on-write instead of each lazily re-deriving them.
-            for table in dataset.generate().tables.values():
-                table.warm_columns()
+            dataset.generate()
 
 
 def _hard_shutdown(pool: ProcessPoolExecutor) -> None:

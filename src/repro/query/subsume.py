@@ -927,14 +927,15 @@ class ResidualOperator:
     groups up.  Row order (and, for roll-ups, accumulation order) matches
     what direct evaluation would produce, so folded results are exact."""
 
-    __slots__ = ("plan", "_filter", "_project", "_groups", "_measures", "_key_idx")
+    __slots__ = ("plan", "_select", "_project", "_groups", "_measures", "_key_idx")
 
     def __init__(self, plan: FoldPlan, provider_schema: "Schema"):
         self.plan = plan
-        self._filter: Callable[[list], list] | None = None
-        if plan.residual is not None:
-            select = compile_selection(plan.residual, provider_schema)
-            self._filter = lambda rows: select(Batch(rows)).rows
+        self._select = (
+            compile_selection(plan.residual, provider_schema)
+            if plan.residual is not None
+            else None
+        )
         self._project: Callable[[tuple], tuple] | None = None
         if plan.project is not None:
             idx = plan.project
@@ -961,8 +962,8 @@ class ResidualOperator:
 
     def apply(self, rows: list) -> list:
         """Filter + project one batch (non-regroup folds)."""
-        if self._filter is not None:
-            rows = self._filter(rows)
+        if self._select is not None:
+            rows = self._select(Batch(rows)).rows
         if self._project is not None and rows:
             proj = self._project
             rows = [proj(r) for r in rows]
@@ -972,8 +973,8 @@ class ResidualOperator:
         """Filter one batch of finalized provider groups and merge them
         into the coarser grouping; returns how many groups were merged
         (for cost charging)."""
-        if self._filter is not None:
-            rows = self._filter(rows)
+        if self._select is not None:
+            rows = self._select(Batch(rows)).rows
         groups = self._groups
         key_idx = self._key_idx
         measures = self._measures

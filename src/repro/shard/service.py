@@ -119,13 +119,10 @@ class ShardService:
         self.now = 0.0
         # Fork-COW prewarm (same trick as the sweep fabric): generate the
         # dataset in the parent before spawning so every worker inherits
-        # the memoized tables copy-on-write instead of regenerating them.
-        # Also materialize the column caches: the workers' zero-copy
-        # partition slices/gathers (repro.shard.partition) then read shared
-        # pages instead of each re-deriving them.
+        # the memoized tables (column vectors included: they are the
+        # stored form the workers' zero-copy partition slices/gathers
+        # read) copy-on-write instead of regenerating them.
         ds = config.dataset.generate()
-        for table in ds.tables.values():
-            table.warm_columns()
         # Shared-arrangement prewarm (same fork-COW trick): build each
         # dimension's join arrangement on its key (first schema column --
         # the generators' PK-first convention) BEFORE spawning, so every

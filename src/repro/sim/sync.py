@@ -46,10 +46,6 @@ class Lock:
         self.acquisitions = 0
         self.contentions = 0
 
-    @property
-    def locked(self) -> bool:
-        return self._owner is not None
-
     def take_or_enqueue(self, me: "SimThread") -> bool:
         """Post-charge half of ``acquire``: take the free lock (True) or
         queue ``me`` FIFO (False -- the caller must ``yield BLOCK`` and then

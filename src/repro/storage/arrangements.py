@@ -74,10 +74,7 @@ def _layout_tag(table: "Table") -> str:
     tag is a property of the table object, not of the current flags."""
     from repro.storage.packed import is_packed
 
-    cols = getattr(table, "_cols", None)
-    if cols and any(is_packed(c) for c in cols):
-        return "packed"
-    return "boxed"
+    return "packed" if any(is_packed(c) for c in table.columns()) else "boxed"
 
 
 class Arrangement:

@@ -127,7 +127,3 @@ class BufferPool:
         while self._bytes > self.capacity_bytes and len(self._resident) > 1:
             _old, old_bytes = self._resident.popitem(last=False)
             self._bytes -= old_bytes
-
-    @property
-    def latch_contentions(self) -> int:
-        return self._latch.contentions

@@ -69,20 +69,30 @@ class Dictionary:
     column.  ``pass_table(key, pred)`` memoizes a 256-byte predicate
     lookup table by ``key`` (callers use the predicate's canonical
     signature): one predicate evaluation per *distinct value*, shared by
-    all pages of the table and all queries with an equal predicate."""
+    all pages of the table and all queries with an equal predicate.
+
+    It fails closed: a predicate that raises ``TypeError`` on some value
+    (a guarded comparison over a mixed-type column) has *no* table --
+    ``None``, memoized -- because a row-at-a-time evaluation may never
+    reach that value; callers then evaluate on the rows they hold."""
 
     __slots__ = ("values", "_pass_tables")
 
     def __init__(self, values: Sequence[Any]):
         self.values = tuple(values)
-        self._pass_tables: dict[Any, bytes] = {}
+        self._pass_tables: dict[Any, bytes | None] = {}
 
-    def pass_table(self, key: Any, value_pred: Callable[[Any], bool]) -> bytes:
-        table = self._pass_tables.get(key)
-        if table is None:
+    def pass_table(self, key: Any, value_pred: Callable[[Any], bool]) -> bytes | None:
+        tables = self._pass_tables
+        if key in tables:
+            return tables[key]
+        try:
             flags = bytes(bytearray(1 if value_pred(v) else 0 for v in self.values))
+        except TypeError:
+            table = None
+        else:
             table = flags + _ZEROS_256[len(flags) :]
-            self._pass_tables[key] = table
+        tables[key] = table
         return table
 
     def __len__(self) -> int:
@@ -134,17 +144,20 @@ class DictColumn:
         (a single C-level pass -- the shard tier's hash-partition path)."""
         return DictColumn(bytes(map(self.codes.__getitem__, idx)), self.dictionary)
 
-    def mask_for(self, key: Any, value_pred: Callable[[Any], bool]) -> int:
+    def mask_for(self, key: Any, value_pred: Callable[[Any], bool]) -> int | None:
         """The predicate's pass positions as an int bitmap (bit ``j`` =
         row ``j`` passes), memoized by ``key``.  Concurrent queries with
         an equal predicate share the mask; conjunction chains AND the
-        cached ints instead of re-filtering."""
+        cached ints instead of re-filtering.  ``None`` when the dictionary
+        has no pass table for the predicate (see :class:`Dictionary`)."""
         masks = self._masks
         if masks is None:
             masks = self._masks = {}
         m = masks.get(key)
         if m is None:
             table = self.dictionary.pass_table(key, value_pred)
+            if table is None:
+                return None
             m = _flags_to_mask(self.codes.translate(table))
             masks[key] = m
         return m

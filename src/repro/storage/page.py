@@ -1,13 +1,11 @@
-"""Pages and batches: dual row/column representation.
+"""Pages and batches: column-stored pages, late-materialized batches.
 
 A :class:`ColumnPage` (exported as :data:`Page`) is a fixed slice of a
-table's rows -- the unit of buffer-pool residency and disk I/O.  It keeps
-**both** layouts lazily: a tuple of row tuples and a tuple of per-column
-vectors, each derived from the other on first access and cached.  Tables
-loaded from rows pay nothing until a columnar consumer asks for
-:attr:`ColumnPage.columns`; tables built column-wise (zero-copy shard
-partitions, see :func:`repro.shard.partition.partition_table`) never
-materialize row tuples unless a row consumer forces them.
+table -- the unit of buffer-pool residency and disk I/O.  It stores one
+layout, a tuple of per-column vectors (slices of the table's packed or
+boxed columns, see :mod:`repro.storage.table`); row tuples are a derived
+view, built on the first ``.rows`` access and cached, so a table nobody
+reads row-wise never materializes them.
 
 Batches are the unit of data flow between operators (through FIFO buffers
 and Shared Pages Lists); scan stages turn pages into batches, operators
@@ -29,8 +27,8 @@ Both pages and batches carry a ``weight``: the number of real rows each
 generated row represents (see the scale substitution in DESIGN.md), so CPU
 and I/O charges reflect paper-scale data volumes.
 
-Immutability contract: ``ColumnPage`` rows/columns are shared, never
-copied, between the page and the batches viewing it -- *zero copies*.
+Immutability contract: a ``ColumnPage``'s columns (and cached rows) are
+shared, never copied, between the page and the batches viewing it.
 Operators must never mutate a batch's ``rows``, ``cols``, ``sel`` or
 ``tail`` in place (they build new selections and new batches); the one
 place that needs a private, independently-owned copy -- push-based SP
@@ -95,15 +93,15 @@ def mask_to_sel(mask: int, n: int) -> list[int]:
 
 
 class ColumnPage:
-    """An immutable slice of table rows, held row- and column-wise.
+    """An immutable slice of a table, stored as per-column vectors.
 
-    Exactly one of ``rows`` / ``columns`` must be given; the other
-    representation is derived lazily on first access and cached (both
-    directions are pure ``zip`` transposes, so a round trip reproduces the
-    input exactly -- the property suite in ``tests/storage`` holds it to
-    that)."""
+    Columns are *the* stored form.  Given ``rows`` instead, the constructor
+    transposes them once; :attr:`rows` is the one derived view, built on
+    first access and cached (both directions are pure ``zip`` transposes,
+    so a round trip reproduces the input exactly -- the property suite in
+    ``tests/storage`` holds it to that)."""
 
-    __slots__ = ("table_name", "index", "weight", "real_bytes", "_rows", "_cols")
+    __slots__ = ("table_name", "index", "weight", "real_bytes", "columns", "_rows")
 
     def __init__(
         self,
@@ -120,58 +118,19 @@ class ColumnPage:
         self.index = index
         self.weight = weight
         self.real_bytes = real_bytes
-        self._rows = None if rows is None else tuple(rows)
-        self._cols = None if columns is None else tuple(columns)
+        self.columns = tuple(zip(*rows)) if columns is None else tuple(columns)
+        self._rows: tuple[tuple, ...] | None = None
 
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls,
-        rows: Sequence[tuple],
-        table_name: str = "",
-        index: int = 0,
-        weight: float = 1.0,
-        real_bytes: float = 0.0,
-    ) -> "ColumnPage":
-        return cls(table_name, index, rows, weight, real_bytes)
-
-    @classmethod
-    def from_columns(
-        cls,
-        columns: Sequence[Sequence[Any]],
-        table_name: str = "",
-        index: int = 0,
-        weight: float = 1.0,
-        real_bytes: float = 0.0,
-    ) -> "ColumnPage":
-        return cls(table_name, index, None, weight, real_bytes, columns=columns)
-
-    # -- representations ------------------------------------------------
     @property
     def rows(self) -> tuple[tuple, ...]:
         """Row tuples (materialized from the columns on first access)."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = tuple(zip(*self._cols))
+            rows = self._rows = tuple(zip(*self.columns))
         return rows
 
-    @property
-    def columns(self) -> tuple[Sequence[Any], ...]:
-        """Per-column vectors (materialized from the rows on first access)."""
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = tuple(zip(*self._rows))
-        return cols
-
-    def to_rows(self) -> list[tuple]:
-        """A fresh list of this page's row tuples (property-test hook)."""
-        return list(self.rows)
-
     def __len__(self) -> int:
-        rows = self._rows
-        if rows is not None:
-            return len(rows)
-        cols = self._cols
+        cols = self.columns
         return len(cols[0]) if cols else 0
 
     # -- batches --------------------------------------------------------
@@ -187,8 +146,7 @@ class ColumnPage:
         return f"<Page {self.table_name}[{self.index}] rows={len(self)}>"
 
 
-#: Backwards-compatible name: pages have been columnar since this class
-#: grew its dual representation, but the engine still says "Page".
+#: The engine's name for it (buffer pool, scans, prefetcher say "Page").
 Page = ColumnPage
 
 
@@ -198,19 +156,18 @@ class Batch:
     ``rows`` may be a list or (for zero-copy page views) a tuple; either
     way it must be treated as immutable by consumers."""
 
-    __slots__ = ("rows", "weight", "meta")
+    __slots__ = ("rows", "weight")
 
-    def __init__(self, rows: Sequence[tuple], weight: float = 1.0, meta: Any = None):
+    def __init__(self, rows: Sequence[tuple], weight: float = 1.0):
         self.rows = rows
         self.weight = weight
-        self.meta = meta
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def copy(self) -> "Batch":
         """A shallow copy (what push-based SP pays cycles to produce)."""
-        return Batch(list(self.rows), self.weight, self.meta)
+        return Batch(list(self.rows), self.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Batch rows={len(self.rows)} weight={self.weight}>"
@@ -235,7 +192,7 @@ class ColumnBatch:
     client result collection, push-SP copies -- pay only at that point).
     """
 
-    __slots__ = ("cols", "sel", "tail", "weight", "meta", "_rows", "_src")
+    __slots__ = ("cols", "sel", "tail", "weight", "_rows", "_src")
 
     def __init__(
         self,
@@ -243,7 +200,6 @@ class ColumnBatch:
         sel: Sequence[int] | None = None,
         weight: float = 1.0,
         tail: Sequence[tuple] | None = None,
-        meta: Any = None,
         src: ColumnPage | None = None,
     ):
         if tail is not None and sel is None:
@@ -252,7 +208,6 @@ class ColumnBatch:
         self.sel = sel
         self.tail = tail
         self.weight = weight
-        self.meta = meta
         self._rows = None
         self._src = src
 
@@ -267,15 +222,6 @@ class ColumnBatch:
     def arity(self) -> int:
         tail = self.tail
         return len(self.cols) + (len(tail[0]) if tail else 0)
-
-    @property
-    def live_mask(self) -> int:
-        """The selection as an int bitmap over the base rows."""
-        sel = self.sel
-        if sel is None:
-            cols = self.cols
-            return full_mask(len(cols[0]) if cols else 0)
-        return sel_to_mask(sel)
 
     def column(self, i: int) -> Sequence[Any]:
         """Logical column ``i``, gathered through the selection vector.
@@ -303,7 +249,7 @@ class ColumnBatch:
         new_sel = positions if sel is None else [sel[p] for p in positions]
         tail = self.tail
         new_tail = None if tail is None else [tail[p] for p in positions]
-        return ColumnBatch(self.cols, new_sel, self.weight, new_tail, self.meta)
+        return ColumnBatch(self.cols, new_sel, self.weight, new_tail)
 
     def take_mask(self, mask: int) -> "ColumnBatch":
         """The sub-batch whose logical positions are the set bits of
@@ -349,7 +295,6 @@ class ColumnBatch:
             None if sel is None else list(sel),
             self.weight,
             None if tail is None else list(tail),
-            self.meta,
             src=self._src,
         )
 

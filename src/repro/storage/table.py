@@ -1,15 +1,16 @@
-"""Tables: immutable paged storage, row- or column-built.
+"""Tables: immutable paged storage over column vectors.
 
 A table's rows are generated at ~1/1000 of the paper's real cardinality;
 ``row_weight`` records how many real rows each generated row represents so
 that CPU charges (cycles x weight) and I/O charges (bytes x weight) match
 paper-scale volumes.
 
-Pages are :class:`~repro.storage.page.ColumnPage` -- dual row/column
-representation, each direction lazy.  :meth:`Table.from_columns` builds a
-table *column-wise* (pages slice the column vectors; row tuples are never
-materialized unless a row consumer forces them) -- the zero-copy path the
-shard tier uses to hand out fact partitions.
+A table *is* its column vectors -- packed where the data allows (see
+:mod:`repro.storage.packed`), boxed lists otherwise -- and its pages are
+:class:`~repro.storage.page.ColumnPage` slices of them.  Both constructors
+end in the same page-slicing path: ``Table(...)`` transposes the given rows
+once, :meth:`Table.from_columns` takes the vectors as they are (the
+zero-copy path the shard tier uses to hand out fact partitions).
 """
 
 from __future__ import annotations
@@ -38,46 +39,14 @@ class Table:
         tuples_per_page: int = TUPLES_PER_PAGE,
         packed: bool = True,
     ):
-        if row_weight <= 0:
-            raise ValueError("row_weight must be positive")
-        if tuples_per_page < 1:
-            raise ValueError("tuples_per_page must be >= 1")
         for row in rows[:1]:
             if len(row) != len(schema):
                 raise ValueError(
                     f"row arity {len(row)} does not match schema arity {len(schema)}"
                 )
-        self.name = name
-        self.schema = schema
-        self.row_weight = float(row_weight)
-        self.tuples_per_page = tuples_per_page
-        self.pages: list[Page] = []
-        self._cols: tuple[Sequence[Any], ...] | None = None
-        rows = list(rows)
-        if packed and rows and len(schema):
-            # Pack once at load: whole-table typed/dictionary vectors;
-            # pages hold zero-copy slices (memoryview for arrays, shared
-            # value tables for dictionary codes).  Row tuples decode
-            # lazily through the page cache when a row consumer asks.
-            self._cols = packedmod.pack_columns(
-                [list(c) for c in zip(*rows)], schema
-            )
-            self._slice_pages(len(rows))
-        else:
-            for start in range(0, len(rows), tuples_per_page):
-                chunk = rows[start : start + tuples_per_page]
-                self.pages.append(
-                    Page(
-                        table_name=name,
-                        index=len(self.pages),
-                        rows=chunk,
-                        weight=self.row_weight,
-                        real_bytes=len(chunk) * self.row_weight * schema.row_bytes,
-                    )
-                )
-        self.num_rows = len(rows)
+        columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in schema.columns]
+        self._build(name, schema, columns, row_weight, tuples_per_page, packed)
 
-    # ------------------------------------------------------------------
     @classmethod
     def from_columns(
         cls,
@@ -89,51 +58,60 @@ class Table:
         packed: bool = True,
     ) -> "Table":
         """Build a table from per-column vectors without materializing row
-        tuples.  Pages slice the vectors (a C-level operation per column
-        per page -- zero-copy ``memoryview`` slices for packed arrays);
-        page structure, weights and byte accounting are identical to the
-        row constructor's, so simulated charges do not depend on which
-        way a table was built.  Already-packed input vectors (shard
+        tuples.  Page structure, weights and byte accounting are identical
+        to the row constructor's, so simulated charges do not depend on
+        which way a table was built.  Already-packed input vectors (shard
         partitions slicing/gathering a packed parent) are kept as-is;
         plain vectors are packed unless ``packed=False``."""
-        if len(columns) != len(schema):
-            raise ValueError(
-                f"column count {len(columns)} does not match schema arity {len(schema)}"
-            )
         table = cls.__new__(cls)
+        table._build(name, schema, columns, row_weight, tuples_per_page, packed)
+        return table
+
+    def _build(
+        self,
+        name: str,
+        schema: Schema,
+        columns: Sequence[Sequence[Any]],
+        row_weight: float,
+        tuples_per_page: int,
+        packed: bool,
+    ) -> None:
+        """The one construction path: validate, pack (``packed=False``
+        keeps boxed vectors -- the data-driven fallback the tests reach
+        for by hand), then slice every ``tuples_per_page`` rows into a page
+        (a C-level slice per column per page; zero-copy ``memoryview``
+        slices for packed arrays)."""
         if row_weight <= 0:
             raise ValueError("row_weight must be positive")
         if tuples_per_page < 1:
             raise ValueError("tuples_per_page must be >= 1")
-        table.name = name
-        table.schema = schema
-        table.row_weight = float(row_weight)
-        table.tuples_per_page = tuples_per_page
-        table.pages = []
+        if len(columns) != len(schema):
+            raise ValueError(
+                f"column count {len(columns)} does not match schema arity {len(schema)}"
+            )
         n = len(columns[0]) if columns else 0
         for col in columns:
             if len(col) != n:
                 raise ValueError("ragged columns")
-        if packed:
-            columns = packedmod.pack_columns(columns, schema)
-        table._cols = tuple(columns)
-        table._slice_pages(n)
-        table.num_rows = n
-        return table
-
-    def _slice_pages(self, n: int) -> None:
-        """Append the pages of an ``n``-row column-built table: each page
-        holds slices of the table's column vectors."""
-        cols = self._cols
-        for start in range(0, n, self.tuples_per_page):
-            end = min(start + self.tuples_per_page, n)
+        self.name = name
+        self.schema = schema
+        self.row_weight = float(row_weight)
+        self.tuples_per_page = tuples_per_page
+        self.num_rows = n
+        # An empty table has nothing to pack: its (empty) vectors stay boxed.
+        cols = self._cols = (
+            packedmod.pack_columns(columns, schema) if packed and n else tuple(columns)
+        )
+        self.pages: list[Page] = []
+        for start in range(0, n, tuples_per_page):
+            end = min(start + tuples_per_page, n)
             self.pages.append(
                 Page(
-                    table_name=self.name,
+                    table_name=name,
                     index=len(self.pages),
                     rows=None,
                     weight=self.row_weight,
-                    real_bytes=(end - start) * self.row_weight * self.schema.row_bytes,
+                    real_bytes=(end - start) * self.row_weight * schema.row_bytes,
                     columns=tuple(col[start:end] for col in cols),
                 )
             )
@@ -161,24 +139,14 @@ class Table:
             yield from p.rows
 
     def columns(self) -> tuple[Sequence[Any], ...]:
-        """Full-table column vectors (concatenated page columns, cached).
-        Zero-copy shard partitioning gathers from these; building them in
-        the parent before forking workers ships them copy-on-write."""
-        cols = self._cols
-        if cols is None:
-            acc: list[list[Any]] = [[] for _ in self.schema.columns]
-            for page in self.pages:
-                for out, col in zip(acc, page.columns):
-                    out.extend(col)
-            cols = self._cols = tuple(acc)
-        return cols
+        """Full-table column vectors (the pages hold slices of these).
+        Zero-copy shard partitioning slices and gathers from them."""
+        return self._cols
 
     def warm_columns(self) -> None:
-        """Materialize the column caches (table- and page-level) so forked
-        workers inherit them copy-on-write instead of each rebuilding."""
-        self.columns()
-        for page in self.pages:
-            page.columns  # noqa: B018 - property access populates the cache
+        """Nothing to warm -- columns are the stored form, so a forked
+        worker inherits them as they are.  Kept as the setup-phase hook
+        the layered benchmark's adapter calls on every table."""
 
     # ------------------------------------------------------------------
     def packed_columns(self) -> list[Any]:

@@ -1,15 +1,18 @@
 """Property suite for the columnar data plane.
 
-Holds the two invariants the whole columnar-pages fast path rests on, over
-*arbitrary* generated inputs:
+Holds the two invariants the column-stored pages rest on, over *arbitrary*
+generated inputs:
 
 * **Round trip** -- a table built from rows exposes exactly the transposed
   column vectors, a table built from columns exposes exactly the zipped
-  row tuples, and the page-level dual caches agree in both directions.
-* **Kernel equivalence** -- for any schema, predicate and data,
-  ``Expr.compile_cols`` pass positions equal the positions row-at-a-time
-  ``Expr.compile`` evaluation keeps, in the same order, both on full
-  columns and when refining a prior selection vector.
+  row tuples, and a page built either way stores columns and derives the
+  same rows.
+* **Selection equivalence** -- for any predicate and data,
+  ``compile_selection`` over a column batch of boxed vectors keeps the
+  rows (and, while the batch stays columnar, the positions) row-at-a-time
+  ``Expr.compile`` evaluation keeps, in the same order, both on a full
+  batch and when refining a prior selection vector; likewise over a row
+  batch.  (``test_packed_properties`` repeats this over packed vectors.)
 
 Plus the mask helpers (selection vector <-> int bitmap) and the shard
 partitioner's row/columnar layout equivalence, which reduce to the same
@@ -19,9 +22,16 @@ two invariants.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Between, Cmp, InSet, Not, Or
+from repro.query.expr import And, Between, Cmp, InSet, Not, Or, compile_selection
 from repro.shard.partition import assign_shards, partition_table
-from repro.storage.page import ColumnPage, full_mask, mask_to_sel, sel_to_mask
+from repro.storage.page import (
+    Batch,
+    ColumnBatch,
+    ColumnPage,
+    full_mask,
+    mask_to_sel,
+    sel_to_mask,
+)
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -107,54 +117,62 @@ def test_column_built_table_round_trips_through_rows(rows, tpp):
 def test_page_dual_cache_agrees_both_directions(rows):
     # min_size=1: a rowless page cannot reconstruct column arity (the
     # table layer always knows it from the schema, pages need the data).
-    schema_cols = tuple(zip(*rows)) if rows else ((), ())
+    schema_cols = tuple(zip(*rows))
     from_rows = ColumnPage("t", 0, rows=list(rows), weight=1.0, real_bytes=0.0)
     from_cols = ColumnPage(
         "t", 0, rows=None, weight=1.0, real_bytes=0.0, columns=schema_cols
     )
-    assert tuple(map(tuple, from_rows.columns)) == tuple(map(tuple, schema_cols))
-    assert list(from_cols.rows) == rows
+    # One stored layout: rows given to the constructor are transposed
+    # there, and the row view is derived (then cached) on first access.
+    assert from_rows.columns == from_cols.columns == schema_cols
+    assert from_rows._rows is None and from_cols._rows is None
+    assert list(from_cols.rows) == list(from_rows.rows) == rows
+    assert from_cols.rows is from_cols.rows
     assert len(from_rows) == len(from_cols) == len(rows)
 
 
 # ----------------------------------------------------------------------
-# Column kernels == row-wise predicates
+# compile_selection == row-wise predicates
 # ----------------------------------------------------------------------
+def boxed_cols(rows):
+    return tuple(zip(*rows)) if rows else ((), (), ())
+
+
+def check_selection(expr, cols, rows, sel=None):
+    """``compile_selection`` over ``ColumnBatch(cols, sel)`` keeps the
+    oracle's rows in order -- and its positions, whenever the result is
+    still a column batch over the same base vectors."""
+    pred = expr.compile(SCHEMA)
+    positions = range(len(rows)) if sel is None else sel
+    expected = [j for j in positions if pred(rows[j])]
+    out = compile_selection(expr, SCHEMA)(ColumnBatch(cols, sel))
+    assert list(out.rows) == [rows[j] for j in expected]
+    if type(out) is ColumnBatch:
+        assert out.cols is cols and out.sel == expected
+    return out
+
+
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates)
 def test_column_kernel_pass_positions_equal_row_wise(rows, expr):
-    kernel = expr.compile_cols(SCHEMA)
-    if kernel is None:  # shape has no column form; callers fall back
-        return
-    pred = expr.compile(SCHEMA)
-    cols = tuple(zip(*rows)) if rows else ((), (), ())
-    expected = [j for j, r in enumerate(rows) if pred(r)]
-    assert kernel(cols.__getitem__, len(rows)) == expected
+    check_selection(expr, boxed_cols(rows), rows)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates, data=st.data())
 def test_column_kernel_refines_selection_like_row_wise(rows, expr, data):
-    kernel = expr.compile_cols(SCHEMA)
-    if kernel is None:
-        return
-    pred = expr.compile(SCHEMA)
     keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     sel = [j for j, k in enumerate(keep) if k]
-    cols = tuple(zip(*rows)) if rows else ((), (), ())
-    expected = [j for j in sel if pred(rows[j])]
-    assert kernel(cols.__getitem__, len(rows), sel) == expected
+    check_selection(expr, boxed_cols(rows), rows, sel)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates)
 def test_batch_kernel_positions_equal_row_wise(rows, expr):
-    idx_kernel = expr.compile_batch(SCHEMA, indices=True)
-    row_kernel = expr.compile_batch(SCHEMA)
     pred = expr.compile(SCHEMA)
-    expected_idx = [j for j, r in enumerate(rows) if pred(r)]
-    assert idx_kernel(rows) == expected_idx
-    assert list(row_kernel(rows)) == [rows[j] for j in expected_idx]
+    out = compile_selection(expr, SCHEMA)(Batch(rows, 2.0))
+    assert type(out) is Batch and out.weight == 2.0
+    assert out.rows == [r for r in rows if pred(r)]
 
 
 # ----------------------------------------------------------------------

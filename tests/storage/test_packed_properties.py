@@ -6,10 +6,11 @@ Holds the invariants packed column storage rests on, over
 * **Round trip** -- ``decode(encode(col)) == col`` element for element,
   with exact types preserved (``1`` / ``1.0`` / ``True`` never alias);
   slices, gathers and iteration agree with the boxed column.
-* **Kernel equivalence** -- for any schema, predicate and data, the
-  column kernels (``compile_cols``) and mask kernels (``compile_mask``)
-  over *packed* vectors keep exactly the positions row-at-a-time
-  evaluation keeps, in the same order.
+* **Selection equivalence** -- for any predicate and data,
+  ``compile_selection`` over *packed* vectors (dictionary columns, typed
+  arrays) keeps exactly the positions row-at-a-time evaluation keeps, in
+  the same order; over unselected dictionary columns every generated
+  shape is answered from the memoized per-column bitmaps.
 * **Partition-layout equality** -- shard partitions of a packed-built
   table hold row-for-row the same data as partitions of a boxed-built
   table, for either placement mode and any shard count, and range
@@ -21,7 +22,6 @@ from array import array
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Between, Cmp, InSet, Not, Or
 from repro.shard.partition import partition_shipping, partition_table
 from repro.storage.packed import (
     DICT_MAX_CARD,
@@ -33,26 +33,22 @@ from repro.storage.packed import (
     is_packed,
     pack_column,
 )
-from repro.storage.page import mask_to_sel, sel_to_mask
+from repro.storage.page import ColumnBatch, mask_to_sel, sel_to_mask
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
-from tests.storage.test_columnar_properties import reference_partitions
-
-# ----------------------------------------------------------------------
-# Strategies.  Small-int relations (values collide often -> dictionary
-# encoding, real selections) over a 3-column schema, plus value soups for
-# the round-trip laws.
-# ----------------------------------------------------------------------
-SCHEMA = Schema([Column("a"), Column("b"), Column("c")], row_bytes=24)
-
-rows_strategy = st.lists(
-    st.tuples(st.integers(0, 9), st.integers(-5, 5), st.integers(0, 3)),
-    max_size=120,
+from tests.storage.test_columnar_properties import (
+    SCHEMA,
+    check_selection,
+    predicates,
+    reference_partitions,
+    rows_strategy,
 )
 
-values = st.integers(-6, 10)
-col_names = st.sampled_from(["a", "b", "c"])
-
+# ----------------------------------------------------------------------
+# Strategies.  The small-int relations and predicates of the columnar
+# suite (values collide often -> dictionary encoding, real selections),
+# plus value soups for the round-trip laws.
+# ----------------------------------------------------------------------
 #: Values a column might hold: exact-type round-tripping is part of the
 #: contract, so mix ints, bools, floats and strings in one column.
 scalar = st.one_of(
@@ -64,38 +60,17 @@ scalar = st.one_of(
 )
 
 
-def leaf_predicates():
-    cmps = st.builds(
-        Cmp, st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]), col_names, values
-    )
-    betweens = st.builds(
-        lambda c, lo, span: Between(c, lo, lo + span),
-        col_names,
-        values,
-        st.integers(0, 6),
-    )
-    insets = st.builds(
-        lambda c, vs: InSet(c, tuple(vs)),
-        col_names,
-        st.lists(values, min_size=1, max_size=4),
-    )
-    return st.one_of(cmps, betweens, insets)
-
-
-predicates = st.recursive(
-    leaf_predicates(),
-    lambda inner: st.one_of(
-        st.lists(inner, min_size=1, max_size=3).map(lambda ps: And(*ps)),
-        st.lists(inner, min_size=1, max_size=3).map(lambda ps: Or(*ps)),
-        inner.map(Not),
-    ),
-    max_leaves=5,
-)
-
-
 def packed_cols(rows):
+    """The tightest layout: these small-int columns dictionary-encode."""
     cols = tuple(list(c) for c in zip(*rows)) if rows else ([], [], [])
     return tuple(pack_column(col, cd.kind) for col, cd in zip(cols, SCHEMA.columns))
+
+
+def typed_cols(rows):
+    """The same relation as typed arrays (what high-cardinality numeric
+    columns pack to): no dictionary, so no bitmap and no pass table."""
+    cols = zip(*rows) if rows else ([], [], [])
+    return tuple(PackedNumeric(array("q", col), "q") for col in cols)
 
 
 # ----------------------------------------------------------------------
@@ -174,48 +149,43 @@ def test_dictionary_mask_matches_row_wise_predicate(col, cutoff):
 
 
 # ----------------------------------------------------------------------
-# Kernel equivalence over PACKED vectors.
+# Selection equivalence over PACKED vectors.
 # ----------------------------------------------------------------------
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates)
 def test_column_kernel_on_packed_equals_row_wise(rows, expr):
-    kernel = expr.compile_cols(SCHEMA)
-    if kernel is None:  # shape has no column form; callers fall back
-        return
-    pred = expr.compile(SCHEMA)
-    cols = packed_cols(rows)
-    expected = [j for j, r in enumerate(rows) if pred(r)]
-    assert kernel(cols.__getitem__, len(rows)) == expected
+    check_selection(expr, packed_cols(rows), rows)
+    check_selection(expr, typed_cols(rows), rows)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates, data=st.data())
 def test_column_kernel_on_packed_refines_selection_like_row_wise(rows, expr, data):
-    kernel = expr.compile_cols(SCHEMA)
-    if kernel is None:
-        return
-    pred = expr.compile(SCHEMA)
     keep = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
     sel = [j for j, k in enumerate(keep) if k]
-    cols = packed_cols(rows)
-    expected = [j for j in sel if pred(rows[j])]
-    assert kernel(cols.__getitem__, len(rows), sel) == expected
+    check_selection(expr, packed_cols(rows), rows, sel)
+    check_selection(expr, typed_cols(rows), rows, sel)
 
 
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates)
 def test_mask_kernel_on_packed_equals_row_wise(rows, expr):
-    kernel = expr.compile_mask(SCHEMA)
-    if kernel is None:  # shape has no mask form; callers fall back
-        return
-    pred = expr.compile(SCHEMA)
+    """Unselected dictionary columns take the bitmap form for every shape
+    built from leaves and And / Or / Not (all that ``predicates``
+    generates): the result stays columnar, and a leaf's bitmap is left
+    memoized on its column under the predicate's signature."""
     cols = packed_cols(rows)
-    mask = kernel(cols.__getitem__, len(rows))
-    if mask is None:  # some column is not dictionary-encoded; legal fallback
-        return
-    expected = [j for j, r in enumerate(rows) if pred(r)]
-    assert mask_to_sel(mask, len(rows)) == expected
-    assert sel_to_mask(expected) == mask
+    assert all(type(c) is DictColumn for c in cols)
+    out = check_selection(expr, cols, rows)
+    assert type(out) is ColumnBatch
+    leaf = expr.leaf()
+    if leaf is not None:
+        def unreachable(v):
+            raise AssertionError("the bitmap was not memoized")
+
+        memo = cols[SCHEMA.index(leaf[0])].mask_for(expr.signature, unreachable)
+        assert memo == sel_to_mask(out.sel)
+        assert mask_to_sel(memo, len(rows)) == out.sel
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Guard: a run's simulated result is a function of (config, seed, data).
 
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
-the engines from the environment or from module state, so a later change
-cannot quietly re-add one."""
+the engines from the environment or from module state, there is one
+selection kernel and one page layout -- so a later change cannot quietly
+re-add a second way of doing the same thing."""
 
 import dataclasses
+import inspect
 import pathlib
 import re
 
 import repro
 from repro.engine.config import EngineConfig
+from repro.query import expr
+from repro.storage.schema import Column, Schema
+from repro.storage.table import Table
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -30,3 +35,33 @@ def test_no_execution_plane_switches():
     # A ``None`` default is how "ask a process-wide default" crept in.
     deferred = [f.name for f in dataclasses.fields(EngineConfig) if f.default is None]
     assert not deferred
+
+
+def test_one_selection_kernel_one_page_layout():
+    # Predicate nodes describe themselves (``leaf`` / ``compile``); the
+    # bitmap / positions / row forms are derived in compile_selection.
+    per_node = [
+        (name, method)
+        for name, cls in inspect.getmembers(expr, inspect.isclass)
+        for method in ("compile_batch", "compile_cols", "compile_mask")
+        if hasattr(cls, method)
+    ]
+    assert not per_node
+    # However a table is built, its pages store column vectors and derive
+    # rows from them.
+    schema = Schema([Column("k"), Column("tag", "str")])
+    rows = [(i, "ab"[i % 2]) for i in range(150)]
+    cols = [list(c) for c in zip(*rows)]
+    for table in (
+        Table("t", schema, rows),
+        Table("t", schema, rows, packed=False),
+        Table.from_columns("t", schema, cols),
+        Table.from_columns("t", schema, cols, packed=False),
+    ):
+        assert table.num_pages == 3
+        for page in table.pages:
+            assert "columns" in page.__slots__ and len(page.columns) == 2
+            assert page._rows is None  # rows are derived on demand
+        assert list(table.iter_rows()) == rows
+    boxed = Table("t", schema, rows, packed=False)
+    assert all(type(c) is list for page in boxed.pages for c in page.columns)

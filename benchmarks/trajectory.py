@@ -2,7 +2,7 @@
 """Perf-trajectory collation: every committed ``BENCH_*.json`` in one table.
 
 Each optimization PR commits its own benchmark artifact (shard-scaling
-curves, arrangement speedups, fold sweeps, ...) with its own shape.
+curves, fold sweeps, ...) with its own shape.
 This harness reads them all and flattens the headline numbers into one
 diffable result table -- the offline result-table pattern from
 ``MBradbury__slp`` noted in ROADMAP.md -- so PR-over-PR speedups show up
@@ -63,21 +63,6 @@ def _collate_shard_scaling(doc: dict) -> list[dict]:
     return rows
 
 
-def _collate_arrangements(doc: dict) -> list[dict]:
-    rows = [
-        _row("arrangements", key, "speedup", value)
-        for key, value in sorted(doc.get("speedup", {}).items())
-    ]
-    points = doc.get("points", {})
-    if points:
-        widest = max(c.get("mpl", 0) for c in points.values())
-        for key, cell in sorted(points.items()):
-            if cell.get("mpl") == widest:
-                rows.append(_row("arrangements", key, "arrange_hits", cell.get("hits")))
-                rows.append(_row("arrangements", key, "arrange_builds", cell.get("builds")))
-    return rows
-
-
 def _collate_folding(doc: dict) -> list[dict]:
     rows = []
     for overlap, cell in sorted(doc.get("sweep", {}).items()):
@@ -101,7 +86,6 @@ def _collate_folding(doc: dict) -> list[dict]:
 #: benchmark appears in the trajectory before anyone teaches this file its
 #: shape.
 COLLATORS = {
-    "BENCH_arrangements": _collate_arrangements,
     "BENCH_shard_scaling": _collate_shard_scaling,
     "BENCH_folding": _collate_folding,
 }

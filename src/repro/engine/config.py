@@ -74,11 +74,11 @@ class EngineConfig:
     #: the price of spilling potentially fact-sized intermediate results.
     result_cache_stages: tuple[str, ...] = ("aggregate", "sort", "cjoin")
     #: subsumption-based query folding: admission, the result cache, and
-    #: the arrangement cache match by *subsumption*
+    #: the dimension-selection memo match by *subsumption*
     #: (:mod:`repro.query.subsume`) in addition to exact signatures -- a
     #: satellite attaches to a superset host through a residual
-    #: post-filter, a cache probe answers from a superset entry, a range
-    #: probe rides a sibling arrangement.  Folding skips sub-plan work, so
+    #: post-filter, a cache probe answers from a superset entry, a
+    #: selection filters a sibling's rows.  Folding skips sub-plan work, so
     #: it *changes simulated timing*; query results stay bit-identical
     #: (golden suite fingerprint-asserts both settings).
     query_folding: bool = True

@@ -218,8 +218,7 @@ class QPipeEngine:
         different pages still see one identical view.  The build input is
         still read and charged in full either way -- sharing never moves a
         simulated tick.  The view itself is resolved in the join stage
-        (seeded from the first query's drained build rows, memoized per
-        predicate on the arrangement)."""
+        (the storage manager's memoized selection for the predicate)."""
         inner, predicate = unwrap_selects(node.build)
         if not isinstance(inner, ScanNode) or node.build_key not in inner.table.schema:
             return None

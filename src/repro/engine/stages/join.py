@@ -19,13 +19,19 @@ from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
 from repro.engine.stages.inputs import FilteredInput
-from repro.storage.arrangements import (  # noqa: F401  (re-export: baselines import it here)
-    ARRANGEMENTS,
-    Arrangement,
-    single_match_table,
-)
+from repro.storage.arrangements import ARRANGEMENTS, Arrangement
 from repro.storage.packed import as_list
 from repro.storage.page import Batch, ColumnBatch
+
+
+def single_match_table(table: dict[Any, list[tuple]]) -> dict[Any, tuple] | None:
+    """When every build key maps to exactly one row (dimension tables keyed
+    by primary key -- the star-schema common case), flatten the hash table
+    to key -> row so probes run as C-level dict lookups.  Returns None when
+    any key has multiple matches (the general loop handles those)."""
+    if any(len(ms) != 1 for ms in table.values()):
+        return None
+    return {k: ms[0] for k, ms in table.items()}
 
 
 def probe(
@@ -114,9 +120,8 @@ class HashJoinStage(Stage):
         """``shared`` (engine-resolved, see ``QPipeEngine._shared_build``)
         carries a pinned arrangement plus the build-side predicate: the
         build input is then drained with identical charges but no private
-        dict is populated, and probes hit the arrangement's shared view
-        for that predicate -- seeded by the first query's own drained
-        rows, fetched from the memo by every later one."""
+        dict is populated, and probes hit the storage manager's memoized
+        selection for that predicate, keyed by the build key."""
         self.spawn_worker(packet, self._work(packet, probe_input, build_input, shared))
 
     def _work(
@@ -136,24 +141,6 @@ class HashJoinStage(Stage):
         build_key = build_input.schema.index(node.build_key)
         table: dict[Any, list[tuple]] = {}
         setdefault = table.setdefault
-        #: with a shared arrangement whose view for this predicate is not
-        #: memoized yet, collect the drained rows to seed it (C-level
-        #: extends; cheaper than the private setdefault loop they replace).
-        #: Under query folding, a *subsuming* sibling view (built for a
-        #: weaker build-side predicate) serves instead: the view derives
-        #: from the sibling's rows at probe time, so nothing is collected.
-        #: Either way the build input is drained with identical charges --
-        #: the derived mapping equals the directly built one (unique base
-        #: keys), so this fold never moves a simulated tick.
-        collect: list[tuple] | None = None
-        fold_view = False
-        if shared is not None and not shared[0].has_single_view(shared[1]):
-            if self.engine.config.query_folding and shared[0].has_subsuming_view(
-                shared[1]
-            ):
-                fold_view = True
-            else:
-                collect = []
         while True:
             # The input hands back its per-batch charge so it rides in
             # front of our hashing/build charge -- one command per batch
@@ -166,9 +153,6 @@ class HashJoinStage(Stage):
                 if fc is not None:
                     yield build_input.fuse_next_lock(fc)
                 continue
-            # The build side materializes rows either way: they become the
-            # probe output's tail payloads (dims are small post-filter).
-            rows = batch.rows
             # Only pure computation follows until the next read, so the
             # next read's lock charge rides at the tail of this command.
             if fc is not None:
@@ -177,23 +161,24 @@ class HashJoinStage(Stage):
                 cmd = CPU_FUSED(cost.hashing(n, w), cost.build(n, w))
             yield build_input.fuse_next_lock(cmd)
             if shared is None:
-                # Private build.  With a shared arrangement the input is
-                # drained and charged identically (the *work* of reading
-                # and hashing is still this query's), but the dict the
-                # probes hit is the arrangement's shared view.
-                for r in rows:
+                # Private build: the rows become the probe output's tail
+                # payloads (dims are small post-filter).  With a shared
+                # arrangement the input is drained and charged identically
+                # (the *work* of reading and hashing is still this
+                # query's), but the dict the probes hit is the memoized
+                # selection's -- equal to the directly built one (unique
+                # base keys), so sharing never moves a simulated tick.
+                for r in batch.rows:
                     setdefault(r[build_key], []).append(r)
-            elif collect is not None:
-                collect.extend(rows)
 
         # ---- probe phase --------------------------------------------
         probe_key = probe_input.schema.index(node.probe_key)
         get = table.get
         if shared is not None:
-            if fold_view:
-                single = shared[0].fold_single_view(shared[1])
-            else:
-                single = shared[0].offer_single_view(shared[1], collect or [])
+            arr, predicate = shared
+            single = self.engine.storage.selections.select(
+                arr.table, predicate, self.engine.config.query_folding
+            ).by_key(arr.key_column)
         else:
             single = single_match_table(table)
         while True:

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
 from repro.sim.sync import Channel, Condition
 from repro.gqp.bitmap import SlotAllocator
-from repro.query.expr import column_indices, compile_selection, row_key_fn
+from repro.query.expr import column_indices, row_key_fn
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.page import Batch
 from repro.storage.prefetch import PageSource
@@ -36,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.packet import Packet
     from repro.engine.qpipe import QPipeEngine
     from repro.query.plan import CJoinNode
+    from repro.storage.selections import Selection
     from repro.storage.table import Table
 
 
@@ -56,17 +57,15 @@ class Filter:
     __slots__ = (
         "dim_name",
         "fact_fk_idx",
-        "dim_key_idx",
         "weight",
         "ht",
         "pass_mask",
         "referencing",
     )
 
-    def __init__(self, dim_name: str, fact_fk_idx: int, dim_key_idx: int, weight: float):
+    def __init__(self, dim_name: str, fact_fk_idx: int, weight: float):
         self.dim_name = dim_name
         self.fact_fk_idx = fact_fk_idx
-        self.dim_key_idx = dim_key_idx
         self.weight = weight  # dim row weight, for bookkeeping charges
         self.ht: dict[Any, _Entry] = {}
         self.pass_mask = 0  # bits of queries that do not reference this dim
@@ -176,15 +175,6 @@ class CJoinPipeline:
         #: of rebuilding both for every fact page; work items must treat
         #: them as read-only.
         self._chain_snapshot: tuple[list[Filter], dict[str, int]] | None = None
-        #: host-side memo of admission dim-scan selections, keyed by
-        #: (dim table, predicate) -- predicates compare structurally, and
-        #: random workloads draw them from small per-dimension vocabularies,
-        #: so repeat admissions skip the predicate pass.  Every simulated
-        #: charge (page reads, scan and predicate cycles) is still paid per
-        #: admission; only the Python list comprehension is reused.  Entries
-        #: are read-only downstream (_apply_admission never mutates them).
-        self._dim_sel_cache: dict[tuple, list] = {}
-        self.storage.invalidation_listeners.append(self._drop_dim_selections)
         self.active: dict[int, _QueryState] = {}
         self.pending: list["Packet"] = []
         self.slots = SlotAllocator()
@@ -307,7 +297,7 @@ class CJoinPipeline:
             batch, self.pending = self.pending, []
             t0 = sim.now
             # ---- phase A (pipeline running): per-query dimension scans ---
-            prepared: list[tuple["Packet", list[tuple[Any, list[tuple]]]]] = []
+            prepared: list[tuple["Packet", list[tuple[Any, "Selection"]]]] = []
             for packet in batch:
                 node, _agg = self._split_node(packet)
                 plans = []
@@ -336,29 +326,16 @@ class CJoinPipeline:
 
     def _scan_dim_selected(self, dimspec) -> Iterator[Any]:
         """Phase A: scan one dimension table for one query and return its
-        selected rows.  Every admitted query pays this scan (Section 3.1
-        lists it among the per-query admission costs -- the cost CJOIN-SP
-        avoids for identical packets); the physical I/O is shared through
-        the buffer pool."""
+        selection.  Every admitted query pays this scan (Section 3.1 lists
+        it among the per-query admission costs -- the cost CJOIN-SP avoids
+        for identical packets); the physical I/O is shared through the
+        buffer pool, and the selected rows come from the storage manager's
+        selection memo -- random workloads draw predicates from small
+        per-dimension vocabularies, so repeat admissions skip the host's
+        predicate pass while still paying every simulated charge here."""
         cost = self.cost
         dim = self.storage.table(dimspec.dim_table)
-        select = None
-        terms = 0
-        cached = None
-        cache_key = None
-        if dimspec.predicate is not None:
-            terms = dimspec.predicate.terms
-            cache_key = (dimspec.dim_table, dimspec.predicate)
-            cached = self._dim_sel_cache.get(cache_key)
-            if cached is None and self.engine.config.query_folding:
-                # Query folding: derive this selection from a subsuming
-                # sibling selection or a sorted arrangement variant
-                # instead of compiling a fresh selection.  The page loop
-                # below still charges every scan/predicate cycle (select
-                # stays None), so simulated ticks are unchanged.
-                cached = self._fold_dim_selected(dim, dimspec)
-            if cached is None:
-                select = compile_selection(dimspec.predicate, dim.schema)
+        predicate = dimspec.predicate
         # Prepay the next page's buffer-pool latch charge at the tail of
         # this page's scan/predicate command -- only pure compute happens
         # in between, so the charge instants are unchanged and one
@@ -368,93 +345,31 @@ class CJoinPipeline:
         fused_cmds: dict[int, Any] = {}  # immutable, so cached per page length
         last = dim.num_pages - 1
         prepaid = False
-        selected: list[tuple] = []
         for page_index in range(dim.num_pages):
             page = yield from self.storage.read_page(dim, page_index, latch_prepaid=prepaid)
-            rows = page.rows
-            n = len(rows)
+            n = len(page)
             prepaid = prepay is not None and page_index < last
             cmd = fused_cmds.get(n) if prepaid else None
             if cmd is None:
                 parts = [cost.scan(n, page.weight)]
-                if dimspec.predicate is not None:
-                    parts.append(cost.predicate(n, page.weight, max(terms, 1)))
+                if predicate is not None:
+                    parts.append(cost.predicate(n, page.weight, max(predicate.terms, 1)))
                 if prepaid:
                     parts.append(prepay)
                 cmd = CPU_FUSED(*parts)
                 if prepaid:
                     fused_cmds[n] = cmd
             yield cmd
-            if dimspec.predicate is None:
-                selected.extend(rows)
-            elif select is not None:
-                # Over the page's cached row tuples: every admission's
-                # selection then shares one tuple per dimension row.
-                selected.extend(select(Batch(rows, page.weight)).rows)
-        if cached is not None:
-            return cached
-        if cache_key is not None:
-            self._dim_sel_cache[cache_key] = selected
-        return selected
+        selection = self.storage.selections.select(
+            dim, predicate, self.engine.config.query_folding
+        )
+        if selection.served == "derived":
+            # Query folding: filtered out of a subsuming sibling selection
+            # instead of the dimension's pages.
+            self.sim.metrics.bump("cjoin_fold_dim_sibling")
+        return selection
 
-    def _drop_dim_selections(self, table_name: str) -> None:
-        """``StorageManager.notify_update`` hook: forget the memoized
-        selections over an updated dimension (the next admission rescans)."""
-        for key in [k for k in self._dim_sel_cache if k[0] == table_name]:
-            del self._dim_sel_cache[key]
-
-    def _fold_dim_selected(self, dim, dimspec) -> list | None:
-        """Derive one admission's dim-scan selection from already-shared
-        state (query folding, host-side only -- no simulated charges):
-
-        * **sibling selection** -- a ``_dim_sel_cache`` entry whose
-          predicate *subsumes* this one filters down to exactly this
-          selection (fewer rows touched than a full re-scan);
-        * **range probe** -- when the predicate splits into a closed range
-          on one column plus a residual, the shared arrangement keyed by
-          that column serves the positions from its sorted variant
-          (:meth:`~repro.storage.arrangements.Arrangement.range_positions`),
-          re-sorted to table order.
-
-        Returns ``None`` when neither applies (the caller compiles the
-        ordinary predicate kernel).  The derived list is memoized under
-        this exact predicate, seeding later exact hits and further folds."""
-        from repro.query.subsume import predicate_subsumes, split_range
-
-        predicate = dimspec.predicate
-        metrics = self.sim.metrics
-        provider: list | None = None
-        for (tname, prov_pred), rows in self._dim_sel_cache.items():
-            if tname != dimspec.dim_table:
-                continue
-            if predicate_subsumes(prov_pred, predicate)[0]:
-                if provider is None or len(rows) < len(provider):
-                    provider = rows
-        if provider is not None:
-            pred = predicate.compile(dim.schema)
-            selected = [r for r in provider if pred(r)]
-            self._dim_sel_cache[(dimspec.dim_table, predicate)] = selected
-            metrics.bump("cjoin_fold_dim_sibling")
-            return selected
-        sr = split_range(predicate)
-        if sr is None:
-            return None
-        col, lo, hi, residual = sr
-        arr = ARRANGEMENTS.acquire(dim, col)
-        try:
-            # Positions come back in key order; table order (= scan order)
-            # is restored by sorting, keeping the derived list identical
-            # to what the page-by-page predicate scan would select.
-            positions = sorted(arr.range_positions(lo, hi, residual))
-            rows_src = arr.rows
-            selected = [rows_src[p] for p in positions]
-        finally:
-            ARRANGEMENTS.release(arr)
-        self._dim_sel_cache[(dimspec.dim_table, predicate)] = selected
-        metrics.bump("cjoin_fold_dim_range")
-        return selected
-
-    def _apply_admission(self, packet: "Packet", plans: list[tuple[Any, list[tuple]]]) -> Iterator[Any]:
+    def _apply_admission(self, packet: "Packet", plans: list[tuple[Any, "Selection"]]) -> Iterator[Any]:
         """Phase B (paused): allocate the query's bitmap slot, extend the
         filters with its selected dimension tuples, and register its point
         of entry on the circular fact scan."""
@@ -463,30 +378,24 @@ class CJoinPipeline:
         slot = self.slots.alloc()
         bit = 1 << slot
         referenced = {d.dim_table for d, _ in plans}
-        for dimspec, selected in plans:
+        for dimspec, selection in plans:
             flt = self._ensure_filter(dimspec)
-            key_idx = flt.dim_key_idx
             ht = flt.ht
             inserts = 0
             annotations = 0
-            # Shared arrangement: the dimension's key extraction is
-            # memoized per predicate, and base-key uniqueness makes every
-            # selected subset unique, so the set-equality check below is
-            # skipped (it would always pass).  All admission charges (dim
-            # scans above, hashing/build/bitmap below) are still paid per
-            # admitted query -- only the Python key list is reused across
-            # concurrent admissions.
+            selected = selection.rows
+            # All admission charges (dim scans above, hashing/build/bitmap
+            # below) are paid per admitted query -- only the Python key
+            # list is reused across admissions.
+            keys = selection.keys(dimspec.dim_key)
+            # Base-key uniqueness makes every selected subset unique, so
+            # the set-equality check is skipped (it would always pass).
+            # Transient pin: held only across the lookup; the extended
+            # filter owns its own _Entry table.
             arr = ARRANGEMENTS.acquire(
                 self.storage.table(dimspec.dim_table), dimspec.dim_key
             )
-            if arr.unique:
-                keys = arr.keys_for(selected, dimspec.predicate)
-                unique = True
-            else:
-                keys = [r[key_idx] for r in selected]
-                unique = len(set(keys)) == len(keys)
-            # Transient pin: held only across the key extraction; the
-            # extended filter owns its own _Entry table afterwards.
+            unique = arr.unique or len(set(keys)) == len(keys)
             ARRANGEMENTS.release(arr)
             if unique:
                 # Unique keys (dimensions keyed by primary key -- the
@@ -550,7 +459,6 @@ class CJoinPipeline:
             flt = Filter(
                 dim_name=dimspec.dim_table,
                 fact_fk_idx=self.fact.schema.index(dimspec.fact_fk),
-                dim_key_idx=dim.schema.index(dimspec.dim_key),
                 weight=dim.row_weight,
             )
             # Every currently active query predates this filter, hence does

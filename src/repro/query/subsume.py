@@ -2,7 +2,7 @@
 
 Every sharing mechanism in this repo -- the Window-of-Opportunity registry
 (paper Section 2.3), the shared result cache (:mod:`repro.cache`) and the
-shared join arrangements (:mod:`repro.storage.arrangements`) -- matched
+dimension-selection memo (:mod:`repro.storage.selections`) -- matched
 plans by *exact* signature equality.  Two concurrent Q3.2 instances that
 differ only in a year bound therefore ran fully query-centric even though
 one's output strictly contains the other's.  Following GraftDB (*Dynamic
@@ -40,9 +40,7 @@ that all three layers consult:
   is the compiled runtime form the engine workers stream batches through.
 * :func:`normalize` -- canonical conjunct form (sorted parts,
   constant-folded closed bounds), so author ordering never hides an
-  equality; :func:`split_range` decomposes a predicate into a closed
-  range on one column plus a residual, for the arrangement cache's
-  sorted-variant probes.
+  equality.
 
 Everything here is pure bookkeeping over immutable plan/expression
 structures -- no simulated time.  The *engine* charges fold-search and
@@ -93,7 +91,6 @@ __all__ = [
     "fold_plan",
     "normalize",
     "predicate_subsumes",
-    "split_range",
 ]
 
 
@@ -351,34 +348,6 @@ def _subsumes(weak: _PredSummary, strong: _PredSummary) -> tuple[bool, list[Expr
                 continue  # weak's own constraint already implies this
         residual.append(cj)
     return True, residual
-
-
-def split_range(
-    predicate: Expr | None, column: str | None = None
-) -> tuple[str, Any, Any, Expr | None] | None:
-    """Decompose a conjunctive predicate into ``(col, lo, hi, residual)``
-    where ``predicate == (lo <= col <= hi) AND residual`` exactly -- the
-    shape the arrangement cache's sorted variants probe.  ``column``
-    restricts which column the range may be on; ``None`` picks the first
-    closed-range conjunct.  Returns ``None`` when no conjunct is a closed
-    range (or single-point equality) on an eligible column."""
-    parts = conjuncts(predicate)
-    for i, p in enumerate(parts):
-        col = lo = hi = None
-        if isinstance(p, Between):
-            col, lo, hi = p.col, p.lo, p.hi
-        elif (
-            isinstance(p, Cmp)
-            and p.op == "="
-            and isinstance(p.left, Col)
-            and isinstance(p.right, Const)
-        ):
-            col, lo, hi = p.left.name, p.right.value, p.right.value
-        if col is None or (column is not None and col != column):
-            continue
-        rest = parts[:i] + parts[i + 1 :]
-        return col, lo, hi, and_of(rest)
-    return None
 
 
 # ---------------------------------------------------------------------------

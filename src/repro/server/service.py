@@ -37,7 +37,6 @@ from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.engine import Simulator
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.sync import Condition
-from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.manager import StorageConfig, StorageManager
 
 #: Workloads the service can synthesize (deterministic per-query RNG
@@ -421,23 +420,10 @@ def serve(
         qc_config=qc_config,
         gqp_config=gqp_config,
     )
-    arrange_before = ARRANGEMENTS.stats()
     service.run(jobs, arrivals, duration)
     sim = service.sim
     if service.storage.result_cache is not None:
         service.metrics.cache_stats = service.storage.result_cache.stats()
-    # Shared-arrangement attribution: the cache is process-wide, so
-    # publish this run's *deltas* (host-side counters only -- no
-    # simulated measurement depends on them).  ``entries`` and the fold
-    # derivation counters are cache-*lifetime* state, not per-run work: a
-    # fold only happens while the shared memo is cold, so its delta would
-    # differ between two identical runs (ArrangementCache.stats() still
-    # reports the totals for benchmarks).
-    lifetime = ("entries", "fold_views", "fold_ranges")
-    for k, v in ARRANGEMENTS.stats().items():
-        delta = v - arrange_before.get(k, 0)
-        if k not in lifetime and delta:
-            service.metrics.set_count(f"arrangement_{k}", delta)
     window = max(sim.now, duration or 0.0) or 1.0
     return ServiceReport(
         policy=policy.name,

@@ -123,14 +123,15 @@ class ShardService:
         # stored form the workers' zero-copy partition slices/gathers
         # read) copy-on-write instead of regenerating them.
         ds = config.dataset.generate()
-        # Shared-arrangement prewarm (same fork-COW trick): build each
+        # Shared-arrangement prewarm (same fork-COW trick): resolve each
         # dimension's join arrangement on its key (first schema column --
         # the generators' PK-first convention) BEFORE spawning, so every
-        # worker inherits the indexed dictionaries copy-on-write and its
-        # first query's acquire() is already a hit.  The build cost is
-        # charged ONCE per shard on the virtual timeline below (mirroring
-        # the scatter-cost prewarm); reusing queries pay only their probe
-        # cost, which their simulated service times already contain.
+        # worker inherits it copy-on-write and its first query's acquire()
+        # is already a hit.  The modelled index build is charged ONCE per
+        # shard on the virtual timeline below (mirroring the scatter-cost
+        # prewarm) -- a simulated cost, whatever the host keeps; reusing
+        # queries pay only their probe cost, which their simulated service
+        # times already contain.
         arrange_cycles = 0.0
         for name in sorted(ds.tables):
             if name == config.fact_table:

@@ -93,11 +93,6 @@ class Metrics:
     def bump(self, label: str, n: int = 1) -> None:
         self.counts[label] += n
 
-    def set_count(self, label: str, value: int) -> None:
-        """Set a gauge-style count to an absolute value (last write wins),
-        e.g. the running per-filter selectivity estimates."""
-        self.counts[label] = value
-
     # ------------------------------------------------------------------
     def to_dict(self, hz: float | None = None) -> dict[str, Any]:
         """A plain-dict (JSON-safe) view of the accumulated counters.

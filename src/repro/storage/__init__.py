@@ -23,6 +23,7 @@ from repro.storage.page import (
     sel_to_mask,
 )
 from repro.storage.schema import Column, Schema
+from repro.storage.selections import Selection, SelectionMemo
 from repro.storage.table import Table
 
 __all__ = [
@@ -37,6 +38,8 @@ __all__ = [
     "OsPageCache",
     "Page",
     "Schema",
+    "Selection",
+    "SelectionMemo",
     "StorageConfig",
     "StorageManager",
     "Table",

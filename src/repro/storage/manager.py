@@ -8,12 +8,14 @@ state: the buffer pool, the OS cache, metrics).  The immutable
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.sim.machine import GB
+from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.bufferpool import BufferPool
 from repro.storage.cache import OsPageCache
 from repro.storage.page import Page
+from repro.storage.selections import SelectionMemo
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -81,10 +83,10 @@ class StorageManager:
             self.result_cache = ResultCache(
                 sim, config.result_cache_bytes, config.result_cache_policy
             )
-        #: ``table_name -> None`` callbacks run by :meth:`notify_update`:
-        #: holders of derived state this manager does not own (e.g. a CJOIN
-        #: pipeline's memoized dimension selections) register their drop.
-        self.invalidation_listeners: list[Callable[[str], None]] = []
+        #: memoized dimension selections; here -- not on an engine or a
+        #: CJOIN pipeline -- so a predicate first seen by a QPipe join is an
+        #: exact hit for a CJOIN admission over the same manager
+        self.selections = SelectionMemo()
 
     # ------------------------------------------------------------------
     def table(self, name: str) -> Table:
@@ -103,18 +105,14 @@ class StorageManager:
     def notify_update(self, table_name: str) -> int:
         """A base table changed: invalidate every materialized result
         derived from it.  Returns how many *result-cache* entries were
-        dropped.  Shared join arrangements over the table are dropped too
-        (concurrent holders finish on their pinned snapshot; the next
-        acquirer rebuilds) -- tracked by the arrangement cache's own
-        counters, not this return value -- and every registered
-        ``invalidation_listeners`` callback runs.  (Tables themselves are
-        immutable in this simulator; the hook exists so update-carrying
-        workloads keep shared derived state consistent.)"""
-        from repro.storage.arrangements import ARRANGEMENTS
-
+        dropped.  The table's memoized selections and shared join
+        arrangements are dropped too (holders finish on their snapshot;
+        the next request recomputes) -- tracked by their own counters, not
+        this return value.  (Tables themselves are immutable in this
+        simulator; the hook exists so update-carrying workloads keep
+        shared derived state consistent.)"""
         ARRANGEMENTS.invalidate_table(table_name)
-        for listener in self.invalidation_listeners:
-            listener(table_name)
+        self.selections.drop_table(table_name)
         if self.result_cache is None:
             return 0
         return self.result_cache.invalidate_table(table_name)

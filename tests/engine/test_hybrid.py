@@ -115,6 +115,24 @@ class TestRouting:
         sim.run()
         assert hybrid.routed == {"query-centric": 1, "gqp": 1}
 
+    def test_selection_first_seen_by_qpipe_is_an_exact_hit_for_cjoin(self, ssb):
+        """The two routes read one selection memo (the storage manager's):
+        what the query-centric joins selected, a later CJOIN admission of
+        the same predicates neither recomputes nor derives."""
+        spec = q32("CHINA", "FRANCE", 1993, 1996)
+        sim, hybrid = make_hybrid(ssb, threshold=1)
+        h_qc = hybrid.submit(spec)
+        sim.run()
+        memo = hybrid.storage.selections
+        seen = memo.stats()
+        assert seen["computed"] == seen["entries"] == len(spec.dims)
+        h_gqp = hybrid.gqp.submit(spec)
+        sim.run()
+        after = memo.stats()
+        assert after["exact"] == seen["exact"] + len(spec.dims)
+        assert (after["computed"], after["derived"]) == (seen["computed"], seen["derived"])
+        assert norm(h_gqp.results) == norm(h_qc.results)
+
     def test_default_threshold_is_saturation(self, ssb):
         from repro.engine.hybrid import saturation_threshold
 

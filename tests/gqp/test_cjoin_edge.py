@@ -171,7 +171,7 @@ class TestEdgeCases:
         assert norm(h_b.results) == oracle_b
 
     def test_notify_update_drops_memoized_dim_selections(self, ssb):
-        """An update to a dimension must reach the pipeline's admission
+        """An update to a dimension must reach the admission's selection
         memo: re-admitting the same predicate recomputes its selection
         instead of serving the pre-update list, while selections over
         untouched dimensions stay memoized."""
@@ -179,17 +179,16 @@ class TestEdgeCases:
         spec = q32("CHINA", "FRANCE", 1993, 1996)
         h1 = eng.submit(spec)
         sim.run()
-        memo = eng.cjoin_stage.pipeline_for("lineorder")._dim_sel_cache
-        before = dict(memo)
-        date_keys = [k for k in before if k[0] == "date"]
-        assert date_keys and len(date_keys) < len(before)
+        memo = eng.storage.selections
+        held = [(d, memo.select(ssb.tables[d.dim_table], d.predicate, True)) for d in spec.dims]
+        assert {before.served for _, before in held} == {"exact"}
+        computed = memo.computed
         eng.storage.notify_update("date")
-        assert memo == {k: v for k, v in before.items() if k[0] != "date"}
         h2 = eng.submit(spec)
         sim.run()
-        for key, rows in before.items():
-            if key[0] == "date":
-                assert memo[key] is not rows and memo[key] == rows
-            else:
-                assert memo[key] is rows
+        assert memo.computed == computed + 1  # the date selection alone
+        for d, before in held:
+            after = memo.select(ssb.tables[d.dim_table], d.predicate, True)
+            assert after.rows == before.rows
+            assert (after.rows is before.rows) == (d.dim_table != "date")
         assert h2.results == h1.results

@@ -49,7 +49,6 @@ from repro.query.subsume import (
     fold_plan,
     normalize,
     predicate_subsumes,
-    split_range,
 )
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
 from repro.storage.schema import Column, Schema
@@ -165,17 +164,6 @@ def test_residual_operator_equals_direct(weak, extra, rows):
     op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
     assert op.apply(provider_rows) == [rows[i] for i in passing(strong, rows)]
-
-
-@settings(max_examples=120, deadline=None)
-@given(pred=predicates, rows=rows_strategy)
-def test_split_range_is_exact(pred, rows):
-    decomposed = split_range(pred)
-    if decomposed is None:
-        return
-    col, lo, hi, residual = decomposed
-    rebuilt = and_of([Between(col, lo, hi)] + conjuncts(residual))
-    assert passing(rebuilt, rows) == passing(pred, rows)
 
 
 # ----------------------------------------------------------------------

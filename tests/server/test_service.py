@@ -127,6 +127,13 @@ class TestServe:
         text = report.render()
         assert "latency p95 (s)" in text and "adaptive" in text
 
+    def test_identical_calls_report_identically(self, ssb):
+        """A report is a function of the call's arguments: nothing the
+        process accumulated over an earlier run (warm host-side caches,
+        process-wide counters) may reach it."""
+        kwargs = dict(rate=4.0, duration=4.0, seed=1, workload="folding:0.5")
+        assert serve(ssb.tables, **kwargs).to_dict() == serve(ssb.tables, **kwargs).to_dict()
+
     def test_trace_driven(self, ssb, tmp_path):
         f = tmp_path / "trace.txt"
         f.write_text("0.1\n0.2\n0.3\n")

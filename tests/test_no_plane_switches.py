@@ -2,8 +2,8 @@
 
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
-selection kernel and one page layout -- so a later change cannot quietly
-re-add a second way of doing the same thing."""
+selection kernel, one page layout and one dimension-selection memo -- so a
+later change cannot quietly re-add a second way of doing the same thing."""
 
 import dataclasses
 import inspect
@@ -11,6 +11,7 @@ import pathlib
 import re
 
 import repro
+from repro import storage
 from repro.engine.config import EngineConfig
 from repro.query import expr
 from repro.storage.schema import Column, Schema
@@ -65,3 +66,31 @@ def test_one_selection_kernel_one_page_layout():
         assert list(table.iter_rows()) == rows
     boxed = Table("t", schema, rows, packed=False)
     assert all(type(c) is list for page in boxed.pages for c in page.columns)
+
+
+def test_one_dimension_selection_memo():
+    # "Rows of dimension T passing predicate P" has one memo (the storage
+    # manager's SelectionMemo), one subsumption walk, one invalidation
+    # path; the per-predicate forks must not come back under their names.
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    gone = (
+        "_dim_sel_cache",
+        "_single_memo",
+        "_keys_memo",
+        "_range_memo",
+        "range_positions",
+        "offer_single_view",
+        "split_range",
+        "invalidation_listeners",
+    )
+    leftovers = [(path, name) for path, text in sources.items() for name in gone if name in text]
+    assert not leftovers
+    walkers = [
+        path
+        for path, text in sources.items()
+        if path != "query/subsume.py" and re.search(r"\bpredicate_subsumes\(", text)
+    ]
+    assert walkers == ["storage/selections.py"]
+    # What the frozen benchmark adapter reads (it aborts otherwise).
+    assert "ARRANGEMENTS" in storage.__all__
+    assert set(storage.ARRANGEMENTS.stats()) >= {"builds", "hits"}

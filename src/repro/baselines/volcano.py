@@ -151,10 +151,10 @@ class VolcanoEngine:
                         if prepay is not None:
                             # Prepay the next page's buffer-pool latch charge
                             # at the tail of this page's scan charge: one
-                            # fewer event per page, tick-identical (the latch
-                            # take still happens at the charge's completion
-                            # instant).  Fused commands are immutable, so
-                            # cache them per page length.
+                            # fewer command per page (the latch take still
+                            # happens when the charge completes).  Fused
+                            # commands are immutable, so cache them per page
+                            # length.
                             fused_scans: dict[int, Any] = {}
                             last = npages - 1
                             prepaid = False

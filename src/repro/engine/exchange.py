@@ -149,12 +149,7 @@ class FifoExchange:
         between those yields."""
         self.pages_emitted += 1
         overhead = self._overhead_charge
-        if lead is not None and overhead.cycles > 0:
-            yield CPU_FUSED(lead, overhead)
-        else:
-            if lead is not None:
-                yield lead
-            yield overhead
+        yield CPU_FUSED(lead, overhead) if lead is not None else overhead
         for slot in self._slots:
             if slot.queue.closed:
                 continue

@@ -83,30 +83,20 @@ class SplConsumer:
         ``spl_read_page`` charge; the caller must fuse the returned command
         in front of the very next CPU charge it yields after every
         successful (non-END) read -- everything in between must be pure
-        computation, so the fused parts complete at exactly the instants
-        the separate yields would have.  Returns None (and changes
-        nothing) when the read charge is free (zero-cost charges stay
-        unfused, see ``SharedPagesList.__init__``)."""
-        spl = self.spl
-        if spl._read_charge.cycles > 0:
-            self.deferred = True
-            return spl._read_charge
-        return None
+        computation, so nothing observable moves relative to the charge."""
+        self.deferred = True
+        return self.spl._read_charge
 
     def prepay_lock_charge(self):
         """The lock charge of this consumer's *next* ``read`` may be fused
         as the last part of the command the caller yields right before that
-        read -- ``take_or_enqueue`` still runs at the charge's completion
-        instant, and only pure computation separates the two.  Returns the
-        lock charge to fuse, or None when unavailable.  The caller must set
+        read -- ``take_or_enqueue`` still runs when that command completes,
+        and only pure computation separates the two.  Returns the lock
+        charge to fuse, or None for a cost-free lock.  The caller must set
         ``lock_prepaid`` each time it actually fuses the charge, and must
         keep reading until END (the END-returning read consumes the final
-        prepaid charge, exactly as an unfused read would have paid it)."""
-        spl = self.spl
-        charge = spl._lock.charge_cmd
-        if charge is not None and charge.cycles > 0:
-            return charge
-        return None
+        prepaid charge, as a separately yielded one would have been paid)."""
+        return self.spl._lock.charge_cmd
 
 
 class SharedPagesList:
@@ -139,21 +129,13 @@ class SharedPagesList:
         self.pages_emitted = 0
         # Fixed-cost charges built once; read/emit yield these cached
         # (immutable) instances instead of constructing one per page.
-        self._emit_charge = CPU(cost.spl_emit_page, "misc")
         self._read_charge = CPU(cost.spl_read_page, "misc")
-        #: emit + lock charge as one fused command (consumers likewise defer
-        #: their read charge into the next command they yield), or None
-        #: when either is free.  Fusing never moves a charge to a different
-        #: simulated instant: fused parts are metered and completed exactly
-        #: like separate yields.  Zero-cost charges stay unfused: a
-        #: zero-cycle *command* resumes through the event heap while a
-        #: zero-cycle fused *part* would ride the pool, which could order
-        #: differently against same-instant events.
-        self._emit_lock_charge = (
-            CPU_FUSED(self._emit_charge, self._lock.charge_cmd)
-            if cost.spl_emit_page > 0 and self._lock.charge_cmd is not None
-            else None
-        )
+        #: The emit charge, fused with the list lock's acquire charge when
+        #: the lock has one (consumers likewise defer their read charge
+        #: into the next command they yield).
+        emit = CPU(cost.spl_emit_page, "misc")
+        lock_charge = self._lock.charge_cmd
+        self._emit_charge = CPU_FUSED(emit, lock_charge) if lock_charge is not None else emit
 
     # ------------------------------------------------------------------
     @property
@@ -190,28 +172,13 @@ class SharedPagesList:
             raise RuntimeError(f"emit on closed SPL {self.name!r}")
         lock = self._lock
         me = self.sim.current
-        fused = self._emit_lock_charge
-        if fused is not None:
-            # Emit charge + lock charge (+ optional lead) in one command;
-            # each part completes at the exact instant its separate yield
-            # would have, and ``take_or_enqueue`` still runs at the lock
-            # charge's completion instant.
-            yield CPU_FUSED(lead, fused) if lead is not None else fused
-            if not lock.take_or_enqueue(me):
-                yield BLOCK
-                lock.confirm_after_block(me)
-        else:
-            # A zero-cost emit or lock charge: separate commands.
-            if lead is not None:
-                yield lead
-            yield self._emit_charge
-            # Inline lock protocol (one emit per page is a hot path); the
-            # yielded commands are exactly ``yield from self._lock.acquire()``.
-            if lock.charge_cmd is not None:
-                yield lock.charge_cmd
-            if not lock.take_or_enqueue(me):
-                yield BLOCK
-                lock.confirm_after_block(me)
+        # (Lead +) emit + lock charge in one command, then the inline lock
+        # protocol: ``take_or_enqueue`` runs when the command completes.
+        charge = self._emit_charge
+        yield CPU_FUSED(lead, charge) if lead is not None else charge
+        if not lock.take_or_enqueue(me):
+            yield BLOCK
+            lock.confirm_after_block(me)
         try:
             while len(self._pages) >= self.max_pages:
                 lock.release()

@@ -9,8 +9,8 @@ raw circular scan be shared by queries with different predicates.
 
 Selection runs through :func:`repro.query.expr.compile_selection` -- one
 call per batch -- and the read + predicate cycle charges are fused into a
-single simulator command (fused parts are metered and completed at exactly
-the instants separate yields would be)."""
+single simulator command (one pool entry of their summed cycles, each part
+metered into its own category)."""
 
 from __future__ import annotations
 
@@ -51,8 +51,7 @@ class FilteredInput:
         self.terms = predicate.terms if predicate is not None else 0
         # An SPL reader hands us its per-page read charge to fuse in front
         # of whatever we yield next (everything between is pure
-        # computation, so the fused parts complete at exactly the instants
-        # the separate yields would have).
+        # computation).
         self._deferred_charge = None
         self._lock_prepay = None
         if hasattr(reader, "defer_read_charge"):

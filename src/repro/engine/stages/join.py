@@ -7,8 +7,7 @@ bookkeeping and output materialization under "joins".
 
 Both hot loops run vectorized (one comprehension per batch, key indices
 hoisted out of the loop) and the per-batch cycle charges are fused into a
-single simulator event; neither changes the joined rows or a single
-simulated tick (see :mod:`repro.engine.config`)."""
+single simulator command (see :func:`repro.sim.commands.CPU_FUSED`)."""
 
 from __future__ import annotations
 

@@ -115,18 +115,11 @@ class TableScanStage(Stage):
         try:
             while exchange.active_consumers > 0:
                 page = yield from source.next()
-                scan_cmd = cost.scan(len(page), page.weight)
                 # Pages go out as zero-copy column views; consumers run
                 # late-materialized.  The per-page scan charge rides in
                 # front of the exchange's emit charge (nothing observable
-                # happens between the two yields).  A zero-cycle charge
-                # stays its own command: it resumes through the event heap,
-                # where a fused part would ride the pool.
-                if scan_cmd.cycles > 0:
-                    yield from exchange.emit(page.to_batch(), lead=scan_cmd)
-                else:
-                    yield scan_cmd
-                    yield from exchange.emit(page.to_batch())
+                # happens between the two yields).
+                yield from exchange.emit(page.to_batch(), lead=cost.scan(len(page), page.weight))
                 if shared:
                     self._positions[table.name] = source.position
         finally:

@@ -338,9 +338,9 @@ class CJoinPipeline:
         predicate = dimspec.predicate
         # Prepay the next page's buffer-pool latch charge at the tail of
         # this page's scan/predicate command -- only pure compute happens
-        # in between, so the charge instants are unchanged and one
-        # simulator event per page disappears (admission scans every dim
-        # page per admitted query, the hottest page loop in CJOIN).
+        # in between, so the latch is still taken when the charge completes,
+        # and one simulator command per page disappears (admission scans
+        # every dim page per admitted query, the hottest page loop in CJOIN).
         prepay = self.storage.latch_prepay_charge()
         fused_cmds: dict[int, Any] = {}  # immutable, so cached per page length
         last = dim.num_pages - 1
@@ -508,9 +508,9 @@ class CJoinPipeline:
 
         The survivor pass runs before the cycle charges so all of them
         (including the survivor-count-dependent ``emit_join``) can be fused
-        into one simulator event; the computation is pure Python between
-        yields, so the charge values, their order, and every simulated tick
-        are identical to the unfused sequence."""
+        into one command; the computation is pure Python between yields,
+        so the charge values and their order are those of the separate
+        sequence."""
         cost = self.cost
         w = item.batch.weight
         rows = item.rows
@@ -632,8 +632,8 @@ class CJoinPipeline:
                 # The bitmap pass is one comprehension over the parallel
                 # ``bms`` list with the query's bit pre-bound -- no per-row
                 # triple unpacking.  Charges for the selection, routing and
-                # (optional) shared-aggregation update fuse into one event;
-                # values and order match the unfused sequence exactly.
+                # (optional) shared-aggregation update fuse into one
+                # command, values and order as the separate sequence.
                 bit = state.bit
                 pred = state.fact_pred
                 sel = [j for j, bm in enumerate(bms) if bm & bit] if live & bit else []

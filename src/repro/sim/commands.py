@@ -25,11 +25,11 @@ class CpuCommand:
     ``hashing``, ``joins``, ``aggregation``, ``scans``, ``locks``, ``misc``.
 
     ``rest`` holds further ``(cycles, category)`` charges fused into this
-    command (see :func:`CPU_FUSED`).  The CPU pool consumes the charges
-    *sequentially* -- each part is metered and accounted exactly as if the
-    thread had yielded it separately -- but the whole sequence costs one
-    generator resume and one dispatch instead of one per charge.  Simulated
-    times and metrics are bit-identical to the unfused equivalent.
+    command (see :func:`CPU_FUSED`).  ``total`` is the one definition of
+    what the command asks of the CPU pool: ``Σ max(cᵢ, 0)`` over its parts,
+    summed in part order.  The simulator meters every part into its
+    category when the command is dispatched and enters the pool once with
+    ``total``; a command whose total is zero resumes through the event heap.
 
     Commands are immutable by contract (the engine yields the same cached
     instance for fixed-cost charges, e.g. an SPL's per-page read); hand
@@ -38,7 +38,7 @@ class CpuCommand:
     there.
     """
 
-    __slots__ = ("cycles", "category", "rest")
+    __slots__ = ("cycles", "category", "rest", "total")
 
     def __init__(
         self,
@@ -49,6 +49,11 @@ class CpuCommand:
         self.cycles = cycles
         self.category = category
         self.rest = rest
+        total = cycles if cycles > 0.0 else 0.0
+        for c, _ in rest:
+            if c > 0.0:
+                total += c
+        self.total = total
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CpuCommand(cycles={self.cycles!r}, category={self.category!r}, rest={self.rest!r})"
@@ -105,12 +110,14 @@ def CPU_FUSED(*cmds: CpuCommand) -> CpuCommand:
 
     Hot worker loops that would yield several back-to-back ``CpuCommand``\\ s
     (e.g. a join's ``hashing`` then ``build`` charge per batch) yield one
-    fused command instead, eliminating a generator resume, a dispatch and a
-    completion event per elided charge.  Only use this for charges with *no
-    observable side effects between them* -- pure Python computation between
-    the original yields is fine (the simulator cannot see it), but anything
-    touching queues, conditions or packet state must stay between separate
-    yields.
+    fused command instead: one generator resume, one dispatch and one pool
+    entry of the summed work (``total``) instead of one per charge.  In a
+    GPS pool that job finishes at the instant the chain of separate yields
+    would have -- the member count is the same throughout -- up to float
+    association.  Only use this for charges with *no observable side
+    effects between them* -- pure Python computation between the original
+    yields is fine (the simulator cannot see it), but anything touching
+    queues, conditions or packet state must stay between separate yields.
     """
     n = len(cmds)
     if n == 2:  # the common call shapes, unrolled (hot path)

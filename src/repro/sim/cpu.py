@@ -63,8 +63,8 @@ class CpuPool:
         # Memoized per-thread rates indexed by member count (index 0 is a
         # placeholder; _rate early-returns 0.0 for an empty pool).
         self._rates: list[float] = [0.0]
-        # (target service, seq, thread, on_done, remaining fused parts)
-        self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
+        # (target service, seq, thread, on_done)
+        self._heap: list[tuple[float, int, "SimThread", Callable[[], None]]] = []
         self._seq = 0
         #: Completion slot, owned by the simulator: the time of the pool's
         #: next completion as of its last membership change (inf = idle).
@@ -142,12 +142,12 @@ class CpuPool:
         on_done: Callable[[], None],
     ) -> None:
         """Enter ``thread`` into the pool for ``cycles`` of work; call
-        ``on_done`` when the work completes.  (A fused command is this,
-        once per part, each from its predecessor's ``on_done``.)"""
+        ``on_done`` when the work completes.  A command, fused or not,
+        enters once with its ``CpuCommand.total``."""
         self.advance(now)
         target = self.service + max(cycles, 0.0)
         self._seq += 1
-        heapq.heappush(self._heap, (target, self._seq, thread, on_done, ()))
+        heapq.heappush(self._heap, (target, self._seq, thread, on_done))
 
     def next_completion(self, now: float) -> float | None:
         """Simulated time of the earliest completion, or None if idle."""
@@ -169,7 +169,7 @@ class CpuPool:
         done: list[tuple["SimThread", Callable[[], None]]] = []
         eps = 1e-9 * max(1.0, abs(self.service))
         while self._heap and self._heap[0][0] <= self.service + eps:
-            _, _, thread, on_done, _rest = heapq.heappop(self._heap)
+            _, _, thread, on_done = heapq.heappop(self._heap)
             done.append((thread, on_done))
         return done
 

@@ -81,11 +81,10 @@ class Simulator:
         self._daemons: set[SimThread] = set()
         self._pending_error: tuple[SimThread, BaseException] | None = None
         self._run_until: float | None = None
-        # Cached metric-dict references (refreshed at run() entry: the
+        # Cached metric-dict reference (refreshed at run() entry: the
         # service tier swaps sim.metrics for an extended object after
         # construction) -- saves an attribute hop per dispatched command.
         self._by_category = self.metrics.cpu_cycles_by_category
-        self._by_query = self.metrics.cpu_cycles_by_query
         Simulator._active = self
 
     # ------------------------------------------------------------------
@@ -157,15 +156,19 @@ class Simulator:
         if self.tap is not None:
             self.tap.on_command(thread, cmd)
         if type(cmd) is CpuCommand:
-            # CpuPool.add + next_completion inlined (one advance, one pool
-            # push, the exact same arithmetic) -- every worker yield
-            # funnels through here, so the extra calls are measurable.
-            cycles = cmd.cycles
-            category = cmd.category
-            self._by_category[category] += cycles
-            self._by_query[(thread.query_id, category)] += cycles
+            # Every part is metered at dispatch, in part order; the command
+            # then enters the pool once with its total.  CpuPool.add +
+            # next_completion inlined (one advance, one pool push, the
+            # exact same arithmetic) -- every worker yield funnels through
+            # here, so the extra calls are measurable.
+            by_category = self._by_category
+            by_category[cmd.category] += cmd.cycles
             rest = cmd.rest
-            if cycles <= 0 and not rest:
+            if rest:
+                for cycles, category in rest:
+                    by_category[category] += cycles
+            total = cmd.total
+            if total <= 0.0:
                 thread.state = ThreadState.READY
                 self._seq += 1
                 heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
@@ -194,10 +197,7 @@ class Simulator:
                 raise AssertionError(f"time went backwards: {pool._last_update} -> {now}")
             service = pool.service
             pool._seq += 1
-            heapq.heappush(
-                pheap,
-                (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, waker, rest),
-            )
+            heapq.heappush(pheap, (service + total, pool._seq, thread, waker))
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
@@ -267,7 +267,7 @@ class Simulator:
                 charged *= device.random_multiplier
             service = device.service
             device._seq += 1
-            heapq.heappush(pheap, (service + charged, device._seq, thread, waker, ()))
+            heapq.heappush(pheap, (service + charged, device._seq, thread, waker))
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
@@ -308,26 +308,24 @@ class Simulator:
 
     def _service_pool(self, pool: CpuPool | IoDevice) -> None:
         """Pop and process the pool's due completions at ``self.now``:
-        ``pop_completed``, the fused-part continuations and
-        ``next_completion``, all inlined.
+        ``pop_completed`` and ``next_completion``, inlined.
 
         Servicing a pool is *the* hot loop of a simulated run -- every CPU
-        charge and every disk read funnels through here -- so this flattens
+        command and every disk read funnels through here -- so this flattens
         what is otherwise ~10 Python calls per completion into a single
         frame.  Every float operation is kept literally identical to the
         pool reference method it replaces (``advance``'s service/utilization
-        updates, ``pop_completed``'s epsilon test, the charge-and-re-add of
-        a fused part, ``next_completion``'s remaining/rate division).
+        updates, ``pop_completed``'s epsilon test, ``next_completion``'s
+        remaining/rate division).
 
         Structure per round: (1) advance the pool to ``self.now``; (2)
-        two-phase pop -- collect *all* due entries first, then process them
-        in completion order (an entry with remaining fused parts charges
-        the next part and re-enters the pool; re-entries become due in a
-        later round, exactly as ``pop_completed`` batches them); (3) if
-        the pool's next completion is strictly earlier than every pending
-        heap event and every other pool's slot (and inside the run window),
-        jump the clock there and continue in this frame; otherwise leave it
-        in the pool's ``armed_when`` slot for the run loop and return."""
+        two-phase pop -- collect *all* due entries first, then resume their
+        threads in completion order, exactly as ``pop_completed`` batches
+        them; (3) if the pool's next completion is strictly earlier than
+        every pending heap event and every other pool's slot (and inside
+        the run window), jump the clock there and continue in this frame;
+        otherwise leave it in the pool's ``armed_when`` slot for the run
+        loop and return."""
         now = self.now
         heap = self._heap
         pheap = pool._heap
@@ -337,9 +335,6 @@ class Simulator:
         rivals = self._rivals[pool]
         is_cpu = pool is self.cpu
         cores = self.cpu.cores
-        by_category = self._by_category
-        by_query = self._by_query
-        heappush = heapq.heappush
         heappop = heapq.heappop
         resume = self._resume
         ready = ThreadState.READY
@@ -368,56 +363,17 @@ class Simulator:
                 # Float round-off left the top element a hair short; nudge.
                 pool.armed_when = now + 1e-9
                 return
-            e = heappop(pheap)
-            if pheap and pheap[0][0] <= limit:
-                due = [e]
-                while pheap and pheap[0][0] <= limit:
-                    due.append(heappop(pheap))
-                for e in due:
-                    rest = e[4]
-                    if rest:
-                        # Next part of a fused charge: meter it and re-enter
-                        # the pool at this instant.
-                        thread = e[2]
-                        cycles, category = rest[0]
-                        by_category[category] += cycles
-                        by_query[(thread.query_id, category)] += cycles
-                        pool._seq += 1
-                        heappush(
-                            pheap,
-                            (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, e[3], rest[1:]),
-                        )
-                    else:
-                        # Devirtualized waker: the cached completion callback
-                        # just flips the thread READY and resumes it.
-                        on_done = e[3]
-                        thread = e[2]
-                        if on_done is thread._waker:
-                            thread.state = ready
-                            resume(thread)
-                        else:
-                            on_done()
-            else:
-                # Single due entry -- the overwhelmingly common case.
-                rest = e[4]
-                if rest:
-                    thread = e[2]
-                    cycles, category = rest[0]
-                    by_category[category] += cycles
-                    by_query[(thread.query_id, category)] += cycles
-                    pool._seq += 1
-                    heappush(
-                        pheap,
-                        (service + (cycles if cycles > 0.0 else 0.0), pool._seq, thread, e[3], rest[1:]),
-                    )
+            due = [heappop(pheap)]
+            while pheap and pheap[0][0] <= limit:
+                due.append(heappop(pheap))
+            for _, _, thread, on_done in due:
+                # Devirtualized waker: the cached completion callback just
+                # flips the thread READY and resumes it.
+                if on_done is thread._waker:
+                    thread.state = ready
+                    resume(thread)
                 else:
-                    on_done = e[3]
-                    thread = e[2]
-                    if on_done is thread._waker:
-                        thread.state = ready
-                        resume(thread)
-                    else:
-                        on_done()
+                    on_done()
             # ---- inline pool.next_completion(now) + cascade decision ----
             if not pheap:
                 pool.armed_when = inf
@@ -449,16 +405,19 @@ class Simulator:
 
         Raises
         ------
+        ValueError
+            if ``until`` is earlier than ``now`` (nothing is touched).
         SimulationError
             if an exception escaped a thread with no joiner.
         DeadlockError
             if non-daemon threads remain blocked with no pending events.
         """
+        if until is not None and until < self.now:
+            raise ValueError(f"cannot run until the past: {until} < {self.now}")
         prev_active = Simulator._active
         Simulator._active = self
         self._run_until = until
         self._by_category = self.metrics.cpu_cycles_by_category
-        self._by_query = self.metrics.cpu_cycles_by_query
         # The event loop runs hundreds of thousands of iterations per
         # simulated second; hoist every per-iteration attribute lookup.
         heap = self._heap

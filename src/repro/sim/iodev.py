@@ -68,10 +68,10 @@ class IoDevice:
         # Memoized per-stream rates indexed by stream count (index 0 is a
         # placeholder; _rate early-returns 0.0 for an idle device).
         self._rates: list[float] = [0.0]
-        # Entries share the CpuPool 5-tuple shape (the trailing fused-
-        # parts slot is always empty for IO) so the simulator's inline
-        # service loop can treat both pool kinds uniformly.
-        self._heap: list[tuple[float, int, "SimThread", Callable[[], None], tuple]] = []
+        # (target service, seq, thread, on_done): the CpuPool entry shape,
+        # so the simulator's inline service loop treats both pool kinds
+        # uniformly.
+        self._heap: list[tuple[float, int, "SimThread", Callable[[], None]]] = []
         self._seq = 0
         #: Completion slot, owned by the simulator (see CpuPool.armed_when).
         self.armed_when = inf
@@ -141,7 +141,7 @@ class IoDevice:
             charged *= self.random_multiplier
         target = self.service + charged
         self._seq += 1
-        heapq.heappush(self._heap, (target, self._seq, thread, on_done, ()))
+        heapq.heappush(self._heap, (target, self._seq, thread, on_done))
 
     def next_completion(self, now: float) -> float | None:
         self.advance(now)
@@ -158,7 +158,7 @@ class IoDevice:
         done: list[tuple["SimThread", Callable[[], None]]] = []
         eps = 1e-9 * max(1.0, abs(self.service))
         while self._heap and self._heap[0][0] <= self.service + eps:
-            _, _, thread, on_done, _rest = heapq.heappop(self._heap)
+            _, _, thread, on_done = heapq.heappop(self._heap)
             done.append((thread, on_done))
         return done
 

@@ -4,8 +4,8 @@ These mirror the measurements reported in the paper's evaluation tables:
 
 * CPU time broken down by category (Hashing / Joins / Aggregation / Scans /
   Locks / Misc), summed over all cores -- the paper gathered these with
-  Intel VTune; we account them at the cost-model charge sites.
-* per-query CPU time, for debugging and ablations;
+  Intel VTune; we account them at the cost-model charge sites (the
+  simulator meters every part of a CPU command when it is dispatched);
 * average cores used and average read rate over the activity period.
 """
 
@@ -67,10 +67,6 @@ class Metrics:
 
     #: cycles charged per breakdown category
     cpu_cycles_by_category: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    #: cycles charged per (query_id, category)
-    cpu_cycles_by_query: dict[tuple[int | None, str], float] = field(
-        default_factory=lambda: defaultdict(float)
-    )
     #: number of sharing events recorded per label (e.g. "join-depth-1")
     sharing_events: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     #: arbitrary named durations (e.g. CJOIN admission time)
@@ -78,10 +74,9 @@ class Metrics:
     #: arbitrary named counts (e.g. buffer pool hits/misses)
     counts: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    def charge_cpu(self, cycles: float, category: str, query_id: int | None) -> None:
-        """Record ``cycles`` against ``category`` (and the owning query)."""
+    def charge_cpu(self, cycles: float, category: str) -> None:
+        """Record ``cycles`` against ``category``."""
         self.cpu_cycles_by_category[category] += cycles
-        self.cpu_cycles_by_query[(query_id, category)] += cycles
 
     def record_sharing(self, label: str, n: int = 1) -> None:
         """Count a simultaneous-pipelining attach (host gained a satellite)."""

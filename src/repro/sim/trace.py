@@ -90,9 +90,12 @@ class Tracer:
 
     # ------------------------------------------------------------------
     def on_command(self, thread: "SimThread", cmd: Any) -> None:
-        """Tap entry point: ``thread`` yielded ``cmd``."""
+        """Tap entry point: ``thread`` yielded ``cmd``.  A CPU command is
+        recorded with the total the pool receives and the categories of
+        all its parts, in part order."""
         if isinstance(cmd, CpuCommand):
-            self._record(thread.name, "cpu", f"{cmd.cycles:.3g} cycles [{cmd.category}]")
+            categories = dict.fromkeys((cmd.category, *(category for _, category in cmd.rest)))
+            self._record(thread.name, "cpu", f"{cmd.total:.3g} cycles [{', '.join(categories)}]")
         elif isinstance(cmd, IoCommand):
             mode = "seq" if cmd.sequential else "rand"
             self._record(thread.name, "io", f"{cmd.nbytes:.3g} B {mode} on {cmd.device}")

@@ -59,8 +59,8 @@ class BufferPool:
         None when acquisition is free).  Scan loops may *prepay*
         it by fusing it into the tail of the CPU command that immediately
         precedes their next ``read_page(..., latch_prepaid=True)`` -- legal
-        because the charge is the first thing ``read_page`` yields, so its
-        completion instant and the latch-take order are unchanged."""
+        because the charge is the first thing ``read_page`` yields, so the
+        latch is still taken when the charge completes."""
         return self._latch.charge_cmd
 
     def read_page(

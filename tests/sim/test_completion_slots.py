@@ -6,15 +6,16 @@ and inlines the pool arithmetic into ``_resume`` / ``_dispatch`` /
 the textbook loop in which *every* membership change pushes an explicit
 completion event, superseded ones are skipped, and all pool arithmetic goes
 through the reference methods (``CpuPool.add`` / ``next_completion`` /
-``pop_completed`` and the ``IoDevice`` twins).  A fused command is what its
-contract says: each part enters the pool from its predecessor's completion.
+``pop_completed`` and the ``IoDevice`` twins).  A CPU command is what its
+contract says: every part is metered at dispatch, in part order, and the
+command enters the pool once with its ``total``.
 
 Generated schedules (threads x fused commands with zero-cycle parts,
 sleeps, I/O on two devices, ``Condition`` / ``Channel`` hand-offs, drawn
 from round numbers so that same-instant ties are common) must produce
 identical finish times and orders, cycle accounts and pool integrals on
-both.  The event-budget tests at the bottom pin the mechanism itself: a
-CPU command costs no event-heap push."""
+both.  The budget tests at the bottom pin the mechanism itself: a CPU
+command costs no event-heap push and exactly one pool-heap push."""
 
 import heapq
 from math import inf
@@ -92,12 +93,15 @@ class RefSim:
             return
         finally:
             self.current = None
-        if type(cmd) is CpuCommand and cmd.cycles <= 0 and not cmd.rest:
-            self.metrics.charge_cpu(cmd.cycles, cmd.category, thread.query_id)
-            self.ready(thread)
-        elif type(cmd) is CpuCommand:
-            thread.state = ThreadState.ON_CPU
-            self.start_part(thread, ((cmd.cycles, cmd.category), *cmd.rest))
+        if type(cmd) is CpuCommand:
+            for cycles, category in ((cmd.cycles, cmd.category), *cmd.rest):
+                self.metrics.charge_cpu(cycles, category)
+            if cmd.total <= 0:
+                self.ready(thread)
+            else:
+                thread.state = ThreadState.ON_CPU
+                self.cpu.add(self.now, thread, cmd.total, lambda: self.wake(thread))
+                self.arm(self.cpu)
         elif type(cmd) is IoCommand and cmd.nbytes <= 0:
             self.ready(thread)
         elif type(cmd) is IoCommand:
@@ -111,13 +115,6 @@ class RefSim:
         else:
             assert cmd is BLOCK
             thread.state = ThreadState.BLOCKED
-
-    def start_part(self, thread, parts) -> None:
-        (cycles, category), rest = parts[0], parts[1:]
-        self.metrics.charge_cpu(cycles, category, thread.query_id)
-        done = (lambda: self.start_part(thread, rest)) if rest else (lambda: self.wake(thread))
-        self.cpu.add(self.now, thread, cycles, done)
-        self.arm(self.cpu)
 
     def arm(self, pool) -> None:
         when = pool.next_completion(self.now)
@@ -249,7 +246,6 @@ def observed(sim, log) -> dict:
         "now": sim.now,
         "finish": log,
         "by_category": dict(sim.metrics.cpu_cycles_by_category),
-        "by_query": dict(sim.metrics.cpu_cycles_by_query),
         "cpu": (sim.cpu.service, sim.cpu.util_integral, sim.cpu.busy_time),
         "devices": [(d.service, d.busy_time, d.bytes_delivered) for d in sim.devices.values()],
     }
@@ -329,11 +325,13 @@ def test_thread_error_stops_the_cascade():
 
 class TestEventBudget:
     """``Simulator._seq`` counts event-heap pushes.  CPU work of any shape
-    must cost none: only spawns, wake-ups and sleeps reach the heap."""
+    must cost none: only spawns, wake-ups and sleeps reach the heap.
+    ``CpuPool._seq`` counts pool-heap pushes: one per CPU command, however
+    many parts it fuses."""
 
     N, M = 6, 40
 
-    def run(self, command, sleeps=0) -> int:
+    def run(self, command, sleeps=0) -> Simulator:
         sim = Simulator(machine(2))
 
         def worker(i):
@@ -350,15 +348,23 @@ class TestEventBudget:
             sim.spawn(sleeper(), "sleeper")
         sim.run()
         assert sum(sim.metrics.cpu_cycles_by_category.values()) > 0
-        return sim._seq
+        return sim
 
     def test_single_part_commands_push_nothing(self):
-        assert self.run(lambda c: CPU(c, "scans")) == self.N
+        assert self.run(lambda c: CPU(c, "scans"))._seq == self.N
 
     def test_fused_commands_push_nothing(self):
         fused = lambda c: CPU_FUSED(CPU(c, "scans"), CPU(0.0, "locks"), CPU(2 * c, "joins"))  # noqa: E731
-        assert self.run(fused) == self.N
+        assert self.run(fused)._seq == self.N
 
     def test_a_sleeper_costs_only_its_own_events(self):
         # its spawn + one wake-up per sleep, interleaved with the CPU work
-        assert self.run(lambda c: CPU(c, "scans"), sleeps=25) == self.N + 1 + 25
+        assert self.run(lambda c: CPU(c, "scans"), sleeps=25)._seq == self.N + 1 + 25
+
+    def test_a_fused_command_is_one_pool_entry(self):
+        parts = ("scans", "locks", "hashing", "joins")
+        fused = lambda c: CPU_FUSED(*(CPU(c * (k + 1), cat) for k, cat in enumerate(parts)))  # noqa: E731
+        sim = self.run(fused)
+        assert sim.cpu._seq == self.N * self.M  # not N x M x len(parts)
+        assert sim._seq == self.N
+        assert set(sim.metrics.cpu_cycles_by_category) == set(parts)

@@ -233,7 +233,6 @@ class TestMetrics:
         by_cat = sim.metrics.cpu_cycles_by_category
         assert by_cat["hashing"] == 1e9
         assert by_cat["joins"] == 2e9
-        assert sim.metrics.cpu_cycles_by_query[(7, "joins")] == 2e9
         secs = sim.metrics.cpu_seconds_by_category(1e9)
         assert secs["hashing"] == pytest.approx(1.0)
 

@@ -30,6 +30,23 @@ class TestRunEdges:
         sim.run()
         assert done == [pytest.approx(2.0)]
 
+    @pytest.mark.parametrize("pending", [SLEEP(3.0), CPU(3e9)], ids=["sleep", "cpu"])
+    def test_run_until_the_past_is_rejected(self, pending):
+        """A run cut earlier than ``now`` must not rewind the clock: it
+        raises before touching anything, and the run carries on as if it
+        had never been asked."""
+        sim = make_sim()
+
+        def worker():
+            yield pending
+
+        sim.spawn(worker(), "w")
+        assert sim.run(until=2.0) == 2.0
+        with pytest.raises(ValueError, match="past"):
+            sim.run(until=1.0)
+        assert sim.now == 2.0
+        assert sim.run() == 3.0
+
     def test_negative_sleep_clamped(self):
         sim = make_sim()
         times = []

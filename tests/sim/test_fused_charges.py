@@ -1,13 +1,15 @@
-"""Fused CPU charges must be *bit-identical* to separate yields.
+"""A fused CPU command is one GPS job of its summed work.
 
-The simulator's fast path lets a worker yield ``CPU_FUSED(a, b, c)`` instead
-of yielding a, b, c in sequence, saving two generator resumes and two event
-dispatches.  The GPS pool consumes the parts sequentially -- each part
-re-enters the pool at its predecessor's completion instant with its own
-cycles, so the float arithmetic (``service + cycles`` per part), the
-metrics-charge order, and the pool insertion order all replicate the unfused
-sequence exactly.  These tests hold the equivalence to full bit-identity
-under contention, oversubscription, and interleaving with I/O and sleeps."""
+A worker may yield ``CPU_FUSED(a, b, c)`` instead of a, b, c in sequence,
+saving two generator resumes and two dispatches.  The simulator meters every
+part into its category at dispatch and enters the pool once with the
+command's ``total``.  In a GPS pool that job finishes at the instant the
+chain of separate yields would have -- the thread is a member throughout, so
+the member count, and with it every rate, is the same -- up to float
+association.  These tests hold the two halves of that: a fused command is
+bit-identical to one ``CPU`` of its summed cycles, and within 1e-12
+relative of the separate yields, with equal category totals, under
+contention and oversubscription."""
 
 import pytest
 
@@ -35,18 +37,28 @@ class TestFactory:
         f = CPU_FUSED(CPU(1.0, "a"), inner, CPU(4.0, "d"))
         assert f.rest == ((2.0, "b"), (3.0, "c"), (4.0, "d"))
 
+    def test_total_sums_the_parts_in_order(self):
+        assert CPU(5.0, "a").total == 5.0
+        assert CPU(-5.0, "a").total == 0.0
+        f = CPU_FUSED(CPU(0.1, "a"), CPU(-7.0, "b"), CPU(0.2, "c"), CPU(0.3, "d"))
+        assert f.total == (0.1 + 0.2) + 0.3  # negative parts count as zero
+        assert CPU_FUSED(CPU(1.0, "a"), CPU_FUSED(CPU(2.0, "b"), CPU(3.0, "c"))).total == 6.0
 
-def _run(fused: bool, charges_by_thread: list[list[tuple[float, str]]], cores=2):
-    """Run one thread per charge list; fused=True yields each list as one
-    CPU_FUSED command, else one CPU per charge.  Returns (now, metrics)."""
+
+def _run(mode: str, charges_by_thread: list[list[tuple[float, str]]], cores=2):
+    """Run one thread per charge list.  ``mode`` is "fused" (the list as one
+    CPU_FUSED command), "separate" (one CPU per charge) or "summed" (one
+    CPU of the summed cycles).  Returns (now, metrics, finish times)."""
     sim = Simulator(MachineSpec(cores=cores, hz=1e9))
     finish_times: dict[int, float] = {}
 
     def worker(tid: int, charges: list[tuple[float, str]]):
         # Stagger starts so pool entries arrive at distinct service levels.
         yield SLEEP(0.001 * tid)
-        if fused:
+        if mode == "fused":
             yield CPU_FUSED(*[CPU(c, cat) for c, cat in charges])
+        elif mode == "summed":
+            yield CPU(sum(c for c, _ in charges), "misc")
         else:
             for c, cat in charges:
                 yield CPU(c, cat)
@@ -79,11 +91,23 @@ WORKLOADS = [
 
 @pytest.mark.parametrize("charges", WORKLOADS, ids=["single", "contended", "floats"])
 def test_fused_run_is_bit_identical(charges):
-    now_u, metrics_u, fin_u = _run(False, charges)
-    now_f, metrics_f, fin_f = _run(True, charges)
-    assert now_f == now_u  # exact float equality, no approx
-    assert fin_f == fin_u
-    assert metrics_f == metrics_u
+    """A fused command finishes exactly where one CPU of its summed cycles
+    does, under contention."""
+    now_s, _, fin_s = _run("summed", charges)
+    now_f, _, fin_f = _run("fused", charges)
+    assert now_f == now_s  # exact float equality, no approx
+    assert fin_f == fin_s
+
+
+@pytest.mark.parametrize("charges", WORKLOADS, ids=["single", "contended", "floats"])
+def test_fused_and_separate_yields_agree(charges):
+    now_u, metrics_u, fin_u = _run("separate", charges)
+    now_f, metrics_f, fin_f = _run("fused", charges)
+    assert now_f == pytest.approx(now_u, rel=1e-12, abs=0.0)
+    assert fin_f.keys() == fin_u.keys()
+    for tid, t in fin_u.items():
+        assert fin_f[tid] == pytest.approx(t, rel=1e-12, abs=0.0)
+    assert metrics_f["cpu_cycles_by_category"] == metrics_u["cpu_cycles_by_category"]
 
 
 def test_fused_zero_cycle_head_still_enters_pool():
@@ -102,15 +126,20 @@ def test_fused_zero_cycle_head_still_enters_pool():
     assert sim.metrics.to_dict()["cpu_cycles_by_category"]["joins"] == 1e9
 
 
-def test_fused_charges_attribute_to_thread_query():
-    sim = Simulator(MachineSpec(cores=4, hz=1e9))
+def test_zero_total_resumes_through_the_event_heap():
+    """Like any zero-cycle command: no pool entry, parts still metered."""
+    sim = Simulator(MachineSpec(cores=1, hz=1e9))
+    seen = []
 
     def worker():
-        yield CPU_FUSED(CPU(5e5, "scans"), CPU(5e5, "scans"))
+        yield CPU_FUSED(CPU(0.0, "misc"), CPU(0.0, "locks"))
+        seen.append(sim.now)
 
-    sim.spawn(worker(), "w", query_id=7)
+    sim.spawn(worker(), "w")
     sim.run()
-    assert sim.metrics.cpu_cycles_by_query[(7, "scans")] == 1e6
+    assert seen == [0.0]
+    assert sim.cpu._seq == 0
+    assert set(sim.metrics.cpu_cycles_by_category) == {"misc", "locks"}
 
 
 def test_rest_is_plain_data():

@@ -9,19 +9,17 @@ class TestMetrics:
     def test_categories_match_paper_legend(self):
         assert CATEGORIES == ("hashing", "joins", "aggregation", "scans", "locks", "misc")
 
-    def test_charge_cpu_accumulates_by_category_and_query(self):
+    def test_charge_cpu_accumulates_by_category(self):
         m = Metrics()
-        m.charge_cpu(100, "hashing", 1)
-        m.charge_cpu(50, "hashing", 2)
-        m.charge_cpu(25, "joins", 1)
+        m.charge_cpu(100, "hashing")
+        m.charge_cpu(50, "hashing")
+        m.charge_cpu(25, "joins")
         assert m.cpu_cycles_by_category["hashing"] == 150
-        assert m.cpu_cycles_by_query[(1, "hashing")] == 100
-        assert m.cpu_cycles_by_query[(2, "hashing")] == 50
-        assert m.cpu_cycles_by_query[(1, "joins")] == 25
+        assert m.cpu_cycles_by_category["joins"] == 25
 
     def test_cpu_seconds_conversion(self):
         m = Metrics()
-        m.charge_cpu(2e9, "scans", None)
+        m.charge_cpu(2e9, "scans")
         secs = m.cpu_seconds_by_category(1e9)
         assert secs["scans"] == pytest.approx(2.0)
         assert secs["joins"] == 0.0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import CPU, IO, SLEEP, Simulator
+from repro.sim.commands import CPU_FUSED
 from repro.sim.machine import DiskSpec, MachineSpec
 from repro.sim.trace import Tracer
 
@@ -30,6 +31,20 @@ class TestTracer:
         cpu_event = tracer.events[0]
         assert "hashing" in cpu_event.detail
         assert cpu_event.time == 0.0
+
+    def test_fused_command_recorded_whole(self):
+        """The record carries the total the pool receives and every part's
+        category, not the head part's."""
+        sim = make_sim()
+        tracer = Tracer(sim).attach()
+
+        def fused():
+            yield CPU_FUSED(CPU(1e6, "scans"), CPU(2e6, "joins"))
+
+        sim.spawn(fused(), "w")
+        sim.run()
+        assert tracer.events[0].kind == "cpu"
+        assert tracer.events[0].detail == "3e+06 cycles [scans, joins]"
 
     def test_context_manager_detaches(self):
         sim = make_sim()

@@ -1,4 +1,4 @@
-"""Export experiment results to CSV and JSON.
+"""Export experiment results to JSON.
 
 Downstream users plot with their own tools; every
 :class:`~repro.bench.experiments.ExperimentResult` can be dumped as
@@ -8,8 +8,6 @@ archives.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from typing import Any
 
@@ -100,18 +98,3 @@ def timings_to_json(result: ExperimentResult, indent: int = 2) -> str:
         indent=indent,
         sort_keys=True,
     )
-
-
-def series_to_csv(x_name: str, xs: list, series: dict[str, list[float]]) -> str:
-    """Render x-indexed series as CSV (one row per x, one column per
-    series) -- the format the paper-figure data naturally takes."""
-    names = list(series)
-    for name in names:
-        if len(series[name]) != len(xs):
-            raise ValueError(f"series {name!r} length mismatch")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow([x_name, *names])
-    for i, x in enumerate(xs):
-        writer.writerow([x] + [series[name][i] for name in names])
-    return buf.getvalue()

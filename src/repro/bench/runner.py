@@ -32,7 +32,6 @@ __all__ = [
     "ThroughputResult",
     "run_batch",
     "run_closed_loop",
-    "geometric_levels",
     "percentile",
 ]
 
@@ -204,14 +203,3 @@ def run_closed_loop(
         avg_cores_used=sim.avg_cores_used(window),
         avg_read_mb_s=sim.disk.bytes_delivered / window / (1 << 20),
     )
-
-
-def geometric_levels(lo: int, hi: int) -> list[int]:
-    """1, 2, 4, ... doubling levels in [lo, hi] (both included)."""
-    out = []
-    v = lo
-    while v < hi:
-        out.append(v)
-        v *= 2
-    out.append(hi)
-    return out

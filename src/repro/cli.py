@@ -29,10 +29,12 @@ Commands
 
 ``serve``
     Run the admission-controlled query service against an open-loop
-    arrival stream and print service-level metrics::
+    arrival stream -- in process, or on ``--shards N`` worker processes --
+    and print service-level metrics::
 
         python -m repro serve --policy adaptive --arrival poisson --rate 8 --duration 5
         python -m repro serve --policy static --arrival burst --rate 16 --duration 10 --json
+        python -m repro serve --shards 2 --rate 4 --duration 1 --sf 0.2
 
 ``list``
     Show available engine configurations, workloads, experiments,
@@ -318,81 +320,60 @@ def cmd_sweep(args) -> int:
     return 1 if failed else 0
 
 
+#: ``serve`` options only one executor reads (argparse dests).  A
+#: non-default value for the other executor exits instead of being ignored.
+IN_PROCESS_ONLY = (
+    "policy", "threshold", "disk", "direct_io", "bufferpool_gb", "result_cache_mb", "cache_policy",
+)
+SHARDED_ONLY = ("partition", "shard_engine", "shard_timeout", "fingerprints")
+
+
 def cmd_serve(args) -> int:
-    """Serve an open-loop query stream through the admission-controlled
-    service layer and print (or dump as JSON) the service metrics."""
+    """Serve an open-loop query stream -- in process, or scatter/gather
+    over ``--shards N`` worker processes -- and print (or dump as JSON)
+    the report."""
     from repro.server.config import ServiceConfig
     from repro.server.service import serve
-
-    if args.shards is not None:
-        return _serve_sharded(args)
-    if args.fingerprints is not None:
-        raise SystemExit("repro serve: --fingerprints needs --shards N")
-    try:
-        config = ServiceConfig(
-            queue_capacity=args.queue_capacity,
-            max_in_flight=args.max_in_flight,
-            queue_timeout=args.timeout,
-        )
-        dataset = generate_ssb(args.sf, args.seed)
-        report = serve(
-            dataset.tables,
-            policy=args.policy,
-            arrival=args.arrival,
-            rate=args.rate,
-            duration=args.duration,
-            seed=args.seed,
-            workload=args.workload,
-            config=config,
-            storage_config=_storage_config(args),
-            threshold=args.threshold,
-            trace_path=args.trace,
-        )
-    except (ValueError, OSError) as exc:
-        raise SystemExit(f"repro serve: {exc}")
-    if args.json:
-        from repro.bench.export import metrics_to_json
-
-        print(
-            metrics_to_json(
-                report.metrics,
-                hz=report.machine_hz,
-                window=report.window,
-                extra=report.header(),
-            )
-        )
-    else:
-        print(report.render())
-    return 0
-
-
-def _serve_sharded(args) -> int:
-    """``serve --shards N``: the scatter/gather tier.  Admission knobs are
-    shared with the unsharded path; routing-policy and result-cache flags
-    do not apply (each shard runs one engine; there is no route choice)."""
-    from repro.server.config import ServiceConfig
     from repro.shard import serve_sharded
 
+    sharded = args.shards is not None
+    defaults = vars(build_parser().parse_args(["serve"]))
+    for dest in IN_PROCESS_ONLY if sharded else SHARDED_ONLY:
+        if getattr(args, dest) != defaults[dest]:
+            flag = "--" + dest.replace("_", "-")
+            why = "does not apply with --shards N" if sharded else "needs --shards N"
+            raise SystemExit(f"repro serve: {flag} {why}")
     try:
-        config = ServiceConfig(
-            queue_capacity=args.queue_capacity,
-            max_in_flight=args.max_in_flight,
-            queue_timeout=args.timeout,
-        )
-        report = serve_sharded(
-            shards=args.shards,
-            partition=args.partition,
-            engine=args.shard_engine,
+        common = dict(
             arrival=args.arrival,
             rate=args.rate,
             duration=args.duration,
             seed=args.seed,
             workload=args.workload,
-            sf=args.sf,
-            config=config,
-            shard_timeout_s=args.shard_timeout,
+            config=ServiceConfig(
+                queue_capacity=args.queue_capacity,
+                max_in_flight=args.max_in_flight,
+                queue_timeout=args.timeout,
+            ),
             trace_path=args.trace,
         )
+        if sharded:
+            report = serve_sharded(
+                args.shards,
+                partition=args.partition,
+                engine=args.shard_engine,
+                sf=args.sf,
+                shard_timeout_s=args.shard_timeout,
+                **common,
+            )
+        else:
+            report = serve(
+                generate_ssb(args.sf, args.seed).tables,
+                policy=args.policy,
+                storage_config=_storage_config(args),
+                threshold=args.threshold,
+                **common,
+            )
     except (ValueError, OSError) as exc:
         raise SystemExit(f"repro serve: {exc}")
     if args.fingerprints is not None:

@@ -38,9 +38,6 @@ that all three layers consult:
 * :class:`FoldPlanner` -- ranks candidate providers (in-flight hosts,
   cached entries) and keeps the cheapest fold; :class:`ResidualOperator`
   is the compiled runtime form the engine workers stream batches through.
-* :func:`normalize` -- canonical conjunct form (sorted parts,
-  constant-folded closed bounds), so author ordering never hides an
-  equality.
 
 Everything here is pure bookkeeping over immutable plan/expression
 structures -- no simulated time.  The *engine* charges fold-search and
@@ -63,8 +60,6 @@ from repro.query.expr import (
     Const,
     Expr,
     InSet,
-    Not,
-    Or,
     compile_selection,
 )
 from repro.query.plan import (
@@ -89,7 +84,6 @@ __all__ = [
     "and_of",
     "conjuncts",
     "fold_plan",
-    "normalize",
     "predicate_subsumes",
 ]
 
@@ -348,97 +342,6 @@ def _subsumes(weak: _PredSummary, strong: _PredSummary) -> tuple[bool, list[Expr
                 continue  # weak's own constraint already implies this
         residual.append(cj)
     return True, residual
-
-
-# ---------------------------------------------------------------------------
-# Normalization (canonical conjunct form)
-# ---------------------------------------------------------------------------
-def _rebuild_closed(col: str, lo: Any, hi: Any) -> Expr:
-    if lo is not None and hi is not None:
-        if lo == hi:
-            return Cmp("=", col, lo)
-        return Between(col, lo, hi)
-    if lo is not None:
-        return Cmp(">=", col, lo)
-    return Cmp("<=", col, hi)
-
-
-def _is_closed_bound(p: Expr) -> tuple[str, Any, Any] | None:
-    """``(col, lo, hi)`` for closed-bound shapes (>=, <=, =, between);
-    ``None`` for anything else (strict bounds and sets pass through)."""
-    if isinstance(p, Between):
-        return p.col, p.lo, p.hi
-    if isinstance(p, Cmp) and isinstance(p.left, Col) and isinstance(p.right, Const):
-        v = p.right.value
-        if p.op == ">=":
-            return p.left.name, v, None
-        if p.op == "<=":
-            return p.left.name, None, v
-        if p.op == "=":
-            return p.left.name, v, v
-    return None
-
-
-def normalize(expr: Expr | None) -> Expr | None:
-    """Canonical form of a predicate: conjunctions flatten, closed bounds
-    on one column constant-fold into a single range, duplicate conjuncts
-    drop, and parts sort by signature.  Together with ``And``'s sorted
-    signature this makes structurally equal predicates hash identically
-    regardless of author order (``a>1 AND b<2`` == ``b<2 AND a>1``).
-    Normalization never changes the selected rows."""
-    if expr is None:
-        return None
-    if isinstance(expr, Not):
-        return Not(normalize(expr.part))
-    if isinstance(expr, Or):
-        parts = [normalize(p) for p in expr.parts]
-        seen: dict[tuple, Expr] = {}
-        for p in parts:
-            seen.setdefault(p.signature, p)
-        ordered = [seen[s] for s in sorted(seen, key=repr)]
-        return ordered[0] if len(ordered) == 1 else Or(*ordered)
-    if not isinstance(expr, And):
-        return expr
-    flat: list[Expr] = []
-    for p in expr.parts:
-        np = normalize(p)
-        flat.extend(np.parts if isinstance(np, And) else [np])
-    # Constant-fold closed bounds per column (lo = max of lowers, hi = min
-    # of uppers); strict bounds, sets and opaque conjuncts pass through.
-    bounds: dict[str, tuple[Any, Any]] = {}
-    order: list[Any] = []  # column name (folded) or Expr (pass-through)
-    for p in flat:
-        cb = _is_closed_bound(p)
-        if cb is None:
-            order.append(p)
-            continue
-        col, lo, hi = cb
-        if col not in bounds:
-            bounds[col] = (lo, hi)
-            order.append(col)
-        else:
-            plo, phi = bounds[col]
-            try:
-                if lo is not None:
-                    plo = lo if plo is None else max(plo, lo)
-                if hi is not None:
-                    phi = hi if phi is None else min(phi, hi)
-            except TypeError:  # incomparable bound types: keep both as-is
-                order.append(p)
-                continue
-            bounds[col] = (plo, phi)
-    rebuilt: list[Expr] = []
-    for item in order:
-        if isinstance(item, Expr):
-            rebuilt.append(item)
-        else:
-            lo, hi = bounds[item]
-            rebuilt.append(_rebuild_closed(item, lo, hi))
-    seen = {}
-    for p in rebuilt:
-        seen.setdefault(p.signature, p)
-    ordered = [seen[s] for s in sorted(seen, key=repr)]
-    return ordered[0] if len(ordered) == 1 else And(*ordered)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The paper's engines execute *batches*; this package serves *streams*.  An
 open-loop arrival process (:mod:`repro.server.arrivals`) feeds a bounded
-admission queue (:mod:`repro.server.admission`); a routing policy
+admission queue (:mod:`repro.server.admission`) in the one serving core
+(:class:`~repro.server.service.Service`), which drives either the
+in-process engines or the shard tier (:mod:`repro.shard`); a routing policy
 (:mod:`repro.server.router`) picks query-centric SP or the shared GQP per
 query -- the paper's concluding recommendation, generalized from
 ``HybridEngine``'s static threshold to a feedback controller -- and
@@ -45,6 +47,7 @@ from repro.server.router import (
 from repro.server.service import (
     SERVE_WORKLOADS,
     QueryService,
+    Service,
     ServiceReport,
     job_factory,
     recurring_job_factory,
@@ -65,6 +68,7 @@ __all__ = [
     "QueuedQuery",
     "RoutingPolicy",
     "SERVE_WORKLOADS",
+    "Service",
     "ServiceConfig",
     "ServiceMetrics",
     "ServiceReport",

@@ -53,16 +53,9 @@ class AdmissionQueue:
         self.metrics = metrics
         self._chan = Channel(sim, capacity, name="admission")
 
-    def __len__(self) -> int:
-        return len(self._chan)
-
     @property
     def depth(self) -> int:
         return len(self._chan)
-
-    @property
-    def closed(self) -> bool:
-        return self._chan.closed
 
     def offer(self, item: QueuedQuery) -> bool:
         """Admit ``item`` if there is room; count a drop (and return False)

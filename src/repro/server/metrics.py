@@ -105,6 +105,35 @@ class ServiceMetrics(Metrics):
         return self.completed / window if window > 0 else 0.0
 
     # -- export ---------------------------------------------------------
+    def render_rows(self, window: float) -> list[list[Any]]:
+        """``[label, value]`` rows of the text report (subclasses append
+        theirs, as :meth:`to_dict` chains)."""
+        lat = self.latency_percentiles()
+        qw = self.queue_wait_percentiles()
+        rows: list[list[Any]] = [
+            ["arrived", self.arrived],
+            ["admitted", self.admitted],
+            ["dropped (queue full)", self.dropped],
+            ["timed out (shed)", self.timed_out],
+            ["completed", self.completed],
+            ["throughput (q/s)", f"{self.throughput(window):.3f}"],
+            ["latency p50 (s)", f"{lat['p50']:.3f}"],
+            ["latency p95 (s)", f"{lat['p95']:.3f}"],
+            ["latency p99 (s)", f"{lat['p99']:.3f}"],
+            ["queue wait p95 (s)", f"{qw['p95']:.3f}"],
+        ]
+        for route, n in sorted(self.routed.items()):
+            rows.append([f"routed {route}", n])
+        if self.cache_stats:
+            split = self.cache_latency_split()
+            rows.append(["cache hits / misses", f"{self.cache_stats['hits']} / {self.cache_stats['misses']}"])
+            rows.append(["cache resident (bytes)", f"{self.cache_stats['resident_bytes']:.0f}"])
+            rows.append(["cache evictions", self.cache_stats["evictions"]])
+            rows.append(["cache routing discounts", self.cache_routed])
+            rows.append(["hit-served p95 (s)", f"{split['hit_served']['p95']:.3f}"])
+            rows.append(["computed p95 (s)", f"{split['computed']['p95']:.3f}"])
+        return rows
+
     def to_dict(self, hz: float | None = None, window: float | None = None) -> dict[str, Any]:
         """Everything :meth:`Metrics.to_dict` reports, plus the service
         level: percentiles, counters, throughput (when ``window`` given)."""

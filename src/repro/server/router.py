@@ -172,57 +172,6 @@ class AdaptivePolicy(RoutingPolicy):
         )
 
 
-class ShardBacklog:
-    """Per-shard dispatch horizons: the shard tier's pressure signal.
-
-    The scatter/gather front end (:mod:`repro.shard.service`) runs on a
-    virtual timeline; this class owns the per-shard **availability
-    horizon** -- the virtual time at which each shard finishes everything
-    already dispatched to it.  Dispatching work to a shard advances its
-    horizon FIFO (``start = max(ready_time, horizon)``), which is both the
-    timeline bookkeeping and a backpressure signal the admission side can
-    read: ``backlog(now)`` is queued-but-unfinished shard work in seconds,
-    the per-shard analogue of the in-flight count the single-process
-    router keys on.  An EWMA of observed service times (same ``alpha``
-    convention as :class:`AdaptivePolicy`) supports completion prediction
-    for deadline-aware shedding."""
-
-    def __init__(self, n_shards: int, alpha: float = 0.2):
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        self.n_shards = n_shards
-        self.alpha = alpha
-        #: virtual time each shard becomes free (monotone per shard: FIFO)
-        self.horizon = [0.0] * n_shards
-        self.svc_ewma: list[float | None] = [None] * n_shards
-
-    def dispatch(self, shard: int, ready_time: float, cost_s: float) -> tuple[float, float]:
-        """Account ``cost_s`` virtual seconds of work on ``shard``, ready
-        no earlier than ``ready_time``; returns ``(start, end)`` and
-        advances the shard's horizon to ``end``."""
-        start = max(ready_time, self.horizon[shard])
-        end = start + cost_s
-        self.horizon[shard] = end
-        prev = self.svc_ewma[shard]
-        self.svc_ewma[shard] = cost_s if prev is None else prev + self.alpha * (cost_s - prev)
-        return start, end
-
-    def backlog(self, now: float) -> list[float]:
-        """Seconds of already-dispatched work still ahead of each shard."""
-        return [max(0.0, h - now) for h in self.horizon]
-
-    def pressure(self, now: float) -> float:
-        """The gather-relevant pressure: the *worst* shard backlog (a
-        gathered query is as late as its most backlogged shard)."""
-        return max(self.backlog(now))
-
-    def predicted_completion(self, now: float) -> float:
-        """Predicted gather time of a query dispatched now, from the
-        horizons plus the slowest shard's service-time EWMA."""
-        est = max(self.svc_ewma[i] or 0.0 for i in range(self.n_shards))
-        return max(now, max(self.horizon)) + est
-
-
 #: name -> one-line description, for ``python -m repro list``.
 POLICIES = {
     "static": "fixed in-flight threshold at machine saturation (HybridEngine rule)",

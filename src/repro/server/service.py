@@ -1,25 +1,30 @@
-"""The always-on query service: arrivals -> admission -> routing -> engines.
+"""The one serving core: arrivals -> admission -> dispatch -> an executor.
 
-:class:`QueryService` turns the batch simulator into a *service*: an
-open-loop arrival source feeds a bounded admission queue; a dispatcher
-pops queries, sheds the ones whose queueing deadline passed, applies
-backpressure at the in-flight cap, asks the routing policy for a route and
-submits to one of two engines -- query-centric QPipe-SP or the CJOIN-SP
-GQP -- that share one :class:`~repro.storage.manager.StorageManager`
-(circular scans and caches are common, exactly as in
-:class:`~repro.engine.hybrid.HybridEngine`).  Completions feed latency
-back into :class:`~repro.server.metrics.ServiceMetrics` and the policy.
+:class:`Service` turns the batch simulator into a *service*: an open-loop
+arrival source feeds a bounded admission queue; a dispatcher pops queries,
+sheds the ones whose queueing deadline passed, applies backpressure at the
+in-flight cap and hands each query to an executor, which completes it at
+its simulated completion time.  Completions feed latency back into
+:class:`~repro.server.metrics.ServiceMetrics`.  There are two executors:
 
-The convenience entry point :func:`serve` builds the whole stack from
-names (policy, arrival process, workload) and returns a
-:class:`ServiceReport`; it is what the CLI's ``serve`` command and
-``benchmarks/bench_server_load.py`` call.
+* :class:`QueryService` -- in process: the routing policy picks one of two
+  engines -- query-centric QPipe-SP or the CJOIN-SP GQP -- that share one
+  :class:`~repro.storage.manager.StorageManager` (circular scans and caches
+  are common, exactly as in :class:`~repro.engine.hybrid.HybridEngine`);
+* :class:`~repro.shard.service.ShardService` -- scatter/gather over shard
+  worker processes.
+
+The convenience entry points :func:`serve` and
+:func:`~repro.shard.service.serve_sharded` build either stack from names
+(policy or shard topology, arrival process, workload) and return the one
+:class:`ServiceReport`; they are what the CLI's ``serve`` command and the
+serving benchmarks call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.bench.workload import QueryJob
 from repro.cache import cached_query_centric_plan
@@ -34,10 +39,13 @@ from repro.server.metrics import ServiceMetrics
 from repro.server.router import QUERY_CENTRIC, RoutingPolicy, make_policy
 from repro.sim.commands import SLEEP
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.sync import Condition
 from repro.storage.manager import StorageConfig, StorageManager
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.shard.service import MergedResult
 
 #: Workloads the service can synthesize (deterministic per-query RNG
 #: streams, so a served run replays exactly for any prefix length).
@@ -155,8 +163,126 @@ def job_factory(workload: str, seed: int) -> Callable[[int], QueryJob]:
     return make
 
 
-class QueryService:
-    """One serving stack bound to one simulator.
+class Service:
+    """The one admission/dispatch core, bound to one simulator.
+
+    A source thread offers each arrival to the bounded
+    :class:`~repro.server.admission.AdmissionQueue` (a full queue drops it);
+    a dispatcher thread sheds queries whose queueing deadline passed, holds
+    the queue while ``max_in_flight`` queries are out, and hands the rest
+    to :meth:`_execute`.  The executor -- a subclass -- ends every query it
+    was handed exactly once, at the query's simulated completion time:
+    :meth:`_complete` when it was answered, :meth:`_release` when it failed.
+    """
+
+    def __init__(self, sim: Simulator, metrics: ServiceMetrics, config: ServiceConfig):
+        self.sim = sim
+        self.metrics = metrics
+        self.sim.metrics = metrics  # extend, in place, what stages charge into
+        self.service_config = config
+        self.queue = AdmissionQueue(sim, config.queue_capacity, metrics)
+        self._in_flight = 0
+        self._slot_free = Condition(sim, "service.slot-free")
+
+    # ------------------------------------------------------------------
+    @property
+    def in_flight(self) -> int:
+        return self._in_flight
+
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        jobs: Callable[[int], QueryJob],
+        arrivals: ArrivalProcess,
+        duration: float | None,
+    ) -> float:
+        """Serve ``jobs`` under ``arrivals`` for ``duration`` simulated
+        seconds (``None``: until the arrival process is exhausted), drain,
+        and return the final simulated time.  An error the executor raises
+        reaches the caller as itself, not wrapped by the simulator."""
+        self.sim.spawn(self._source(jobs, arrivals, duration), "service-source")
+        self.sim.spawn(self._dispatch(), "service-dispatcher")
+        try:
+            return self.sim.run()
+        except SimulationError as exc:
+            error = exc.__cause__
+            if error is None:
+                raise
+        raise error
+
+    def window(self, duration: float | None) -> float:
+        """The serving window a report divides by: the run, or ``duration``
+        when that is longer."""
+        return max(self.sim.now, duration or 0.0) or 1.0
+
+    # ------------------------------------------------------------------
+    def _source(
+        self,
+        jobs: Callable[[int], QueryJob],
+        arrivals: ArrivalProcess,
+        duration: float | None,
+    ) -> Iterator[Any]:
+        seq = 0
+        for gap in arrivals.gaps():
+            if gap > 0:
+                yield SLEEP(gap)
+            if duration is not None and self.sim.now >= duration:
+                break
+            self.metrics.record_arrival()
+            deadline = (
+                self.sim.now + self.service_config.queue_timeout
+                if self.service_config.queue_timeout is not None
+                else None
+            )
+            self.queue.offer(QueuedQuery(seq, jobs(seq), self.sim.now, deadline))
+            seq += 1
+        self.queue.close()
+
+    def _dispatch(self) -> Iterator[Any]:
+        max_in_flight = self.service_config.max_in_flight
+        while True:
+            item = yield from self.queue.get()
+            if item is AdmissionQueue.CLOSED:
+                break
+            if self._shed_if_expired(item):
+                continue
+            while max_in_flight is not None and self._in_flight >= max_in_flight:
+                yield from self._slot_free.wait()
+            # Backpressure may have held the query past its deadline.
+            if self._shed_if_expired(item):
+                continue
+            route = self._execute(item)
+            self.metrics.record_dispatch(self.sim.now - item.arrival_time, route)
+            self._in_flight += 1
+
+    def _shed_if_expired(self, item: QueuedQuery) -> bool:
+        if item.expired(self.sim.now):
+            self.metrics.record_timeout(self.sim.now - item.arrival_time)
+            return True
+        return False
+
+    # -- the executor's side -------------------------------------------
+    def _execute(self, item: QueuedQuery) -> str:
+        """Start ``item`` now and return the route it took; end it later
+        with :meth:`_complete` or :meth:`_release`."""
+        raise NotImplementedError  # pragma: no cover
+
+    def _complete(self, item: QueuedQuery, cache_served: bool = False) -> float:
+        """``item`` was answered now: record its latency (returned) and
+        free its slot."""
+        latency = self.sim.now - item.arrival_time
+        self.metrics.record_completion(latency, cache_served=cache_served)
+        self._release()
+        return latency
+
+    def _release(self) -> None:
+        """A dispatched query left the system: free its in-flight slot."""
+        self._in_flight -= 1
+        self._slot_free.notify_one()
+
+
+class QueryService(Service):
+    """The in-process executor: two engines on one simulator.
 
     Parameters
     ----------
@@ -179,87 +305,17 @@ class QueryService:
         qc_config=QPIPE_SP,
         gqp_config=CJOIN_SP,
     ):
-        self.sim = Simulator(machine)
-        self.metrics = ServiceMetrics()
-        self.sim.metrics = self.metrics  # extend, in place, what stages charge into
-        self.config = config
+        super().__init__(Simulator(machine), ServiceMetrics(), config)
         self.storage = StorageManager(self.sim, cost, tables, storage_config)
         #: both engines share the one storage manager (shared circular
         #: scans, buffer pool and page cache), as in HybridEngine.
         self.query_centric = QPipeEngine(self.sim, self.storage, qc_config, cost)
         self.gqp = QPipeEngine(self.sim, self.storage, gqp_config, cost)
         self.policy = make_policy(policy, machine) if isinstance(policy, str) else policy
-        self.queue = AdmissionQueue(self.sim, config.queue_capacity, self.metrics)
-        self._in_flight = 0
-        self._slot_free = Condition(self.sim, "service.slot-free")
+        #: the engines' handles, in dispatch order
         self.handles: list[QueryHandle] = []
 
-    # ------------------------------------------------------------------
-    @property
-    def in_flight(self) -> int:
-        return self._in_flight
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        jobs: Callable[[int], QueryJob],
-        arrivals: ArrivalProcess,
-        duration: float | None,
-    ) -> float:
-        """Serve ``jobs`` under ``arrivals`` for ``duration`` simulated
-        seconds (``None``: until the arrival process is exhausted), drain,
-        and return the final simulated time."""
-        self.sim.spawn(self._source(jobs, arrivals, duration), "service-source")
-        self.sim.spawn(self._dispatch(), "service-dispatcher")
-        return self.sim.run()
-
-    # ------------------------------------------------------------------
-    def _source(
-        self,
-        jobs: Callable[[int], QueryJob],
-        arrivals: ArrivalProcess,
-        duration: float | None,
-    ) -> Iterator[Any]:
-        seq = 0
-        for gap in arrivals.gaps():
-            if gap > 0:
-                yield SLEEP(gap)
-            if duration is not None and self.sim.now >= duration:
-                break
-            self.metrics.record_arrival()
-            deadline = (
-                self.sim.now + self.config.queue_timeout
-                if self.config.queue_timeout is not None
-                else None
-            )
-            self.queue.offer(QueuedQuery(seq, jobs(seq), self.sim.now, deadline))
-            seq += 1
-        self.queue.close()
-
-    def _dispatch(self) -> Iterator[Any]:
-        while True:
-            item = yield from self.queue.get()
-            if item is AdmissionQueue.CLOSED:
-                break
-            if self._shed_if_expired(item):
-                continue
-            while (
-                self.config.max_in_flight is not None
-                and self._in_flight >= self.config.max_in_flight
-            ):
-                yield from self._slot_free.wait()
-            # Backpressure may have held the query past its deadline.
-            if self._shed_if_expired(item):
-                continue
-            self._submit(item)
-
-    def _shed_if_expired(self, item: QueuedQuery) -> bool:
-        if item.expired(self.sim.now):
-            self.metrics.record_timeout(self.sim.now - item.arrival_time)
-            return True
-        return False
-
-    def _submit(self, item: QueuedQuery) -> None:
+    def _execute(self, item: QueuedQuery) -> str:
         job = item.job
         cached_plan = None
         if job.spec is None:
@@ -280,7 +336,6 @@ class QueryService:
             else:
                 route = self.policy.choose(job.spec, self._in_flight, self.queue.depth)
         engine = self.query_centric if route == QUERY_CENTRIC else self.gqp
-        self.metrics.record_dispatch(self.sim.now - item.arrival_time, route)
         if cached_plan is not None:
             handle = engine.submit_plan(
                 cached_plan, label=job.label or job.spec.label, spec=job.spec
@@ -290,42 +345,42 @@ class QueryService:
         else:
             handle = engine.submit_plan(job.plan, label=job.label)
         self.handles.append(handle)
-        self._in_flight += 1
         self.sim.spawn(
             self._watch(handle, item, route),
             name=f"service-watch-s{item.seq}",
             daemon=True,
         )
+        return route
 
     def _watch(self, handle: QueryHandle, item: QueuedQuery, route: str) -> Iterator[Any]:
         yield from handle.wait()
-        self._in_flight -= 1
-        latency = self.sim.now - item.arrival_time
-        self.metrics.record_completion(latency, cache_served=handle.query.cache_served)
+        latency = self._complete(item, cache_served=handle.query.cache_served)
         self.policy.observe_completion(route, latency)
-        self._slot_free.notify_one()
 
 
 # ---------------------------------------------------------------------------
-# Reports and the one-call entry point
+# The report and the one-call entry point
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ServiceReport:
-    """Everything one served run measured, ready to render or serialize."""
+    """Everything one served run measured, either executor: what served
+    it, the run's identification, its metrics and -- scatter/gather only --
+    the merged answers."""
 
-    policy: str
+    #: the executor's identification: ``{"policy": ...}`` plus the
+    #: simulator's load, or the shard topology
+    executor: dict[str, Any]
     arrival: str
     rate: float
     duration: float | None
     workload: str
     sim_seconds: float
     window: float
-    avg_cores_used: float
-    avg_read_mb_s: float
     metrics: ServiceMetrics
     machine_hz: float
+    results: list["MergedResult"] = field(default_factory=list)
 
     @property
     def throughput_qps(self) -> float:
@@ -334,14 +389,12 @@ class ServiceReport:
     def header(self) -> dict[str, Any]:
         """Run identification -- everything that is not a measurement."""
         return {
-            "policy": self.policy,
+            **self.executor,
             "arrival": self.arrival,
             "rate": self.rate,
             "duration": self.duration,
             "workload": self.workload,
             "sim_seconds": self.sim_seconds,
-            "avg_cores_used": self.avg_cores_used,
-            "avg_read_mb_s": self.avg_read_mb_s,
         }
 
     def to_dict(self) -> dict[str, Any]:
@@ -352,36 +405,20 @@ class ServiceReport:
     def render(self) -> str:
         from repro.bench.reporting import format_table
 
-        m = self.metrics
-        lat = m.latency_percentiles()
-        qw = m.queue_wait_percentiles()
-        rows = [
-            ["policy", self.policy],
-            ["arrival", f"{self.arrival} @ {self.rate}/s"],
-            ["window (s)", f"{self.window:.2f}"],
-            ["arrived", m.arrived],
-            ["admitted", m.admitted],
-            ["dropped (queue full)", m.dropped],
-            ["timed out (shed)", m.timed_out],
-            ["completed", m.completed],
-            ["throughput (q/s)", f"{self.throughput_qps:.3f}"],
-            ["latency p50 (s)", f"{lat['p50']:.3f}"],
-            ["latency p95 (s)", f"{lat['p95']:.3f}"],
-            ["latency p99 (s)", f"{lat['p99']:.3f}"],
-            ["queue wait p95 (s)", f"{qw['p95']:.3f}"],
-            ["avg cores used", f"{self.avg_cores_used:.2f}"],
-        ]
-        for route, n in sorted(m.routed.items()):
-            rows.append([f"routed {route}", n])
-        if m.cache_stats:
-            split = m.cache_latency_split()
-            rows.append(["cache hits / misses", f"{m.cache_stats['hits']} / {m.cache_stats['misses']}"])
-            rows.append(["cache resident (bytes)", f"{m.cache_stats['resident_bytes']:.0f}"])
-            rows.append(["cache evictions", m.cache_stats["evictions"]])
-            rows.append(["cache routing discounts", m.cache_routed])
-            rows.append(["hit-served p95 (s)", f"{split['hit_served']['p95']:.3f}"])
-            rows.append(["computed p95 (s)", f"{split['computed']['p95']:.3f}"])
-        return format_table(f"serve: {self.workload} ({self.policy})", ["metric", "value"], rows)
+        rows = [[name, value] for name, value in self.header().items()]
+        rows.append(["window (s)", f"{self.window:.2f}"])
+        rows += self.metrics.render_rows(self.window)
+        return format_table(f"serve: {self.workload}", ["metric", "value"], rows)
+
+    def fingerprint_lines(self) -> list[str]:
+        """``"<seq> <sha256>"`` per merged query -- the artifact CI diffs
+        between ``--shards 1`` and ``--shards N`` runs of one trace."""
+        return [f"{r.seq} {r.fingerprint}" for r in self.results]
+
+    def write_fingerprints(self, path: str) -> None:
+        with open(path, "w") as fh:
+            for line in self.fingerprint_lines():
+                fh.write(line + "\n")
 
 
 def serve(
@@ -420,21 +457,23 @@ def serve(
         qc_config=qc_config,
         gqp_config=gqp_config,
     )
-    service.run(jobs, arrivals, duration)
+    final = service.run(jobs, arrivals, duration)
     sim = service.sim
     if service.storage.result_cache is not None:
         service.metrics.cache_stats = service.storage.result_cache.stats()
-    window = max(sim.now, duration or 0.0) or 1.0
+    window = service.window(duration)
     return ServiceReport(
-        policy=policy.name,
+        executor={
+            "policy": policy.name,
+            "avg_cores_used": sim.avg_cores_used(window),
+            "avg_read_mb_s": sim.disk.bytes_delivered / window / (1 << 20),
+        },
         arrival=arrivals.name,
         rate=rate,
         duration=duration,
         workload=workload,
-        sim_seconds=sim.now,
+        sim_seconds=final,
         window=window,
-        avg_cores_used=sim.avg_cores_used(window),
-        avg_read_mb_s=sim.disk.bytes_delivered / window / (1 << 20),
         metrics=service.metrics,
         machine_hz=machine.hz,
     )

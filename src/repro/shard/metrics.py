@@ -2,7 +2,7 @@
 
 :class:`ShardServiceMetrics` extends the server tier's
 :class:`~repro.server.metrics.ServiceMetrics` (same latency / queue-wait /
-admission counters, measured on the virtual timeline) with what only a
+admission counters, from the same serving core) with what only a
 sharded deployment can report:
 
 * per-shard service-time percentiles (the same canonical
@@ -10,7 +10,7 @@ sharded deployment can report:
 * **straggler attribution** -- for each gathered query, which shard's
   partial arrived last (set the critical path).  A healthy hash partition
   spreads this evenly; a skewed one concentrates it;
-* scatter/gather overhead totals (virtual seconds spent on dispatch and
+* scatter/gather overhead totals (simulated seconds spent on dispatch and
   merge rather than shard work);
 * failure accounting: worker crashes, respawns, retried queries, stuck-
   shard timeouts, and the structured per-query failure records.
@@ -36,10 +36,10 @@ class ShardServiceMetrics(ServiceMetrics):
     per_shard_svc: dict[int, list[float]] = field(default_factory=dict)
     #: queries for which this shard's partial completed last
     straggler_counts: dict[int, int] = field(default_factory=dict)
-    #: virtual seconds spent scattering plan specs / merging partials
+    #: simulated seconds spent scattering plan specs / merging partials
     scatter_overhead_s: float = 0.0
     gather_overhead_s: float = 0.0
-    #: peak per-shard backlog (virtual seconds of queued shard work)
+    #: peak per-shard backlog (simulated seconds of queued shard work)
     #: observed at any dispatch -- the shard tier's pressure gauge
     peak_shard_backlog_s: float = 0.0
     #: per-shard partition-build accounting from the spawn handshake --
@@ -47,10 +47,10 @@ class ShardServiceMetrics(ServiceMetrics):
     #: buffers ship nothing; hash gathers ship full buffers; see
     #: :func:`repro.shard.partition.partition_shipping`)
     partition_shipping: dict[int, dict[str, int]] = field(default_factory=dict)
-    #: virtual seconds of start-up scatter charged onto shard backlogs
+    #: simulated seconds of start-up scatter charged onto shard backlogs
     #: (per-page placement + per-shipped-byte copy via the cost model)
     prewarm_scatter_s: float = 0.0
-    #: virtual seconds of start-up arrangement builds charged onto EVERY
+    #: simulated seconds of start-up arrangement builds charged onto EVERY
     #: shard's backlog (dimension indexes built once pre-fork, shared
     #: fork-COW; reusing queries pay only their probe cost)
     prewarm_arrange_s: float = 0.0
@@ -107,6 +107,31 @@ class ShardServiceMetrics(ServiceMetrics):
         }
 
     # -- export ---------------------------------------------------------
+    def render_rows(self, window: float) -> list[list[Any]]:
+        rows = super().render_rows(window)
+        rows += [
+            ["failed (structured)", self.failed],
+            ["scatter overhead (s)", f"{self.scatter_overhead_s:.4f}"],
+            ["gather overhead (s)", f"{self.gather_overhead_s:.4f}"],
+            [
+                "partition shipped (bytes)",
+                sum(s["shipped_bytes"] for s in self.partition_shipping.values()),
+            ],
+            ["prewarm scatter (s)", f"{self.prewarm_scatter_s:.4f}"],
+            ["prewarm arrange (s)", f"{self.prewarm_arrange_s:.4f}"],
+            ["arrangement hits", sum(self.arrange_hits.values())],
+            ["peak shard backlog (s)", f"{self.peak_shard_backlog_s:.3f}"],
+            [
+                "retries / respawns / timeouts",
+                f"{self.shard_retries} / {self.shard_respawns} / {self.shard_timeouts}",
+            ],
+        ]
+        for name, block in self.per_shard_percentiles().items():
+            rows.append([f"{name} svc p95 (s)", f"{block['p95']:.3f} (n={block['count']:.0f})"])
+        for name, n in sorted(self.straggler_counts.items()):
+            rows.append([f"straggler shard{name}", n])
+        return rows
+
     def to_dict(self, hz: float | None = None, window: float | None = None) -> dict[str, Any]:
         out = super().to_dict(hz=hz, window=window)
         out["shards"] = {

@@ -122,7 +122,7 @@ def partition_shipping(shard: Table) -> dict[str, int]:
     * boxed column vectors -- one machine-word reference per cell.
 
     The scatter-cost model charges these bytes (plus a per-page term) on
-    each shard's virtual timeline at service start-up; see
+    each shard's backlog horizon at service start-up; see
     :class:`repro.shard.service.ShardService`."""
     word = 8  # CPython reference width on every supported platform
     shipped = 0

@@ -1,24 +1,24 @@
-"""The scatter/gather front end: admission, dispatch, merge, report.
+"""The scatter/gather executor: scatter, gather, merge, account.
 
 :class:`ShardService` serves an open-loop query stream against N shard
-worker processes.  The control flow reuses the single-process service
-tier's admission semantics unchanged -- bounded queue (drops at the door),
-per-query queueing deadlines (late work is shed, not run), an in-flight
-cap (backpressure) -- re-expressed on a **virtual timeline**:
+worker processes.  Admission is the one serving core's
+(:class:`~repro.server.service.Service`): the same source, bounded queue,
+queueing deadlines and in-flight cap as the in-process tier, on the core's
+simulator.  This module is only the executor behind it:
 
-* Execution is real: each admitted query's picklable spec is scattered to
-  every worker over its pipe, the workers run their join-only plans in
+* Execution is real: each dispatched query's picklable spec is scattered
+  to every worker over its pipe, the workers run their join-only plans in
   parallel (real processes, real cores), and the gather collects one
   partial aggregate per shard.
 * Time is simulated, like every other measurement in this repository.
   Each worker reports the *simulated* service time of its shard's plan;
-  the front end composes them FIFO per shard through
-  :class:`~repro.server.router.ShardBacklog` --
-  ``start = max(dispatch + scatter_cost, shard_horizon)`` -- and the query
-  completes at ``max(shard_ends) + n_shards * gather_cost``.  Arrivals,
-  queue waits, deadlines and latency percentiles all live on this
-  timeline, so a run is deterministic in its seed regardless of host
-  cores, wall-clock jitter, or gather arrival order.
+  the executor composes them FIFO per shard through :class:`ShardBacklog`
+  -- ``start = max(dispatch + scatter_cost, shard_horizon)`` -- and the
+  query completes at ``max(shard_ends) + n_shards * gather_cost``, exactly
+  then on the core's clock.  Arrivals, queue waits, deadlines and latency
+  percentiles all live on that clock, so a run is deterministic in its
+  seed regardless of host cores, wall-clock jitter, or gather arrival
+  order.
 
 Determinism contract (asserted by tests and the CI smoke diff): merged
 rows and their fingerprints are **byte-identical for any shard count and
@@ -40,27 +40,24 @@ Failure semantics (exercised in ``tests/shard/test_failures.py``):
 from __future__ import annotations
 
 import hashlib
-import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from dataclasses import dataclass
+from typing import Any
 
-from repro.bench.workload import QueryJob
 from repro.parallel.workers import WorkerCrashed, WorkerHandle, WorkerUnresponsive
 from repro.query.merge import merge_states, finalize_rows
 from repro.query.star import StarQuerySpec
 from repro.server.admission import QueuedQuery
-from repro.server.arrivals import ArrivalProcess, make_arrivals
+from repro.server.arrivals import make_arrivals
 from repro.server.config import ServiceConfig
-from repro.server.router import ShardBacklog
-from repro.server.service import job_factory
+from repro.server.service import Service, ServiceReport, job_factory
 from repro.shard.metrics import ShardServiceMetrics
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
 from repro.shard.worker import shard_worker_main
 from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.sim.engine import Simulator
 from repro.storage.arrangements import ARRANGEMENTS
 
-__all__ = ["MergedResult", "ShardReport", "ShardService", "serve_sharded"]
+__all__ = ["MergedResult", "ShardBacklog", "ShardService", "serve_sharded"]
 
 #: Wall-clock budget for a worker's spawn-time handshake (dataset
 #: generation included on a cold, non-fork start).
@@ -88,12 +85,49 @@ class MergedResult:
     fingerprint: str
 
 
+class ShardBacklog:
+    """Per-shard dispatch horizons: the executor's timeline and pressure
+    signal.
+
+    A shard's **availability horizon** is the simulated time at which it
+    finishes everything already dispatched to it.  Dispatching work to a
+    shard advances its horizon FIFO (``start = max(ready_time, horizon)``),
+    which is both the timeline bookkeeping and a backpressure signal:
+    ``backlog(now)`` is queued-but-unfinished shard work in seconds, the
+    per-shard analogue of the in-flight count the in-process router keys
+    on."""
+
+    def __init__(self, n_shards: int):
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        #: simulated time each shard becomes free (monotone per shard: FIFO)
+        self.horizon = [0.0] * n_shards
+
+    def dispatch(self, shard: int, ready_time: float, cost_s: float) -> tuple[float, float]:
+        """Account ``cost_s`` simulated seconds of work on ``shard``, ready
+        no earlier than ``ready_time``; returns ``(start, end)`` and
+        advances the shard's horizon to ``end``."""
+        start = max(ready_time, self.horizon[shard])
+        end = start + cost_s
+        self.horizon[shard] = end
+        return start, end
+
+    def backlog(self, now: float) -> list[float]:
+        """Seconds of already-dispatched work still ahead of each shard."""
+        return [max(0.0, h - now) for h in self.horizon]
+
+    def pressure(self, now: float) -> float:
+        """The gather-relevant pressure: the *worst* shard backlog (a
+        gathered query is as late as its most backlogged shard)."""
+        return max(self.backlog(now))
+
+
 @dataclass
 class _ShardOutcome:
     """What one shard contributed to one gathered query."""
 
     ok: bool
-    #: virtual seconds this attempt occupies on the shard's timeline
+    #: simulated seconds this attempt occupies on the shard's timeline
     virtual_cost: float
     response: ShardResponse | None = None
     kind: str | None = None  # "crash" | "timeout" | "error" when not ok
@@ -101,8 +135,9 @@ class _ShardOutcome:
     retried: bool = False
 
 
-class ShardService:
-    """N shard workers behind one scatter/gather front end."""
+class ShardService(Service):
+    """N shard workers behind the one serving core (the scatter/gather
+    executor)."""
 
     def __init__(
         self,
@@ -110,13 +145,14 @@ class ShardService:
         service_config: ServiceConfig = ServiceConfig(),
         spawn_timeout_s: float = SPAWN_TIMEOUT_S,
     ):
+        super().__init__(
+            Simulator(config.machine), ShardServiceMetrics(n_shards=config.n_shards), service_config
+        )
         self.config = config
-        self.service_config = service_config
         self.spawn_timeout_s = spawn_timeout_s
-        self.metrics = ShardServiceMetrics(n_shards=config.n_shards)
         self.backlog = ShardBacklog(config.n_shards)
+        #: merged answers, in dispatch order
         self.results: list[MergedResult] = []
-        self.now = 0.0
         # Fork-COW prewarm (same trick as the sweep fabric): generate the
         # dataset in the parent before spawning so every worker inherits
         # the memoized tables (column vectors included: they are the
@@ -128,7 +164,7 @@ class ShardService:
         # the generators' PK-first convention) BEFORE spawning, so every
         # worker inherits it copy-on-write and its first query's acquire()
         # is already a hit.  The modelled index build is charged ONCE per
-        # shard on the virtual timeline below (mirroring the scatter-cost
+        # shard on the backlog timeline below (mirroring the scatter-cost
         # prewarm) -- a simulated cost, whatever the host keeps; reusing
         # queries pay only their probe cost, which their simulated service
         # times already contain.
@@ -157,7 +193,7 @@ class ShardService:
         # partition actually shipped (packed buffers make the byte counts
         # real -- zero-copy range views ship nothing, hash gathers ship
         # full buffers).  Charge per-page + per-byte cycles onto each
-        # shard's virtual timeline at t=0, so the first queries queue
+        # shard's backlog horizon at t=0, so the first queries queue
         # behind the scatter; fingerprints are timing-independent, only
         # latency accounting moves.
         hz = config.machine.hz
@@ -167,8 +203,6 @@ class ShardService:
             prewarm_s = (
                 DEFAULT_COST_MODEL.scatter_cycles(ship["pages"], ship["shipped_bytes"]) / hz
             )
-            # Advance the horizon directly: the prewarm is not a query
-            # service sample, so it must not seed the EWMA predictor.
             # Arrangement builds gate every shard equally (one parent-side
             # build, inherited by all workers before any query runs).
             self.backlog.horizon[i] = prewarm_s + arrange_s
@@ -203,78 +237,20 @@ class ShardService:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- the serving loop --------------------------------------------------
-    def run(
-        self,
-        jobs: Callable[[int], QueryJob],
-        arrivals: ArrivalProcess,
-        duration: float | None,
-    ) -> float:
-        """Serve ``jobs`` under ``arrivals`` for ``duration`` virtual
-        seconds (``None``: until the arrival process is exhausted -- only
-        sensible for finite processes like traces), drain, and return the
-        final virtual time.  Same contract as ``QueryService.run``."""
-        cfg = self.service_config
-        queue: deque[QueuedQuery] = deque()
-        #: dispatched queries in completion order -- per-shard FIFO makes
-        #: gather times monotone in dispatch order, so a deque suffices
-        in_flight: deque[tuple[float, QueuedQuery, bool]] = deque()
-        arr_iter = self._arrival_times(arrivals, duration)
-        next_arrival = next(arr_iter, None)
-        seq = 0
-        self.now = 0.0
-        while next_arrival is not None or queue or in_flight:
-            next_completion = in_flight[0][0] if in_flight else math.inf
-            if next_arrival is not None and next_arrival <= next_completion:
-                self.now = next_arrival
-                self.metrics.record_arrival()
-                if len(queue) >= cfg.queue_capacity:
-                    self.metrics.record_drop()
-                else:
-                    deadline = (
-                        self.now + cfg.queue_timeout
-                        if cfg.queue_timeout is not None
-                        else None
-                    )
-                    queue.append(QueuedQuery(seq, jobs(seq), self.now, deadline))
-                    self.metrics.record_admit()
-                seq += 1
-                next_arrival = next(arr_iter, None)
-            else:
-                g, item, ok = in_flight.popleft()
-                self.now = g
-                if ok:
-                    self.metrics.record_completion(g - item.arrival_time)
-            while queue and (
-                cfg.max_in_flight is None or len(in_flight) < cfg.max_in_flight
-            ):
-                item = queue.popleft()
-                if item.expired(self.now):
-                    self.metrics.record_timeout(self.now - item.arrival_time)
-                    continue
-                in_flight.append(self._dispatch(item))
-        return self.now
-
-    @staticmethod
-    def _arrival_times(arrivals: ArrivalProcess, duration: float | None) -> Iterator[float]:
-        t = 0.0
-        for gap in arrivals.gaps():
-            t += gap
-            if duration is not None and t >= duration:
-                return
-            yield t
-
-    # -- dispatch: scatter, gather, merge, account --------------------------
-    def _dispatch(self, item: QueuedQuery) -> tuple[float, QueuedQuery, bool]:
+    # -- the executor: scatter, gather, merge, account ---------------------
+    def _execute(self, item: QueuedQuery) -> str:
+        """Scatter/gather ``item`` for real now; it completes (or fails)
+        at its gather time on the backlog timeline."""
         spec = item.job.spec
         if spec is None:
             raise ValueError("the shard tier serves star-query specs only")
         cfg = self.config
         m = self.metrics
+        now = self.sim.now
         outcomes = self._scatter_gather(item.seq, spec)
         ends = []
         for i, o in enumerate(outcomes):
-            _, end = self.backlog.dispatch(i, self.now + cfg.scatter_cost_s, o.virtual_cost)
+            _, end = self.backlog.dispatch(i, now + cfg.scatter_cost_s, o.virtual_cost)
             ends.append(end)
             if o.ok:
                 m.record_shard_service(i, o.response.svc_seconds)
@@ -282,8 +258,7 @@ class ShardService:
         m.record_straggler(max(range(len(ends)), key=ends.__getitem__))
         g = max(ends) + cfg.gather_cost_s * cfg.n_shards
         m.record_overhead(cfg.scatter_cost_s * cfg.n_shards, cfg.gather_cost_s * cfg.n_shards)
-        m.record_pressure(self.backlog.pressure(self.now))
-        m.record_dispatch(self.now - item.arrival_time, route=cfg.engine)
+        m.record_pressure(self.backlog.pressure(now))
         failed = [(i, o) for i, o in enumerate(outcomes) if not o.ok]
         if failed:
             shard, o = failed[0]
@@ -299,7 +274,8 @@ class ShardService:
                     "missed_deadline": item.deadline is not None and g > item.deadline,
                 }
             )
-            return (g, item, False)
+            self.sim.call_at(g, self._release)
+            return cfg.engine
         if any(o.retried for o in outcomes):
             m.shard_retries += 1
         # Merge in shard order (the operation is associative and
@@ -310,7 +286,8 @@ class ShardService:
         self.results.append(
             MergedResult(item.seq, item.job.label or spec.label, rows, fingerprint_rows(rows))
         )
-        return (g, item, True)
+        self.sim.call_at(g, lambda: self._complete(item))
+        return cfg.engine
 
     def _scatter_gather(self, seq: int, spec: StarQuerySpec) -> list[_ShardOutcome]:
         """Real execution: scatter to all shards, then gather in shard
@@ -386,98 +363,8 @@ class ShardService:
 
 
 # ---------------------------------------------------------------------------
-# Report and the one-call entry point
+# The one-call entry point
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ShardReport:
-    """Everything one sharded run measured, ready to render or serialize."""
-
-    n_shards: int
-    partition: str
-    engine: str
-    arrival: str
-    rate: float
-    duration: float | None
-    workload: str
-    sim_seconds: float
-    window: float
-    metrics: ShardServiceMetrics
-    machine_hz: float
-    results: list[MergedResult] = field(default_factory=list)
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.metrics.throughput(self.window)
-
-    def header(self) -> dict[str, Any]:
-        return {
-            "n_shards": self.n_shards,
-            "partition": self.partition,
-            "engine": self.engine,
-            "arrival": self.arrival,
-            "rate": self.rate,
-            "duration": self.duration,
-            "workload": self.workload,
-            "sim_seconds": self.sim_seconds,
-        }
-
-    def to_dict(self) -> dict[str, Any]:
-        out = self.header()
-        out.update(self.metrics.to_dict(hz=self.machine_hz, window=self.window))
-        return out
-
-    def fingerprint_lines(self) -> list[str]:
-        """``"<seq> <sha256>"`` per merged query -- the artifact CI diffs
-        between ``--shards 1`` and ``--shards N`` runs of one trace."""
-        return [f"{r.seq} {r.fingerprint}" for r in self.results]
-
-    def write_fingerprints(self, path: str) -> None:
-        with open(path, "w") as fh:
-            for line in self.fingerprint_lines():
-                fh.write(line + "\n")
-
-    def render(self) -> str:
-        from repro.bench.reporting import format_table
-
-        m = self.metrics
-        lat = m.latency_percentiles()
-        qw = m.queue_wait_percentiles()
-        rows = [
-            ["shards", f"{self.n_shards} ({self.partition}, {self.engine})"],
-            ["arrival", f"{self.arrival} @ {self.rate}/s"],
-            ["window (s)", f"{self.window:.2f}"],
-            ["arrived", m.arrived],
-            ["admitted", m.admitted],
-            ["dropped (queue full)", m.dropped],
-            ["timed out (shed)", m.timed_out],
-            ["completed", m.completed],
-            ["failed (structured)", m.failed],
-            ["throughput (q/s)", f"{self.throughput_qps:.3f}"],
-            ["latency p50 (s)", f"{lat['p50']:.3f}"],
-            ["latency p95 (s)", f"{lat['p95']:.3f}"],
-            ["latency p99 (s)", f"{lat['p99']:.3f}"],
-            ["queue wait p95 (s)", f"{qw['p95']:.3f}"],
-            ["scatter overhead (s)", f"{m.scatter_overhead_s:.4f}"],
-            ["gather overhead (s)", f"{m.gather_overhead_s:.4f}"],
-            [
-                "partition shipped (bytes)",
-                sum(s["shipped_bytes"] for s in m.partition_shipping.values()),
-            ],
-            ["prewarm scatter (s)", f"{m.prewarm_scatter_s:.4f}"],
-            ["prewarm arrange (s)", f"{m.prewarm_arrange_s:.4f}"],
-            ["arrangement hits", sum(m.arrange_hits.values())],
-            ["peak shard backlog (s)", f"{m.peak_shard_backlog_s:.3f}"],
-            ["retries / respawns / timeouts", f"{m.shard_retries} / {m.shard_respawns} / {m.shard_timeouts}"],
-        ]
-        for name, block in m.per_shard_percentiles().items():
-            rows.append([f"{name} svc p95 (s)", f"{block['p95']:.3f} (n={block['count']:.0f})"])
-        for name, n in sorted(m.straggler_counts.items()):
-            rows.append([f"straggler shard{name}", n])
-        return format_table(
-            f"serve --shards {self.n_shards}: {self.workload}", ["metric", "value"], rows
-        )
 
 
 def serve_sharded(
@@ -494,7 +381,7 @@ def serve_sharded(
     shard_timeout_s: float = 60.0,
     trace_path: str | None = None,
     fault_injection: dict | None = None,
-) -> ShardReport:
+) -> ServiceReport:
     """Serve a synthetic workload on a sharded tier and report.
 
     The one-call entry point behind ``python -m repro serve --shards N``
@@ -515,18 +402,15 @@ def serve_sharded(
     arrivals = make_arrivals(arrival, rate, seed, trace_path=trace_path)
     with ShardService(shard_config, config) as service:
         final = service.run(jobs, arrivals, duration)
-        window = max(final, duration or 0.0) or 1.0
-        return ShardReport(
-            n_shards=shards,
-            partition=partition,
-            engine=engine,
-            arrival=arrivals.name,
-            rate=rate,
-            duration=duration,
-            workload=workload,
-            sim_seconds=final,
-            window=window,
-            metrics=service.metrics,
-            machine_hz=shard_config.machine.hz,
-            results=service.results,
-        )
+    return ServiceReport(
+        executor={"n_shards": shards, "partition": partition, "engine": engine},
+        arrival=arrivals.name,
+        rate=rate,
+        duration=duration,
+        workload=workload,
+        sim_seconds=final,
+        window=service.window(duration),
+        metrics=service.metrics,
+        machine_hz=shard_config.machine.hz,
+        results=service.results,
+    )

@@ -10,7 +10,7 @@ the picklable :class:`~repro.query.star.StarQuerySpec`, and gathers as one
 
 Timing model: workers measure in **simulated seconds** (a fresh
 discrete-event engine per request, like every other measurement in this
-repo); the front end composes those into a deterministic virtual timeline
+repo); the front end composes those into a deterministic per-shard timeline
 (see :mod:`repro.shard.service`).  Only ``shard_timeout_s`` is wall-clock:
 it bounds how long the gather will really wait for a stuck worker process.
 """
@@ -52,14 +52,14 @@ class ShardConfig:
     #: wall-clock seconds the gather waits per shard before declaring the
     #: worker stuck (kill + respawn, no retry)
     shard_timeout_s: float = 60.0
-    #: virtual (simulated) cost of scattering one plan spec to one shard
+    #: simulated cost of scattering one plan spec to one shard
     scatter_cost_s: float = 1e-4
-    #: virtual cost of merging one shard's partial state at the gather
+    #: simulated cost of merging one shard's partial state at the gather
     gather_cost_s: float = 5e-5
-    #: virtual charge on a shard whose crashed query was retried (models
+    #: simulated charge on a shard whose crashed query was retried (models
     #: respawn + replay; keeps the timeline deterministic under injection)
     respawn_penalty_s: float = 0.05
-    #: virtual charge on a shard whose query timed out (the work is lost)
+    #: simulated charge on a shard whose query timed out (the work is lost)
     timeout_penalty_s: float = 5.0
     #: deterministic fault injection for tests: ``(seq, shard_id) ->``
     #: ``"crash"`` (crash once; the retry succeeds), ``"crash2"`` (crash

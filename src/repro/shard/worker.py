@@ -12,7 +12,7 @@ closes.
 
 Per request it runs the query's **join-only plan** on a *fresh* simulator
 and engine (service time depends only on the spec and the shard's data,
-never on what ran before -- the determinism the virtual timeline needs)
+never on what ran before -- the determinism the backlog timeline needs)
 and reduces the joined batches to an exact partial aggregate at the shard
 boundary (:mod:`repro.query.merge`).  A worker whose fact partition is
 empty skips the engine entirely (CJOIN has no work to pipeline over zero

@@ -183,10 +183,3 @@ class CpuPool:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CpuPool {self.cores}c@{self.hz / 1e9:.2f}GHz runnable={self.runnable}>"
-
-
-def cycles_for_seconds(hz: float, seconds: float) -> float:
-    """Convenience: cycles corresponding to ``seconds`` of one core."""
-    if math.isinf(seconds):
-        raise ValueError("seconds must be finite")
-    return hz * seconds

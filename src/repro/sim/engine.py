@@ -487,10 +487,3 @@ class Simulator:
         """Average busy cores over ``window`` (default: the busy period)."""
         w = window if window is not None else self.cpu.busy_time
         return self.cpu.avg_cores_used(w) if w else 0.0
-
-    def avg_read_mb_per_s(self, window: float | None = None) -> float:
-        """Average delivered disk read rate in MB/s over ``window``
-        (default: the device's busy period)."""
-        dev = self.disk
-        w = window if window is not None else dev.busy_time
-        return dev.avg_read_rate(w) / (1 << 20) if w else 0.0

@@ -163,12 +163,5 @@ class IoDevice:
         return done
 
     # ------------------------------------------------------------------
-    def avg_read_rate(self, window: float) -> float:
-        """Average delivered read rate in bytes/second over ``window``
-        (the paper's 'Avg. Read Rate (MB/s)' measurement)."""
-        if window <= 0:
-            return 0.0
-        return self.bytes_delivered / window
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<IoDevice {self.name!r} {self.bandwidth / 1e6:.0f}MB/s streams={self.active_streams}>"

@@ -14,7 +14,6 @@ from repro.sim.machine import GB
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.bufferpool import BufferPool
 from repro.storage.cache import OsPageCache
-from repro.storage.page import Page
 from repro.storage.selections import SelectionMemo
 from repro.storage.table import Table
 
@@ -99,9 +98,6 @@ class StorageManager:
     def ram_resident(self) -> bool:
         return self.config.resident == "memory"
 
-    def total_real_bytes(self) -> float:
-        return sum(t.real_bytes for t in self.tables.values())
-
     def notify_update(self, table_name: str) -> int:
         """A base table changed: invalidate every materialized result
         derived from it.  Returns how many *result-cache* entries were
@@ -142,22 +138,3 @@ class StorageManager:
         """The buffer-pool latch charge for prepaying scan loops (see
         :attr:`BufferPool.latch_charge`); None when acquisition is free."""
         return self.bufferpool.latch_charge
-
-    def scan_pages(
-        self, table: Table, start_page: int = 0, num_pages: int | None = None
-    ) -> Iterator[Any]:
-        """Generator yielding nothing; use :meth:`scan_into` for pipelined
-        scans.  This sequential form fetches ``num_pages`` pages starting at
-        ``start_page`` (wrapping circularly) and returns them as a list --
-        only suitable for small tables (dimension scans during admission)."""
-        n = table.num_pages
-        if n == 0:
-            return []
-        if num_pages is None:
-            num_pages = n
-        pages: list[Page] = []
-        for i in range(num_pages):
-            idx = (start_page + i) % n
-            page = yield from self.read_page(table, idx)
-            pages.append(page)
-        return pages

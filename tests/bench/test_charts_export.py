@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.bench.charts import render_chart
-from repro.bench.export import experiment_to_json, run_result_to_dict, series_to_csv
+from repro.bench.export import experiment_to_json, run_result_to_dict
 from repro.bench.experiments import ExperimentResult
 from repro.bench.runner import RunResult
 
@@ -77,14 +77,3 @@ class TestExport:
         assert parsed["experiment"] == "figX"
         assert parsed["data"]["rt"]["a"] == [1.0, 2.0]
         assert parsed["data"]["cells"]["a"][0]["config"] == "QPipe-SP"
-
-    def test_series_to_csv(self):
-        csv_text = series_to_csv("n", [1, 2], {"a": [1.0, 2.0], "b": [3.0, 4.0]})
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "n,a,b"
-        assert lines[1] == "1,1.0,3.0"
-        assert lines[2] == "2,2.0,4.0"
-
-    def test_series_to_csv_length_mismatch(self):
-        with pytest.raises(ValueError):
-            series_to_csv("n", [1, 2], {"a": [1.0]})

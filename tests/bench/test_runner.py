@@ -4,7 +4,6 @@ import pytest
 
 from repro.bench.runner import (
     POSTGRES,
-    geometric_levels,
     percentile,
     run_batch,
     run_closed_loop,
@@ -81,11 +80,6 @@ class TestClosedLoop:
 
 
 class TestHelpers:
-    def test_geometric_levels(self):
-        assert geometric_levels(1, 64) == [1, 2, 4, 8, 16, 32, 64]
-        assert geometric_levels(1, 48) == [1, 2, 4, 8, 16, 32, 48]
-        assert geometric_levels(4, 4) == [4]
-
     def test_percentile(self):
         xs = [1.0, 2.0, 3.0, 4.0]
         assert percentile(xs, 0.0) == 1.0

@@ -17,10 +17,6 @@ checked here over arbitrary generated predicates and relations:
   into a coarser grouping equals direct aggregation of the consumer,
   value-for-value (exact ``Fraction`` arithmetic) and in the same
   emission order.
-
-Plus the canonicalization satellite: :func:`normalize` never changes the
-selected rows, is idempotent, and maps any conjunct permutation to one
-signature.
 """
 
 from fractions import Fraction
@@ -28,7 +24,7 @@ from fractions import Fraction
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Between, Cmp, InSet, Not, Or
+from repro.query.expr import And, Between, Cmp, InSet, Or
 from repro.query.plan import (
     AggregateNode,
     AggSpec,
@@ -47,7 +43,6 @@ from repro.query.subsume import (
     and_of,
     conjuncts,
     fold_plan,
-    normalize,
     predicate_subsumes,
 )
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
@@ -164,29 +159,6 @@ def test_residual_operator_equals_direct(weak, extra, rows):
     op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
     assert op.apply(provider_rows) == [rows[i] for i in passing(strong, rows)]
-
-
-# ----------------------------------------------------------------------
-# Normalization (canonical conjunct form)
-# ----------------------------------------------------------------------
-@settings(max_examples=120, deadline=None)
-@given(parts=conj_lists, rows=rows_strategy, data=st.data())
-def test_normalize_is_canonical_and_semantics_preserving(parts, rows, data):
-    perm = data.draw(st.permutations(parts))
-    p1, p2 = and_of(parts), and_of(perm)
-    n1, n2 = normalize(p1), normalize(p2)
-    # One canonical signature for every author ordering...
-    assert n1.signature == n2.signature
-    # ...that selects exactly the original rows and is a fixpoint.
-    assert passing(n1, rows) == passing(p1, rows)
-    assert normalize(n1).signature == n1.signature
-
-
-@settings(max_examples=80, deadline=None)
-@given(parts=conj_lists, rows=rows_strategy)
-def test_normalize_handles_negation_and_disjunction(parts, rows):
-    pred = Not(Or(and_of(parts), Cmp("=", "a", 0)))
-    assert passing(normalize(pred), rows) == passing(pred, rows)
 
 
 # ----------------------------------------------------------------------

@@ -116,7 +116,7 @@ class TestServe:
             rate=4.0, duration=3.0, seed=5, workload="ssb-mix",
         )
         m = report.metrics
-        assert report.policy == "adaptive"
+        assert report.executor["policy"] == "adaptive"
         assert report.sim_seconds >= 3.0 or m.arrived == 0
         assert report.window >= report.duration
         assert report.throughput_qps == pytest.approx(m.completed / report.window)

@@ -2,9 +2,9 @@
 
 These spawn real worker processes (small scale factor, short windows) and
 assert the headline contract: N-shard runs produce byte-identical merged
-results and fingerprints to 1-shard runs, while the virtual timeline keeps
-the single-process tier's admission semantics (drops, deadlines,
-backpressure) and scales throughput with the shard count.
+results and fingerprints to 1-shard runs, while the one serving core keeps
+the in-process tier's admission semantics (drops, deadlines, backpressure)
+and throughput scales with the shard count.
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.server.config import ServiceConfig
-from repro.server.router import ShardBacklog
 from repro.shard import serve_sharded
+from repro.shard.service import ShardBacklog
 
 SF = 0.2
 FAST = dict(duration=1.0, rate=4.0, sf=SF, workload="q32-random", arrival="uniform")
@@ -51,7 +51,7 @@ def test_runs_replay_exactly():
 
 
 def test_throughput_scales_with_shards():
-    # At a saturating arrival rate the virtual window is drain-bound, so
+    # At a saturating arrival rate the serving window is drain-bound, so
     # more shards => shorter window => higher completed-per-second.
     qps = {
         n: serve_sharded(n, duration=0.5, rate=40.0, sf=SF, workload="q32-random").throughput_qps
@@ -121,7 +121,6 @@ def test_backlog_fifo_horizons():
     assert b.dispatch(1, ready_time=1.5, cost_s=0.5) == (1.5, 2.0)
     assert b.backlog(2.0) == [2.0, 0.0]
     assert b.pressure(2.0) == 2.0
-    assert b.predicted_completion(2.0) == pytest.approx(4.0 + max(b.svc_ewma))
 
 
 def test_backlog_rejects_empty():

@@ -1,12 +1,10 @@
 """Unit tests for the GPS CPU pool."""
 
-import math
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cpu import CpuPool, cycles_for_seconds
+from repro.sim.cpu import CpuPool
 from repro.sim.task import SimThread
 
 
@@ -182,9 +180,3 @@ class TestConservation:
                 cb()
         expected = [i for i, _ in sorted(enumerate(works), key=lambda p: p[1])]
         assert order == expected
-
-
-def test_cycles_for_seconds():
-    assert cycles_for_seconds(2e9, 1.5) == 3e9
-    with pytest.raises(ValueError):
-        cycles_for_seconds(1e9, math.inf)

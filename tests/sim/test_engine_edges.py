@@ -158,4 +158,4 @@ class TestRunEdges:
         sim.spawn(worker(), "w")
         sim.run()
         assert sim.avg_cores_used(2.0) == pytest.approx(0.5)
-        assert sim.avg_read_mb_per_s(2.0) == pytest.approx(100e6 / (1 << 20) / 2)
+        assert sim.disk.bytes_delivered / 2.0 == pytest.approx(100e6 / 2)

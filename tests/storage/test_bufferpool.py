@@ -100,22 +100,6 @@ class TestStorageManager:
         with pytest.raises(KeyError, match="no table"):
             storage.table("nope")
 
-    def test_scan_pages_wraps_circularly(self):
-        sim, storage, table = make_env(resident="memory")
-        got = []
-
-        def worker():
-            pages = yield from storage.scan_pages(table, start_page=8, num_pages=10)
-            got.extend(p.index for p in pages)
-
-        sim.spawn(worker(), "w")
-        sim.run()
-        assert got == [8, 9, 0, 1, 2, 3, 4, 5, 6, 7]
-
-    def test_total_real_bytes(self):
-        _, storage, table = make_env()
-        assert storage.total_real_bytes() == pytest.approx(table.real_bytes)
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StorageConfig(resident="tape")

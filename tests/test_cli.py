@@ -93,6 +93,26 @@ class TestCommands:
         payload = out[out.index("{") :]
         assert json.loads(payload)["experiment"] == "spl_maxsize"
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--shards", "1", "--result-cache-mb", "4"], "--result-cache-mb does not apply with --shards N"),
+            (["--shards", "1", "--disk"], "--disk does not apply with --shards N"),
+            (["--shards", "1", "--direct-io"], "--direct-io does not apply with --shards N"),
+            (["--shards", "1", "--threshold", "3"], "--threshold does not apply with --shards N"),
+            (["--shards", "1", "--policy", "static"], "--policy does not apply with --shards N"),
+            (["--partition", "range"], "--partition needs --shards N"),
+            (["--shard-engine", "qpipe-sp"], "--shard-engine needs --shards N"),
+            (["--shard-timeout", "5"], "--shard-timeout needs --shards N"),
+            (["--fingerprints", "fp.txt"], "--fingerprints needs --shards N"),
+        ],
+    )
+    def test_serve_rejects_flags_of_the_other_executor(self, flags, message):
+        fast = ["--rate", "2", "--duration", "0.5", "--sf", "0.2", "--workload", "q32-random"]
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", *fast, *flags])
+        assert exc.value.code == f"repro serve: {message}"
+
     def test_experiment_chart_flag(self, capsys):
         rc = main(["experiment", "fig6", "--chart"])
         assert rc == 0

@@ -28,7 +28,6 @@ from repro.query.plan import (
     SortNode,
 )
 from repro.query.star import Query, StarQuerySpec
-from repro.sim.commands import CPU, CPU_FUSED
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.sync import Gate
 from repro.storage.page import Batch, ColumnBatch
@@ -98,7 +97,7 @@ class VolcanoEngine:
 
     # ------------------------------------------------------------------
     def _backend(self, query: Query, plan: PlanNode, handle: QueryHandle) -> Iterator[Any]:
-        yield CPU(self.cost.packet_dispatch, "misc")
+        yield self.cost.dispatch_charge
         rel = yield from self._eval(plan)
         rows = list(rel.rows)
         query.results = rows
@@ -147,33 +146,21 @@ class VolcanoEngine:
                         or scfg.prefetch_window <= 0
                     ):
                         read_page = storage.read_page
-                        prepay = storage.latch_prepay_charge()
+                        prepay = storage.cost.bufferpool_latch_charge
                         if prepay is not None:
                             # Prepay the next page's buffer-pool latch charge
                             # at the tail of this page's scan charge: one
                             # fewer command per page (the latch take still
-                            # happens when the charge completes).  Fused
-                            # commands are immutable, so cache them per page
-                            # length.
-                            fused_scans: dict[int, Any] = {}
+                            # happens when the charge completes).
                             last = npages - 1
                             prepaid = False
                             for i in range(npages):
                                 page = yield from read_page(
                                     table, i, latch_prepaid=prepaid
                                 )
-                                n = len(page)
-                                if i < last:
-                                    cmd = fused_scans.get(n)
-                                    if cmd is None:
-                                        cmd = fused_scans[n] = CPU_FUSED(
-                                            cost.scan(n, page.weight), prepay
-                                        )
-                                    prepaid = True
-                                else:
-                                    cmd = cost.scan(n, page.weight)
-                                    prepaid = False
-                                yield cmd
+                                scan = cost.scan(len(page), page.weight)
+                                prepaid = i < last
+                                yield cost.fused(scan, prepay) if prepaid else scan
                         else:
                             for i in range(npages):
                                 page = yield from read_page(table, i)
@@ -221,7 +208,7 @@ class VolcanoEngine:
                     bkey = nd.build.schema.index(nd.build_key)
                     if build_rows:
                         nb = len(build_rows)
-                        yield CPU_FUSED(cost.hashing(nb, bw), cost.build(nb, bw))
+                        yield cost.fused(cost.hashing(nb, bw), cost.build(nb, bw))
                         bkeys = [r[bkey] for r in build_rows]
                         single = dict(zip(bkeys, build_rows))
                         if len(single) != nb:
@@ -244,7 +231,7 @@ class VolcanoEngine:
                 if nout:
                     cmds.append(cost.emit_join(nout, w))
                 if cmds:
-                    yield CPU_FUSED(*cmds)
+                    yield cost.fused(*cmds)
             elif isinstance(nd, AggregateNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
@@ -253,8 +240,8 @@ class VolcanoEngine:
                 rel, w = result, result.weight
                 n = len(rel)
                 if n:
-                    yield CPU_FUSED(
-                        CPU(cost.hash_func * n * w, "aggregation"),
+                    yield cost.fused(
+                        cost.group_hash(n, w),
                         cost.aggregate(n, w, functions=len(nd.aggregates)),
                     )
                 schema = nd.child.schema

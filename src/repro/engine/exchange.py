@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.sim.commands import CPU, CPU_FUSED
 from repro.sim.sync import Condition
 from repro.storage.page import Batch
 
@@ -115,9 +114,8 @@ class FifoExchange:
         self._slots: list[_ConsumerSlot] = []
         self._closed = False
         self.pages_emitted = 0
-        # Fixed per-page bookkeeping charge, built once (emit yields the
-        # cached immutable instance).
-        self._overhead_charge = CPU(cost.fifo_page_overhead, "misc")
+        # Fixed per-page bookkeeping charge (the cost model's instance).
+        self._overhead_charge = cost.fifo_overhead_charge
 
     # ------------------------------------------------------------------
     @property
@@ -149,7 +147,7 @@ class FifoExchange:
         between those yields."""
         self.pages_emitted += 1
         overhead = self._overhead_charge
-        yield CPU_FUSED(lead, overhead) if lead is not None else overhead
+        yield self.cost.fused(lead, overhead) if lead is not None else overhead
         for slot in self._slots:
             if slot.queue.closed:
                 continue

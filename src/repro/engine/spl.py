@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.sim.commands import BLOCK, CPU, CPU_FUSED
+from repro.sim.commands import BLOCK
 from repro.sim.sync import Condition, Lock
 from repro.storage.page import Batch
 
@@ -96,7 +96,7 @@ class SplConsumer:
         ``lock_prepaid`` each time it actually fuses the charge, and must
         keep reading until END (the END-returning read consumes the final
         prepaid charge, as a separately yielded one would have been paid)."""
-        return self.spl._lock.charge_cmd
+        return self.spl._lock.charge
 
 
 class SharedPagesList:
@@ -123,19 +123,19 @@ class SharedPagesList:
         self._head_seq = 0
         self._consumers: list[SplConsumer] = []
         self._producer_done = False
-        self._lock = Lock(sim, f"{self.name}.lock", acquire_cycles=cost.spl_lock_cycles)
+        self._lock = Lock(sim, f"{self.name}.lock", charge=cost.spl_latch_charge)
         self._not_empty = Condition(sim, f"{self.name}.ne")
         self._not_full = Condition(sim, f"{self.name}.nf")
         self.pages_emitted = 0
-        # Fixed-cost charges built once; read/emit yield these cached
-        # (immutable) instances instead of constructing one per page.
-        self._read_charge = CPU(cost.spl_read_page, "misc")
+        # The cost model's fixed charges: every SPL of a run yields the
+        # same instances, so the fusions below are memo hits.
+        self._read_charge = cost.spl_read_charge
         #: The emit charge, fused with the list lock's acquire charge when
         #: the lock has one (consumers likewise defer their read charge
         #: into the next command they yield).
-        emit = CPU(cost.spl_emit_page, "misc")
-        lock_charge = self._lock.charge_cmd
-        self._emit_charge = CPU_FUSED(emit, lock_charge) if lock_charge is not None else emit
+        emit = cost.spl_emit_charge
+        latch = cost.spl_latch_charge
+        self._emit_charge = cost.fused(emit, latch) if latch is not None else emit
 
     # ------------------------------------------------------------------
     @property
@@ -175,7 +175,7 @@ class SharedPagesList:
         # (Lead +) emit + lock charge in one command, then the inline lock
         # protocol: ``take_or_enqueue`` runs when the command completes.
         charge = self._emit_charge
-        yield CPU_FUSED(lead, charge) if lead is not None else charge
+        yield self.cost.fused(lead, charge) if lead is not None else charge
         if not lock.take_or_enqueue(me):
             yield BLOCK
             lock.confirm_after_block(me)
@@ -183,8 +183,8 @@ class SharedPagesList:
             while len(self._pages) >= self.max_pages:
                 lock.release()
                 yield from self._not_full.wait()
-                if lock.charge_cmd is not None:
-                    yield lock.charge_cmd
+                if lock.charge is not None:
+                    yield lock.charge
                 if not lock.take_or_enqueue(me):
                     yield BLOCK
                     lock.confirm_after_block(me)
@@ -217,7 +217,7 @@ class SharedPagesList:
         page); the yielded command sequence is exactly what
         ``yield from self._lock.acquire()`` would produce."""
         lock = self._lock
-        charge = lock.charge_cmd
+        charge = lock.charge
         me = self.sim.current
         if consumer.lock_prepaid:
             # The caller fused this read's lock charge into its previous

@@ -41,7 +41,6 @@ from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity
 from repro.query.plan import referenced_tables
 from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, ResidualOperator
-from repro.sim.commands import CPU
 from repro.storage.page import Batch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -167,9 +166,9 @@ class Stage:
         the packet's exchange at memory-read cost, then close."""
         cost = self.engine.cost
         exchange = packet.exchange
-        yield CPU(cost.cache_probe, "misc")
+        yield cost.cache_probe_charge
         for batch in entry.batches:
-            yield CPU(cost.cache_replay_page, "misc")
+            yield cost.cache_replay_charge
             yield cost.read(len(batch), batch.weight)
             yield from exchange.emit(Batch(list(batch.rows), batch.weight))
         packet.mark_started()
@@ -202,7 +201,7 @@ class Stage:
                     abandoned = True
                     batches = []
                     continue
-                yield CPU(cost.cache_store_page, "misc")
+                yield cost.cache_store_charge
                 batches.append(Batch(list(batch.rows), batch.weight))
             if not abandoned:
                 cache.admit(
@@ -346,10 +345,10 @@ class Stage:
         exchange = packet.exchange
         op = ResidualOperator(plan, entry.node.schema)
         yield cost.fold_search(examined)
-        yield CPU(cost.cache_probe, "misc")
+        yield cost.cache_probe_charge
         terms = plan.residual_terms
         for batch in entry.batches:
-            yield CPU(cost.cache_replay_page, "misc")
+            yield cost.cache_replay_charge
             n = len(batch)
             yield cost.read(n, batch.weight)
             if terms and n:

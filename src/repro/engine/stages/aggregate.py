@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.sim.commands import CPU, CPU_FUSED
 from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
@@ -121,7 +120,7 @@ class AggregateStage(Stage):
         node: AggregateNode = packet.node
         cost = self.engine.cost
         exchange = packet.exchange
-        yield CPU(cost.packet_dispatch, "misc")
+        yield cost.dispatch_charge
 
         schema = child_input.schema
         group_idx = column_indices(schema, node.group_by)
@@ -145,14 +144,12 @@ class AggregateStage(Stage):
                 if fc is not None:
                     yield child_input.fuse_next_lock(fc)
                 continue
-            # Group-table hashing counts as aggregation work (the paper's
-            # "Hashing" bucket covers hash-join hash()/equal() only).
-            hash_cmd = CPU(cost.hash_func * n * w, "aggregation")
+            hash_cmd = cost.group_hash(n, w)
             agg_cmd = cost.aggregate(n, w, functions=nspecs)
             if fc is not None:
-                cmd = CPU_FUSED(fc, hash_cmd, agg_cmd)
+                cmd = cost.fused(fc, hash_cmd, agg_cmd)
             else:
-                cmd = CPU_FUSED(hash_cmd, agg_cmd)
+                cmd = cost.fused(hash_cmd, agg_cmd)
             # Accumulation is pure computation; nothing is emitted until
             # END, so the next read's lock charge rides along.
             yield child_input.fuse_next_lock(cmd)

@@ -10,7 +10,8 @@ raw circular scan be shared by queries with different predicates.
 Selection runs through :func:`repro.query.expr.compile_selection` -- one
 call per batch -- and the read + predicate cycle charges are fused into a
 single simulator command (one pool entry of their summed cycles, each part
-metered into its own category)."""
+metered into its own category), handed back from the cost model's fused
+memo."""
 
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.engine.exchange import END
 from repro.query.expr import And, Expr, compile_selection
 from repro.query.plan import PlanNode, SelectNode
-from repro.sim.commands import CPU_FUSED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.costmodel import CostModel
@@ -82,13 +82,14 @@ class FilteredInput:
         n = len(batch)
         if n == 0:
             return batch, rc
-        read_cmd = self.cost.read(n, batch.weight)
+        cost = self.cost
+        read_cmd = cost.read(n, batch.weight)
         if self._select is None:
-            return batch, (CPU_FUSED(rc, read_cmd) if rc is not None else read_cmd)
-        pred_cmd = self.cost.predicate(n, batch.weight, max(self.terms, 1))
+            return batch, (cost.fused(rc, read_cmd) if rc is not None else read_cmd)
+        pred_cmd = cost.predicate(n, batch.weight, max(self.terms, 1))
         if rc is not None:
-            return self._select(batch), CPU_FUSED(rc, read_cmd, pred_cmd)
-        return self._select(batch), CPU_FUSED(read_cmd, pred_cmd)
+            return self._select(batch), cost.fused(rc, read_cmd, pred_cmd)
+        return self._select(batch), cost.fused(read_cmd, pred_cmd)
 
     def fuse_next_lock(self, cmd):
         """Fuse the *next* read's SPL lock charge as the last part of
@@ -101,4 +102,4 @@ class FilteredInput:
         if lp is None or cmd is None:
             return cmd
         self.reader.lock_prepaid = True
-        return CPU_FUSED(cmd, lp)
+        return self.cost.fused(cmd, lp)

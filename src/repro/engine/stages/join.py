@@ -7,13 +7,12 @@ bookkeeping and output materialization under "joins".
 
 Both hot loops run vectorized (one comprehension per batch, key indices
 hoisted out of the loop) and the per-batch cycle charges are fused into a
-single simulator command (see :func:`repro.sim.commands.CPU_FUSED`)."""
+single simulator command (see :meth:`repro.sim.costmodel.CostModel.fused`)."""
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.sim.commands import CPU, CPU_FUSED
 from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
@@ -133,7 +132,7 @@ class HashJoinStage(Stage):
         node: "HashJoinNode" = packet.node
         cost = self.engine.cost
         exchange = packet.exchange
-        yield CPU(cost.packet_dispatch, "misc")
+        yield cost.dispatch_charge
 
         # ---- build phase --------------------------------------------
         # Key index resolved once per packet, not per batch.
@@ -155,9 +154,9 @@ class HashJoinStage(Stage):
             # Only pure computation follows until the next read, so the
             # next read's lock charge rides at the tail of this command.
             if fc is not None:
-                cmd = CPU_FUSED(fc, cost.hashing(n, w), cost.build(n, w))
+                cmd = cost.fused(fc, cost.hashing(n, w), cost.build(n, w))
             else:
-                cmd = CPU_FUSED(cost.hashing(n, w), cost.build(n, w))
+                cmd = cost.fused(cost.hashing(n, w), cost.build(n, w))
             yield build_input.fuse_next_lock(cmd)
             if shared is None:
                 # Private build: the rows become the probe output's tail
@@ -191,12 +190,12 @@ class HashJoinStage(Stage):
                 continue
             out = probe(batch, probe_key, get, w, single)
             nout = len(out)
-            cmds = [cost.hashing(n, w, equals=nout), cost.probe(n, w)]
+            cmds = [fc] if fc is not None else []
+            cmds.append(cost.hashing(n, w, equals=nout))
+            cmds.append(cost.probe(n, w))
             if nout:
                 cmds.append(cost.emit_join(nout, w))
-            if fc is not None:
-                cmds.insert(0, fc)
-            fused_cmd = CPU_FUSED(*cmds)
+            fused_cmd = cost.fused(*cmds)
             if not nout:
                 # No emission before the next read, so its lock charge
                 # can ride at the tail (an emit in between would hold

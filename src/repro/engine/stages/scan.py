@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.sim.commands import CPU
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
 from repro.storage.prefetch import PageSource
@@ -104,7 +103,7 @@ class TableScanStage(Stage):
         engine = self.engine
         cost = engine.cost
         exchange = packet.exchange
-        yield CPU(cost.packet_dispatch, "misc")
+        yield cost.dispatch_charge
         if table.num_pages == 0:
             exchange.close()
             packet.finished = True

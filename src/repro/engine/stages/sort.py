@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from repro.sim.commands import CPU
 from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
@@ -38,7 +37,7 @@ class SortStage(Stage):
         node: SortNode = packet.node
         cost = self.engine.cost
         exchange = packet.exchange
-        yield CPU(cost.packet_dispatch, "misc")
+        yield cost.dispatch_charge
 
         schema = child_input.schema
         rows: list[tuple] = []

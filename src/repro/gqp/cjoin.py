@@ -24,7 +24,7 @@ from functools import reduce
 from operator import or_
 from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
+from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
 from repro.gqp.bitmap import SlotAllocator
 from repro.query.expr import column_indices, row_key_fn
@@ -341,25 +341,21 @@ class CJoinPipeline:
         # in between, so the latch is still taken when the charge completes,
         # and one simulator command per page disappears (admission scans
         # every dim page per admitted query, the hottest page loop in CJOIN).
-        prepay = self.storage.latch_prepay_charge()
-        fused_cmds: dict[int, Any] = {}  # immutable, so cached per page length
+        prepay = self.storage.cost.bufferpool_latch_charge
+        terms = max(predicate.terms, 1) if predicate is not None else 0
         last = dim.num_pages - 1
         prepaid = False
         for page_index in range(dim.num_pages):
             page = yield from self.storage.read_page(dim, page_index, latch_prepaid=prepaid)
-            n = len(page)
+            n, w = len(page), page.weight
             prepaid = prepay is not None and page_index < last
-            cmd = fused_cmds.get(n) if prepaid else None
-            if cmd is None:
-                parts = [cost.scan(n, page.weight)]
-                if predicate is not None:
-                    parts.append(cost.predicate(n, page.weight, max(predicate.terms, 1)))
-                if prepaid:
-                    parts.append(prepay)
-                cmd = CPU_FUSED(*parts)
-                if prepaid:
-                    fused_cmds[n] = cmd
-            yield cmd
+            scan = cost.scan(n, w)
+            if predicate is None:
+                yield cost.fused(scan, prepay) if prepaid else scan
+            elif prepaid:
+                yield cost.fused(scan, cost.predicate(n, w, terms), prepay)
+            else:
+                yield cost.fused(scan, cost.predicate(n, w, terms))
         selection = self.storage.selections.select(
             dim, predicate, self.engine.config.query_folding
         )
@@ -418,18 +414,16 @@ class CJoinPipeline:
                     else:
                         entry.bitmap |= bit
                         annotations += 1
-            cmds: list[CpuCommand] = []
+            cmds = []
             if inserts:
                 cmds.append(cost.hashing(inserts, flt.weight))
                 cmds.append(cost.build(inserts, flt.weight))
             if annotations:
-                cmds.append(
-                    CPU(cost.admission_bitmap * annotations * flt.weight, "joins")
-                )
+                cmds.append(cost.annotate(annotations, flt.weight))
             if cmds:
                 # Pure bookkeeping between the charges (pipeline paused):
                 # fuse them into one event per extended filter.
-                yield CPU_FUSED(*cmds)
+                yield cost.fused(*cmds)
         for name, flt in self.filters.items():
             if name in referenced:
                 flt.referencing.add(slot)
@@ -489,7 +483,7 @@ class CJoinPipeline:
             flt.pass_mask &= keep
             flt.referencing -= {s for s in flt.referencing if stale >> s & 1}
             if entries:
-                yield CPU(cost.admission_bitmap * entries * flt.weight, "joins")
+                yield cost.annotate(entries, flt.weight)
         # Drop filters no longer referenced by any live query.
         dropped = [n for n, f in self.filters.items() if not f.referencing]
         for name in dropped:
@@ -538,25 +532,22 @@ class CJoinPipeline:
                 add_row(row)
                 add_bm(bm)
                 add_dim(dims + (dim_row,))
-        cmds = [
-            cost.hashing(n, w),
-            cost.probe(n, w, shared=True),
-            cost.bitmap_and(n, w, item.high_slots),
-        ]
+        hashing = cost.hashing(n, w)
+        probing = cost.probe(n, w, shared=True)
+        bitmaps = cost.bitmap_and(n, w, item.high_slots)
         if new_rows:
             # Materializing the joined tuple (attaching the dimension
             # payload) costs the same as a query-centric join's output
             # materialization.
-            cmds.append(cost.emit_join(len(new_rows), w))
-        yield CPU_FUSED(*cmds)
+            yield cost.fused(hashing, probing, bitmaps, cost.emit_join(len(new_rows), w))
+        else:
+            yield cost.fused(hashing, probing, bitmaps)
         item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
 
     def _filter_worker(self) -> Iterator[Any]:
         """Horizontal configuration: each worker carries a page through the
         whole filter chain."""
-        cost = self.cost
-        # The per-page sync charge is immutable -- build it once.
-        sync = CPU(cost.filter_sync_page, "locks")
+        sync = self.cost.filter_sync_charge
         while True:
             item = yield from self._page_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover - pipeline never closes
@@ -576,9 +567,8 @@ class CJoinPipeline:
         """Vertical configuration (Section 5.2.2): one thread per filter
         *position*; pages are handed from stage to stage through bounded
         channels, paying the hand-off synchronization at every stage."""
-        cost = self.cost
         in_chan = self._page_chan if position == 0 else self._vchans[position]
-        sync = CPU(cost.filter_sync_page, "locks")
+        sync = self.cost.filter_sync_charge
         while True:
             item = yield from in_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover
@@ -647,14 +637,11 @@ class CJoinPipeline:
                     out = [project(rows[j], dims[j], filter_pos) for j in sel]
                     cmds.append(cost.distribute(len(out), w))
                     if state.agg_groups is not None:
-                        cmds.append(CPU(
-                            (cost.hash_func + cost.agg_update
-                             + cost.agg_per_function * len(state.agg_node.aggregates))
-                            * len(out) * w,
-                            "aggregation",
+                        cmds.append(cost.shared_aggregate(
+                            len(out), w, len(state.agg_node.aggregates)
                         ))
                 if cmds:
-                    yield CPU_FUSED(*cmds)
+                    yield cost.fused(*cmds)
                 if out:
                     if state.agg_groups is not None:
                         # Shared aggregation: fold into running sums instead

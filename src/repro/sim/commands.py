@@ -11,8 +11,11 @@ to pass it ``yield``\\ s one of the command objects below and is resumed by
   the building block for all higher-level synchronization in
   :mod:`repro.sim.sync`.
 
-The lowercase factory aliases (:func:`CPU`, :func:`IO`, :func:`SLEEP`) are
-what engine code uses, e.g. ``yield CPU(1_000_000, "hashing")``.
+The lowercase factory aliases (:func:`CPU`, :func:`IO`, :func:`SLEEP`) read
+naturally at yield sites, e.g. ``yield CPU(1_000_000, "hashing")``.  Inside
+the package only :class:`~repro.sim.costmodel.CostModel` builds CPU
+commands: engines yield its memoized values, so a hot loop's charge is a
+dict hit, never a new object.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ class CpuCommand:
     category when the command is dispatched and enters the pool once with
     ``total``; a command whose total is zero resumes through the event heap.
 
-    Commands are immutable by contract (the engine yields the same cached
-    instance for fixed-cost charges, e.g. an SPL's per-page read); hand
-    rolled rather than a frozen dataclass because hot loops create them by
-    the hundred thousand and ``object.__setattr__`` per field is measurable
-    there.
+    Commands are immutable by contract: the cost model hands out one
+    cached instance per charge value, and every operator of a run yields
+    and fuses that same instance.  Hand rolled rather than a frozen
+    dataclass to keep ``__slots__`` and a one-pass ``total``.
     """
 
     __slots__ = ("cycles", "category", "rest", "total")
@@ -110,8 +112,10 @@ def CPU_FUSED(*cmds: CpuCommand) -> CpuCommand:
 
     Hot worker loops that would yield several back-to-back ``CpuCommand``\\ s
     (e.g. a join's ``hashing`` then ``build`` charge per batch) yield one
-    fused command instead: one generator resume, one dispatch and one pool
-    entry of the summed work (``total``) instead of one per charge.  In a
+    fused command instead -- through :meth:`CostModel.fused
+    <repro.sim.costmodel.CostModel.fused>`, which builds each distinct
+    fusion once: one generator resume, one dispatch and one pool entry of
+    the summed work (``total``) instead of one per charge.  In a
     GPS pool that job finishes at the instant the chain of separate yields
     would have -- the member count is the same throughout -- up to float
     association.  Only use this for charges with *no observable side

@@ -27,8 +27,9 @@ benches can sweep them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.sim.commands import CPU, CpuCommand
+from repro.sim.commands import CPU, CPU_FUSED, CpuCommand
 
 
 @dataclass(frozen=True)
@@ -119,12 +120,79 @@ class CostModel:
     volcano_cpu_factor: float = 0.55  # Postgres stand-in: cheaper per-tuple code
 
     def __post_init__(self) -> None:
-        # Memo table for the command builders below.  Hot loops rebuild the
+        # Memo tables for the command builders below.  Hot loops rebuild the
         # same charge (same n / weight) hundreds of thousands of times per
         # run; CpuCommand is immutable by contract, so handing back the
         # cached instance is safe and the cycles float -- computed once by
-        # the exact same expression -- is bit-identical.
+        # the exact same expression -- is bit-identical.  The cost model is
+        # the only constructor of CPU commands in the package, so every
+        # operator of every run on this model yields the same instances.
         object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_fused", {})
+
+    # ------------------------------------------------------------------
+    # Fixed charges: one immutable command per cost model, so every
+    # operator yields -- and fuses -- the same instance.  A latch whose
+    # cycles are zero is free: its charge is None and nothing is yielded.
+    # ------------------------------------------------------------------
+    @cached_property
+    def dispatch_charge(self) -> CpuCommand:
+        """Create, queue and tear down one packet."""
+        return CPU(self.packet_dispatch, "misc")
+
+    @cached_property
+    def spl_read_charge(self) -> CpuCommand:
+        return CPU(self.spl_read_page, "misc")
+
+    @cached_property
+    def spl_emit_charge(self) -> CpuCommand:
+        return CPU(self.spl_emit_page, "misc")
+
+    @cached_property
+    def spl_latch_charge(self) -> CpuCommand | None:
+        return CPU(self.spl_lock_cycles, "locks") if self.spl_lock_cycles else None
+
+    @cached_property
+    def bufferpool_latch_charge(self) -> CpuCommand | None:
+        cycles = self.bufferpool_page * 0.25
+        return CPU(cycles, "locks") if cycles else None
+
+    @cached_property
+    def bufferpool_lookup_charge(self) -> CpuCommand:
+        return CPU(self.bufferpool_page * 0.75, "scans")
+
+    @cached_property
+    def fifo_overhead_charge(self) -> CpuCommand:
+        return CPU(self.fifo_page_overhead, "misc")
+
+    @cached_property
+    def filter_sync_charge(self) -> CpuCommand:
+        return CPU(self.filter_sync_page, "locks")
+
+    @cached_property
+    def cache_probe_charge(self) -> CpuCommand:
+        return CPU(self.cache_probe, "misc")
+
+    @cached_property
+    def cache_replay_charge(self) -> CpuCommand:
+        return CPU(self.cache_replay_page, "misc")
+
+    @cached_property
+    def cache_store_charge(self) -> CpuCommand:
+        return CPU(self.cache_store_page, "misc")
+
+    def fused(self, *parts: CpuCommand) -> CpuCommand:
+        """The one fused command of ``parts`` (see
+        :func:`~repro.sim.commands.CPU_FUSED`), built on first use and
+        handed back from then on.  Keyed by the parts themselves: they are
+        cost-model commands, never rebuilt, so identity stands for value,
+        and a page loop's fused charge is a dict hit rather than a new
+        object."""
+        memo = self._fused
+        cmd = memo.get(parts)
+        if cmd is None:
+            cmd = memo[parts] = CPU_FUSED(*parts)
+        return cmd
 
     # ------------------------------------------------------------------
     # Convenience CpuCommand builders.  ``n`` is a count of *generated*
@@ -200,6 +268,31 @@ class CostModel:
             )
         return cmd
 
+    def group_hash(self, n: float, weight: float) -> CpuCommand:
+        """Group-table hashing of a hash aggregation: aggregation work (the
+        paper's "Hashing" bucket covers hash-join hash()/equal() only)."""
+        memo = self._memo
+        key = ("ghash", n, weight)
+        cmd = memo.get(key)
+        if cmd is None:
+            cmd = memo[key] = CPU(self.hash_func * n * weight, "aggregation")
+        return cmd
+
+    def shared_aggregate(self, n: float, weight: float, functions: int = 1) -> CpuCommand:
+        """CJOIN's shared aggregation: group hashing plus the running-sum
+        update of ``n`` distributed tuples."""
+        memo = self._memo
+        key = ("sagg", n, weight, functions)
+        cmd = memo.get(key)
+        if cmd is None:
+            cmd = memo[key] = CPU(
+                (self.hash_func + self.agg_update + self.agg_per_function * functions)
+                * n
+                * weight,
+                "aggregation",
+            )
+        return cmd
+
     def sort(self, n: float, weight: float) -> CpuCommand:
         """n log2 n comparison work for sorting ``n`` tuples."""
         import math
@@ -243,6 +336,16 @@ class CostModel:
         cmd = memo.get(key)
         if cmd is None:
             cmd = memo[key] = CPU(self.preprocessor_tuple * n * weight, "scans")
+        return cmd
+
+    def annotate(self, entries: float, weight: float) -> CpuCommand:
+        """Extend (or clear) the query bitmaps of ``entries`` dimension
+        tuples resident in a CJOIN filter."""
+        memo = self._memo
+        key = ("annot", entries, weight)
+        cmd = memo.get(key)
+        if cmd is None:
+            cmd = memo[key] = CPU(self.admission_bitmap * entries * weight, "joins")
         return cmd
 
     def scatter_cycles(self, pages: float, shipped_bytes: float) -> float:

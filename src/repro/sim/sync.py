@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.sim.commands import BLOCK
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim.commands import CpuCommand
     from repro.sim.engine import Simulator
     from repro.sim.task import SimThread
 
@@ -25,22 +26,16 @@ if TYPE_CHECKING:  # pragma: no cover
 class Lock:
     """A FIFO mutex.  ``yield from lock.acquire()`` ... ``lock.release()``.
 
-    Optionally charges ``acquire_cycles`` of CPU (category ``locks``) per
-    acquisition, modelling latch overhead; waiting time under contention is
-    modelled by the blocking itself.
+    Optionally yields ``charge`` (a cost-model CPU command, category
+    ``locks``) per acquisition, modelling latch overhead; waiting time
+    under contention is modelled by the blocking itself.  Hot paths that
+    inline the acquire protocol yield (or fuse) the same instance.
     """
 
-    def __init__(self, sim: "Simulator", name: str = "lock", acquire_cycles: float = 0.0):
-        from repro.sim.commands import CpuCommand
-
+    def __init__(self, sim: "Simulator", name: str = "lock", charge: "CpuCommand | None" = None):
         self.sim = sim
         self.name = name
-        self.acquire_cycles = acquire_cycles
-        #: the (immutable) latch charge, built once -- hot paths yield this
-        #: cached instance instead of constructing a command per acquire.
-        self.charge_cmd: "CpuCommand | None" = (
-            CpuCommand(acquire_cycles, "locks") if acquire_cycles else None
-        )
+        self.charge = charge
         self._owner: "SimThread | None" = None
         self._waiters: deque["SimThread"] = deque()
         self.acquisitions = 0
@@ -71,8 +66,8 @@ class Lock:
         me = self.sim.current
         if me is None:
             raise RuntimeError("Lock.acquire outside a simulated thread")
-        if self.charge_cmd is not None:
-            yield self.charge_cmd
+        if self.charge is not None:
+            yield self.charge
         if not self.take_or_enqueue(me):
             yield BLOCK
             self.confirm_after_block(me)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.sim.commands import BLOCK, CPU
+from repro.sim.commands import BLOCK
 from repro.sim.sync import Lock
 from repro.storage.cache import OsPageCache
 from repro.storage.page import Page
@@ -41,10 +41,9 @@ class BufferPool:
         self.os_cache = os_cache
         self._resident: OrderedDict[tuple[str, int], float] = OrderedDict()
         self._bytes = 0.0
-        self._latch = Lock(sim, name="bufferpool", acquire_cycles=cost.bufferpool_page * 0.25)
-        # Fixed per-page lookup charge, built once (hot path yields the
-        # cached immutable instance).
-        self._page_charge = CPU(self.cost.bufferpool_page * 0.75, "scans")
+        self._latch = Lock(sim, name="bufferpool", charge=cost.bufferpool_latch_charge)
+        # Fixed per-page lookup charge (the cost model's instance).
+        self._page_charge = cost.bufferpool_lookup_charge
         self.hits = 0
         self.misses = 0
 
@@ -52,16 +51,6 @@ class BufferPool:
     @property
     def resident_bytes(self) -> float:
         return self._bytes
-
-    @property
-    def latch_charge(self):
-        """The latch acquisition charge (a cached immutable CpuCommand, or
-        None when acquisition is free).  Scan loops may *prepay*
-        it by fusing it into the tail of the CPU command that immediately
-        precedes their next ``read_page(..., latch_prepaid=True)`` -- legal
-        because the charge is the first thing ``read_page`` yields, so the
-        latch is still taken when the charge completes."""
-        return self._latch.charge_cmd
 
     def read_page(
         self,
@@ -77,16 +66,19 @@ class BufferPool:
         ``ram_resident`` models the paper's RAM-drive experiments: the page
         is always a hit and no I/O is possible.  ``direct_io`` bypasses the
         OS cache (but not the buffer pool -- Shore-MT still buffers).
-        ``latch_prepaid`` means the caller already charged
-        :attr:`latch_charge` (fused into its preceding command)."""
+        ``latch_prepaid`` means the caller already charged the cost model's
+        ``bufferpool_latch_charge`` (None when acquisition is free) as the
+        tail of the CPU command it yielded right before this call -- legal
+        because that charge is the first thing read here yields, so the
+        latch is still taken when the charge completes."""
         page = table.page(page_index)
         key = (table.name, page_index)
         # Inline latch protocol (one acquisition per page read); the yields
         # match ``yield from self._latch.acquire()`` exactly.
         latch = self._latch
         me = self.sim.current
-        if not latch_prepaid and latch.charge_cmd is not None:
-            yield latch.charge_cmd
+        if not latch_prepaid and latch.charge is not None:
+            yield latch.charge
         if not latch.take_or_enqueue(me):
             yield BLOCK
             latch.confirm_after_block(me)

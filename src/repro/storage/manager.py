@@ -133,8 +133,3 @@ class StorageManager:
             sequential=sequential,
             latch_prepaid=latch_prepaid,
         )
-
-    def latch_prepay_charge(self):
-        """The buffer-pool latch charge for prepaying scan loops (see
-        :attr:`BufferPool.latch_charge`); None when acquisition is free."""
-        return self.bufferpool.latch_charge

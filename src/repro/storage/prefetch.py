@@ -58,7 +58,7 @@ class PageSource:
 
         ``latch_prepaid`` is only meaningful on a :attr:`direct` source: it
         means the caller fused the buffer-pool latch charge into the tail
-        of its preceding CPU command (see ``BufferPool.latch_charge``)."""
+        of its preceding CPU command (see ``BufferPool.read_page``)."""
         if self._chan is not None:
             page = yield from self._chan.get()
         else:

@@ -14,6 +14,7 @@ contention and oversubscription."""
 import pytest
 
 from repro.sim.commands import CPU, CPU_FUSED, SLEEP, CpuCommand
+from repro.sim.costmodel import CostModel
 from repro.sim.engine import Simulator
 from repro.sim.machine import MachineSpec
 
@@ -43,6 +44,19 @@ class TestFactory:
         f = CPU_FUSED(CPU(0.1, "a"), CPU(-7.0, "b"), CPU(0.2, "c"), CPU(0.3, "d"))
         assert f.total == (0.1 + 0.2) + 0.3  # negative parts count as zero
         assert CPU_FUSED(CPU(1.0, "a"), CPU_FUSED(CPU(2.0, "b"), CPU(3.0, "c"))).total == 6.0
+
+
+def test_cost_model_fusion_is_one_cached_value():
+    """``CostModel.fused`` hands back one command per tuple of parts, equal
+    part for part to what ``CPU_FUSED`` builds."""
+    cost = CostModel()
+    a, b, c = cost.read(64, 10.0), cost.hashing(64, 10.0), cost.probe(64, 10.0)
+    f = cost.fused(a, b, c)
+    assert cost.fused(a, b, c) is f
+    ref = CPU_FUSED(a, b, c)
+    assert (f.cycles, f.category, f.rest, f.total) == (ref.cycles, ref.category, ref.rest, ref.total)
+    assert cost.fused(f, cost.spl_latch_charge).rest == ref.rest + ((3000.0, "locks"),)
+    assert cost.fused(a) is a
 
 
 def _run(mode: str, charges_by_thread: list[list[tuple[float, str]]], cores=2):

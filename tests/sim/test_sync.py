@@ -59,7 +59,7 @@ class TestLock:
 
     def test_acquire_cycles_charged_as_locks(self):
         sim = make_sim()
-        lock = Lock(sim, acquire_cycles=5000)
+        lock = Lock(sim, charge=CPU(5000, "locks"))
 
         def worker():
             yield from lock.acquire()

@@ -13,7 +13,7 @@ deterministic discrete-event simulation of its 24-core testbed:
   the thirteen SSB queries and TPC-H Q1;
 * :mod:`repro.engine` -- the QPipe engine: Simultaneous Pipelining with
   push-based FIFOs or pull-based Shared Pages Lists, circular scans,
-  Windows of Opportunity, the hybrid router and the prediction model;
+  Windows of Opportunity and the prediction model;
 * :mod:`repro.gqp` -- the CJOIN global query plan (shared selections and
   hash-joins, batched asynchronous admission, distributor parts);
 * :mod:`repro.baselines` -- the reference evaluator and the Volcano-style
@@ -22,7 +22,8 @@ deterministic discrete-event simulation of its 24-core testbed:
   figure/table;
 * :mod:`repro.server` -- the admission-controlled query service layer:
   open-loop arrivals, bounded queue with deadlines and backpressure,
-  static/adaptive SP-GQP routing, service-level (tail latency) metrics.
+  static/adaptive SP-GQP routing (the static policy is the Hybrid
+  configuration), service-level (tail latency) metrics.
 
 Typical use::
 

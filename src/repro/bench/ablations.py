@@ -311,8 +311,8 @@ def ablate_hybrid_routing(
     seed: int = 42,
     jobs: int | None = None,
 ) -> ExperimentResult:
-    """The paper's conclusion as a live policy: hybrid routing vs the two
-    static choices."""
+    """The paper's conclusion as a live policy: hybrid routing (the query
+    service under the static policy) vs the two static choices."""
     selectors = {"QPipe-SP": QPIPE_SP, "CJOIN-SP": CJOIN_SP, "Hybrid": HYBRID}
     specs = [
         CellSpec(

@@ -6,12 +6,15 @@ analysis: all queries are submitted at the same time in a single batch
 with common sub-plans arrive surely inside the WoP of their pivot
 operators").  ``run_closed_loop`` reproduces the Figure 16 throughput
 experiment: each client submits its next query when the previous finishes.
+``HYBRID`` (the paper's §7 rule) has no engine of its own: its batch is
+served by the query service under the static routing policy.
 """
 
 from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 from repro.baselines.volcano import VolcanoEngine
@@ -37,7 +40,7 @@ __all__ = [
 
 #: Engine selectors: an EngineConfig, or one of these sentinels.
 POSTGRES = "postgres"  # the query-centric Volcano baseline
-HYBRID = "hybrid"  # dynamic QPipe-SP / CJOIN-SP routing (paper's conclusion)
+HYBRID = "hybrid"  # QueryService routing QPipe-SP / CJOIN-SP (batch only)
 
 
 @dataclass
@@ -89,21 +92,15 @@ class ThroughputResult:
 def _make_engine(sim: Simulator, storage: StorageManager, config, cost: CostModel):
     if config == POSTGRES:
         return VolcanoEngine(sim, storage, cost)
-    if config == HYBRID:
-        from repro.engine.hybrid import HybridEngine
-
-        return HybridEngine(sim, storage, cost)
     if isinstance(config, EngineConfig):
         return QPipeEngine(sim, storage, config, cost)
     raise TypeError(f"unknown engine selector {config!r}")
 
 
 def _config_name(config) -> str:
-    if config == POSTGRES:
-        return "Postgres"
-    if config == HYBRID:
-        return "Hybrid"
-    return config.name
+    if isinstance(config, EngineConfig):
+        return config.name
+    return config.capitalize()  # a sentinel: "Postgres", "Hybrid"
 
 
 #: Per-query dispatch latency when submitting a batch: parsing, optimizing
@@ -112,6 +109,29 @@ def _config_name(config) -> str:
 #: arrivals (the paper's hash-join sharing counts are well below the
 #: maximum possible even though queries are "submitted at the same time").
 DEFAULT_SUBMIT_STAGGER = 0.004
+
+
+def _serve_hybrid(tables, workload, storage_config, machine, cost, submit_stagger):
+    """The Hybrid batch: each job arrives at its submit instant and
+    QueryService routes it under the static policy."""
+    from repro.server.arrivals import TraceArrivals  # deferred: import cycle
+    from repro.server.config import ServiceConfig
+    from repro.server.router import StaticThresholdPolicy
+    from repro.server.service import QueryService
+
+    # A running sum, so the source's sleeps land on the same instants as
+    # run_batch's submitter.
+    times = accumulate([submit_stagger] * (len(workload) - 1), initial=0.0)
+    service = QueryService(
+        tables,
+        StaticThresholdPolicy(machine),
+        ServiceConfig(queue_capacity=len(workload)),
+        machine,
+        cost,
+        storage_config,
+    )
+    service.run(workload.__getitem__, TraceArrivals(list(times)), None)
+    return service.sim, service.handles
 
 
 def run_batch(
@@ -128,26 +148,29 @@ def run_batch(
     simulator/storage/engine per call; the immutable ``tables`` are shared."""
     if not workload:
         raise ValueError("empty workload")
-    sim = Simulator(machine)
-    storage = StorageManager(sim, cost, tables, storage_config)
-    engine = _make_engine(sim, storage, config, cost)
-    handles = []
+    if config == HYBRID:
+        sim, handles = _serve_hybrid(tables, workload, storage_config, machine, cost, submit_stagger)
+    else:
+        sim = Simulator(machine)
+        storage = StorageManager(sim, cost, tables, storage_config)
+        engine = _make_engine(sim, storage, config, cost)
+        handles = []
 
-    def submitter():
-        from repro.sim.commands import SLEEP
+        def submitter():
+            from repro.sim.commands import SLEEP
 
-        for i, job in enumerate(workload):
-            if job.spec is not None:
-                handles.append(engine.submit(job.spec, label=job.label or None))
-            else:
-                handles.append(engine.submit_plan(job.plan, label=job.label))
-            if submit_stagger > 0 and i + 1 < len(workload):
-                yield SLEEP(submit_stagger)
-        if False:  # pragma: no cover - ensure generator even for 1-job loads
-            yield
+            for i, job in enumerate(workload):
+                if job.spec is not None:
+                    handles.append(engine.submit(job.spec, label=job.label or None))
+                else:
+                    handles.append(engine.submit_plan(job.plan, label=job.label))
+                if submit_stagger > 0 and i + 1 < len(workload):
+                    yield SLEEP(submit_stagger)
+            if False:  # pragma: no cover - ensure generator even for 1-job loads
+                yield
 
-    sim.spawn(submitter(), "submitter")
-    sim.run()
+        sim.spawn(submitter(), "submitter")
+        sim.run()
     window = sim.now if sim.now > 0 else 1.0
     return RunResult(
         config_name=_config_name(config),
@@ -175,9 +198,11 @@ def run_closed_loop(
 ) -> ThroughputResult:
     """Closed-loop clients: each submits ``spec_factory(client, k)`` and
     waits for completion before submitting the next, for ``duration``
-    simulated seconds (the paper ran one hour)."""
+    simulated seconds (the paper ran one hour).  ``HYBRID`` is batch-only."""
     if n_clients < 1:
         raise ValueError("need at least one client")
+    if config == HYBRID:
+        raise ValueError("closed-loop runs take an engine config, not Hybrid (batch-only)")
     sim = Simulator(machine)
     storage = StorageManager(sim, cost, tables, storage_config)
     engine = _make_engine(sim, storage, config, cost)

@@ -13,7 +13,7 @@ signatures the SP machinery already matches hosts and satellites on
 (:attr:`~repro.engine.packet.Packet.signature`), so anything SP could have
 shared inside the WoP the cache can share after it.  One cache instance
 lives on the :class:`~repro.storage.manager.StorageManager`, which both
-engines of a hybrid/service deployment share -- a result filled by the
+engines of a query service share -- a result filled by the
 query-centric path is visible to a query routed anywhere.
 
 Mechanics (all in simulated time, fully deterministic):
@@ -314,8 +314,8 @@ def cached_query_centric_plan(storage, spec, query_folding: bool):
     it -- its root signature (or, under a sort root, the aggregate below)
     is resident in ``storage``'s cache -- else ``None``.
 
-    This is the routing layer's cache discount (HybridEngine and the
-    service router both call it): a likely hit replays materialized pages
+    This is the routing layer's cache discount (``QueryService._execute``
+    calls it before the policy): a likely hit replays materialized pages
     at memory-read cost, so the query should stay query-centric instead of
     paying GQP admission.  ``query_folding`` is the setting of
     the query-centric engine that will run the plan: only an engine that

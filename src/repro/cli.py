@@ -48,11 +48,10 @@ import sys
 from typing import Callable
 
 from repro.bench import runner as _runner
-from repro.bench import workload as _workload
 from repro.bench.reporting import format_table
 from repro.data.ssb import generate_ssb
-from repro.data.tpch import generate_tpch
 from repro.engine.config import CJOIN, CJOIN_SP, QPIPE, QPIPE_CS, QPIPE_SP
+from repro.parallel import DatasetSpec, WorkloadSpec
 from repro.sim.machine import GB
 from repro.storage.manager import StorageConfig
 
@@ -116,24 +115,6 @@ def _storage_config(args) -> StorageConfig:
     return StorageConfig(resident="memory", **cache_kwargs)
 
 
-def _build_workload(args):
-    if args.workload == "tpch-q1":
-        dataset = generate_tpch(args.sf, args.seed)
-        return dataset.tables, _workload.tpch_q1_workload(args.n, dataset)
-    dataset = generate_ssb(args.sf, args.seed)
-    if args.workload == "q32-random":
-        jobs = _workload.q32_random_workload(args.n, args.seed)
-    elif args.workload == "q32-plans":
-        jobs = _workload.q32_limited_plans_workload(args.n, args.plans, args.seed)
-    elif args.workload == "q32-selectivity":
-        jobs = _workload.q32_selectivity_workload(args.n, args.selectivity, args.seed)
-    elif args.workload == "ssb-mix":
-        jobs = _workload.ssb_mix_workload(args.n, args.seed)
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown workload {args.workload}")
-    return dataset.tables, jobs
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -141,8 +122,12 @@ def _build_workload(args):
 
 def cmd_run(args) -> int:
     """Run one workload on one engine configuration and print metrics."""
-    tables, jobs = _build_workload(args)
-    result = _runner.run_batch(tables, CONFIGS[args.config], jobs, _storage_config(args))
+    kind = "tpch" if args.workload == "tpch-q1" else "ssb"
+    dataset = DatasetSpec(kind, args.sf, args.seed).generate()
+    jobs = WorkloadSpec(
+        args.workload, n=args.n, seed=args.seed, n_plans=args.plans, selectivity=args.selectivity
+    ).build(dataset)
+    result = _runner.run_batch(dataset.tables, CONFIGS[args.config], jobs, _storage_config(args))
     rows = [
         ["configuration", result.config_name],
         ["queries", result.n_queries],

@@ -17,7 +17,6 @@ from repro.engine.config import (
     EngineConfig,
 )
 from repro.engine.exchange import END, FifoExchange
-from repro.engine.hybrid import HybridEngine, saturation_threshold
 from repro.engine.qpipe import QPipeEngine, QueryHandle
 from repro.engine.spl import SharedPagesList, SplExchange
 from repro.engine.wop import WindowOfOpportunity, wop_gain
@@ -28,7 +27,6 @@ __all__ = [
     "END",
     "EngineConfig",
     "FifoExchange",
-    "HybridEngine",
     "QPIPE",
     "QPIPE_CS",
     "QPIPE_SP",
@@ -37,6 +35,5 @@ __all__ = [
     "SharedPagesList",
     "SplExchange",
     "WindowOfOpportunity",
-    "saturation_threshold",
     "wop_gain",
 ]

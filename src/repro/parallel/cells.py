@@ -141,7 +141,7 @@ class CellSpec:
     string sentinels -- all picklable.  ``mode`` selects the runner:
     ``"batch"`` (:func:`repro.bench.runner.run_batch`) or ``"closed"``
     (:func:`repro.bench.runner.run_closed_loop` with the Figure 16 mix
-    factory, ``n_clients`` x ``duration``)."""
+    factory, ``n_clients`` x ``duration``; ``HYBRID`` is batch-only)."""
 
     key: str
     config: Any
@@ -161,6 +161,8 @@ class CellSpec:
             raise ValueError("closed-loop cells need n_clients >= 1 and duration > 0")
         if not isinstance(self.config, EngineConfig) and self.config not in (POSTGRES, HYBRID):
             raise ValueError(f"unpicklable/unknown engine selector {self.config!r}")
+        if self.mode == "closed" and self.config == HYBRID:
+            raise ValueError("closed-loop cells take an engine config, not Hybrid (batch-only)")
 
 
 @dataclass

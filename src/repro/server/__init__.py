@@ -6,8 +6,8 @@ admission queue (:mod:`repro.server.admission`) in the one serving core
 (:class:`~repro.server.service.Service`), which drives either the
 in-process engines or the shard tier (:mod:`repro.shard`); a routing policy
 (:mod:`repro.server.router`) picks query-centric SP or the shared GQP per
-query -- the paper's concluding recommendation, generalized from
-``HybridEngine``'s static threshold to a feedback controller -- and
+query -- the paper's concluding recommendation (the static policy is the
+Hybrid configuration), generalized to a feedback controller -- and
 :class:`~repro.server.metrics.ServiceMetrics` reports what a serving
 system is judged on: latency percentiles, throughput and shed load.
 

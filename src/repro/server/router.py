@@ -1,13 +1,12 @@
 """Routing policies: query-centric SP vs the shared GQP, per query.
 
-The paper's conclusion -- query-centric operators with SP at low
-concurrency, GQP(+SP) at high concurrency -- is a *policy*, and
-:class:`~repro.engine.hybrid.HybridEngine` hard-codes its simplest form: a
-static in-flight threshold at the machine's saturation point.  The service
-layer generalizes it:
+The paper's conclusion (§7) -- query-centric operators with SP at low
+concurrency, GQP(+SP) at high concurrency -- is a *policy*, consulted only
+by ``QueryService._execute`` (after explicit plans and the result-cache
+discount have gone query-centric):
 
-* :class:`StaticThresholdPolicy` -- the baseline, byte-for-byte the
-  ``HybridEngine`` rule (route GQP at/above a fixed in-flight count).
+* :class:`StaticThresholdPolicy` -- the simplest form, a static in-flight
+  threshold at the machine's saturation point: the Hybrid configuration.
 * :class:`AdaptivePolicy` -- a feedback controller over the *observed*
   service state: in-flight concurrency **plus admission-queue depth**
   (queued work is imminent concurrency the static rule cannot see), biased
@@ -24,8 +23,6 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from repro.engine.hybrid import saturation_threshold
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.star import StarQuerySpec
     from repro.sim.machine import MachineSpec
@@ -33,6 +30,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Route labels (also the keys of ``ServiceMetrics.routed``).
 QUERY_CENTRIC = "query-centric"
 GQP = "gqp"
+
+
+def saturation_threshold(machine: "MachineSpec") -> int:
+    """The paper's default switch point -- "the point when resources become
+    saturated": enough in-flight queries to cover the machine's cores (one
+    query-centric plan busies roughly two cores)."""
+    return max(machine.cores // 2, 1)
 
 
 class RoutingPolicy:
@@ -48,12 +52,9 @@ class RoutingPolicy:
         consulting the policy."""
         raise NotImplementedError  # pragma: no cover
 
-    def observe_completion(self, route: str, latency: float) -> None:
-        """Feedback hook: called as routed queries complete."""
-
 
 class StaticThresholdPolicy(RoutingPolicy):
-    """The ``HybridEngine`` rule: GQP at/above a fixed in-flight count."""
+    """The Hybrid rule: GQP at/above a fixed in-flight count."""
 
     name = "static"
 
@@ -124,9 +125,6 @@ class AdaptivePolicy(RoutingPolicy):
         self._samples = 0
         self._recent: deque[frozenset] = deque(maxlen=window)
         self._gqp_mode = False
-        #: per-route completion-latency EWMAs (observability; fed by
-        #: :meth:`observe_completion`)
-        self.latency_ewma: dict[str, float] = {}
         #: decision log: (pressure, ewma, similarity, route) per choice,
         #: for ablations and tests
         self.decisions: list[tuple[float, float, float, str]] = []
@@ -165,16 +163,10 @@ class AdaptivePolicy(RoutingPolicy):
         self.decisions.append((pressure, ewma, sim_score, route))
         return route
 
-    def observe_completion(self, route: str, latency: float) -> None:
-        prev = self.latency_ewma.get(route)
-        self.latency_ewma[route] = (
-            latency if prev is None else prev + self.alpha * (latency - prev)
-        )
-
 
 #: name -> one-line description, for ``python -m repro list``.
 POLICIES = {
-    "static": "fixed in-flight threshold at machine saturation (HybridEngine rule)",
+    "static": "fixed in-flight threshold at machine saturation (the Hybrid config)",
     "adaptive": "feedback on in-flight + queue depth, similarity-biased, hysteresis",
 }
 

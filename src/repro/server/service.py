@@ -10,7 +10,7 @@ its simulated completion time.  Completions feed latency back into
 * :class:`QueryService` -- in process: the routing policy picks one of two
   engines -- query-centric QPipe-SP or the CJOIN-SP GQP -- that share one
   :class:`~repro.storage.manager.StorageManager` (circular scans and caches
-  are common, exactly as in :class:`~repro.engine.hybrid.HybridEngine`);
+  are common).  Under the static policy it is the Hybrid configuration;
 * :class:`~repro.shard.service.ShardService` -- scatter/gather over shard
   worker processes.
 
@@ -267,13 +267,11 @@ class Service:
         with :meth:`_complete` or :meth:`_release`."""
         raise NotImplementedError  # pragma: no cover
 
-    def _complete(self, item: QueuedQuery, cache_served: bool = False) -> float:
-        """``item`` was answered now: record its latency (returned) and
-        free its slot."""
-        latency = self.sim.now - item.arrival_time
-        self.metrics.record_completion(latency, cache_served=cache_served)
+    def _complete(self, item: QueuedQuery, cache_served: bool = False) -> None:
+        """``item`` was answered now: record its latency and free its
+        slot."""
+        self.metrics.record_completion(self.sim.now - item.arrival_time, cache_served=cache_served)
         self._release()
-        return latency
 
     def _release(self) -> None:
         """A dispatched query left the system: free its in-flight slot."""
@@ -308,7 +306,7 @@ class QueryService(Service):
         super().__init__(Simulator(machine), ServiceMetrics(), config)
         self.storage = StorageManager(self.sim, cost, tables, storage_config)
         #: both engines share the one storage manager (shared circular
-        #: scans, buffer pool and page cache), as in HybridEngine.
+        #: scans, buffer pool and page cache).
         self.query_centric = QPipeEngine(self.sim, self.storage, qc_config, cost)
         self.gqp = QPipeEngine(self.sim, self.storage, gqp_config, cost)
         self.policy = make_policy(policy, machine) if isinstance(policy, str) else policy
@@ -320,7 +318,7 @@ class QueryService(Service):
         cached_plan = None
         if job.spec is None:
             # Explicit plans only run query-centric: the GQP evaluates
-            # star-query joins (same rule as HybridEngine.submit_plan).
+            # star-query joins.
             route = QUERY_CENTRIC
         else:
             # Cache discount before the policy: a likely result-cache hit
@@ -346,16 +344,15 @@ class QueryService(Service):
             handle = engine.submit_plan(job.plan, label=job.label)
         self.handles.append(handle)
         self.sim.spawn(
-            self._watch(handle, item, route),
+            self._watch(handle, item),
             name=f"service-watch-s{item.seq}",
             daemon=True,
         )
         return route
 
-    def _watch(self, handle: QueryHandle, item: QueuedQuery, route: str) -> Iterator[Any]:
+    def _watch(self, handle: QueryHandle, item: QueuedQuery) -> Iterator[Any]:
         yield from handle.wait()
-        latency = self._complete(item, cache_served=handle.query.cache_served)
-        self.policy.observe_completion(route, latency)
+        self._complete(item, cache_served=handle.query.cache_served)
 
 
 # ---------------------------------------------------------------------------

@@ -72,8 +72,8 @@ class StorageManager:
         self.os_cache = OsPageCache(sim, config.os_cache_bytes)
         self.bufferpool = BufferPool(sim, cost, config.bufferpool_bytes, self.os_cache)
         #: shared result cache (None when result_cache_bytes is 0).  It
-        #: lives here -- not on an engine -- because hybrid/service stacks
-        #: run two engines over one storage manager: a result filled by the
+        #: lives here -- not on an engine -- because the query service
+        #: runs two engines over one storage manager: a result filled by the
         #: query-centric path must be visible to queries routed anywhere.
         self.result_cache = None
         if config.result_cache_bytes > 0:

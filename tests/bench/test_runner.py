@@ -3,6 +3,7 @@
 import pytest
 
 from repro.bench.runner import (
+    HYBRID,
     POSTGRES,
     percentile,
     run_batch,
@@ -77,6 +78,10 @@ class TestClosedLoop:
     def test_validation(self, tables):
         with pytest.raises(ValueError):
             run_closed_loop(tables, QPIPE_SP, mix_spec_factory(1), 0, 10.0)
+
+    def test_hybrid_is_batch_only(self, tables):
+        with pytest.raises(ValueError, match="Hybrid"):
+            run_closed_loop(tables, HYBRID, mix_spec_factory(1), 1, 10.0)
 
 
 class TestHelpers:

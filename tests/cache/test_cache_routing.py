@@ -1,20 +1,25 @@
-"""Cache-aware routing (hybrid engine + service layer) and run-for-run
-determinism of cache-enabled service runs."""
+"""Cache-aware routing in the query service (the Hybrid configuration and
+the served streams) and run-for-run determinism of cache-enabled runs."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro.baselines import evaluate_plan
+from repro.bench.workload import QueryJob
 from repro.data import generate_ssb
 from repro.engine.config import QPIPE_SP
-from repro.engine.hybrid import HybridEngine
 from repro.query.ssb_queries import q32
+from repro.server import QueryService, ServiceConfig, StaticThresholdPolicy, TraceArrivals
+from repro.server.router import GQP, QUERY_CENTRIC
 from repro.server.service import job_factory, recurring_job_factory, serve
-from repro.sim import Simulator
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
-from repro.storage import StorageConfig, StorageManager
+from repro.storage import StorageConfig
+
+MACHINE = MachineSpec()
+
+#: long after every earlier arrival has completed
+LATER = 100.0
 
 
 @pytest.fixture(scope="module")
@@ -33,34 +38,40 @@ def cache_config(mb=32.0, policy="benefit"):
 SPEC_ARGS = ("CHINA", "FRANCE", 1993, 1996)
 
 
+def serve_trace(tables, specs, times, storage_config, qc_config=QPIPE_SP):
+    """Serve ``specs[k]`` arriving at ``times[k]`` under the static policy
+    at threshold 1 (the second concurrent query saturates)."""
+    jobs = [QueryJob(spec=s) for s in specs]
+    service = QueryService(
+        tables,
+        StaticThresholdPolicy(MACHINE, threshold=1),
+        ServiceConfig(queue_capacity=len(jobs)),
+        MACHINE,
+        storage_config=storage_config,
+        qc_config=qc_config,
+    )
+    service.run(jobs.__getitem__, TraceArrivals(times), None)
+    return service
+
+
 class TestHybridDiscount:
     def test_likely_hit_stays_query_centric_at_saturation(self, ssb):
-        sim = Simulator(MachineSpec())
-        storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
-        hybrid = HybridEngine(sim, storage, threshold=1)
-        hybrid.submit(q32(*SPEC_ARGS))  # below threshold: query-centric, fills
-        sim.run()
-        assert len(storage.result_cache) > 0
-        # Two back-to-back arrivals: the second sees in_flight >= threshold,
-        # but its plan is cached, so the discount keeps it query-centric.
-        hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))
-        h = hybrid.submit(q32(*SPEC_ARGS))
-        sim.run()
-        assert hybrid.routed["cache-discount"] == 1
-        assert hybrid.routed["gqp"] == 0
-        assert h.query.cache_served
-        assert sim.metrics.counts["hybrid_cache_discount"] == 1
+        # The first query fills the cache.  Later, two back-to-back
+        # arrivals: the second sees in_flight >= threshold, but its plan is
+        # cached, so the discount keeps it query-centric.
+        specs = [q32(*SPEC_ARGS), q32("JAPAN", "BRAZIL", 1992, 1995), q32(*SPEC_ARGS)]
+        service = serve_trace(ssb.tables, specs, [0, LATER, LATER], cache_config())
+        assert len(service.storage.result_cache) > 0
+        assert service.metrics.cache_routed == 1
+        assert service.metrics.routed == {QUERY_CENTRIC: 3}
+        assert service.handles[2].query.cache_served
 
     def test_uncached_plan_still_goes_gqp(self, ssb):
-        sim = Simulator(MachineSpec())
-        storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
-        hybrid = HybridEngine(sim, storage, threshold=1)
-        hybrid.submit(q32(*SPEC_ARGS))
-        h = hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))  # not cached
-        sim.run()
-        assert hybrid.routed["gqp"] == 1
-        assert "cache-discount" not in hybrid.routed
-        assert not h.query.cache_served
+        specs = [q32(*SPEC_ARGS), q32("JAPAN", "BRAZIL", 1992, 1995)]  # not cached
+        service = serve_trace(ssb.tables, specs, [0, 0], cache_config())
+        assert service.metrics.routed == {QUERY_CENTRIC: 1, GQP: 1}
+        assert service.metrics.cache_routed == 0
+        assert not service.handles[1].query.cache_served
 
     def test_subsuming_entry_is_no_discount_for_an_engine_that_does_not_fold(self, ssb):
         """Only a *subsuming* entry is resident (the exact one is absent):
@@ -69,34 +80,29 @@ class TestHybridDiscount:
         the entry, so at saturation the query goes to the GQP and is
         computed."""
         narrow = q32(*SPEC_ARGS)
-        sim = Simulator(MachineSpec())
-        storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, cache_config())
-        hybrid = HybridEngine(
-            sim, storage, threshold=1, qc_config=replace(QPIPE_SP, query_folding=False)
+        broad = q32("CHINA", "FRANCE", 1992, 1997)  # superset of narrow
+        specs = [broad, q32("JAPAN", "BRAZIL", 1992, 1995), narrow]  # 2nd saturates
+        service = serve_trace(
+            ssb.tables,
+            specs,
+            [0, LATER, LATER],
+            cache_config(),
+            qc_config=replace(QPIPE_SP, query_folding=False),
         )
-        hybrid.submit(q32("CHINA", "FRANCE", 1992, 1997))  # superset of narrow
-        sim.run()
-        assert storage.result_cache.has_subsuming(
-            narrow.to_query_centric_plan(ssb.tables).child
-        )
-        hybrid.submit(q32("JAPAN", "BRAZIL", 1992, 1995))  # saturates
-        h = hybrid.submit(narrow)
-        sim.run()
-        assert "cache-discount" not in hybrid.routed
-        assert hybrid.routed["gqp"] == 1
+        cache = service.storage.result_cache
+        assert cache.has_subsuming(narrow.to_query_centric_plan(ssb.tables).child)
+        assert service.metrics.cache_routed == 0
+        assert service.metrics.routed == {QUERY_CENTRIC: 2, GQP: 1}
+        h = service.handles[2]
+        assert h in service.gqp.handles
         assert not h.query.cache_served
         assert h.results == evaluate_plan(narrow.to_query_centric_plan(ssb.tables))
 
     def test_no_cache_reproduces_plain_routing(self, ssb):
-        sim = Simulator(MachineSpec())
-        storage = StorageManager(
-            sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory")
-        )
-        hybrid = HybridEngine(sim, storage, threshold=1)
-        hybrid.submit(q32(*SPEC_ARGS))
-        hybrid.submit(q32(*SPEC_ARGS))
-        sim.run()
-        assert hybrid.routed == {"query-centric": 1, "gqp": 1}
+        specs = [q32(*SPEC_ARGS), q32(*SPEC_ARGS)]
+        service = serve_trace(ssb.tables, specs, [0, 0], StorageConfig(resident="memory"))
+        assert service.metrics.routed == {QUERY_CENTRIC: 1, GQP: 1}
+        assert service.metrics.cache_routed == 0
 
 
 class TestServiceDiscount:

@@ -2,8 +2,10 @@
 
 Hypothesis generates small random star schemas (fact + dimensions with
 random contents) and random star queries over them; every engine shape --
-query-centric without sharing, with SP, the CJOIN GQP, and the Volcano
-baseline -- must produce the reference evaluator's exact result multiset.
+query-centric without sharing, with SP, the CJOIN GQP, the Volcano
+baseline, and the query service's three routes (query-centric, GQP and the
+result-cache discount) -- must produce the reference evaluator's exact
+result multiset.
 
 This is the paper's implicit invariant (sharing never changes answers)
 exercised far from the SSB happy path: skewed keys, dangling foreign keys,
@@ -24,10 +26,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import VolcanoEngine, evaluate_plan
+from repro.bench.workload import QueryJob
 from repro.engine import CJOIN_SP, QPIPE, QPIPE_SP, QPipeEngine
 from repro.query.expr import And, Between, Col, Or
 from repro.query.plan import AggSpec, DimJoinSpec
 from repro.query.star import StarQuerySpec
+from repro.server import QueryService, ServiceConfig, StaticThresholdPolicy, TraceArrivals
+from repro.server.router import GQP, QUERY_CENTRIC
 from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
@@ -180,6 +185,22 @@ class TestEquivalence:
         h = pg.submit(spec)
         sim.run()
         assert norm(h.results) == oracle
+
+        # The router: query-centric, then (saturated at threshold 1) the
+        # GQP, then -- long after both finished -- the cache discount.
+        machine = MachineSpec(cores=8)
+        service = QueryService(
+            tables,
+            StaticThresholdPolicy(machine, threshold=1),
+            ServiceConfig(queue_capacity=3),
+            machine,
+            storage_config=StorageConfig(resident="memory", result_cache_bytes=32 * 1024 * 1024),
+        )
+        service.run(lambda k: QueryJob(spec=spec), TraceArrivals([0, 0, 10_000]), None)
+        assert service.metrics.routed == {QUERY_CENTRIC: 2, GQP: 1}
+        assert service.metrics.cache_routed == 1
+        for h in service.handles:
+            assert norm(h.results) == oracle
 
     @settings(
         max_examples=10,

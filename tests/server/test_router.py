@@ -12,6 +12,7 @@ from repro.server.router import (
     AdaptivePolicy,
     StaticThresholdPolicy,
     make_policy,
+    saturation_threshold,
     spec_features,
 )
 from repro.sim.machine import MachineSpec
@@ -30,8 +31,6 @@ class TestStatic:
         assert p.choose(SPEC, in_flight=4, queue_depth=0) == GQP
 
     def test_default_threshold_is_machine_saturation(self):
-        from repro.engine.hybrid import saturation_threshold
-
         assert StaticThresholdPolicy(MACHINE).threshold == saturation_threshold(MACHINE) == 12
 
     def test_queue_depth_invisible(self):
@@ -115,12 +114,6 @@ class TestAdaptive:
         assert p.similarity(spec_features(SPEC)) == 0.0  # empty window
         p.choose(SPEC, in_flight=0, queue_depth=0)
         assert p.similarity(spec_features(SPEC)) == pytest.approx(1.0)
-
-    def test_observe_completion_feeds_latency_ewma(self):
-        p = AdaptivePolicy(MACHINE)
-        p.observe_completion(GQP, 4.0)
-        p.observe_completion(GQP, 2.0)
-        assert p.latency_ewma[GQP] == pytest.approx(4.0 + p.alpha * (2.0 - 4.0))
 
     def test_decision_log(self):
         p = AdaptivePolicy(MACHINE, threshold=12)

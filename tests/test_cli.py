@@ -58,6 +58,17 @@ class TestCommands:
         assert "mean response" in out
         assert "sharing events" in out  # 2 plans x 4 queries must share
 
+    @pytest.mark.parametrize("workload", WORKLOADS)
+    def test_run_every_workload(self, workload, capsys):
+        rc = main(["run", "--workload", workload, "-n", "2", "--sf", "0.2"])
+        assert rc == 0
+        assert f"{workload} x2 on QPipe-SP" in capsys.readouterr().out
+
+    def test_run_hybrid_selector(self, capsys):
+        rc = main(["run", "--config", "hybrid", "-n", "2", "--sf", "0.2"])
+        assert rc == 0
+        assert "on Hybrid" in capsys.readouterr().out
+
     def test_run_postgres_selector(self, capsys):
         rc = main(["run", "--config", "postgres", "-n", "2", "--sf", "0.5"])
         assert rc == 0

@@ -2,17 +2,23 @@
 
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
-selection kernel, one page layout and one dimension-selection memo -- so a
-later change cannot quietly re-add a second way of doing the same thing."""
+selection kernel, one page layout, one dimension-selection memo and one
+router -- so a later change cannot quietly re-add a second way of doing the
+same thing."""
 
+import ast
 import dataclasses
 import inspect
 import pathlib
 import re
 
+import pytest
+
 import repro
 from repro import storage
+from repro.bench.runner import HYBRID
 from repro.engine.config import EngineConfig
+from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -94,3 +100,34 @@ def test_one_dimension_selection_memo():
     # What the frozen benchmark adapter reads (it aborts otherwise).
     assert "ARRANGEMENTS" in storage.__all__
     assert set(storage.ARRANGEMENTS.stats()) >= {"builds", "hits"}
+
+
+def test_one_router():
+    # The Hybrid configuration is QueryService under the static policy:
+    # a route -- the cache discount, then the policy -- is decided in
+    # server/service.py and nowhere else.
+    assert not (SRC / "engine" / "hybrid.py").exists()
+    deciders = []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "server/service.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in ("cached_query_centric_plan", "choose"):
+                deciders.append((rel, node.lineno, name))
+    assert not deciders
+    # Closed-loop Hybrid has no runner: no second place to route from.
+    with pytest.raises(ValueError, match="Hybrid"):
+        CellSpec(
+            key="x",
+            config=HYBRID,
+            dataset=DatasetSpec("ssb", sf=0.2),
+            workload=WorkloadSpec("mix-factory"),
+            mode="closed",
+            n_clients=1,
+            duration=1.0,
+        )

@@ -15,7 +15,7 @@ import dataclasses
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.qpipe import QueryHandle
-from repro.engine.stages.aggregate import _finalize, accumulate_columnar
+from repro.engine.stages.aggregate import accumulate, compile_values, finalize
 from repro.engine.stages.join import probe
 from repro.query.expr import compile_selection
 from repro.query.plan import (
@@ -237,34 +237,24 @@ class VolcanoEngine:
                     stack.append((nd, 1, None))
                     stack.append((nd.child, 0, None))
                     continue
-                rel, w = result, result.weight
-                n = len(rel)
+                n, w = len(result), result.weight
                 if n:
                     yield cost.fused(
                         cost.group_hash(n, w),
                         cost.aggregate(n, w, functions=len(nd.aggregates)),
                     )
                 schema = nd.child.schema
-                if isinstance(rel, ColumnBatch):
-                    # Late-materialized accumulation; same fold order as the
-                    # reference row loop, so every float is bit-identical.
-                    specs = nd.aggregates
-                    fns = [
-                        a.expr.compile(schema) if a.expr is not None else None
-                        for a in specs
-                    ]
-                    group_idx = tuple(schema.index(g) for g in nd.group_by)
-                    groups: dict = {}
-                    accumulate_columnar(rel, n, w, group_idx, specs, fns, schema, groups)
-                    out = [
-                        key + tuple(_finalize(specs[i], acc, i) for i in range(len(specs)))
-                        for key, acc in groups.items()
-                    ]
-                else:
-                    from repro.baselines.reference import _aggregate
-
-                    out = _aggregate(nd, rel.rows, w, schema)
-                result = Batch(out, 1.0)
+                specs = nd.aggregates
+                groups: dict = {}
+                accumulate(
+                    result,
+                    schema.indices(nd.group_by),
+                    specs,
+                    compile_values(specs, schema),
+                    schema,
+                    groups,
+                )
+                result = Batch(finalize(specs, groups), 1.0)
             elif isinstance(nd, SortNode):
                 if phase == 0:
                     stack.append((nd, 1, None))

@@ -71,9 +71,6 @@ class ExperimentResult:
     def render(self) -> str:
         return "\n\n".join(self.tables)
 
-    def show(self) -> None:  # pragma: no cover - console convenience
-        print(self.render())
-
 
 def _rt_series(results: dict[str, list[RunResult]]) -> dict[str, list[float]]:
     return {name: [r.mean_response for r in rs] for name, rs in results.items()}

@@ -145,12 +145,9 @@ class ResultCache:
         self.sim.metrics.bump("result_cache_hits")
         return entry
 
-    def contains(self, key: tuple) -> bool:
+    def contains_any(self, keys: Iterable[tuple]) -> bool:
         """Silent membership test (no counters) -- the routing layer's
         "would this query likely be served from cache?" probe."""
-        return key in self._entries
-
-    def contains_any(self, keys: Iterable[tuple]) -> bool:
         return any(k in self._entries for k in keys)
 
     def probe_subsuming(self, node) -> tuple[CacheEntry, FoldPlan, int] | None:
@@ -158,7 +155,7 @@ class ResultCache:
         *subsumes* ``node`` (repro.query.subsume), as ``(entry, fold plan,
         candidates examined)``.  Called only after an exact :meth:`probe`
         missed, so it never shadows a direct hit.  Ranking: fewest residual
-        terms and no roll-up first, then smallest entry with the highest
+        terms first, then smallest entry with the highest
         benefit-per-byte (cheapest to replay, most worth keeping hot), then
         insertion order."""
         planner = FoldPlanner(node)
@@ -273,19 +270,7 @@ class ResultCache:
         self._bytes -= entry.nbytes
         self._fold_index.discard(entry)
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._fold_index = FoldIndex()
-        self._bytes = 0.0
-
     # -- introspection --------------------------------------------------
-    @property
-    def resident_bytes(self) -> float:
-        return self._bytes
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def stats(self) -> dict:
         """JSON-safe counter snapshot (exported by the service layer)."""
         return {
@@ -335,9 +320,10 @@ def cached_query_centric_plan(storage, spec, query_folding: bool):
         return plan
     # Under query folding, a *subsuming* entry serves the query the same
     # way (residual replay at memory-read cost), so the routing discount
-    # applies to partial hits too.
+    # applies to partial hits too.  Sorts fold only exactly, so under a
+    # sort root it is the aggregate that may have a subsuming entry.
     if query_folding:
-        roots = [plan.child, plan] if isinstance(plan, SortNode) else [plan]
-        if any(cache.has_subsuming(r) for r in roots):
+        root = plan.child if isinstance(plan, SortNode) else plan
+        if cache.has_subsuming(root):
             return plan
     return None

@@ -225,10 +225,8 @@ def cmd_sweep(args) -> int:
     ``--quiet``), optionally writes per-experiment JSON artifacts, and
     ends with a wall-clock summary table."""
     import os
-    import time
 
-    from repro.bench.reporting import format_sweep_summary
-    from repro.parallel import JOBS_ENV, SweepError, resolve_jobs
+    from repro.parallel import JOBS_ENV
 
     experiments = _experiments()
     names = args.names or list(experiments)
@@ -238,17 +236,37 @@ def cmd_sweep(args) -> int:
             f"repro sweep: unknown experiment(s) {', '.join(unknown)} "
             f"(see: repro list)"
         )
+    # Library sweeps read REPRO_JOBS when no explicit jobs arg is given;
+    # exporting it covers experiments without a jobs kwarg calling into
+    # nested sweeps.  The settings hold for this command only: the caller's
+    # environment is restored when it returns.
+    env = {}
     if args.jobs is not None:
-        # Library sweeps read REPRO_JOBS when no explicit jobs arg is
-        # given; exporting here covers experiments without a jobs kwarg
-        # calling into nested sweeps, and keeps child tooling consistent.
-        os.environ[JOBS_ENV] = str(args.jobs)
+        env[JOBS_ENV] = str(args.jobs)
     if not args.quiet:
-        os.environ["REPRO_PROGRESS"] = "1"
+        env["REPRO_PROGRESS"] = "1"
     if args.timeout is not None:
-        os.environ["REPRO_CELL_TIMEOUT"] = str(args.timeout)
-    jobs = resolve_jobs(args.jobs)
+        env["REPRO_CELL_TIMEOUT"] = str(args.timeout)
+    saved = {name: os.environ.get(name) for name in env}
+    os.environ.update(env)
+    try:
+        return _sweep(args, experiments, names)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                del os.environ[name]
+            else:
+                os.environ[name] = value
 
+
+def _sweep(args, experiments: dict, names: list[str]) -> int:
+    import os
+    import time
+
+    from repro.bench.reporting import format_sweep_summary
+    from repro.parallel import SweepError, resolve_jobs
+
+    jobs = resolve_jobs(args.jobs)
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
 

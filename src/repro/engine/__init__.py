@@ -18,7 +18,7 @@ from repro.engine.config import (
 )
 from repro.engine.exchange import END, FifoExchange
 from repro.engine.qpipe import QPipeEngine, QueryHandle
-from repro.engine.spl import SharedPagesList, SplExchange
+from repro.engine.spl import SharedPagesList
 from repro.engine.wop import WindowOfOpportunity, wop_gain
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "QPipeEngine",
     "QueryHandle",
     "SharedPagesList",
-    "SplExchange",
     "WindowOfOpportunity",
     "wop_gain",
 ]

@@ -52,10 +52,6 @@ class Packet:
     def signature(self) -> tuple:
         return self.node.signature
 
-    @property
-    def is_satellite(self) -> bool:
-        return self.host is not None
-
     def can_attach(self) -> bool:
         """Is a newly arriving identical packet inside this host's WoP?"""
         if self.finished:
@@ -87,5 +83,5 @@ class Packet:
         self.started_emitting = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        role = "satellite" if self.is_satellite else "host"
+        role = "satellite" if self.host is not None else "host"
         return f"<Packet #{self.packet_id} {self.stage_name} q{self.query.query_id} {role}>"

@@ -54,10 +54,8 @@ def push_sharing_beneficial(engine: "QPipeEngine", node: "ScanNode", n_satellite
     scan_cycles = cost.scan_tuple * tuples + cost.bufferpool_page * table.num_pages
     # Host path if we attach: its scan + a copy for every satellite incl. us.
     shared_path = scan_cycles + (n_satellites + 1) * copy_cycles
-    # Private path: our own scan on the loaded machine.
-    runnable = cpu.runnable + 1  # the would-be private worker
-    slowdown = max(1.0, runnable / cpu.cores)
-    if runnable > cpu.cores and cpu.oversub_penalty > 0:
-        slowdown *= 1.0 + cpu.oversub_penalty * (runnable / cpu.cores - 1.0) ** cpu.oversub_exponent
+    # Private path: our own scan on the loaded machine, slowed by the pool's
+    # own per-thread rate with the would-be private worker runnable.
+    slowdown = cpu.hz / cpu._rate_for(cpu.runnable + 1)
     private_path = scan_cycles * slowdown
     return shared_path < private_path

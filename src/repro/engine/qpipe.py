@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.engine.config import EngineConfig, QPIPE
 from repro.engine.exchange import END, FifoExchange
 from repro.engine.packet import Packet
-from repro.engine.spl import SplExchange
+from repro.engine.spl import SharedPagesList
 from repro.engine.stage import Stage
 from repro.engine.stages.aggregate import AggregateStage
 from repro.engine.stages.inputs import FilteredInput, unwrap_selects
@@ -102,7 +102,7 @@ class QPipeEngine:
     # ------------------------------------------------------------------
     def new_exchange(self, name: str) -> Any:
         if self.config.comm == "spl":
-            return SplExchange(self.sim, self.cost, self.config.spl_max_pages, name)
+            return SharedPagesList(self.sim, self.cost, self.config.spl_max_pages, name)
         return FifoExchange(self.sim, self.cost, self.config.fifo_capacity, name)
 
     # ------------------------------------------------------------------

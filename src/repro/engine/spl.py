@@ -100,11 +100,14 @@ class SplConsumer:
 
 
 class SharedPagesList:
-    """Single-producer(*) multi-consumer bounded list of pages.
+    """Single-producer(*) multi-consumer bounded list of pages -- the
+    pull-model exchange, with the same interface as :class:`FifoExchange`.
 
     (*) The CJOIN distributor uses several distributor-part threads feeding
     one query's output; emission is lock-protected, so multiple producers
     interleave safely -- ``close`` must still be called exactly once."""
+
+    kind = "spl"
 
     def __init__(
         self,
@@ -143,17 +146,14 @@ class SharedPagesList:
         return self._producer_done
 
     @property
-    def size(self) -> int:
-        """Pages currently retained (emitted but not yet fully consumed)."""
-        return len(self._pages)
-
-    @property
     def active_consumers(self) -> int:
         """Consumers still being addressed by new pages."""
         return sum(1 for c in self._consumers if not c.closed_for_new)
 
-    def register(self, budget: int | None = None) -> SplConsumer:
+    def open_reader(self, budget: int | None = None) -> SplConsumer:
         """Add a consumer at the current head (its point of entry)."""
+        if self._producer_done:
+            raise RuntimeError(f"open_reader on closed exchange {self.name!r}")
         consumer = SplConsumer(self, self._head_seq, budget)
         self._consumers.append(consumer)
         return consumer
@@ -255,37 +255,3 @@ class SharedPagesList:
             if done:
                 return END
             yield from self._not_empty.wait()
-
-
-class SplExchange:
-    """Exchange facade over an SPL, mirroring :class:`FifoExchange`."""
-
-    kind = "spl"
-
-    def __init__(self, sim: "Simulator", cost: "CostModel", max_pages: int, name: str):
-        self.spl = SharedPagesList(sim, cost, max_pages, name)
-        self.name = name
-
-    @property
-    def closed(self) -> bool:
-        return self.spl.closed
-
-    @property
-    def active_consumers(self) -> int:
-        return self.spl.active_consumers
-
-    @property
-    def pages_emitted(self) -> int:
-        return self.spl.pages_emitted
-
-    def open_reader(self, budget: int | None = None) -> SplConsumer:
-        if self.spl.closed:
-            raise RuntimeError(f"open_reader on closed exchange {self.name!r}")
-        return self.spl.register(budget)
-
-    def emit(self, batch: Batch, lead=None) -> Iterator[Any]:
-        # Plain call returning the SPL's generator (no delegating frame).
-        return self.spl.emit(batch, lead)
-
-    def close(self) -> None:
-        self.spl.close()

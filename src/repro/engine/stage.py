@@ -22,8 +22,8 @@ no exact host or cache entry exists, admission searches the registry
 (through the :class:`~repro.query.subsume.FoldIndex` kept beside it) for a
 host whose plan subsumes the packet's and -- if one is inside its WoP --
 attaches through a residual operator: a worker streams the host's output
-through the compiled post-filter (or roll-up re-aggregation) into the
-packet's own exchange, at memory-read + residual cost instead of the whole
+through the compiled post-filter and projection into the packet's own
+exchange, at memory-read + residual cost instead of the whole
 sub-plan.  Failing that, the result cache is probed for a *subsuming* entry
 and replayed the same way.  The folded packet still registers its own exact
 signature (identical arrivals attach to it) and still spills to the cache,
@@ -280,10 +280,9 @@ class Stage:
     ) -> Iterator[Any]:
         """Worker for a host fold: stream the host's output through the
         compiled residual operator into this packet's own exchange.  The
-        packet pays the fold search, a memory read per page, the residual
-        predicate per term, and -- for roll-ups -- re-aggregation per
-        surviving group; the host's critical path is untouched (one more
-        SPL reader under the pull model)."""
+        packet pays the fold search, a memory read per page and the
+        residual predicate per term; the host's critical path is untouched
+        (one more SPL reader under the pull model)."""
         cost = self.engine.cost
         exchange = packet.exchange
         op = ResidualOperator(plan, host.node.schema)
@@ -300,11 +299,6 @@ class Stage:
             yield cost.read(n, batch.weight)
             if terms:
                 yield cost.predicate(n, batch.weight, terms)
-            if op.regrouping:
-                merged = op.absorb(list(batch.rows))
-                if merged:
-                    yield cost.aggregate(merged, batch.weight, op.n_measures)
-                continue
             rows = op.apply(list(batch.rows))
             if rows:
                 if first:
@@ -312,13 +306,8 @@ class Stage:
                     packet.mark_started()
                     self.unregister(packet)
                 yield from exchange.emit(Batch(rows, batch.weight))
-        if op.regrouping:
-            packet.mark_started()
-            self.unregister(packet)
-            yield from exchange.emit(Batch(op.finalize(), 1.0))
-        else:
-            packet.mark_started()
-            self.unregister(packet)
+        packet.mark_started()
+        self.unregister(packet)
         exchange.close()
         packet.finished = True
 
@@ -353,16 +342,9 @@ class Stage:
             yield cost.read(n, batch.weight)
             if terms and n:
                 yield cost.predicate(n, batch.weight, terms)
-            if op.regrouping:
-                merged = op.absorb(list(batch.rows))
-                if merged:
-                    yield cost.aggregate(merged, batch.weight, op.n_measures)
-            else:
-                rows = op.apply(list(batch.rows))
-                if rows:
-                    yield from exchange.emit(Batch(rows, batch.weight))
-        if op.regrouping:
-            yield from exchange.emit(Batch(op.finalize(), 1.0))
+            rows = op.apply(list(batch.rows))
+            if rows:
+                yield from exchange.emit(Batch(rows, batch.weight))
         packet.mark_started()
         exchange.close()
         packet.finished = True

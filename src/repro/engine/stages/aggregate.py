@@ -2,11 +2,16 @@
 
 Blocking operator: all results are emitted after the input drains, so the
 whole execution is inside the step Window of Opportunity -- an identical
-packet arriving any time before completion reuses the full result."""
+packet arriving any time before completion reuses the full result.
+
+The module also holds the one aggregation kernel (:func:`accumulate` +
+:func:`finalize`): this stage, CJOIN's shared aggregation and the Volcano
+baseline all fold batches through it.  The reference evaluator
+(:mod:`repro.baselines.reference`) keeps its own, independent loop."""
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.exchange import END
 from repro.engine.packet import Packet
@@ -15,6 +20,9 @@ from repro.engine.stages.inputs import FilteredInput
 from repro.query.expr import column_indices, row_key_fn, value_column
 from repro.query.plan import AggregateNode, AggSpec
 from repro.storage.page import Batch, ColumnBatch
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.schema import Schema
 
 
 class _Accumulator:
@@ -29,42 +37,62 @@ class _Accumulator:
         self.maxs: list[Any] = [None] * n
 
 
-def accumulate_columnar(
-    batch: ColumnBatch,
-    n: int,
-    w: float,
+def compile_values(specs: tuple[AggSpec, ...], schema: "Schema") -> list:
+    """The row closures of ``specs``' input expressions (``None`` for a
+    bare ``count``), compiled once per aggregation against its input."""
+    return [a.expr.compile(schema) if a.expr is not None else None for a in specs]
+
+
+def accumulate(
+    batch: Batch | ColumnBatch,
     group_idx: tuple[int, ...],
-    specs,
-    value_fns,
-    schema,
+    specs: tuple[AggSpec, ...],
+    fns: list,
+    schema: "Schema",
     groups: dict,
 ) -> None:
-    """Late-materialized accumulation: gather group-key and value columns
-    once per batch, then fold -- no per-row tuples, no per-row closure
-    calls.  Accumulation order (batch order, per group) matches the
-    row-wise loop exactly, so every float result is bit-identical."""
-    col_of = batch.column
-    if len(group_idx) > 1:
-        keys = list(zip(*(col_of(i) for i in group_idx)))
-    elif group_idx:
-        keys = [(v,) for v in col_of(group_idx[0])]
+    """Fold one weighted batch into ``groups`` (key tuple ->
+    :class:`_Accumulator`): the one aggregation kernel of every engine.
+
+    Only the column gather depends on the layout.  A :class:`ColumnBatch`
+    gathers its group-key and value columns late-materialized (an
+    expression without a column form falls back to its row closure over
+    the materialized rows); a row :class:`Batch` maps the key extractor and
+    the closures over its rows.  The fold is shared: batch order, per
+    group, one slot per spec, ``w`` real rows behind each generated row
+    (additive aggregates scale by the weight), so every float is
+    bit-identical whichever layout arrives."""
+    n, w = len(batch), batch.weight
+    if isinstance(batch, ColumnBatch):
+        col_of = batch.column
+        if len(group_idx) > 1:
+            keys = list(zip(*(col_of(i) for i in group_idx)))
+        elif group_idx:
+            keys = [(v,) for v in col_of(group_idx[0])]
+        else:
+            keys = None
+        vcols: list = []
+        rows = None
+        for spec, fn in zip(specs, fns):
+            if spec.expr is None or spec.func == "count":
+                vcols.append(None)
+                continue
+            vc = value_column(spec.expr, schema, col_of, n)
+            if vc is None:
+                # No column form for this expression shape: the row
+                # closure over materialized rows (values are identical).
+                if rows is None:
+                    rows = batch.rows
+                vc = [fn(r) for r in rows]
+            vcols.append(vc)
     else:
-        keys = None
+        rows = batch.rows
+        keys = list(map(row_key_fn(group_idx), rows)) if group_idx else None
+        vcols = [
+            None if spec.expr is None or spec.func == "count" else [fn(r) for r in rows]
+            for spec, fn in zip(specs, fns)
+        ]
     nspecs = len(specs)
-    vcols: list = []
-    rows = None
-    for spec, fn in zip(specs, value_fns):
-        if spec.expr is None:
-            vcols.append(None)
-            continue
-        vc = value_column(spec.expr, schema, col_of, n)
-        if vc is None:
-            # No column form for this expression shape: fall back to the
-            # row closure over materialized rows (values are identical).
-            if rows is None:
-                rows = batch.rows
-            vc = [fn(r) for r in rows]
-        vcols.append(vc)
     get_group = groups.get
     if nspecs == 1 and keys is not None and specs[0].func in ("sum", "avg"):
         # The workload's common shape: one weighted sum/avg per group.
@@ -96,7 +124,7 @@ def accumulate_columnar(
                 acc.maxs[i] = v if acc.maxs[i] is None else max(acc.maxs[i], v)
 
 
-def _finalize(spec: AggSpec, acc: _Accumulator, i: int) -> Any:
+def _final(spec: AggSpec, acc: _Accumulator, i: int) -> Any:
     if spec.func == "sum":
         return acc.sums[i]
     if spec.func == "count":
@@ -106,6 +134,16 @@ def _finalize(spec: AggSpec, acc: _Accumulator, i: int) -> Any:
     if spec.func == "min":
         return acc.mins[i]
     return acc.maxs[i]
+
+
+def finalize(specs: tuple[AggSpec, ...], groups: dict) -> list[tuple]:
+    """One output row per group, in first-occurrence order: the group key
+    followed by one finalized value per spec."""
+    nspecs = len(specs)
+    return [
+        key + tuple(_final(specs[i], acc, i) for i in range(nspecs))
+        for key, acc in groups.items()
+    ]
 
 
 class AggregateStage(Stage):
@@ -123,15 +161,11 @@ class AggregateStage(Stage):
         yield cost.dispatch_charge
 
         schema = child_input.schema
-        group_idx = column_indices(schema, node.group_by)
-        value_fns = [a.expr.compile(schema) if a.expr is not None else None for a in node.aggregates]
         specs = node.aggregates
         nspecs = len(specs)
+        group_idx = column_indices(schema, node.group_by)
+        fns = compile_values(specs, schema)
         groups: dict[tuple, _Accumulator] = {}
-        # Group-key extraction hoisted out of the per-row loop; keys stay
-        # tuples (out_rows concatenates them) even for a single column.
-        key_of = row_key_fn(group_idx)
-        get_group = groups.get
 
         while True:
             # The input hands back its per-batch charge so it rides in
@@ -153,37 +187,9 @@ class AggregateStage(Stage):
             # Accumulation is pure computation; nothing is emitted until
             # END, so the next read's lock charge rides along.
             yield child_input.fuse_next_lock(cmd)
-            if isinstance(batch, ColumnBatch):
-                accumulate_columnar(
-                    batch, n, w, group_idx, specs, value_fns, schema, groups
-                )
-                continue
-            for r in batch.rows:
-                key = key_of(r)
-                acc = get_group(key)
-                if acc is None:
-                    acc = groups[key] = _Accumulator(nspecs)
-                # ``w`` rows of real data stand behind each generated row:
-                # additive aggregates scale by the weight so results match
-                # what the represented real table would produce.
-                for i, fn in enumerate(value_fns):
-                    spec = specs[i]
-                    if spec.func == "count":
-                        acc.counts[i] += w
-                        continue
-                    v = fn(r)
-                    if spec.func in ("sum", "avg"):
-                        acc.sums[i] += v * w
-                        acc.counts[i] += w
-                    elif spec.func == "min":
-                        acc.mins[i] = v if acc.mins[i] is None else min(acc.mins[i], v)
-                    else:
-                        acc.maxs[i] = v if acc.maxs[i] is None else max(acc.maxs[i], v)
+            accumulate(batch, group_idx, specs, fns, schema, groups)
 
-        out_rows = [
-            key + tuple(_finalize(specs[i], acc, i) for i in range(nspecs))
-            for key, acc in groups.items()
-        ]
+        out_rows = finalize(specs, groups)
         packet.mark_started()
         self.unregister(packet)
         if out_rows:

@@ -26,8 +26,9 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
+from repro.engine.stages.aggregate import accumulate, compile_values, finalize
 from repro.gqp.bitmap import SlotAllocator
-from repro.query.expr import column_indices, row_key_fn
+from repro.query.expr import column_indices
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.page import Batch
 from repro.storage.prefetch import PageSource
@@ -90,8 +91,8 @@ class _QueryState:
         "fact_pred_terms",
         "done",
         "agg_node",
+        "agg_schema",
         "agg_group_idx",
-        "agg_key_fn",
         "agg_value_fns",
         "agg_groups",
     )
@@ -110,8 +111,8 @@ class _QueryState:
         # DataPath-style shared aggregation (running sums per group & query);
         # None when the query's aggregation runs query-centric above the GQP.
         self.agg_node = None
+        self.agg_schema = None
         self.agg_group_idx: tuple[int, ...] = ()
-        self.agg_key_fn: Callable | None = None
         self.agg_value_fns: list[Callable | None] = []
         self.agg_groups: dict | None = None
 
@@ -437,12 +438,9 @@ class CJoinPipeline:
         if agg_node is not None:
             schema = node.schema  # the projected (payload) schema
             state.agg_node = agg_node
+            state.agg_schema = schema
             state.agg_group_idx = schema.indices(agg_node.group_by)
-            state.agg_key_fn = row_key_fn(state.agg_group_idx)
-            state.agg_value_fns = [
-                a.expr.compile(schema) if a.expr is not None else None
-                for a in agg_node.aggregates
-            ]
+            state.agg_value_fns = compile_values(agg_node.aggregates, schema)
             state.agg_groups = {}
         self.active[slot] = state
 
@@ -647,7 +645,14 @@ class CJoinPipeline:
                         # Shared aggregation: fold into running sums instead
                         # of emitting (the packet's step WoP stays open for
                         # the whole execution -- results are buffered).
-                        self._fold_aggregates(state, out, w)
+                        accumulate(
+                            Batch(out, w),
+                            state.agg_group_idx,
+                            state.agg_node.aggregates,
+                            state.agg_value_fns,
+                            state.agg_schema,
+                            state.agg_groups,
+                        )
                     else:
                         packet = state.packet
                         if not packet.started_emitting:
@@ -662,44 +667,11 @@ class CJoinPipeline:
             if self.inflight == 0:
                 self._idle.notify_all()
 
-    def _fold_aggregates(self, state: _QueryState, rows: list[tuple], weight: float) -> None:
-        from repro.engine.stages.aggregate import _Accumulator
-
-        specs = state.agg_node.aggregates
-        nspecs = len(specs)
-        groups = state.agg_groups
-        key_of = state.agg_key_fn or row_key_fn(state.agg_group_idx)
-        fns = state.agg_value_fns
-        for r in rows:
-            key = key_of(r)
-            acc = groups.get(key)
-            if acc is None:
-                acc = groups[key] = _Accumulator(nspecs)
-            for i, fn in enumerate(fns):
-                spec = specs[i]
-                if spec.func == "count":
-                    acc.counts[i] += weight
-                    continue
-                v = fn(r)
-                if spec.func in ("sum", "avg"):
-                    acc.sums[i] += v * weight
-                    acc.counts[i] += weight
-                elif spec.func == "min":
-                    acc.mins[i] = v if acc.mins[i] is None else min(acc.mins[i], v)
-                else:
-                    acc.maxs[i] = v if acc.maxs[i] is None else max(acc.maxs[i], v)
-
     def _complete(self, state: _QueryState) -> Iterator[Any]:
         state.done = True
         packet = state.packet
         if state.agg_groups is not None:
-            from repro.engine.stages.aggregate import _finalize
-
-            specs = state.agg_node.aggregates
-            out_rows = [
-                key + tuple(_finalize(specs[i], acc, i) for i in range(len(specs)))
-                for key, acc in state.agg_groups.items()
-            ]
+            out_rows = finalize(state.agg_node.aggregates, state.agg_groups)
             packet.mark_started()
             if self.engine.cjoin_stage is not None:
                 self.engine.cjoin_stage.unregister(packet)

@@ -16,7 +16,6 @@ from repro.query.expr import (
     Const,
     Expr,
     InSet,
-    Not,
     Or,
 )
 from repro.query.plan import (
@@ -45,7 +44,6 @@ __all__ = [
     "Expr",
     "HashJoinNode",
     "InSet",
-    "Not",
     "Or",
     "PlanNode",
     "ScanNode",

@@ -14,8 +14,8 @@ One selection kernel
 --------------------
 A predicate describes itself once.  A *leaf* -- ``Cmp(Col, Const)``,
 ``Between``, ``InSet`` -- states ``leaf() -> (column, value -> bool)`` and
-nothing else (its ``signature`` is the memo key); ``And`` / ``Or`` / ``Not``
-state only how their parts combine.  Every operator that filters --
+nothing else (its ``signature`` is the memo key); ``And`` / ``Or`` state
+only how their parts combine.  Every operator that filters --
 consumer-side inputs, the Volcano baseline, fold residuals, CJOIN's
 admission scans -- goes through :func:`compile_selection`, which derives
 all three evaluation forms from that description here and lets the *data*
@@ -28,8 +28,8 @@ traffic: "One selection entry point" in ``docs/performance.md``):
    whose referenced columns are all dictionary-encoded: a leaf is
    :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized per page by
    signature, so a predicate recurring across concurrent queries is
-   scanned once), ``And`` / ``Or`` / ``Not`` are ``&`` / ``|`` / ``^`` on
-   ints -- the only columnar form ``Or`` / ``Not`` have;
+   scanned once), ``And`` / ``Or`` are ``&`` / ``|`` on ints -- the only
+   columnar form ``Or`` has;
 2. **positions** -- any other column batch, for a leaf or a conjunction of
    leaves: each conjunct refines the previous one's survivor positions; a
    dictionary-encoded column is filtered on its raw code bytes through the
@@ -55,7 +55,7 @@ from itertools import compress
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from repro.storage.packed import DictColumn
-from repro.storage.page import Batch, ColumnBatch, full_mask
+from repro.storage.page import Batch, ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
@@ -150,7 +150,7 @@ def compile_selection(
 def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
     """``cols -> int bitmap | None`` over the base vectors of an unselected
     batch (bit ``p`` = row ``p`` passes), or ``None`` when ``expr`` is not
-    built from leaves and ``And`` / ``Or`` / ``Not`` alone.  The kernel
+    built from leaves and ``And`` / ``Or`` alone.  The kernel
     *declines* (returns ``None``) when a referenced column is not
     dictionary-encoded or has no pass table for the leaf: a bitmap covers
     every distinct value, so it needs the value test to answer for all."""
@@ -163,16 +163,6 @@ def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
             return c.mask_for(key, test) if type(c) is DictColumn else None
 
         return leaf_bitmap
-    if isinstance(expr, Not):
-        inner = _bitmap_form(expr.part, schema)
-        if inner is None:
-            return None
-
-        def complement(cols):
-            m = inner(cols)
-            return None if m is None else m ^ full_mask(len(cols[0]))
-
-        return complement
     if not isinstance(expr, _Junction):
         return None
     kernels = [_bitmap_form(p, schema) for p in expr.parts]
@@ -482,30 +472,6 @@ class Or(_Junction):
     @property
     def signature(self) -> tuple:
         return ("or",) + tuple(p.signature for p in self.parts)
-
-
-class Not(Expr):
-    """Negation."""
-
-    __slots__ = ("part",)
-
-    def __init__(self, part: Expr):
-        self.part = part
-
-    def compile(self, schema: "Schema") -> Callable[[tuple], bool]:
-        f = self.part.compile(schema)
-        return lambda row: not f(row)
-
-    @property
-    def signature(self) -> tuple:
-        return ("not", self.part.signature)
-
-    @property
-    def terms(self) -> int:
-        return self.part.terms
-
-    def columns(self) -> frozenset[str]:
-        return self.part.columns()
 
 
 class Arith(_Binary):

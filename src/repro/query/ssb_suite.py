@@ -18,9 +18,7 @@ query runs unchanged on the query-centric engines *and* the CJOIN GQP.
 
 from __future__ import annotations
 
-import random
-
-from repro.data.ssb import SSB_NATIONS, SSB_REGIONS, YEARS, nation_cities
+from repro.data.ssb import nation_cities
 from repro.query.expr import And, Arith, Between, Cmp, Col, InSet, Or
 from repro.query.plan import AggSpec, DimJoinSpec
 from repro.query.star import StarQuerySpec
@@ -30,7 +28,7 @@ __all__ = [
     "q21", "q22", "q23",
     "q31", "q32", "q33", "q34",
     "q41", "q42", "q43",
-    "ALL_SSB_QUERIES", "default_instance", "random_instance",
+    "ALL_SSB_QUERIES", "default_instance",
 ]
 
 # Flight 1 and the paper's three templates live in ssb_queries; re-exported
@@ -339,54 +337,3 @@ def default_instance(name: str) -> StarQuerySpec:
         return ALL_SSB_QUERIES[name]()
     except KeyError:
         raise KeyError(f"unknown SSB query {name!r}; have {sorted(ALL_SSB_QUERIES)}") from None
-
-
-def random_instance(name: str, rng: random.Random) -> StarQuerySpec:
-    """A randomized instance of SSB query ``name`` (random predicates drawn
-    from each template's natural parameter domain)."""
-    if name == "Q1.1":
-        from repro.query.ssb_queries import random_q11
-
-        return random_q11(rng)
-    if name == "Q1.2":
-        return q12(rng.choice(YEARS) * 100 + rng.randrange(1, 13))
-    if name == "Q1.3":
-        return q13(rng.randrange(1, 53), rng.choice(YEARS))
-    if name == "Q2.1":
-        from repro.query.ssb_queries import random_q21
-
-        return random_q21(rng)
-    if name == "Q2.2":
-        mfgr, cat = rng.randrange(1, 6), rng.randrange(1, 6)
-        lo = rng.randrange(1, 33)
-        return q22(
-            f"MFGR#{mfgr}{cat}{lo:02d}", f"MFGR#{mfgr}{cat}{lo + 7:02d}", rng.choice(SSB_REGIONS)
-        )
-    if name == "Q2.3":
-        mfgr, cat, b = rng.randrange(1, 6), rng.randrange(1, 6), rng.randrange(1, 41)
-        return q23(f"MFGR#{mfgr}{cat}{b:02d}", rng.choice(SSB_REGIONS))
-    if name == "Q3.1":
-        y1 = rng.randrange(YEARS[0], YEARS[-1])
-        return q31(rng.choice(SSB_REGIONS), y1, rng.randrange(y1, YEARS[-1] + 1))
-    if name == "Q3.2":
-        from repro.query.ssb_queries import random_q32
-
-        return random_q32(rng)
-    if name == "Q3.3":
-        nation = rng.choice(SSB_NATIONS)
-        cities = nation_cities(nation)
-        a, b = rng.sample(list(cities), 2)
-        y1 = rng.randrange(YEARS[0], YEARS[-1])
-        return q33(a, b, y1, rng.randrange(y1, YEARS[-1] + 1))
-    if name == "Q3.4":
-        return q34(rng.choice(YEARS) * 100 + rng.randrange(1, 13))
-    if name == "Q4.1":
-        return q41(rng.choice(SSB_REGIONS), rng.choice(SSB_REGIONS))
-    if name == "Q4.2":
-        y = rng.randrange(YEARS[0], YEARS[-1])
-        return q42(rng.choice(SSB_REGIONS), rng.choice(SSB_REGIONS), (y, y + 1))
-    if name == "Q4.3":
-        y = rng.randrange(YEARS[0], YEARS[-1])
-        cat = f"MFGR#{rng.randrange(1, 6)}{rng.randrange(1, 6)}"
-        return q43(rng.choice(SSB_NATIONS), cat, (y, y + 1))
-    raise KeyError(f"unknown SSB query {name!r}")

@@ -22,12 +22,10 @@ that all three layers consult:
   one, so folded results are always exact.
 * :func:`fold_plan` -- lifts predicate subsumption to whole plan nodes:
   selects over an identical sub-plan, CJOIN stars (per-dimension predicate
-  containment + payload projection), hash joins (per-side containment),
-  aggregations (group-by set containment with re-aggregable measures) and
-  sorts.  Returns a :class:`FoldPlan`: the residual filter, an optional
-  output projection and an optional :class:`Regroup` (roll-up
-  re-aggregation), or ``None`` when the provider cannot serve the
-  consumer.
+  containment + payload projection), hash joins (per-side containment) and
+  aggregations with the same grouping.  Returns a :class:`FoldPlan`: the
+  residual filter and an optional output projection, or ``None`` when the
+  provider cannot serve the consumer.
 * :class:`FoldIndex` -- the search structure behind the WoP registry and
   the result cache: providers bucketed by plan *shape* and posted under
   the values of one finite-value constraint, so an admission runs
@@ -42,8 +40,8 @@ that all three layers consult:
 Everything here is pure bookkeeping over immutable plan/expression
 structures -- no simulated time.  The *engine* charges fold-search and
 residual-filter work through :class:`~repro.sim.costmodel.CostModel`
-(``fold_probe`` / ``fold_attach`` plus the ordinary read/predicate/
-aggregate builders) at the consumer sites.
+(``fold_search`` plus the ordinary read/predicate builders) at the
+consumer sites.
 """
 
 from __future__ import annotations
@@ -68,7 +66,6 @@ from repro.query.plan import (
     HashJoinNode,
     PlanNode,
     SelectNode,
-    SortNode,
 )
 from repro.storage.page import Batch
 
@@ -79,7 +76,6 @@ __all__ = [
     "FoldIndex",
     "FoldPlan",
     "FoldPlanner",
-    "Regroup",
     "ResidualOperator",
     "and_of",
     "conjuncts",
@@ -347,44 +343,20 @@ def _subsumes(weak: _PredSummary, strong: _PredSummary) -> tuple[bool, list[Expr
 # ---------------------------------------------------------------------------
 # Plan-level folding
 # ---------------------------------------------------------------------------
-#: Aggregate functions whose per-group results can be re-aggregated into
-#: coarser groups (count rolls up by summing counts, etc.).  ``avg`` is
-#: NOT re-aggregable from finalized values (it would need sum+count).
-_ROLLUP = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
-
-
-@dataclass(frozen=True)
-class Regroup:
-    """Roll-up re-aggregation of a provider aggregate's finalized groups
-    into the consumer's coarser grouping."""
-
-    #: positions of the consumer's group-by columns in the provider's output
-    key_idx: tuple[int, ...]
-    #: one ``(merge_func, provider_column)`` per consumer aggregate
-    measures: tuple[tuple[str, int], ...]
-
-
 @dataclass(frozen=True)
 class FoldPlan:
     """How a subsuming provider's output becomes the consumer's result:
-    residual filter, then projection or roll-up re-aggregation."""
+    residual filter, then projection."""
 
     #: post-filter over the provider's output rows (None = pass everything)
     residual: Expr | None = None
     #: output projection (positions into the provider's output row);
-    #: ``None`` = identity.  Mutually exclusive with ``regroup``.
+    #: ``None`` = identity
     project: tuple[int, ...] | None = None
-    #: roll-up re-aggregation; ``None`` for plain filter/project folds
-    regroup: Regroup | None = None
 
     @property
     def residual_terms(self) -> int:
         return self.residual.terms if self.residual is not None else 0
-
-    def cost_rank(self) -> tuple[int, int]:
-        """Cheapest-provider ordering: fewer residual terms first, pure
-        filters before roll-ups (a regroup re-touches every group)."""
-        return (self.residual_terms, 1 if self.regroup is not None else 0)
 
 
 def _residual_over(
@@ -436,7 +408,7 @@ class _Summary:
     __slots__ = ("shape", "slots", "inputs", "aggs", "post_keys")
 
     def __init__(self, node: PlanNode):
-        #: select-unwrapped inputs (aggregate/sort: one; hash join: probe, build)
+        #: select-unwrapped inputs (aggregate: one; hash join: probe, build)
         self.inputs: tuple[_Input, ...] = ()
         #: aggregate: ``(func, expr signature)`` per aggregate
         self.aggs: tuple[tuple, ...] = ()
@@ -456,9 +428,7 @@ class _Summary:
             self.aggs = tuple(
                 (a.func, a.expr.signature if a.expr else None) for a in node.aggregates
             )
-        elif isinstance(node, SortNode):
-            self._take_inputs(("sort", node.keys), node.child)
-        else:  # only ever matched by signature equality
+        else:  # only ever matched by signature equality (sorts included)
             self.shape = ("exact", node.signature)
             self.slots = ()
         #: where :class:`FoldIndex` posts this node as a provider: one
@@ -535,7 +505,11 @@ def _child_residual(consumer: _Input, provider: _Input) -> tuple[bool, list[Expr
 def _fold_aggregate(
     consumer: AggregateNode, provider: AggregateNode
 ) -> FoldPlan | None:
-    if not _within(consumer.group_by, provider.group_by):
+    # Same grouping only: groups pass through (filter + projection).  A
+    # coarser consumer would need a roll-up of finalized groups, and no
+    # template family has two groupings over one star shape.
+    cg, pg = consumer.group_by, provider.group_by
+    if cg != pg and set(cg) != set(pg):
         return None
     cs, ps = _summary(consumer), _summary(provider)
     ok, residual = _child_residual(cs.inputs[0], ps.inputs[0])
@@ -558,24 +532,10 @@ def _fold_aggregate(
             matches.append(n_groups + ps.aggs.index(want))
         except ValueError:
             return None
-    if _within(provider.group_by, consumer.group_by):
-        # Same grouping: groups pass through (filter + projection only).
-        project: tuple[int, ...] | None = out.indices(consumer.group_by) + tuple(matches)
-        if project == tuple(range(len(out))):
-            project = None
-        return FoldPlan(residual=and_of(residual), project=project)
-    # Proper subset: roll finalized measures up into coarser groups.
-    measures = []
-    for a, src in zip(consumer.aggregates, matches):
-        merge = _ROLLUP.get(a.func)
-        if merge is None:
-            return None
-        measures.append((merge, src))
-    regroup = Regroup(
-        key_idx=out.indices(consumer.group_by),
-        measures=tuple(measures),
-    )
-    return FoldPlan(residual=and_of(residual), regroup=regroup)
+    project: tuple[int, ...] | None = out.indices(cg) + tuple(matches)
+    if project == tuple(range(len(out))):
+        project = None
+    return FoldPlan(residual=and_of(residual), project=project)
 
 
 def _fold_cjoin(consumer: CJoinNode, provider: CJoinNode) -> FoldPlan | None:
@@ -619,23 +579,13 @@ def _fold_join(consumer: HashJoinNode, provider: HashJoinNode) -> FoldPlan | Non
     return FoldPlan(residual=and_of(checked))
 
 
-def _fold_sort(consumer: SortNode, provider: SortNode) -> FoldPlan | None:
-    if consumer.keys != provider.keys:
-        return None
-    ok, res = _child_residual(_summary(consumer).inputs[0], _summary(provider).inputs[0])
-    if not ok:
-        return None
-    checked = _residual_over(res, provider.schema)
-    if checked is None:
-        return None
-    # A filter of a sorted stream is sorted: no re-sort needed.
-    return FoldPlan(residual=and_of(checked))
-
-
 def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
     """A :class:`FoldPlan` turning ``provider``'s output into exactly
     ``consumer``'s, or ``None`` when ``provider`` does not subsume it.
-    Both arguments are stage-root nodes (never ``SelectNode`` roots)."""
+    Both arguments are stage-root nodes (never ``SelectNode`` roots).
+    Sorts fold only exactly: two sorts over one aggregate can differ only
+    by a select between the sort and the aggregate, which no plan builder
+    emits."""
     if consumer.signature == provider.signature:
         return FoldPlan()
     if isinstance(consumer, AggregateNode) and isinstance(provider, AggregateNode):
@@ -644,8 +594,6 @@ def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
         return _fold_cjoin(consumer, provider)
     if isinstance(consumer, HashJoinNode) and isinstance(provider, HashJoinNode):
         return _fold_join(consumer, provider)
-    if isinstance(consumer, SortNode) and isinstance(provider, SortNode):
-        return _fold_sort(consumer, provider)
     return None
 
 
@@ -776,7 +724,7 @@ class FoldPlanner:
         plan = fold_plan(self.node, provider_node)
         if plan is None:
             return
-        score = plan.cost_rank() + tie_break
+        score = (plan.residual_terms,) + tie_break
         if self._best is None or score < self._best[0]:
             self._best = (score, token, plan)
 
@@ -786,20 +734,13 @@ class FoldPlanner:
         return self._best[1], self._best[2]
 
 
-_MERGE: dict[str, Callable[[Any, Any], Any]] = {
-    "sum": operator.add,
-    "min": min,
-    "max": max,
-}
-
-
 class ResidualOperator:
     """Compiled runtime form of a :class:`FoldPlan`: stream the provider's
-    output batches through the residual filter, then project rows or roll
-    groups up.  Row order (and, for roll-ups, accumulation order) matches
-    what direct evaluation would produce, so folded results are exact."""
+    output batches through the residual filter, then project rows.  Row
+    order matches what direct evaluation would produce, so folded results
+    are exact."""
 
-    __slots__ = ("plan", "_select", "_project", "_groups", "_measures", "_key_idx")
+    __slots__ = ("plan", "_select", "_project")
 
     def __init__(self, plan: FoldPlan, provider_schema: "Schema"):
         self.plan = plan
@@ -816,60 +757,12 @@ class ResidualOperator:
             else:
                 i = idx[0]
                 self._project = lambda r, _i=i: (r[_i],)
-        self._groups: dict[tuple, list] | None = None
-        self._measures: tuple[tuple[str, int], ...] = ()
-        self._key_idx: tuple[int, ...] = ()
-        if plan.regroup is not None:
-            self._groups = {}
-            self._measures = plan.regroup.measures
-            self._key_idx = plan.regroup.key_idx
-
-    @property
-    def regrouping(self) -> bool:
-        return self._groups is not None
-
-    @property
-    def n_measures(self) -> int:
-        return max(len(self._measures), 1)
 
     def apply(self, rows: list) -> list:
-        """Filter + project one batch (non-regroup folds)."""
+        """Filter + project one batch."""
         if self._select is not None:
             rows = self._select(Batch(rows)).rows
         if self._project is not None and rows:
             proj = self._project
             rows = [proj(r) for r in rows]
         return rows
-
-    def absorb(self, rows: list) -> int:
-        """Filter one batch of finalized provider groups and merge them
-        into the coarser grouping; returns how many groups were merged
-        (for cost charging)."""
-        if self._select is not None:
-            rows = self._select(Batch(rows)).rows
-        groups = self._groups
-        key_idx = self._key_idx
-        measures = self._measures
-        key_of = (
-            operator.itemgetter(*key_idx)
-            if len(key_idx) > 1
-            else (lambda r, _i=key_idx[0]: (r[_i],))
-            if key_idx
-            else (lambda r: ())
-        )
-        for r in rows:
-            key = key_of(r)
-            if not isinstance(key, tuple):
-                key = (key,)
-            acc = groups.get(key)
-            if acc is None:
-                groups[key] = [r[src] for _, src in measures]
-            else:
-                for i, (merge, src) in enumerate(measures):
-                    acc[i] = _MERGE[merge](acc[i], r[src])
-        return len(rows)
-
-    def finalize(self) -> list:
-        """The rolled-up output rows, in provider first-occurrence order
-        (the same order direct aggregation would emit)."""
-        return [key + tuple(acc) for key, acc in self._groups.items()]

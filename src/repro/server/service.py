@@ -394,11 +394,6 @@ class ServiceReport:
             "sim_seconds": self.sim_seconds,
         }
 
-    def to_dict(self) -> dict[str, Any]:
-        out = self.header()
-        out.update(self.metrics.to_dict(hz=self.machine_hz, window=self.window))
-        return out
-
     def render(self) -> str:
         from repro.bench.reporting import format_table
 

@@ -63,7 +63,8 @@ class CpuPool:
         # Memoized per-thread rates indexed by member count (index 0 is a
         # placeholder; _rate early-returns 0.0 for an empty pool).
         self._rates: list[float] = [0.0]
-        # (target service, seq, thread, on_done)
+        # (target service, seq, thread, on_done); the simulator's own
+        # entries carry ``on_done=None`` and completion resumes ``thread``
         self._heap: list[tuple[float, int, "SimThread", Callable[[], None]]] = []
         self._seq = 0
         #: Completion slot, owned by the simulator: the time of the pool's

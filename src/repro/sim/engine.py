@@ -176,9 +176,6 @@ class Simulator:
             thread.state = ThreadState.ON_CPU
             pool = self.cpu
             now = self.now
-            waker = thread._waker
-            if waker is None:
-                waker = self._make_waker(thread)
             pheap = pool._heap
             rates = pool._rates
             dt = now - pool._last_update
@@ -197,7 +194,7 @@ class Simulator:
                 raise AssertionError(f"time went backwards: {pool._last_update} -> {now}")
             service = pool.service
             pool._seq += 1
-            heapq.heappush(pheap, (service + total, pool._seq, thread, waker))
+            heapq.heappush(pheap, (service + total, pool._seq, thread, None))
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
@@ -243,9 +240,6 @@ class Simulator:
             # Inline IoDevice.add + next_completion (the _resume CPU
             # branch, for the shared-bandwidth device): same arithmetic.
             now = self.now
-            waker = thread._waker
-            if waker is None:
-                waker = self._make_waker(thread)
             pheap = device._heap
             rates = device._rates
             dt = now - device._last_update
@@ -267,7 +261,7 @@ class Simulator:
                 charged *= device.random_multiplier
             service = device.service
             device._seq += 1
-            heapq.heappush(pheap, (service + charged, device._seq, thread, waker))
+            heapq.heappush(pheap, (service + charged, device._seq, thread, None))
             remaining = pheap[0][0] - service
             n = len(pheap)
             try:
@@ -290,21 +284,6 @@ class Simulator:
             raise SimulationError(
                 f"thread {thread.name!r} yielded {cmd!r}; did you forget 'yield from'?"
             )
-
-    def _make_waker(self, thread: SimThread) -> Callable[[], None]:
-        # The waker is stateless (closes only over the thread and the
-        # simulator), so it is built once per thread instead of once per
-        # dispatched command.
-        waker = thread._waker
-        if waker is not None:
-            return waker
-
-        def wake() -> None:
-            thread.state = ThreadState.READY
-            self._resume(thread)
-
-        thread._waker = wake
-        return wake
 
     def _service_pool(self, pool: CpuPool | IoDevice) -> None:
         """Pop and process the pool's due completions at ``self.now``:
@@ -366,14 +345,12 @@ class Simulator:
             due = [heappop(pheap)]
             while pheap and pheap[0][0] <= limit:
                 due.append(heappop(pheap))
-            for _, _, thread, on_done in due:
-                # Devirtualized waker: the cached completion callback just
-                # flips the thread READY and resumes it.
-                if on_done is thread._waker:
-                    thread.state = ready
-                    resume(thread)
-                else:
-                    on_done()
+            for _, _, thread, _ in due:
+                # The simulator pushes no ``on_done`` callback (only the
+                # reference model's ``add`` does): completion resumes the
+                # entry's thread.
+                thread.state = ready
+                resume(thread)
             # ---- inline pool.next_completion(now) + cascade decision ----
             if not pheap:
                 pool.armed_when = inf

@@ -74,10 +74,6 @@ class Metrics:
     #: arbitrary named counts (e.g. buffer pool hits/misses)
     counts: dict[str, int] = field(default_factory=lambda: defaultdict(int))
 
-    def charge_cpu(self, cycles: float, category: str) -> None:
-        """Record ``cycles`` against ``category``."""
-        self.cpu_cycles_by_category[category] += cycles
-
     def record_sharing(self, label: str, n: int = 1) -> None:
         """Count a simultaneous-pipelining attach (host gained a satellite)."""
         self.sharing_events[label] += n

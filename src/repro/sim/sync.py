@@ -114,10 +114,6 @@ class Condition:
         if self._waiters:
             self.sim.unblock(self._waiters.pop(0))
 
-    @property
-    def waiting(self) -> int:
-        return len(self._waiters)
-
 
 class Gate:
     """A one-shot event: threads wait until somebody opens it."""

@@ -9,7 +9,7 @@ created through :meth:`repro.sim.engine.Simulator.spawn`.
 from __future__ import annotations
 
 import enum
-from typing import Any, Callable, Generator, Iterator
+from typing import Any, Generator, Iterator
 
 
 class ThreadState(enum.Enum):
@@ -49,7 +49,6 @@ class SimThread:
         "_joiners",
         "start_time",
         "finish_time",
-        "_waker",
     )
 
     def __init__(self, gen: Generator[Any, Any, Any], name: str, query_id: int | None = None):
@@ -62,9 +61,6 @@ class SimThread:
         self._joiners: list["SimThread"] = []
         self.start_time: float | None = None
         self.finish_time: float | None = None
-        # Completion callback, built once by the simulator on the first
-        # dispatch (it closes only over the thread and the simulator).
-        self._waker: Callable[[], None] | None = None
 
     @property
     def alive(self) -> bool:

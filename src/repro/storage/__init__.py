@@ -13,15 +13,7 @@ from repro.storage.arrangements import ARRANGEMENTS, Arrangement, ArrangementCac
 from repro.storage.bufferpool import BufferPool
 from repro.storage.cache import OsPageCache
 from repro.storage.manager import StorageConfig, StorageManager
-from repro.storage.page import (
-    Batch,
-    ColumnBatch,
-    ColumnPage,
-    Page,
-    full_mask,
-    mask_to_sel,
-    sel_to_mask,
-)
+from repro.storage.page import Batch, ColumnBatch, ColumnPage, Page, mask_to_sel
 from repro.storage.schema import Column, Schema
 from repro.storage.selections import Selection, SelectionMemo
 from repro.storage.table import Table
@@ -43,7 +35,5 @@ __all__ = [
     "StorageConfig",
     "StorageManager",
     "Table",
-    "full_mask",
     "mask_to_sel",
-    "sel_to_mask",
 ]

@@ -48,10 +48,6 @@ class BufferPool:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    @property
-    def resident_bytes(self) -> float:
-        return self._bytes
-
     def read_page(
         self,
         table: "Table",

@@ -38,13 +38,6 @@ class OsPageCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    @property
-    def resident_bytes(self) -> float:
-        return self._bytes
-
-    def contains(self, key: tuple[str, int]) -> bool:
-        return key in self._resident
-
     def read(self, key: tuple[str, int], nbytes: float, sequential: bool = True) -> Iterator[Any]:
         """Read a page through the cache (generator: may block on disk)."""
         if key in self._resident:
@@ -73,9 +66,3 @@ class OsPageCache:
         while self._bytes > self.capacity_bytes and self._resident:
             _old, old_bytes = self._resident.popitem(last=False)
             self._bytes -= old_bytes
-
-    def drop(self) -> None:
-        """Drop all cached pages (the paper clears FS caches before every
-        measurement)."""
-        self._resident.clear()
-        self._bytes = 0.0

@@ -50,7 +50,6 @@ __all__ = [
     "as_list",
     "column_nbytes",
     "gather_column",
-    "is_packed",
     "pack_column",
     "pack_columns",
 ]
@@ -94,9 +93,6 @@ class Dictionary:
             table = flags + _ZEROS_256[len(flags) :]
         tables[key] = table
         return table
-
-    def __len__(self) -> int:
-        return len(self.values)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Dictionary card={len(self.values)}>"
@@ -163,7 +159,7 @@ class DictColumn:
         return m
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<DictColumn rows={len(self.codes)} card={len(self.dictionary)}>"
+        return f"<DictColumn rows={len(self.codes)} card={len(self.dictionary.values)}>"
 
 
 def _flags_to_mask(flags: bytes) -> int:
@@ -290,11 +286,6 @@ def pack_columns(columns: Sequence[Sequence[Any]], schema) -> tuple:
     return tuple(
         pack_column(col, cd.kind) for col, cd in zip(columns, schema.columns)
     )
-
-
-def is_packed(col: Any) -> bool:
-    t = type(col)
-    return t is DictColumn or t is PackedNumeric
 
 
 def as_list(col: Any) -> Sequence[Any]:

@@ -19,9 +19,8 @@ wide row tuples, and ``.rows`` materializes lazily only at emit points
 (sort, client collection, push-SP copies) -- late materialization.
 
 Live masks: the canonical mask over a batch is the selection vector (the
-fastest representation for CPython's list comprehensions); the int-bitmap
-form used by CJOIN's per-row query bitmaps is available through
-:func:`sel_to_mask` / :func:`mask_to_sel` for consumers that AND masks.
+fastest representation for CPython's list comprehensions); the bitmap
+selection kernels' int masks decode to it through :func:`mask_to_sel`.
 
 Both pages and batches carry a ``weight``: the number of real rows each
 generated row represents (see the scale substitution in DESIGN.md), so CPU
@@ -45,26 +44,8 @@ __all__ = [
     "ColumnBatch",
     "ColumnPage",
     "Page",
-    "full_mask",
     "mask_to_sel",
-    "sel_to_mask",
 ]
-
-
-# ----------------------------------------------------------------------
-# Int-bitmap live-mask helpers (CJOIN-style masks <-> selection vectors).
-# ----------------------------------------------------------------------
-def full_mask(n: int) -> int:
-    """The mask with the low ``n`` bits set (every row live)."""
-    return (1 << n) - 1
-
-
-def sel_to_mask(sel: Sequence[int]) -> int:
-    """Fold a selection vector into an int bitmap (bit ``j`` = row ``j``)."""
-    mask = 0
-    for j in sel:
-        mask |= 1 << j
-    return mask
 
 
 #: Set-bit offsets within one byte, for byte-at-a-time mask decoding.
@@ -218,11 +199,6 @@ class ColumnBatch:
         cols = self.cols
         return len(cols[0]) if cols else 0
 
-    @property
-    def arity(self) -> int:
-        tail = self.tail
-        return len(self.cols) + (len(tail[0]) if tail else 0)
-
     def column(self, i: int) -> Sequence[Any]:
         """Logical column ``i``, gathered through the selection vector.
 
@@ -299,7 +275,4 @@ class ColumnBatch:
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<ColumnBatch rows={len(self)} arity={self.arity}"
-            f" weight={self.weight}>"
-        )
+        return f"<ColumnBatch rows={len(self)} weight={self.weight}>"

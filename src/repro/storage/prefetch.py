@@ -47,16 +47,11 @@ class PageSource:
             sim.spawn(self._read_ahead(self.position), name=f"{name}.fetcher", daemon=True)
 
     # ------------------------------------------------------------------
-    @property
-    def direct(self) -> bool:
-        """True when ``next`` reads synchronously through the buffer pool
-        (no read-ahead channel) -- the precondition for latch prepaying."""
-        return self._chan is None
-
     def next(self, latch_prepaid: bool = False) -> Iterator[Any]:
         """Generator: fetch the page at the current position and advance.
 
-        ``latch_prepaid`` is only meaningful on a :attr:`direct` source: it
+        ``latch_prepaid`` is only meaningful on a source without read-ahead
+        (``next`` then reads synchronously through the buffer pool): it
         means the caller fused the buffer-pool latch charge into the tail
         of its preceding CPU command (see ``BufferPool.read_page``)."""
         if self._chan is not None:

@@ -73,13 +73,6 @@ class Schema:
         return self.columns[self.index(name)]
 
     # ------------------------------------------------------------------
-    def project(self, names: Sequence[str], row_bytes: float | None = None) -> "Schema":
-        """Schema of a projection onto ``names`` (pro-rated row bytes)."""
-        cols = [self.column(n) for n in names]
-        if row_bytes is None:
-            row_bytes = max(1.0, self.row_bytes * len(cols) / max(len(self.columns), 1))
-        return Schema(cols, row_bytes)
-
     def concat(self, other: "Schema") -> "Schema":
         """Schema of a join output (column name sets must be disjoint)."""
         return Schema(self.columns + other.columns, self.row_bytes + other.row_bytes)

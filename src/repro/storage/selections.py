@@ -96,9 +96,6 @@ class SelectionMemo:
         self.computed = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return sum(len(entries) for entries in self._tables.values())
-
     def select(self, table: "Table", predicate: "Expr | None", fold: bool) -> Selection:
         """The rows of ``table`` passing ``predicate``: the memoized entry
         when there is one; else, with ``fold``, filtered out of the

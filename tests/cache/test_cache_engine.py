@@ -49,7 +49,7 @@ class TestFillAndReplay:
         sim.run()
         cache = storage.result_cache
         assert cache.insertions > 0
-        assert len(cache) > 0
+        assert len(cache._entries) > 0
         t1 = h1.response_time
 
         h2 = engine.submit(q32(*SPEC_ARGS))
@@ -115,7 +115,7 @@ class TestBoundedSpill:
         sim.run()
         cache = storage.result_cache
         # Each signature was filled at most once (begin_fill exclusivity).
-        assert cache.insertions == len(cache)
+        assert cache.insertions == len(cache._entries)
 
 
 class TestInvalidation:
@@ -123,11 +123,11 @@ class TestInvalidation:
         sim, storage, engine = make_engine(ssb)
         engine.submit(q32(*SPEC_ARGS))
         sim.run()
-        before = len(storage.result_cache)
+        before = len(storage.result_cache._entries)
         assert before > 0
         dropped = storage.notify_update("lineorder")
         assert dropped == before  # every Q3.2 sub-plan reads the fact table
-        assert len(storage.result_cache) == 0
+        assert len(storage.result_cache._entries) == 0
         h = engine.submit(q32(*SPEC_ARGS))
         sim.run()
         assert not h.query.cache_served
@@ -143,7 +143,7 @@ class TestInvalidation:
         sim.run()
         assert cache.has_subsuming(narrow)
         storage.notify_update("date")
-        assert len(cache) == len(cache._fold_index) == 0
+        assert len(cache._entries) == len(cache._fold_index) == 0
         assert not cache.has_subsuming(narrow)
         assert cache.probe_subsuming(narrow) is None
         engine.submit(q32(*SPEC_ARGS))

@@ -61,7 +61,7 @@ class TestHybridDiscount:
         # cached, so the discount keeps it query-centric.
         specs = [q32(*SPEC_ARGS), q32("JAPAN", "BRAZIL", 1992, 1995), q32(*SPEC_ARGS)]
         service = serve_trace(ssb.tables, specs, [0, LATER, LATER], cache_config())
-        assert len(service.storage.result_cache) > 0
+        assert len(service.storage.result_cache._entries) > 0
         assert service.metrics.cache_routed == 1
         assert service.metrics.routed == {QUERY_CENTRIC: 3}
         assert service.handles[2].query.cache_served

@@ -60,7 +60,6 @@ class TestProbeAndFill:
         sim, cache = make_cache()
         key = ("agg", "y")
         cache.admit(key, entry_batches(), 10.0, 0.1, frozenset(), "aggregate")
-        assert cache.contains(key)
         assert cache.contains_any([("other",), key])
         assert not cache.contains_any([("other",)])
         entry = cache._entries[key]
@@ -80,15 +79,15 @@ class TestProbeAndFill:
         assert cache.fits_entry(500.0)
         assert not cache.admit(("k",), entry_batches(), 501.0, 1.0, frozenset(), "sort")
         assert cache.rejected == 1
-        assert len(cache) == 0
+        assert len(cache._entries) == 0
 
     def test_readmit_replaces(self):
         _, cache = make_cache()
         key = ("sort", "x")
         cache.admit(key, entry_batches(1), 100.0, 0.5, frozenset(), "sort")
         cache.admit(key, entry_batches(3), 200.0, 0.7, frozenset(), "sort")
-        assert len(cache) == 1
-        assert cache.resident_bytes == 200.0
+        assert len(cache._entries) == 1
+        assert cache._bytes == 200.0
 
 
 class TestEviction:
@@ -98,8 +97,7 @@ class TestEviction:
         cache.admit(("b",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.probe(("a",))  # "a" is now more recent than "b"
         cache.admit(("c",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
-        assert not cache.contains(("b",))
-        assert cache.contains(("a",)) and cache.contains(("c",))
+        assert list(cache._entries) == [("a",), ("c",)]
         assert cache.evictions == 1
 
     def test_benefit_evicts_cheapest_per_byte(self):
@@ -108,8 +106,8 @@ class TestEviction:
         cache.admit(("cheap",), entry_batches(), 400.0, 0.01, frozenset(), "sort")
         cache.admit(("dear",), entry_batches(), 100.0, 5.0, frozenset(), "sort")
         cache.admit(("new",), entry_batches(), 600.0, 1.0, frozenset(), "sort")
-        assert not cache.contains(("cheap",))
-        assert cache.contains(("dear",))
+        assert ("cheap",) not in cache._entries
+        assert ("dear",) in cache._entries
 
     def test_benefit_weighs_observed_reuse(self):
         _, cache = make_cache(capacity=1000.0, policy="benefit", max_entry_fraction=1.0)
@@ -119,15 +117,15 @@ class TestEviction:
         for _ in range(3):
             cache.probe(("hot",))
         cache.admit(("new",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
-        assert cache.contains(("hot",))
-        assert not cache.contains(("cold",))
+        assert ("hot",) in cache._entries
+        assert ("cold",) not in cache._entries
 
     def test_eviction_keeps_budget(self):
         _, cache = make_cache(capacity=1000.0, max_entry_fraction=1.0)
         for i in range(10):
             cache.admit((i,), entry_batches(), 300.0, 1.0, frozenset(), "sort")
-        assert cache.resident_bytes <= 1000.0
-        assert len(cache) == 3
+        assert cache._bytes <= 1000.0
+        assert len(cache._entries) == 3
 
 
 class TestInvalidation:
@@ -136,18 +134,10 @@ class TestInvalidation:
         cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset({"lineorder", "date"}), "sort")
         cache.admit(("b",), entry_batches(), 10.0, 1.0, frozenset({"part"}), "sort")
         assert cache.invalidate_table("lineorder") == 1
-        assert not cache.contains(("a",))
-        assert cache.contains(("b",))
+        assert list(cache._entries) == [("b",)]
         assert cache.invalidated == 1
-        assert cache.resident_bytes == 10.0
+        assert cache._bytes == 10.0
         assert cache.invalidate_table("lineorder") == 0
-
-    def test_clear(self):
-        _, cache = make_cache()
-        cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset(), "sort")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.resident_bytes == 0.0
 
 
 YEARS = Table("years", Schema([Column("year"), Column("v")], row_bytes=16), [], packed=False)
@@ -212,7 +202,7 @@ class TestSubsumingProbes:
         assert cache.evictions == 1
         assert not cache.has_subsuming(yearly(1993, 1995))
         assert cache.probe_subsuming(yearly(1993, 1995)) is None
-        assert len(cache._fold_index) == len(cache) == 2
+        assert len(cache._fold_index) == len(cache._entries) == 2
 
     def test_readmitted_key_serves_the_new_entry_only(self):
         _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
@@ -231,7 +221,9 @@ class TestSubsumingProbes:
         assert not cache.has_subsuming(yearly(1993, 1995))
         assert len(cache._fold_index) == 0
         admit_node(cache, yearly(1990, 1999))
-        cache.clear()
+        # A full-capacity entry clears every other one out.
+        cache.admit(("big",), entry_batches(), 10_000.0, 1.0, frozenset(), "sort")
+        assert list(cache._entries) == [("big",)]
         assert cache.probe_subsuming(yearly(1993, 1995)) is None
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.exchange import END
-from repro.engine.spl import SharedPagesList, SplExchange
+from repro.engine.spl import SharedPagesList
 from repro.sim import Simulator
 from repro.sim.costmodel import CostModel
 from repro.sim.machine import MachineSpec
@@ -24,7 +24,7 @@ class TestBasics:
     def test_single_producer_single_consumer(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        consumer = spl.register()
+        consumer = spl.open_reader()
         got = []
 
         def producer():
@@ -47,7 +47,7 @@ class TestBasics:
     def test_multiple_consumers_see_all_pages(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        consumers = [spl.register() for _ in range(5)]
+        consumers = [spl.open_reader() for _ in range(5)]
         seen = {i: [] for i in range(5)}
 
         def producer():
@@ -74,13 +74,13 @@ class TestBasics:
         retained size never exceeds max_pages."""
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=3)
-        consumer = spl.register()
+        consumer = spl.open_reader()
         max_seen = []
 
         def producer():
             for i in range(30):
                 yield from spl.emit(batch(i))
-                max_seen.append(spl.size)
+                max_seen.append(len(spl._pages))
             spl.close()
 
         def slow_reader():
@@ -100,7 +100,7 @@ class TestBasics:
     def test_last_consumer_deletes_page(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=8)
-        c1, c2 = spl.register(), spl.register()
+        c1, c2 = spl.open_reader(), spl.open_reader()
 
         def producer():
             yield from spl.emit(batch(0))
@@ -115,7 +115,7 @@ class TestBasics:
         sim.spawn(read_one(c1, out1), "c1")
         sim.spawn(read_one(c2, out2), "c2")
         sim.run()
-        assert spl.size == 0  # deleted after the second reader
+        assert not spl._pages  # deleted after the second reader
         assert out1[0].rows == out2[0].rows
 
     def test_pages_with_no_consumers_are_dropped(self):
@@ -129,7 +129,7 @@ class TestBasics:
 
         sim.spawn(producer(), "p")
         sim.run()
-        assert spl.size == 0
+        assert not spl._pages
 
     def test_emit_after_close_rejected(self):
         sim = make_sim()
@@ -158,7 +158,7 @@ class TestLinearWop:
     def test_budgeted_consumer_gets_exactly_budget_pages(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        consumer = spl.register(budget=5)
+        consumer = spl.open_reader(budget=5)
         got = []
 
         def producer():
@@ -185,7 +185,7 @@ class TestLinearWop:
         a circular scan then wraps to complete its table."""
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        first = spl.register(budget=6)
+        first = spl.open_reader(budget=6)
         got_first, got_late = [], []
         late_holder = {}
 
@@ -193,7 +193,7 @@ class TestLinearWop:
             i = 0
             while spl.active_consumers:
                 if i == 3:
-                    late_holder["c"] = spl.register(budget=6)
+                    late_holder["c"] = spl.open_reader(budget=6)
                     sim.spawn(reader(late_holder["c"], got_late), "late")
                 yield from spl.emit(batch(i % 6))  # 6-page circular table
                 i += 1
@@ -217,7 +217,7 @@ class TestLinearWop:
     def test_zero_budget_consumer_reads_nothing(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        c = spl.register(budget=0)
+        c = spl.open_reader(budget=0)
         got = []
 
         def producer():
@@ -235,8 +235,8 @@ class TestLinearWop:
     def test_consumer_after_close_sees_end(self):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        c = spl.open_reader()
         spl.close()
-        c = spl.register()
         got = []
 
         def reader():
@@ -248,9 +248,12 @@ class TestLinearWop:
 
 
 class TestSplExchange:
+    """The SPL is the pull-model exchange (``kind``, ``open_reader``)."""
+
     def test_open_reader_on_closed_exchange(self):
         sim = make_sim()
-        ex = SplExchange(sim, CostModel(), 4, "x")
+        ex = SharedPagesList(sim, CostModel(), 4, "x")
+        assert ex.kind == "spl"
         ex.close()
         with pytest.raises(RuntimeError):
             ex.open_reader()
@@ -258,7 +261,7 @@ class TestSplExchange:
     def test_lock_cycles_accounted(self):
         sim = make_sim()
         cost = CostModel()
-        ex = SplExchange(sim, cost, 4, "x")
+        ex = SharedPagesList(sim, cost, 4, "x")
         reader = ex.open_reader()
 
         def producer():
@@ -285,7 +288,7 @@ class TestSplProperties:
     def test_every_consumer_sees_every_page_in_order(self, n_pages, n_consumers, max_pages):
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=max_pages)
-        consumers = [spl.register() for _ in range(n_consumers)]
+        consumers = [spl.open_reader() for _ in range(n_consumers)]
         seen = [[] for _ in range(n_consumers)]
 
         def producer():
@@ -306,7 +309,7 @@ class TestSplProperties:
         sim.run()
         for k in range(n_consumers):
             assert seen[k] == list(range(n_pages))
-        assert spl.size == 0
+        assert not spl._pages
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -318,7 +321,7 @@ class TestSplProperties:
         terminates exactly when all budgets are exhausted."""
         sim = make_sim()
         spl = SharedPagesList(sim, CostModel(), max_pages=4)
-        consumers = [spl.register(budget=b) for b in budgets]
+        consumers = [spl.open_reader(budget=b) for b in budgets]
         counts = [0] * len(budgets)
         emitted = []
 

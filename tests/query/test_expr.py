@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Arith, Between, Cmp, Col, Const, InSet, Not, Or
+from repro.query.expr import And, Arith, Between, Cmp, Col, Const, InSet, Or
 from repro.storage.schema import Column, Schema
 
 SCHEMA = Schema([Column("a"), Column("b", "float"), Column("s", "str")])
@@ -44,7 +44,8 @@ class TestCompile:
         assert ev(e, (5, 0, "")) and not ev(e, (11, 0, ""))
         e = Or(Cmp("=", "a", 1), Cmp("=", "a", 2))
         assert ev(e, (2, 0, "")) and not ev(e, (3, 0, ""))
-        assert ev(Not(Cmp("=", "a", 1)), (2, 0, ""))
+        # There is no negation node: NOT (a = 1) is spelled a != 1.
+        assert ev(Cmp("!=", "a", 1), (2, 0, "")) and not ev(Cmp("!=", "a", 1), (1, 0, ""))
 
     def test_arith(self):
         e = Arith("*", Col("b"), Arith("+", Const(1.0), Col("b")))
@@ -90,7 +91,6 @@ class TestSignature:
             InSet("a", [1]),
             And(Cmp("=", "a", 1)),
             Or(Cmp("=", "a", 1)),
-            Not(Cmp("=", "a", 1)),
             Arith("+", "a", 1),
         ]
         assert len({e.signature for e in exprs}) == len(exprs)

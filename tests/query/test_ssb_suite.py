@@ -1,14 +1,12 @@
 """Tests for the complete SSB query suite: every query runs on every engine
 shape and matches the reference evaluator."""
 
-import random
-
 import pytest
 
 from repro.baselines import evaluate_plan
 from repro.data import generate_ssb
 from repro.engine import CJOIN_SP, QPIPE_SP, QPipeEngine
-from repro.query.ssb_suite import ALL_SSB_QUERIES, default_instance, random_instance
+from repro.query.ssb_suite import ALL_SSB_QUERIES, default_instance
 from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
@@ -44,8 +42,6 @@ class TestSuiteStructure:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError):
             default_instance("Q9.9")
-        with pytest.raises(KeyError):
-            random_instance("Q9.9", random.Random(1))
 
     def test_flight1_has_fact_predicates_no_groups(self):
         for name in ("Q1.1", "Q1.2", "Q1.3"):
@@ -59,17 +55,6 @@ class TestSuiteStructure:
             assert spec.aggregates[0].name == "profit"
             cols = spec.aggregates[0].expr.columns()
             assert cols == {"lo_revenue", "lo_supplycost"}
-
-    def test_random_instances_deterministic(self):
-        for name in ALL_SSB_QUERIES:
-            a = random_instance(name, random.Random(7))
-            b = random_instance(name, random.Random(7))
-            assert a.signature == b.signature, name
-
-    def test_random_instances_vary(self):
-        for name in ALL_SSB_QUERIES:
-            sigs = {random_instance(name, random.Random(s)).signature for s in range(8)}
-            assert len(sigs) > 1, name
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SSB_QUERIES))

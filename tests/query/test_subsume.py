@@ -13,10 +13,10 @@ checked here over arbitrary generated predicates and relations:
   rows of ``strong``, and :class:`ResidualOperator` applied to the
   provider's output equals direct evaluation of the consumer (both
   kernel and row-closure filter paths).
-* **Roll-up exactness** -- re-aggregating a provider's finalized groups
-  into a coarser grouping equals direct aggregation of the consumer,
+* **Aggregate fold exactness** -- filtering and projecting a provider's
+  finalized groups equals direct aggregation of the consumer,
   value-for-value (exact ``Fraction`` arithmetic) and in the same
-  emission order.
+  emission order; a coarser grouping (a roll-up) is refused.
 """
 
 from fractions import Fraction
@@ -162,7 +162,7 @@ def test_residual_operator_equals_direct(weak, extra, rows):
 
 
 # ----------------------------------------------------------------------
-# Roll-up re-aggregation
+# Aggregate folds
 # ----------------------------------------------------------------------
 def _aggs():
     from repro.query.expr import Col
@@ -198,24 +198,19 @@ def direct_agg(rows, group_by, aggs):
     return [key + tuple(acc) for key, acc in groups.items()]
 
 
-GROUP_SUBSETS = [("a", "b"), ("a",), ("b",), ()]
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     rows=rows_strategy,
     weak=maybe_predicates,
     extra=st.lists(leaves(st.sampled_from(["a", "b"])), max_size=3),
-    consumer_groups=st.sampled_from(GROUP_SUBSETS),
+    consumer_groups=st.sampled_from([("a", "b"), ("b", "a")]),
     agg_mask=st.integers(1, 15),
 )
-def test_rollup_reaggregation_equals_direct(
-    rows, weak, extra, consumer_groups, agg_mask
-):
-    """Fold a consumer aggregate into a provider grouped strictly finer:
-    the ResidualOperator's absorb/finalize over the provider's finalized
-    groups must equal direct aggregation of the consumer's input, exactly
-    (Fraction arithmetic) and in the same emission order."""
+def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_mask):
+    """Fold a consumer aggregate into a provider with the same grouping:
+    the ResidualOperator over the provider's finalized groups must equal
+    direct aggregation of the consumer's input, exactly (Fraction
+    arithmetic) and in the same emission order."""
     aggs = _aggs()
     consumer_aggs = tuple(a for i, a in enumerate(aggs) if agg_mask >> i & 1)
     table = Table("t", SCHEMA, rows, packed=False)
@@ -233,12 +228,7 @@ def test_rollup_reaggregation_equals_direct(
     provider_out = direct_agg(
         [rows[i] for i in passing(weak, rows)], ("a", "b"), aggs
     )
-    op = ResidualOperator(plan, provider.schema)
-    if op.regrouping:
-        op.absorb(provider_out)
-        folded = op.finalize()
-    else:
-        folded = op.apply(provider_out)
+    folded = ResidualOperator(plan, provider.schema).apply(provider_out)
     direct = direct_agg(
         [rows[i] for i in passing(strong, rows)], consumer_groups, consumer_aggs
     )
@@ -246,10 +236,23 @@ def test_rollup_reaggregation_equals_direct(
 
 
 @settings(max_examples=60, deadline=None)
+@given(weak=maybe_predicates, consumer_groups=st.sampled_from([("a",), ("b",), ()]))
+def test_coarser_grouping_is_not_folded(weak, consumer_groups):
+    """A roll-up of finalized groups is not a fold shape: a consumer
+    grouping by a proper subset of the provider's columns is refused."""
+    table = Table("t", SCHEMA, [], packed=False)
+    scan = ScanNode(table)
+    child = scan if weak is None else SelectNode(scan, weak)
+    provider = AggregateNode(child, ("a", "b"), _aggs())
+    assert fold_plan(AggregateNode(child, consumer_groups, _aggs()), provider) is None
+
+
+@settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, weak=maybe_predicates, extra=conj_lists)
 def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
     """A residual conjunct on a column the provider did not group by can't
-    run over finalized groups; fold_plan must refuse rather than guess."""
+    run over finalized groups; fold_plan must refuse rather than guess --
+    for a roll-up (refused outright) and for the same grouping alike."""
     aggs = _aggs()
     table = Table("t", SCHEMA, rows, packed=False)
     scan = ScanNode(table)
@@ -258,6 +261,8 @@ def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
         scan if weak is None else SelectNode(scan, weak), ("a", "b"), aggs
     )
     consumer = AggregateNode(SelectNode(scan, strong_extra), ("a",), aggs[:1])
+    assert fold_plan(consumer, provider) is None
+    consumer = AggregateNode(SelectNode(scan, strong_extra), ("b", "a"), aggs[:1])
     plan = fold_plan(consumer, provider)
     if plan is not None:
         # Only acceptable if c>1 was implied by the weak predicate itself
@@ -407,7 +412,7 @@ def draw_join_tree(d):
 def draw_aggregate(d):
     """Aggregates over stars (equal payloads, as a fold below an
     aggregation requires) and join trees, grouped finely or coarsely
-    (roll-ups) with overlapping aggregate lists."""
+    (a coarser grouping never folds) with overlapping aggregate lists."""
     from repro.query.expr import Col
 
     if d.pick(st.booleans()):
@@ -427,9 +432,10 @@ def draw_aggregate(d):
 
 
 def draw_sort(d):
+    """Sorts fold only by exact signature (their own bucket per plan)."""
     kind = d.pick(st.integers(0, 3))
     if kind == 0:
-        child = draw_aggregate(d)  # below a sort, matched by exact signature only
+        child = draw_aggregate(d)
     elif kind == 1:
         child = draw_join_tree(d)
     else:
@@ -545,12 +551,12 @@ def test_index_probe_points_vacuous_regions_and_incomparable_values():
     probes as a value (exactly as ``_Constraint.contains`` decides it),
     int/float equality follows ``==``, and a consumer whose region is
     empty, or whose values cannot be compared, gets the whole bucket."""
-    def sorted_where(pred):
-        return SortNode(SelectNode(ScanNode(FACT), pred), (("m", True),))
+    def grouped_where(pred):  # grouped by m, so residuals on m may fold
+        return AggregateNode(SelectNode(ScanNode(FACT), pred), ("m",), _aggs()[1:2])
 
-    one_two = sorted_where(InSet("m", (1, 2)))
-    three = sorted_where(InSet("m", (3,)))
-    unkeyed = sorted_where(Cmp(">=", "m", 0))
+    one_two = grouped_where(InSet("m", (1, 2)))
+    three = grouped_where(InSet("m", (3,)))
+    unkeyed = grouped_where(Cmp(">=", "m", 0))
     other_shape = SortNode(SelectNode(ScanNode(FACT), InSet("m", (1, 2))), (("q", True),))
     index = _indexed([one_two, three, unkeyed, other_shape])
 
@@ -563,14 +569,14 @@ def test_index_probe_points_vacuous_regions_and_incomparable_values():
             if fold_plan(consumer, p) is not None
         } <= set(found)
 
-    check(sorted_where(Between("m", 1, 1)), [0, 2])
-    check(sorted_where(Cmp("=", "m", 2.0)), [0, 2])
-    check(sorted_where(InSet("m", (1, 2))), [0, 2])  # same signature as a provider
-    check(sorted_where(Between("m", 1, 2)), [2])  # no value set holds an interval
-    check(sorted_where(Cmp("!=", "m", 1)), [2])
-    check(sorted_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), [0, 1, 2])  # empty
-    check(sorted_where(And(InSet("m", ("a",)), Cmp(">", "m", 1))), [0, 1, 2])  # TypeError
-    assert fold_plan(sorted_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), three) is not None
+    check(grouped_where(Between("m", 1, 1)), [0, 2])
+    check(grouped_where(Cmp("=", "m", 2.0)), [0, 2])
+    check(grouped_where(InSet("m", (1, 2))), [0, 2])  # same signature as a provider
+    check(grouped_where(Between("m", 1, 2)), [2])  # no value set holds an interval
+    check(grouped_where(Cmp("!=", "m", 1)), [2])
+    check(grouped_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), [0, 1, 2])  # empty
+    check(grouped_where(And(InSet("m", ("a",)), Cmp(">", "m", 1))), [0, 1, 2])  # TypeError
+    assert fold_plan(grouped_where(And(Cmp("=", "m", 1), Cmp("=", "m", 2))), three) is not None
 
 
 def _ref_constraint_map(parts):

@@ -75,7 +75,7 @@ class TestServiceMetrics:
 
     def test_inherits_simulator_metrics(self):
         m = self.make_loaded()
-        m.charge_cpu(1000.0, "joins")
+        m.cpu_cycles_by_category["joins"] += 1000.0
         m.record_sharing("join-depth-1")
         d = m.to_dict(hz=1000.0)
         assert d["cpu_seconds_by_category"]["joins"] == pytest.approx(1.0)
@@ -91,7 +91,7 @@ class TestServiceMetrics:
 class TestMetricsToJson:
     def test_plain_metrics(self):
         m = Metrics()
-        m.charge_cpu(2000.0, "scans")
+        m.cpu_cycles_by_category["scans"] += 2000.0
         m.bump("bufferpool_hits", 3)
         payload = json.loads(metrics_to_json(m, hz=1000.0))
         assert payload["cpu_seconds_by_category"]["scans"] == pytest.approx(2.0)

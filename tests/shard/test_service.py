@@ -83,7 +83,10 @@ def test_admission_semantics_on_the_virtual_timeline():
 
 def test_report_shapes(one_shard_report):
     report = serve_sharded(2, **FAST)
-    d = report.to_dict()
+    d = {
+        **report.header(),
+        **report.metrics.to_dict(hz=report.machine_hz, window=report.window),
+    }
     assert d["n_shards"] == 2
     shards = d["shards"]
     assert set(shards["service_seconds"]) == {"shard0", "shard1"}

@@ -95,7 +95,7 @@ class RefSim:
             self.current = None
         if type(cmd) is CpuCommand:
             for cycles, category in ((cmd.cycles, cmd.category), *cmd.rest):
-                self.metrics.charge_cpu(cycles, category)
+                self.metrics.cpu_cycles_by_category[category] += cycles
             if cmd.total <= 0:
                 self.ready(thread)
             else:

@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.sim import Simulator
+from repro.sim.commands import CPU, CPU_FUSED
+from repro.sim.machine import MachineSpec
 from repro.sim.metrics import CATEGORIES, Metrics
 
 
@@ -10,16 +13,23 @@ class TestMetrics:
         assert CATEGORIES == ("hashing", "joins", "aggregation", "scans", "locks", "misc")
 
     def test_charge_cpu_accumulates_by_category(self):
-        m = Metrics()
-        m.charge_cpu(100, "hashing")
-        m.charge_cpu(50, "hashing")
-        m.charge_cpu(25, "joins")
+        # The simulator meters every dispatched CPU command (each fused
+        # part too) into its category.
+        sim = Simulator(MachineSpec(cores=1, hz=1e9))
+
+        def worker():
+            yield CPU(100, "hashing")
+            yield CPU_FUSED(CPU(50, "hashing"), CPU(25, "joins"))
+
+        sim.spawn(worker(), "w")
+        sim.run()
+        m = sim.metrics
         assert m.cpu_cycles_by_category["hashing"] == 150
         assert m.cpu_cycles_by_category["joins"] == 25
 
     def test_cpu_seconds_conversion(self):
         m = Metrics()
-        m.charge_cpu(2e9, "scans")
+        m.cpu_cycles_by_category["scans"] += 2e9
         secs = m.cpu_seconds_by_category(1e9)
         assert secs["scans"] == pytest.approx(2.0)
         assert secs["joins"] == 0.0

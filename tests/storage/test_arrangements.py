@@ -41,7 +41,7 @@ from repro.sim.machine import MachineSpec
 from repro.storage import selections
 from repro.storage.arrangements import ARRANGEMENTS, Arrangement, ArrangementCache
 from repro.storage.manager import StorageConfig, StorageManager
-from repro.storage.packed import DICT_MAX_CARD, is_packed
+from repro.storage.packed import DICT_MAX_CARD, DictColumn, PackedNumeric
 from repro.storage.page import Batch
 from repro.storage.schema import Column, Schema
 from repro.storage.selections import MAX_ENTRIES_PER_TABLE, SelectionMemo
@@ -161,7 +161,7 @@ def test_dictionary_fallback_boundary_probes_exactly(pred, fold):
         for packed in (False, True):
             t = build_table(rows, packed, tpp=64)
             if packed:
-                assert any(is_packed(c) for c in t.columns())
+                assert any(type(c) in (DictColumn, PackedNumeric) for c in t.columns())
             assert Arrangement(t, "k").unique
             memo = SelectionMemo()
             memo.select(t, Cmp(">=", "v", -1), fold)  # a subsuming sibling
@@ -265,7 +265,7 @@ def test_memo_stays_under_its_cap_and_answers_stay_exact(ssb, config):
 
     def checked_select(*args):
         selection = select(*args)
-        sizes.append(len(memo))
+        sizes.append(sum(len(entries) for entries in memo._tables.values()))
         return selection
 
     memo.select = checked_select

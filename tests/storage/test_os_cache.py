@@ -31,7 +31,7 @@ class TestZeroCapacity:
         drive(sim, reads())
         assert cache.hits == 0
         assert cache.misses == 3
-        assert cache.resident_bytes == 0.0
+        assert cache._bytes == 0.0
         assert sim.disk.bytes_delivered == pytest.approx(3000.0)
 
     def test_negative_capacity_rejected(self):
@@ -50,8 +50,8 @@ class TestOversizedPage:
         drive(sim, reads())
         assert cache.misses == 2
         assert cache.hits == 0
-        assert not cache.contains(("t", 0))
-        assert cache.resident_bytes == 0.0
+        assert ("t", 0) not in cache._resident
+        assert cache._bytes == 0.0
 
     def test_smaller_pages_still_cached_alongside(self):
         sim, cache = make_cache(500.0)
@@ -64,7 +64,7 @@ class TestOversizedPage:
         drive(sim, reads())
         assert cache.hits == 1
         assert cache.misses == 2
-        assert cache.resident_bytes == 400.0
+        assert cache._bytes == 400.0
 
 
 class TestReadDirect:
@@ -78,7 +78,7 @@ class TestReadDirect:
         drive(sim, reads())
         assert cache.hits == 0
         assert cache.misses == 0
-        assert cache.resident_bytes == 0.0
+        assert cache._bytes == 0.0
         assert "os_cache_hits" not in sim.metrics.counts
         assert "os_cache_misses" not in sim.metrics.counts
         # The I/O itself still happened.

@@ -37,12 +37,6 @@ class TestSchema:
         assert "b" in s
         assert "zz" not in s
 
-    def test_project(self):
-        s = make_schema()
-        p = s.project(["c", "a"])
-        assert p.names == ("c", "a")
-        assert p.row_bytes == pytest.approx(16)
-
     def test_concat(self):
         s1 = Schema([Column("a")], row_bytes=10)
         s2 = Schema([Column("b")], row_bytes=20)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import CONFIGS, WORKLOADS, build_parser, main
@@ -123,6 +125,21 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["serve", *fast, *flags])
         assert exc.value.code == f"repro serve: {message}"
+
+    def test_sweep_restores_the_callers_environment(self, monkeypatch, capsys):
+        # The sweep's job count, progress lines and cell timeout hold for
+        # the command only: later library sweeps must not inherit them.
+        names = ("REPRO_JOBS", "REPRO_PROGRESS", "REPRO_CELL_TIMEOUT")
+        for name in names:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        assert main(["sweep", "fig2", "--timeout", "5"]) == 0
+        assert "fig2" in capsys.readouterr().out
+        assert {name: os.environ.get(name) for name in names} == {
+            "REPRO_JOBS": "1",
+            "REPRO_PROGRESS": None,
+            "REPRO_CELL_TIMEOUT": None,
+        }
 
     def test_experiment_chart_flag(self, capsys):
         rc = main(["experiment", "fig6", "--chart"])

@@ -2,9 +2,9 @@
 
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
-selection kernel, one page layout, one dimension-selection memo and one
-router -- so a later change cannot quietly re-add a second way of doing the
-same thing."""
+selection kernel, one page layout, one dimension-selection memo, one
+router and one aggregation kernel -- so a later change cannot quietly re-add
+a second way of doing the same thing."""
 
 import ast
 import dataclasses
@@ -131,3 +131,26 @@ def test_one_router():
             n_clients=1,
             duration=1.0,
         )
+
+
+def test_one_aggregation_kernel():
+    # Every engine folds weighted rows into group accumulators through
+    # engine/stages/aggregate.py; the reference evaluator shares no code
+    # with any engine, so only the package export may import it.
+    importers, accumulators = [], []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if "repro.baselines.reference" in names and rel != "baselines/__init__.py":
+                importers.append((rel, node.lineno))
+        if "_Accumulator" in text and rel != "engine/stages/aggregate.py":
+            accumulators.append(rel)
+    assert not importers
+    assert not accumulators

@@ -44,8 +44,6 @@ class EngineConfig:
     sp_prediction: bool = False
     #: SPL bound in pages (paper: 256 KB / 32 KB pages = 8)
     spl_max_pages: int = 8
-    #: FIFO buffer bound in pages
-    fifo_capacity: int = 8
     #: CJOIN thread configuration (paper Section 5.2.2): "horizontal" --
     #: a pool of ``filter_workers`` threads each carrying a page through
     #: the whole filter chain -- or "vertical" -- one thread *per filter*,
@@ -65,14 +63,6 @@ class EngineConfig:
     #: latency, and the latency of a batch is dominated by the
     #: longest-running query."  Off by default (CJOIN admits continuously).
     gqp_batched_execution: bool = False
-    #: stages whose packets may probe/fill the shared result cache (when
-    #: the storage manager carries one; see repro.cache).  Materialization
-    #: points with small outputs and large recompute costs by default --
-    #: aggregate/sort roots serve whole recurring queries from cache, and
-    #: CJOIN packets cover the GQP route.  Raw scans are never cached (the
-    #: buffer pool already holds base pages); 'join' may be opted in, at
-    #: the price of spilling potentially fact-sized intermediate results.
-    result_cache_stages: tuple[str, ...] = ("aggregate", "sort", "cjoin")
     #: subsumption-based query folding: admission, the result cache, and
     #: the dimension-selection memo match by *subsumption*
     #: (:mod:`repro.query.subsume`) in addition to exact signatures -- a
@@ -86,8 +76,8 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.comm not in ("spl", "fifo"):
             raise ValueError("comm must be 'spl' or 'fifo'")
-        if self.spl_max_pages < 1 or self.fifo_capacity < 1:
-            raise ValueError("buffer bounds must be >= 1")
+        if self.spl_max_pages < 1:
+            raise ValueError("spl_max_pages must be >= 1")
         if self.filter_workers < 1 or self.distributor_parts < 1:
             raise ValueError("CJOIN needs at least one worker of each kind")
         if self.sp_cjoin and not self.use_cjoin:
@@ -98,12 +88,6 @@ class EngineConfig:
             raise ValueError("gqp_batched_execution requires use_cjoin")
         if self.cjoin_threads not in ("horizontal", "vertical"):
             raise ValueError("cjoin_threads must be 'horizontal' or 'vertical'")
-        allowed = {"tablescan", "join", "aggregate", "sort", "cjoin"}
-        unknown = set(self.result_cache_stages) - allowed
-        if unknown:
-            raise ValueError(f"unknown result_cache_stages: {sorted(unknown)}")
-        if "tablescan" in self.result_cache_stages:
-            raise ValueError("raw scans are served by the buffer pool, not the result cache")
 
     def with_comm(self, comm: str) -> "EngineConfig":
         return replace(self, comm=comm, name=f"{self.name} ({comm.upper()})")

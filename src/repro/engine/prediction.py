@@ -56,6 +56,6 @@ def push_sharing_beneficial(engine: "QPipeEngine", node: "ScanNode", n_satellite
     shared_path = scan_cycles + (n_satellites + 1) * copy_cycles
     # Private path: our own scan on the loaded machine, slowed by the pool's
     # own per-thread rate with the would-be private worker runnable.
-    slowdown = cpu.hz / cpu._rate_for(cpu.runnable + 1)
+    slowdown = engine.sim.machine.hz / cpu._rate_for(cpu.runnable + 1)
     private_path = scan_cycles * slowdown
     return shared_path < private_path

@@ -44,6 +44,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.storage.manager import StorageManager
 
+#: Bound of a push-based (FIFO) exchange's buffer, in pages.
+FIFO_CAPACITY = 8
+
 
 @dataclass
 class QueryHandle:
@@ -103,7 +106,7 @@ class QPipeEngine:
     def new_exchange(self, name: str) -> Any:
         if self.config.comm == "spl":
             return SharedPagesList(self.sim, self.cost, self.config.spl_max_pages, name)
-        return FifoExchange(self.sim, self.cost, self.config.fifo_capacity, name)
+        return FifoExchange(self.sim, self.cost, FIFO_CAPACITY, name)
 
     # ------------------------------------------------------------------
     def submit(self, spec: StarQuerySpec, label: str | None = None) -> QueryHandle:

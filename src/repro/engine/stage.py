@@ -49,6 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.query.plan import PlanNode
     from repro.query.star import Query
 
+#: Stages whose packets may probe/fill the shared result cache (when the
+#: storage manager carries one; see repro.cache): materialization points
+#: with small outputs and large recompute costs -- aggregate/sort roots
+#: serve whole recurring queries from cache, CJOIN packets cover the GQP
+#: route.  Raw scans are never cached (the buffer pool holds base pages),
+#: nor are joins (potentially fact-sized intermediate results).
+RESULT_CACHE_STAGES = frozenset({"aggregate", "sort", "cjoin"})
+
 
 class Stage:
     """One relational-operator stage of the QPipe engine."""
@@ -81,7 +89,7 @@ class Stage:
     def result_cache(self) -> "ResultCache | None":
         """The shared result cache, when one exists and this stage is
         cache-eligible (None otherwise -- the zero-cost default path)."""
-        if self.name not in self.engine.config.result_cache_stages:
+        if self.name not in RESULT_CACHE_STAGES:
             return None
         return self.engine.storage.result_cache
 

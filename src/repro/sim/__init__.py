@@ -5,13 +5,13 @@ This package is the substrate substitution for the paper's Sun Fire X4470
 multicore measurements of pipelined sharing meaningless, so the execution
 engines in :mod:`repro.engine` and :mod:`repro.gqp` run as cooperative
 coroutines on this simulator: real tuples flow through real data structures,
-while *time* is accounted by a generalized-processor-sharing CPU model and a
-shared-bandwidth disk model.
+while *time* is accounted by two processor-sharing ("fluid") pools: the
+CPU and a shared-bandwidth disk (:mod:`~repro.sim.pool`).
 
 Public surface:
 
 * :class:`~repro.sim.engine.Simulator` -- the event loop.
-* :class:`~repro.sim.machine.MachineSpec` -- cores, clock speed, disks, RAM.
+* :class:`~repro.sim.machine.MachineSpec` -- cores, clock speed, the disk, RAM.
 * :func:`~repro.sim.commands.CPU`, :func:`~repro.sim.commands.IO`,
   :func:`~repro.sim.commands.SLEEP`, :data:`~repro.sim.commands.BLOCK` --
   the commands a simulated thread may ``yield``.

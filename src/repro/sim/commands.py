@@ -5,7 +5,7 @@ to pass it ``yield``\\ s one of the command objects below and is resumed by
 :class:`~repro.sim.engine.Simulator` once the command completes:
 
 * :class:`CpuCommand` -- burn CPU cycles on the (shared) core pool.
-* :class:`IoCommand` -- read bytes from a disk device.
+* :class:`IoCommand` -- read bytes from the disk.
 * :class:`SleepCommand` -- wait for a fixed simulated duration.
 * :data:`BLOCK` -- park until another thread calls ``sim.unblock(thread)``;
   the building block for all higher-level synchronization in
@@ -62,19 +62,17 @@ class CpuCommand:
 
 
 class IoCommand:
-    """Read ``nbytes`` from disk device ``device`` (a name registered on the
-    simulator).  ``sequential=False`` models random access and is charged a
-    device-specific penalty."""
+    """Read ``nbytes`` from the machine's disk.  ``sequential=False`` models
+    random access and is charged the disk's ``random_multiplier``."""
 
-    __slots__ = ("device", "nbytes", "sequential")
+    __slots__ = ("nbytes", "sequential")
 
-    def __init__(self, device: str, nbytes: float, sequential: bool = True):
-        self.device = device
+    def __init__(self, nbytes: float, sequential: bool = True):
         self.nbytes = nbytes
         self.sequential = sequential
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"IoCommand(device={self.device!r}, nbytes={self.nbytes!r}, sequential={self.sequential!r})"
+        return f"IoCommand(nbytes={self.nbytes!r}, sequential={self.sequential!r})"
 
 
 class SleepCommand:
@@ -152,9 +150,9 @@ def CPU_FUSED(*cmds: CpuCommand) -> CpuCommand:
     return CpuCommand(first.cycles, first.category, tuple(rest))
 
 
-def IO(device: str, nbytes: float, sequential: bool = True) -> IoCommand:
+def IO(nbytes: float, sequential: bool = True) -> IoCommand:
     """Factory for :class:`IoCommand`."""
-    return IoCommand(device, nbytes, sequential)
+    return IoCommand(nbytes, sequential)
 
 
 def SLEEP(delay: float) -> SleepCommand:

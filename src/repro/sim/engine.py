@@ -1,10 +1,11 @@
 """The discrete-event loop.
 
-:class:`Simulator` owns the clock, the event heap, the GPS CPU pool and the
-disk devices, and drives simulated threads (generators) by interpreting the
-commands they yield.  The loop is fully deterministic: ties on the event heap
-break by insertion order, a pool completion that ties a heap event runs
-after it, and nothing consults wall-clock time or unseeded randomness.
+:class:`Simulator` owns the clock, the event heap and the two fluid pools
+(the CPU and the disk), and drives simulated threads (generators) by
+interpreting the commands they yield.  The loop is fully deterministic:
+ties on the event heap break by insertion order, a pool completion that
+ties a heap event runs after it (the CPU's before the disk's), and nothing
+consults wall-clock time or unseeded randomness.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from math import inf
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator
 
 from repro.sim.commands import BLOCK, CpuCommand, IoCommand, SleepCommand
-from repro.sim.cpu import CpuPool
-from repro.sim.iodev import IoDevice
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.metrics import Metrics
+from repro.sim.pool import FluidPool
 from repro.sim.task import SimThread, ThreadState
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -50,28 +50,13 @@ class Simulator:
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
-        self.cpu = CpuPool(
-            machine.cores,
-            machine.hz,
-            oversub_penalty=machine.oversub_penalty,
-            oversub_exponent=machine.oversub_exponent,
-        )
-        self.devices: dict[str, IoDevice] = {
-            d.name: IoDevice(
-                d.name,
-                d.bandwidth,
-                seek_penalty=d.seek_penalty,
-                min_efficiency=d.min_efficiency,
-                random_multiplier=d.random_multiplier,
-            )
-            for d in machine.disks
-        }
+        self.cpu = FluidPool(machine.cores, machine.cpu_rate)
+        self.disk = FluidPool(1, machine.disk.rate)
         # Pool completions never enter the event heap: each pool keeps its
         # next-completion time in its ``armed_when`` slot and the run loop
         # fires whichever comes first of ``_heap[0]`` and the slots (ties:
-        # the heap, then the pools in this order).
-        self._pools: tuple[CpuPool | IoDevice, ...] = (self.cpu, *self.devices.values())
-        self._rivals = {p: tuple(q for q in self._pools if q is not p) for p in self._pools}
+        # the heap, then the CPU, then the disk).
+        self._pools = (self.cpu, self.disk)
         self.metrics = Metrics()
         #: Observer of every yielded command and thread exit
         #: (:meth:`repro.sim.trace.Tracer.attach` sets it); None = off.
@@ -155,55 +140,67 @@ class Simulator:
             self.current = prev
         if self.tap is not None:
             self.tap.on_command(thread, cmd)
-        if type(cmd) is CpuCommand:
+        cmd_type = type(cmd)
+        if cmd_type is CpuCommand:
             # Every part is metered at dispatch, in part order; the command
-            # then enters the pool once with its total.  CpuPool.add +
-            # next_completion inlined (one advance, one pool push, the
-            # exact same arithmetic) -- every worker yield funnels through
-            # here, so the extra calls are measurable.
+            # then enters the CPU pool once with its total.
             by_category = self._by_category
             by_category[cmd.category] += cmd.cycles
             rest = cmd.rest
             if rest:
                 for cycles, category in rest:
                     by_category[category] += cycles
-            total = cmd.total
-            if total <= 0.0:
-                thread.state = ThreadState.READY
-                self._seq += 1
-                heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
-                return
-            thread.state = ThreadState.ON_CPU
+            amount = cmd.total
             pool = self.cpu
-            now = self.now
-            pheap = pool._heap
-            rates = pool._rates
-            dt = now - pool._last_update
-            if dt > 0:
-                n = len(pheap)
-                if n:
-                    try:
-                        r = rates[n]
-                    except IndexError:
-                        r = pool._rate_for(n)
-                    pool.service += r * dt
-                    pool.util_integral += min(n, pool.cores) * dt
-                    pool.busy_time += dt
-                pool._last_update = now
-            elif dt < 0:
-                raise AssertionError(f"time went backwards: {pool._last_update} -> {now}")
-            service = pool.service
-            pool._seq += 1
-            heapq.heappush(pheap, (service + total, pool._seq, thread, None))
-            remaining = pheap[0][0] - service
-            n = len(pheap)
-            try:
-                rate = rates[n]
-            except IndexError:
-                rate = pool._rate_for(n)
-            pool.armed_when = now + (remaining if remaining > 0.0 else 0.0) / rate
+            state = ThreadState.ON_CPU
+        elif cmd_type is IoCommand:
+            # The disk meters logical bytes; a random read's are inflated.
+            amount = cmd.nbytes
+            pool = self.disk
+            state = ThreadState.ON_IO
+            if amount > 0.0:
+                pool.bytes_delivered += amount
+                if not cmd.sequential:
+                    amount *= self.machine.disk.random_multiplier
+        else:
+            self._dispatch(thread, cmd)
             return
-        self._dispatch(thread, cmd)
+        if amount <= 0.0:
+            thread.state = ThreadState.READY
+            self._seq += 1
+            heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
+            return
+        # Enter the pool: advance it to now, push the member, re-arm the
+        # completion slot -- one inlined copy of the pool arithmetic for
+        # both pools, since every worker yield funnels through here.
+        thread.state = state
+        now = self.now
+        pheap = pool._heap
+        rates = pool._rates
+        dt = now - pool._last_update
+        if dt > 0:
+            n = len(pheap)
+            if n:
+                try:
+                    r = rates[n]
+                except IndexError:
+                    r = pool._rate_for(n)
+                pool.service += r * dt
+                pool.util_integral += min(n, pool.width) * dt
+                pool.busy_time += dt
+            pool._last_update = now
+        elif dt < 0:
+            raise AssertionError(f"time went backwards: {pool._last_update} -> {now}")
+        service = pool.service
+        pool._seq += 1
+        heapq.heappush(pheap, (service + amount, pool._seq, thread, None))
+        remaining = pheap[0][0] - service
+        n = len(pheap)
+        try:
+            rate = rates[n]
+        except IndexError:
+            rate = pool._rate_for(n)
+        pool.armed_when = now + (remaining if remaining > 0.0 else 0.0) / rate
 
     def _finish(self, thread: SimThread, result: Any = None, error: BaseException | None = None) -> None:
         if self.tap is not None:
@@ -222,54 +219,10 @@ class Simulator:
                 self._pending_error = (thread, error)
 
     def _dispatch(self, thread: SimThread, cmd: Any) -> None:
-        """Everything but a CPU command (``_resume`` holds that branch).
+        """Everything but a pool command (``_resume`` holds those).
         type-is instead of isinstance: the command classes are final by
         design and this check runs once per yielded command."""
-        cmd_type = type(cmd)
-        if cmd_type is IoCommand:
-            device = self.devices.get(cmd.device)
-            if device is None:
-                raise SimulationError(f"unknown device {cmd.device!r} (thread {thread.name})")
-            nbytes = cmd.nbytes
-            if nbytes <= 0:
-                thread.state = ThreadState.READY
-                self._seq += 1
-                heapq.heappush(self._heap, (self.now, self._seq, (thread, None)))
-                return
-            thread.state = ThreadState.ON_IO
-            # Inline IoDevice.add + next_completion (the _resume CPU
-            # branch, for the shared-bandwidth device): same arithmetic.
-            now = self.now
-            pheap = device._heap
-            rates = device._rates
-            dt = now - device._last_update
-            if dt > 0:
-                n = len(pheap)
-                if n:
-                    try:
-                        r = rates[n]
-                    except IndexError:
-                        r = device._rate_for(n)
-                    device.service += r * dt
-                    device.busy_time += dt
-                device._last_update = now
-            elif dt < 0:
-                raise AssertionError(f"time went backwards on {device.name}")
-            charged = nbytes if nbytes > 0.0 else 0.0
-            device.bytes_delivered += charged
-            if not cmd.sequential:
-                charged *= device.random_multiplier
-            service = device.service
-            device._seq += 1
-            heapq.heappush(pheap, (service + charged, device._seq, thread, None))
-            remaining = pheap[0][0] - service
-            n = len(pheap)
-            try:
-                rate = rates[n]
-            except IndexError:
-                rate = device._rate_for(n)
-            device.armed_when = now + (remaining if remaining > 0.0 else 0.0) / rate
-        elif cmd_type is SleepCommand:
+        if type(cmd) is SleepCommand:
             thread.state = ThreadState.SLEEPING
 
             def wake() -> None:
@@ -285,23 +238,23 @@ class Simulator:
                 f"thread {thread.name!r} yielded {cmd!r}; did you forget 'yield from'?"
             )
 
-    def _service_pool(self, pool: CpuPool | IoDevice) -> None:
-        """Pop and process the pool's due completions at ``self.now``:
-        ``pop_completed`` and ``next_completion``, inlined.
+    def _service_pool(self, pool: FluidPool) -> None:
+        """Pop and process the pool's due completions at ``self.now``, and
+        re-arm its completion slot.
 
         Servicing a pool is *the* hot loop of a simulated run -- every CPU
         command and every disk read funnels through here -- so this flattens
         what is otherwise ~10 Python calls per completion into a single
-        frame.  Every float operation is kept literally identical to the
-        pool reference method it replaces (``advance``'s service/utilization
-        updates, ``pop_completed``'s epsilon test, ``next_completion``'s
-        remaining/rate division).
+        frame.  Every float operation is literally that of the reference
+        pool model the tests hold it to (``tests/sim/refpool.py``:
+        ``advance``'s service/utilization updates, ``pop_completed``'s
+        epsilon test, ``next_completion``'s remaining/rate division).
 
         Structure per round: (1) advance the pool to ``self.now``; (2)
         two-phase pop -- collect *all* due entries first, then resume their
         threads in completion order, exactly as ``pop_completed`` batches
         them; (3) if the pool's next completion is strictly earlier than
-        every pending heap event and every other pool's slot (and inside
+        every pending heap event and the other pool's slot (and inside
         the run window), jump the clock there and continue in this frame;
         otherwise leave it in the pool's ``armed_when`` slot for the run
         loop and return."""
@@ -311,9 +264,8 @@ class Simulator:
         rates = pool._rates
         rate_for = pool._rate_for
         until = self._run_until
-        rivals = self._rivals[pool]
-        is_cpu = pool is self.cpu
-        cores = self.cpu.cores
+        rival = self.disk if pool is self.cpu else self.cpu
+        width = pool.width
         heappop = heapq.heappop
         resume = self._resume
         ready = ThreadState.READY
@@ -328,8 +280,7 @@ class Simulator:
                     except IndexError:
                         r = rate_for(n)
                     pool.service += r * dt
-                    if is_cpu:
-                        pool.util_integral += min(n, cores) * dt
+                    pool.util_integral += min(n, width) * dt
                     pool.busy_time += dt
                 pool._last_update = now
             elif dt < 0:
@@ -365,13 +316,11 @@ class Simulator:
             pool.armed_when = when
             if (
                 (heap and when >= heap[0][0])
+                or when >= rival.armed_when
                 or (until is not None and when > until)
                 or self._pending_error is not None
             ):
                 return
-            for rival in rivals:
-                if when >= rival.armed_when:
-                    return
             now = when
             self.now = when
 
@@ -455,12 +404,8 @@ class Simulator:
             )
 
     # ------------------------------------------------------------------
-    @property
-    def disk(self) -> IoDevice:
-        """The primary disk device."""
-        return self.devices[self.machine.primary_disk.name]
-
     def avg_cores_used(self, window: float | None = None) -> float:
-        """Average busy cores over ``window`` (default: the busy period)."""
+        """Average busy cores over ``window`` (default: the CPU's busy
+        period) -- the paper's 'Avg. # Cores Used'."""
         w = window if window is not None else self.cpu.busy_time
-        return self.cpu.avg_cores_used(w) if w else 0.0
+        return self.cpu.util_integral / w if w > 0 else 0.0

@@ -18,7 +18,7 @@ class ThreadState(enum.Enum):
     NEW = "new"
     READY = "ready"  # resumption scheduled on the event heap
     ON_CPU = "on_cpu"  # inside the GPS core pool
-    ON_IO = "on_io"  # inside a disk device pool
+    ON_IO = "on_io"  # inside the disk pool
     SLEEPING = "sleeping"
     BLOCKED = "blocked"  # parked via BLOCK, waiting for unblock()
     DONE = "done"

@@ -98,7 +98,7 @@ class Tracer:
             self._record(thread.name, "cpu", f"{cmd.total:.3g} cycles [{', '.join(categories)}]")
         elif isinstance(cmd, IoCommand):
             mode = "seq" if cmd.sequential else "rand"
-            self._record(thread.name, "io", f"{cmd.nbytes:.3g} B {mode} on {cmd.device}")
+            self._record(thread.name, "io", f"{cmd.nbytes:.3g} B {mode}")
         elif isinstance(cmd, SleepCommand):
             self._record(thread.name, "sleep", f"{cmd.delay:.3g} s")
         elif cmd is BLOCK:

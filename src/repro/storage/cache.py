@@ -9,7 +9,7 @@ paper isolates the preprocessor overhead.
 
 The cache is a byte-capacity LRU over (table, page) keys.  Hits cost nothing
 (the buffer pool layer already charges its own CPU); misses go to the disk
-device in simulated time.
+in simulated time.
 """
 
 from __future__ import annotations
@@ -24,14 +24,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class OsPageCache:
-    """LRU file-system cache in front of one disk device."""
+    """LRU file-system cache in front of the disk."""
 
-    def __init__(self, sim: "Simulator", capacity_bytes: float, device: str = "disk"):
+    def __init__(self, sim: "Simulator", capacity_bytes: float):
         if capacity_bytes < 0:
             raise ValueError("capacity must be >= 0")
         self.sim = sim
         self.capacity_bytes = capacity_bytes
-        self.device = device
         self._resident: OrderedDict[tuple[str, int], float] = OrderedDict()
         self._bytes = 0.0
         self.hits = 0
@@ -47,12 +46,12 @@ class OsPageCache:
             return
         self.misses += 1
         self.sim.metrics.bump("os_cache_misses")
-        yield IO(self.device, nbytes, sequential)
+        yield IO(nbytes, sequential)
         self._insert(key, nbytes)
 
     def read_direct(self, nbytes: float, sequential: bool = True) -> Iterator[Any]:
         """Direct I/O: bypass the cache (no admission, no hit)."""
-        yield IO(self.device, nbytes, sequential)
+        yield IO(nbytes, sequential)
 
     # ------------------------------------------------------------------
     def _insert(self, key: tuple[str, int], nbytes: float) -> None:

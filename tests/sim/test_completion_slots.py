@@ -1,18 +1,18 @@
 """Completion slots against a reference loop, to the last bit.
 
 ``Simulator`` keeps each pool's next completion in one ``armed_when`` slot
-and inlines the pool arithmetic into ``_resume`` / ``_dispatch`` /
-``_service_pool``.  ``RefSim`` below is the specification it is held to:
-the textbook loop in which *every* membership change pushes an explicit
-completion event, superseded ones are skipped, and all pool arithmetic goes
-through the reference methods (``CpuPool.add`` / ``next_completion`` /
-``pop_completed`` and the ``IoDevice`` twins).  A CPU command is what its
+and inlines the pool arithmetic into ``_resume`` and ``_service_pool``.
+``RefSim`` below is the specification it is held to: the textbook loop in
+which *every* membership change pushes an explicit completion event,
+superseded ones are skipped, and all pool arithmetic goes through the
+reference pool model (``refpool.RefPool.add`` / ``next_completion`` /
+``pop_completed``, and ``RefDisk.read``).  A CPU command is what its
 contract says: every part is metered at dispatch, in part order, and the
 command enters the pool once with its ``total``.
 
 Generated schedules (threads x fused commands with zero-cycle parts,
-sleeps, I/O on two devices, ``Condition`` / ``Channel`` hand-offs, drawn
-from round numbers so that same-instant ties are common) must produce
+sleeps, sequential and random I/O, ``Condition`` / ``Channel`` hand-offs,
+drawn from round numbers so that same-instant ties are common) must produce
 identical finish times and orders, cycle accounts and pool integrals on
 both.  The budget tests at the bottom pin the mechanism itself: a CPU
 command costs no event-heap push and exactly one pool-heap push."""
@@ -26,36 +26,31 @@ from hypothesis import strategies as st
 
 from repro.sim import CPU, IO, SLEEP, Simulator
 from repro.sim.commands import BLOCK, CPU_FUSED, CpuCommand, IoCommand, SleepCommand
-from repro.sim.cpu import CpuPool
 from repro.sim.engine import SimulationError
-from repro.sim.iodev import IoDevice
 from repro.sim.machine import DiskSpec, MachineSpec
 from repro.sim.metrics import Metrics
 from repro.sim.sync import Channel, Condition
 from repro.sim.task import SimThread, ThreadState
-
-DISKS = (DiskSpec(name="disk", bandwidth=100e6), DiskSpec(name="log", bandwidth=40e6))
+from tests.sim.refpool import RefDisk, RefPool
 
 
 def machine(cores: int) -> MachineSpec:
-    return MachineSpec(cores=cores, hz=1e9, disks=DISKS)
+    return MachineSpec(cores=cores, hz=1e9, disk=DiskSpec(bandwidth=100e6))
 
 
 class RefSim:
     """Reference event loop: one heap, keyed ``(when, rank, seq)``.  Rank 0
     is a thread event; a pool's completion events carry rank 1 + its index,
-    so a completion runs after every thread event of the same instant."""
+    so a completion runs after every thread event of the same instant (and
+    the CPU's before the disk's)."""
 
     def __init__(self, spec: MachineSpec):
         self.now = 0.0
         self.current: SimThread | None = None
         self.metrics = Metrics()
-        self.cpu = CpuPool(spec.cores, spec.hz, spec.oversub_penalty, spec.oversub_exponent)
-        self.devices = {
-            d.name: IoDevice(d.name, d.bandwidth, d.seek_penalty, d.min_efficiency, d.random_multiplier)
-            for d in spec.disks
-        }
-        self.pools = [self.cpu, *self.devices.values()]
+        self.cpu = RefPool(spec.cores, spec.cpu_rate)
+        self.disk = RefDisk(spec.disk)
+        self.pools = [self.cpu, self.disk]
         self.heap: list = []
         self.seq = 0
         self.live: dict = {}  # pool -> seq of its one valid completion event
@@ -106,9 +101,8 @@ class RefSim:
             self.ready(thread)
         elif type(cmd) is IoCommand:
             thread.state = ThreadState.ON_IO
-            device = self.devices[cmd.device]
-            device.add(self.now, thread, cmd.nbytes, cmd.sequential, lambda: self.wake(thread))
-            self.arm(device)
+            self.disk.read(self.now, thread, cmd.nbytes, cmd.sequential, lambda: self.wake(thread))
+            self.arm(self.disk)
         elif type(cmd) is SleepCommand:
             thread.state = ThreadState.SLEEPING
             self.push(self.now + max(cmd.delay, 0.0), 0, lambda: self.wake(thread))
@@ -158,7 +152,7 @@ nbytes = st.sampled_from([0.0, 10e6, 25e6, 100e6]) | st.floats(0.0, 2e8)
 op = st.one_of(
     st.tuples(st.just("cpu"), st.lists(part, min_size=1, max_size=3)),
     st.tuples(st.just("sleep"), delay),
-    st.tuples(st.just("io"), st.integers(0, 1), nbytes, st.booleans()),
+    st.tuples(st.just("io"), nbytes, st.booleans()),
     st.tuples(st.just("put")),
     st.tuples(st.just("wait"), st.integers(0, 1)),
     st.tuples(st.just("notify"), st.integers(0, 1)),
@@ -208,7 +202,7 @@ def play(sim, schedule) -> list:
             elif o[0] == "sleep":
                 yield SLEEP(o[1])
             elif o[0] == "io":
-                yield IO(DISKS[o[1]].name, o[2], o[3])
+                yield IO(o[1], o[2])
             elif o[0] == "put":
                 yield from chan.put(i)
             elif o[0] == "wait":
@@ -247,7 +241,7 @@ def observed(sim, log) -> dict:
         "finish": log,
         "by_category": dict(sim.metrics.cpu_cycles_by_category),
         "cpu": (sim.cpu.service, sim.cpu.util_integral, sim.cpu.busy_time),
-        "devices": [(d.service, d.busy_time, d.bytes_delivered) for d in sim.devices.values()],
+        "disk": (sim.disk.service, sim.disk.util_integral, sim.disk.busy_time, sim.disk.bytes_delivered),
     }
 
 
@@ -326,7 +320,7 @@ def test_thread_error_stops_the_cascade():
 class TestEventBudget:
     """``Simulator._seq`` counts event-heap pushes.  CPU work of any shape
     must cost none: only spawns, wake-ups and sleeps reach the heap.
-    ``CpuPool._seq`` counts pool-heap pushes: one per CPU command, however
+    ``sim.cpu._seq`` counts pool-heap pushes: one per CPU command, however
     many parts it fuses."""
 
     N, M = 6, 40

@@ -1,11 +1,13 @@
-"""Unit tests for the GPS CPU pool."""
+"""Unit tests for the CPU pool: a fluid pool at ``MachineSpec.cpu_rate``,
+driven through the reference model."""
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cpu import CpuPool
+from repro.sim import MachineSpec, Simulator
 from repro.sim.task import SimThread
+from tests.sim.refpool import cpu_pool
 
 
 def _thread(name="t"):
@@ -18,26 +20,26 @@ def _thread(name="t"):
 class TestConstruction:
     def test_rejects_zero_cores(self):
         with pytest.raises(ValueError):
-            CpuPool(0, 1e9)
+            cpu_pool(0, 1e9)
 
     def test_rejects_nonpositive_hz(self):
         with pytest.raises(ValueError):
-            CpuPool(4, 0)
+            cpu_pool(4, 0)
 
     def test_rejects_negative_oversub(self):
         with pytest.raises(ValueError):
-            CpuPool(4, 1e9, oversub_penalty=-1)
+            cpu_pool(4, 1e9, oversub_penalty=-1)
 
 
 class TestSingleThread:
     def test_one_thread_runs_at_full_speed(self):
-        pool = CpuPool(4, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(4, 1e9, oversub_penalty=0.0)
         done = []
         pool.add(0.0, _thread(), 2e9, lambda: done.append(1))
         assert pool.next_completion(0.0) == pytest.approx(2.0)
 
     def test_completion_pops_thread(self):
-        pool = CpuPool(4, 1e9)
+        pool = cpu_pool(4, 1e9)
         fired = []
         pool.add(0.0, _thread(), 1e9, lambda: fired.append("a"))
         t = pool.next_completion(0.0)
@@ -48,14 +50,14 @@ class TestSingleThread:
         assert pool.runnable == 0
 
     def test_zero_cycle_work_completes_immediately(self):
-        pool = CpuPool(2, 1e9)
+        pool = cpu_pool(2, 1e9)
         pool.add(0.0, _thread(), 0.0, lambda: None)
         assert pool.next_completion(0.0) == pytest.approx(0.0)
 
 
 class TestSharing:
     def test_two_threads_on_one_core_halve_speed(self):
-        pool = CpuPool(1, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(1, 1e9, oversub_penalty=0.0)
         pool.add(0.0, _thread("a"), 1e9, lambda: None)
         pool.add(0.0, _thread("b"), 1e9, lambda: None)
         # Each progresses at 0.5e9 cycles/s: both done at t=2.
@@ -63,13 +65,13 @@ class TestSharing:
         assert len(pool.pop_completed(2.0)) == 2
 
     def test_under_subscription_no_slowdown(self):
-        pool = CpuPool(8, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(8, 1e9, oversub_penalty=0.0)
         for i in range(4):
             pool.add(0.0, _thread(str(i)), 1e9, lambda: None)
         assert pool.next_completion(0.0) == pytest.approx(1.0)
 
     def test_unequal_work_completes_in_order(self):
-        pool = CpuPool(1, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(1, 1e9, oversub_penalty=0.0)
         order = []
         pool.add(0.0, _thread("short"), 0.5e9, lambda: order.append("short"))
         pool.add(0.0, _thread("long"), 1.0e9, lambda: order.append("long"))
@@ -84,7 +86,7 @@ class TestSharing:
         assert t2 == pytest.approx(1.5)
 
     def test_late_arrival_shares_remaining(self):
-        pool = CpuPool(1, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(1, 1e9, oversub_penalty=0.0)
         pool.add(0.0, _thread("a"), 1e9, lambda: None)
         # At t=0.5, a has 0.5e9 left; b arrives with 0.5e9.
         pool.add(0.5, _thread("b"), 0.5e9, lambda: None)
@@ -92,8 +94,8 @@ class TestSharing:
         assert pool.next_completion(0.5) == pytest.approx(1.5)
 
     def test_oversubscription_penalty_slows_everyone(self):
-        fair = CpuPool(2, 1e9, oversub_penalty=0.0)
-        slow = CpuPool(2, 1e9, oversub_penalty=0.5)
+        fair = cpu_pool(2, 1e9, oversub_penalty=0.0)
+        slow = cpu_pool(2, 1e9, oversub_penalty=0.5)
         for pool in (fair, slow):
             for i in range(4):
                 pool.add(0.0, _thread(str(i)), 1e9, lambda: None)
@@ -106,25 +108,25 @@ class TestSharing:
 
 class TestMetrics:
     def test_util_integral_counts_busy_cores(self):
-        pool = CpuPool(4, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(4, 1e9, oversub_penalty=0.0)
         pool.add(0.0, _thread("a"), 1e9, lambda: None)
         pool.add(0.0, _thread("b"), 1e9, lambda: None)
         t = pool.next_completion(0.0)
         pool.pop_completed(t)
         assert pool.util_integral == pytest.approx(2.0)  # 2 cores busy for 1s
         assert pool.busy_time == pytest.approx(1.0)
-        assert pool.avg_cores_used(1.0) == pytest.approx(2.0)
+        assert pool.util_integral / pool.busy_time == pytest.approx(2.0)  # avg cores used
 
     def test_util_capped_at_cores(self):
-        pool = CpuPool(2, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(2, 1e9, oversub_penalty=0.0)
         for i in range(6):
             pool.add(0.0, _thread(str(i)), 1e9, lambda: None)
         t = pool.next_completion(0.0)  # all finish together at 3.0
         pool.pop_completed(t)
-        assert pool.avg_cores_used(t) == pytest.approx(2.0)
+        assert pool.util_integral / t == pytest.approx(2.0)
 
     def test_avg_cores_zero_window(self):
-        assert CpuPool(2, 1e9).avg_cores_used(0.0) == 0.0
+        assert Simulator(MachineSpec(cores=2, hz=1e9)).avg_cores_used(0.0) == 0.0
 
 
 class TestConservation:
@@ -142,7 +144,7 @@ class TestConservation:
     @example(cores=1, works=[4999999535.0, 4999999534.0])
     def test_total_cycles_bounded_by_capacity(self, cores, works):
         hz = 1e9
-        pool = CpuPool(cores, hz, oversub_penalty=0.0)
+        pool = cpu_pool(cores, hz, oversub_penalty=0.0)
         for i, w in enumerate(works):
             pool.add(0.0, _thread(str(i)), w, lambda: None)
         finish = 0.0
@@ -169,7 +171,7 @@ class TestConservation:
     @settings(max_examples=40, deadline=None)
     @given(works=st.lists(st.floats(1e6, 2e9), min_size=2, max_size=12))
     def test_completion_order_matches_work_order(self, works):
-        pool = CpuPool(2, 1e9, oversub_penalty=0.0)
+        pool = cpu_pool(2, 1e9, oversub_penalty=0.0)
         order: list[int] = []
         for i, w in enumerate(works):
             pool.add(0.0, _thread(str(i)), w, lambda i=i: order.append(i))

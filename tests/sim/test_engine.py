@@ -12,7 +12,7 @@ def make_sim(cores=4, hz=1e9, bandwidth=100e6, oversub=0.0):
         cores=cores,
         hz=hz,
         oversub_penalty=oversub,
-        disks=(DiskSpec(name="disk", bandwidth=bandwidth),),
+        disk=DiskSpec(bandwidth=bandwidth),
     )
     return Simulator(spec)
 
@@ -49,23 +49,13 @@ class TestBasics:
         done = []
 
         def worker():
-            yield IO("disk", 50e6)
+            yield IO(50e6)
             done.append(sim.now)
 
         sim.spawn(worker(), "w")
         sim.run()
         assert done == [pytest.approx(0.5)]
         assert sim.disk.bytes_delivered == pytest.approx(50e6)
-
-    def test_unknown_device(self):
-        sim = make_sim()
-
-        def worker():
-            yield IO("nope", 1)
-
-        sim.spawn(worker(), "w")
-        with pytest.raises(SimulationError):
-            sim.run()
 
     def test_return_value_via_join(self):
         sim = make_sim()
@@ -251,7 +241,7 @@ class TestMetrics:
         sim = make_sim(bandwidth=100e6)
 
         def worker():
-            yield IO("disk", 200e6)
+            yield IO(200e6)
 
         sim.spawn(worker(), "w")
         sim.run()
@@ -269,7 +259,7 @@ class TestDeterminism:
 
             def worker(i):
                 yield CPU(1e8 * (i + 1), "misc")
-                yield IO("disk", 1e6 * (i + 1))
+                yield IO(1e6 * (i + 1))
                 log.append((i, sim.now))
 
             for i in range(5):

@@ -9,7 +9,7 @@ from repro.sim.task import ThreadState
 
 def make_sim(cores=4):
     return Simulator(
-        MachineSpec(cores=cores, hz=1e9, oversub_penalty=0.0, disks=(DiskSpec(bandwidth=100e6),))
+        MachineSpec(cores=cores, hz=1e9, oversub_penalty=0.0, disk=DiskSpec(bandwidth=100e6))
     )
 
 
@@ -64,7 +64,7 @@ class TestRunEdges:
         times = []
 
         def worker():
-            yield IO("disk", 0)
+            yield IO(0)
             times.append(sim.now)
 
         sim.spawn(worker(), "w")
@@ -123,7 +123,7 @@ class TestRunEdges:
         sim = make_sim()
 
         def worker():
-            yield IO("disk", 50e6, False)  # random: 4x inflation
+            yield IO(50e6, False)  # random: 4x inflation
 
         sim.spawn(worker(), "w")
         end = sim.run()
@@ -153,7 +153,7 @@ class TestRunEdges:
 
         def worker():
             yield CPU(1e9)
-            yield IO("disk", 100e6)
+            yield IO(100e6)
 
         sim.spawn(worker(), "w")
         sim.run()

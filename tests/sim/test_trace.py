@@ -10,13 +10,13 @@ from repro.sim.trace import Tracer
 
 def make_sim():
     return Simulator(
-        MachineSpec(cores=2, hz=1e9, oversub_penalty=0.0, disks=(DiskSpec(bandwidth=100e6),))
+        MachineSpec(cores=2, hz=1e9, oversub_penalty=0.0, disk=DiskSpec(bandwidth=100e6))
     )
 
 
 def worker():
     yield CPU(1e8, "hashing")
-    yield IO("disk", 1e6)
+    yield IO(1e6)
     yield SLEEP(0.5)
 
 

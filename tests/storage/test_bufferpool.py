@@ -17,7 +17,7 @@ def make_table(rows=100, row_bytes=1000.0, weight=10.0, name="t"):
 
 def make_env(resident="disk", bp_bytes=1e9, cache_bytes=1e9, direct_io=False, bandwidth=100e6):
     sim = Simulator(
-        MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0, disks=(DiskSpec(bandwidth=bandwidth),))
+        MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0, disk=DiskSpec(bandwidth=bandwidth))
     )
     table = make_table()
     storage = StorageManager(

@@ -10,7 +10,7 @@ from repro.storage.cache import OsPageCache
 
 def make_cache(capacity):
     sim = Simulator(
-        MachineSpec(cores=2, oversub_penalty=0.0, disks=(DiskSpec(bandwidth=100e6),))
+        MachineSpec(cores=2, oversub_penalty=0.0, disk=DiskSpec(bandwidth=100e6))
     )
     return sim, OsPageCache(sim, capacity)
 

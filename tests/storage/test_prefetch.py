@@ -13,7 +13,7 @@ from repro.storage.table import Table
 
 def make_env(resident="disk", direct_io=False, prefetch_window=4, bandwidth=100e6):
     sim = Simulator(
-        MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0, disks=(DiskSpec(bandwidth=bandwidth),))
+        MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0, disk=DiskSpec(bandwidth=bandwidth))
     )
     schema = Schema([Column("x")], row_bytes=1000.0)
     table = Table("t", schema, [(i,) for i in range(120)], row_weight=100, tuples_per_page=10)

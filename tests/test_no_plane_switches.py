@@ -3,8 +3,8 @@
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one dimension-selection memo, one
-router and one aggregation kernel -- so a later change cannot quietly re-add
-a second way of doing the same thing."""
+router, one aggregation kernel and one fluid pool -- so a later change
+cannot quietly re-add a second way of doing the same thing."""
 
 import ast
 import dataclasses
@@ -20,6 +20,7 @@ from repro.bench.runner import HYBRID
 from repro.engine.config import EngineConfig
 from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
+from repro.sim import Simulator
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -154,3 +155,22 @@ def test_one_aggregation_kernel():
             accumulators.append(rel)
     assert not importers
     assert not accumulators
+
+
+def test_one_fluid_pool():
+    # The CPU and the disk are one pool class with two rate functions;
+    # the simulator inlines the pool arithmetic, and the reference model
+    # it is held to lives in tests/sim/refpool.py.
+    sim = Simulator()
+    assert sim._pools == (sim.cpu, sim.disk)
+    assert type(sim.cpu) is type(sim.disk)
+    reference = []
+    for path in (SRC / "sim").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "add",
+                "next_completion",
+                "pop_completed",
+            ):
+                reference.append((path.relative_to(SRC).as_posix(), node.name))
+    assert not reference

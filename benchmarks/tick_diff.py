@@ -10,6 +10,12 @@ simulated results (``fingerprint``) must equal the base's too.  With
 whether it did, and each simulated end-to-end metric (``sim_*``) and
 ``answered_ok_share`` base -> head with its relative change, and fails only
 if one is worse than the base by more than its ``BENCHMARK.json`` bound.
+
+Both forms are also the resident-memory gate: per workload the script
+prints the quick run's ``peak_rss_mb`` base -> head and fails if head is
+higher than base by more than that metric's ``BENCHMARK.json`` bound.
+Quick-mode RSS repeats within about 0.3 MB across runs of one commit on
+one machine, so the gate reads a real change, not noise.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ def tick_metrics(spec: dict) -> list[dict]:
 def diff(spec: dict, base: dict, head: dict, moves_ticks: bool) -> list[str]:
     """Print the per-workload diff; return the reasons to fail (none = pass)."""
     a, b = base["workloads"], head["workloads"]
+    rss = next(m for m in spec["end_to_end"] if m["name"] == "peak_rss_mb")
     failures = []
     if a.keys() != b.keys():
         failures.append(f"workloads differ: {sorted(a)} vs {sorted(b)}")
@@ -40,6 +47,11 @@ def diff(spec: dict, base: dict, head: dict, moves_ticks: bool) -> list[str]:
             continue
         moved = x["fingerprint"] != y["fingerprint"]
         print(f"{name}: fingerprint {'moved' if moved else 'unchanged'}")
+        old, new = x["end_to_end"][rss["name"]]["value"], y["end_to_end"][rss["name"]]["value"]
+        change = (new - old) / old  # lower is better
+        print(f"  {rss['name']:<20} {old:.2f} -> {new:.2f} MB  ({change:+.1%})")
+        if change > rss["bound"]:
+            failures.append(f"{name}: {rss['name']} worse than the base by {change:.1%} (bound {rss['bound']:.0%})")
         if not moves_ticks:
             if moved:
                 failures.append(f"{name}: simulated results moved against the base commit")

@@ -22,6 +22,7 @@ selectivities and join fan-outs are preserved.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -226,32 +227,35 @@ def _make_part(sf: float, seed: int) -> Table:
 def _make_lineorder(
     sf: float, seed: int, customer: Table, supplier: Table, part: Table, date: Table
 ) -> Table:
+    """The fact table, generated straight into column vectors: one typed
+    ``array`` per column, appended to in the draw order a row at a time,
+    so the fact table is never held as row tuples or boxed values."""
     rng = make_rng(seed, "lineorder")
     gen, weight = _gen_rows(6_000_000 * sf, 6_000, 60_000, sf)
-    datekeys = [row[0] for row in date.iter_rows()]
+    datekeys = list(date.columns()[0])
     ncust, nsupp, npart, ndate = len(customer), len(supplier), len(part), len(datekeys)
-    rows = []
+    ints = [array("q") for _ in range(5)]
+    floats = [array("d") for _ in range(4)]
+    (custkey, suppkey, partkey, orderdate, quantity) = (c.append for c in ints)
+    (extendedprice, discount, revenue, supplycost) = (c.append for c in floats)
     randrange = rng.randrange
-    for key in range(1, gen + 1):
-        quantity = randrange(1, 51)
-        extendedprice = float(randrange(90_000, 1_100_000)) / 100.0
-        discount = float(randrange(0, 11))
-        revenue = extendedprice * (100.0 - discount) / 100.0
-        rows.append(
-            (
-                key,
-                randrange(1, ncust + 1),
-                randrange(1, nsupp + 1),
-                randrange(1, npart + 1),
-                datekeys[randrange(ndate)],
-                quantity,
-                extendedprice,
-                discount,
-                revenue,
-                extendedprice * 0.6,
-            )
-        )
-    return Table("lineorder", LINEORDER_SCHEMA, rows, row_weight=weight)
+    for _ in range(gen):
+        # Draw order is the generator's contract: these seven draws per
+        # row, in this order, are what every seed's data is made of.
+        q = randrange(1, 51)
+        price = float(randrange(90_000, 1_100_000)) / 100.0
+        disc = float(randrange(0, 11))
+        custkey(randrange(1, ncust + 1))
+        suppkey(randrange(1, nsupp + 1))
+        partkey(randrange(1, npart + 1))
+        orderdate(datekeys[randrange(ndate)])
+        quantity(q)
+        extendedprice(price)
+        discount(disc)
+        revenue(price * (100.0 - disc) / 100.0)
+        supplycost(price * 0.6)
+    columns = [array("q", range(1, gen + 1)), *ints, *floats]
+    return Table.from_columns("lineorder", LINEORDER_SCHEMA, columns, row_weight=weight)
 
 
 def generate_ssb(sf: float = 1.0, seed: int = 42) -> SsbDataset:

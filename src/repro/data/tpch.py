@@ -8,6 +8,7 @@ the paper's evaluation.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -65,22 +66,32 @@ def _generate_tpch(sf: float, seed: int) -> TpchDataset:
     gen = int(min(max(6_000 * sf, 6_000), 60_000))
     weight = 6_000_000 * sf / gen
     randrange = rng.randrange
-    rows = []
-    for key in range(1, gen + 1):
+    # Generated straight into column vectors (no row tuples), drawing in
+    # the generator's fixed order: date, price, then the rest left to right.
+    quantity, shipdate = array("q"), array("q")
+    extendedprice, discount, tax = array("d"), array("d"), array("d")
+    returnflag: list[str] = []
+    linestatus: list[str] = []
+    for _ in range(gen):
         year = randrange(1992, 1999)
         month = randrange(1, 13)
         day = randrange(1, 29)
-        extendedprice = float(randrange(90_000, 1_100_000)) / 100.0
-        rows.append(
-            (
-                key,
-                randrange(1, 51),
-                extendedprice,
-                randrange(0, 11) / 100.0,
-                randrange(0, 9) / 100.0,
-                RETURN_FLAGS[randrange(3)],
-                LINE_STATUSES[randrange(2)],
-                year * 10000 + month * 100 + day,
-            )
-        )
-    return TpchDataset(sf=sf, seed=seed, lineitem=Table("lineitem", LINEITEM_SCHEMA, rows, row_weight=weight))
+        extendedprice.append(float(randrange(90_000, 1_100_000)) / 100.0)
+        quantity.append(randrange(1, 51))
+        discount.append(randrange(0, 11) / 100.0)
+        tax.append(randrange(0, 9) / 100.0)
+        returnflag.append(RETURN_FLAGS[randrange(3)])
+        linestatus.append(LINE_STATUSES[randrange(2)])
+        shipdate.append(year * 10000 + month * 100 + day)
+    columns = [
+        array("q", range(1, gen + 1)),
+        quantity,
+        extendedprice,
+        discount,
+        tax,
+        returnflag,
+        linestatus,
+        shipdate,
+    ]
+    lineitem = Table.from_columns("lineitem", LINEITEM_SCHEMA, columns, row_weight=weight)
+    return TpchDataset(sf=sf, seed=seed, lineitem=lineitem)

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 from functools import reduce
 from operator import or_
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
 from repro.engine.stages.aggregate import accumulate, compile_values, finalize
 from repro.gqp.bitmap import SlotAllocator
-from repro.query.expr import column_indices
+from repro.query.expr import column_indices, compile_positions
 from repro.storage.arrangements import ARRANGEMENTS
+from repro.storage.packed import take_values
 from repro.storage.page import Batch
 from repro.storage.prefetch import PageSource
 
@@ -37,17 +38,20 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.packet import Packet
     from repro.engine.qpipe import QPipeEngine
     from repro.query.plan import CJoinNode
+    from repro.storage.page import Page
     from repro.storage.selections import Selection
     from repro.storage.table import Table
 
 
 class _Entry:
-    """One dimension tuple resident in a filter's hash table."""
+    """One dimension tuple resident in a filter's hash table: its position
+    in the dimension table (the distributor gathers payload columns there)
+    and the bitmap of queries that selected it."""
 
-    __slots__ = ("row", "bitmap")
+    __slots__ = ("pos", "bitmap")
 
-    def __init__(self, row: tuple, bitmap: int):
-        self.row = row
+    def __init__(self, pos: int, bitmap: int):
+        self.pos = pos
         self.bitmap = bitmap
 
 
@@ -120,42 +124,49 @@ class _QueryState:
 class _WorkItem:
     """One tagged fact page moving through the pipeline.
 
-    Surviving tuples are carried as three *parallel lists* -- ``rows``
-    (fact rows), ``bms`` (per-row query bitmaps) and ``dims`` (per-row
-    tuples of joined dimension rows) -- instead of a list of triples, so
-    the distributor's bitmap pass is a single comprehension over ``bms``
-    with no per-row unpacking."""
+    Nothing is read as rows: the item holds the page's column vectors
+    (``cols``, shared with the page, read-only) and carries its surviving
+    tuples as three *parallel lists* -- ``pos`` (positions in the page),
+    ``bms`` (per-tuple query bitmaps) and ``dims`` (per-tuple tuples of
+    joined dimension-row positions, one per filter passed, ``None`` where
+    the filter had no entry).  A filter reads only its foreign-key column
+    at ``pos``, the distributor only the fact and dimension columns a
+    query's predicate and projection name, and the bitmap pass is a
+    single comprehension over ``bms`` with no per-tuple unpacking."""
 
     __slots__ = (
-        "batch",
+        "cols",
+        "weight",
         "mask",
         "addressed",
         "filters",
         "filter_pos",
         "high_slots",
-        "rows",
+        "pos",
         "bms",
         "dims",
     )
 
     def __init__(
         self,
-        batch: Batch,
+        page: "Page",
         mask: int,
         addressed: list[_QueryState],
         filters: list[Filter],
         filter_pos: dict[str, int],
         high_slots: int,
     ):
-        self.batch = batch
+        self.cols = page.columns
+        self.weight = page.weight
         self.mask = mask
         self.addressed = addressed
         self.filters = filters
         self.filter_pos = filter_pos
         self.high_slots = high_slots
-        self.rows: list[tuple] = []
-        self.bms: list[int] = []
-        self.dims: list[tuple] = []
+        n = len(page)
+        self.pos: Sequence[int] = range(n)
+        self.bms = [mask] * n
+        self.dims: list[tuple] = [()] * n
 
 
 class CJoinPipeline:
@@ -259,7 +270,7 @@ class CJoinPipeline:
                 addressed.append(state)
             filters, filter_pos = self._filter_chain()
             item = _WorkItem(
-                batch=page.to_batch(),
+                page=page,
                 mask=mask,
                 addressed=addressed,
                 filters=filters,
@@ -380,7 +391,7 @@ class CJoinPipeline:
             ht = flt.ht
             inserts = 0
             annotations = 0
-            selected = selection.rows
+            selected = selection.positions
             # All admission charges (dim scans above, hashing/build/bitmap
             # below) are paid per admitted query -- only the Python key
             # list is reused across admissions.
@@ -401,16 +412,16 @@ class CJoinPipeline:
                 entries = list(map(ht.get, keys))
                 inserts = entries.count(None)
                 annotations = len(keys) - inserts
-                for key, r, entry in zip(keys, selected, entries):
+                for key, p, entry in zip(keys, selected, entries):
                     if entry is None:
-                        ht[key] = _Entry(r, bit)
+                        ht[key] = _Entry(p, bit)
                     else:
                         entry.bitmap |= bit
             else:
-                for key, r in zip(keys, selected):
+                for key, p in zip(keys, selected):
                     entry = ht.get(key)
                     if entry is None:
-                        ht[key] = _Entry(r, bit)
+                        ht[key] = _Entry(p, bit)
                         inserts += 1
                     else:
                         entry.bitmap |= bit
@@ -433,7 +444,7 @@ class CJoinPipeline:
         state = _QueryState(packet, slot, pages_left=self.fact.num_pages)
         state.projector = self._make_projector(node)
         if node.fact_predicate is not None:
-            state.fact_pred = node.fact_predicate.compile(self.fact.schema)
+            state.fact_pred = compile_positions(node.fact_predicate, self.fact.schema)
             state.fact_pred_terms = node.fact_predicate.terms
         if agg_node is not None:
             schema = node.schema  # the projected (payload) schema
@@ -504,43 +515,43 @@ class CJoinPipeline:
         so the charge values and their order are those of the separate
         sequence."""
         cost = self.cost
-        w = item.batch.weight
-        rows = item.rows
-        n = len(rows)
+        w = item.weight
+        pos = item.pos
+        n = len(pos)
         if n == 0:
             return
-        get = flt.ht.get
-        fk = flt.fact_fk_idx
         pass_mask = flt.pass_mask
-        new_rows: list[tuple] = []
+        new_pos: list[int] = []
         new_bms: list[int] = []
         new_dims: list[tuple] = []
-        add_row = new_rows.append
+        add_pos = new_pos.append
         add_bm = new_bms.append
         add_dim = new_dims.append
-        for row, bm, dims in zip(rows, item.bms, item.dims):
-            entry = get(row[fk])
+        # The probe keys: the page's FK column at the surviving positions
+        # (a transient list, dropped with this pass).
+        entries = map(flt.ht.get, take_values(item.cols[flt.fact_fk_idx], pos))
+        for p, entry, bm, dims in zip(pos, entries, item.bms, item.dims):
             if entry is None:
                 bm &= pass_mask
-                dim_row = None
+                dim_pos = None
             else:
                 bm &= entry.bitmap | pass_mask
-                dim_row = entry.row
+                dim_pos = entry.pos
             if bm:
-                add_row(row)
+                add_pos(p)
                 add_bm(bm)
-                add_dim(dims + (dim_row,))
+                add_dim(dims + (dim_pos,))
         hashing = cost.hashing(n, w)
         probing = cost.probe(n, w, shared=True)
         bitmaps = cost.bitmap_and(n, w, item.high_slots)
-        if new_rows:
+        if new_pos:
             # Materializing the joined tuple (attaching the dimension
             # payload) costs the same as a query-centric join's output
             # materialization.
-            yield cost.fused(hashing, probing, bitmaps, cost.emit_join(len(new_rows), w))
+            yield cost.fused(hashing, probing, bitmaps, cost.emit_join(len(new_pos), w))
         else:
             yield cost.fused(hashing, probing, bitmaps)
-        item.rows, item.bms, item.dims = new_rows, new_bms, new_dims
+        item.pos, item.bms, item.dims = new_pos, new_bms, new_dims
 
     def _filter_worker(self) -> Iterator[Any]:
         """Horizontal configuration: each worker carries a page through the
@@ -551,12 +562,8 @@ class CJoinPipeline:
             if item is Channel.CLOSED:  # pragma: no cover - pipeline never closes
                 return
             yield sync
-            rows = item.batch.rows
-            item.rows = rows
-            item.bms = [item.mask] * len(rows)
-            item.dims = [()] * len(rows)
             for flt in item.filters:
-                if not item.rows:
+                if not item.pos:
                     break
                 yield from self._apply_one_filter(item, flt)
             yield from self._dist_chan.put(item)
@@ -572,11 +579,6 @@ class CJoinPipeline:
             if item is Channel.CLOSED:  # pragma: no cover
                 return
             yield sync
-            if position == 0:
-                rows = item.batch.rows
-                item.rows = rows
-                item.bms = [item.mask] * len(rows)
-                item.dims = [()] * len(rows)
             if position < len(item.filters):
                 yield from self._apply_one_filter(item, item.filters[position])
             if position + 1 < len(item.filters):
@@ -607,8 +609,9 @@ class CJoinPipeline:
             item = yield from self._dist_chan.get()
             if item is Channel.CLOSED:  # pragma: no cover
                 return
-            w = item.batch.weight
-            rows = item.rows
+            w = item.weight
+            cols = item.cols
+            pos = item.pos
             bms = item.bms
             dims = item.dims
             filter_pos = item.filter_pos
@@ -628,15 +631,19 @@ class CJoinPipeline:
                 cmds = []
                 if sel and pred is not None:
                     cmds.append(cost.predicate(len(sel), w, max(state.fact_pred_terms, 1)))
-                    sel = [j for j in sel if pred(rows[j])]
+                    # Over the page's columns at the survivors' positions.
+                    at = [pos[j] for j in sel]
+                    kept = pred(cols, at)
+                    if len(kept) < len(at):
+                        keep = set(kept)
+                        sel = [j for j, p in zip(sel, at) if p in keep]
                 out = None
                 if sel:
-                    project = state.projector
-                    out = [project(rows[j], dims[j], filter_pos) for j in sel]
-                    cmds.append(cost.distribute(len(out), w))
+                    out = state.projector(cols, [pos[j] for j in sel], [dims[j] for j in sel], filter_pos)
+                    cmds.append(cost.distribute(len(sel), w))
                     if state.agg_groups is not None:
                         cmds.append(cost.shared_aggregate(
-                            len(out), w, len(state.agg_node.aggregates)
+                            len(sel), w, len(state.agg_node.aggregates)
                         ))
                 if cmds:
                     yield cost.fused(*cmds)
@@ -697,18 +704,31 @@ class CJoinPipeline:
         return node, None
 
     def _make_projector(self, node: "CJoinNode") -> Callable:
+        """``project(cols, at, dims, filter_pos)``: the query's output rows
+        (``node.schema``) for the tuples at page positions ``at`` joined
+        to the dimension positions ``dims``.  Each payload column is
+        gathered as one vector, so only the fact and dimension columns the
+        query projects are read."""
         fact_idx = column_indices(self.fact.schema, node.fact_payload)
-        dim_proj: list[tuple[str, tuple[int, ...]]] = []
+        dim_proj: list[tuple[str, list]] = []
         for d in node.dims:
-            dim_schema = self.storage.table(d.dim_table).schema
-            dim_proj.append((d.dim_table, column_indices(dim_schema, d.payload)))
+            dim = self.storage.table(d.dim_table)
+            payload = [dim.columns()[i] for i in column_indices(dim.schema, d.payload)]
+            if payload:
+                dim_proj.append((d.dim_table, payload))
 
-        def project(fact_row: tuple, dims: tuple, filter_pos: dict[str, int]) -> tuple:
-            out = [fact_row[i] for i in fact_idx]
-            for name, idxs in dim_proj:
-                if idxs:
-                    dim_row = dims[filter_pos[name]]
-                    out.extend(dim_row[i] for i in idxs)
-            return tuple(out)
+        def project(cols, at: list[int], dims: list[tuple], filter_pos: dict[str, int]) -> list[tuple]:
+            # Plain loops: most calls carry a single survivor, where a
+            # comprehension's own frame would cost more than its body.
+            out = []
+            add = out.append
+            for i in fact_idx:
+                add(take_values(cols[i], at))
+            for name, payload in dim_proj:
+                k = filter_pos[name]
+                dim_at = [d[k] for d in dims]
+                for col in payload:
+                    add(take_values(col, dim_at))
+            return list(zip(*out)) if out else [()] * len(at)
 
         return project

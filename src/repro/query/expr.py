@@ -37,6 +37,12 @@ traffic: "One selection entry point" in ``docs/performance.md``):
 3. **rows** -- row batches (aggregate, sort and cache-replay output) and
    every other predicate shape: the oracle over ``.rows``.
 
+:func:`compile_positions` is the same kernel for callers that hold column
+vectors and positions rather than a batch (the dimension-selection memo,
+CJOIN's distributor): the positions form over the raw vectors, else the
+oracle over tuples of just the predicate's columns -- no row is built for
+a column the predicate does not name.
+
 The dictionary forms evaluate a leaf over every *distinct value* of a
 column, the oracle only over the rows that reach it, so a guarded
 predicate (``kind = 'num' AND val < 5`` over a mixed-type ``val``) must not
@@ -51,14 +57,12 @@ the aggregation stage and the CJOIN distributor."""
 from __future__ import annotations
 
 import operator
-from itertools import compress
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from itertools import compress, repeat
+from typing import Any, Callable, Sequence
 
-from repro.storage.packed import DictColumn
+from repro.storage.packed import DictColumn, PackedNumeric, take_values
 from repro.storage.page import Batch, ColumnBatch
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.storage.schema import Schema
+from repro.storage.schema import Schema
 
 _CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
     "<": operator.lt,
@@ -145,6 +149,42 @@ def compile_selection(
         return Batch(list(filter(keep, batch.rows)), batch.weight)
 
     return select
+
+
+def compile_positions(
+    predicate: "Expr", schema: "Schema"
+) -> Callable[[Sequence[Sequence[Any]], Sequence[int] | None], list[int]]:
+    """The same selection in *position space*, for callers that hold a
+    table's or a page's column vectors and a set of positions rather than a
+    batch (the dimension-selection memo, CJOIN's distributor):
+    ``(cols, at) -> the positions in at whose rows pass``, ascending ``at``
+    (``None`` = every row) in, the survivors in the same order out.  The
+    positions form reads the columns at ``at`` directly (a dictionary
+    column through its pass table on the raw codes); a predicate shape
+    without one runs the oracle over tuples of just its own columns."""
+    positions = _positions_form(predicate, schema)
+    if positions is not None:
+
+        def at_positions(cols, at):
+            def col_of(i):
+                c = cols[i]
+                return c.data if type(c) is PackedNumeric else c  # C-level indexing
+
+            return positions(col_of, len(cols[0]) if cols else 0, at)
+
+        return at_positions
+    used = predicate.columns()
+    idx = [i for i, c in enumerate(schema.columns) if c.name in used]
+    keep = predicate.compile(Schema([schema.columns[i] for i in idx]))
+
+    def oracle(cols, at):
+        if at is None:
+            at = range(len(cols[0]) if cols else 0)
+        vecs = [take_values(cols[i], at) for i in idx]
+        args = zip(*vecs) if vecs else repeat((), len(at))
+        return [p for p, a in zip(at, args) if keep(a)]
+
+    return oracle
 
 
 def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:

@@ -40,6 +40,9 @@ from __future__ import annotations
 
 import sys
 from array import array
+from itertools import compress, repeat
+from math import copysign
+from operator import itemgetter
 from typing import Any, Callable, Iterator, Sequence
 
 __all__ = [
@@ -52,6 +55,7 @@ __all__ = [
     "gather_column",
     "pack_column",
     "pack_columns",
+    "take_values",
 ]
 
 #: Maximum distinct values for dictionary encoding (codes are one byte).
@@ -59,16 +63,20 @@ DICT_MAX_CARD = 256
 
 _ZEROS_256 = bytes(256)
 
+#: The array typecode that stores a column kind unboxed.
+_TYPECODES = {"int": "q", "float": "d"}
+
 
 class Dictionary:
     """An interned value table shared by every slice/gather of a column.
 
-    ``values`` keeps first-occurrence order, so codes -- and therefore
-    everything derived from them -- are a pure function of the original
-    column.  ``pass_table(key, pred)`` memoizes a 256-byte predicate
-    lookup table by ``key`` (callers use the predicate's canonical
-    signature): one predicate evaluation per *distinct value*, shared by
-    all pages of the table and all queries with an equal predicate.
+    ``values`` keeps first-occurrence order (a second sign of float zero,
+    if any, goes last), so codes -- and therefore everything derived from
+    them -- are a pure function of the original column.
+    ``pass_table(key, pred)`` memoizes a 256-byte predicate lookup table
+    by ``key`` (callers use the predicate's canonical signature): one
+    predicate evaluation per *distinct value*, shared by all pages of the
+    table and all queries with an equal predicate.
 
     It fails closed: a predicate that raises ``TypeError`` on some value
     (a guarded comparison over a mixed-type column) has *no* table --
@@ -233,7 +241,8 @@ def _dict_encode(values: Sequence[Any]) -> DictColumn | None:
 
     Distinctness is per ``(type, value)`` so columns mixing equal-but-
     differently-typed values (``1`` / ``1.0`` / ``True``) decode back to
-    the exact original type."""
+    the exact original type, and ``-0.0`` and ``0.0`` (equal, same hash)
+    get one code each (see :func:`_split_signed_zero`)."""
     code_of: dict[Any, int] = {}
     codes = bytearray(len(values))
     table: list[Any] = []
@@ -250,7 +259,31 @@ def _dict_encode(values: Sequence[Any]) -> DictColumn | None:
             codes[j] = c
     except TypeError:  # unhashable value somewhere in the column
         return None
+    zero = code_of.get((float, 0.0))
+    if zero is not None and not _split_signed_zero(values, codes, table, zero):
+        return None
     return DictColumn(bytes(codes), Dictionary(table))
+
+
+def _split_signed_zero(values: Sequence[Any], codes: bytearray, table: list, zero: int) -> bool:
+    """Give the float zeros whose sign differs from ``table[zero]`` (the
+    first zero seen) a code of their own, in place; ``False`` when no code
+    is left for it.  The sign test runs at C speed over the zeros only
+    (``compress`` by code, ``copysign`` by ``map``), so a column that holds
+    one sign of zero -- every generated one -- pays a pass over its code
+    bytes and nothing per row in Python."""
+    flags = codes.translate(bytes(c == zero for c in range(256)))
+    sign = copysign(1.0, table[zero])
+    if set(map(copysign, repeat(1.0), compress(values, flags))) == {sign}:
+        return True
+    other = len(table)
+    if other >= DICT_MAX_CARD:
+        return False
+    table.append(-table[zero])
+    for j in compress(range(len(codes)), flags):
+        if copysign(1.0, values[j]) != sign:
+            codes[j] = other
+    return True
 
 
 def pack_column(values: Sequence[Any], kind: str) -> Any:
@@ -259,13 +292,16 @@ def pack_column(values: Sequence[Any], kind: str) -> Any:
     Preference order: dictionary encoding (any kind, card <= 256) >
     typed array for numeric kinds > plain boxed list.  Already-packed
     inputs pass through unchanged (shard partitions hand back views and
-    gathers of parent columns)."""
+    gathers of parent columns), and an ``array`` of the kind's own type
+    (what the generators build) is wrapped as it is, not copied."""
     t = type(values)
     if t is DictColumn or t is PackedNumeric:
         return values
     dc = _dict_encode(values)
     if dc is not None:
         return dc
+    if t is array and values.typecode == _TYPECODES.get(kind):
+        return PackedNumeric(values, values.typecode)
     if kind == "int":
         try:
             packed = array("q", values)
@@ -296,6 +332,31 @@ def as_list(col: Any) -> Sequence[Any]:
     if t is DictColumn or t is PackedNumeric:
         return col.as_list()
     return col
+
+
+def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
+    """The boxed values of ``col`` at positions ``idx``, as a fresh
+    sequence: one C-level ``itemgetter`` pass over the array buffer, the
+    code bytes (then the value table) or the boxed vector -- a whole-page
+    ``range`` of a typed array is one ``tolist``.  Nothing is memoized on
+    the column, so a caller that keeps only what it needs keeps no
+    decoded copy."""
+    n = len(idx)
+    t = type(col)
+    if t is DictColumn:
+        values = col.dictionary.values
+        codes = col.codes
+        if n > 1:
+            return itemgetter(*itemgetter(*idx)(codes))(values)
+        return [values[codes[idx[0]]]] if n else []
+    if t is PackedNumeric:
+        col = col.data
+        if type(idx) is range and idx == range(len(col)):
+            return col.tolist()
+    if n > 1:
+        return itemgetter(*idx)(col)
+    # itemgetter of one position would return the bare value
+    return [col[idx[0]]] if n else []
 
 
 def gather_column(col: Any, idx: Sequence[int]) -> Any:

@@ -3,9 +3,12 @@
 A :class:`ColumnPage` (exported as :data:`Page`) is a fixed slice of a
 table -- the unit of buffer-pool residency and disk I/O.  It stores one
 layout, a tuple of per-column vectors (slices of the table's packed or
-boxed columns, see :mod:`repro.storage.table`); row tuples are a derived
-view, built on the first ``.rows`` access and cached, so a table nobody
-reads row-wise never materializes them.
+boxed columns, see :mod:`repro.storage.table`).  Its ``.rows`` is a view
+for the reference evaluator only (``Table.iter_rows``): built on first
+access and cached, because the reference re-reads a table once per
+distinct query.  No engine path reads it -- scans, CJOIN's filters and
+distributor, and the dimension-selection memo all work on the columns --
+so during a run no page holds a row tuple.
 
 Batches are the unit of data flow between operators (through FIFO buffers
 and Shared Pages Lists); scan stages turn pages into batches, operators
@@ -26,8 +29,8 @@ Both pages and batches carry a ``weight``: the number of real rows each
 generated row represents (see the scale substitution in DESIGN.md), so CPU
 and I/O charges reflect paper-scale data volumes.
 
-Immutability contract: a ``ColumnPage``'s columns (and cached rows) are
-shared, never copied, between the page and the batches viewing it.
+Immutability contract: a ``ColumnPage``'s columns are shared, never
+copied, between the page and the batches viewing it.
 Operators must never mutate a batch's ``rows``, ``cols``, ``sel`` or
 ``tail`` in place (they build new selections and new batches); the one
 place that needs a private, independently-owned copy -- push-based SP
@@ -38,6 +41,8 @@ fanning a batch out to satellites -- goes through :meth:`Batch.copy` /
 from __future__ import annotations
 
 from typing import Any, Sequence
+
+from repro.storage.packed import take_values
 
 __all__ = [
     "Batch",
@@ -78,9 +83,9 @@ class ColumnPage:
 
     Columns are *the* stored form.  Given ``rows`` instead, the constructor
     transposes them once; :attr:`rows` is the one derived view, built on
-    first access and cached (both directions are pure ``zip`` transposes,
-    so a round trip reproduces the input exactly -- the property suite in
-    ``tests/storage`` holds it to that)."""
+    first access and cached for the reference evaluator (both directions
+    are pure ``zip`` transposes, so a round trip reproduces the input
+    exactly -- the property suite in ``tests/storage`` holds it to that)."""
 
     __slots__ = ("table_name", "index", "weight", "real_bytes", "columns", "_rows")
 
@@ -118,10 +123,9 @@ class ColumnPage:
     def to_batch(self) -> "ColumnBatch":
         """A :class:`ColumnBatch` viewing this page -- zero-copy: the batch
         shares the page's column vectors (safe because batches are never
-        mutated in place; see the module docstring), and its ``.rows``
-        resolves through the page cache, so repeated circular scans
-        materialize row tuples at most once per page."""
-        return ColumnBatch(self.columns, None, self.weight, src=self)
+        mutated in place; see the module docstring).  Its ``.rows`` is the
+        batch's own, never the page's cache."""
+        return ColumnBatch(self.columns, None, self.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Page {self.table_name}[{self.index}] rows={len(self)}>"
@@ -173,7 +177,7 @@ class ColumnBatch:
     client result collection, push-SP copies -- pay only at that point).
     """
 
-    __slots__ = ("cols", "sel", "tail", "weight", "_rows", "_src")
+    __slots__ = ("cols", "sel", "tail", "weight", "_rows")
 
     def __init__(
         self,
@@ -181,7 +185,6 @@ class ColumnBatch:
         sel: Sequence[int] | None = None,
         weight: float = 1.0,
         tail: Sequence[tuple] | None = None,
-        src: ColumnPage | None = None,
     ):
         if tail is not None and sel is None:
             raise ValueError("a tail requires an explicit selection vector")
@@ -190,7 +193,6 @@ class ColumnBatch:
         self.tail = tail
         self.weight = weight
         self._rows = None
-        self._src = src
 
     def __len__(self) -> int:
         sel = self.sel
@@ -211,7 +213,7 @@ class ColumnBatch:
             sel = self.sel
             if sel is None:
                 return col
-            return [col[j] for j in sel]
+            return take_values(col, sel)
         k = i - nb
         tail = self.tail
         if tail is None:
@@ -240,23 +242,17 @@ class ColumnBatch:
         rows = self._rows
         if rows is not None:
             return rows
-        src = self._src
-        if src is not None and self.sel is None and self.tail is None:
-            # Page view: resolve through (and populate) the page's cache.
-            rows = src.rows
+        cols = self.cols
+        sel = self.sel
+        if not cols:
+            rows = [()] * len(self)
+        elif sel is None:
+            rows = list(zip(*cols))
         else:
-            cols = self.cols
-            sel = self.sel
-            if not cols:
-                base: Any = [()] * len(self)
-            elif sel is None:
-                base = list(zip(*cols))
-            else:
-                base = list(zip(*([col[j] for j in sel] for col in cols)))
-            tail = self.tail
-            if tail is not None:
-                base = [b + t for b, t in zip(base, tail)]
-            rows = base
+            rows = list(zip(*[take_values(col, sel) for col in cols]))
+        tail = self.tail
+        if tail is not None:
+            rows = [b + t for b, t in zip(rows, tail)]
         self._rows = rows
         return rows
 
@@ -271,7 +267,6 @@ class ColumnBatch:
             None if sel is None else list(sel),
             self.weight,
             None if tail is None else list(tail),
-            src=self._src,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -39,10 +39,11 @@ class Table:
         tuples_per_page: int = TUPLES_PER_PAGE,
         packed: bool = True,
     ):
-        for row in rows[:1]:
-            if len(row) != len(schema):
+        arity = len(schema)
+        for i, row in enumerate(rows):
+            if len(row) != arity:
                 raise ValueError(
-                    f"row arity {len(row)} does not match schema arity {len(schema)}"
+                    f"row {i} has arity {len(row)}, but the schema has arity {arity}"
                 )
         columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in schema.columns]
         self._build(name, schema, columns, row_weight, tuples_per_page, packed)
@@ -135,6 +136,8 @@ class Table:
         return self.pages[index]
 
     def iter_rows(self) -> Iterator[tuple]:
+        """Every row as a tuple, page by page -- the reference evaluator's
+        view, cached on each page (no engine path reads it)."""
         for p in self.pages:
             yield from p.rows
 
@@ -175,7 +178,7 @@ class Table:
         numeric = tuple(c.kind in ("int", "float") for c in self.schema.columns)
         rows_bytes = 0
         for page in self.pages:
-            rows = page.rows
+            rows = tuple(zip(*page.columns))  # measured, not cached on the page
             rows_bytes += sys.getsizeof(rows)
             for r in rows:
                 rows_bytes += sys.getsizeof(r)

@@ -31,6 +31,7 @@ from repro.baselines import evaluate_plan
 from repro.data import generate_ssb
 from repro.engine import CJOIN_SP, QPIPE_SP, QPipeEngine
 from repro.engine.stages.join import single_match_table
+from repro.query import expr
 from repro.query.expr import Between, Cmp, Col, InSet
 from repro.query.plan import AggSpec, DimJoinSpec
 from repro.query.star import StarQuerySpec
@@ -38,11 +39,9 @@ from repro.query.subsume import and_of
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Simulator
 from repro.sim.machine import MachineSpec
-from repro.storage import selections
 from repro.storage.arrangements import ARRANGEMENTS, Arrangement, ArrangementCache
 from repro.storage.manager import StorageConfig, StorageManager
 from repro.storage.packed import DICT_MAX_CARD, DictColumn, PackedNumeric
-from repro.storage.page import Batch
 from repro.storage.schema import Column, Schema
 from repro.storage.selections import MAX_ENTRIES_PER_TABLE, SelectionMemo
 from repro.storage.table import Table
@@ -202,12 +201,18 @@ def test_containment_chain_in_every_order_gives_identical_selections(vals, lo, s
 def test_derivation_reads_the_smallest_subsuming_entry(monkeypatch):
     table = build_table(unique_rows(0, list(range(-5, 6)) * 4), packed=True)
     filtered: list[int] = []  # size of every source the memo filters
+    real = expr.compile_positions
 
-    def recording_batch(rows, weight):
-        filtered.append(len(rows))
-        return Batch(rows, weight)
+    def recording_positions(predicate, schema):
+        select = real(predicate, schema)
 
-    monkeypatch.setattr(selections, "Batch", recording_batch)
+        def recording(cols, at):
+            filtered.append(len(cols[0]) if at is None else len(at))
+            return select(cols, at)
+
+        return recording
+
+    monkeypatch.setattr(expr, "compile_positions", recording_positions)
     memo = SelectionMemo()
     for insert_order in ([(-4, 4), (-1, 1)], [(-1, 1), (-4, 4)]):
         memo.drop_table("dim")

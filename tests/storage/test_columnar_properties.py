@@ -22,7 +22,7 @@ two invariants.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Between, Cmp, InSet, Or, compile_selection
+from repro.query.expr import And, Between, Cmp, InSet, Or, compile_positions, compile_selection
 from repro.shard.partition import assign_shards, partition_table
 from repro.storage.page import Batch, ColumnBatch, ColumnPage, mask_to_sel
 from repro.storage.schema import Column, Schema
@@ -133,10 +133,12 @@ def boxed_cols(rows):
 def check_selection(expr, cols, rows, sel=None):
     """``compile_selection`` over ``ColumnBatch(cols, sel)`` keeps the
     oracle's rows in order -- and its positions, whenever the result is
-    still a column batch over the same base vectors."""
+    still a column batch over the same base vectors; ``compile_positions``
+    over the same vectors keeps exactly those positions."""
     pred = expr.compile(SCHEMA)
     positions = range(len(rows)) if sel is None else sel
     expected = [j for j in positions if pred(rows[j])]
+    assert compile_positions(expr, SCHEMA)(cols, sel) == expected
     out = compile_selection(expr, SCHEMA)(ColumnBatch(cols, sel))
     assert list(out.rows) == [rows[j] for j in expected]
     if type(out) is ColumnBatch:

@@ -18,8 +18,9 @@ Holds the invariants packed column storage rests on, over
 """
 
 from array import array
+from math import copysign
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.shard.partition import partition_shipping, partition_table
@@ -80,15 +81,43 @@ def typed_cols(rows):
 # ----------------------------------------------------------------------
 # Round trip: encode -> decode is the identity, with exact types.
 # ----------------------------------------------------------------------
+def same_value(a, b) -> bool:
+    """Exact identity of value: same type, equal, and -- for floats -- the
+    same sign (``-0.0 == 0.0``, yet they are different data)."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return (a == b and copysign(1.0, a) == copysign(1.0, b)) or (a != a and b != b)
+    return a == b
+
+
 @settings(max_examples=120, deadline=None)
 @given(col=st.lists(scalar, max_size=100), kind=st.sampled_from(["int", "float", "str"]))
+@example(col=[0.0, -0.0, 1.0, -0.0], kind="float")
+@example(col=[-0.0, 0.0], kind="int")
 def test_pack_column_round_trips_exactly(col, kind):
     packed = pack_column(col, kind)
     decoded = list(as_list(packed))
     assert len(decoded) == len(col)
     for orig, back in zip(col, decoded):
-        assert type(back) is type(orig)
-        assert back == orig or (back != back and orig != orig)
+        assert same_value(back, orig)
+
+
+def test_signed_zeros_stay_apart_packed_and_boxed():
+    schema = Schema([Column("v", "float")])
+    rows = [(0.0,), (-0.0,), (2.5,), (-0.0,)]
+    packed_t = Table("t", schema, rows)
+    boxed_t = Table("t", schema, rows, packed=False)
+    assert type(packed_t.columns()[0]) is DictColumn
+    for got in (packed_t.iter_rows(), boxed_t.iter_rows()):
+        assert [str(v) for (v,) in got] == ["0.0", "-0.0", "2.5", "-0.0"]
+
+
+def test_a_full_dictionary_has_no_code_for_the_second_zero():
+    col = [float(i) for i in range(1, DICT_MAX_CARD)] + [0.0, -0.0]
+    packed = pack_column(col, "float")
+    assert type(packed) is PackedNumeric
+    assert [str(v) for v in packed] == [str(v) for v in col]
 
 
 @settings(max_examples=80, deadline=None)

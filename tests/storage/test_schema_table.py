@@ -74,6 +74,14 @@ class TestTable:
         with pytest.raises(ValueError, match="arity"):
             Table("t", s, [(1,)])
 
+    @pytest.mark.parametrize("bad", [(3, 4, 5), (3,)])
+    def test_every_row_arity_is_checked(self, bad):
+        # A long row past the first was silently truncated, a short one
+        # raised about the column count; both name the offending row.
+        s = Schema([Column("x"), Column("y")])
+        with pytest.raises(ValueError, match=f"row 1 has arity {len(bad)}"):
+            Table("t", s, [(1, 2), bad])
+
     def test_invalid_params(self):
         s = Schema([Column("x")])
         with pytest.raises(ValueError):

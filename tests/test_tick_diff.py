@@ -85,3 +85,24 @@ def test_main_reads_files(tmp_path):
     head.write_text(json.dumps(moved(result())))
     assert tick_diff.main([str(base), str(head)]) == 1
     assert tick_diff.main([str(base), str(head), "--moves-ticks"]) == 0
+
+
+def rss(doc: dict, value: float) -> dict:
+    """``doc`` with batch-qc's peak RSS at ``value`` (simulated results kept)."""
+    doc = copy.deepcopy(doc)
+    doc["workloads"]["batch-qc"]["end_to_end"]["peak_rss_mb"]["value"] = value
+    return doc
+
+
+@pytest.mark.parametrize("moves_ticks", [False, True])
+def test_resident_memory_worse_than_its_bound_fails_either_way(moves_ticks, capsys):
+    base = rss(result(), 40.0)
+    failures = tick_diff.diff(SPEC, base, rss(base, 44.5), moves_ticks=moves_ticks)
+    assert failures == ["batch-qc: peak_rss_mb worse than the base by 11.2% (bound 10%)"]
+    assert "peak_rss_mb          40.00 -> 44.50 MB" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("head", [43.9, 30.0], ids=["within-bound", "better"])
+def test_resident_memory_within_its_bound_or_better_passes(head):
+    base = rss(result(), 40.0)
+    assert tick_diff.diff(SPEC, base, rss(base, head), moves_ticks=False) == []

@@ -9,7 +9,7 @@ knobs) for the paper-scale sweeps recorded in EXPERIMENTS.md.
 Every sweep enumerates its grid as :class:`~repro.parallel.CellSpec`\\ s
 and executes them through the parallel fabric (:func:`repro.parallel.
 run_cells`): ``jobs=1`` (the default) is the exact serial path, ``jobs=N``
-(or ``REPRO_JOBS=N``) fans cells out across a process pool with
+(or ``REPRO_JOBS=N``) fans cells out across a pool of worker processes with
 byte-identical results (cells are deterministic in their spec; see
 ``repro/parallel/cells.py``).
 
@@ -86,17 +86,22 @@ def _progress() -> Callable[[str], None] | None:
     return None
 
 
-def _cell_timeout() -> float | None:
+def cell_timeout() -> float | None:
     """Per-cell wall-clock budget, settable from the CLI
     (``repro sweep --timeout``) via ``REPRO_CELL_TIMEOUT``."""
     import os
 
     raw = os.environ.get("REPRO_CELL_TIMEOUT")
-    return float(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"REPRO_CELL_TIMEOUT={raw!r} is not a number") from None
 
 
 def _sweep(specs: Sequence[CellSpec], jobs: int | None) -> SweepOutcome:
-    return run_cells(specs, jobs=jobs, timeout=_cell_timeout(), progress=_progress())
+    return run_cells(specs, jobs=jobs, timeout=cell_timeout(), progress=_progress())
 
 
 # ---------------------------------------------------------------------------

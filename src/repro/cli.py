@@ -194,8 +194,22 @@ def _experiment_kwargs(fn, full: bool, jobs: int | None) -> dict:
     return kwargs
 
 
+def _fabric_jobs(command: str, jobs: int | None) -> int:
+    """The sweep fabric's worker count, with ``--jobs`` / ``REPRO_JOBS`` and
+    the cell timeout (``--timeout`` / ``REPRO_CELL_TIMEOUT``) checked up
+    front: a bad value exits with one line, not a traceback."""
+    from repro.bench.experiments import cell_timeout
+    from repro.parallel import ParallelRunner
+
+    try:
+        return ParallelRunner(jobs, cell_timeout()).jobs
+    except ValueError as exc:
+        raise SystemExit(f"repro {command}: {exc}")
+
+
 def cmd_experiment(args) -> int:
     """Regenerate a paper figure/table (optionally charted / as JSON)."""
+    _fabric_jobs("experiment", args.jobs)
     experiments = _experiments()
     fn = experiments[args.name]
     result = fn(**_experiment_kwargs(fn, args.full, args.jobs))
@@ -264,9 +278,9 @@ def _sweep(args, experiments: dict, names: list[str]) -> int:
     import time
 
     from repro.bench.reporting import format_sweep_summary
-    from repro.parallel import SweepError, resolve_jobs
+    from repro.parallel import SweepError
 
-    jobs = resolve_jobs(args.jobs)
+    jobs = _fabric_jobs("sweep", args.jobs)
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
 
@@ -502,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes (default: REPRO_JOBS or 1)")
     p_sweep.add_argument("--full", action="store_true", help="paper-scale parameters")
     p_sweep.add_argument("--timeout", type=float, default=None,
-                         help="per-cell wall-clock budget (s)")
+                         help="per-cell wall-clock budget (s), counted from dispatch to a worker")
     p_sweep.add_argument("--json-dir", default=None,
                          help="write <name>.json (+ <name>.cells.json timing "
                          "attribution) artifacts into this directory")

@@ -3,7 +3,7 @@
 Every sweep in :mod:`repro.bench` enumerates :class:`CellSpec`\\ s --
 picklable, self-seeding descriptions of one simulation -- and hands them
 to :func:`run_cells`, which executes them serially (``jobs=1``, the exact
-in-process path) or across a ``ProcessPoolExecutor`` (``jobs=N`` /
+in-process path) or on a pool of :class:`WorkerHandle`\\ s (``jobs=N`` /
 ``REPRO_JOBS``) and merges results by cell key.  Output is byte-identical
 for any worker count; see :mod:`repro.parallel.cells` for why.
 """

@@ -1,4 +1,4 @@
-"""Process-pool execution fabric for experiment cells.
+"""Worker-pool execution fabric for experiment cells.
 
 The sweeps in :mod:`repro.bench` are embarrassingly parallel: each cell is
 a closed simulation determined entirely by its :class:`CellSpec`, so cells
@@ -15,28 +15,30 @@ Guarantees:
   output byte for byte.
 * **Exact serial fallback** -- ``jobs=1`` calls the same cell function
   in-process, no pool, no pickling.
-* **Robustness** -- a cell that raises in a worker (or takes the whole
-  pool down) is re-run serially in the parent, once; a second failure is
-  reported as a structured :class:`CellFailure`.  A per-cell ``timeout``
-  surfaces a stuck cell as a ``"timeout"`` failure instead of hanging the
-  sweep; stuck worker processes are killed on shutdown.
-* **Ordered progress** -- results are *collected* in submission order, so
-  progress lines are deterministic even though completion order is not.
+* **Robustness** -- ``jobs=N`` runs on a pool of worker processes
+  (:class:`~repro.parallel.workers.WorkerHandle`).  A cell that raises in a
+  worker, or kills it (the worker is respawned), is re-run serially in the
+  parent once; a second failure is a structured :class:`CellFailure`.  A
+  per-cell ``timeout``, counted from dispatch, kills and respawns a stuck
+  cell's worker and reports a ``"timeout"`` failure instead of a hang.
+* **Ordered progress** -- results are reported in submission order, as
+  the completed prefix grows, so progress lines are deterministic even
+  though completion order is not.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import functools
+import math
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Sequence
 
 from repro.parallel.cells import CellResult, CellSpec, execute_cell
+from repro.parallel.workers import WorkerCrashed, WorkerHandle, serve
 
 __all__ = [
     "CellFailure",
@@ -120,12 +122,14 @@ def _item_key(item: Any) -> str:
 
 
 class ParallelRunner:
-    """Runs picklable work items across a process pool and merges their
-    results deterministically (see module docstring for the contract).
+    """Runs picklable work items on a pool of worker processes and merges
+    their results deterministically (see module docstring for the
+    contract).
 
-    ``fn`` must be a module-level function (pickled by reference); items
-    must be picklable.  ``timeout`` bounds the wall-clock wait for each
-    cell's result -- queue time included -- once collection reaches it."""
+    Items and results cross a pipe, so they must be picklable; ``fn``
+    should be module-level (it is pickled where fork is unavailable).
+    ``timeout`` bounds each cell's wall-clock run from its dispatch to a
+    worker; it must be ``None`` or a positive number of seconds."""
 
     def __init__(
         self,
@@ -133,13 +137,11 @@ class ParallelRunner:
         timeout: float | None = None,
         progress: Callable[[str], None] | None = None,
     ):
+        if timeout is not None and not timeout > 0:  # NaN included
+            raise ValueError(f"timeout must be > 0 seconds, got {timeout}")
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
         self.progress = progress
-
-    def _report(self, i: int, total: int, key: str, note: str) -> None:
-        if self.progress is not None:
-            self.progress(f"[{i + 1}/{total}] {key}: {note}")
 
     def map(
         self,
@@ -164,74 +166,84 @@ class ParallelRunner:
     def _run_serial(self, fn, items, keys) -> SweepOutcome:
         outcome = SweepOutcome(results={}, jobs=1)
         for i, (key, item) in enumerate(zip(keys, items)):
-            try:
-                out = fn(item)
-            except Exception:
-                outcome.failures.append(
-                    CellFailure(key, "error", traceback.format_exc(limit=8))
-                )
-                self._report(i, len(items), key, "FAILED")
-                continue
-            outcome.results[key] = out
-            self._report(i, len(items), key, _describe(out))
+            ok, out = _answer(fn, item)
+            failure = None if ok else CellFailure(key, "error", out)
+            self._settle(outcome, i, len(items), key, out, failure)
         return outcome
 
-    # -- process pool ------------------------------------------------------
+    def _settle(self, outcome, i, total, key, out, failure, note="") -> None:
+        """Merge cell ``i``'s result or failure and report it; cells are
+        settled in submission order."""
+        if failure is None:
+            outcome.results[key] = out
+            note = _describe(out) + note
+        else:
+            outcome.failures.append(failure)
+            note = f"FAILED ({failure.kind})"
+        if self.progress is not None:
+            self.progress(f"[{i + 1}/{total}] {key}: {note}")
+
+    # -- worker pool -------------------------------------------------------
 
     def _run_pool(self, fn, items, keys) -> SweepOutcome:
         jobs = min(self.jobs, len(items))
         _prewarm_datasets(items)
-        pool = ProcessPoolExecutor(max_workers=jobs)
         outcome = SweepOutcome(results={}, jobs=jobs)
-        stuck = False
+        answer = functools.partial(_answer, fn)
+        handles = [WorkerHandle(serve, (answer,), f"cell-worker-{n}") for n in range(jobs)]
+        idle = list(handles)
+        queue = iter(range(len(items)))
+        running: dict[WorkerHandle, tuple[int, float]] = {}  # handle -> (cell, deadline)
+        settled: dict[int, tuple[Any, CellFailure | None, str]] = {}
         try:
-            futures = [pool.submit(fn, item) for item in items]
-            for i, (key, item, future) in enumerate(zip(keys, items, futures)):
-                try:
-                    out = future.result(timeout=self.timeout)
-                except FutureTimeout:
-                    if future.cancel():
-                        # Never started (starved behind a stuck cell): the
-                        # cell itself is not implicated -- run it here.
-                        out, failure = self._retry_serial(fn, key, item, "starved in queue")
-                    else:
-                        out, failure = None, CellFailure(
-                            key,
-                            "timeout",
-                            f"no result within {self.timeout:g}s (cell still running; worker will be killed)",
-                        )
-                        stuck = True
-                except BrokenProcessPool:
-                    # The worker died mid-cell (hard crash); every cell it
-                    # held is lost.  Re-run this one serially, once.
-                    out, failure = self._retry_serial(fn, key, item, "worker crashed")
-                except Exception:
-                    # The cell raised in the worker: retry serially once so
-                    # a transient/worker-only failure doesn't cost the sweep.
-                    # Keep the worker-side traceback: if the retry *also*
-                    # fails, the report must show both failures -- they can
-                    # differ (e.g. worker-only state), and the original is
-                    # usually the one that matters.
-                    out, failure = self._retry_serial(
-                        fn, key, item, "raised in worker",
-                        original=traceback.format_exc(limit=8),
-                    )
-                else:
-                    outcome.results[key] = out
-                    self._report(i, len(items), key, _describe(out))
-                    continue
-                if out is not None:
-                    outcome.results[key] = out
-                    self._report(i, len(items), key, _describe(out) + " (serial retry)")
-                else:
-                    outcome.failures.append(failure)
-                    self._report(i, len(items), key, f"FAILED ({failure.kind})")
+            for h in handles:
+                h.start()
+            for reported, key in enumerate(keys):
+                while reported not in settled:
+                    # zip draws a worker first, so no cell is taken without one
+                    for h, i in zip(idle, queue):
+                        running[h] = (i, time.monotonic() + (self.timeout or math.inf))
+                        try:
+                            h.send(items[i])
+                        except WorkerCrashed:
+                            pass  # surfaces as EOF in the wait below
+                    nearest = min(deadline for _, deadline in running.values())
+                    budget = None if nearest == math.inf else max(0.0, nearest - time.monotonic())
+                    ready = wait([h.conn for h in running], budget)
+                    now = time.monotonic()
+                    idle = [h for h, (_, end) in running.items() if h.conn in ready or now >= end]
+                    for h in idle:
+                        i, _ = running.pop(h)
+                        settled[i] = self._collect(fn, h, keys[i], items[i], h.conn in ready)
+                self._settle(outcome, reported, len(items), key, *settled.pop(reported))
         finally:
-            if stuck:
-                _hard_shutdown(pool)
-            else:
-                pool.shutdown(wait=True, cancel_futures=True)
+            for h in handles:
+                h.kill()
         return outcome
+
+    def _collect(self, fn, handle, key, item, answered: bool):
+        """Settle the cell ``handle`` answered, died on or overran: its
+        result, its one serial retry in the parent, or a timeout."""
+        if not answered:
+            handle.respawn()
+            message = f"no result within {self.timeout:g}s (worker killed and respawned)"
+            return None, CellFailure(key, "timeout", message), ""
+        try:
+            ok, out = handle.recv(timeout=0)
+        except WorkerCrashed:
+            handle.respawn()
+            out, failure = self._retry_serial(fn, key, item, "worker crashed")
+        else:
+            if ok:
+                return out, None, ""
+            # The cell raised in the worker: retry serially once so a
+            # transient/worker-only failure doesn't cost the sweep.  Keep
+            # the worker-side traceback: if the retry *also* fails, the
+            # report must show both failures -- they can differ (e.g.
+            # worker-only state), and the original is usually the one
+            # that matters.
+            out, failure = self._retry_serial(fn, key, item, "raised in worker", original=out)
+        return out, failure, " (serial retry)"
 
     def _retry_serial(self, fn, key, item, why, original: str | None = None):
         try:
@@ -256,12 +268,8 @@ def _describe(out: Any) -> str:
 
 
 def _prewarm_datasets(items: Sequence[Any]) -> None:
-    """Under the fork start method, generating each distinct dataset once
-    in the parent lets every worker inherit it copy-on-write instead of
-    regenerating it per process.  Under spawn/forkserver this would be
-    wasted work, so it is skipped (workers memoize per process instead)."""
-    if multiprocessing.get_start_method() != "fork":
-        return
+    """Generate each distinct dataset once in the parent, so every forked
+    worker inherits it copy-on-write instead of regenerating it."""
     seen = set()
     for item in items:
         dataset = getattr(item, "dataset", None)
@@ -270,18 +278,13 @@ def _prewarm_datasets(items: Sequence[Any]) -> None:
             dataset.generate()
 
 
-def _hard_shutdown(pool: ProcessPoolExecutor) -> None:
-    """Kill workers still holding timed-out cells; a stuck cell must not
-    turn into a stuck sweep (or a stuck interpreter exit)."""
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
-        if proc.is_alive():
-            proc.terminate()
-    for proc in processes:
-        proc.join(timeout=5)
-        if proc.is_alive():  # pragma: no cover - last resort
-            proc.kill()
+def _answer(fn: Callable[[Any], Any], item: Any) -> tuple[bool, Any]:
+    """One run of a cell, in a worker or in-process: ``(True, fn(item))``,
+    or ``(False, traceback)`` when ``fn`` raises."""
+    try:
+        return True, fn(item)
+    except Exception:
+        return False, traceback.format_exc(limit=8)
 
 
 def run_cells(
@@ -291,7 +294,7 @@ def run_cells(
     progress: Callable[[str], None] | None = None,
     raise_on_failure: bool = True,
 ) -> SweepOutcome:
-    """Execute experiment cells (serially or across a pool) and merge by
+    """Execute experiment cells (serially or on a worker pool) and merge by
     key.  The standard entry point for every sweep in :mod:`repro.bench`:
     raising on failure keeps a lost cell from silently truncating a
     figure."""

@@ -1,11 +1,11 @@
-"""Long-lived worker processes with a duplex message channel.
+"""Long-lived worker processes with a duplex message channel: the one
+worker-process layer.
 
-:mod:`repro.parallel.fabric` schedules *one-shot* cells onto a process
-pool; the shard tier (:mod:`repro.shard`) needs the complementary shape:
-a fixed set of **long-lived** workers, each holding expensive per-process
-state (its table partition), answering an open-ended stream of requests
-over a pipe.  :class:`WorkerHandle` wraps one such process and turns its
-failure modes into two exceptions the caller can act on:
+The sweep fabric (:mod:`repro.parallel.fabric`) runs cells on a pool of
+handles; the shard tier (:mod:`repro.shard`) runs one per shard, holding
+its table partition.  A worker answers requests over its pipe through
+:func:`serve`, and :class:`WorkerHandle` turns its failure modes into two
+exceptions the caller can act on:
 
 * :class:`WorkerCrashed` -- the process died (killed, crashed hard, or
   closed its end of the pipe).  The caller may :meth:`~WorkerHandle.respawn`
@@ -17,19 +17,20 @@ failure modes into two exceptions the caller can act on:
   late response for the stuck request, so it must not be reused.
 
 Entry points run as ``target(conn, *args)`` with ``conn`` the worker's end
-of the pipe, and must be module-level functions (under spawn/forkserver
-they are pickled by reference).  Under the fork start method -- requested
-explicitly when available -- workers inherit the parent's memory
-copy-on-write, so datasets generated in the parent before :meth:`start`
-need not be regenerated per worker (same prewarm trick as the fabric)."""
+of the pipe.  Under the fork start method -- requested explicitly when
+available -- workers inherit the parent's memory copy-on-write, so
+datasets generated in the parent before :meth:`~WorkerHandle.start` need
+not be regenerated per worker; where fork is unavailable the entry point
+and its arguments are pickled, so they must be module-level.  Workers are
+daemon processes: a request may not start processes of its own."""
 
 from __future__ import annotations
 
 import multiprocessing
 from multiprocessing.connection import Connection
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["WorkerCrashed", "WorkerHandle", "WorkerUnresponsive"]
+__all__ = ["WorkerCrashed", "WorkerHandle", "WorkerUnresponsive", "serve"]
 
 
 class WorkerCrashed(Exception):
@@ -38,6 +39,19 @@ class WorkerCrashed(Exception):
 
 class WorkerUnresponsive(Exception):
     """The worker is alive but sent no response within the timeout."""
+
+
+def serve(conn: Connection, answer: Callable[[Any], Any]) -> None:
+    """The worker side of a handle: reply ``answer(request)`` to each
+    request, in order, until the parent sends ``None`` or closes the pipe."""
+    while True:
+        try:
+            request = conn.recv()
+        except (EOFError, KeyboardInterrupt):
+            return
+        if request is None:  # orderly shutdown
+            return
+        conn.send(answer(request))
 
 
 def _context():

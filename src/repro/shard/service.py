@@ -179,15 +179,13 @@ class ShardService(Service):
             WorkerHandle(shard_worker_main, args=(i, config), name=f"shard-{i}")
             for i in range(config.n_shards)
         ]
-        started = 0
         try:
             for h in self.workers:
                 h.start()
-                started += 1
             shippings = [self._await_ready(h) for h in self.workers]
         except BaseException:
-            for h in self.workers[:started]:
-                h.kill()
+            for h in self.workers:
+                h.kill()  # idempotent, and a no-op on a never-started handle
             raise
         # Scatter-cost model: each worker reported what building its fact
         # partition actually shipped (packed buffers make the byte counts
@@ -223,12 +221,8 @@ class ShardService(Service):
         self.metrics.shard_respawns += 1
 
     def close(self) -> None:
-        """Shut the workers down (orderly when possible, killed always)."""
+        """Shut the workers down: end each pipe and stop its process."""
         for h in self.workers:
-            try:
-                h.send(None)
-            except Exception:
-                pass
             h.kill()
 
     def __enter__(self) -> "ShardService":

@@ -8,7 +8,7 @@ prewarm), fact table partitioned by the pure placement function -- sends a
 the partition-build accounting the front end's scatter-cost model
 charges, see :func:`repro.shard.partition.partition_shipping`), then serves
 :class:`~repro.shard.spec.ShardRequest` messages FIFO until the pipe
-closes.
+closes (the request loop is :func:`repro.parallel.workers.serve`).
 
 Per request it runs the query's **join-only plan** on a *fresh* simulator
 and engine (service time depends only on the spec and the shard's data,
@@ -30,6 +30,7 @@ import time
 from typing import Any
 
 from repro.engine.qpipe import QPipeEngine
+from repro.parallel.workers import serve
 from repro.query.merge import PartialAggregator
 from repro.query.star import StarQuerySpec
 from repro.shard.partition import partition_shipping, shard_tables
@@ -83,45 +84,31 @@ def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
     fact = tables[config.fact_table]
     fact_rows = fact.num_rows
     conn.send(("ready", shard_id, fact_rows, partition_shipping(fact)))
-    while True:
-        try:
-            req: ShardRequest | None = conn.recv()
-        except (EOFError, KeyboardInterrupt):
-            return
-        if req is None:  # orderly shutdown
-            return
+
+    def answer(req: ShardRequest) -> ShardResponse:
         if req.fault == "crash":
             os._exit(13)
         if req.fault == "hang":
             # Stuck worker: never answer.  The front end's wall-clock
-            # timeout kills this process; the sleep is just a backstop.
-            time.sleep(3600)
-            continue
+            # timeout kills this process.
+            while True:
+                time.sleep(3600)
         t0 = time.perf_counter()
         hits0 = ARRANGEMENTS.hits
         try:
             state, svc = execute_shard_query(tables, req.spec, config)
+            error = None
         except Exception as exc:
-            conn.send(
-                ShardResponse(
-                    seq=req.seq,
-                    shard_id=shard_id,
-                    state={},
-                    svc_seconds=0.0,
-                    wall_s=time.perf_counter() - t0,
-                    fact_rows=fact_rows,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            continue
-        conn.send(
-            ShardResponse(
-                seq=req.seq,
-                shard_id=shard_id,
-                state=state,
-                svc_seconds=svc,
-                wall_s=time.perf_counter() - t0,
-                fact_rows=fact_rows,
-                arrange_hits=ARRANGEMENTS.hits - hits0,
-            )
+            state, svc, error = {}, 0.0, f"{type(exc).__name__}: {exc}"
+        return ShardResponse(
+            seq=req.seq,
+            shard_id=shard_id,
+            state=state,
+            svc_seconds=svc,
+            wall_s=time.perf_counter() - t0,
+            fact_rows=fact_rows,
+            arrange_hits=ARRANGEMENTS.hits - hits0,
+            error=error,
         )
+
+    serve(conn, answer)

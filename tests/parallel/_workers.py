@@ -1,7 +1,9 @@
-"""Top-level picklable work items and functions for fabric tests.
+"""Top-level work items, cell functions and worker entry points for the
+fabric and worker-handle tests.
 
-``ProcessPoolExecutor`` pickles functions by reference, so everything a
-worker runs must live at module level -- test closures won't do.
+Items and results cross a worker's pipe, so they must pickle; functions
+live at module level so they also run where fork is unavailable (there a
+worker's entry point and its arguments are pickled by reference).
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
+
+from repro.parallel.workers import serve
 
 
 @dataclass(frozen=True)
@@ -35,7 +39,7 @@ def raise_in_worker(item: Item) -> int:
 
 
 def exit_in_worker(item: Item) -> int:
-    """Kills the worker process outright (BrokenProcessPool in the parent);
+    """Kills the worker process outright (a crash in the parent's eyes);
     succeeds when re-run in the parent."""
     if os.getpid() != item.parent_pid:
         os._exit(13)
@@ -59,3 +63,37 @@ def sleep_then_echo(item: Item) -> int:
     """Holds its worker for ``sleep_s`` -- the timeout test's stuck cell."""
     time.sleep(item.sleep_s)
     return item.value * 2
+
+
+def pid_or_exit(item: Item) -> int:
+    """The pid of the process that ran the cell; a negative ``value`` kills
+    a pool worker outright instead (the parent's serial retry succeeds)."""
+    if item.value < 0 and os.getpid() != item.parent_pid:
+        os._exit(13)
+    time.sleep(item.sleep_s)
+    return os.getpid()
+
+
+# -- WorkerHandle entry points: ``target(conn, *args)`` ----------------------
+
+
+def exit_at_once(conn) -> None:
+    """Dies before reading anything."""
+    os._exit(3)
+
+
+def stay_silent(conn) -> None:
+    """Alive, never answers."""
+    time.sleep(60)
+
+
+def echo_after(conn) -> None:
+    """Answers each ``(delay_s, value)`` request with ``value`` after
+    ``delay_s`` seconds."""
+
+    def answer(request):
+        delay_s, value = request
+        time.sleep(delay_s)
+        return value
+
+    serve(conn, answer)

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.parallel import CellFailure, ParallelRunner, SweepError, resolve_jobs
+from repro.parallel import CellFailure, ParallelRunner, SweepError, WorkerHandle, resolve_jobs
 from repro.parallel.fabric import JOBS_ENV
 
 from tests.parallel._workers import (
@@ -20,6 +20,7 @@ from tests.parallel._workers import (
     always_raise,
     echo,
     exit_in_worker,
+    pid_or_exit,
     raise_differently,
     raise_in_worker,
     sleep_then_echo,
@@ -107,8 +108,8 @@ def test_worker_exception_retried_serially():
 
 
 def test_worker_crash_retried_serially():
-    # os._exit in the worker takes the pool down (BrokenProcessPool);
-    # every lost cell must still be recovered by the one serial retry.
+    # os._exit in the worker kills it; every lost cell must still be
+    # recovered by the one serial retry.
     items = _items(2, parent_pid=os.getpid())
     out = ParallelRunner(jobs=2).map(exit_in_worker, items)
     assert not out.failures
@@ -160,6 +161,56 @@ def test_timeout_is_structured_not_a_hang():
     assert [f.key for f in out.failures] == ["stuck"]
     assert out.failures[0].kind == "timeout"
     assert out.results == {"fine": 42}
+
+
+def test_a_crash_costs_one_respawn_not_the_pool():
+    # One cell of eight kills its worker: only that cell runs again in
+    # the parent; the other seven still run (and answer) in workers.
+    parent = os.getpid()
+    items = _items(8, parent_pid=parent, sleep_s=0.05)
+    items[3] = Item(key="cell3", value=-1, parent_pid=parent)
+    out = ParallelRunner(jobs=2).map(pid_or_exit, items)
+    assert not out.failures
+    assert list(out.results) == [i.key for i in items]
+    assert [k for k, pid in out.results.items() if pid == parent] == ["cell3"]
+
+
+def test_a_hang_times_out_only_the_stuck_cells():
+    # Two stuck cells hold both workers; the five healthy cells behind
+    # them must not be charged for the wait.  Each cell's budget starts at
+    # its dispatch, so exactly the stuck two fail and the rest run on the
+    # respawned workers.
+    parent = os.getpid()
+    items = [Item(key=f"stuck{i}", parent_pid=parent, sleep_s=60.0) for i in range(2)]
+    items += [Item(key=f"fine{i}", parent_pid=parent, sleep_s=0.3) for i in range(5)]
+    t0 = time.perf_counter()
+    out = ParallelRunner(jobs=2, timeout=1.0).map(pid_or_exit, items)
+    assert time.perf_counter() - t0 < 30.0
+    assert [(f.key, f.kind) for f in out.failures] == [("stuck0", "timeout"), ("stuck1", "timeout")]
+    assert list(out.results) == [f"fine{i}" for i in range(5)]
+    assert parent not in out.results.values()
+
+
+@pytest.mark.parametrize("timeout", [0, -1.0, float("nan")])
+def test_timeout_must_be_positive(timeout):
+    with pytest.raises(ValueError, match="timeout must be > 0"):
+        ParallelRunner(jobs=2, timeout=timeout)
+
+
+def test_the_pool_is_made_of_worker_handles(monkeypatch):
+    # One worker-process layer: the pool path starts WorkerHandles, and
+    # every cell answers from one of them.
+    started: list[int] = []
+    start = WorkerHandle.start
+
+    def counting_start(handle):
+        start(handle)
+        started.append(handle.pid)
+
+    monkeypatch.setattr(WorkerHandle, "start", counting_start)
+    out = ParallelRunner(jobs=2).map(pid_or_exit, _items(6, parent_pid=os.getpid()))
+    assert len(started) == 2
+    assert set(out.results.values()) <= set(started)
 
 
 def test_run_cells_style_raise_on_failure():

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.parallel import DatasetSpec, WorkerCrashed, WorkerUnresponsive
 from repro.server.config import ServiceConfig
-from repro.shard import serve_sharded
+from repro.shard import ShardConfig, ShardService, serve_sharded
 
 SF = 0.2
 FAST = dict(duration=1.0, rate=4.0, sf=SF, workload="q32-random", arrival="uniform")
@@ -90,3 +91,21 @@ def test_faulty_and_clean_runs_drain_cleanly():
         m = serve_sharded(2, fault_injection=faults, **FAST).metrics
         assert m.completed + m.failed + m.timed_out == m.admitted
         assert m.in_system == m.failed  # failed queries left the system too
+
+
+@pytest.mark.parametrize(
+    "overrides, spawn_timeout_s, raised",
+    [
+        ({"fact_table": "no_such_table"}, 60.0, WorkerCrashed),  # dies before "ready"
+        ({}, 1e-3, WorkerUnresponsive),  # alive, but no "ready" in time
+    ],
+    ids=["crash", "silent"],
+)
+def test_a_failed_spawn_handshake_kills_every_started_worker(
+    overrides, spawn_timeout_s, raised
+):
+    # No worker may outlive a constructor that raised; the autouse
+    # fixture in tests/parallel/conftest.py asserts none is left.
+    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", SF, 42), **overrides)
+    with pytest.raises(raised):
+        ShardService(config, spawn_timeout_s=spawn_timeout_s)

@@ -141,6 +141,46 @@ class TestCommands:
             "REPRO_CELL_TIMEOUT": None,
         }
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["sweep", "fig2", "--timeout", "0"], {}, "repro sweep: timeout must be > 0 seconds, got 0.0"),
+            (["sweep", "fig2", "--timeout", "-1"], {}, "repro sweep: timeout must be > 0 seconds, got -1.0"),
+            (["sweep", "fig2", "--timeout", "nan"], {}, "repro sweep: timeout must be > 0 seconds, got nan"),
+            (["sweep", "fig2", "--jobs", "0"], {}, "repro sweep: jobs must be >= 1, got 0"),
+            (
+                ["sweep", "fig2"],
+                {"REPRO_CELL_TIMEOUT": "abc"},
+                "repro sweep: REPRO_CELL_TIMEOUT='abc' is not a number",
+            ),
+            (["experiment", "fig2", "--jobs", "0"], {}, "repro experiment: jobs must be >= 1, got 0"),
+            (
+                ["experiment", "fig2"],
+                {"REPRO_CELL_TIMEOUT": "0"},
+                "repro experiment: timeout must be > 0 seconds, got 0.0",
+            ),
+        ],
+        ids=[
+            "timeout-0",
+            "timeout-negative",
+            "timeout-nan",
+            "jobs-0",
+            "env-timeout-not-a-number",
+            "experiment-jobs-0",
+            "experiment-env-timeout-0",
+        ],
+    )
+    def test_bad_sweep_settings_exit_with_one_line(self, monkeypatch, argv, env, message):
+        # A sweep setting that would fail every cell, or crash the command
+        # with a traceback, is refused up front instead.
+        for name in ("REPRO_JOBS", "REPRO_CELL_TIMEOUT"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message
+
     def test_experiment_chart_flag(self, capsys):
         rc = main(["experiment", "fig6", "--chart"])
         assert rc == 0

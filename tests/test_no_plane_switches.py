@@ -3,8 +3,9 @@
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one dimension-selection memo, one
-router, one aggregation kernel and one fluid pool -- so a later change
-cannot quietly re-add a second way of doing the same thing."""
+router, one aggregation kernel, one fluid pool and one worker-process
+layer -- so a later change cannot quietly re-add a second way of doing the
+same thing."""
 
 import ast
 import dataclasses
@@ -174,3 +175,20 @@ def test_one_fluid_pool():
             ):
                 reference.append((path.relative_to(SRC).as_posix(), node.name))
     assert not reference
+
+
+def test_one_worker_process_layer():
+    # Sweep cells and shard workers both run on repro/parallel/workers.py's
+    # WorkerHandle; no module brings back an executor pool.
+    importers = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "concurrent" for name in names):
+                importers.append((path.relative_to(SRC).as_posix(), node.lineno))
+    assert not importers

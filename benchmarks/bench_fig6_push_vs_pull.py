@@ -25,6 +25,6 @@ def bench_fig6_push_vs_pull(once, save_report, full_mode):
     # Pull-based sharing never hurts.
     assert all(s >= 0.97 for s in speed_spl)
     # Large reduction at the top end (paper band 82-86% at 64 queries).
-    assert result.data["reduction"] > 60.0
+    assert result.data["reduction"] >= 82.0
     # CS(FIFO) bottlenecked at a few cores.
     assert result.data["cells"]["CS(FIFO)"][-1].avg_cores_used < 6.0

@@ -139,12 +139,7 @@ class VolcanoEngine:
                 npages = table.num_pages
                 if npages:
                     storage = self.storage
-                    scfg = storage.config
-                    if (
-                        storage.ram_resident
-                        or scfg.direct_io
-                        or scfg.prefetch_window <= 0
-                    ):
+                    if storage.ram_resident or storage.config.direct_io:
                         read_page = storage.read_page
                         prepay = storage.cost.bufferpool_latch_charge
                         if prepay is not None:

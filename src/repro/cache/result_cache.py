@@ -51,6 +51,9 @@ CACHE_POLICIES = {
     "benefit": "evict the lowest cost x frequency / size entry first",
 }
 
+#: Largest admissible entry, as a fraction of the byte budget.
+MAX_ENTRY_FRACTION = 0.5
+
 
 class CacheEntry:
     """One materialized sub-plan result."""
@@ -101,7 +104,6 @@ class ResultCache:
         sim: "Simulator",
         capacity_bytes: float,
         policy: str = "benefit",
-        max_entry_fraction: float = 0.5,
     ):
         if capacity_bytes <= 0:
             raise ValueError("capacity_bytes must be positive")
@@ -109,12 +111,9 @@ class ResultCache:
             raise ValueError(
                 f"unknown cache policy {policy!r} (choose from: {', '.join(CACHE_POLICIES)})"
             )
-        if not 0.0 < max_entry_fraction <= 1.0:
-            raise ValueError("max_entry_fraction must be in (0, 1]")
         self.sim = sim
         self.capacity_bytes = capacity_bytes
         self.policy = policy
-        self.max_entry_fraction = max_entry_fraction
         self._entries: dict[tuple, CacheEntry] = {}  # insertion-ordered
         # The entries that recorded their plan node, searchable by
         # subsumption (entries without one only serve exact hits).
@@ -211,7 +210,7 @@ class ResultCache:
     def fits_entry(self, nbytes: float) -> bool:
         """Would an entry of ``nbytes`` be admissible at all?  Fill workers
         consult this page by page and abandon oversized spills early."""
-        return nbytes <= self.capacity_bytes * self.max_entry_fraction
+        return nbytes <= self.capacity_bytes * MAX_ENTRY_FRACTION
 
     def admit(
         self,

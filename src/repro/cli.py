@@ -99,20 +99,41 @@ def _experiments() -> dict[str, Callable]:
     }
 
 
+#: config field -> the flag that sets it, so that a value a config refuses
+#: is reported under the flag's name
+FLAG_OF_FIELD = {
+    "bufferpool_bytes": "--bufferpool-gb",
+    "result_cache_bytes": "--result-cache-mb",
+    "queue_capacity": "--queue-capacity",
+    "max_in_flight": "--max-in-flight",
+    "queue_timeout": "--timeout",
+    "shard_timeout_s": "--shard-timeout",
+    "n_shards": "--shards",
+}
+
+
+def _usage_error(command: str, exc: Exception) -> SystemExit:
+    """One ``repro <command>: ...`` line for a value a config refused."""
+    message = str(exc)
+    for field, flag in FLAG_OF_FIELD.items():
+        message = message.replace(field, flag)
+    return SystemExit(f"repro {command}: {message}")
+
+
 def _storage_config(args) -> StorageConfig:
-    cache_mb = getattr(args, "result_cache_mb", 0.0)
-    cache_kwargs = {
-        "result_cache_bytes": cache_mb * 1024 * 1024,
+    """The storage the flags ask for (the buffer pool size is checked even
+    when the database is memory-resident and never reads it)."""
+    kwargs = {
+        "bufferpool_bytes": args.bufferpool_gb * GB,
+        "result_cache_bytes": getattr(args, "result_cache_mb", 0.0) * 1024 * 1024,
         "result_cache_policy": getattr(args, "cache_policy", "benefit"),
     }
     if args.disk:
-        return StorageConfig(
-            resident="disk",
-            bufferpool_bytes=args.bufferpool_gb * GB,
-            direct_io=args.direct_io,
-            **cache_kwargs,
-        )
-    return StorageConfig(resident="memory", **cache_kwargs)
+        kwargs.update(resident="disk", direct_io=args.direct_io)
+    try:
+        return StorageConfig(**kwargs)
+    except ValueError as exc:
+        raise _usage_error(args.command, exc) from None
 
 
 # ---------------------------------------------------------------------------
@@ -123,11 +144,12 @@ def _storage_config(args) -> StorageConfig:
 def cmd_run(args) -> int:
     """Run one workload on one engine configuration and print metrics."""
     kind = "tpch" if args.workload == "tpch-q1" else "ssb"
+    storage = _storage_config(args)
     dataset = DatasetSpec(kind, args.sf, args.seed).generate()
     jobs = WorkloadSpec(
         args.workload, n=args.n, seed=args.seed, n_plans=args.plans, selectivity=args.selectivity
     ).build(dataset)
-    result = _runner.run_batch(dataset.tables, CONFIGS[args.config], jobs, _storage_config(args))
+    result = _runner.run_batch(dataset.tables, CONFIGS[args.config], jobs, storage)
     rows = [
         ["configuration", result.config_name],
         ["queries", result.n_queries],
@@ -162,9 +184,10 @@ def cmd_query(args) -> int:
     from repro.storage.manager import StorageManager
 
     spec = default_instance(args.name)
+    config = _storage_config(args)
     dataset = generate_ssb(args.sf, args.seed)
     sim = Simulator(PAPER_MACHINE)
-    storage = StorageManager(sim, DEFAULT_COST_MODEL, dataset.tables, _storage_config(args))
+    storage = StorageManager(sim, DEFAULT_COST_MODEL, dataset.tables, config)
     selector = CONFIGS[args.config]
     if not hasattr(selector, "name"):
         raise SystemExit("query command needs a QPipe engine config (not postgres/hybrid)")
@@ -392,7 +415,7 @@ def cmd_serve(args) -> int:
                 **common,
             )
     except (ValueError, OSError) as exc:
-        raise SystemExit(f"repro serve: {exc}")
+        raise _usage_error("serve", exc) from None
     if args.fingerprints is not None:
         report.write_fingerprints(args.fingerprints)
     if args.json:

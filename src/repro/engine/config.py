@@ -11,9 +11,9 @@ QPipe+CJOIN engine; Figure 6 additionally varies the SP communication model
 * ``CJOIN``     -- star-query joins routed to the shared CJOIN pipeline,
 * ``CJOIN_SP``  -- + SP for the CJOIN stage itself.
 
-SP for aggregation and sort stages exists but is off in every preset, as in
-the paper ("this is done on purpose to isolate the benefits of SP for joins
-only").
+There is no SP for the aggregation and sort stages: the paper turns it off
+in every experiment ("this is done on purpose to isolate the benefits of SP
+for joins only"), so no configuration here turns it on.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ class EngineConfig:
     #: SP per stage
     sp_scan: bool = False  # circular scans (linear WoP)
     sp_join: bool = False  # join stage (step WoP)
-    sp_agg: bool = False  # off in all paper experiments
-    sp_sort: bool = False  # off in all paper experiments
     #: route star-query joins to the CJOIN global query plan
     use_cjoin: bool = False
     sp_cjoin: bool = False  # SP on whole CJOIN packets (step WoP)

@@ -81,8 +81,6 @@ class Stage:
         return {
             "tablescan": cfg.sp_scan,
             "join": cfg.sp_join,
-            "aggregate": cfg.sp_agg,
-            "sort": cfg.sp_sort,
             "cjoin": cfg.sp_cjoin,
         }.get(self.name, False)
 

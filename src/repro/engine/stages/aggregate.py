@@ -1,8 +1,7 @@
-"""The aggregation stage (hash group-by, step WoP).
+"""The aggregation stage (hash group-by; step WoP in the paper, no SP here,
+as in all its experiments).
 
-Blocking operator: all results are emitted after the input drains, so the
-whole execution is inside the step Window of Opportunity -- an identical
-packet arriving any time before completion reuses the full result.
+Blocking operator: all results are emitted after the input drains.
 
 The module also holds the one aggregation kernel (:func:`accumulate` +
 :func:`finalize`): this stage, CJOIN's shared aggregation and the Volcano

@@ -1,4 +1,4 @@
-"""The sort stage (linear WoP in the paper; SP off in all its experiments).
+"""The sort stage (linear WoP in the paper; no SP, as in all its experiments).
 
 Fully blocking: collect, sort, emit.  Multi-key ordering with mixed
 ascending/descending directions is implemented as successive stable sorts
@@ -20,15 +20,6 @@ class SortStage(Stage):
     """The sort stage (see module docstring for WoP notes)."""
     def __init__(self, engine):
         super().__init__(engine, "sort")
-        # The paper assigns sorts a *linear* WoP (a satellite may attach
-        # mid-sort and re-issue the missed prefix).  Re-production is not
-        # implemented here -- SP for the sort stage is off in every paper
-        # experiment -- so packets attach conservatively within the *step*
-        # window only (before the host's single emission), which is always
-        # correct.
-        from repro.engine.wop import WindowOfOpportunity
-
-        self.wop = WindowOfOpportunity.STEP
 
     def run(self, packet: Packet, child_input: FilteredInput) -> None:
         self.spawn_worker(packet, self._work(packet, child_input))

@@ -33,5 +33,6 @@ class ServiceConfig:
             raise ValueError("queue_capacity must be >= 1")
         if self.max_in_flight is not None and self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1 or None")
-        if self.queue_timeout is not None and self.queue_timeout <= 0:
+        # ``not x > 0`` rather than ``x <= 0``: NaN is rejected too.
+        if self.queue_timeout is not None and not self.queue_timeout > 0:
             raise ValueError("queue_timeout must be positive or None")

@@ -90,40 +90,40 @@ class AdaptivePolicy(RoutingPolicy):
 
     * **enter** GQP when the pressure EWMA reaches the (similarity-
       discounted) threshold, or immediately when instantaneous pressure
-      reaches ``surge_factor`` times it (a queue explosion should not wait
+      reaches ``SURGE_FACTOR`` times it (a queue explosion should not wait
       for the average to catch up);
-    * **exit** GQP only when the EWMA falls below ``exit_ratio`` of the
+    * **exit** GQP only when the EWMA falls below ``EXIT_RATIO`` of the
       threshold -- hysteresis, so the route does not flap (and restart
       cold shared operators) around the switch point;
     * **similarity** -- mean signature-component overlap (Jaccard) between
-      this query and the last ``window`` routed queries, over the same
+      this query and the last ``WINDOW`` routed queries, over the same
       signatures the WoP machinery shares on -- discounts the threshold by
-      up to ``similarity_discount``: similar plans make the GQP pay off at
+      up to ``SIMILARITY_DISCOUNT``: similar plans make the GQP pay off at
       lower concurrency.
+
+    Only the threshold is a setting (``repro serve --threshold``); the
+    controller's shape is the class constants below.
     """
 
     name = "adaptive"
+    #: routed queries the similarity score looks back over
+    WINDOW = 32
+    #: largest threshold discount, for a query identical to the whole window
+    SIMILARITY_DISCOUNT = 0.25
+    #: weight of one queued query in the pressure (in-flight counts 1)
+    QUEUE_WEIGHT = 0.5
+    #: smoothing factor of the pressure EWMA
+    ALPHA = 0.2
+    #: instantaneous pressure, in thresholds, that enters GQP at once
+    SURGE_FACTOR = 2.0
+    #: EWMA, in thresholds, below which the GQP route is left
+    EXIT_RATIO = 0.7
 
-    def __init__(
-        self,
-        machine: "MachineSpec",
-        threshold: int | None = None,
-        window: int = 32,
-        similarity_discount: float = 0.25,
-        queue_weight: float = 0.5,
-        alpha: float = 0.2,
-        surge_factor: float = 2.0,
-        exit_ratio: float = 0.7,
-    ):
+    def __init__(self, machine: "MachineSpec", threshold: int | None = None):
         self.base_threshold = threshold if threshold is not None else saturation_threshold(machine)
-        self.similarity_discount = similarity_discount
-        self.queue_weight = queue_weight
-        self.alpha = alpha
-        self.surge_factor = surge_factor
-        self.exit_ratio = exit_ratio
         self.pressure_ewma = 0.0
         self._samples = 0
-        self._recent: deque[frozenset] = deque(maxlen=window)
+        self._recent: deque[frozenset] = deque(maxlen=self.WINDOW)
         self._gqp_mode = False
         #: decision log: (pressure, ewma, similarity, route) per choice,
         #: for ablations and tests
@@ -146,18 +146,18 @@ class AdaptivePolicy(RoutingPolicy):
         sim_score = self.similarity(features)
         if features:
             self._recent.append(features)
-        pressure = in_flight + self.queue_weight * queue_depth
+        pressure = in_flight + self.QUEUE_WEIGHT * queue_depth
         self._samples += 1
-        self.pressure_ewma += self.alpha * (pressure - self.pressure_ewma)
+        self.pressure_ewma += self.ALPHA * (pressure - self.pressure_ewma)
         # Bias-corrected average: without the correction the EWMA starts at
-        # zero and a sudden arrival wave is routed query-centric for ~1/alpha
+        # zero and a sudden arrival wave is routed query-centric for ~1/ALPHA
         # queries while the average catches up.
-        ewma = self.pressure_ewma / (1.0 - (1.0 - self.alpha) ** self._samples)
-        threshold = max(self.base_threshold * (1.0 - self.similarity_discount * sim_score), 1.0)
+        ewma = self.pressure_ewma / (1.0 - (1.0 - self.ALPHA) ** self._samples)
+        threshold = max(self.base_threshold * (1.0 - self.SIMILARITY_DISCOUNT * sim_score), 1.0)
         if self._gqp_mode:
-            gqp = ewma >= self.exit_ratio * threshold
+            gqp = ewma >= self.EXIT_RATIO * threshold
         else:
-            gqp = ewma >= threshold or pressure >= self.surge_factor * threshold
+            gqp = ewma >= threshold or pressure >= self.SURGE_FACTOR * threshold
         self._gqp_mode = gqp
         route = GQP if gqp else QUERY_CENTRIC
         self.decisions.append((pressure, ewma, sim_score, route))

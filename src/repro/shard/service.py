@@ -143,13 +143,11 @@ class ShardService(Service):
         self,
         config: ShardConfig,
         service_config: ServiceConfig = ServiceConfig(),
-        spawn_timeout_s: float = SPAWN_TIMEOUT_S,
     ):
         super().__init__(
             Simulator(config.machine), ShardServiceMetrics(n_shards=config.n_shards), service_config
         )
         self.config = config
-        self.spawn_timeout_s = spawn_timeout_s
         self.backlog = ShardBacklog(config.n_shards)
         #: merged answers, in dispatch order
         self.results: list[MergedResult] = []
@@ -210,7 +208,7 @@ class ShardService(Service):
     def _await_ready(self, handle: WorkerHandle) -> dict:
         """Wait for one worker's spawn handshake; return its partition-
         shipping accounting (rows / pages / shipped bytes)."""
-        msg = handle.recv(timeout=self.spawn_timeout_s)
+        msg = handle.recv(timeout=SPAWN_TIMEOUT_S)
         if not (isinstance(msg, tuple) and len(msg) == 4 and msg[0] == "ready"):
             raise RuntimeError(f"{handle.name}: bad handshake {msg!r}")
         return msg[3]

@@ -2,7 +2,7 @@
 
 Everything a worker needs is plain picklable data, the same discipline as
 :class:`~repro.parallel.cells.CellSpec`: the :class:`ShardConfig` describes
-the topology (dataset, partitioning, engine, cost knobs) and is shipped
+the topology (dataset, partitioning, engine; cost constants) and is shipped
 once at spawn; each query then scatters as a :class:`ShardRequest` holding
 the picklable :class:`~repro.query.star.StarQuerySpec`, and gathers as one
 :class:`ShardResponse` per shard holding the partial-aggregate state
@@ -24,7 +24,7 @@ from repro.parallel.cells import DatasetSpec
 from repro.query.merge import PartialAggState
 from repro.query.star import StarQuerySpec
 from repro.shard.partition import PARTITION_MODES
-from repro.sim.machine import PAPER_MACHINE, MachineSpec
+from repro.sim.machine import PAPER_MACHINE
 from repro.storage.manager import StorageConfig
 
 __all__ = ["SHARD_ENGINES", "ShardConfig", "ShardRequest", "ShardResponse"]
@@ -37,30 +37,20 @@ SHARD_ENGINES: dict[str, EngineConfig] = {"cjoin-sp": CJOIN_SP, "qpipe-sp": QPIP
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Topology and cost knobs of one sharded service (picklable; shipped
-    to every worker at spawn)."""
+    """Topology of one sharded service (picklable; shipped to every worker
+    at spawn).  The unannotated class attributes are the tier's constants:
+    the fact table, each worker's storage and machine, and the simulated
+    costs of the scatter/gather protocol."""
 
     n_shards: int = 2
     #: fact-row placement, see :mod:`repro.shard.partition`
     partition: str = "hash"
     #: per-shard engine, a key of :data:`SHARD_ENGINES`
     engine: str = "cjoin-sp"
-    fact_table: str = "lineorder"
     dataset: DatasetSpec = DatasetSpec("ssb", 1.0, 42)
-    storage: StorageConfig = StorageConfig()
-    machine: MachineSpec = PAPER_MACHINE
     #: wall-clock seconds the gather waits per shard before declaring the
     #: worker stuck (kill + respawn, no retry)
     shard_timeout_s: float = 60.0
-    #: simulated cost of scattering one plan spec to one shard
-    scatter_cost_s: float = 1e-4
-    #: simulated cost of merging one shard's partial state at the gather
-    gather_cost_s: float = 5e-5
-    #: simulated charge on a shard whose crashed query was retried (models
-    #: respawn + replay; keeps the timeline deterministic under injection)
-    respawn_penalty_s: float = 0.05
-    #: simulated charge on a shard whose query timed out (the work is lost)
-    timeout_penalty_s: float = 5.0
     #: deterministic fault injection for tests: ``(seq, shard_id) ->``
     #: ``"crash"`` (crash once; the retry succeeds), ``"crash2"`` (crash
     #: on the retry too => structured failure) or ``"hang"`` (stuck until
@@ -68,6 +58,19 @@ class ShardConfig:
     #: schedule -- it decides what fault (if any) rides on each attempt's
     #: :class:`ShardRequest` -- so a respawned worker never re-reads it.
     fault_injection: dict = field(default_factory=dict)
+
+    fact_table = "lineorder"
+    storage = StorageConfig()
+    machine = PAPER_MACHINE
+    #: simulated cost of scattering one plan spec to one shard
+    scatter_cost_s = 1e-4
+    #: simulated cost of merging one shard's partial state at the gather
+    gather_cost_s = 5e-5
+    #: simulated charge on a shard whose crashed query was retried (models
+    #: respawn + replay; keeps the timeline deterministic under injection)
+    respawn_penalty_s = 0.05
+    #: simulated charge on a shard whose query timed out (the work is lost)
+    timeout_penalty_s = 5.0
 
     def __post_init__(self) -> None:
         if self.n_shards < 1:
@@ -82,7 +85,7 @@ class ShardConfig:
                 f"unknown shard engine {self.engine!r} "
                 f"(choose from: {', '.join(SHARD_ENGINES)})"
             )
-        if self.shard_timeout_s <= 0:
+        if not self.shard_timeout_s > 0:
             raise ValueError("shard_timeout_s must be positive")
 
     @property

@@ -16,6 +16,10 @@ from dataclasses import dataclass, field
 GB = 1 << 30
 MB = 1 << 20
 
+#: ``p`` of the oversubscription slowdown ``1 / (1 + k * excess^p)`` (see
+#: :meth:`MachineSpec.cpu_rate`).
+OVERSUB_EXPONENT = 2.0
+
 
 @dataclass(frozen=True)
 class DiskSpec:
@@ -61,12 +65,10 @@ class MachineSpec:
 
     cores: int = 24
     hz: float = 1.86e9
-    ram_bytes: float = 64 * GB
     #: superlinear slowdown when runnable threads exceed cores (context
-    #: switching / cache pollution); multiplier 1/(1 + k*excess^p), see
-    #: :meth:`cpu_rate`.
+    #: switching / cache pollution); ``k`` of the multiplier
+    #: 1/(1 + k*excess^p), see :meth:`cpu_rate`.
     oversub_penalty: float = 0.35
-    oversub_exponent: float = 2.0
     disk: DiskSpec = field(default_factory=DiskSpec)
 
     def __post_init__(self) -> None:
@@ -76,8 +78,6 @@ class MachineSpec:
             raise ValueError("hz must be positive")
         if not self.oversub_penalty >= 0:
             raise ValueError("oversub_penalty must be >= 0")
-        if not self.oversub_exponent >= 1:
-            raise ValueError("oversub_exponent must be >= 1")
 
     def cpu_rate(self, n: int) -> float:
         """Per-thread progress rate in cycles/second with ``n`` runnable
@@ -88,13 +88,13 @@ class MachineSpec:
         latch contention compound (the paper reports up to 50% response-time
         standard deviation in this regime).  We model it as a throughput
         multiplier ``1 / (1 + k * (R/cores - 1)^p)`` with
-        ``k = oversub_penalty`` and ``p = oversub_exponent``: mild at 2-3x
+        ``k = oversub_penalty`` and ``p =`` :data:`OVERSUB_EXPONENT`: mild at 2-3x
         oversubscription, severe beyond; cores still *appear* fully busy
         (utilization metrics are unaffected)."""
         rate = self.hz * min(1.0, self.cores / n)
         if n > self.cores and self.oversub_penalty > 0:
             excess = n / self.cores - 1.0
-            rate /= 1.0 + self.oversub_penalty * excess**self.oversub_exponent
+            rate /= 1.0 + self.oversub_penalty * excess**OVERSUB_EXPONENT
         return rate
 
 

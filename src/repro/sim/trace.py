@@ -23,6 +23,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.sim.task import SimThread
 
+#: Ring-buffer bound of a :class:`Tracer`; the oldest events are dropped
+#: beyond it.
+MAX_EVENTS = 100_000
+
 
 @dataclass(frozen=True)
 class TraceEvent:
@@ -44,8 +48,6 @@ class Tracer:
     ----------
     sim:
         The simulator to trace.
-    max_events:
-        Ring-buffer bound; the oldest events are dropped beyond it.
     thread_filter:
         Optional predicate on thread names; events from non-matching
         threads are not recorded.
@@ -54,13 +56,9 @@ class Tracer:
     def __init__(
         self,
         sim: "Simulator",
-        max_events: int = 100_000,
         thread_filter: Callable[[str], bool] | None = None,
     ):
-        if max_events < 1:
-            raise ValueError("max_events must be >= 1")
         self.sim = sim
-        self.max_events = max_events
         self.thread_filter = thread_filter
         self.events: list[TraceEvent] = []
         self.dropped = 0
@@ -114,7 +112,7 @@ class Tracer:
     def _record(self, thread: str, kind: str, detail: str = "") -> None:
         if self.thread_filter is not None and not self.thread_filter(thread):
             return
-        if len(self.events) >= self.max_events:
+        if len(self.events) >= MAX_EVENTS:
             del self.events[0]
             self.dropped += 1
         self.events.append(TraceEvent(self.sim.now, thread, kind, detail))

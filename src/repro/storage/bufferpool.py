@@ -33,8 +33,6 @@ class BufferPool:
         capacity_bytes: float,
         os_cache: OsPageCache,
     ):
-        if capacity_bytes <= 0:
-            raise ValueError("capacity must be positive")
         self.sim = sim
         self.cost = cost
         self.capacity_bytes = capacity_bytes

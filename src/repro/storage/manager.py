@@ -37,7 +37,6 @@ class StorageConfig:
     bufferpool_bytes: float = 48 * GB
     os_cache_bytes: float = 32 * GB
     direct_io: bool = False
-    prefetch_window: int = 4
     #: shared result cache budget in bytes; 0 disables the cache entirely
     #: (the engines then behave byte-for-byte as before it existed)
     result_cache_bytes: float = 0.0
@@ -45,11 +44,14 @@ class StorageConfig:
     result_cache_policy: str = "benefit"
 
     def __post_init__(self) -> None:
+        # ``not x > 0`` rather than ``x <= 0``: NaN is rejected too.
         if self.resident not in ("memory", "disk"):
             raise ValueError("resident must be 'memory' or 'disk'")
-        if self.prefetch_window < 0:
-            raise ValueError("prefetch_window must be >= 0")
-        if self.result_cache_bytes < 0:
+        if not self.bufferpool_bytes > 0:
+            raise ValueError("bufferpool_bytes must be positive")
+        if not self.os_cache_bytes >= 0:
+            raise ValueError("os_cache_bytes must be >= 0")
+        if not self.result_cache_bytes >= 0:
             raise ValueError("result_cache_bytes must be >= 0")
         if self.result_cache_policy not in ("lru", "benefit"):
             raise ValueError("result_cache_policy must be 'lru' or 'benefit'")

@@ -2,7 +2,7 @@
 
 Used by both the table-scan stage drivers and the CJOIN preprocessor.  With
 read-ahead (the OS behavior on buffered sequential scans) a daemon fetcher
-keeps up to ``prefetch_window`` pages in flight, overlapping disk time with
+keeps up to :data:`PREFETCH_WINDOW` pages in flight, overlapping disk time with
 the consumer's CPU work; with direct I/O (or a RAM-resident database) reads
 are synchronous.
 """
@@ -18,6 +18,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.manager import StorageManager
     from repro.storage.page import Page
     from repro.storage.table import Table
+
+#: Pages the read-ahead fetcher keeps in flight.
+PREFETCH_WINDOW = 4
 
 
 class PageSource:
@@ -38,12 +41,8 @@ class PageSource:
         self.table = table
         self.position = start % table.num_pages
         self._chan: Channel | None = None
-        if (
-            not storage.ram_resident
-            and not storage.config.direct_io
-            and storage.config.prefetch_window > 0
-        ):
-            self._chan = Channel(sim, capacity=storage.config.prefetch_window, name=f"{name}.ra")
+        if not storage.ram_resident and not storage.config.direct_io:
+            self._chan = Channel(sim, capacity=PREFETCH_WINDOW, name=f"{name}.ra")
             sim.spawn(self._read_ahead(self.position), name=f"{name}.fetcher", daemon=True)
 
     # ------------------------------------------------------------------

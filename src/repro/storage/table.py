@@ -37,7 +37,6 @@ class Table:
         rows: Sequence[tuple],
         row_weight: float = 1.0,
         tuples_per_page: int = TUPLES_PER_PAGE,
-        packed: bool = True,
     ):
         arity = len(schema)
         for i, row in enumerate(rows):
@@ -46,7 +45,7 @@ class Table:
                     f"row {i} has arity {len(row)}, but the schema has arity {arity}"
                 )
         columns = [list(c) for c in zip(*rows)] if rows else [[] for _ in schema.columns]
-        self._build(name, schema, columns, row_weight, tuples_per_page, packed)
+        self._build(name, schema, columns, row_weight, tuples_per_page)
 
     @classmethod
     def from_columns(
@@ -56,16 +55,15 @@ class Table:
         columns: Sequence[Sequence[Any]],
         row_weight: float = 1.0,
         tuples_per_page: int = TUPLES_PER_PAGE,
-        packed: bool = True,
     ) -> "Table":
         """Build a table from per-column vectors without materializing row
         tuples.  Page structure, weights and byte accounting are identical
         to the row constructor's, so simulated charges do not depend on
         which way a table was built.  Already-packed input vectors (shard
         partitions slicing/gathering a packed parent) are kept as-is;
-        plain vectors are packed unless ``packed=False``."""
+        plain vectors are packed."""
         table = cls.__new__(cls)
-        table._build(name, schema, columns, row_weight, tuples_per_page, packed)
+        table._build(name, schema, columns, row_weight, tuples_per_page)
         return table
 
     def _build(
@@ -75,11 +73,10 @@ class Table:
         columns: Sequence[Sequence[Any]],
         row_weight: float,
         tuples_per_page: int,
-        packed: bool,
     ) -> None:
-        """The one construction path: validate, pack (``packed=False``
-        keeps boxed vectors -- the data-driven fallback the tests reach
-        for by hand), then slice every ``tuples_per_page`` rows into a page
+        """The one construction path: validate, pack (a column the data
+        does not let :func:`~repro.storage.packed.pack_column` pack stays a
+        boxed list), then slice every ``tuples_per_page`` rows into a page
         (a C-level slice per column per page; zero-copy ``memoryview``
         slices for packed arrays)."""
         if row_weight <= 0:
@@ -101,7 +98,7 @@ class Table:
         self.num_rows = n
         # An empty table has nothing to pack: its (empty) vectors stay boxed.
         cols = self._cols = (
-            packedmod.pack_columns(columns, schema) if packed and n else tuple(columns)
+            packedmod.pack_columns(columns, schema) if n else tuple(columns)
         )
         self.pages: list[Page] = []
         for start in range(0, n, tuples_per_page):
@@ -152,18 +149,6 @@ class Table:
         the layered benchmark's adapter calls on every table."""
 
     # ------------------------------------------------------------------
-    def packed_columns(self) -> list[Any]:
-        """The columns in their tightest faithful representation (see
-        :func:`repro.storage.packed.pack_column`): dictionary codes for
-        low-cardinality columns, ``array`` buffers for numeric kinds,
-        boxed lists only as the fallback.  For a packed table this *is* the
-        live representation; for ``packed=False`` it is computed on the fly
-        for the memory report."""
-        return [
-            packedmod.pack_column(col, cd.kind)
-            for col, cd in zip(self.columns(), self.schema.columns)
-        ]
-
     def memory_footprint(self) -> dict[str, Any]:
         """Resident bytes of the two layouts: ``rows_bytes`` counts the
         per-row tuple objects plus boxed numeric elements (what a tuple
@@ -187,7 +172,7 @@ class Table:
                         rows_bytes += sys.getsizeof(v)
         layouts = {"dict": 0, "array": 0, "boxed": 0}
         columns_bytes = 0
-        for col, cd in zip(self.packed_columns(), self.schema.columns):
+        for col, cd in zip(self._cols, self.schema.columns):
             columns_bytes += packedmod.column_nbytes(col, cd.kind)
             t = type(col)
             if t is packedmod.DictColumn:

@@ -3,7 +3,7 @@ byte-budgeted eviction under both policies, table invalidation."""
 
 import pytest
 
-from repro.cache import CACHE_POLICIES, ResultCache
+from repro.cache import CACHE_POLICIES, ResultCache, result_cache
 from repro.query.expr import Between, Col
 from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
 from repro.query.subsume import fold_plan
@@ -14,9 +14,15 @@ from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
 
-def make_cache(capacity=1000.0, policy="benefit", max_entry_fraction=0.5):
+def make_cache(capacity=1000.0, policy="benefit"):
     sim = Simulator(MachineSpec(cores=2))
-    return sim, ResultCache(sim, capacity, policy, max_entry_fraction)
+    return sim, ResultCache(sim, capacity, policy)
+
+
+@pytest.fixture
+def whole_budget(monkeypatch):
+    """One entry may fill the whole byte budget."""
+    monkeypatch.setattr(result_cache, "MAX_ENTRY_FRACTION", 1.0)
 
 
 def entry_batches(n=1):
@@ -74,7 +80,7 @@ class TestProbeAndFill:
         assert cache.begin_fill(key)
 
     def test_oversized_entry_rejected(self):
-        sim, cache = make_cache(capacity=1000.0, max_entry_fraction=0.5)
+        sim, cache = make_cache(capacity=1000.0)
         assert not cache.fits_entry(501.0)
         assert cache.fits_entry(500.0)
         assert not cache.admit(("k",), entry_batches(), 501.0, 1.0, frozenset(), "sort")
@@ -90,9 +96,10 @@ class TestProbeAndFill:
         assert cache._bytes == 200.0
 
 
+@pytest.mark.usefixtures("whole_budget")
 class TestEviction:
     def test_lru_evicts_least_recently_probed(self):
-        _, cache = make_cache(capacity=1000.0, policy="lru", max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=1000.0, policy="lru")
         cache.admit(("a",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.admit(("b",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.probe(("a",))  # "a" is now more recent than "b"
@@ -101,7 +108,7 @@ class TestEviction:
         assert cache.evictions == 1
 
     def test_benefit_evicts_cheapest_per_byte(self):
-        _, cache = make_cache(capacity=1000.0, policy="benefit", max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=1000.0, policy="benefit")
         # "cheap" is large and cost little to make; "dear" is small and slow.
         cache.admit(("cheap",), entry_batches(), 400.0, 0.01, frozenset(), "sort")
         cache.admit(("dear",), entry_batches(), 100.0, 5.0, frozenset(), "sort")
@@ -110,7 +117,7 @@ class TestEviction:
         assert ("dear",) in cache._entries
 
     def test_benefit_weighs_observed_reuse(self):
-        _, cache = make_cache(capacity=1000.0, policy="benefit", max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=1000.0, policy="benefit")
         # Equal cost and size: the probed entry must survive the unprobed.
         cache.admit(("cold",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.admit(("hot",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
@@ -121,7 +128,7 @@ class TestEviction:
         assert ("cold",) not in cache._entries
 
     def test_eviction_keeps_budget(self):
-        _, cache = make_cache(capacity=1000.0, max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=1000.0)
         for i in range(10):
             cache.admit((i,), entry_batches(), 300.0, 1.0, frozenset(), "sort")
         assert cache._bytes <= 1000.0
@@ -140,7 +147,7 @@ class TestInvalidation:
         assert cache.invalidate_table("lineorder") == 0
 
 
-YEARS = Table("years", Schema([Column("year"), Column("v")], row_bytes=16), [], packed=False)
+YEARS = Table("years", Schema([Column("year"), Column("v")], row_bytes=16), [])
 
 
 def yearly(lo, hi):
@@ -165,12 +172,13 @@ def admit_node(cache, node, nbytes=100.0, key=None):
     )
 
 
+@pytest.mark.usefixtures("whole_budget")
 class TestSubsumingProbes:
     """``probe_subsuming`` / ``has_subsuming`` search an index kept beside
     the entries: it must follow every way an entry leaves the cache."""
 
     def test_probe_finds_the_cheapest_subsuming_entry(self):
-        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1992, 1997))
         admit_node(cache, yearly(1994, 1994))  # too narrow to serve the probe
@@ -187,14 +195,14 @@ class TestSubsumingProbes:
         assert cache.fold_hits == 1
 
     def test_examined_skips_the_entry_under_the_probes_own_key(self):
-        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1993, 1995))
         _, _, examined = cache.probe_subsuming(yearly(1993, 1995))
         assert examined == 1
 
     def test_evicted_entry_is_never_returned(self):
-        _, cache = make_cache(capacity=250.0, policy="lru", max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=250.0, policy="lru")
         admit_node(cache, yearly(1990, 1999))
         assert cache.has_subsuming(yearly(1993, 1995))  # indexes the entry
         admit_node(cache, yearly(2000, 2009))
@@ -205,7 +213,7 @@ class TestSubsumingProbes:
         assert len(cache._fold_index) == len(cache._entries) == 2
 
     def test_readmitted_key_serves_the_new_entry_only(self):
-        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         stale = cache.probe_subsuming(yearly(1993, 1995))[0]
         admit_node(cache, yearly(1990, 1999), nbytes=200.0)  # same key, new entry
@@ -214,7 +222,7 @@ class TestSubsumingProbes:
         assert len(cache._fold_index) == 1
 
     def test_invalidated_and_cleared_entries_are_never_returned(self):
-        _, cache = make_cache(capacity=10_000.0, max_entry_fraction=1.0)
+        _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         assert cache.has_subsuming(yearly(1993, 1995))
         assert cache.invalidate_table("years") == 1

@@ -3,11 +3,16 @@
 import pytest
 
 from repro.data import generate_ssb
-from repro.engine.config import CJOIN_SP, QPIPE_SP, EngineConfig
+from repro.engine import QPipeEngine
+from repro.engine.config import CJOIN_SP, PAPER_CONFIGS, QPIPE_SP, EngineConfig
 from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity, wop_gain
 from repro.query.plan import ScanNode
 from repro.query.star import Query
+from repro.sim import Simulator
+from repro.sim.costmodel import DEFAULT_COST_MODEL
+from repro.sim.machine import MachineSpec
+from repro.storage import StorageManager
 
 
 class TestWopGain:
@@ -77,8 +82,14 @@ class TestEngineConfig:
     def test_paper_presets(self):
         assert not QPIPE_SP.use_cjoin and QPIPE_SP.sp_join and QPIPE_SP.sp_scan
         assert CJOIN_SP.use_cjoin and CJOIN_SP.sp_cjoin
-        # SP for agg/sort off in every paper preset.
-        assert not QPIPE_SP.sp_agg and not QPIPE_SP.sp_sort
+        # SP for agg/sort off in every paper preset: no configuration
+        # enables it, so those stages never share.
+        sim = Simulator(MachineSpec())
+        storage = StorageManager(sim, DEFAULT_COST_MODEL, {})
+        for config in PAPER_CONFIGS:
+            engine = QPipeEngine(sim, storage, config)
+            assert not engine.agg_stage.sp_enabled
+            assert not engine.sort_stage.sp_enabled
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ foreign-key column at the surviving positions, the distributor gathers
 only the columns a query's predicate and projection name.  The same fact
 data is stored three ways -- typed arrays (``PackedNumeric``), dictionary
 codes (``DictColumn``, every column at most 256 distinct values) and boxed
-lists (``packed=False``) -- and each must answer every query exactly as
-the reference evaluator does, in both filter-thread configurations, with
-and without a fact predicate, with and without shared aggregation.
+lists (packing switched off, ``tests/boxed.py``) -- and each must answer
+every query exactly as the reference evaluator does, in both filter-thread
+configurations, with and without a fact predicate, with and without
+shared aggregation.
 """
 
 import dataclasses
@@ -30,6 +31,7 @@ from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
 from repro.storage.packed import DictColumn, PackedNumeric
 from repro.storage.table import Table
+from tests.boxed import boxed_layout
 
 N_ROWS = 1500
 CARD = 200  # <= 256 distinct values per column: every column can dict-encode
@@ -82,7 +84,8 @@ def fact_table(ssb, layout: str) -> Table:
         table = Table.from_columns("lineorder", LINEORDER_SCHEMA, cols)
         expect = DictColumn
     else:
-        table = Table.from_columns("lineorder", LINEORDER_SCHEMA, cols, packed=False)
+        with boxed_layout():
+            table = Table.from_columns("lineorder", LINEORDER_SCHEMA, cols)
         expect = list
     assert all(type(c) is expect for c in table.columns())
     return table

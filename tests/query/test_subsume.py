@@ -48,6 +48,7 @@ from repro.query.subsume import (
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.boxed import boxed_table
 
 # ----------------------------------------------------------------------
 # Strategies: small-int relations over a fixed 3-column schema (values
@@ -213,7 +214,7 @@ def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_ma
     arithmetic) and in the same emission order."""
     aggs = _aggs()
     consumer_aggs = tuple(a for i, a in enumerate(aggs) if agg_mask >> i & 1)
-    table = Table("t", SCHEMA, rows, packed=False)
+    table = boxed_table("t", SCHEMA, rows)
 
     def child(pred):
         scan = ScanNode(table)
@@ -240,7 +241,7 @@ def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_ma
 def test_coarser_grouping_is_not_folded(weak, consumer_groups):
     """A roll-up of finalized groups is not a fold shape: a consumer
     grouping by a proper subset of the provider's columns is refused."""
-    table = Table("t", SCHEMA, [], packed=False)
+    table = Table("t", SCHEMA, [])
     scan = ScanNode(table)
     child = scan if weak is None else SelectNode(scan, weak)
     provider = AggregateNode(child, ("a", "b"), _aggs())
@@ -254,7 +255,7 @@ def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
     run over finalized groups; fold_plan must refuse rather than guess --
     for a roll-up (refused outright) and for the same grouping alike."""
     aggs = _aggs()
-    table = Table("t", SCHEMA, rows, packed=False)
+    table = boxed_table("t", SCHEMA, rows)
     scan = ScanNode(table)
     strong_extra = and_of(conjuncts(weak) + extra + [Cmp(">", "c", 1)])
     provider = AggregateNode(
@@ -277,7 +278,7 @@ def test_fold_planner_prefers_fewest_residual_terms():
     from repro.query.expr import Col
 
     aggs = (AggSpec("sum", Col("c"), "sum_c"),)
-    table = Table("t", SCHEMA, [(1, 2, 3)], packed=False)
+    table = boxed_table("t", SCHEMA, [(1, 2, 3)])
     scan = ScanNode(table)
     consumer = AggregateNode(
         SelectNode(scan, And(Between("a", 1, 4), Between("b", 0, 2))),
@@ -313,10 +314,9 @@ FACT = Table(
     "f",
     Schema([Column("fk1"), Column("fk2"), Column("m"), Column("q")], row_bytes=32),
     [],
-    packed=False,
 )
-DIM1 = Table("d1", Schema([Column("k1"), Column("x"), Column("y")], row_bytes=24), [], packed=False)
-DIM2 = Table("d2", Schema([Column("k2"), Column("u"), Column("v")], row_bytes=24), [], packed=False)
+DIM1 = Table("d1", Schema([Column("k1"), Column("x"), Column("y")], row_bytes=24), [])
+DIM2 = Table("d2", Schema([Column("k2"), Column("u"), Column("v")], row_bytes=24), [])
 COLSETS = {"f": ("m", "q"), "d1": ("x", "y"), "d2": ("u", "v")}
 
 

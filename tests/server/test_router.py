@@ -59,21 +59,24 @@ class TestAdaptive:
         assert p.choose(SPEC, in_flight=14, queue_depth=0) == QUERY_CENTRIC
 
     def test_surge_triggers_immediately(self):
-        # Instantaneous pressure at surge_factor x threshold must not wait
+        # Instantaneous pressure at SURGE_FACTOR x threshold must not wait
         # for the moving average.
-        p = AdaptivePolicy(MACHINE, threshold=12, surge_factor=2.0)
+        assert AdaptivePolicy.SURGE_FACTOR == 2.0
+        p = AdaptivePolicy(MACHINE, threshold=12)
         for _ in range(30):
             p.choose(SPEC, in_flight=2, queue_depth=0)
         assert p.choose(SPEC, in_flight=24, queue_depth=0) == GQP
 
     def test_queue_depth_counts_toward_pressure(self):
-        p = AdaptivePolicy(MACHINE, threshold=12, queue_weight=0.5)
+        assert AdaptivePolicy.QUEUE_WEIGHT == 0.5
+        p = AdaptivePolicy(MACHINE, threshold=12)
         # 0 in flight but a deep sustained queue: 0 + 0.5*40 = 20 > 12.
         routes = [p.choose(SPEC, in_flight=0, queue_depth=40) for _ in range(20)]
         assert routes[-1] == GQP
 
     def test_hysteresis_on_exit(self):
-        p = AdaptivePolicy(MACHINE, threshold=12, exit_ratio=0.7)
+        assert AdaptivePolicy.EXIT_RATIO == 0.7
+        p = AdaptivePolicy(MACHINE, threshold=12)
         for _ in range(50):
             p.choose(SPEC, in_flight=20, queue_depth=0)  # lock into GQP
         # Pressure just below threshold: a non-hysteretic rule would flap
@@ -83,15 +86,17 @@ class TestAdaptive:
         routes = [p.choose(SPEC, in_flight=1, queue_depth=0) for _ in range(50)]
         assert routes[-1] == QUERY_CENTRIC
 
-    def test_similarity_lowers_the_switch_point(self):
+    def test_similarity_lowers_the_switch_point(self, monkeypatch):
         # Identical specs -> similarity 1; pressure 10 < 12 but above the
         # fully discounted threshold 12 * (1 - 0.25) = 9.
-        p = AdaptivePolicy(MACHINE, threshold=12, similarity_discount=0.25)
+        assert AdaptivePolicy.SIMILARITY_DISCOUNT == 0.25
+        p = AdaptivePolicy(MACHINE, threshold=12)
         routes = [p.choose(SPEC, in_flight=10, queue_depth=0) for _ in range(50)]
         assert routes[-1] == GQP
         # With the discount off, the same sustained pressure stays below
         # the threshold and keeps the query-centric route.
-        p2 = AdaptivePolicy(MACHINE, threshold=12, similarity_discount=0.0)
+        monkeypatch.setattr(AdaptivePolicy, "SIMILARITY_DISCOUNT", 0.0)
+        p2 = AdaptivePolicy(MACHINE, threshold=12)
         routes2 = [p2.choose(SPEC, in_flight=10, queue_depth=0) for _ in range(50)]
         assert routes2[-1] == QUERY_CENTRIC
 
@@ -119,7 +124,7 @@ class TestAdaptive:
         p = AdaptivePolicy(MACHINE, threshold=12)
         p.choose(SPEC, in_flight=3, queue_depth=2)
         ((pressure, ewma, sim_score, route),) = p.decisions
-        assert pressure == 3 + p.queue_weight * 2
+        assert pressure == 3 + p.QUEUE_WEIGHT * 2
         assert ewma == pytest.approx(pressure)  # bias-corrected first sample
         assert route == QUERY_CENTRIC
 

@@ -20,6 +20,7 @@ import pytest
 from repro.parallel import DatasetSpec, WorkerCrashed, WorkerUnresponsive
 from repro.server.config import ServiceConfig
 from repro.shard import ShardConfig, ShardService, serve_sharded
+from repro.shard import service as shard_service
 
 SF = 0.2
 FAST = dict(duration=1.0, rate=4.0, sf=SF, workload="q32-random", arrival="uniform")
@@ -94,18 +95,20 @@ def test_faulty_and_clean_runs_drain_cleanly():
 
 
 @pytest.mark.parametrize(
-    "overrides, spawn_timeout_s, raised",
+    "owner, constant, value, raised",
     [
-        ({"fact_table": "no_such_table"}, 60.0, WorkerCrashed),  # dies before "ready"
-        ({}, 1e-3, WorkerUnresponsive),  # alive, but no "ready" in time
+        (ShardConfig, "fact_table", "no_such_table", WorkerCrashed),  # dies before "ready"
+        (shard_service, "SPAWN_TIMEOUT_S", 1e-3, WorkerUnresponsive),  # alive, but no "ready" in time
     ],
     ids=["crash", "silent"],
 )
 def test_a_failed_spawn_handshake_kills_every_started_worker(
-    overrides, spawn_timeout_s, raised
+    monkeypatch, owner, constant, value, raised
 ):
     # No worker may outlive a constructor that raised; the autouse
-    # fixture in tests/parallel/conftest.py asserts none is left.
-    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", SF, 42), **overrides)
+    # fixture in tests/parallel/conftest.py asserts none is left.  The
+    # workers fork after the patch, so they see it too.
+    monkeypatch.setattr(owner, constant, value)
+    config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", SF, 42))
     with pytest.raises(raised):
-        ShardService(config, spawn_timeout_s=spawn_timeout_s)
+        ShardService(config)

@@ -88,7 +88,7 @@ class RefDisk(RefPool):
 
 def cpu_pool(cores: int, hz: float, **oversub: float) -> RefPool:
     """The CPU pool of a machine with ``cores`` at ``hz`` (and the
-    ``oversub_penalty`` / ``oversub_exponent`` given, else the defaults)."""
+    ``oversub_penalty`` given, else the default)."""
     return RefPool(cores, MachineSpec(cores=cores, hz=hz, **oversub).cpu_rate)
 
 

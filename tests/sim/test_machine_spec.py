@@ -40,7 +40,7 @@ def three_reads(disk: DiskSpec) -> list[float]:
         (DiskSpec, {"random_multiplier": -1.0}),
         (DiskSpec, {"random_multiplier": 0.5}),
         (MachineSpec, {"hz": math.nan}),
-        (MachineSpec, {"oversub_exponent": 0.5}),
+        (MachineSpec, {"oversub_penalty": math.nan}),
     ],
 )
 def test_spec_rejects_values_that_break_a_run(spec, values):

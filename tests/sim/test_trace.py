@@ -5,6 +5,7 @@ import pytest
 from repro.sim import CPU, IO, SLEEP, Simulator
 from repro.sim.commands import CPU_FUSED
 from repro.sim.machine import DiskSpec, MachineSpec
+from repro.sim import trace
 from repro.sim.trace import Tracer
 
 
@@ -64,9 +65,10 @@ class TestTracer:
         sim.run()
         assert {e.thread for e in tracer.events} == {"keep-me"}
 
-    def test_ring_buffer_drops_oldest(self):
+    def test_ring_buffer_drops_oldest(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_EVENTS", 3)
         sim = make_sim()
-        tracer = Tracer(sim, max_events=3).attach()
+        tracer = Tracer(sim).attach()
         sim.spawn(worker(), "w")
         sim.run()
         assert len(tracer.events) == 3
@@ -108,10 +110,6 @@ class TestTracer:
         tracer = Tracer(make_sim()).attach()
         with pytest.raises(RuntimeError):
             tracer.attach()
-
-    def test_invalid_max_events(self):
-        with pytest.raises(ValueError):
-            Tracer(make_sim(), max_events=0)
 
     def test_traces_real_engine_run(self):
         """Attach to a full QPipe run and check stage threads appear."""

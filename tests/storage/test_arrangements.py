@@ -45,6 +45,7 @@ from repro.storage.packed import DICT_MAX_CARD, DictColumn, PackedNumeric
 from repro.storage.schema import Column, Schema
 from repro.storage.selections import MAX_ENTRIES_PER_TABLE, SelectionMemo
 from repro.storage.table import Table
+from tests.boxed import boxed_table
 
 SCHEMA = Schema([Column("k"), Column("v"), Column("w")], row_bytes=24)
 
@@ -61,7 +62,8 @@ def unique_rows(keys_base: int, vals: list[int]) -> list[tuple]:
 
 
 def build_table(rows, packed: bool, tpp: int = 7) -> Table:
-    return Table("dim", SCHEMA, rows, tuples_per_page=tpp, packed=packed)
+    build = Table if packed else boxed_table
+    return build("dim", SCHEMA, rows, tuples_per_page=tpp)
 
 
 def _leaves(values):
@@ -340,7 +342,7 @@ def test_notify_update_invalidates_arrangements():
     the next request recomputes."""
     sim = Simulator(MachineSpec(cores=2, hz=2e9))
     t = build_table(unique_rows(0, [7, 8]), packed=False)
-    other = Table("other", SCHEMA, unique_rows(0, [1]), packed=False)
+    other = boxed_table("other", SCHEMA, unique_rows(0, [1]))
     storage = StorageManager(
         sim, DEFAULT_COST_MODEL, {"dim": t, "other": other}, StorageConfig(resident="memory")
     )

@@ -103,5 +103,3 @@ class TestStorageManager:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             StorageConfig(resident="tape")
-        with pytest.raises(ValueError):
-            StorageConfig(prefetch_window=-1)

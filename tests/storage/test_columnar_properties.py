@@ -27,6 +27,7 @@ from repro.shard.partition import assign_shards, partition_table
 from repro.storage.page import Batch, ColumnBatch, ColumnPage, mask_to_sel
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.boxed import boxed_table
 
 # ----------------------------------------------------------------------
 # Strategies: small-int relations over a fixed 3-column schema (values
@@ -194,13 +195,12 @@ def reference_partitions(table, n_shards, mode, salt):
     for row, shard in zip(table.iter_rows(), placement):
         buckets[shard].append(row)
     return [
-        Table(
+        boxed_table(
             table.name,
             table.schema,
             rows,
             row_weight=table.row_weight,
             tuples_per_page=table.tuples_per_page,
-            packed=False,
         )
         for rows in buckets
     ]

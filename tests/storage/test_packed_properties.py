@@ -36,6 +36,7 @@ from repro.storage.packed import (
 from repro.storage.page import ColumnBatch, mask_to_sel
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.boxed import boxed_table
 from tests.storage.test_columnar_properties import (
     SCHEMA,
     check_selection,
@@ -107,7 +108,7 @@ def test_signed_zeros_stay_apart_packed_and_boxed():
     schema = Schema([Column("v", "float")])
     rows = [(0.0,), (-0.0,), (2.5,), (-0.0,)]
     packed_t = Table("t", schema, rows)
-    boxed_t = Table("t", schema, rows, packed=False)
+    boxed_t = boxed_table("t", schema, rows)
     assert type(packed_t.columns()[0]) is DictColumn
     for got in (packed_t.iter_rows(), boxed_t.iter_rows()):
         assert [str(v) for (v,) in got] == ["0.0", "-0.0", "2.5", "-0.0"]
@@ -227,8 +228,8 @@ def test_mask_kernel_on_packed_equals_row_wise(rows, expr):
 @settings(max_examples=40, deadline=None)
 @given(rows=rows_strategy, tpp=st.integers(1, 17))
 def test_packed_table_round_trips_rows_and_columns(rows, tpp):
-    packed_t = Table("t", SCHEMA, rows, tuples_per_page=tpp, packed=True)
-    boxed_t = Table("t", SCHEMA, rows, tuples_per_page=tpp, packed=False)
+    packed_t = Table("t", SCHEMA, rows, tuples_per_page=tpp)
+    boxed_t = boxed_table("t", SCHEMA, rows, tuples_per_page=tpp)
     assert list(packed_t.iter_rows()) == rows == list(boxed_t.iter_rows())
     assert packed_t.num_pages == boxed_t.num_pages
     for pp, bp in zip(packed_t.pages, boxed_t.pages):
@@ -247,8 +248,8 @@ def test_packed_table_round_trips_rows_and_columns(rows, tpp):
     salt=st.integers(0, 3),
 )
 def test_partition_layouts_equal_packed_vs_boxed(rows, n_shards, mode, salt):
-    packed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=True)
-    boxed_t = Table("fact", SCHEMA, rows, tuples_per_page=7, packed=False)
+    packed_t = Table("fact", SCHEMA, rows, tuples_per_page=7)
+    boxed_t = boxed_table("fact", SCHEMA, rows, tuples_per_page=7)
     packed_parts = partition_table(packed_t, n_shards, mode, salt)
     boxed_parts = partition_table(boxed_t, n_shards, mode, salt)
     row_parts = reference_partitions(boxed_t, n_shards, mode, salt)
@@ -270,7 +271,7 @@ def test_range_partitions_of_typed_arrays_ship_zero_bytes(base, n, n_shards):
     hash gathers ship the full gathered buffers."""
     schema = Schema([Column("k")], row_bytes=8)
     col = [base + j for j in range(n)]  # card > 256 -> array('q')
-    table = Table.from_columns("fact", schema, (col,), packed=True)
+    table = Table.from_columns("fact", schema, (col,))
     assert type(table.columns()[0]) is PackedNumeric
     for shard in partition_table(table, n_shards, "range", 0):
         assert partition_shipping(shard)["shipped_bytes"] == 0

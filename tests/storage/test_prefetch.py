@@ -11,7 +11,7 @@ from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
 
-def make_env(resident="disk", direct_io=False, prefetch_window=4, bandwidth=100e6):
+def make_env(resident="disk", direct_io=False, bandwidth=100e6):
     sim = Simulator(
         MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0, disk=DiskSpec(bandwidth=bandwidth))
     )
@@ -21,7 +21,7 @@ def make_env(resident="disk", direct_io=False, prefetch_window=4, bandwidth=100e
         sim,
         CostModel(),
         {"t": table},
-        StorageConfig(resident=resident, direct_io=direct_io, prefetch_window=prefetch_window),
+        StorageConfig(resident=resident, direct_io=direct_io),
     )
     return sim, storage, table
 
@@ -54,7 +54,7 @@ class TestPageSource:
         from repro.sim.commands import CPU
 
         def run(direct_io):
-            sim, storage, table = make_env(direct_io=direct_io, prefetch_window=4)
+            sim, storage, table = make_env(direct_io=direct_io)
             done = {}
 
             def worker():

@@ -126,6 +126,27 @@ class TestCommands:
             main(["serve", *fast, *flags])
         assert exc.value.code == f"repro serve: {message}"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "--disk", "--bufferpool-gb", "-1"], "repro run: --bufferpool-gb must be positive"),
+            (["run", "--result-cache-mb", "nan"], "repro run: --result-cache-mb must be >= 0"),
+            (["query", "Q3.2", "--bufferpool-gb", "nan"], "repro query: --bufferpool-gb must be positive"),
+            (["serve", "--timeout", "nan"], "repro serve: --timeout must be positive or None"),
+            (
+                ["serve", "--shards", "1", "--shard-timeout", "nan"],
+                "repro serve: --shard-timeout must be positive",
+            ),
+        ],
+        ids=["run-bufferpool-negative", "run-cache-nan", "query-bufferpool-nan", "serve-timeout-nan",
+             "serve-shard-timeout-nan"],
+    )
+    def test_bad_config_values_exit_with_one_line(self, argv, message):
+        # The config refuses the value; the command names the flag.
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--sf", "0.2"])
+        assert exc.value.code == message
+
     def test_sweep_restores_the_callers_environment(self, monkeypatch, capsys):
         # The sweep's job count, progress lines and cell timeout hold for
         # the command only: later library sweeps must not inherit them.

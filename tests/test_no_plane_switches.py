@@ -24,6 +24,7 @@ from repro.query import expr
 from repro.sim import Simulator
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
+from tests.boxed import boxed_layout
 
 SRC = pathlib.Path(repro.__file__).parent
 
@@ -61,19 +62,16 @@ def test_one_selection_kernel_one_page_layout():
     schema = Schema([Column("k"), Column("tag", "str")])
     rows = [(i, "ab"[i % 2]) for i in range(150)]
     cols = [list(c) for c in zip(*rows)]
-    for table in (
-        Table("t", schema, rows),
-        Table("t", schema, rows, packed=False),
-        Table.from_columns("t", schema, cols),
-        Table.from_columns("t", schema, cols, packed=False),
-    ):
+    with boxed_layout():
+        boxed = (Table("t", schema, rows), Table.from_columns("t", schema, cols))
+    for table in (Table("t", schema, rows), Table.from_columns("t", schema, cols), *boxed):
         assert table.num_pages == 3
         for page in table.pages:
             assert "columns" in page.__slots__ and len(page.columns) == 2
             assert page._rows is None  # rows are derived on demand
         assert list(table.iter_rows()) == rows
-    boxed = Table("t", schema, rows, packed=False)
-    assert all(type(c) is list for page in boxed.pages for c in page.columns)
+    for table in boxed:
+        assert all(type(c) is list for page in table.pages for c in page.columns)
 
 
 def test_one_dimension_selection_memo():

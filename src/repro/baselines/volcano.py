@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from repro.engine.qpipe import QueryHandle
 from repro.engine.stages.aggregate import accumulate, compile_values, finalize
 from repro.engine.stages.join import probe
+from repro.engine.stages.sort import order_by
 from repro.query.expr import compile_selection
 from repro.query.plan import (
     AggregateNode,
@@ -30,7 +31,7 @@ from repro.query.plan import (
 from repro.query.star import Query, StarQuerySpec
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.sync import Gate
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -106,12 +107,11 @@ class VolcanoEngine:
         handle.gate.open()
 
     def _eval(self, node: PlanNode) -> Iterator[Any]:
-        """Evaluate bottom-up; a relation is one batch carrying its row
-        weight -- a :class:`ColumnBatch` over the table's column vectors
-        for as long as every operator above the scan has a column form, a
-        row :class:`Batch` after the first one that does not (aggregates,
-        sorts, predicates without a column form) -- and selection and
-        probe take either.  Charges count rows, never representation.
+        """Evaluate bottom-up; a relation is one :class:`ColumnBatch`
+        carrying its row weight -- a view over the table's column vectors
+        until an aggregate or sort computes fresh rows, which are
+        transposed back into columns.  Charges count rows, never
+        representation.
 
         The tree walk is an explicit stack machine rather than recursive
         ``yield from``: every simulator resume re-enters exactly one
@@ -123,7 +123,7 @@ class VolcanoEngine:
         recursive order exactly -- a hash join charges its build *before*
         its probe subtree runs."""
         cost = self.cost
-        result: Batch | ColumnBatch | None = None
+        result: ColumnBatch | None = None
         stack: list[tuple[PlanNode, int, Any]] = [(node, 0, None)]
         while stack:
             nd, phase, saved = stack.pop()
@@ -249,20 +249,18 @@ class VolcanoEngine:
                     schema,
                     groups,
                 )
-                result = Batch(finalize(specs, groups), 1.0)
+                result = ColumnBatch.from_rows(finalize(specs, groups), 1.0)
             elif isinstance(nd, SortNode):
                 if phase == 0:
                     stack.append((nd, 1, None))
                     stack.append((nd.child, 0, None))
                     continue
-                rows = list(result.rows)
-                if rows:
-                    yield cost.sort(len(rows), result.weight)
-                    schema = nd.child.schema
-                    for col, ascending in reversed(nd.keys):
-                        i = schema.index(col)
-                        rows.sort(key=lambda r, i=i: r[i], reverse=not ascending)
-                result = Batch(rows, result.weight)
+                n, w = len(result), result.weight
+                if n:
+                    yield cost.sort(n, w)
+                schema = nd.child.schema
+                cols = [result.column(i) for i in range(len(schema.columns))]
+                result = order_by(cols, n, nd.keys, schema, w)
             elif isinstance(nd, CJoinNode):
                 raise TypeError("the Volcano baseline does not evaluate GQP plans")
             else:

@@ -40,7 +40,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable
 
 from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, fold_plan
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -64,7 +64,7 @@ class CacheEntry:
     def __init__(
         self,
         key: tuple,
-        batches: list[Batch],
+        batches: list[ColumnBatch],
         nbytes: float,
         cost_seconds: float,
         tables: frozenset[str],
@@ -215,7 +215,7 @@ class ResultCache:
     def admit(
         self,
         key: tuple,
-        batches: list[Batch],
+        batches: list[ColumnBatch],
         nbytes: float,
         cost_seconds: float,
         tables: frozenset[str],

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.sim.sync import Condition
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.costmodel import CostModel
@@ -44,12 +44,12 @@ class _FifoQueue:
         self.sim = sim
         self.capacity = capacity
         self.name = name
-        self._items: list[Batch] = []
+        self._items: list[ColumnBatch] = []
         self._closed = False
         self._not_empty = Condition(sim, f"{name}.ne")
         self._not_full = Condition(sim, f"{name}.nf")
 
-    def put(self, batch: Batch) -> Iterator[Any]:
+    def put(self, batch: ColumnBatch) -> Iterator[Any]:
         """Append a batch; blocks while full (drops silently once closed)."""
         while len(self._items) >= self.capacity and not self._closed:
             yield from self._not_full.wait()
@@ -137,7 +137,7 @@ class FifoExchange:
         return FifoReader(queue)
 
     # ------------------------------------------------------------------
-    def emit(self, batch: Batch, lead=None) -> Iterator[Any]:
+    def emit(self, batch: ColumnBatch, lead=None) -> Iterator[Any]:
         """Producer: push ``batch`` to every open consumer FIFO.
 
         The producer thread pays the FIFO bookkeeping for its own output and

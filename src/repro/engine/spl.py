@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.sim.commands import BLOCK
 from repro.sim.sync import Condition, Lock
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 from repro.engine.exchange import END
 
@@ -41,7 +41,7 @@ _spl_ids = itertools.count()
 class _SplPage:
     __slots__ = ("batch", "readers")
 
-    def __init__(self, batch: Batch, readers: int):
+    def __init__(self, batch: ColumnBatch, readers: int):
         self.batch = batch
         self.readers = readers
 
@@ -159,7 +159,7 @@ class SharedPagesList:
         return consumer
 
     # ------------------------------------------------------------------
-    def emit(self, batch: Batch, lead=None) -> Iterator[Any]:
+    def emit(self, batch: ColumnBatch, lead=None) -> Iterator[Any]:
         """Producer: append one page.  Blocks while the list is at its
         maximum size.  The producer pays only its own append cost.
 

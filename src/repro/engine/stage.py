@@ -41,7 +41,7 @@ from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity
 from repro.query.plan import referenced_tables
 from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, ResidualOperator
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cache import CacheEntry, ResultCache
@@ -176,7 +176,7 @@ class Stage:
         for batch in entry.batches:
             yield cost.cache_replay_charge
             yield cost.read(len(batch), batch.weight)
-            yield from exchange.emit(Batch(list(batch.rows), batch.weight))
+            yield from exchange.emit(batch.copy())
         packet.mark_started()
         exchange.close()
         packet.finished = True
@@ -192,7 +192,7 @@ class Stage:
         reader = packet.exchange.open_reader()
         start = sim.now
         row_bytes = max(packet.node.schema.row_bytes, 1.0)
-        batches: list[Batch] = []
+        batches: list[ColumnBatch] = []
         nbytes = 0.0
         abandoned = False
         try:
@@ -208,7 +208,7 @@ class Stage:
                     batches = []
                     continue
                 yield cost.cache_store_charge
-                batches.append(Batch(list(batch.rows), batch.weight))
+                batches.append(batch.copy())
             if not abandoned:
                 cache.admit(
                     key,
@@ -305,13 +305,13 @@ class Stage:
             yield cost.read(n, batch.weight)
             if terms:
                 yield cost.predicate(n, batch.weight, terms)
-            rows = op.apply(list(batch.rows))
-            if rows:
+            out = op.apply(batch)
+            if len(out):
                 if first:
                     first = False
                     packet.mark_started()
                     self.unregister(packet)
-                yield from exchange.emit(Batch(rows, batch.weight))
+                yield from exchange.emit(out)
         packet.mark_started()
         self.unregister(packet)
         exchange.close()
@@ -348,9 +348,9 @@ class Stage:
             yield cost.read(n, batch.weight)
             if terms and n:
                 yield cost.predicate(n, batch.weight, terms)
-            rows = op.apply(list(batch.rows))
-            if rows:
-                yield from exchange.emit(Batch(rows, batch.weight))
+            out = op.apply(batch)
+            if len(out):
+                yield from exchange.emit(out)
         packet.mark_started()
         exchange.close()
         packet.finished = True

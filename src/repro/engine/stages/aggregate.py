@@ -16,9 +16,9 @@ from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.stage import Stage
 from repro.engine.stages.inputs import FilteredInput
-from repro.query.expr import column_indices, row_key_fn, value_column
+from repro.query.expr import column_indices, value_column
 from repro.query.plan import AggregateNode, AggSpec
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
@@ -43,7 +43,7 @@ def compile_values(specs: tuple[AggSpec, ...], schema: "Schema") -> list:
 
 
 def accumulate(
-    batch: Batch | ColumnBatch,
+    batch: ColumnBatch,
     group_idx: tuple[int, ...],
     specs: tuple[AggSpec, ...],
     fns: list,
@@ -53,44 +53,33 @@ def accumulate(
     """Fold one weighted batch into ``groups`` (key tuple ->
     :class:`_Accumulator`): the one aggregation kernel of every engine.
 
-    Only the column gather depends on the layout.  A :class:`ColumnBatch`
-    gathers its group-key and value columns late-materialized (an
+    Group-key and value columns are gathered late-materialized (an
     expression without a column form falls back to its row closure over
-    the materialized rows); a row :class:`Batch` maps the key extractor and
-    the closures over its rows.  The fold is shared: batch order, per
-    group, one slot per spec, ``w`` real rows behind each generated row
-    (additive aggregates scale by the weight), so every float is
-    bit-identical whichever layout arrives."""
+    the materialized rows, with identical values).  The fold runs in
+    batch order, per group, one slot per spec, ``w`` real rows behind each
+    generated row (additive aggregates scale by the weight)."""
     n, w = len(batch), batch.weight
-    if isinstance(batch, ColumnBatch):
-        col_of = batch.column
-        if len(group_idx) > 1:
-            keys = list(zip(*(col_of(i) for i in group_idx)))
-        elif group_idx:
-            keys = [(v,) for v in col_of(group_idx[0])]
-        else:
-            keys = None
-        vcols: list = []
-        rows = None
-        for spec, fn in zip(specs, fns):
-            if spec.expr is None or spec.func == "count":
-                vcols.append(None)
-                continue
-            vc = value_column(spec.expr, schema, col_of, n)
-            if vc is None:
-                # No column form for this expression shape: the row
-                # closure over materialized rows (values are identical).
-                if rows is None:
-                    rows = batch.rows
-                vc = [fn(r) for r in rows]
-            vcols.append(vc)
+    col_of = batch.column
+    if len(group_idx) > 1:
+        keys = list(zip(*(col_of(i) for i in group_idx)))
+    elif group_idx:
+        keys = [(v,) for v in col_of(group_idx[0])]
     else:
-        rows = batch.rows
-        keys = list(map(row_key_fn(group_idx), rows)) if group_idx else None
-        vcols = [
-            None if spec.expr is None or spec.func == "count" else [fn(r) for r in rows]
-            for spec, fn in zip(specs, fns)
-        ]
+        keys = None
+    vcols: list = []
+    rows = None
+    for spec, fn in zip(specs, fns):
+        if spec.expr is None or spec.func == "count":
+            vcols.append(None)
+            continue
+        vc = value_column(spec.expr, schema, col_of, n)
+        if vc is None:
+            # No column form for this expression shape: the row closure
+            # over materialized rows (values are identical).
+            if rows is None:
+                rows = batch.rows
+            vc = [fn(r) for r in rows]
+        vcols.append(vc)
     nspecs = len(specs)
     get_group = groups.get
     if nspecs == 1 and keys is not None and specs[0].func in ("sum", "avg"):
@@ -192,6 +181,6 @@ class AggregateStage(Stage):
         packet.mark_started()
         self.unregister(packet)
         if out_rows:
-            yield from exchange.emit(Batch(out_rows, weight=1.0))
+            yield from exchange.emit(ColumnBatch.from_rows(out_rows, 1.0))
         exchange.close()
         packet.finished = True

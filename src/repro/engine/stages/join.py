@@ -18,8 +18,7 @@ from repro.engine.packet import Packet
 from repro.engine.stage import Stage
 from repro.engine.stages.inputs import FilteredInput
 from repro.storage.arrangements import ARRANGEMENTS, Arrangement
-from repro.storage.packed import as_list
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 
 
 def single_match_table(table: dict[Any, list[tuple]]) -> dict[Any, tuple] | None:
@@ -33,37 +32,26 @@ def single_match_table(table: dict[Any, list[tuple]]) -> dict[Any, tuple] | None
 
 
 def probe(
-    batch: "Batch | ColumnBatch",
+    batch: ColumnBatch,
     probe_key: int,
     get,
     weight: float,
     single: dict[Any, tuple] | None = None,
-) -> "Batch | ColumnBatch":
-    """Hash-probe one batch of either layout against a build table:
-    ``get`` is the multi-match table's ``dict.get`` (key -> build rows),
-    ``single`` the flat key -> row table when every key has at most one
-    match (one dict lookup per probe row, same rows in the same order).
-    Match order is probe order, then build-insertion order, whichever
-    layout arrives, so downstream results and charge counts agree.
+) -> ColumnBatch:
+    """Hash-probe one batch against a build table: ``get`` is the
+    multi-match table's ``dict.get`` (key -> build rows), ``single`` the
+    flat key -> row table when every key has at most one match (one dict
+    lookup per probe row, same rows in the same order).  Match order is
+    probe order, then build-insertion order.
 
-    A row batch yields joined row tuples.  A column batch stays
-    late-materialized: a new selection vector over the *same* base
-    columns plus a tail of matched build rows -- no wide output tuples --
-    and with ``single`` the whole probe is one C-level ``map(dict.get)``
-    pass over the key column plus ``is not None`` comprehensions."""
-    if not isinstance(batch, ColumnBatch):
-        rows = batch.rows
-        if single is not None:
-            sget = single.get
-            return Batch(
-                [r + m for r in rows if (m := sget(r[probe_key])) is not None],
-                weight,
-            )
-        return Batch([r + m for r in rows for m in get(r[probe_key], ())], weight)
-    # Packed FK vectors decode once per page (memoized on the column) so
-    # the C-level dict probes below run over cached boxed keys instead of
-    # re-boxing array elements on every circular-scan revisit.
-    keys = as_list(batch.column(probe_key))
+    The output stays late-materialized: a new selection vector over the
+    *same* base columns plus a tail of matched build rows -- no wide
+    output tuples -- and with ``single`` the whole probe is one C-level
+    ``map(dict.get)`` pass over the key column plus ``is not None``
+    comprehensions.  Keys are read through the batch's selection (a full
+    view iterates its base vector's boxed values); nothing is memoized on
+    the column."""
+    keys = batch.column(probe_key)
     src = batch.sel
     tails = batch.tail
     if single is not None:
@@ -98,6 +86,7 @@ def probe(
                     add_sel(j)
                     add_tail(t + m)
     return ColumnBatch(batch.cols, out_sel, weight, out_tail)
+
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.plan import HashJoinNode

@@ -31,7 +31,7 @@ from repro.gqp.bitmap import SlotAllocator
 from repro.query.expr import column_indices, compile_positions
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.packed import take_values
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 from repro.storage.prefetch import PageSource
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -639,7 +639,9 @@ class CJoinPipeline:
                         sel = [j for j, p in zip(sel, at) if p in keep]
                 out = None
                 if sel:
-                    out = state.projector(cols, [pos[j] for j in sel], [dims[j] for j in sel], filter_pos)
+                    out = state.projector(
+                        cols, [pos[j] for j in sel], [dims[j] for j in sel], filter_pos, w
+                    )
                     cmds.append(cost.distribute(len(sel), w))
                     if state.agg_groups is not None:
                         cmds.append(cost.shared_aggregate(
@@ -647,13 +649,13 @@ class CJoinPipeline:
                         ))
                 if cmds:
                     yield cost.fused(*cmds)
-                if out:
+                if out is not None:
                     if state.agg_groups is not None:
                         # Shared aggregation: fold into running sums instead
                         # of emitting (the packet's step WoP stays open for
                         # the whole execution -- results are buffered).
                         accumulate(
-                            Batch(out, w),
+                            out,
                             state.agg_group_idx,
                             state.agg_node.aggregates,
                             state.agg_value_fns,
@@ -666,7 +668,7 @@ class CJoinPipeline:
                             packet.mark_started()
                             if self.engine.cjoin_stage is not None:
                                 self.engine.cjoin_stage.unregister(packet)
-                        yield from packet.exchange.emit(Batch(out, w))
+                        yield from packet.exchange.emit(out)
                 state.outstanding -= 1
                 if state.no_more_pages and state.outstanding == 0 and not state.done:
                     yield from self._complete(state)
@@ -683,7 +685,7 @@ class CJoinPipeline:
             if self.engine.cjoin_stage is not None:
                 self.engine.cjoin_stage.unregister(packet)
             if out_rows:
-                yield from packet.exchange.emit(Batch(out_rows, weight=1.0))
+                yield from packet.exchange.emit(ColumnBatch.from_rows(out_rows, 1.0))
         packet.exchange.close()
         packet.finished = True
         if self.engine.cjoin_stage is not None:
@@ -704,11 +706,11 @@ class CJoinPipeline:
         return node, None
 
     def _make_projector(self, node: "CJoinNode") -> Callable:
-        """``project(cols, at, dims, filter_pos)``: the query's output rows
-        (``node.schema``) for the tuples at page positions ``at`` joined
-        to the dimension positions ``dims``.  Each payload column is
-        gathered as one vector, so only the fact and dimension columns the
-        query projects are read."""
+        """``project(cols, at, dims, filter_pos, weight)``: the query's
+        output batch (``node.schema``) for the tuples at page positions
+        ``at`` joined to the dimension positions ``dims``.  Each payload
+        column is gathered as one vector, so only the fact and dimension
+        columns the query projects are read, and no row tuple is built."""
         fact_idx = column_indices(self.fact.schema, node.fact_payload)
         dim_proj: list[tuple[str, list]] = []
         for d in node.dims:
@@ -717,7 +719,9 @@ class CJoinPipeline:
             if payload:
                 dim_proj.append((d.dim_table, payload))
 
-        def project(cols, at: list[int], dims: list[tuple], filter_pos: dict[str, int]) -> list[tuple]:
+        def project(
+            cols, at: list[int], dims: list[tuple], filter_pos: dict[str, int], weight: float
+        ) -> ColumnBatch:
             # Plain loops: most calls carry a single survivor, where a
             # comprehension's own frame would cost more than its body.
             out = []
@@ -729,6 +733,6 @@ class CJoinPipeline:
                 dim_at = [d[k] for d in dims]
                 for col in payload:
                     add(take_values(col, dim_at))
-            return list(zip(*out)) if out else [()] * len(at)
+            return ColumnBatch(tuple(out), None if out else range(len(at)), weight)
 
         return project

@@ -19,23 +19,23 @@ only how their parts combine.  Every operator that filters --
 consumer-side inputs, the Volcano baseline, fold residuals, CJOIN's
 admission scans -- goes through :func:`compile_selection`, which derives
 all three evaluation forms from that description here and lets the *data*
-(batch type, selection present, column encoding -- never configuration)
-pick one per batch, always keeping exactly the rows ``compile`` would
+(selection present, column encoding -- never configuration) pick one per
+batch, always keeping exactly the rows ``compile`` would
 keep, in the same order (decision record with the measured selection
 traffic: "One selection entry point" in ``docs/performance.md``):
 
-1. **bitmap** -- a column batch with no selection vector yet (a page view)
+1. **bitmap** -- a batch with no selection vector yet (a page view)
    whose referenced columns are all dictionary-encoded: a leaf is
    :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized per page by
    signature, so a predicate recurring across concurrent queries is
    scanned once), ``And`` / ``Or`` are ``&`` / ``|`` on ints -- the only
    columnar form ``Or`` has;
-2. **positions** -- any other column batch, for a leaf or a conjunction of
+2. **positions** -- any other batch, for a leaf or a conjunction of
    leaves: each conjunct refines the previous one's survivor positions; a
    dictionary-encoded column is filtered on its raw code bytes through the
    dictionary's pass table, any other vector by the value test itself;
-3. **rows** -- row batches (aggregate, sort and cache-replay output) and
-   every other predicate shape: the oracle over ``.rows``.
+3. **rows** -- every other predicate shape: the oracle over ``.rows``,
+   kept as the sub-batch of its passing positions.
 
 :func:`compile_positions` is the same kernel for callers that hold column
 vectors and positions rather than a batch (the dimension-selection memo,
@@ -51,7 +51,7 @@ raise where the oracle answers: a pass table fails closed on ``TypeError``
 declines and the positions form tests the survivors only.
 
 The module also hosts the shared schema->column-index helpers
-(:func:`column_indices`, :func:`row_key_fn`, :func:`value_column`) used by
+(:func:`column_indices`, :func:`value_column`) used by
 the aggregation stage and the CJOIN distributor."""
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from itertools import compress, repeat
 from typing import Any, Callable, Sequence
 
 from repro.storage.packed import DictColumn, PackedNumeric, take_values
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Schema
 
 _CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -84,21 +84,6 @@ _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
 def column_indices(schema: "Schema", names: Sequence[str]) -> tuple[int, ...]:
     """Tuple positions of ``names`` in ``schema`` (in the given order)."""
     return tuple(schema.index(n) for n in names)
-
-
-def row_key_fn(indices: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A ``row -> key tuple`` extractor for the given column positions.
-
-    Keys are always tuples -- including the one-column case (callers
-    concatenate them into output rows) and the empty grouping (a single
-    global group) -- and multi-column extraction is a single C-level
-    ``itemgetter`` call."""
-    if len(indices) > 1:
-        return operator.itemgetter(*indices)
-    if indices:
-        i = indices[0]
-        return lambda r, _i=i: (r[_i],)
-    return lambda r: ()
 
 
 def value_column(expr: "Expr", schema: "Schema", column_of: Callable, n: int):
@@ -125,7 +110,7 @@ def value_column(expr: "Expr", schema: "Schema", column_of: Callable, n: int):
 
 def compile_selection(
     predicate: "Expr", schema: "Schema"
-) -> Callable[["Batch | ColumnBatch"], "Batch | ColumnBatch"]:
+) -> Callable[[ColumnBatch], ColumnBatch]:
     """The selection operator for ``predicate`` over batches of ``schema``:
     ``batch -> the sub-batch of passing rows`` (same rows, same order as
     filtering with ``predicate.compile``).  Pure computation -- callers
@@ -136,17 +121,16 @@ def compile_selection(
     keep = predicate.compile(schema)
 
     def select(batch):
-        if isinstance(batch, ColumnBatch):
-            if bitmap is not None and batch.sel is None:
-                # Unselected view: the columns are the base vectors (mask
-                # bit p == base row p).  A selected batch would have to
-                # gather its columns just to find they are not encoded.
-                mask = bitmap(batch.cols)
-                if mask is not None:
-                    return batch.take_mask(mask)
-            if positions is not None:
-                return batch.take(positions(batch.column, len(batch), None))
-        return Batch(list(filter(keep, batch.rows)), batch.weight)
+        if bitmap is not None and batch.sel is None:
+            # Unselected view: the columns are the base vectors (mask bit
+            # p == base row p).  A selected batch would have to gather its
+            # columns just to find they are not encoded.
+            mask = bitmap(batch.cols)
+            if mask is not None:
+                return batch.take_mask(mask)
+        if positions is not None:
+            return batch.take(positions(batch.column, len(batch), None))
+        return batch.take([p for p, r in enumerate(batch.rows) if keep(r)])
 
     return select
 

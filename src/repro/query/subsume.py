@@ -46,9 +46,8 @@ consumer sites.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.query.expr import (
     And,
@@ -67,7 +66,7 @@ from repro.query.plan import (
     PlanNode,
     SelectNode,
 )
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
@@ -736,11 +735,11 @@ class FoldPlanner:
 
 class ResidualOperator:
     """Compiled runtime form of a :class:`FoldPlan`: stream the provider's
-    output batches through the residual filter, then project rows.  Row
+    output batches through the residual filter, then project columns.  Row
     order matches what direct evaluation would produce, so folded results
     are exact."""
 
-    __slots__ = ("plan", "_select", "_project")
+    __slots__ = ("plan", "_select")
 
     def __init__(self, plan: FoldPlan, provider_schema: "Schema"):
         self.plan = plan
@@ -749,20 +748,13 @@ class ResidualOperator:
             if plan.residual is not None
             else None
         )
-        self._project: Callable[[tuple], tuple] | None = None
-        if plan.project is not None:
-            idx = plan.project
-            if len(idx) > 1:
-                self._project = operator.itemgetter(*idx)
-            else:
-                i = idx[0]
-                self._project = lambda r, _i=i: (r[_i],)
 
-    def apply(self, rows: list) -> list:
-        """Filter + project one batch."""
+    def apply(self, batch: ColumnBatch) -> ColumnBatch:
+        """Filter + project one batch (the projection gathers the kept
+        columns through the selection; a full view shares them)."""
         if self._select is not None:
-            rows = self._select(Batch(rows)).rows
-        if self._project is not None and rows:
-            proj = self._project
-            rows = [proj(r) for r in rows]
-        return rows
+            batch = self._select(batch)
+        idx = self.plan.project
+        if idx is not None and len(batch):
+            batch = ColumnBatch(tuple(map(batch.column, idx)), None, batch.weight)
+        return batch

@@ -62,17 +62,15 @@ class CpuCommand:
 
 
 class IoCommand:
-    """Read ``nbytes`` from the machine's disk.  ``sequential=False`` models
-    random access and is charged the disk's ``random_multiplier``."""
+    """Read ``nbytes`` sequentially from the machine's disk."""
 
-    __slots__ = ("nbytes", "sequential")
+    __slots__ = ("nbytes",)
 
-    def __init__(self, nbytes: float, sequential: bool = True):
+    def __init__(self, nbytes: float):
         self.nbytes = nbytes
-        self.sequential = sequential
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"IoCommand(nbytes={self.nbytes!r}, sequential={self.sequential!r})"
+        return f"IoCommand(nbytes={self.nbytes!r})"
 
 
 class SleepCommand:
@@ -150,9 +148,9 @@ def CPU_FUSED(*cmds: CpuCommand) -> CpuCommand:
     return CpuCommand(first.cycles, first.category, tuple(rest))
 
 
-def IO(nbytes: float, sequential: bool = True) -> IoCommand:
+def IO(nbytes: float) -> IoCommand:
     """Factory for :class:`IoCommand`."""
-    return IoCommand(nbytes, sequential)
+    return IoCommand(nbytes)
 
 
 def SLEEP(delay: float) -> SleepCommand:

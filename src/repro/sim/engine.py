@@ -154,14 +154,11 @@ class Simulator:
             pool = self.cpu
             state = ThreadState.ON_CPU
         elif cmd_type is IoCommand:
-            # The disk meters logical bytes; a random read's are inflated.
             amount = cmd.nbytes
             pool = self.disk
             state = ThreadState.ON_IO
             if amount > 0.0:
                 pool.bytes_delivered += amount
-                if not cmd.sequential:
-                    amount *= self.machine.disk.random_multiplier
         else:
             self._dispatch(thread, cmd)
             return

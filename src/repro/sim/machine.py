@@ -27,14 +27,11 @@ class DiskSpec:
     ``bandwidth`` in bytes/second, shared by concurrent streams.
 
     ``seek_penalty`` is the per-extra-stream harmonic decay of aggregate
-    efficiency, floored at ``min_efficiency`` (see :meth:`rate`); the bytes
-    of a non-sequential read are inflated by ``random_multiplier`` (short
-    random reads waste rotational latency)."""
+    efficiency, floored at ``min_efficiency`` (see :meth:`rate`)."""
 
     bandwidth: float = 210 * MB  # aggregate sequential read, RAID-0 of 2 SAS disks
     seek_penalty: float = 0.35
     min_efficiency: float = 0.22
-    random_multiplier: float = 4.0
 
     def __post_init__(self) -> None:
         # ``not x > 0`` rather than ``x <= 0``: NaN is rejected too.
@@ -44,8 +41,6 @@ class DiskSpec:
             raise ValueError("seek_penalty must be >= 0")
         if not 0 < self.min_efficiency <= 1:
             raise ValueError("min_efficiency must be in (0, 1]")
-        if not self.random_multiplier >= 1:
-            raise ValueError("random_multiplier must be >= 1")
 
     def interleave_efficiency(self, n: int) -> float:
         """Fraction of peak aggregate bandwidth achieved with ``n`` streams."""

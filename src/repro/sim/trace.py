@@ -95,8 +95,7 @@ class Tracer:
             categories = dict.fromkeys((cmd.category, *(category for _, category in cmd.rest)))
             self._record(thread.name, "cpu", f"{cmd.total:.3g} cycles [{', '.join(categories)}]")
         elif isinstance(cmd, IoCommand):
-            mode = "seq" if cmd.sequential else "rand"
-            self._record(thread.name, "io", f"{cmd.nbytes:.3g} B {mode}")
+            self._record(thread.name, "io", f"{cmd.nbytes:.3g} B")
         elif isinstance(cmd, SleepCommand):
             self._record(thread.name, "sleep", f"{cmd.delay:.3g} s")
         elif cmd is BLOCK:

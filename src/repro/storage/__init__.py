@@ -13,7 +13,7 @@ from repro.storage.arrangements import ARRANGEMENTS, Arrangement, ArrangementCac
 from repro.storage.bufferpool import BufferPool
 from repro.storage.cache import OsPageCache
 from repro.storage.manager import StorageConfig, StorageManager
-from repro.storage.page import Batch, ColumnBatch, ColumnPage, Page, mask_to_sel
+from repro.storage.page import ColumnBatch, ColumnPage, Page, mask_to_sel
 from repro.storage.schema import Column, Schema
 from repro.storage.selections import Selection, SelectionMemo
 from repro.storage.table import Table
@@ -22,7 +22,6 @@ __all__ = [
     "ARRANGEMENTS",
     "Arrangement",
     "ArrangementCache",
-    "Batch",
     "BufferPool",
     "Column",
     "ColumnBatch",

@@ -52,7 +52,6 @@ class BufferPool:
         page_index: int,
         ram_resident: bool = False,
         direct_io: bool = False,
-        sequential: bool = True,
         latch_prepaid: bool = False,
     ) -> Iterator[Any]:
         """Fetch a page (generator); returns the :class:`Page`.
@@ -93,9 +92,9 @@ class BufferPool:
             self._latch.release()
         # I/O happens outside the latch (Shore-MT releases during fetch).
         if direct_io:
-            yield from self.os_cache.read_direct(page.real_bytes, sequential)
+            yield from self.os_cache.read_direct(page.real_bytes)
         else:
-            yield from self.os_cache.read(key, page.real_bytes, sequential)
+            yield from self.os_cache.read(key, page.real_bytes)
         yield from self._latch.acquire()
         try:
             self._insert(key, page.real_bytes)

@@ -37,7 +37,7 @@ class OsPageCache:
         self.misses = 0
 
     # ------------------------------------------------------------------
-    def read(self, key: tuple[str, int], nbytes: float, sequential: bool = True) -> Iterator[Any]:
+    def read(self, key: tuple[str, int], nbytes: float) -> Iterator[Any]:
         """Read a page through the cache (generator: may block on disk)."""
         if key in self._resident:
             self.hits += 1
@@ -46,12 +46,12 @@ class OsPageCache:
             return
         self.misses += 1
         self.sim.metrics.bump("os_cache_misses")
-        yield IO(nbytes, sequential)
+        yield IO(nbytes)
         self._insert(key, nbytes)
 
-    def read_direct(self, nbytes: float, sequential: bool = True) -> Iterator[Any]:
+    def read_direct(self, nbytes: float) -> Iterator[Any]:
         """Direct I/O: bypass the cache (no admission, no hit)."""
-        yield IO(nbytes, sequential)
+        yield IO(nbytes)
 
     # ------------------------------------------------------------------
     def _insert(self, key: tuple[str, int], nbytes: float) -> None:

@@ -120,7 +120,6 @@ class StorageManager:
         self,
         table: Table,
         page_index: int,
-        sequential: bool = True,
         latch_prepaid: bool = False,
     ) -> Iterator[Any]:
         """Fetch one page under the active storage config.  Returns the
@@ -132,6 +131,5 @@ class StorageManager:
             page_index,
             ram_resident=self.ram_resident,
             direct_io=self.config.direct_io,
-            sequential=sequential,
             latch_prepaid=latch_prepaid,
         )

@@ -50,7 +50,6 @@ __all__ = [
     "Dictionary",
     "DictColumn",
     "PackedNumeric",
-    "as_list",
     "column_nbytes",
     "gather_column",
     "pack_column",
@@ -112,17 +111,15 @@ class DictColumn:
     Supports the read-only sequence protocol the rest of the data plane
     expects from a column vector (len / int index / slice / iteration),
     plus the packed-specific operations: ``gather`` (single-pass hash
-    partitioning), ``as_list`` (memoized full decode for consumers that
-    genuinely need boxed values, e.g. hash-join probes), and
-    ``mask_for`` (predicate result as an int bitmap, memoized by
-    predicate signature)."""
+    partitioning) and ``mask_for`` (predicate result as an int bitmap,
+    memoized by predicate signature).  Boxed values are decoded on demand
+    by :func:`take_values`, never memoized on the column."""
 
-    __slots__ = ("codes", "dictionary", "_list", "_masks")
+    __slots__ = ("codes", "dictionary", "_masks")
 
     def __init__(self, codes: bytes, dictionary: Dictionary):
         self.codes = codes
         self.dictionary = dictionary
-        self._list: list | None = None
         self._masks: dict[Any, int] | None = None
 
     def __len__(self) -> int:
@@ -135,13 +132,6 @@ class DictColumn:
 
     def __iter__(self) -> Iterator[Any]:
         return map(self.dictionary.values.__getitem__, self.codes)
-
-    def as_list(self) -> list:
-        """The decoded column (computed once, then cached)."""
-        lst = self._list
-        if lst is None:
-            lst = self._list = list(map(self.dictionary.values.__getitem__, self.codes))
-        return lst
 
     def gather(self, idx: Sequence[int]) -> "DictColumn":
         """The rows at ``idx`` as a new column sharing this value table
@@ -187,12 +177,11 @@ class PackedNumeric:
     ``array`` or a ``memoryview`` slice of an ancestor's buffer (page
     slices and shard range-partitions are views -- zero copies)."""
 
-    __slots__ = ("data", "typecode", "_list")
+    __slots__ = ("data", "typecode")
 
     def __init__(self, data, typecode: str):
         self.data = data
         self.typecode = typecode
-        self._list: list | None = None
 
     def __len__(self) -> int:
         return len(self.data)
@@ -207,13 +196,6 @@ class PackedNumeric:
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self.data)
-
-    def as_list(self) -> list:
-        """The boxed column (one C-level ``tolist``, then cached)."""
-        lst = self._list
-        if lst is None:
-            lst = self._list = self.data.tolist()
-        return lst
 
     def gather(self, idx: Sequence[int]) -> "PackedNumeric":
         """The rows at ``idx`` as a new owning array (single-pass)."""
@@ -322,16 +304,6 @@ def pack_columns(columns: Sequence[Sequence[Any]], schema) -> tuple:
     return tuple(
         pack_column(col, cd.kind) for col, cd in zip(columns, schema.columns)
     )
-
-
-def as_list(col: Any) -> Sequence[Any]:
-    """A boxed view of a column: packed vectors decode once (memoized on
-    the column, so page-resident columns pay a single decode ever);
-    already-boxed sequences pass through untouched."""
-    t = type(col)
-    if t is DictColumn or t is PackedNumeric:
-        return col.as_list()
-    return col
 
 
 def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:

@@ -11,15 +11,21 @@ distributor, and the dimension-selection memo all work on the columns --
 so during a run no page holds a row tuple.
 
 Batches are the unit of data flow between operators (through FIFO buffers
-and Shared Pages Lists); scan stages turn pages into batches, operators
-transform batches.  Scans emit :class:`ColumnBatch`: base column vectors
-plus a *selection vector* (``sel``) of live positions and an optional
-per-row ``tail`` of join-attached payload tuples; operators whose output
-is freshly computed rows (aggregates, sort, cache replay, fold residuals)
-emit the row form, :class:`Batch`.  Selections shrink ``sel``
-without touching the columns, joins append to ``tail`` without rebuilding
-wide row tuples, and ``.rows`` materializes lazily only at emit points
-(sort, client collection, push-SP copies) -- late materialization.
+and Shared Pages Lists), and there is one batch type, :class:`ColumnBatch`:
+column vectors plus a *selection vector* (``sel``) of live positions and
+an optional per-row ``tail`` of join-attached payload tuples.  Scans view
+a page's columns; operators whose output is freshly computed rows
+(aggregates) transpose them once into columns
+(:meth:`ColumnBatch.from_rows`); sort emits a permutation over the
+columns it collected, and CJOIN's distributor, fold residuals and cache
+replay emit gathered or shared columns directly.  Selections
+shrink ``sel`` without touching the columns, joins append to ``tail``
+without rebuilding wide row tuples, and ``.rows`` materializes lazily only
+where rows are the product or the oracle (client result collection,
+join build payloads, predicate shapes without a column form) -- late
+materialization.  Rows are the *product* in two places only: the
+reference evaluator's page view (:attr:`ColumnPage.rows`) and the client's
+results.
 
 Live masks: the canonical mask over a batch is the selection vector (the
 fastest representation for CPython's list comprehensions); the bitmap
@@ -34,8 +40,8 @@ copied, between the page and the batches viewing it.
 Operators must never mutate a batch's ``rows``, ``cols``, ``sel`` or
 ``tail`` in place (they build new selections and new batches); the one
 place that needs a private, independently-owned copy -- push-based SP
-fanning a batch out to satellites -- goes through :meth:`Batch.copy` /
-:meth:`ColumnBatch.copy` and is charged for it.
+fanning a batch out to satellites -- goes through :meth:`ColumnBatch.copy`
+and is charged for it.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from typing import Any, Sequence
 from repro.storage.packed import take_values
 
 __all__ = [
-    "Batch",
     "ColumnBatch",
     "ColumnPage",
     "Page",
@@ -135,29 +140,6 @@ class ColumnPage:
 Page = ColumnPage
 
 
-class Batch:
-    """A batch of tuples flowing between operators.
-
-    ``rows`` may be a list or (for zero-copy page views) a tuple; either
-    way it must be treated as immutable by consumers."""
-
-    __slots__ = ("rows", "weight")
-
-    def __init__(self, rows: Sequence[tuple], weight: float = 1.0):
-        self.rows = rows
-        self.weight = weight
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def copy(self) -> "Batch":
-        """A shallow copy (what push-based SP pays cycles to produce)."""
-        return Batch(list(self.rows), self.weight)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Batch rows={len(self.rows)} weight={self.weight}>"
-
-
 class ColumnBatch:
     """A late-materialized batch: base columns + selection vector + tail.
 
@@ -173,8 +155,9 @@ class ColumnBatch:
     ``tail`` of matched build rows -- no wide output tuples.
 
     ``column(i)`` gathers one logical column; ``.rows`` materializes the
-    full row view once and caches it (consumers that need tuples -- sort,
-    client result collection, push-SP copies -- pay only at that point).
+    full row view once and caches it (consumers that need tuples -- client
+    result collection, join build payloads, the row oracle -- pay only at
+    that point).
     """
 
     __slots__ = ("cols", "sel", "tail", "weight", "_rows")
@@ -193,6 +176,17 @@ class ColumnBatch:
         self.tail = tail
         self.weight = weight
         self._rows = None
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple], weight: float) -> "ColumnBatch":
+        """A batch over freshly computed rows, transposed once into column
+        vectors.  With no column to transpose into (no rows, or rows of
+        arity zero) the rows ride as the tail, so every column read of an
+        empty batch is empty."""
+        cols = tuple(zip(*rows))
+        if cols:
+            return cls(cols, None, weight)
+        return cls((), list(range(len(rows))), weight, list(rows))
 
     def __len__(self) -> int:
         sel = self.sel
@@ -259,7 +253,7 @@ class ColumnBatch:
     def copy(self) -> "ColumnBatch":
         """A privately-owned selection/tail copy (base columns stay shared
         -- they are immutable; what push-based SP pays cycles for is the
-        per-row bookkeeping, same as the row form's shallow copy)."""
+        per-row bookkeeping)."""
         sel = self.sel
         tail = self.tail
         return ColumnBatch(

@@ -9,7 +9,7 @@ from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
 from repro.query.subsume import fold_plan
 from repro.sim import Simulator
 from repro.sim.machine import MachineSpec
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -26,7 +26,7 @@ def whole_budget(monkeypatch):
 
 
 def entry_batches(n=1):
-    return [Batch([(i,)], weight=1.0) for i in range(n)]
+    return [ColumnBatch.from_rows([(i,)], 1.0) for i in range(n)]
 
 
 class TestConstruction:

@@ -7,18 +7,33 @@
 * **No row view** -- after a CJOIN-SP batch and a QPipe-SP batch over
   every SSB query, no page of any table has materialized row tuples:
   rows are a view for the reference evaluator only.
+* **One batch type** -- across QPipe-SP, CJOIN-SP, the Volcano baseline
+  and a served run with result-cache replay and query folding, every batch
+  emitted into an exchange (and every relation the baseline returns) is a
+  ``ColumnBatch``, and no packed column holds a decoded copy of itself.
 """
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from repro.bench.runner import run_batch
+from repro.baselines.volcano import VolcanoEngine
+from repro.bench.runner import POSTGRES, run_batch
 from repro.bench.workload import QueryJob
 from repro.data import generate_ssb
 from repro.data.tpch import generate_tpch
 from repro.engine import CJOIN_SP, QPIPE_SP
+from repro.engine.exchange import FifoExchange
+from repro.engine.spl import SharedPagesList
 from repro.query.ssb_suite import ALL_SSB_QUERIES, default_instance
+from repro.server.arrivals import make_arrivals
+from repro.server.config import ServiceConfig
+from repro.server.router import make_policy
+from repro.server.service import QueryService, job_factory
+from repro.sim.machine import PAPER_MACHINE
+from repro.storage.manager import StorageConfig
+from repro.storage.packed import DictColumn, PackedNumeric
 from repro.storage.table import Table
 
 
@@ -56,3 +71,65 @@ def test_a_run_materializes_no_page_rows():
         result = run_batch(tables, config, jobs)
         assert len(result.response_times) == len(jobs)
     assert not [(t.name, p.index) for t in tables.values() for p in t.pages if p._rows is not None]
+
+
+def fresh_tables(sf: int, seed: int) -> dict[str, Table]:
+    """The generated columns under fresh pages: no other test's run can
+    have touched their page objects."""
+    return {
+        name: Table.from_columns(t.name, t.schema, t.columns(), t.row_weight, t.tuples_per_page)
+        for name, t in generate_ssb(sf, seed).tables.items()
+    }
+
+
+def test_every_exchanged_batch_is_a_column_batch(monkeypatch):
+    emitted: Counter = Counter()
+    for exchange in (FifoExchange, SharedPagesList):
+
+        def spy(self, batch, lead=None, _emit=exchange.emit):
+            emitted[type(batch).__name__] += 1
+            return _emit(self, batch, lead)
+
+        monkeypatch.setattr(exchange, "emit", spy)
+    relations: Counter = Counter()
+    volcano_eval = VolcanoEngine._eval
+
+    def eval_spy(self, node):
+        result = yield from volcano_eval(self, node)
+        relations[type(result).__name__] += 1
+        return result
+
+    monkeypatch.setattr(VolcanoEngine, "_eval", eval_spy)
+
+    tables = fresh_tables(1, 42)
+    jobs = [QueryJob(spec=default_instance(name)) for name in sorted(ALL_SSB_QUERIES)]
+    for config in (QPIPE_SP, CJOIN_SP, POSTGRES):
+        assert len(run_batch(tables, config, jobs).response_times) == len(jobs)
+    assert relations == {"ColumnBatch": len(jobs)}
+
+    # A served stream of overlapping Q3.2 ranges: both engines, cache
+    # replay (exact and folded) and host folds all emit.
+    service = QueryService(
+        tables,
+        make_policy("static", PAPER_MACHINE),
+        config=ServiceConfig(),
+        storage_config=StorageConfig(resident="memory", result_cache_bytes=8 << 20),
+    )
+    service.run(job_factory("folding:0.9", 2), make_arrivals("poisson", 8.0, 2), 4.0)
+    assert set(service.metrics.routed) == {"query-centric", "gqp"}
+    cache = service.storage.result_cache.stats()
+    assert cache["hits"] and cache["fold_hits"]
+    assert any(k.startswith("fold_attach:") for k in service.sim.metrics.counts)
+    assert set(emitted) == {"ColumnBatch"}
+
+    columns = [c for t in tables.values() for p in t.pages for c in p.columns]
+    columns += [c for t in tables.values() for c in t.columns()]
+    packed = [c for c in columns if type(c) in (DictColumn, PackedNumeric)]
+    assert packed
+    memos = [
+        (type(c).__name__, slot)
+        for c in packed
+        for slot in type(c).__slots__
+        if isinstance(getattr(c, slot, None), list)
+    ]
+    assert not memos

@@ -6,7 +6,7 @@ from repro.engine.exchange import END, FifoExchange
 from repro.sim import Simulator
 from repro.sim.costmodel import CostModel
 from repro.sim.machine import MachineSpec
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 
 def make_sim():
@@ -14,7 +14,7 @@ def make_sim():
 
 
 def batch(i):
-    return Batch([(i,)], weight=1.0)
+    return ColumnBatch.from_rows([(i,)], 1.0)
 
 
 class TestFifoExchange:
@@ -49,9 +49,9 @@ class TestFifoExchange:
         got_p, got_s = [], []
 
         def producer():
-            b = batch(7)
+            b = ColumnBatch(((7, 8),), [0])
             yield from ex.emit(b)
-            b.rows.append((8,))  # mutate after emit: satellite must have a copy
+            b.sel.append(1)  # mutate after emit: satellite must have a copy
             ex.close()
 
         def consumer(r, out):
@@ -80,7 +80,7 @@ class TestFifoExchange:
 
             def producer():
                 for i in range(16):
-                    yield from ex.emit(Batch([(j,) for j in range(50)], weight=10))
+                    yield from ex.emit(ColumnBatch.from_rows([(j,) for j in range(50)], 10))
                 ex.close()
 
             def consumer(r):

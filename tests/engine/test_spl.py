@@ -9,7 +9,7 @@ from repro.engine.spl import SharedPagesList
 from repro.sim import Simulator
 from repro.sim.costmodel import CostModel
 from repro.sim.machine import MachineSpec
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 
 
 def make_sim():
@@ -17,7 +17,7 @@ def make_sim():
 
 
 def batch(i):
-    return Batch([(i,)], weight=1.0)
+    return ColumnBatch.from_rows([(i,)], 1.0)
 
 
 class TestBasics:

@@ -31,7 +31,7 @@ from repro.query.expr import (
     compile_selection,
 )
 from repro.storage.packed import DictColumn, PackedNumeric, pack_column
-from repro.storage.page import Batch, ColumnBatch
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -150,10 +150,10 @@ def test_rows_kernel_matches_row_closure(expr, nrows):
     pred = expr.compile(SCHEMA)
     select = compile_selection(expr, SCHEMA)
     expected = [r for r in rows if pred(r)]
-    for row_batch in (Batch(rows, 3.0), Batch(tuple(rows), 3.0)):
-        out = select(row_batch)
-        assert type(out) is Batch and out.weight == 3.0
-        assert out.rows == expected
+    for computed in (ColumnBatch.from_rows(rows, 3.0), ColumnBatch.from_rows(tuple(rows), 3.0)):
+        out = select(computed)
+        assert type(out) is ColumnBatch and out.weight == 3.0
+        assert list(out.rows) == expected
     for name, cols in column_layouts(rows).items():
         out = select(ColumnBatch(cols, None, 3.0))
         assert list(out.rows) == expected, name
@@ -163,44 +163,42 @@ def test_rows_kernel_matches_row_closure(expr, nrows):
 @pytest.mark.parametrize("expr", EXPRS, ids=lambda e: repr(e.signature))
 @pytest.mark.parametrize("nrows", [0, 1, 7, 200])
 def test_indices_kernel_matches_row_closure(expr, nrows):
-    """Pass *positions*: a column batch that stays columnar keeps the base
-    columns and carries the oracle's positions as its selection vector --
-    from an unselected batch, and refining a preset selection + tail."""
+    """Pass *positions*: every form keeps the base columns and carries the
+    oracle's positions as its selection vector -- from an unselected
+    batch, and refining a preset selection + tail."""
     rows = random_rows(seed=nrows + 11, n=nrows)
     pred = expr.compile(SCHEMA)
     select = compile_selection(expr, SCHEMA)
     for name, cols in column_layouts(rows).items():
         out = select(ColumnBatch(cols, None))
-        if type(out) is ColumnBatch:
-            assert out.cols is cols and out.tail is None
-            assert out.sel == [j for j, r in enumerate(rows) if pred(r)], name
+        assert out.cols is cols and out.tail is None
+        assert out.sel == [j for j, r in enumerate(rows) if pred(r)], name
 
         batch, logical = preselected(cols, rows)
         keep = [p for p, r in enumerate(logical) if pred(r)]
         out = select(batch)
         assert list(out.rows) == [logical[p] for p in keep], name
         assert out.weight == 2.0
-        if type(out) is ColumnBatch:
-            assert out.cols is batch.cols
-            assert out.sel == [batch.sel[p] for p in keep]
-            assert out.tail == [batch.tail[p] for p in keep]
+        assert out.cols is batch.cols
+        assert out.sel == [batch.sel[p] for p in keep]
+        assert out.tail == [batch.tail[p] for p in keep]
 
 
 def test_kernels_accept_tuples_and_preserve_type():
-    """Zero-copy batches hand the row form a *tuple* of rows; the selected
-    rows must still come back as a list."""
+    """Transposed rows are tuple columns; every form keeps a column batch
+    whose rows come back as a list."""
     rows = tuple(random_rows(seed=5, n=50))
     for expr in EXPRS:
-        out = compile_selection(expr, SCHEMA)(Batch(rows))
-        assert isinstance(out.rows, list)
+        out = compile_selection(expr, SCHEMA)(ColumnBatch.from_rows(rows, 1.0))
+        assert type(out) is ColumnBatch and isinstance(out.rows, list)
 
 
 def test_all_pass_and_all_fail_extremes():
     rows = random_rows(seed=9, n=64)
     everything = compile_selection(Between("k", -1000, 1000), SCHEMA)
     nothing = compile_selection(Cmp(">", "k", 1000), SCHEMA)
-    assert everything(Batch(rows)).rows == rows
-    assert nothing(Batch(rows)).rows == []
+    assert list(everything(ColumnBatch.from_rows(rows, 1.0)).rows) == rows
+    assert list(nothing(ColumnBatch.from_rows(rows, 1.0)).rows) == []
     for name, cols in column_layouts(rows).items():
         assert everything(ColumnBatch(cols)).sel == list(range(64)), name
         assert nothing(ColumnBatch(cols)).sel == [], name
@@ -211,23 +209,33 @@ def test_col_compiles_to_plain_item_access():
     assert get((1, 2.5, "red")) == 2.5
 
 
+def row_form_ran(select, batch) -> bool:
+    """Did ``select`` fall back to the row oracle on ``batch``?  Every form
+    returns a sub-batch over the same columns; only the oracle reads (and
+    so caches) the input's materialized rows."""
+    out = select(batch)
+    assert type(out) is ColumnBatch and out.cols is batch.cols
+    return batch._rows is not None
+
+
 def test_the_data_picks_the_form():
-    """Which form runs is visible in what comes back: a column batch stays
-    columnar whenever the predicate has a positions form, ``Or`` stays
-    columnar only as a bitmap over unselected dictionary columns, and
-    everything else is the row form."""
+    """Which form runs is visible in what it reads: a batch stays columnar
+    whenever the predicate has a positions form, ``Or`` stays columnar only
+    as a bitmap over unselected dictionary columns, and everything else is
+    the row form."""
     rows = random_rows(seed=21, n=40)
     layouts = column_layouts(rows)
     conj = compile_selection(And(Between("k", -20, 20), InSet("tag", TAGS)), SCHEMA)
     disj = compile_selection(Or(Cmp("=", "tag", "red"), Cmp(">", "k", 40)), SCHEMA)
     arith = compile_selection(Cmp("<", Col("k"), Col("v")), SCHEMA)
     for name, cols in layouts.items():
-        assert type(conj(ColumnBatch(cols))) is ColumnBatch, name
-        assert type(arith(ColumnBatch(cols))) is Batch, name
-        assert type(disj(ColumnBatch(cols))) is (ColumnBatch if name == "dict" else Batch)
+        assert not row_form_ran(conj, ColumnBatch(cols)), name
+        assert row_form_ran(arith, ColumnBatch(cols)), name
+        assert row_form_ran(disj, ColumnBatch(cols)) is (name != "dict")
     selected, _ = preselected(layouts["dict"], rows)
-    assert type(conj(selected)) is ColumnBatch
-    assert type(disj(selected)) is Batch  # a selected batch has no bitmap form
+    assert not row_form_ran(conj, selected)
+    selected, _ = preselected(layouts["dict"], rows)
+    assert row_form_ran(disj, selected)  # a selected batch has no bitmap form
 
 
 # ----------------------------------------------------------------------

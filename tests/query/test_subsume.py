@@ -46,6 +46,7 @@ from repro.query.subsume import (
     predicate_subsumes,
 )
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from tests.boxed import boxed_table
@@ -159,7 +160,8 @@ def test_residual_operator_equals_direct(weak, extra, rows):
     assert ok
     op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
-    assert op.apply(provider_rows) == [rows[i] for i in passing(strong, rows)]
+    out = op.apply(ColumnBatch.from_rows(provider_rows, 1.0))
+    assert list(out.rows) == [rows[i] for i in passing(strong, rows)]
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +231,9 @@ def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_ma
     provider_out = direct_agg(
         [rows[i] for i in passing(weak, rows)], ("a", "b"), aggs
     )
-    folded = ResidualOperator(plan, provider.schema).apply(provider_out)
+    folded = list(
+        ResidualOperator(plan, provider.schema).apply(ColumnBatch.from_rows(provider_out, 1.0)).rows
+    )
     direct = direct_agg(
         [rows[i] for i in passing(strong, rows)], consumer_groups, consumer_aggs
     )

@@ -63,8 +63,8 @@ class RefPool(FluidPool):
 
 
 class RefDisk(RefPool):
-    """The disk: a width-1 pool at ``spec.rate`` that meters logical bytes
-    and inflates random reads."""
+    """The disk: a width-1 pool at ``spec.rate`` that meters the bytes it
+    is asked for."""
 
     def __init__(self, spec: DiskSpec):
         super().__init__(1, spec.rate)
@@ -75,14 +75,11 @@ class RefDisk(RefPool):
         now: float,
         thread: SimThread,
         nbytes: float,
-        sequential: bool,
         on_done: Callable[[], None],
     ) -> None:
         """Enqueue a read of ``nbytes`` for ``thread``."""
         charged = max(nbytes, 0.0)
         self.bytes_delivered += charged
-        if not sequential:
-            charged *= self.spec.random_multiplier
         self.add(now, thread, charged, on_done)
 
 

@@ -11,7 +11,7 @@ contract says: every part is metered at dispatch, in part order, and the
 command enters the pool once with its ``total``.
 
 Generated schedules (threads x fused commands with zero-cycle parts,
-sleeps, sequential and random I/O, ``Condition`` / ``Channel`` hand-offs,
+sleeps, I/O, ``Condition`` / ``Channel`` hand-offs,
 drawn from round numbers so that same-instant ties are common) must produce
 identical finish times and orders, cycle accounts and pool integrals on
 both.  The budget tests at the bottom pin the mechanism itself: a CPU
@@ -101,7 +101,7 @@ class RefSim:
             self.ready(thread)
         elif type(cmd) is IoCommand:
             thread.state = ThreadState.ON_IO
-            self.disk.read(self.now, thread, cmd.nbytes, cmd.sequential, lambda: self.wake(thread))
+            self.disk.read(self.now, thread, cmd.nbytes, lambda: self.wake(thread))
             self.arm(self.disk)
         elif type(cmd) is SleepCommand:
             thread.state = ThreadState.SLEEPING
@@ -152,7 +152,7 @@ nbytes = st.sampled_from([0.0, 10e6, 25e6, 100e6]) | st.floats(0.0, 2e8)
 op = st.one_of(
     st.tuples(st.just("cpu"), st.lists(part, min_size=1, max_size=3)),
     st.tuples(st.just("sleep"), delay),
-    st.tuples(st.just("io"), nbytes, st.booleans()),
+    st.tuples(st.just("io"), nbytes),
     st.tuples(st.just("put")),
     st.tuples(st.just("wait"), st.integers(0, 1)),
     st.tuples(st.just("notify"), st.integers(0, 1)),
@@ -202,7 +202,7 @@ def play(sim, schedule) -> list:
             elif o[0] == "sleep":
                 yield SLEEP(o[1])
             elif o[0] == "io":
-                yield IO(o[1], o[2])
+                yield IO(o[1])
             elif o[0] == "put":
                 yield from chan.put(i)
             elif o[0] == "wait":

@@ -119,16 +119,6 @@ class TestRunEdges:
         sim.run()
         assert woke == [(pytest.approx(0.1), "first")]
 
-    def test_random_io_flag_charged(self):
-        sim = make_sim()
-
-        def worker():
-            yield IO(50e6, False)  # random: 4x inflation
-
-        sim.spawn(worker(), "w")
-        end = sim.run()
-        assert end == pytest.approx(2.0)  # 50 MB * 4 at 100 MB/s
-
     def test_spawn_during_run_joins_pools(self):
         sim = make_sim(cores=1)
         ends = {}

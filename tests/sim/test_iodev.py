@@ -38,17 +38,13 @@ class TestConstruction:
 class TestSingleStream:
     def test_full_bandwidth_alone(self):
         dev = disk(bandwidth=100e6)
-        dev.read(0.0, _thread(), 200e6, True, lambda: None)
+        dev.read(0.0, _thread(), 200e6, lambda: None)
         assert dev.next_completion(0.0) == pytest.approx(2.0)
 
-    def test_random_access_penalty(self):
-        dev = disk(bandwidth=100e6, random_multiplier=4.0)
-        dev.read(0.0, _thread(), 100e6, False, lambda: None)
-        assert dev.next_completion(0.0) == pytest.approx(4.0)
-
     def test_bytes_delivered_counts_logical_bytes(self):
-        dev = disk(bandwidth=100e6, random_multiplier=4.0)
-        dev.read(0.0, _thread(), 100e6, False, lambda: None)
+        dev = disk(bandwidth=100e6)
+        dev.read(0.0, _thread(), 100e6, lambda: None)
+        dev.read(0.0, _thread(), 0.0, lambda: None)
         _drain(dev)
         assert dev.bytes_delivered == pytest.approx(100e6)
 
@@ -56,8 +52,8 @@ class TestSingleStream:
 class TestInterleaving:
     def test_two_streams_thrash(self):
         dev = disk(bandwidth=100e6, seek_penalty=0.5, min_efficiency=0.1)
-        dev.read(0.0, _thread("a"), 100e6, True, lambda: None)
-        dev.read(0.0, _thread("b"), 100e6, True, lambda: None)
+        dev.read(0.0, _thread("a"), 100e6, lambda: None)
+        dev.read(0.0, _thread("b"), 100e6, lambda: None)
         # eff(2) = 1/1.5; per-stream rate = 100e6/1.5/2 = 33.3 MB/s.
         assert dev.next_completion(0.0) == pytest.approx(3.0)
 
@@ -71,12 +67,12 @@ class TestInterleaving:
         """The core I/O claim behind circular scans: N interleaved full-table
         scans take much longer than N x (one scan) / N."""
         one = disk(bandwidth=100e6)
-        one.read(0.0, _thread(), 1e9, True, lambda: None)
+        one.read(0.0, _thread(), 1e9, lambda: None)
         t_one, _ = _drain(one)
 
         many = disk(bandwidth=100e6)
         for i in range(8):
-            many.read(0.0, _thread(str(i)), 1e9, True, lambda: None)
+            many.read(0.0, _thread(str(i)), 1e9, lambda: None)
         t_many, _ = _drain(many)
         assert t_many > 8 * t_one * 1.5  # thrash makes it far worse than 8x
 
@@ -84,7 +80,7 @@ class TestInterleaving:
 class TestMetrics:
     def test_avg_read_rate(self):
         dev = disk(bandwidth=100e6)
-        dev.read(0.0, _thread(), 100e6, True, lambda: None)
+        dev.read(0.0, _thread(), 100e6, lambda: None)
         t, _ = _drain(dev)
         assert dev.bytes_delivered / dev.busy_time == pytest.approx(100e6)
         assert dev.busy_time == pytest.approx(t)
@@ -97,7 +93,7 @@ class TestConservation:
         dev = disk(bandwidth=50e6)
         fired = []
         for i, s in enumerate(sizes):
-            dev.read(0.0, _thread(str(i)), s, True, lambda i=i: fired.append(i))
+            dev.read(0.0, _thread(str(i)), s, lambda i=i: fired.append(i))
         now, count = _drain(dev)
         assert count == len(sizes)
         assert dev.bytes_delivered == pytest.approx(sum(sizes))

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.query.expr import And, Between, Cmp, InSet, Or, compile_positions, compile_selection
 from repro.shard.partition import assign_shards, partition_table
-from repro.storage.page import Batch, ColumnBatch, ColumnPage, mask_to_sel
+from repro.storage.page import ColumnBatch, ColumnPage, mask_to_sel
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from tests.boxed import boxed_table
@@ -165,9 +165,9 @@ def test_column_kernel_refines_selection_like_row_wise(rows, expr, data):
 @given(rows=rows_strategy, expr=predicates)
 def test_batch_kernel_positions_equal_row_wise(rows, expr):
     pred = expr.compile(SCHEMA)
-    out = compile_selection(expr, SCHEMA)(Batch(rows, 2.0))
-    assert type(out) is Batch and out.weight == 2.0
-    assert out.rows == [r for r in rows if pred(r)]
+    out = compile_selection(expr, SCHEMA)(ColumnBatch.from_rows(rows, 2.0))
+    assert type(out) is ColumnBatch and out.weight == 2.0
+    assert list(out.rows) == [r for r in rows if pred(r)]
 
 
 # ----------------------------------------------------------------------

@@ -28,7 +28,6 @@ from repro.storage.packed import (
     DICT_MAX_CARD,
     DictColumn,
     PackedNumeric,
-    as_list,
     column_nbytes,
     gather_column,
     pack_column,
@@ -98,7 +97,7 @@ def same_value(a, b) -> bool:
 @example(col=[-0.0, 0.0], kind="int")
 def test_pack_column_round_trips_exactly(col, kind):
     packed = pack_column(col, kind)
-    decoded = list(as_list(packed))
+    decoded = list(packed)
     assert len(decoded) == len(col)
     for orig, back in zip(col, decoded):
         assert same_value(back, orig)
@@ -142,14 +141,14 @@ def test_high_cardinality_ints_pack_as_typed_arrays(base, n):
     col = [base + j for j in range(n)]  # card > DICT_MAX_CARD
     packed = pack_column(col, "int")
     assert type(packed) is PackedNumeric and packed.typecode == "q"
-    assert as_list(packed) == col
+    assert list(packed) == col
     view = packed[7 : n - 3]
     assert type(view.data) is memoryview  # zero-copy slice
     assert list(view) == col[7 : n - 3]
     fcol = [float(v) / 2.0 for v in col]
     fpacked = pack_column(fcol, "float")
     assert type(fpacked) is PackedNumeric and fpacked.typecode == "d"
-    assert as_list(fpacked) == fcol
+    assert list(fpacked) == fcol
 
 
 @settings(max_examples=60, deadline=None)
@@ -158,7 +157,7 @@ def test_low_cardinality_columns_dictionary_encode(col):
     packed = pack_column(col, "int")
     assert type(packed) is DictColumn
     assert len(packed.dictionary.values) == len({v for v in col}) <= DICT_MAX_CARD
-    assert as_list(packed) == col
+    assert list(packed) == col
     # All slices/gathers share one Dictionary object (memoized pass
     # tables and masks are computed once per table).
     assert packed[: len(col) // 2].dictionary is packed.dictionary
@@ -300,7 +299,7 @@ def test_mask_to_sel_matches_naive_reference():
 def test_bool_int_float_never_alias_in_one_column():
     col = [1, 1.0, True, 0, 0.0, False, "1"]
     packed = pack_column(col, "int")
-    decoded = as_list(packed)
+    decoded = list(packed)
     assert [type(v) for v in decoded] == [type(v) for v in col]
     assert all(a is b or a == b for a, b in zip(decoded, col))
 
@@ -310,7 +309,7 @@ def test_array_q_rejects_bool_coercion():
     col = [True, False] * 200  # card 2 -> dictionary wins anyway
     packed = pack_column(col, "int")
     assert type(packed) is DictColumn
-    assert as_list(packed) == col
+    assert list(packed) == col
     # Force past the dictionary: distinct ints with a stray bool.
     col2 = list(range(300)) + [True]
     packed2 = pack_column(col2, "int")

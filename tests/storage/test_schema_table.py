@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.page import Batch
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -103,9 +103,22 @@ class TestTable:
 
 class TestBatch:
     def test_copy_is_shallow_and_independent(self):
-        b = Batch([(1,), (2,)], weight=10)
+        b = ColumnBatch(((1, 2, 3),), [0, 2], 10, [("a",), ("b",)])
         c = b.copy()
-        c.rows.append((3,))
+        c.sel.append(1)
+        c.tail.append(("c",))
         assert len(b) == 2
         assert len(c) == 3
-        assert c.weight == 10
+        assert c.cols is b.cols and c.weight == 10
+        assert list(c.rows) == [(1, "a"), (3, "b"), (2, "c")]
+
+    def test_from_rows_round_trips(self):
+        rows = [(1, "a"), (2, "b")]
+        b = ColumnBatch.from_rows(rows, 4.0)
+        assert b.cols == ((1, 2), ("a", "b")) and b.weight == 4.0
+        assert list(b.rows) == rows
+        # No column to transpose into: the count survives, every column
+        # read of an empty batch is empty.
+        assert list(ColumnBatch.from_rows([(), ()], 1.0).rows) == [(), ()]
+        empty = ColumnBatch.from_rows([], 1.0)
+        assert len(empty) == 0 and list(empty.column(3)) == []

@@ -2,9 +2,9 @@
 
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
-selection kernel, one page layout, one dimension-selection memo, one
-router, one aggregation kernel, one fluid pool and one worker-process
-layer -- so a later change cannot quietly re-add a second way of doing the
+selection kernel, one page layout, one batch type, one dimension-selection
+memo, one router, one aggregation kernel, one fluid pool and one
+worker-process layer -- so a later change cannot quietly re-add a second way of doing the
 same thing."""
 
 import ast
@@ -72,6 +72,35 @@ def test_one_selection_kernel_one_page_layout():
         assert list(table.iter_rows()) == rows
     for table in boxed:
         assert all(type(c) is list for page in table.pages for c in page.columns)
+
+
+def test_one_batch_type():
+    # Every operator emits ColumnBatch: no second batch class, no branch
+    # on the batch layout, and no decoded copy memoized on a column.
+    classes, branches, memos = [], [], []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and "Batch" in node.name:
+                classes.append((rel, node.name))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "isinstance" and "ColumnBatch" in ast.unparse(node.args[1]):
+                    branches.append((rel, node.lineno))
+                if name in ("Batch", "as_list"):
+                    branches.append((rel, node.lineno))
+            if isinstance(node, ast.Constant):
+                ident = node.value  # a ``__slots__`` entry
+            else:  # an attribute, a name, an import, a definition
+                ident = next(
+                    (getattr(node, f) for f in ("attr", "id", "name") if hasattr(node, f)), None
+                )
+            if ident in ("_list", "as_list"):
+                memos.append((rel, node.lineno))
+    assert classes == [("storage/page.py", "ColumnBatch")]
+    assert not branches
+    assert not memos
 
 
 def test_one_dimension_selection_memo():

@@ -18,8 +18,12 @@ query-centric path is visible to a query routed anywhere.
 
 Mechanics (all in simulated time, fully deterministic):
 
-* **probe** -- on stage dispatch a packet looks itself up before the WoP
-  registry; a hit replays the cached pages through the packet's exchange.
+* **lookup** -- one pure :meth:`ResultCache.lookup`: the entry under the
+  packet's own signature (an exact hit, the empty fold), else, under
+  query folding, the best entry whose plan subsumes it.  ``Stage.decide``
+  and the router's :func:`cached_query_centric_plan` both call it;
+  admission accounts the outcome, and a hit replays the cached pages
+  through the packet's exchange.
 * **fill** -- a miss with an eligible sub-plan opens one extra consumer on
   the host's Shared Pages List; the SPL's pull model means the extra
   consumer adds *nothing* to the producer's critical path (the same
@@ -37,9 +41,9 @@ eviction sequence is exactly reproducible.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
-from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, fold_plan
+from repro.query.subsume import Decision, FoldIndex, lookup
 from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -96,6 +100,14 @@ class CacheEntry:
         return f"<CacheEntry {self.stage} pages={len(self.batches)} hits={self.hits}>"
 
 
+def _indexed(entry: CacheEntry) -> bool:
+    return True  # only entries that recorded their plan node are indexed
+
+
+def _entry_rank(entry: CacheEntry) -> tuple:
+    return (entry.nbytes, -entry.benefit_per_byte(), entry.seq)
+
+
 class ResultCache:
     """Byte-budgeted, cost-aware store of materialized sub-plan outputs."""
 
@@ -129,71 +141,42 @@ class ResultCache:
         self.invalidated = 0
         self.fold_hits = 0  # partial hits served through a subsuming entry
 
-    # -- probes ---------------------------------------------------------
-    def probe(self, key: tuple) -> CacheEntry | None:
-        """Look up ``key``, counting the hit or miss."""
-        entry = self._entries.get(key)
-        self._tick += 1
-        if entry is None:
-            self.misses += 1
-            self.sim.metrics.bump("result_cache_misses")
-            return None
-        entry.hits += 1
-        entry.last_used = self._tick
-        self.hits += 1
-        self.sim.metrics.bump("result_cache_hits")
-        return entry
-
-    def contains_any(self, keys: Iterable[tuple]) -> bool:
-        """Silent membership test (no counters) -- the routing layer's
-        "would this query likely be served from cache?" probe."""
-        return any(k in self._entries for k in keys)
-
-    def probe_subsuming(self, node) -> tuple[CacheEntry, FoldPlan, int] | None:
-        """Partial-hit probe: the cheapest entry whose recorded plan
-        *subsumes* ``node`` (repro.query.subsume), as ``(entry, fold plan,
-        candidates examined)``.  Called only after an exact :meth:`probe`
-        missed, so it never shadows a direct hit.  Ranking: fewest residual
-        terms first, then smallest entry with the highest
-        benefit-per-byte (cheapest to replay, most worth keeping hot), then
-        insertion order."""
-        planner = FoldPlanner(node)
-        for entry in self._fold_candidates(node):
-            planner.consider(
-                entry.node,
-                entry,
-                tie_break=(entry.nbytes, -entry.benefit_per_byte(), entry.seq),
-            )
-        best = planner.best()
-        if best is None:
-            return None
-        entry, plan = best
-        self._tick += 1
-        entry.hits += 1
-        entry.last_used = self._tick
-        self.fold_hits += 1
-        self.sim.metrics.bump("result_cache_fold_hits")
-        # Charged per entry that *could* have been a provider (it has a
-        # node and another key), whatever the index spared the host clock.
-        examined = len(self._fold_index)
-        exact = self._entries.get(node.signature)
-        if exact is not None and exact.node is not None:
-            examined -= 1
-        return entry, plan, examined
-
-    def has_subsuming(self, node) -> bool:
-        """Silent fold-hit test (no counters) -- the routing layer's
-        "would folding likely serve this query from cache?" probe."""
-        return any(
-            fold_plan(node, entry.node) is not None
-            for entry in self._fold_candidates(node)
+    # -- lookup ---------------------------------------------------------
+    def lookup(self, node, fold: bool = True, first: bool = False) -> Decision | None:
+        """The entry that would serve ``node``: the one under its own
+        signature (``cache_hit``), else, when ``fold``, the best whose plan
+        subsumes it (``cache_fold``): fewest residual terms, then smallest,
+        then highest benefit-per-byte, then insertion order.  Pure:
+        :meth:`record_hit` / :meth:`record_miss` account the outcome."""
+        return lookup(
+            node,
+            self._entries.get(node.signature),
+            self._fold_index,
+            ("cache_hit", "cache_fold"),
+            _indexed,
+            _entry_rank,
+            fold,
+            first,
         )
 
-    def _fold_candidates(self, node) -> list[CacheEntry]:
-        """The entries that may subsume ``node`` (a superset, from the
-        index), minus the entry under its own key -- an exact probe's."""
-        exact = self._entries.get(node.signature)
-        return [e for e in self._fold_index.candidates(node) if e is not exact]
+    def record_hit(self, entry: CacheEntry, folded: bool = False) -> None:
+        """Account a lookup that served from ``entry`` (exactly, or
+        through a fold)."""
+        self._tick += 1
+        entry.hits += 1
+        entry.last_used = self._tick
+        if folded:
+            self.fold_hits += 1
+            self.sim.metrics.bump("result_cache_fold_hits")
+        else:
+            self.hits += 1
+            self.sim.metrics.bump("result_cache_hits")
+
+    def record_miss(self) -> None:
+        """Account a lookup with no exact entry."""
+        self._tick += 1
+        self.misses += 1
+        self.sim.metrics.bump("result_cache_misses")
 
     # -- fills ----------------------------------------------------------
     def begin_fill(self, key: tuple) -> bool:
@@ -294,9 +277,10 @@ class ResultCache:
 
 
 def cached_query_centric_plan(storage, spec, query_folding: bool):
-    """The spec's query-centric plan when a result-cache hit is likely for
-    it -- its root signature (or, under a sort root, the aggregate below)
-    is resident in ``storage``'s cache -- else ``None``.
+    """The spec's query-centric plan when its admission would be served
+    from ``storage``'s cache -- :meth:`ResultCache.lookup` finds an entry
+    for its root or, under a sort root, the aggregate below -- else
+    ``None``.
 
     This is the routing layer's cache discount (``QueryService._execute``
     calls it before the policy): a likely hit replays materialized pages
@@ -312,17 +296,10 @@ def cached_query_centric_plan(storage, spec, query_folding: bool):
     from repro.query.plan import SortNode  # deferred: avoid import cycles
 
     plan = spec.to_query_centric_plan(storage.tables)
-    candidates = [plan.signature]
-    if isinstance(plan, SortNode):
-        candidates.append(plan.child.signature)
-    if cache.contains_any(candidates):
+    # The lookups the plan's admission runs: the root's, then -- a sort
+    # folds only exactly, and a sort miss admits the aggregate below it --
+    # the aggregate's, exact or (under query folding) through a fold.
+    nodes = (plan, plan.child) if isinstance(plan, SortNode) else (plan,)
+    if any(cache.lookup(node, query_folding, first=True) is not None for node in nodes):
         return plan
-    # Under query folding, a *subsuming* entry serves the query the same
-    # way (residual replay at memory-read cost), so the routing discount
-    # applies to partial hits too.  Sorts fold only exactly, so under a
-    # sort root it is the aggregate that may have a subsuming entry.
-    if query_folding:
-        root = plan.child if isinstance(plan, SortNode) else plan
-        if cache.has_subsuming(root):
-            return plan
     return None

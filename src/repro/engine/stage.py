@@ -1,4 +1,4 @@
-"""Stage base: packet admission, sharing detection, worker spawning.
+"""Stage base: packet admission, the sharing decision, worker spawning.
 
 Each stage keeps a registry of in-flight host packets keyed by plan
 signature.  Admitting a packet whose signature matches a registered host
@@ -6,30 +6,28 @@ signature.  Admitting a packet whose signature matches a registered host
 whole sub-plan is cancelled and its consumers reuse the host's results
 (paper Section 2.3).
 
-On top of the WoP, cache-eligible stages consult the shared result cache
-(:mod:`repro.cache`) on dispatch.  A probe *hit* replays the materialized
-pages through the packet's own exchange at memory-read cost -- the whole
-sub-plan is cancelled exactly as for a satellite, but with no host required
-to be in flight: sharing beyond the Window of Opportunity.  A probe *miss*
-that becomes a host additionally spills its output into the cache through
-one extra SPL consumer; the SPL's pull model keeps the producer's critical
-path untouched (the Section 4 argument) and its bounded size still governs
-producer pacing.
+Cache-eligible stages also consult the shared result cache
+(:mod:`repro.cache`): a *hit* replays the materialized pages through the
+packet's own exchange at memory-read cost -- the sub-plan is cancelled as
+for a satellite, with no host in flight: sharing beyond the Window of
+Opportunity.  A miss that becomes a host spills its output into the cache
+through one extra SPL consumer; the SPL's pull model keeps the producer's
+critical path untouched (the Section 4 argument) and its bounded size
+still governs producer pacing.
 
 Under query folding (``EngineConfig.query_folding``; see
-:mod:`repro.query.subsume`), both layers also match by *subsumption*.  When
-no exact host or cache entry exists, admission searches the registry
-(through the :class:`~repro.query.subsume.FoldIndex` kept beside it) for a
-host whose plan subsumes the packet's and -- if one is inside its WoP --
-attaches through a residual operator: a worker streams the host's output
-through the compiled post-filter and projection into the packet's own
-exchange, at memory-read + residual cost instead of the whole
-sub-plan.  Failing that, the result cache is probed for a *subsuming* entry
-and replayed the same way.  The folded packet still registers its own exact
-signature (identical arrivals attach to it) and still spills to the cache,
-so one broad host seeds both sharing layers for its whole cone of narrower
-queries.  Admission order: exact cache hit, exact WoP attach, subsuming WoP
-fold, subsuming cache fold, then query-centric.
+:mod:`repro.query.subsume`) both providers also serve by *subsumption*: a
+host or entry whose plan subsumes the packet's feeds it through a residual
+operator (post-filter + projection) at memory-read + residual cost.  An
+exact match is the fold with the empty residual, so :meth:`Stage.decide`
+searches the registry and the cache through one lookup each (exact
+signature, then the :class:`~repro.query.subsume.FoldIndex` beside it) and
+picks one winner by a fixed precedence: exact cache hit, exact WoP attach,
+host fold, cache fold.  :meth:`Stage.admit` runs the winner, or computes
+the packet when there is none.  A folded packet still registers its own
+exact signature (identical arrivals attach to it) and still spills to the
+cache, so one broad host seeds both layers for its whole cone of narrower
+queries.
 """
 
 from __future__ import annotations
@@ -40,11 +38,11 @@ from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity
 from repro.query.plan import referenced_tables
-from repro.query.subsume import FoldIndex, FoldPlan, FoldPlanner, ResidualOperator
+from repro.query.subsume import Decision, FoldIndex, ResidualOperator, lookup
 from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.cache import CacheEntry, ResultCache
+    from repro.cache import ResultCache
     from repro.engine.qpipe import QPipeEngine
     from repro.query.plan import PlanNode
     from repro.query.star import Query
@@ -57,6 +55,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: nor are joins (potentially fact-sized intermediate results).
 RESULT_CACHE_STAGES = frozenset({"aggregate", "sort", "cjoin"})
 
+#: Sharing mechanism -> its ``Metrics.counts`` key prefix (a WoP attach
+#: is counted by ``Metrics.record_sharing``).
+SERVED_COUNTS = {
+    "cache_hit": "result_cache_hit",
+    "host_fold": "fold_attach",
+    "cache_fold": "fold_cache_hit",
+}
+
 
 class Stage:
     """One relational-operator stage of the QPipe engine."""
@@ -68,21 +74,15 @@ class Stage:
         self._registry: dict[tuple, Packet] = {}
         # The registry's hosts again, searchable by subsumption.
         self._fold_index = FoldIndex()
-        self.packets_admitted = 0
-        self.packets_shared = 0
-        self.packets_cached = 0
-        self.packets_folded = 0  # attached to a subsuming in-flight host
-        self.packets_fold_cached = 0  # served from a subsuming cache entry
-
-    # ------------------------------------------------------------------
-    @property
-    def sp_enabled(self) -> bool:
-        cfg = self.engine.config
-        return {
+        cfg = engine.config
+        self.sp_enabled: bool = {
             "tablescan": cfg.sp_scan,
             "join": cfg.sp_join,
             "cjoin": cfg.sp_cjoin,
-        }.get(self.name, False)
+        }.get(name, False)
+        self.packets_admitted = 0
+        self.packets_shared = 0
+        self.packets_cached = 0
 
     def result_cache(self) -> "ResultCache | None":
         """The shared result cache, when one exists and this stage is
@@ -94,36 +94,71 @@ class Stage:
     def make_packet(self, node: "PlanNode", query: "Query") -> Packet:
         return Packet(node, query, self.name, self.wop)
 
-    def admit(self, packet: Packet) -> bool:
-        """Register ``packet``; returns True if its sub-plan must not be
-        built -- it attached as a satellite (exactly or through a fold),
-        or it is served from the result cache (exactly or folded)."""
-        self.packets_admitted += 1
+    def decide(self, packet: Packet) -> Decision | None:
+        """The one sharing decision for ``packet``: the mechanism, provider
+        and fold that serve it, or None when it must be computed.  Each
+        provider is searched by one lookup (exact signature, then its fold
+        index); precedence is exact cache hit, exact WoP attach, host fold,
+        cache fold.  Pure: :meth:`admit` accounts and runs the winner."""
+        node = packet.node
+        fold = self.engine.config.query_folding
         cache = self.result_cache()
         if cache is not None:
-            entry = cache.probe(packet.signature)
-            if entry is not None:
-                packet.exchange = self.engine.new_exchange(
-                    f"{self.name}.p{packet.packet_id}"
-                )
-                self.packets_cached += 1
-                packet.query.cache_served = True
-                self._record_cache_hit(packet)
-                self.spawn_worker(packet, self._replay_cached(packet, entry))
-                return True
+            hit = cache.lookup(node, fold=False)
+            if hit is not None:
+                return hit
         if self.sp_enabled:
             host = self._registry.get(packet.signature)
-            if host is not None and host.can_attach():
-                host.attach_satellite(packet)
-                self.packets_shared += 1
-                self._record_sharing(packet)
-                return True
-        fold_on = self.engine.config.query_folding
-        if fold_on and self.sp_enabled and self._try_fold_host(packet, cache):
+            found = lookup(
+                node,
+                host if host is not None and host.can_attach() else None,
+                self._fold_index,
+                ("wop_attach", "host_fold"),
+                _fold_eligible,
+                _packet_rank,
+                fold,
+            )
+            if found is not None:
+                return found
+        if fold and cache is not None:
+            return cache.lookup(node)
+        return None
+
+    def admit(self, packet: Packet) -> bool:
+        """Register ``packet``; returns True if its sub-plan must not be
+        built -- :meth:`decide` found a host or a cache entry to serve it."""
+        self.packets_admitted += 1
+        won = self.decide(packet)
+        mechanism = won.mechanism if won is not None else None
+        cache = self.result_cache()
+        if cache is not None:
+            if mechanism == "cache_hit":
+                cache.record_hit(won.provider)
+            else:
+                cache.record_miss()
+                if mechanism == "cache_fold":
+                    cache.record_hit(won.provider, folded=True)
+        if mechanism == "wop_attach":
+            won.provider.attach_satellite(packet)
+            self.packets_shared += 1
+            self._record_sharing(packet)
             return True
-        if fold_on and cache is not None and self._try_fold_cached(packet, cache):
-            return True
+        # A fold reader is opened before the host can emit (the decision
+        # skipped hosts that already did: earlier pages would be lost).
+        reader = won.provider.exchange.open_reader() if mechanism == "host_fold" else None
         packet.exchange = self.engine.new_exchange(f"{self.name}.p{packet.packet_id}")
+        if won is not None:
+            key = SERVED_COUNTS[mechanism]
+            self.engine.sim.metrics.bump(f"{key}:{self._sharing_label(packet)}")
+        if mechanism in ("cache_hit", "cache_fold"):
+            packet.query.cache_served = True
+            if mechanism == "cache_hit":
+                self.packets_cached += 1
+            self.spawn_worker(packet, self._replay(packet, won))
+            return True
+        # A computed or folded packet is a full host for its own exact
+        # signature: identical arrivals attach to it, and it may spill to
+        # the cache.
         if self.sp_enabled:
             self._register(packet)
         if cache is not None and self._fill_eligible(packet, cache):
@@ -131,6 +166,9 @@ class Stage:
                 self._fill_cache(packet, cache),
                 name=f"cachefill-{self.name}-p{packet.packet_id}",
             )
+        if mechanism == "host_fold":
+            self.spawn_worker(packet, self._fold_from_host(packet, won, reader))
+            return True
         return False
 
     def _register(self, packet: Packet) -> None:
@@ -167,16 +205,32 @@ class Stage:
             return False
         return cache.begin_fill(packet.signature)
 
-    def _replay_cached(self, packet: Packet, entry: "CacheEntry") -> Iterator[Any]:
-        """Worker for a cache hit: replay the materialized pages through
-        the packet's exchange at memory-read cost, then close."""
+    def _replay(self, packet: Packet, won: Decision) -> Iterator[Any]:
+        """Worker for a cache hit: replay the entry's pages through the
+        packet's exchange at memory-read cost, then close.  A fold first
+        pays its search and passes every page through the residual
+        operator; an exact hit emits copies."""
         cost = self.engine.cost
         exchange = packet.exchange
+        entry, plan = won.provider, won.plan
+        op = None
+        if won.mechanism == "cache_fold":
+            op = ResidualOperator(plan, entry.node.schema)
+            yield cost.fold_search(won.examined)
         yield cost.cache_probe_charge
+        terms = plan.residual_terms
         for batch in entry.batches:
             yield cost.cache_replay_charge
-            yield cost.read(len(batch), batch.weight)
-            yield from exchange.emit(batch.copy())
+            n = len(batch)
+            yield cost.read(n, batch.weight)
+            if op is None:
+                yield from exchange.emit(batch.copy())
+                continue
+            if terms and n:
+                yield cost.predicate(n, batch.weight, terms)
+            out = op.apply(batch)
+            if len(out):
+                yield from exchange.emit(out)
         packet.mark_started()
         exchange.close()
         packet.finished = True
@@ -223,67 +277,9 @@ class Stage:
             cache.end_fill(key)
 
     # ------------------------------------------------------------------
-    # Query folding (repro.query.subsume): subsumption attach and replay
+    # Query folding (repro.query.subsume): residual stream from a host
     # ------------------------------------------------------------------
-    def _try_fold_host(self, packet: Packet, cache: "ResultCache | None") -> bool:
-        """Search the registry for the cheapest host whose plan subsumes
-        this packet's and attach through a residual operator.  The fold
-        reader is opened *here*, before the host can emit -- a host that
-        has already started emitting is skipped (pages before the attach
-        point would be lost)."""
-        planner = FoldPlanner(packet.node)
-        # Exact attach was already tried (and missed).
-        exact = self._registry.get(packet.signature)
-        for host in self._fold_index.candidates(packet.node):
-            if host is not exact and self._fold_eligible(host):
-                planner.consider(host.node, host, tie_break=(host.packet_id,))
-        best = planner.best()
-        if best is None:
-            return False
-        host, plan = best
-        # The search is charged per *eligible* host, whatever the index
-        # spared the host clock (what an indexed search should cost in
-        # simulated time is a separate, tick-moving decision).
-        examined = sum(
-            1
-            for h in self._registry.values()
-            if h is not exact and self._fold_eligible(h)
-        )
-        reader = host.exchange.open_reader()
-        packet.exchange = self.engine.new_exchange(f"{self.name}.p{packet.packet_id}")
-        self.packets_folded += 1
-        self.engine.sim.metrics.bump(f"fold_attach:{self._sharing_label(packet)}")
-        # The folded packet is a full host for its own exact signature:
-        # identical arrivals attach to it, and it may spill to the cache.
-        self._register(packet)
-        if cache is not None and self._fill_eligible(packet, cache):
-            self.engine.sim.spawn(
-                self._fill_cache(packet, cache),
-                name=f"cachefill-{self.name}-p{packet.packet_id}",
-            )
-        self.spawn_worker(
-            packet, self._fold_from_host(packet, host, reader, plan, examined)
-        )
-        return True
-
-    @staticmethod
-    def _fold_eligible(host: Packet) -> bool:
-        """May a newcomer still fold into ``host``?  Inside its WoP, not
-        yet emitting (pages before the attach point would be lost), and
-        pull-model only: a FIFO host would pay the copies."""
-        if host.started_emitting or not host.can_attach():
-            return False
-        exchange = host.exchange
-        return exchange is not None and exchange.kind == "spl"
-
-    def _fold_from_host(
-        self,
-        packet: Packet,
-        host: Packet,
-        reader: Any,
-        plan: FoldPlan,
-        examined: int,
-    ) -> Iterator[Any]:
+    def _fold_from_host(self, packet: Packet, won: Decision, reader: Any) -> Iterator[Any]:
         """Worker for a host fold: stream the host's output through the
         compiled residual operator into this packet's own exchange.  The
         packet pays the fold search, a memory read per page and the
@@ -291,9 +287,9 @@ class Stage:
         (one more SPL reader under the pull model)."""
         cost = self.engine.cost
         exchange = packet.exchange
-        op = ResidualOperator(plan, host.node.schema)
-        yield cost.fold_search(examined)
-        terms = plan.residual_terms
+        op = ResidualOperator(won.plan, won.provider.node.schema)
+        yield cost.fold_search(won.examined)
+        terms = won.plan.residual_terms
         first = True
         while True:
             batch = yield from reader.read()
@@ -317,44 +313,6 @@ class Stage:
         exchange.close()
         packet.finished = True
 
-    def _try_fold_cached(self, packet: Packet, cache: "ResultCache") -> bool:
-        """Probe the result cache for a *subsuming* entry (exact probe
-        already missed) and replay it through the residual operator."""
-        hit = cache.probe_subsuming(packet.node)
-        if hit is None:
-            return False
-        entry, plan, examined = hit
-        packet.exchange = self.engine.new_exchange(f"{self.name}.p{packet.packet_id}")
-        self.packets_fold_cached += 1
-        packet.query.cache_served = True
-        self.engine.sim.metrics.bump(f"fold_cache_hit:{self._sharing_label(packet)}")
-        self.spawn_worker(packet, self._replay_folded(packet, entry, plan, examined))
-        return True
-
-    def _replay_folded(
-        self, packet: Packet, entry: "CacheEntry", plan: FoldPlan, examined: int
-    ) -> Iterator[Any]:
-        """Worker for a folded cache hit: like :meth:`_replay_cached`, but
-        every page passes through the residual operator first."""
-        cost = self.engine.cost
-        exchange = packet.exchange
-        op = ResidualOperator(plan, entry.node.schema)
-        yield cost.fold_search(examined)
-        yield cost.cache_probe_charge
-        terms = plan.residual_terms
-        for batch in entry.batches:
-            yield cost.cache_replay_charge
-            n = len(batch)
-            yield cost.read(n, batch.weight)
-            if terms and n:
-                yield cost.predicate(n, batch.weight, terms)
-            out = op.apply(batch)
-            if len(out):
-                yield from exchange.emit(out)
-        packet.mark_started()
-        exchange.close()
-        packet.finished = True
-
     # ------------------------------------------------------------------
     def _sharing_label(self, packet: Packet) -> str:
         label = getattr(packet.node, "label", None)
@@ -363,8 +321,19 @@ class Stage:
     def _record_sharing(self, packet: Packet) -> None:
         self.engine.sim.metrics.record_sharing(self._sharing_label(packet))
 
-    def _record_cache_hit(self, packet: Packet) -> None:
-        self.engine.sim.metrics.bump(f"result_cache_hit:{self._sharing_label(packet)}")
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Stage {self.name} hosts={len(self._registry)}>"
+
+
+def _fold_eligible(host: Packet) -> bool:
+    """May a newcomer still fold into ``host``?  Inside its WoP, not yet
+    emitting (pages before the attach point would be lost), and pull-model
+    only: a FIFO host would pay the copies."""
+    if host.started_emitting or not host.can_attach():
+        return False
+    exchange = host.exchange
+    return exchange is not None and exchange.kind == "spl"
+
+
+def _packet_rank(host: Packet) -> int:
+    return host.packet_id

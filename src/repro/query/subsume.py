@@ -33,8 +33,9 @@ that all three layers consult:
   host or cache entry.  Both sides of every test read per-node and
   per-predicate summaries derived once and memoized on the (immutable)
   node or expression.
-* :class:`FoldPlanner` -- ranks candidate providers (in-flight hosts,
-  cached entries) and keeps the cheapest fold; :class:`ResidualOperator`
+* :func:`lookup` -- the one search both run: the provider under the
+  consumer's own signature (the empty fold), else the indexed provider
+  whose fold leaves the fewest residual terms; :class:`ResidualOperator`
   is the compiled runtime form the engine workers stream batches through.
 
 Everything here is pure bookkeeping over immutable plan/expression
@@ -47,7 +48,7 @@ consumer sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.query.expr import (
     And,
@@ -72,13 +73,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
 
 __all__ = [
+    "Decision",
     "FoldIndex",
     "FoldPlan",
-    "FoldPlanner",
     "ResidualOperator",
     "and_of",
     "conjuncts",
     "fold_plan",
+    "lookup",
     "predicate_subsumes",
 ]
 
@@ -638,6 +640,10 @@ class FoldIndex:
     def __len__(self) -> int:
         return len(self._pending) + len(self._posted)
 
+    def __iter__(self) -> Iterator:
+        yield from self._pending
+        yield from self._posted
+
     def add(self, node: PlanNode, token: Any) -> None:
         """Index ``node`` as a provider; ``token`` is what
         :meth:`candidates` hands back."""
@@ -703,34 +709,63 @@ class FoldIndex:
 
 
 # ---------------------------------------------------------------------------
-# Planner + runtime operator
+# The one lookup + runtime operator
 # ---------------------------------------------------------------------------
-class FoldPlanner:
-    """Ranks candidate providers for one consumer node and keeps the
-    cheapest fold."""
+class Decision(NamedTuple):
+    """Which mechanism serves a consumer, from which provider, through
+    which fold; ``examined`` is what ``CostModel.fold_search`` charges for
+    (0 for an exact match, which searches nothing)."""
 
-    __slots__ = ("node", "_best")
+    mechanism: str
+    provider: Any
+    plan: FoldPlan
+    examined: int
 
-    def __init__(self, node: PlanNode):
-        self.node = node
-        self._best: tuple[tuple, Any, FoldPlan] | None = None
 
-    def consider(self, provider_node: PlanNode, token: Any, tie_break: tuple = ()) -> None:
-        """Test one provider; ``token`` is handed back by :meth:`best`.
-        ``tie_break`` orders equal-cost folds deterministically (e.g.
-        registration order, cache bytes) and should end in a unique id;
-        without one the first provider considered wins a tie."""
-        plan = fold_plan(self.node, provider_node)
+def lookup(
+    node: PlanNode,
+    exact: Any,
+    index: FoldIndex,
+    mechanisms: tuple[str, str],
+    usable: Callable[[Any], bool],
+    rank: Callable[[Any], Any],
+    fold: bool = True,
+    first: bool = False,
+) -> Decision | None:
+    """The provider that serves ``node`` best, as ``mechanisms[0]``
+    (exact) or ``mechanisms[1]`` (fold).  ``exact``, the usable provider
+    under ``node``'s own signature (or None), wins with the empty fold.
+    Else, when ``fold``, every ``usable`` provider in ``index`` is counted
+    and each one the index proposes is tested: fewest residual terms wins,
+    then lowest ``rank`` (unique, so iteration order never matters).  An
+    exact-shape consumer (a sort) is never searched.  ``first`` stops at
+    the first fold found (an existence test).  Pure."""
+    if exact is not None:
+        return Decision(mechanisms[0], exact, FoldPlan(), 0)
+    if not fold or _summary(node).shape[0] == "exact":
+        return None
+    proposed = set(index.candidates(node))
+    if not proposed:
+        return None
+    best: tuple | None = None
+    examined = 0
+    for provider in index:
+        if not usable(provider):
+            continue
+        examined += 1
+        if provider not in proposed:
+            continue
+        plan = fold_plan(node, provider.node)
         if plan is None:
-            return
-        score = (plan.residual_terms,) + tie_break
-        if self._best is None or score < self._best[0]:
-            self._best = (score, token, plan)
-
-    def best(self) -> tuple[Any, FoldPlan] | None:
-        if self._best is None:
-            return None
-        return self._best[1], self._best[2]
+            continue
+        key = (plan.residual_terms, rank(provider))
+        if best is None or key < best[0]:
+            best = (key, provider, plan)
+            if first:
+                break
+    if best is None:
+        return None
+    return Decision(mechanisms[1], best[1], best[2], examined)
 
 
 class ResidualOperator:

@@ -141,14 +141,14 @@ class TestInvalidation:
         narrow = q32("CHINA", "FRANCE", 1994, 1995).to_query_centric_plan(ssb.tables).child
         engine.submit(q32(*SPEC_ARGS))
         sim.run()
-        assert cache.has_subsuming(narrow)
+        assert cache.lookup(narrow).mechanism == "cache_fold"
         storage.notify_update("date")
         assert len(cache._entries) == len(cache._fold_index) == 0
-        assert not cache.has_subsuming(narrow)
-        assert cache.probe_subsuming(narrow) is None
+        assert cache.lookup(narrow, first=True) is None
+        assert cache.lookup(narrow) is None
         engine.submit(q32(*SPEC_ARGS))
         sim.run()
-        assert cache.has_subsuming(narrow)
+        assert cache.lookup(narrow).mechanism == "cache_fold"
 
     def test_notify_update_without_cache_is_noop(self, ssb):
         sim = Simulator(MachineSpec())

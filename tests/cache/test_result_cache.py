@@ -1,12 +1,14 @@
-"""Unit tests for the shared result cache store: probe/fill bookkeeping,
+"""Unit tests for the shared result cache store: lookup/fill bookkeeping,
 byte-budgeted eviction under both policies, table invalidation."""
+
+from types import SimpleNamespace
 
 import pytest
 
 from repro.cache import CACHE_POLICIES, ResultCache, result_cache
 from repro.query.expr import Between, Col
 from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
-from repro.query.subsume import fold_plan
+from repro.query.subsume import FoldPlan, fold_plan
 from repro.sim import Simulator
 from repro.sim.machine import MachineSpec
 from repro.storage.page import ColumnBatch
@@ -27,6 +29,16 @@ def whole_budget(monkeypatch):
 
 def entry_batches(n=1):
     return [ColumnBatch.from_rows([(i,)], 1.0) for i in range(n)]
+
+
+def probe(cache, key):
+    """An admission's exact lookup of ``key``, accounted: the entry or None."""
+    found = cache.lookup(SimpleNamespace(signature=key), fold=False)
+    if found is None:
+        cache.record_miss()
+        return None
+    cache.record_hit(found.provider)
+    return found.provider
 
 
 class TestConstruction:
@@ -52,10 +64,10 @@ class TestProbeAndFill:
     def test_miss_then_hit(self):
         sim, cache = make_cache()
         key = ("sort", "x")
-        assert cache.probe(key) is None
+        assert probe(cache, key) is None
         assert cache.misses == 1
         cache.admit(key, entry_batches(), 100.0, 0.5, frozenset({"t"}), "sort")
-        entry = cache.probe(key)
+        entry = probe(cache, key)
         assert entry is not None
         assert entry.hits == 1
         assert cache.hits == 1
@@ -66,10 +78,12 @@ class TestProbeAndFill:
         sim, cache = make_cache()
         key = ("agg", "y")
         cache.admit(key, entry_batches(), 10.0, 0.1, frozenset(), "aggregate")
-        assert cache.contains_any([("other",), key])
-        assert not cache.contains_any([("other",)])
         entry = cache._entries[key]
+        found = cache.lookup(SimpleNamespace(signature=key), fold=False)
+        assert found == ("cache_hit", entry, FoldPlan(), 0)
+        assert cache.lookup(SimpleNamespace(signature=("other",)), fold=False) is None
         assert cache.hits == 0 and cache.misses == 0 and entry.hits == 0
+        assert cache._tick == 1  # the admission's only
 
     def test_begin_fill_is_exclusive(self):
         _, cache = make_cache()
@@ -102,7 +116,7 @@ class TestEviction:
         _, cache = make_cache(capacity=1000.0, policy="lru")
         cache.admit(("a",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.admit(("b",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
-        cache.probe(("a",))  # "a" is now more recent than "b"
+        probe(cache, ("a",))  # "a" is now more recent than "b"
         cache.admit(("c",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         assert list(cache._entries) == [("a",), ("c",)]
         assert cache.evictions == 1
@@ -122,7 +136,7 @@ class TestEviction:
         cache.admit(("cold",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         cache.admit(("hot",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         for _ in range(3):
-            cache.probe(("hot",))
+            probe(cache, ("hot",))
         cache.admit(("new",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
         assert ("hot",) in cache._entries
         assert ("cold",) not in cache._entries
@@ -174,73 +188,76 @@ def admit_node(cache, node, nbytes=100.0, key=None):
 
 @pytest.mark.usefixtures("whole_budget")
 class TestSubsumingProbes:
-    """``probe_subsuming`` / ``has_subsuming`` search an index kept beside
-    the entries: it must follow every way an entry leaves the cache."""
+    """A folding ``lookup`` searches an index kept beside the entries: it
+    must follow every way an entry leaves the cache."""
 
     def test_probe_finds_the_cheapest_subsuming_entry(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1992, 1997))
-        admit_node(cache, yearly(1994, 1994))  # too narrow to serve the probe
+        admit_node(cache, yearly(1994, 1994))  # too narrow to serve the lookup
         cache.admit(("no", "node"), entry_batches(), 10.0, 1.0, frozenset(), "sort")
         consumer = yearly(1993, 1995)
-        assert cache.has_subsuming(consumer)
-        entry, plan, examined = cache.probe_subsuming(consumer)
+        assert cache.lookup(consumer, first=True) is not None
+        mechanism, entry, plan, examined = cache.lookup(consumer)
+        assert mechanism == "cache_fold"
         # Equal residual cost and bytes: benefit-per-byte ties, insertion order wins.
         assert entry.key == yearly(1990, 1999).signature
         assert plan == fold_plan(consumer, entry.node)
         # The charge counts every entry that could have been a provider,
         # not the few the index handed to the subsumption test.
         assert examined == 3
-        assert cache.fold_hits == 1
+        assert cache.fold_hits == 0  # the lookup is pure; admission accounts
+        cache.record_hit(entry, folded=True)
+        assert cache.fold_hits == 1 and entry.hits == 1
 
-    def test_examined_skips_the_entry_under_the_probes_own_key(self):
+    def test_an_exact_entry_wins_with_the_empty_fold(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1993, 1995))
-        _, _, examined = cache.probe_subsuming(yearly(1993, 1995))
-        assert examined == 1
+        exact = cache._entries[yearly(1993, 1995).signature]
+        assert cache.lookup(yearly(1993, 1995)) == ("cache_hit", exact, FoldPlan(), 0)
 
     def test_evicted_entry_is_never_returned(self):
         _, cache = make_cache(capacity=250.0, policy="lru")
         admit_node(cache, yearly(1990, 1999))
-        assert cache.has_subsuming(yearly(1993, 1995))  # indexes the entry
+        assert cache.lookup(yearly(1993, 1995), first=True)  # indexes the entry
         admit_node(cache, yearly(2000, 2009))
         admit_node(cache, yearly(2010, 2019))  # evicts the 1990s
         assert cache.evictions == 1
-        assert not cache.has_subsuming(yearly(1993, 1995))
-        assert cache.probe_subsuming(yearly(1993, 1995)) is None
+        assert cache.lookup(yearly(1993, 1995), first=True) is None
+        assert cache.lookup(yearly(1993, 1995)) is None
         assert len(cache._fold_index) == len(cache._entries) == 2
 
     def test_readmitted_key_serves_the_new_entry_only(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
-        stale = cache.probe_subsuming(yearly(1993, 1995))[0]
+        stale = cache.lookup(yearly(1993, 1995)).provider
         admit_node(cache, yearly(1990, 1999), nbytes=200.0)  # same key, new entry
-        fresh = cache.probe_subsuming(yearly(1993, 1995))[0]
+        fresh = cache.lookup(yearly(1993, 1995)).provider
         assert fresh is not stale and fresh.nbytes == 200.0
         assert len(cache._fold_index) == 1
 
     def test_invalidated_and_cleared_entries_are_never_returned(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
-        assert cache.has_subsuming(yearly(1993, 1995))
+        assert cache.lookup(yearly(1993, 1995), first=True)
         assert cache.invalidate_table("years") == 1
-        assert not cache.has_subsuming(yearly(1993, 1995))
+        assert cache.lookup(yearly(1993, 1995), first=True) is None
         assert len(cache._fold_index) == 0
         admit_node(cache, yearly(1990, 1999))
         # A full-capacity entry clears every other one out.
         cache.admit(("big",), entry_batches(), 10_000.0, 1.0, frozenset(), "sort")
         assert list(cache._entries) == [("big",)]
-        assert cache.probe_subsuming(yearly(1993, 1995)) is None
+        assert cache.lookup(yearly(1993, 1995)) is None
 
 
 class TestStats:
     def test_stats_snapshot(self):
         _, cache = make_cache(capacity=500.0, policy="lru")
         cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset(), "sort")
-        cache.probe(("a",))
-        cache.probe(("b",))
+        probe(cache, ("a",))
+        probe(cache, ("b",))
         stats = cache.stats()
         assert stats["policy"] == "lru"
         assert stats["capacity_bytes"] == 500.0

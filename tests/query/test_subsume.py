@@ -38,11 +38,11 @@ from repro.query.plan import (
 from repro.query.subsume import (
     FoldIndex,
     FoldPlan,
-    FoldPlanner,
     ResidualOperator,
     and_of,
     conjuncts,
     fold_plan,
+    lookup,
     predicate_subsumes,
 )
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
@@ -276,9 +276,24 @@ def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
 
 
 # ----------------------------------------------------------------------
-# Planner ranking
+# Lookup ranking
 # ----------------------------------------------------------------------
-def test_fold_planner_prefers_fewest_residual_terms():
+class Provider:
+    """A lookup provider: a plan node and a unique rank."""
+
+    def __init__(self, node, position):
+        self.node = node
+        self.position = position
+
+    def rank(self):
+        return self.position
+
+
+def usable(provider):
+    return True
+
+
+def test_lookup_prefers_fewest_residual_terms():
     from repro.query.expr import Col
 
     aggs = (AggSpec("sum", Col("c"), "sum_c"),)
@@ -293,12 +308,14 @@ def test_fold_planner_prefers_fewest_residual_terms():
     near = AggregateNode(
         SelectNode(scan, Between("a", 1, 4)), ("a", "b"), aggs
     )  # residual: b only
-    planner = FoldPlanner(consumer)
-    planner.consider(far, "far")
-    planner.consider(near, "near")
-    token, plan = planner.best()
-    assert token == "near"
-    assert plan.residual.columns() == {"b"}
+    index = FoldIndex()
+    providers = [Provider(far, 0), Provider(near, 1)]  # "far" wins every tie
+    for provider in providers:
+        index.add(provider.node, provider)
+    won = lookup(consumer, None, index, ("exact", "fold"), usable, Provider.rank)
+    assert won.provider is providers[1] and won.mechanism == "fold"
+    assert won.plan.residual.columns() == {"b"}
+    assert won.examined == 2
 
 
 # ----------------------------------------------------------------------
@@ -492,16 +509,38 @@ def test_index_candidates_are_a_superset_of_every_subsuming_provider(plans):
 
 
 @settings(max_examples=150, deadline=None)
-@given(plans=plan_families())
-def test_planner_fed_from_index_picks_what_a_full_walk_picks(plans):
-    index = _indexed(plans)
+@given(plans=plan_families(), data=st.data())
+def test_lookup_fed_from_index_picks_what_a_full_walk_picks(plans, data):
+    """Over every usable provider, the fold with the fewest residual
+    terms and then the lowest rank; exact-shape consumers (sorts, scans)
+    are served by their own signature only, so they are never searched."""
+    providers = [Provider(p, i) for i, p in enumerate(plans)]
+    index = FoldIndex()
+    for provider in providers:
+        index.add(provider.node, provider)
+    unusable = set(data.draw(st.lists(st.sampled_from(providers), unique=True)))
+    ok = lambda provider: provider not in unusable  # noqa: E731
     for consumer in plans:
-        walk, indexed = FoldPlanner(consumer), FoldPlanner(consumer)
-        for i, p in enumerate(plans):
-            walk.consider(p, i, tie_break=(i,))
-        for i in index.candidates(consumer):
-            indexed.consider(plans[i], i, tie_break=(i,))
-        assert indexed.best() == walk.best()
+        walk = [
+            ((plan.residual_terms, p.rank()), p, plan)
+            for p in providers
+            if ok(p) and (plan := fold_plan(consumer, p.node)) is not None
+        ]
+        best = min(walk, key=lambda t: t[0], default=None)
+        won = lookup(consumer, None, index, ("exact", "fold"), ok, Provider.rank)
+        exists = lookup(consumer, None, index, ("exact", "fold"), ok, Provider.rank, first=True)
+        if isinstance(consumer, (SortNode, ScanNode)):
+            assert won is None and exists is None
+            assert all(p.node.signature == consumer.signature for _, p, _ in walk)
+            continue
+        assert (exists is None) == (best is None)
+        if best is None:
+            assert won is None
+            continue
+        assert (won.provider, won.plan) == (best[1], best[2])
+        assert won.examined == len(providers) - len(unusable)
+        exact = lookup(consumer, providers[0], index, ("exact", "fold"), ok, Provider.rank)
+        assert exact == ("exact", providers[0], FoldPlan(), 0)
 
 
 @settings(max_examples=150, deadline=None)

@@ -3,9 +3,9 @@
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one batch type, one dimension-selection
-memo, one router, one aggregation kernel, one fluid pool and one
-worker-process layer -- so a later change cannot quietly re-add a second way of doing the
-same thing."""
+memo, one router, one sharing decision, one aggregation kernel, one fluid
+pool and one worker-process layer -- so a later change cannot quietly
+re-add a second way of doing the same thing."""
 
 import ast
 import dataclasses
@@ -160,6 +160,46 @@ def test_one_router():
             n_clients=1,
             duration=1.0,
         )
+
+
+def test_one_sharing_decision():
+    # Whether a packet is served by a cache entry or a live host, exactly
+    # or through a fold, is decided in Stage.decide; the router asks the
+    # cache the same lookup.  No other caller, and none of the cascade's
+    # per-mechanism searches may come back.
+    allowed = {
+        ("engine/stage.py", "decide"),
+        ("cache/result_cache.py", "lookup"),
+        ("cache/result_cache.py", "cached_query_centric_plan"),
+    }
+    gone = (
+        "_try_fold_host",
+        "_try_fold_cached",
+        "probe_subsuming",
+        "has_subsuming",
+        "contains_any",
+        "FoldPlanner",
+    )
+    callers, leftovers = [], []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        leftovers += [(rel, name) for name in gone if name in text]
+        tree = ast.parse(text)
+        spans = [
+            (f.lineno, f.end_lineno)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and (rel, f.name) in allowed
+        ]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "lookup" and not any(a <= node.lineno <= b for a, b in spans):
+                callers.append((rel, node.lineno))
+    assert not callers
+    assert not leftovers
 
 
 def test_one_aggregation_kernel():

@@ -13,7 +13,6 @@ from repro.data import generate_ssb
 from repro.engine import CJOIN_SP, QPipeEngine
 from repro.query.ssb_queries import q11, q32
 from repro.sim import Simulator
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import PAPER_MACHINE
 from repro.storage import StorageConfig, StorageManager
 
@@ -32,7 +31,7 @@ def describe_pipeline(pipeline) -> None:
 def main() -> None:
     dataset = generate_ssb(sf=1.0, seed=42)
     sim = Simulator(PAPER_MACHINE)
-    storage = StorageManager(sim, DEFAULT_COST_MODEL, dataset.tables,
+    storage = StorageManager(sim, sim.cost, dataset.tables,
                              StorageConfig(resident="memory"))
     engine = QPipeEngine(sim, storage, CJOIN_SP)
 

@@ -12,7 +12,6 @@ from repro.data import generate_ssb
 from repro.engine import QPIPE_SP, QPipeEngine
 from repro.query.ssb_queries import q32
 from repro.sim import Simulator
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import PAPER_MACHINE
 from repro.storage import StorageConfig, StorageManager
 
@@ -27,7 +26,7 @@ def main() -> None:
     sim = Simulator(PAPER_MACHINE)
     storage = StorageManager(
         sim,
-        DEFAULT_COST_MODEL,
+        sim.cost,
         dataset.tables,
         StorageConfig(resident="memory"),  # the paper's RAM-drive setup
     )

@@ -15,7 +15,6 @@ from repro.data import generate_ssb
 from repro.engine import CJOIN, CJOIN_SP, QPIPE, QPIPE_CS, QPIPE_SP, QPipeEngine
 from repro.query.ssb_suite import ALL_SSB_QUERIES, default_instance
 from repro.sim import Simulator
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import PAPER_MACHINE
 from repro.storage import StorageConfig, StorageManager
 
@@ -33,7 +32,7 @@ def main(config_name: str = "cjoin-sp") -> None:
     dataset = generate_ssb(sf=1.0, seed=42)
     sim = Simulator(PAPER_MACHINE)
     storage = StorageManager(
-        sim, DEFAULT_COST_MODEL, dataset.tables, StorageConfig(resident="memory")
+        sim, sim.cost, dataset.tables, StorageConfig(resident="memory")
     )
     engine = QPipeEngine(sim, storage, config)
 

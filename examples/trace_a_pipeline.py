@@ -13,7 +13,6 @@ from repro.data import generate_ssb
 from repro.engine import CJOIN_SP, QPipeEngine
 from repro.query.ssb_queries import q32
 from repro.sim import Simulator
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import PAPER_MACHINE
 from repro.sim.trace import Tracer
 from repro.storage import StorageConfig, StorageManager
@@ -23,7 +22,7 @@ def main() -> None:
     dataset = generate_ssb(sf=0.5, seed=42)
     sim = Simulator(PAPER_MACHINE)
     storage = StorageManager(
-        sim, DEFAULT_COST_MODEL, dataset.tables, StorageConfig(resident="memory")
+        sim, sim.cost, dataset.tables, StorageConfig(resident="memory")
     )
     engine = QPipeEngine(sim, storage, CJOIN_SP)
 

@@ -36,8 +36,8 @@ Typical use::
     from repro.storage import StorageConfig, StorageManager
 
     dataset = generate_ssb(sf=1.0, seed=42)
-    sim = Simulator(PAPER_MACHINE)
-    storage = StorageManager(sim, DEFAULT_COST_MODEL, dataset.tables,
+    sim = Simulator(PAPER_MACHINE, DEFAULT_COST_MODEL)  # owns the cost model
+    storage = StorageManager(sim, sim.cost, dataset.tables,
                              StorageConfig(resident="memory"))
     engine = QPipeEngine(sim, storage, CJOIN_SP)
     handle = engine.submit(q32("CHINA", "FRANCE", 1993, 1996))

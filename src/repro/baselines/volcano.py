@@ -11,7 +11,6 @@ concurrency, where the query-centric model contends for resources.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.qpipe import QueryHandle
@@ -29,7 +28,6 @@ from repro.query.plan import (
     SortNode,
 )
 from repro.query.star import Query, StarQuerySpec
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.sync import Gate
 from repro.storage.page import ColumnBatch
 
@@ -37,39 +35,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
     from repro.storage.manager import StorageManager
 
-#: CostModel fields expressing CPU cycles, scaled by the maturity factor.
-_CYCLE_FIELDS = (
-    "scan_tuple",
-    "pred_term",
-    "read_tuple",
-    "bufferpool_page",
-    "hash_func",
-    "hash_equal",
-    "build_insert",
-    "probe_visit",
-    "join_emit",
-    "agg_update",
-    "agg_per_function",
-    "sort_per_item_log",
-    "packet_dispatch",
-)
-
-
-def mature_cost_model(base: CostModel) -> CostModel:
-    """The baseline's cheaper per-tuple code paths."""
-    f = base.volcano_cpu_factor
-    return dataclasses.replace(base, **{name: getattr(base, name) * f for name in _CYCLE_FIELDS})
-
 
 class VolcanoEngine:
     """Query-centric iterator engine on the simulated machine."""
 
     name = "Postgres"
 
-    def __init__(self, sim: "Simulator", storage: "StorageManager", cost: CostModel = DEFAULT_COST_MODEL):
+    def __init__(self, sim: "Simulator", storage: "StorageManager"):
         self.sim = sim
         self.storage = storage
-        self.cost = mature_cost_model(cost)
+        self.cost = sim.cost.mature
         self._query_ids = iter(range(10**9))
         self.handles: list[QueryHandle] = []
 
@@ -141,7 +116,7 @@ class VolcanoEngine:
                     storage = self.storage
                     if storage.ram_resident or storage.config.direct_io:
                         read_page = storage.read_page
-                        prepay = storage.cost.bufferpool_latch_charge
+                        prepay = self.sim.cost.bufferpool_latch_charge
                         if prepay is not None:
                             # Prepay the next page's buffer-pool latch charge
                             # at the tail of this page's scan charge: one

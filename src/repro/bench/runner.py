@@ -22,7 +22,6 @@ from repro.bench.workload import QueryJob
 from repro.engine.config import EngineConfig
 from repro.engine.qpipe import QPipeEngine
 from repro.query.star import StarQuerySpec
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.engine import Simulator
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.metrics import percentile
@@ -89,11 +88,11 @@ class ThroughputResult:
         return self.completed / self.duration * 3600.0
 
 
-def _make_engine(sim: Simulator, storage: StorageManager, config, cost: CostModel):
+def _make_engine(sim: Simulator, storage: StorageManager, config):
     if config == POSTGRES:
-        return VolcanoEngine(sim, storage, cost)
+        return VolcanoEngine(sim, storage)
     if isinstance(config, EngineConfig):
-        return QPipeEngine(sim, storage, config, cost)
+        return QPipeEngine(sim, storage, config)
     raise TypeError(f"unknown engine selector {config!r}")
 
 
@@ -111,7 +110,7 @@ def _config_name(config) -> str:
 DEFAULT_SUBMIT_STAGGER = 0.004
 
 
-def _serve_hybrid(tables, workload, storage_config, machine, cost, submit_stagger):
+def _serve_hybrid(tables, workload, storage_config, machine, submit_stagger):
     """The Hybrid batch: each job arrives at its submit instant and
     QueryService routes it under the static policy."""
     from repro.server.arrivals import TraceArrivals  # deferred: import cycle
@@ -127,7 +126,6 @@ def _serve_hybrid(tables, workload, storage_config, machine, cost, submit_stagge
         StaticThresholdPolicy(machine),
         ServiceConfig(queue_capacity=len(workload)),
         machine,
-        cost,
         storage_config,
     )
     service.run(workload.__getitem__, TraceArrivals(list(times)), None)
@@ -140,7 +138,6 @@ def run_batch(
     workload: list[QueryJob],
     storage_config: StorageConfig = StorageConfig(),
     machine: MachineSpec = PAPER_MACHINE,
-    cost: CostModel = DEFAULT_COST_MODEL,
     submit_stagger: float = DEFAULT_SUBMIT_STAGGER,
 ) -> RunResult:
     """Submit every job in one batch (with a small per-query dispatch
@@ -149,11 +146,11 @@ def run_batch(
     if not workload:
         raise ValueError("empty workload")
     if config == HYBRID:
-        sim, handles = _serve_hybrid(tables, workload, storage_config, machine, cost, submit_stagger)
+        sim, handles = _serve_hybrid(tables, workload, storage_config, machine, submit_stagger)
     else:
         sim = Simulator(machine)
-        storage = StorageManager(sim, cost, tables, storage_config)
-        engine = _make_engine(sim, storage, config, cost)
+        storage = StorageManager(sim, sim.cost, tables, storage_config)
+        engine = _make_engine(sim, storage, config)
         handles = []
 
         def submitter():
@@ -194,7 +191,6 @@ def run_closed_loop(
     duration: float,
     storage_config: StorageConfig = StorageConfig(),
     machine: MachineSpec = PAPER_MACHINE,
-    cost: CostModel = DEFAULT_COST_MODEL,
 ) -> ThroughputResult:
     """Closed-loop clients: each submits ``spec_factory(client, k)`` and
     waits for completion before submitting the next, for ``duration``
@@ -204,8 +200,8 @@ def run_closed_loop(
     if config == HYBRID:
         raise ValueError("closed-loop runs take an engine config, not Hybrid (batch-only)")
     sim = Simulator(machine)
-    storage = StorageManager(sim, cost, tables, storage_config)
-    engine = _make_engine(sim, storage, config, cost)
+    storage = StorageManager(sim, sim.cost, tables, storage_config)
+    engine = _make_engine(sim, storage, config)
     completed = [0]
 
     def client(cid: int):

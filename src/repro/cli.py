@@ -178,7 +178,6 @@ def cmd_query(args) -> int:
     """Run one SSB query and print its result rows."""
     from repro.engine.qpipe import QPipeEngine
     from repro.query.ssb_suite import default_instance
-    from repro.sim.costmodel import DEFAULT_COST_MODEL
     from repro.sim.engine import Simulator
     from repro.sim.machine import PAPER_MACHINE
     from repro.storage.manager import StorageManager
@@ -187,7 +186,7 @@ def cmd_query(args) -> int:
     config = _storage_config(args)
     dataset = generate_ssb(args.sf, args.seed)
     sim = Simulator(PAPER_MACHINE)
-    storage = StorageManager(sim, DEFAULT_COST_MODEL, dataset.tables, config)
+    storage = StorageManager(sim, sim.cost, dataset.tables, config)
     selector = CONFIGS[args.config]
     if not hasattr(selector, "name"):
         raise SystemExit("query command needs a QPipe engine config (not postgres/hybrid)")

@@ -22,7 +22,6 @@ from repro.sim.sync import Condition
 from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.costmodel import CostModel
     from repro.sim.engine import Simulator
 
 
@@ -104,11 +103,11 @@ class FifoExchange:
 
     kind = "fifo"
 
-    def __init__(self, sim: "Simulator", cost: "CostModel", capacity: int, name: str):
+    def __init__(self, sim: "Simulator", capacity: int, name: str):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.sim = sim
-        self.cost = cost
+        self.cost = cost = sim.cost
         self.capacity = capacity
         self.name = name
         self._slots: list[_ConsumerSlot] = []

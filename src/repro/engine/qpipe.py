@@ -36,7 +36,6 @@ from repro.query.plan import (
     SortNode,
 )
 from repro.query.star import Query, StarQuerySpec
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.sync import Gate
 from repro.storage.arrangements import ARRANGEMENTS, Arrangement
 
@@ -84,12 +83,11 @@ class QPipeEngine:
         sim: "Simulator",
         storage: "StorageManager",
         config: EngineConfig = QPIPE,
-        cost: CostModel = DEFAULT_COST_MODEL,
     ):
         self.sim = sim
         self.storage = storage
         self.config = config
-        self.cost = cost
+        self.cost = sim.cost
         self.scan_stage = TableScanStage(self)
         self.join_stage = HashJoinStage(self)
         self.agg_stage = AggregateStage(self)
@@ -105,8 +103,8 @@ class QPipeEngine:
     # ------------------------------------------------------------------
     def new_exchange(self, name: str) -> Any:
         if self.config.comm == "spl":
-            return SharedPagesList(self.sim, self.cost, self.config.spl_max_pages, name)
-        return FifoExchange(self.sim, self.cost, FIFO_CAPACITY, name)
+            return SharedPagesList(self.sim, self.config.spl_max_pages, name)
+        return FifoExchange(self.sim, FIFO_CAPACITY, name)
 
     # ------------------------------------------------------------------
     def submit(self, spec: StarQuerySpec, label: str | None = None) -> QueryHandle:
@@ -238,7 +236,7 @@ class QPipeEngine:
         inner, predicate = unwrap_selects(child)
         child_packet = self._build(inner, query)
         reader = child_packet.connect(budget=self._budget_for(inner))
-        return FilteredInput(reader, self.cost, predicate, inner.schema)
+        return FilteredInput(self.sim, reader, predicate, inner.schema)
 
     # ------------------------------------------------------------------
     def sharing_summary(self) -> dict[str, int]:

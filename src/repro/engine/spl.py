@@ -32,7 +32,6 @@ from repro.storage.page import ColumnBatch
 from repro.engine.exchange import END
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.costmodel import CostModel
     from repro.sim.engine import Simulator
 
 _spl_ids = itertools.count()
@@ -112,14 +111,13 @@ class SharedPagesList:
     def __init__(
         self,
         sim: "Simulator",
-        cost: "CostModel",
         max_pages: int,
         name: str | None = None,
     ):
         if max_pages < 1:
             raise ValueError("max_pages must be >= 1")
         self.sim = sim
-        self.cost = cost
+        self.cost = cost = sim.cost
         self.max_pages = max_pages
         self.name = name or f"spl{next(_spl_ids)}"
         self._pages: dict[int, _SplPage] = {}

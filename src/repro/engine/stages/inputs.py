@@ -22,7 +22,7 @@ from repro.query.expr import And, Expr, compile_selection
 from repro.query.plan import PlanNode, SelectNode
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.costmodel import CostModel
+    from repro.sim.engine import Simulator
 
 
 def unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
@@ -40,13 +40,13 @@ class FilteredInput:
 
     def __init__(
         self,
+        sim: "Simulator",
         reader: Any,
-        cost: "CostModel",
         predicate: Expr | None,
         schema,
     ):
         self.reader = reader
-        self.cost = cost
+        self.cost = sim.cost
         self.schema = schema
         self.terms = predicate.terms if predicate is not None else 0
         # An SPL reader hands us its per-page read charge to fuse in front

@@ -353,7 +353,7 @@ class CJoinPipeline:
         # in between, so the latch is still taken when the charge completes,
         # and one simulator command per page disappears (admission scans
         # every dim page per admitted query, the hottest page loop in CJOIN).
-        prepay = self.storage.cost.bufferpool_latch_charge
+        prepay = cost.bufferpool_latch_charge
         terms = max(predicate.terms, 1) if predicate is not None else 0
         last = dim.num_pages - 1
         prepaid = False

@@ -735,25 +735,20 @@ def lookup(
     """The provider that serves ``node`` best, as ``mechanisms[0]``
     (exact) or ``mechanisms[1]`` (fold).  ``exact``, the usable provider
     under ``node``'s own signature (or None), wins with the empty fold.
-    Else, when ``fold``, every ``usable`` provider in ``index`` is counted
-    and each one the index proposes is tested: fewest residual terms wins,
-    then lowest ``rank`` (unique, so iteration order never matters).  An
+    Else, when ``fold``, each ``usable`` provider the index proposes is
+    tested: fewest residual terms wins, then lowest ``rank`` (unique, so
+    iteration order never matters).  Only once a fold has won are the
+    ``usable`` providers in ``index`` counted, as ``examined``.  An
     exact-shape consumer (a sort) is never searched.  ``first`` stops at
     the first fold found (an existence test).  Pure."""
     if exact is not None:
         return Decision(mechanisms[0], exact, FoldPlan(), 0)
     if not fold or _summary(node).shape[0] == "exact":
         return None
-    proposed = set(index.candidates(node))
-    if not proposed:
-        return None
     best: tuple | None = None
-    examined = 0
-    for provider in index:
+    # A provider may be proposed more than once (posted under several keys).
+    for provider in dict.fromkeys(index.candidates(node)):
         if not usable(provider):
-            continue
-        examined += 1
-        if provider not in proposed:
             continue
         plan = fold_plan(node, provider.node)
         if plan is None:
@@ -765,6 +760,7 @@ def lookup(
                 break
     if best is None:
         return None
+    examined = sum(1 for provider in index if usable(provider))
     return Decision(mechanisms[1], best[1], best[2], examined)
 
 

@@ -38,7 +38,6 @@ from repro.server.config import ServiceConfig
 from repro.server.metrics import ServiceMetrics
 from repro.server.router import QUERY_CENTRIC, RoutingPolicy, make_policy
 from repro.sim.commands import SLEEP
-from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.engine import SimulationError, Simulator
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.sync import Condition
@@ -298,17 +297,16 @@ class QueryService(Service):
         policy: RoutingPolicy | str = "adaptive",
         config: ServiceConfig = ServiceConfig(),
         machine: MachineSpec = PAPER_MACHINE,
-        cost: CostModel = DEFAULT_COST_MODEL,
         storage_config: StorageConfig = StorageConfig(),
         qc_config=QPIPE_SP,
         gqp_config=CJOIN_SP,
     ):
         super().__init__(Simulator(machine), ServiceMetrics(), config)
-        self.storage = StorageManager(self.sim, cost, tables, storage_config)
+        self.storage = StorageManager(self.sim, self.sim.cost, tables, storage_config)
         #: both engines share the one storage manager (shared circular
         #: scans, buffer pool and page cache).
-        self.query_centric = QPipeEngine(self.sim, self.storage, qc_config, cost)
-        self.gqp = QPipeEngine(self.sim, self.storage, gqp_config, cost)
+        self.query_centric = QPipeEngine(self.sim, self.storage, qc_config)
+        self.gqp = QPipeEngine(self.sim, self.storage, gqp_config)
         self.policy = make_policy(policy, machine) if isinstance(policy, str) else policy
         #: the engines' handles, in dispatch order
         self.handles: list[QueryHandle] = []
@@ -426,7 +424,6 @@ def serve(
     storage_config: StorageConfig = StorageConfig(),
     threshold: int | None = None,
     trace_path: str | None = None,
-    cost: CostModel = DEFAULT_COST_MODEL,
     qc_config=QPIPE_SP,
     gqp_config=CJOIN_SP,
 ) -> ServiceReport:
@@ -444,7 +441,6 @@ def serve(
         policy,
         config=config,
         machine=machine,
-        cost=cost,
         storage_config=storage_config,
         qc_config=qc_config,
         gqp_config=gqp_config,

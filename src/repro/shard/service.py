@@ -53,7 +53,6 @@ from repro.server.service import Service, ServiceReport, job_factory
 from repro.shard.metrics import ShardServiceMetrics
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
 from repro.shard.worker import shard_worker_main
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Simulator
 from repro.storage.arrangements import ARRANGEMENTS
 
@@ -166,13 +165,14 @@ class ShardService(Service):
         # prewarm) -- a simulated cost, whatever the host keeps; reusing
         # queries pay only their probe cost, which their simulated service
         # times already contain.
+        cost = self.sim.cost
         arrange_cycles = 0.0
         for name in sorted(ds.tables):
             if name == config.fact_table:
                 continue
             table = ds.tables[name]
             ARRANGEMENTS.release(ARRANGEMENTS.acquire(table, table.schema.columns[0].name))
-            arrange_cycles += DEFAULT_COST_MODEL.arrange_cycles(table.real_rows)
+            arrange_cycles += cost.arrange_cycles(table.real_rows)
         self.workers = [
             WorkerHandle(shard_worker_main, args=(i, config), name=f"shard-{i}")
             for i in range(config.n_shards)
@@ -196,9 +196,7 @@ class ShardService(Service):
         arrange_s = arrange_cycles / hz
         self.metrics.prewarm_arrange_s = arrange_s
         for i, ship in enumerate(shippings):
-            prewarm_s = (
-                DEFAULT_COST_MODEL.scatter_cycles(ship["pages"], ship["shipped_bytes"]) / hz
-            )
+            prewarm_s = cost.scatter_cycles(ship["pages"], ship["shipped_bytes"]) / hz
             # Arrangement builds gate every shard equally (one parent-side
             # build, inherited by all workers before any query runs).
             self.backlog.horizon[i] = prewarm_s + arrange_s

@@ -35,7 +35,6 @@ from repro.query.merge import PartialAggregator
 from repro.query.star import StarQuerySpec
 from repro.shard.partition import partition_shipping, shard_tables
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
-from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.engine import Simulator
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.manager import StorageManager
@@ -61,7 +60,7 @@ def execute_shard_query(
         # no fact pages to pipeline over and would not start cleanly).
         return agg.state(), 0.0
     sim = Simulator(config.machine)
-    storage = StorageManager(sim, DEFAULT_COST_MODEL, tables, config.storage)
+    storage = StorageManager(sim, sim.cost, tables, config.storage)
     engine = QPipeEngine(sim, storage, engine_config)
     handle = engine.submit_plan(plan, label=spec.label, spec=spec, collect_batches=True)
     sim.run()

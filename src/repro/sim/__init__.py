@@ -17,7 +17,9 @@ Public surface:
   the commands a simulated thread may ``yield``.
 * :mod:`~repro.sim.sync` -- locks, condition variables and channels that
   block in simulated time.
-* :class:`~repro.sim.costmodel.CostModel` -- calibrated cycle/byte charges.
+* :class:`~repro.sim.costmodel.CostModel` -- calibrated cycle/byte charges;
+  a run's one model is ``Simulator(machine, cost).cost``, and every layer
+  charges through ``sim.cost``.
 """
 
 from repro.sim.commands import BLOCK, CPU, IO, SLEEP

@@ -26,10 +26,28 @@ benches can sweep them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from repro.sim.commands import CPU, CPU_FUSED, CpuCommand
+
+#: CostModel fields expressing CPU cycles, scaled by ``volcano_cpu_factor``
+#: in :attr:`CostModel.mature`.
+_CYCLE_FIELDS = (
+    "scan_tuple",
+    "pred_term",
+    "read_tuple",
+    "bufferpool_page",
+    "hash_func",
+    "hash_equal",
+    "build_insert",
+    "probe_visit",
+    "join_emit",
+    "agg_update",
+    "agg_per_function",
+    "sort_per_item_log",
+    "packet_dispatch",
+)
 
 
 @dataclass(frozen=True)
@@ -129,6 +147,14 @@ class CostModel:
         # operator of every run on this model yields the same instances.
         object.__setattr__(self, "_memo", {})
         object.__setattr__(self, "_fused", {})
+
+    @cached_property
+    def mature(self) -> "CostModel":
+        """The Volcano baseline's cheaper per-tuple code paths: every cycle
+        field scaled by ``volcano_cpu_factor``.  Derived once per model, so
+        the baseline's charges are memo hits across runs too."""
+        f = self.volcano_cpu_factor
+        return replace(self, **{name: getattr(self, name) * f for name in _CYCLE_FIELDS})
 
     # ------------------------------------------------------------------
     # Fixed charges: one immutable command per cost model, so every

@@ -15,6 +15,7 @@ from math import inf
 from typing import TYPE_CHECKING, Any, Callable, ClassVar, Generator
 
 from repro.sim.commands import BLOCK, CpuCommand, IoCommand, SleepCommand
+from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.metrics import Metrics
 from repro.sim.pool import FluidPool
@@ -41,12 +42,16 @@ class Simulator:
     ----------
     machine:
         Hardware configuration; defaults to the paper's 24-core testbed.
+    cost:
+        The calibrated cost model every layer of the run charges through
+        (read as ``sim.cost``); defaults to the paper's calibration.
     """
 
     _active: ClassVar["Simulator | None"] = None
 
-    def __init__(self, machine: MachineSpec = PAPER_MACHINE):
+    def __init__(self, machine: MachineSpec = PAPER_MACHINE, cost: CostModel = DEFAULT_COST_MODEL):
         self.machine = machine
+        self.cost = cost
         self.now = 0.0
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0

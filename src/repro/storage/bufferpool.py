@@ -18,7 +18,6 @@ from repro.storage.cache import OsPageCache
 from repro.storage.page import Page
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.costmodel import CostModel
     from repro.sim.engine import Simulator
     from repro.storage.table import Table
 
@@ -29,12 +28,11 @@ class BufferPool:
     def __init__(
         self,
         sim: "Simulator",
-        cost: "CostModel",
         capacity_bytes: float,
         os_cache: OsPageCache,
     ):
         self.sim = sim
-        self.cost = cost
+        cost = sim.cost
         self.capacity_bytes = capacity_bytes
         self.os_cache = os_cache
         self._resident: OrderedDict[tuple[str, int], float] = OrderedDict()

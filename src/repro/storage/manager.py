@@ -67,12 +67,16 @@ class StorageManager:
         tables: dict[str, Table],
         config: StorageConfig = StorageConfig(),
     ):
+        # The simulator owns the cost model; ``cost`` is only a checked
+        # alias of ``sim.cost``, kept while callers (the layered benchmark's
+        # adapter among them) still pass it positionally.
+        if cost != sim.cost:
+            raise ValueError("StorageManager: cost must equal the simulator's model, sim.cost")
         self.sim = sim
-        self.cost = cost
         self.tables = dict(tables)
         self.config = config
         self.os_cache = OsPageCache(sim, config.os_cache_bytes)
-        self.bufferpool = BufferPool(sim, cost, config.bufferpool_bytes, self.os_cache)
+        self.bufferpool = BufferPool(sim, config.bufferpool_bytes, self.os_cache)
         #: shared result cache (None when result_cache_bytes is 0).  It
         #: lives here -- not on an engine -- because the query service
         #: runs two engines over one storage manager: a result filled by the

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines import VolcanoEngine, evaluate_plan
-from repro.baselines.volcano import mature_cost_model
 from repro.data import generate_ssb, generate_tpch
 from repro.query.expr import Cmp, Col
 from repro.query.plan import AggregateNode, AggSpec, HashJoinNode, ScanNode, SelectNode, SortNode
@@ -107,11 +106,15 @@ class TestVolcano:
 
     def test_mature_cost_model_is_cheaper(self):
         base = CostModel()
-        mature = mature_cost_model(base)
+        mature = base.mature
+        assert mature is base.mature  # one mature model per model
         assert mature.scan_tuple < base.scan_tuple
         assert mature.probe_visit < base.probe_visit
         # Non-CPU knobs untouched.
         assert mature.admission_pause == base.admission_pause
+        sim = Simulator(MachineSpec(), base)
+        storage = StorageManager(sim, base, {}, StorageConfig())
+        assert VolcanoEngine(sim, storage).cost is mature
 
     def test_faster_than_qpipe_at_one_query(self, ssb):
         """The paper: 'as Postgres is a more mature system ... it attains a

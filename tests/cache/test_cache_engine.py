@@ -36,7 +36,7 @@ def make_engine(ssb, cache_bytes=32 * 1024 * 1024, policy="benefit", config=QPIP
             result_cache_policy=policy,
         ),
     )
-    return sim, storage, QPipeEngine(sim, storage, config, DEFAULT_COST_MODEL)
+    return sim, storage, QPipeEngine(sim, storage, config)
 
 
 SPEC_ARGS = ("CHINA", "FRANCE", 1993, 1996)
@@ -87,7 +87,7 @@ class TestFillAndReplay:
             sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory")
         )
         assert storage.result_cache is None
-        engine = QPipeEngine(sim, storage, QPIPE_SP, DEFAULT_COST_MODEL)
+        engine = QPipeEngine(sim, storage, QPIPE_SP)
         assert engine.sort_stage.result_cache() is None
         engine.submit(q32(*SPEC_ARGS))
         sim.run()

@@ -25,9 +25,9 @@ def ssb():
 
 
 def _run(ssb, config, cost: CostModel) -> dict:
-    sim = Simulator(MachineSpec(cores=8, hz=1.86e9))
+    sim = Simulator(MachineSpec(cores=8, hz=1.86e9), cost)
     storage = StorageManager(sim, cost, ssb.tables, StorageConfig(resident="memory"))
-    engine = QPipeEngine(sim, storage, config, cost)
+    engine = QPipeEngine(sim, storage, config)
     rng = make_rng(5, "charge-memo", config.name)
     handles = [engine.submit(random_q32(rng)) for _ in range(16)]
     sim.run()

@@ -10,7 +10,7 @@ from repro.storage.page import ColumnBatch
 
 
 def make_sim():
-    return Simulator(MachineSpec(cores=8, hz=1e9, oversub_penalty=0.0))
+    return Simulator(MachineSpec(cores=8, hz=1e9, oversub_penalty=0.0), CostModel())
 
 
 def batch(i):
@@ -20,7 +20,7 @@ def batch(i):
 class TestFifoExchange:
     def test_single_consumer_roundtrip(self):
         sim = make_sim()
-        ex = FifoExchange(sim, CostModel(), capacity=4, name="x")
+        ex = FifoExchange(sim, capacity=4, name="x")
         reader = ex.open_reader()
         got = []
 
@@ -43,7 +43,7 @@ class TestFifoExchange:
 
     def test_satellite_gets_copies(self):
         sim = make_sim()
-        ex = FifoExchange(sim, CostModel(), capacity=4, name="x")
+        ex = FifoExchange(sim, capacity=4, name="x")
         primary = ex.open_reader()
         satellite = ex.open_reader()
         got_p, got_s = [], []
@@ -74,8 +74,7 @@ class TestFifoExchange:
 
         def producer_cycles(n_consumers):
             sim = make_sim()
-            cost = CostModel()
-            ex = FifoExchange(sim, cost, capacity=64, name="x")
+            ex = FifoExchange(sim, capacity=64, name="x")
             readers = [ex.open_reader() for _ in range(n_consumers)]
 
             def producer():
@@ -100,7 +99,7 @@ class TestFifoExchange:
 
     def test_budget_closes_consumer(self):
         sim = make_sim()
-        ex = FifoExchange(sim, CostModel(), capacity=4, name="x")
+        ex = FifoExchange(sim, capacity=4, name="x")
         reader = ex.open_reader(budget=3)
         got = []
 
@@ -125,7 +124,7 @@ class TestFifoExchange:
 
     def test_bounded_capacity_backpressure(self):
         sim = make_sim()
-        ex = FifoExchange(sim, CostModel(), capacity=1, name="x")
+        ex = FifoExchange(sim, capacity=1, name="x")
         reader = ex.open_reader()
         emitted_at = []
 
@@ -152,11 +151,11 @@ class TestFifoExchange:
 
     def test_open_reader_after_close_rejected(self):
         sim = make_sim()
-        ex = FifoExchange(sim, CostModel(), capacity=4, name="x")
+        ex = FifoExchange(sim, capacity=4, name="x")
         ex.close()
         with pytest.raises(RuntimeError):
             ex.open_reader()
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
-            FifoExchange(make_sim(), CostModel(), capacity=0, name="x")
+            FifoExchange(make_sim(), capacity=0, name="x")

@@ -4,11 +4,13 @@
 signature registry.  These tests pin what the index may never do --
 return a host that left the registry, or outlive a drained batch -- and
 gate the point of having it: the number of full subsumption tests per
-admission must not grow with the number of in-flight hosts.
+admission must not grow with the number of in-flight hosts, and a search
+that finds no fold checks no host the index did not propose.
 """
 
 import pytest
 
+import repro.engine.stage as stage_module
 import repro.query.subsume as subsume
 from repro.baselines import evaluate_plan
 from repro.bench.workload import q32_random_workload
@@ -110,3 +112,36 @@ class TestScaling:
             assert norm(handle.results) == norm(
                 evaluate_plan(spec.to_query_centric_plan(ssb.tables))
             )
+
+
+class TestSearchBudget:
+    @pytest.mark.parametrize("config", [QPIPE_SP, CJOIN_SP], ids=lambda c: c.name)
+    def test_a_search_that_finds_no_fold_checks_only_proposed_hosts(
+        self, ssb, config, monkeypatch
+    ):
+        """Eligibility is checked for the hosts the index proposes, once
+        each; the eligible hosts ``fold_search`` charges for are counted
+        only after a fold has won."""
+        searches = []
+        real = stage_module.lookup
+
+        def counting_lookup(node, exact, index, mechanisms, usable, *rest):
+            proposed = len(set(index.candidates(node))) if exact is None else 0
+            checks = []
+
+            def counted(provider):
+                checks.append(provider)
+                return usable(provider)
+
+            found = real(node, exact, index, mechanisms, counted, *rest)
+            searches.append((found, len(checks), proposed))
+            return found
+
+        monkeypatch.setattr(stage_module, "lookup", counting_lookup)
+        sim, engine = make_engine(ssb, config)
+        for job in q32_random_workload(64, seed=5):
+            engine.submit(job.spec)
+        sim.run()
+        missed = [(checks, proposed) for found, checks, proposed in searches if found is None]
+        assert any(proposed for _, proposed in missed)  # the budget is exercised
+        assert all(checks <= proposed for checks, proposed in missed)

@@ -47,7 +47,7 @@ def ssb():
 def _make_engine(sim, storage, config_key: str, fold: bool):
     config = CONFIGS[config_key]
     if config == "postgres":
-        return VolcanoEngine(sim, storage, DEFAULT_COST_MODEL)
+        return VolcanoEngine(sim, storage)
     return QPipeEngine(sim, storage, replace(config, query_folding=fold))
 
 

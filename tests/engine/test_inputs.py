@@ -60,10 +60,10 @@ class TestUnwrapSelects:
 
 class TestFilteredInput:
     def run_reads(self, batches, predicate, schema):
-        sim = Simulator(MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0))
-        ex = FifoExchange(sim, CostModel(), capacity=16, name="x")
+        sim = Simulator(MachineSpec(cores=4, hz=1e9, oversub_penalty=0.0), CostModel())
+        ex = FifoExchange(sim, capacity=16, name="x")
         reader = ex.open_reader()
-        fin = FilteredInput(reader, CostModel(), predicate, schema)
+        fin = FilteredInput(sim, reader, predicate, schema)
         got = []
 
         def producer():

@@ -13,7 +13,7 @@ from repro.storage.page import ColumnBatch
 
 
 def make_sim():
-    return Simulator(MachineSpec(cores=8, hz=1e9, oversub_penalty=0.0))
+    return Simulator(MachineSpec(cores=8, hz=1e9, oversub_penalty=0.0), CostModel())
 
 
 def batch(i):
@@ -23,7 +23,7 @@ def batch(i):
 class TestBasics:
     def test_single_producer_single_consumer(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         consumer = spl.open_reader()
         got = []
 
@@ -46,7 +46,7 @@ class TestBasics:
 
     def test_multiple_consumers_see_all_pages(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         consumers = [spl.open_reader() for _ in range(5)]
         seen = {i: [] for i in range(5)}
 
@@ -73,7 +73,7 @@ class TestBasics:
         """The producer must block when the list reaches its bound; the
         retained size never exceeds max_pages."""
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=3)
+        spl = SharedPagesList(sim, max_pages=3)
         consumer = spl.open_reader()
         max_seen = []
 
@@ -99,7 +99,7 @@ class TestBasics:
 
     def test_last_consumer_deletes_page(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=8)
+        spl = SharedPagesList(sim, max_pages=8)
         c1, c2 = spl.open_reader(), spl.open_reader()
 
         def producer():
@@ -120,7 +120,7 @@ class TestBasics:
 
     def test_pages_with_no_consumers_are_dropped(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=2)
+        spl = SharedPagesList(sim, max_pages=2)
 
         def producer():
             for i in range(10):  # nobody registered: must not block
@@ -133,7 +133,7 @@ class TestBasics:
 
     def test_emit_after_close_rejected(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=2)
+        spl = SharedPagesList(sim, max_pages=2)
         spl.close()
 
         def producer():
@@ -149,7 +149,7 @@ class TestBasics:
 
     def test_invalid_max_pages(self):
         with pytest.raises(ValueError):
-            SharedPagesList(make_sim(), CostModel(), max_pages=0)
+            SharedPagesList(make_sim(), max_pages=0)
 
 
 class TestLinearWop:
@@ -157,7 +157,7 @@ class TestLinearWop:
 
     def test_budgeted_consumer_gets_exactly_budget_pages(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         consumer = spl.open_reader(budget=5)
         got = []
 
@@ -184,7 +184,7 @@ class TestLinearWop:
         """A consumer joining mid-scan sees pages from its entry point on --
         a circular scan then wraps to complete its table."""
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         first = spl.open_reader(budget=6)
         got_first, got_late = [], []
         late_holder = {}
@@ -216,7 +216,7 @@ class TestLinearWop:
 
     def test_zero_budget_consumer_reads_nothing(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         c = spl.open_reader(budget=0)
         got = []
 
@@ -234,7 +234,7 @@ class TestLinearWop:
 
     def test_consumer_after_close_sees_end(self):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         c = spl.open_reader()
         spl.close()
         got = []
@@ -252,7 +252,7 @@ class TestSplExchange:
 
     def test_open_reader_on_closed_exchange(self):
         sim = make_sim()
-        ex = SharedPagesList(sim, CostModel(), 4, "x")
+        ex = SharedPagesList(sim, 4, "x")
         assert ex.kind == "spl"
         ex.close()
         with pytest.raises(RuntimeError):
@@ -260,8 +260,7 @@ class TestSplExchange:
 
     def test_lock_cycles_accounted(self):
         sim = make_sim()
-        cost = CostModel()
-        ex = SharedPagesList(sim, cost, 4, "x")
+        ex = SharedPagesList(sim, 4, "x")
         reader = ex.open_reader()
 
         def producer():
@@ -287,7 +286,7 @@ class TestSplProperties:
     )
     def test_every_consumer_sees_every_page_in_order(self, n_pages, n_consumers, max_pages):
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=max_pages)
+        spl = SharedPagesList(sim, max_pages=max_pages)
         consumers = [spl.open_reader() for _ in range(n_consumers)]
         seen = [[] for _ in range(n_consumers)]
 
@@ -320,7 +319,7 @@ class TestSplProperties:
         """Circular-scan invariant: with budgeted consumers the driver loop
         terminates exactly when all budgets are exhausted."""
         sim = make_sim()
-        spl = SharedPagesList(sim, CostModel(), max_pages=4)
+        spl = SharedPagesList(sim, max_pages=4)
         consumers = [spl.open_reader(budget=b) for b in budgets]
         counts = [0] * len(budgets)
         emitted = []

@@ -116,13 +116,12 @@ class TestTracer:
         from repro.data import generate_ssb
         from repro.engine import QPIPE_SP, QPipeEngine
         from repro.query.ssb_queries import q32
-        from repro.sim.costmodel import DEFAULT_COST_MODEL
         from repro.storage import StorageConfig, StorageManager
 
         ssb = generate_ssb(0.5, seed=3)
         sim = Simulator(MachineSpec())
         tracer = Tracer(sim).attach()
-        storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="memory"))
+        storage = StorageManager(sim, sim.cost, ssb.tables, StorageConfig(resident="memory"))
         eng = QPipeEngine(sim, storage, QPIPE_SP)
         eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
         sim.run()
@@ -138,7 +137,6 @@ class TestTracer:
         from repro.data import generate_ssb
         from repro.engine import CJOIN_SP, QPipeEngine
         from repro.query.ssb_queries import q32
-        from repro.sim.costmodel import DEFAULT_COST_MODEL
         from repro.storage import StorageConfig, StorageManager
 
         ssb = generate_ssb(0.5, seed=3)
@@ -146,7 +144,7 @@ class TestTracer:
         def run(traced: bool):
             sim = Simulator(MachineSpec(cores=4))
             tracer = Tracer(sim).attach() if traced else None
-            storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig(resident="disk"))
+            storage = StorageManager(sim, sim.cost, ssb.tables, StorageConfig(resident="disk"))
             eng = QPipeEngine(sim, storage, CJOIN_SP)
             eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
             eng.submit(q32("JAPAN", "CHINA", 1992, 1995))

@@ -4,8 +4,8 @@ Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one batch type, one dimension-selection
 memo, one router, one sharing decision, one aggregation kernel, one fluid
-pool and one worker-process layer -- so a later change cannot quietly
-re-add a second way of doing the same thing."""
+pool, one worker-process layer and one cost-model owner -- so a later
+change cannot quietly re-add a second way of doing the same thing."""
 
 import ast
 import dataclasses
@@ -18,10 +18,12 @@ import pytest
 import repro
 from repro import storage
 from repro.bench.runner import HYBRID
+from repro.engine import QPipeEngine
 from repro.engine.config import EngineConfig
 from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
-from repro.sim import Simulator
+from repro.sim import CostModel, Simulator
+from repro.storage import StorageManager
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from tests.boxed import boxed_layout
@@ -259,3 +261,59 @@ def test_one_worker_process_layer():
             if any(name.split(".")[0] == "concurrent" for name in names):
                 importers.append((path.relative_to(SRC).as_posix(), node.lineno))
     assert not importers
+
+
+def _parameters(tree: ast.Module):
+    """``(qualified function name, parameter)`` for every parameter of every
+    function in ``tree``."""
+    stack = [(node, "") for node in tree.body]
+    while stack:
+        node, prefix = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            stack.extend((child, f"{prefix}{node.name}.") for child in node.body)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + node.name
+            args = node.args
+            for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg):
+                if arg is not None:
+                    yield name, arg
+            stack.extend((child, f"{name}.") for child in node.body)
+
+
+def test_one_cost_model_owner():
+    # Simulator(machine, cost) owns a run's one cost model and every layer
+    # reads sim.cost: no other constructor or function takes one.  The one
+    # exception is StorageManager's positional ``cost``, a checked alias
+    # kept for the frozen benchmark adapter's call; ROADMAP item 8(d)
+    # deletes it together with that call.
+    allowed = {
+        ("sim/engine.py", "Simulator.__init__"),
+        ("storage/manager.py", "StorageManager.__init__"),
+    }
+    takers, named = [], []
+    for path in SRC.rglob("*.py"):
+        rel = path.relative_to(SRC).as_posix()
+        text = path.read_text()
+        tree = ast.parse(text)
+        for name, arg in _parameters(tree):
+            annotation = ast.unparse(arg.annotation) if arg.annotation is not None else ""
+            if (arg.arg == "cost" or "CostModel" in annotation) and (rel, name) not in allowed:
+                takers.append((rel, name, arg.arg))
+        count = text.count("DEFAULT_COST_MODEL")
+        if rel == "__init__.py":  # the package docstring's usage example
+            count -= (ast.get_docstring(tree) or "").count("DEFAULT_COST_MODEL")
+        if count and rel not in ("sim/costmodel.py", "sim/engine.py"):
+            named.append(rel)
+    assert not takers
+    assert not named
+
+
+def test_storage_cost_alias_is_the_simulators_model():
+    sim = Simulator()
+    StorageManager(sim, CostModel(), {})  # equal to sim.cost: accepted
+    with pytest.raises(ValueError, match="sim.cost"):
+        StorageManager(sim, dataclasses.replace(sim.cost, scan_tuple=1.0), {})
+    recalibrated = Simulator(cost=dataclasses.replace(sim.cost, scan_tuple=1.0))
+    storage = StorageManager(recalibrated, recalibrated.cost, {})
+    assert storage.bufferpool._page_charge is recalibrated.cost.bufferpool_lookup_charge
+    assert QPipeEngine(recalibrated, storage).cost is recalibrated.cost

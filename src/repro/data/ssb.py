@@ -18,6 +18,13 @@ The per-table ``row_weight`` (real/generated) makes simulated charges match
 paper-scale volumes; value *distributions* (25 nations in 5 regions, 10
 cities per nation, uniform foreign keys) follow the SSB spec so that
 selectivities and join fan-outs are preserved.
+
+Every random table is drawn column-wise: :func:`~repro.data.rng.draw_columns`
+fills one array per random column with a fixed number of draws per row, in
+a fixed order (what every seed's data is made of), derived columns are
+computed from those arrays, and :meth:`Table.from_columns` takes the
+vectors as they are.  Only the deterministic ``date`` table is built from
+rows.
 """
 
 from __future__ import annotations
@@ -25,8 +32,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub, truediv
 
-from repro.data.rng import make_rng
+from repro.data.rng import draw_columns, make_rng
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -63,7 +72,11 @@ def nation_cities(nation: str) -> tuple[str, ...]:
     return tuple(f"{prefix}{k}" for k in range(CITIES_PER_NATION))
 
 
-ALL_CITIES = tuple(c for n in SSB_NATIONS for c in nation_cities(n))
+#: Each nation's cities and region by nation index, computed once.
+_NATION_CITIES = tuple(map(nation_cities, SSB_NATIONS))
+_NATION_REGIONS = tuple(map(nation_region, SSB_NATIONS))
+
+ALL_CITIES = tuple(c for cities in _NATION_CITIES for c in cities)
 
 
 # ---------------------------------------------------------------------------
@@ -186,75 +199,99 @@ def _make_date() -> Table:
     return Table("date", DATE_SCHEMA, rows, row_weight=2556.0 / len(rows))
 
 
+def _located(rng, count: int) -> list[list[str]]:
+    """The city, nation and region columns of ``count`` customers or
+    suppliers: two draws per row, the nation's index, then its city's."""
+    nation, city = draw_columns(
+        rng, ((0, len(SSB_NATIONS)), (0, CITIES_PER_NATION)), count
+    )
+    return [
+        [_NATION_CITIES[n][c] for n, c in zip(nation, city)],
+        list(map(SSB_NATIONS.__getitem__, nation)),
+        list(map(_NATION_REGIONS.__getitem__, nation)),
+    ]
+
+
 def _make_customer(sf: float, seed: int) -> Table:
-    rng = make_rng(seed, "customer")
     gen, weight = _gen_rows(30_000 * sf, 600, 3_000, sf)
-    rows = []
-    for key in range(1, gen + 1):
-        nation = SSB_NATIONS[rng.randrange(len(SSB_NATIONS))]
-        city = nation_cities(nation)[rng.randrange(CITIES_PER_NATION)]
-        rows.append((key, f"Customer#{key:09d}", city, nation, nation_region(nation)))
-    return Table("customer", CUSTOMER_SCHEMA, rows, row_weight=weight)
+    keys = range(1, gen + 1)
+    columns = [
+        array("q", keys),
+        list(map("Customer#{:09d}".format, keys)),
+        *_located(make_rng(seed, "customer"), gen),
+    ]
+    return Table.from_columns("customer", CUSTOMER_SCHEMA, columns, row_weight=weight)
 
 
 def _make_supplier(sf: float, seed: int) -> Table:
-    rng = make_rng(seed, "supplier")
     gen, weight = _gen_rows(2_000 * sf, 200, 2_000, sf)
-    rows = []
-    for key in range(1, gen + 1):
-        nation = SSB_NATIONS[rng.randrange(len(SSB_NATIONS))]
-        city = nation_cities(nation)[rng.randrange(CITIES_PER_NATION)]
-        rows.append((key, f"Supplier#{key:09d}", city, nation, nation_region(nation)))
-    return Table("supplier", SUPPLIER_SCHEMA, rows, row_weight=weight)
+    keys = range(1, gen + 1)
+    columns = [
+        array("q", keys),
+        list(map("Supplier#{:09d}".format, keys)),
+        *_located(make_rng(seed, "supplier"), gen),
+    ]
+    return Table.from_columns("supplier", SUPPLIER_SCHEMA, columns, row_weight=weight)
 
 
 def _make_part(sf: float, seed: int) -> Table:
-    rng = make_rng(seed, "part")
     factor = _log2_factor(sf)
     gen, weight = _gen_rows(200_000 * factor, 800 * factor, 2_400, max(sf, 1.0))
-    rows = []
-    for key in range(1, gen + 1):
-        mfgr_num = rng.randrange(1, 6)
-        cat_num = rng.randrange(1, 6)
-        brand_num = rng.randrange(1, 41)
-        mfgr = f"MFGR#{mfgr_num}"
-        category = f"MFGR#{mfgr_num}{cat_num}"
-        brand = f"{category}{brand_num:02d}"
-        rows.append((key, f"Part#{key:07d}", mfgr, category, brand))
-    return Table("part", PART_SCHEMA, rows, row_weight=weight)
+    keys = range(1, gen + 1)
+    mfgr, cat, brand = draw_columns(make_rng(seed, "part"), ((1, 6), (1, 6), (1, 41)), gen)
+    category = list(map("MFGR#{}{}".format, mfgr, cat))
+    columns = [
+        array("q", keys),
+        list(map("Part#{:07d}".format, keys)),
+        list(map("MFGR#{}".format, mfgr)),
+        category,
+        list(map("{}{:02d}".format, category, brand)),
+    ]
+    return Table.from_columns("part", PART_SCHEMA, columns, row_weight=weight)
 
 
 def _make_lineorder(
     sf: float, seed: int, customer: Table, supplier: Table, part: Table, date: Table
 ) -> Table:
-    """The fact table, generated straight into column vectors: one typed
-    ``array`` per column, appended to in the draw order a row at a time,
-    so the fact table is never held as row tuples or boxed values."""
-    rng = make_rng(seed, "lineorder")
+    """The fact table, drawn straight into column vectors: seven draws per
+    row, then the derived columns computed column-wise by C-level ``map``
+    into typed arrays, so no fact column is ever held as boxed values."""
     gen, weight = _gen_rows(6_000_000 * sf, 6_000, 60_000, sf)
-    datekeys = list(date.columns()[0])
-    ncust, nsupp, npart, ndate = len(customer), len(supplier), len(part), len(datekeys)
-    ints = [array("q") for _ in range(5)]
-    floats = [array("d") for _ in range(4)]
-    (custkey, suppkey, partkey, orderdate, quantity) = (c.append for c in ints)
-    (extendedprice, discount, revenue, supplycost) = (c.append for c in floats)
-    randrange = rng.randrange
-    for _ in range(gen):
-        # Draw order is the generator's contract: these seven draws per
-        # row, in this order, are what every seed's data is made of.
-        q = randrange(1, 51)
-        price = float(randrange(90_000, 1_100_000)) / 100.0
-        disc = float(randrange(0, 11))
-        custkey(randrange(1, ncust + 1))
-        suppkey(randrange(1, nsupp + 1))
-        partkey(randrange(1, npart + 1))
-        orderdate(datekeys[randrange(ndate)])
-        quantity(q)
-        extendedprice(price)
-        discount(disc)
-        revenue(price * (100.0 - disc) / 100.0)
-        supplycost(price * 0.6)
-    columns = [array("q", range(1, gen + 1)), *ints, *floats]
+    datekeys = tuple(date.columns()[0])
+    # Draw order is the generator's contract: these seven draws per row,
+    # in this order, are what every seed's data is made of.
+    quantity, cents, disc, custkey, suppkey, partkey, day = draw_columns(
+        make_rng(seed, "lineorder"),
+        (
+            (1, 51),
+            (90_000, 1_100_000),
+            (0, 11),
+            (1, len(customer) + 1),
+            (1, len(supplier) + 1),
+            (1, len(part) + 1),
+            (0, len(datekeys)),
+        ),
+        gen,
+    )
+    price = array("d", map(truediv, cents, repeat(100.0)))
+    discount = array("d", disc)
+    # price * (100 - discount) / 100, in that order of operations.
+    revenue = array(
+        "d",
+        map(truediv, map(mul, price, map(sub, repeat(100.0), discount)), repeat(100.0)),
+    )
+    columns = [
+        array("q", range(1, gen + 1)),
+        custkey,
+        suppkey,
+        partkey,
+        array("q", map(datekeys.__getitem__, day)),
+        quantity,
+        price,
+        discount,
+        revenue,
+        array("d", map(mul, price, repeat(0.6))),
+    ]
     return Table.from_columns("lineorder", LINEORDER_SCHEMA, columns, row_weight=weight)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
+from operator import add, mul, truediv
 
-from repro.data.rng import make_rng
+from repro.data.rng import draw_columns, make_rng
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -62,36 +64,38 @@ def generate_tpch(sf: float = 1.0, seed: int = 42) -> TpchDataset:
 def _generate_tpch(sf: float, seed: int) -> TpchDataset:
     if sf <= 0:
         raise ValueError("scale factor must be positive")
-    rng = make_rng(seed, "lineitem")
     gen = int(min(max(6_000 * sf, 6_000), 60_000))
     weight = 6_000_000 * sf / gen
-    randrange = rng.randrange
-    # Generated straight into column vectors (no row tuples), drawing in
-    # the generator's fixed order: date, price, then the rest left to right.
-    quantity, shipdate = array("q"), array("q")
-    extendedprice, discount, tax = array("d"), array("d"), array("d")
-    returnflag: list[str] = []
-    linestatus: list[str] = []
-    for _ in range(gen):
-        year = randrange(1992, 1999)
-        month = randrange(1, 13)
-        day = randrange(1, 29)
-        extendedprice.append(float(randrange(90_000, 1_100_000)) / 100.0)
-        quantity.append(randrange(1, 51))
-        discount.append(randrange(0, 11) / 100.0)
-        tax.append(randrange(0, 9) / 100.0)
-        returnflag.append(RETURN_FLAGS[randrange(3)])
-        linestatus.append(LINE_STATUSES[randrange(2)])
-        shipdate.append(year * 10000 + month * 100 + day)
+    # Drawn straight into column vectors (no row tuples), in the
+    # generator's fixed order: date, price, then the rest left to right.
+    year, month, day, cents, quantity, disc, tax, flag, status = draw_columns(
+        make_rng(seed, "lineitem"),
+        (
+            (1992, 1999),
+            (1, 13),
+            (1, 29),
+            (90_000, 1_100_000),
+            (1, 51),
+            (0, 11),
+            (0, 9),
+            (0, len(RETURN_FLAGS)),
+            (0, len(LINE_STATUSES)),
+        ),
+        gen,
+    )
+    # yyyymmdd = year * 10000 + month * 100 + day
+    shipdate = map(
+        add, map(add, map(mul, year, repeat(10_000)), map(mul, month, repeat(100))), day
+    )
     columns = [
         array("q", range(1, gen + 1)),
         quantity,
-        extendedprice,
-        discount,
-        tax,
-        returnflag,
-        linestatus,
-        shipdate,
+        array("d", map(truediv, cents, repeat(100.0))),
+        array("d", map(truediv, disc, repeat(100.0))),
+        array("d", map(truediv, tax, repeat(100.0))),
+        list(map(RETURN_FLAGS.__getitem__, flag)),
+        list(map(LINE_STATUSES.__getitem__, status)),
+        array("q", shipdate),
     ]
     lineitem = Table.from_columns("lineitem", LINEITEM_SCHEMA, columns, row_weight=weight)
     return TpchDataset(sf=sf, seed=seed, lineitem=lineitem)

@@ -225,6 +225,18 @@ def _dict_encode(values: Sequence[Any]) -> DictColumn | None:
     differently-typed values (``1`` / ``1.0`` / ``True``) decode back to
     the exact original type, and ``-0.0`` and ``0.0`` (equal, same hash)
     get one code each (see :func:`_split_signed_zero`)."""
+    coded = _array_codes(values) if type(values) is array else _row_codes(values)
+    if coded is None:
+        return None
+    codes, table, zero = coded
+    if zero is not None and not _split_signed_zero(values, codes, table, zero):
+        return None
+    return DictColumn(bytes(codes), Dictionary(table))
+
+
+def _row_codes(values: Sequence[Any]) -> tuple[bytearray, list, int | None] | None:
+    """The codes of any column, one value at a time, with the value table
+    (first-occurrence order) and the code of a float zero, if any."""
     code_of: dict[Any, int] = {}
     codes = bytearray(len(values))
     table: list[Any] = []
@@ -241,10 +253,35 @@ def _dict_encode(values: Sequence[Any]) -> DictColumn | None:
             codes[j] = c
     except TypeError:  # unhashable value somewhere in the column
         return None
-    zero = code_of.get((float, 0.0))
-    if zero is not None and not _split_signed_zero(values, codes, table, zero):
+    return codes, table, code_of.get((float, 0.0))
+
+
+#: How many leading values of an array :func:`_array_codes` counts first:
+#: a high-cardinality column shows more than DICT_MAX_CARD distinct values
+#: within them, and is refused without a pass over the rest.
+_PREFIX = 4 * DICT_MAX_CARD
+
+
+def _array_codes(values: array) -> tuple[bytearray, list, int | None] | None:
+    """:func:`_row_codes` for an ``array``, at C speed.  Every element of
+    an array has the same Python type, so distinctness is per value and
+    ``dict.fromkeys`` counts it (in first-occurrence order, as the
+    per-row loop assigns codes); the codes are one ``map`` over the
+    values.  A NaN is unequal to itself, so each boxed NaN is a value of
+    its own: a float array holding one takes the per-row loop."""
+    if len(dict.fromkeys(values[:_PREFIX])) > DICT_MAX_CARD:
         return None
-    return DictColumn(bytes(codes), Dictionary(table))
+    code_of = dict.fromkeys(values)
+    if len(code_of) > DICT_MAX_CARD:
+        return None
+    table = list(code_of)
+    floats = values.typecode in "fd"
+    if floats and any(v != v for v in table):
+        return _row_codes(values)
+    for c, v in enumerate(table):
+        code_of[v] = c
+    codes = bytearray(map(code_of.__getitem__, values))
+    return codes, table, code_of.get(0.0) if floats else None
 
 
 def _split_signed_zero(values: Sequence[Any], codes: bytearray, table: list, zero: int) -> bool:

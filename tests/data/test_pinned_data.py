@@ -1,9 +1,12 @@
 """The generated data is pinned, and a run reads it as columns only.
 
-* **Digest** -- a sha256 over every column of three generated databases.
-  The generators build column vectors directly (no row tuples); these
-  digests are the ones the row-built generators produced, so the draw
-  order and every value (type and sign included, via ``repr``) are held.
+* **Digest** -- a sha256 over every column of seven generated databases:
+  each benchmark workload's (SSB at SF 1.5, 5, 10 and 30, seed 42), SSB
+  at SF 1 under seed 7, and TPC-H at SF 1 and 10.  Every digest is the
+  one the per-row ``randrange`` generators produced (and for SSB SF 1
+  seed 7, SSB SF 30 and TPC-H SF 1, the row-built generators before
+  them), so the draw order and every value (type and sign included, via
+  ``repr``) are held.
 * **No row view** -- after a CJOIN-SP batch and a QPipe-SP batch over
   every SSB query, no page of any table has materialized row tuples:
   rows are a view for the reference evaluator only.
@@ -53,6 +56,11 @@ def digest(tables: dict[str, Table]) -> str:
         (generate_ssb, (1, 7), "883181e6d8ec4d70524300e9609402e62431aacfbead463429150a4295a87680"),
         (generate_ssb, (30, 42), "b20e33cecdf565f25d38369d6a4bb2533b2843eeff6882d7b4ef8cbbbed2c2b6"),
         (generate_tpch, (1, 42), "aeda3b5df9bca4b4822d0aa3d89a5e933e09f2908b34a367890ce5617cbdc8e7"),
+        # The other benchmark workloads' databases (batch-gqp's is SF 30).
+        (generate_ssb, (1.5, 42), "60a4d60403920c390721b8ea4129187b0b9ceb3a2d3c31606ff474e20f2b2423"),
+        (generate_ssb, (5, 42), "985da9991b05921c3519b9d1c87385cca0ec498eabc97fcfbcaa053a121a71dc"),
+        (generate_ssb, (10, 42), "a3ee4432b916f79bad122633db0e73f5f49dc46b1c0c0ea1c74fac317b1094b8"),
+        (generate_tpch, (10, 42), "b1d6f30eb1aa8d09abcc78f1fff543116b99b6112d6c6004d595037911e6f4d5"),
     ],
 )
 def test_generated_columns_are_pinned(generate, args, expected):

@@ -20,6 +20,7 @@ Holds the invariants packed column storage rests on, over
 from array import array
 from math import copysign
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -118,6 +119,50 @@ def test_a_full_dictionary_has_no_code_for_the_second_zero():
     packed = pack_column(col, "float")
     assert type(packed) is PackedNumeric
     assert [str(v) for v in packed] == [str(v) for v in col]
+
+
+def assert_array_packs_as_boxed(typecode, col):
+    """An ``array`` takes the C-speed dictionary count, its boxed values
+    the per-row loop: both give the same codes and value table, or both
+    refuse."""
+    values = array(typecode, col)
+    kind = "int" if typecode == "q" else "float"
+    packed, boxed = pack_column(values, kind), pack_column(list(values), kind)
+    assert type(packed) is type(boxed)
+    if type(packed) is DictColumn:
+        assert packed.codes == boxed.codes
+        pairs = zip(packed.dictionary.values, boxed.dictionary.values, strict=True)
+    else:
+        pairs = zip(packed, boxed, strict=True)
+    assert all(same_value(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize(
+    "typecode, col",
+    [
+        # Cardinality past DICT_MAX_CARD only after the counted prefix.
+        ("q", [k % 10 for k in range(4 * DICT_MAX_CARD + 1)] + list(range(300))),
+        ("q", list(range(DICT_MAX_CARD)) * 2),
+        # Each boxed NaN is a value of its own.
+        ("d", [0.0, 1.5, -0.0, float("nan"), 0.0, float("nan")]),
+        # Both signs of zero: one code each, and none left in a full table.
+        ("d", [-0.0, 2.0, 0.0] * 3),
+        ("d", [float(i) for i in range(1, DICT_MAX_CARD)] + [0.0, -0.0]),
+    ],
+)
+def test_an_array_packs_as_its_boxed_values_do(typecode, col):
+    assert_array_packs_as_boxed(typecode, col)
+
+
+ARRAY_NUMBERS = {"q": st.integers(-(2**63), 2**63 - 1), "d": st.floats()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), typecode=st.sampled_from("qd"))
+def test_any_array_packs_as_its_boxed_values_do(data, typecode):
+    pool = data.draw(st.lists(ARRAY_NUMBERS[typecode], min_size=1, max_size=300))
+    col = data.draw(st.lists(st.sampled_from(pool), max_size=400))
+    assert_array_packs_as_boxed(typecode, col)
 
 
 @settings(max_examples=80, deadline=None)

@@ -24,18 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.schema import Schema
 
 
-class _Accumulator:
-    """Accumulators for one group (one slot per aggregate spec)."""
-
-    __slots__ = ("sums", "counts", "mins", "maxs")
-
-    def __init__(self, n: int):
-        self.sums = [0.0] * n
-        self.counts = [0] * n
-        self.mins: list[Any] = [None] * n
-        self.maxs: list[Any] = [None] * n
-
-
 def compile_values(specs: tuple[AggSpec, ...], schema: "Schema") -> list:
     """The row closures of ``specs``' input expressions (``None`` for a
     bare ``count``), compiled once per aggregation against its input."""
@@ -50,13 +38,15 @@ def accumulate(
     schema: "Schema",
     groups: dict,
 ) -> None:
-    """Fold one weighted batch into ``groups`` (key tuple ->
-    :class:`_Accumulator`): the one aggregation kernel of every engine.
+    """Fold one weighted batch into ``groups`` (key tuple -> slot list):
+    the one aggregation kernel of every engine.
 
-    Group-key and value columns are gathered late-materialized (an
-    expression without a column form falls back to its row closure over
-    the materialized rows, with identical values).  The fold runs in
-    batch order, per group, one slot per spec, ``w`` real rows behind each
+    A group is one list of ``2 * len(specs)`` slots: spec ``i``'s sum (or
+    min/max extremum) at ``2 * i`` and its count at ``2 * i + 1``.  Group-key
+    and value columns are gathered late-materialized (an expression
+    without a column form falls back to its row closure over the
+    materialized rows, with identical values).  The fold runs in batch
+    order, per group, one spec at a time, ``w`` real rows behind each
     generated row (additive aggregates scale by the weight)."""
     n, w = len(batch), batch.weight
     col_of = batch.column
@@ -80,57 +70,56 @@ def accumulate(
                 rows = batch.rows
             vc = [fn(r) for r in rows]
         vcols.append(vc)
-    nspecs = len(specs)
     get_group = groups.get
-    if nspecs == 1 and keys is not None and specs[0].func in ("sum", "avg"):
+    if len(specs) == 1 and keys is not None and specs[0].func in ("sum", "avg"):
         # The workload's common shape: one weighted sum/avg per group.
         vc = vcols[0]
         for key, v in zip(keys, vc):
-            acc = get_group(key)
-            if acc is None:
-                acc = groups[key] = _Accumulator(1)
-            acc.sums[0] += v * w
-            acc.counts[0] += w
+            g = get_group(key)
+            if g is None:
+                g = groups[key] = [0.0, 0]
+            g[0] += v * w
+            g[1] += w
         return
+    funcs = [spec.func for spec in specs]
+    template: list[Any] = []
+    for func in funcs:
+        template += (None, 0) if func in ("min", "max") else (0.0, 0)
     for p in range(n):
         key = keys[p] if keys is not None else ()
-        acc = get_group(key)
-        if acc is None:
-            acc = groups[key] = _Accumulator(nspecs)
-        for i in range(nspecs):
-            spec = specs[i]
-            if spec.func == "count":
-                acc.counts[i] += w
+        g = get_group(key)
+        if g is None:
+            g = groups[key] = template[:]
+        for i, func in enumerate(funcs):
+            j = 2 * i
+            if func == "count":
+                g[j + 1] += w
                 continue
             v = vcols[i][p]
-            if spec.func in ("sum", "avg"):
-                acc.sums[i] += v * w
-                acc.counts[i] += w
-            elif spec.func == "min":
-                acc.mins[i] = v if acc.mins[i] is None else min(acc.mins[i], v)
+            if func in ("sum", "avg"):
+                g[j] += v * w
+                g[j + 1] += w
+            elif func == "min":
+                g[j] = v if g[j] is None else min(g[j], v)
             else:
-                acc.maxs[i] = v if acc.maxs[i] is None else max(acc.maxs[i], v)
+                g[j] = v if g[j] is None else max(g[j], v)
 
 
-def _final(spec: AggSpec, acc: _Accumulator, i: int) -> Any:
-    if spec.func == "sum":
-        return acc.sums[i]
-    if spec.func == "count":
-        return acc.counts[i]
-    if spec.func == "avg":
-        return acc.sums[i] / acc.counts[i] if acc.counts[i] else 0.0
-    if spec.func == "min":
-        return acc.mins[i]
-    return acc.maxs[i]
+def _final(func: str, value: Any, count: Any) -> Any:
+    if func == "count":
+        return count
+    if func == "avg":
+        return value / count if count else 0.0
+    return value  # sum, min, max
 
 
 def finalize(specs: tuple[AggSpec, ...], groups: dict) -> list[tuple]:
     """One output row per group, in first-occurrence order: the group key
     followed by one finalized value per spec."""
-    nspecs = len(specs)
+    funcs = [spec.func for spec in specs]
     return [
-        key + tuple(_final(specs[i], acc, i) for i in range(nspecs))
-        for key, acc in groups.items()
+        key + tuple(_final(func, g[2 * i], g[2 * i + 1]) for i, func in enumerate(funcs))
+        for key, g in groups.items()
     ]
 
 
@@ -153,7 +142,7 @@ class AggregateStage(Stage):
         nspecs = len(specs)
         group_idx = column_indices(schema, node.group_by)
         fns = compile_values(specs, schema)
-        groups: dict[tuple, _Accumulator] = {}
+        groups: dict[tuple, list] = {}
 
         while True:
             # The input hands back its per-batch charge so it rides in

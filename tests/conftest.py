@@ -5,7 +5,9 @@ derandomized: each property draws the examples its own source determines,
 and a failure reproduces on the next run and on CI.  Searching for *new*
 counterexamples is a separate, explicit activity:
 
-    PYTHONPATH=src python -m pytest tests/sim tests/query tests/storage tests/data tests/engine/test_sharing_decision.py --hypothesis-profile=explore
+    PYTHONPATH=src python -m pytest tests/sim tests/query tests/storage tests/data \
+        tests/engine/test_sharing_decision.py tests/engine/test_aggregate_kernel.py \
+        --hypothesis-profile=explore
 
 (the hypothesis pytest plugin's own option; it is applied after this file
 is imported, so it overrides the default loaded below).  A counterexample

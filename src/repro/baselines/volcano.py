@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.qpipe import QueryHandle
-from repro.engine.stages.aggregate import accumulate, compile_values, finalize
+from repro.engine.stages.aggregate import GroupTable
 from repro.engine.stages.join import probe
 from repro.engine.stages.sort import order_by
 from repro.query.expr import compile_selection
@@ -214,17 +214,9 @@ class VolcanoEngine:
                         cost.aggregate(n, w, functions=len(nd.aggregates)),
                     )
                 schema = nd.child.schema
-                specs = nd.aggregates
-                groups: dict = {}
-                accumulate(
-                    result,
-                    schema.indices(nd.group_by),
-                    specs,
-                    compile_values(specs, schema),
-                    schema,
-                    groups,
-                )
-                result = ColumnBatch.from_rows(finalize(specs, groups), 1.0)
+                table = GroupTable(nd.aggregates, schema.indices(nd.group_by), schema)
+                table.add(result)
+                result = table.result()
             elif isinstance(nd, SortNode):
                 if phase == 0:
                     stack.append((nd, 1, None))

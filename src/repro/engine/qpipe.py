@@ -23,7 +23,7 @@ from repro.engine.packet import Packet
 from repro.engine.spl import SharedPagesList
 from repro.engine.stage import Stage
 from repro.engine.stages.aggregate import AggregateStage
-from repro.engine.stages.inputs import FilteredInput, unwrap_selects
+from repro.engine.stages.inputs import FilteredInput
 from repro.engine.stages.join import HashJoinStage
 from repro.engine.stages.scan import TableScanStage
 from repro.engine.stages.sort import SortStage
@@ -34,6 +34,7 @@ from repro.query.plan import (
     PlanNode,
     ScanNode,
     SortNode,
+    unwrap_selects,
 )
 from repro.query.star import Query, StarQuerySpec
 from repro.sim.sync import Gate
@@ -60,6 +61,7 @@ class QueryHandle:
     #: are what the shard tier's partial-aggregate merge consumes: each
     #: generated row stands for ``weight`` real rows, and additive
     #: aggregates must scale by it (exactly as the aggregation stage does).
+    #: ``rows`` is the batch's own cached row view: read it, never mutate it.
     batches: list[tuple[list, float]] | None = None
 
     def wait(self) -> Iterator[Any]:
@@ -154,7 +156,7 @@ class QPipeEngine:
             if batch is END:
                 break
             if handle.batches is not None:
-                handle.batches.append((list(batch.rows), batch.weight))
+                handle.batches.append((batch.rows, batch.weight))
             query.results.extend(batch.rows)
         query.finish_time = self.sim.now
         handle.results = query.results

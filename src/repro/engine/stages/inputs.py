@@ -18,21 +18,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.exchange import END
-from repro.query.expr import And, Expr, compile_selection
-from repro.query.plan import PlanNode, SelectNode
+from repro.query.expr import Expr, compile_selection
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
-
-
-def unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
-    """Strip a chain of SelectNodes, folding predicates into one conjunction
-    (outermost select evaluated last, matching plan semantics)."""
-    predicate: Expr | None = None
-    while isinstance(node, SelectNode):
-        predicate = node.predicate if predicate is None else And(node.predicate, predicate)
-        node = node.child
-    return node, predicate
 
 
 class FilteredInput:

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
-from repro.engine.stages.aggregate import accumulate, compile_values, finalize
+from repro.engine.stages.aggregate import GroupTable
 from repro.gqp.bitmap import SlotAllocator
 from repro.query.expr import column_indices, compile_positions
 from repro.storage.arrangements import ARRANGEMENTS
@@ -94,11 +94,7 @@ class _QueryState:
         "fact_pred",
         "fact_pred_terms",
         "done",
-        "agg_node",
-        "agg_schema",
-        "agg_group_idx",
-        "agg_value_fns",
-        "agg_groups",
+        "agg",
     )
 
     def __init__(self, packet: "Packet", slot: int, pages_left: int):
@@ -114,11 +110,7 @@ class _QueryState:
         self.done = False
         # DataPath-style shared aggregation (running sums per group & query);
         # None when the query's aggregation runs query-centric above the GQP.
-        self.agg_node = None
-        self.agg_schema = None
-        self.agg_group_idx: tuple[int, ...] = ()
-        self.agg_value_fns: list[Callable | None] = []
-        self.agg_groups: dict | None = None
+        self.agg: GroupTable | None = None
 
 
 class _WorkItem:
@@ -448,11 +440,7 @@ class CJoinPipeline:
             state.fact_pred_terms = node.fact_predicate.terms
         if agg_node is not None:
             schema = node.schema  # the projected (payload) schema
-            state.agg_node = agg_node
-            state.agg_schema = schema
-            state.agg_group_idx = schema.indices(agg_node.group_by)
-            state.agg_value_fns = compile_values(agg_node.aggregates, schema)
-            state.agg_groups = {}
+            state.agg = GroupTable(agg_node.aggregates, schema.indices(agg_node.group_by), schema)
         self.active[slot] = state
 
     def _ensure_filter(self, dimspec) -> Filter:
@@ -643,25 +631,16 @@ class CJoinPipeline:
                         cols, [pos[j] for j in sel], [dims[j] for j in sel], filter_pos, w
                     )
                     cmds.append(cost.distribute(len(sel), w))
-                    if state.agg_groups is not None:
-                        cmds.append(cost.shared_aggregate(
-                            len(sel), w, len(state.agg_node.aggregates)
-                        ))
+                    if state.agg is not None:
+                        cmds.append(cost.shared_aggregate(len(sel), w, len(state.agg.specs)))
                 if cmds:
                     yield cost.fused(*cmds)
                 if out is not None:
-                    if state.agg_groups is not None:
+                    if state.agg is not None:
                         # Shared aggregation: fold into running sums instead
                         # of emitting (the packet's step WoP stays open for
                         # the whole execution -- results are buffered).
-                        accumulate(
-                            out,
-                            state.agg_group_idx,
-                            state.agg_node.aggregates,
-                            state.agg_value_fns,
-                            state.agg_schema,
-                            state.agg_groups,
-                        )
+                        state.agg.add(out)
                     else:
                         packet = state.packet
                         if not packet.started_emitting:
@@ -679,13 +658,13 @@ class CJoinPipeline:
     def _complete(self, state: _QueryState) -> Iterator[Any]:
         state.done = True
         packet = state.packet
-        if state.agg_groups is not None:
-            out_rows = finalize(state.agg_node.aggregates, state.agg_groups)
+        if state.agg is not None:
+            out = state.agg.result()
             packet.mark_started()
             if self.engine.cjoin_stage is not None:
                 self.engine.cjoin_stage.unregister(packet)
-            if out_rows:
-                yield from packet.exchange.emit(ColumnBatch.from_rows(out_rows, 1.0))
+            if len(out):
+                yield from packet.exchange.emit(out)
         packet.exchange.close()
         packet.finished = True
         if self.engine.cjoin_stage is not None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.query.expr import Expr
+from repro.query.expr import And, Expr
 from repro.storage.schema import Column, Schema
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -143,6 +143,16 @@ class SelectNode(PlanNode):
 
     def _compute_signature(self) -> tuple:
         return ("select", self.predicate.signature, self.child.signature)
+
+
+def unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
+    """Strip a chain of SelectNodes, folding predicates into one conjunction
+    (outermost select evaluated last, matching plan semantics)."""
+    predicate: Expr | None = None
+    while isinstance(node, SelectNode):
+        predicate = node.predicate if predicate is None else And(node.predicate, predicate)
+        node = node.child
+    return node, predicate
 
 
 class HashJoinNode(PlanNode):

@@ -65,7 +65,7 @@ from repro.query.plan import (
     CJoinNode,
     HashJoinNode,
     PlanNode,
-    SelectNode,
+    unwrap_selects,
 )
 from repro.storage.page import ColumnBatch
 
@@ -377,16 +377,6 @@ def _within(small: tuple[str, ...], big: tuple[str, ...]) -> bool:
     return small == big or set(small) <= set(big)
 
 
-def _unwrap_selects(node: PlanNode) -> tuple[PlanNode, Expr | None]:
-    """Strip a chain of SelectNodes, folding predicates into one conjunction
-    (same semantics as the engine-side unwrap in ``stages/inputs.py``)."""
-    predicate: Expr | None = None
-    while isinstance(node, SelectNode):
-        predicate = node.predicate if predicate is None else And(node.predicate, predicate)
-        node = node.child
-    return node, predicate
-
-
 #: One operator input with its select chain unwrapped: the node below the
 #: chain and the chain's classified predicate.
 _Input = tuple[PlanNode, _PredSummary]
@@ -450,7 +440,7 @@ class _Summary:
         slots: tuple[_PredSummary, ...] = ()
         inputs: list[_Input] = []
         for child in children:
-            inner, predicate = _unwrap_selects(child)
+            inner, predicate = unwrap_selects(child)
             pred = _pred_summary(predicate)
             inputs.append((inner, pred))
             slots += (pred,)

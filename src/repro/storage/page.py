@@ -14,11 +14,11 @@ Batches are the unit of data flow between operators (through FIFO buffers
 and Shared Pages Lists), and there is one batch type, :class:`ColumnBatch`:
 column vectors plus a *selection vector* (``sel``) of live positions and
 an optional per-row ``tail`` of join-attached payload tuples.  Scans view
-a page's columns; operators whose output is freshly computed rows
-(aggregates) transpose them once into columns
-(:meth:`ColumnBatch.from_rows`); sort emits a permutation over the
-columns it collected, and CJOIN's distributor, fold residuals and cache
-replay emit gathered or shared columns directly.  Selections
+a page's columns; aggregates build their finalized columns straight from
+their group table (:class:`repro.engine.stages.aggregate.GroupTable`);
+sort emits a permutation over the columns it collected, and CJOIN's
+distributor, fold residuals and cache replay emit gathered or shared
+columns directly.  Selections
 shrink ``sel`` without touching the columns, joins append to ``tail``
 without rebuilding wide row tuples, and ``.rows`` materializes lazily only
 where rows are the product or the oracle (client result collection,
@@ -176,17 +176,6 @@ class ColumnBatch:
         self.tail = tail
         self.weight = weight
         self._rows = None
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[tuple], weight: float) -> "ColumnBatch":
-        """A batch over freshly computed rows, transposed once into column
-        vectors.  With no column to transpose into (no rows, or rows of
-        arity zero) the rows ride as the tail, so every column read of an
-        empty batch is empty."""
-        cols = tuple(zip(*rows))
-        if cols:
-            return cls(cols, None, weight)
-        return cls((), list(range(len(rows))), weight, list(rows))
 
     def __len__(self) -> int:
         sel = self.sel

@@ -28,7 +28,7 @@ def whole_budget(monkeypatch):
 
 
 def entry_batches(n=1):
-    return [ColumnBatch.from_rows([(i,)], 1.0) for i in range(n)]
+    return [ColumnBatch(([i],), None, 1.0) for i in range(n)]
 
 
 def probe(cache, key):

@@ -1,5 +1,5 @@
-"""The one aggregation kernel (``accumulate`` + ``finalize``) against the
-reference evaluator's independent per-row loop, and its memory budget.
+"""The one aggregation kernel (:class:`GroupTable`) against the reference
+evaluator's independent per-row loop, and its memory budget.
 
 Every engine folds its groups through ``engine/stages/aggregate.py``: the
 aggregate stage, CJOIN's shared aggregation and the Volcano baseline.  The
@@ -15,7 +15,8 @@ types.
 The budget tests count what a group and an idle shared pages list keep
 alive, so the layout is pinned by a count rather than a wall clock: a
 group is its key tuple plus one list of ``2 * len(specs)`` slots, and an
-SPL's lock queues its waiters in a plain list like its conditions do."""
+SPL's lock queues its waiters in a plain list like its conditions do.
+The table's result is built as columns: no row tuple per group."""
 
 import gc
 import sys
@@ -26,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.baselines.reference import _final, _new_acc, _update
 from repro.engine.spl import SharedPagesList
-from repro.engine.stages.aggregate import accumulate, compile_values, finalize
+from repro.engine.stages.aggregate import GroupTable
 from repro.query.expr import Arith, Cmp, Col, Const
 from repro.query.plan import AggSpec
 from repro.sim import Simulator
@@ -35,7 +36,7 @@ from repro.storage.schema import Column, Schema
 
 SCHEMA = Schema([Column("g"), Column("s", "str"), Column("a"), Column("b", "float")])
 
-#: Value expressions by the path ``accumulate`` reads them through: a
+#: Value expressions by the path ``GroupTable.add`` reads them through: a
 #: column, an arithmetic column form, and a comparison, which has no
 #: column form and falls back to its row closure.
 NUMERIC = {
@@ -97,12 +98,12 @@ def _column_batch(rows, weight, sel):
 
 
 def kernel(batches, group_by, specs):
-    group_idx = tuple(SCHEMA.index(c) for c in group_by)
-    fns = compile_values(specs, SCHEMA)
-    groups: dict = {}
+    table = GroupTable(specs, SCHEMA.indices(group_by), SCHEMA)
     for rows, weight, sel in batches:
-        accumulate(_column_batch(rows, weight, sel), group_idx, specs, fns, SCHEMA, groups)
-    return finalize(specs, groups)
+        table.add(_column_batch(rows, weight, sel))
+    out = table.result()
+    assert out.weight == 1.0 and len(out.cols) == len(group_by) + len(specs)
+    return list(out.rows)
 
 
 def reference(batches, group_by, specs):
@@ -185,13 +186,12 @@ def _groups_of(specs):
     # boxed inside the fold but the key tuple, the group and its results.
     batch = ColumnBatch((list(range(N)), [0.5] * N), None, 1.0)
     schema = Schema([Column("k"), Column("v", "float")])
-    fns = compile_values(specs, schema)
 
     def make(n):
-        groups: dict = {}
-        accumulate(batch, (0,), specs, fns, schema, groups)
-        assert len(groups) == n
-        return groups
+        table = GroupTable(specs, (0,), schema)
+        table.add(batch)
+        assert len(table.groups) == n
+        return table
 
     return make
 
@@ -216,6 +216,23 @@ def test_a_five_spec_group_is_its_key_and_one_slot_list():
         AggSpec("max", Col("v"), "hi"),
     )
     assert _blocks_per(_groups_of(specs)) < 8.5
+
+
+def test_a_result_allocates_columns_not_rows():
+    # The result of N one-sum groups is its key column and its sum column:
+    # one pointer per group each, the values themselves already live in
+    # the groups.  Building one row tuple per group and transposing the
+    # rows peaked at about 168 bytes a group.
+    table = _groups_of((AggSpec("sum", Col("v"), "s"),))(N)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = table.result()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(out.rows) == [(k, 0.5) for k in range(N)]
+    assert peak / N < 40
 
 
 def _spls(n):

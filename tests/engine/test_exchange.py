@@ -14,7 +14,7 @@ def make_sim():
 
 
 def batch(i):
-    return ColumnBatch.from_rows([(i,)], 1.0)
+    return ColumnBatch(([i],), None, 1.0)
 
 
 class TestFifoExchange:
@@ -79,7 +79,7 @@ class TestFifoExchange:
 
             def producer():
                 for i in range(16):
-                    yield from ex.emit(ColumnBatch.from_rows([(j,) for j in range(50)], 10))
+                    yield from ex.emit(ColumnBatch((list(range(50)),), None, 10))
                 ex.close()
 
             def consumer(r):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.exchange import END, FifoExchange
-from repro.engine.stages.inputs import FilteredInput, unwrap_selects
+from repro.engine.stages.inputs import FilteredInput
 from repro.query.expr import And, Cmp
-from repro.query.plan import ScanNode, SelectNode
+from repro.query.plan import ScanNode, SelectNode, unwrap_selects
 from repro.data import generate_ssb
 from repro.sim import Simulator
 from repro.sim.costmodel import CostModel
@@ -85,19 +85,21 @@ class TestFilteredInput:
 
     def test_no_predicate_passthrough(self, ssb):
         rows = list(ssb.supplier.iter_rows())[:10]
-        got, _ = self.run_reads([ColumnBatch.from_rows(rows, 1.0)], None, ssb.supplier.schema)
+        got, _ = self.run_reads([ColumnBatch(tuple(zip(*rows)), None, 1.0)], None, ssb.supplier.schema)
         assert got == rows
 
     def test_predicate_filters_and_charges(self, ssb):
         rows = list(ssb.supplier.iter_rows())
         pred = Cmp("=", "s_region", "ASIA")
-        got, sim = self.run_reads([ColumnBatch.from_rows(rows, 1.0)], pred, ssb.supplier.schema)
+        got, sim = self.run_reads([ColumnBatch(tuple(zip(*rows)), None, 1.0)], pred, ssb.supplier.schema)
         fn = pred.compile(ssb.supplier.schema)
         assert got == [r for r in rows if fn(r)]
         assert sim.metrics.cpu_cycles_by_category["scans"] > 0  # predicate cost
 
     def test_empty_batches_pass_through_cheaply(self, ssb):
-        got, _ = self.run_reads([ColumnBatch.from_rows([], 1.0)], Cmp("=", "s_region", "ASIA"), ssb.supplier.schema)
+        schema = ssb.supplier.schema
+        empty = ColumnBatch(((),) * len(schema.columns), None, 1.0)
+        got, _ = self.run_reads([empty], Cmp("=", "s_region", "ASIA"), schema)
         assert got == []
 
     @settings(max_examples=20, deadline=None)
@@ -105,5 +107,5 @@ class TestFilteredInput:
     def test_filter_oracle_property(self, ssb, threshold):
         rows = list(ssb.supplier.iter_rows())[:64]
         pred = Cmp("<", "s_suppkey", threshold)
-        got, _ = self.run_reads([ColumnBatch.from_rows(rows, 1.0)], pred, ssb.supplier.schema)
+        got, _ = self.run_reads([ColumnBatch(tuple(zip(*rows)), None, 1.0)], pred, ssb.supplier.schema)
         assert got == [r for r in rows if r[0] < threshold]

@@ -175,6 +175,7 @@ class TestEquivalence:
             CJOIN_SP,
             replace(QPIPE_SP, query_folding=False),
             replace(CJOIN_SP, query_folding=False),
+            replace(CJOIN_SP, shared_aggregation=True),
         ):
             for result in run_qpipe(tables, spec, config):
                 assert result == oracle, config

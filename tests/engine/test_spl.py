@@ -17,7 +17,7 @@ def make_sim():
 
 
 def batch(i):
-    return ColumnBatch.from_rows([(i,)], 1.0)
+    return ColumnBatch(([i],), None, 1.0)
 
 
 class TestBasics:

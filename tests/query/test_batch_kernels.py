@@ -150,10 +150,9 @@ def test_rows_kernel_matches_row_closure(expr, nrows):
     pred = expr.compile(SCHEMA)
     select = compile_selection(expr, SCHEMA)
     expected = [r for r in rows if pred(r)]
-    for computed in (ColumnBatch.from_rows(rows, 3.0), ColumnBatch.from_rows(tuple(rows), 3.0)):
-        out = select(computed)
-        assert type(out) is ColumnBatch and out.weight == 3.0
-        assert list(out.rows) == expected
+    out = select(ColumnBatch(tuple(zip(*rows)) or ((), (), ()), None, 3.0))
+    assert type(out) is ColumnBatch and out.weight == 3.0
+    assert list(out.rows) == expected
     for name, cols in column_layouts(rows).items():
         out = select(ColumnBatch(cols, None, 3.0))
         assert list(out.rows) == expected, name
@@ -189,7 +188,7 @@ def test_kernels_accept_tuples_and_preserve_type():
     whose rows come back as a list."""
     rows = tuple(random_rows(seed=5, n=50))
     for expr in EXPRS:
-        out = compile_selection(expr, SCHEMA)(ColumnBatch.from_rows(rows, 1.0))
+        out = compile_selection(expr, SCHEMA)(ColumnBatch(tuple(zip(*rows)), None, 1.0))
         assert type(out) is ColumnBatch and isinstance(out.rows, list)
 
 
@@ -197,8 +196,8 @@ def test_all_pass_and_all_fail_extremes():
     rows = random_rows(seed=9, n=64)
     everything = compile_selection(Between("k", -1000, 1000), SCHEMA)
     nothing = compile_selection(Cmp(">", "k", 1000), SCHEMA)
-    assert list(everything(ColumnBatch.from_rows(rows, 1.0)).rows) == rows
-    assert list(nothing(ColumnBatch.from_rows(rows, 1.0)).rows) == []
+    assert list(everything(ColumnBatch(tuple(zip(*rows)), None, 1.0)).rows) == rows
+    assert list(nothing(ColumnBatch(tuple(zip(*rows)), None, 1.0)).rows) == []
     for name, cols in column_layouts(rows).items():
         assert everything(ColumnBatch(cols)).sel == list(range(64)), name
         assert nothing(ColumnBatch(cols)).sel == [], name

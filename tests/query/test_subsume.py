@@ -160,7 +160,7 @@ def test_residual_operator_equals_direct(weak, extra, rows):
     assert ok
     op = ResidualOperator(FoldPlan(residual=and_of(residual)), SCHEMA)
     provider_rows = [rows[i] for i in passing(weak, rows)]
-    out = op.apply(ColumnBatch.from_rows(provider_rows, 1.0))
+    out = op.apply(ColumnBatch(tuple(zip(*provider_rows)) or ((), (), ()), None, 1.0))
     assert list(out.rows) == [rows[i] for i in passing(strong, rows)]
 
 
@@ -231,9 +231,9 @@ def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_ma
     provider_out = direct_agg(
         [rows[i] for i in passing(weak, rows)], ("a", "b"), aggs
     )
-    folded = list(
-        ResidualOperator(plan, provider.schema).apply(ColumnBatch.from_rows(provider_out, 1.0)).rows
-    )
+    width = len(provider.schema.columns)
+    out = ColumnBatch(tuple(zip(*provider_out)) or ((),) * width, None, 1.0)
+    folded = list(ResidualOperator(plan, provider.schema).apply(out).rows)
     direct = direct_agg(
         [rows[i] for i in passing(strong, rows)], consumer_groups, consumer_aggs
     )

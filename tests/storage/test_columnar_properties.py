@@ -165,7 +165,7 @@ def test_column_kernel_refines_selection_like_row_wise(rows, expr, data):
 @given(rows=rows_strategy, expr=predicates)
 def test_batch_kernel_positions_equal_row_wise(rows, expr):
     pred = expr.compile(SCHEMA)
-    out = compile_selection(expr, SCHEMA)(ColumnBatch.from_rows(rows, 2.0))
+    out = compile_selection(expr, SCHEMA)(ColumnBatch(boxed_cols(rows), None, 2.0))
     assert type(out) is ColumnBatch and out.weight == 2.0
     assert list(out.rows) == [r for r in rows if pred(r)]
 

@@ -112,13 +112,9 @@ class TestBatch:
         assert c.cols is b.cols and c.weight == 10
         assert list(c.rows) == [(1, "a"), (3, "b"), (2, "c")]
 
-    def test_from_rows_round_trips(self):
-        rows = [(1, "a"), (2, "b")]
-        b = ColumnBatch.from_rows(rows, 4.0)
-        assert b.cols == ((1, 2), ("a", "b")) and b.weight == 4.0
-        assert list(b.rows) == rows
-        # No column to transpose into: the count survives, every column
-        # read of an empty batch is empty.
-        assert list(ColumnBatch.from_rows([(), ()], 1.0).rows) == [(), ()]
-        empty = ColumnBatch.from_rows([], 1.0)
-        assert len(empty) == 0 and list(empty.column(3)) == []
+    def test_empty_batch_reads_empty(self):
+        # Rows of arity zero ride as the tail, so the count survives; an
+        # empty batch's every column read is empty.
+        assert list(ColumnBatch((), [0, 1], 1.0, [(), ()]).rows) == [(), ()]
+        empty = ColumnBatch(((), ()), None, 1.0)
+        assert len(empty) == 0 and list(empty.column(1)) == [] and list(empty.rows) == []

@@ -206,14 +206,23 @@ def test_one_sharing_decision():
 
 def test_one_aggregation_kernel():
     # Every engine folds weighted rows into groups through
-    # engine/stages/aggregate.py, where a group is one slot list (no
-    # accumulator class); the reference evaluator shares no code with any
-    # engine, so only the package export may import it.
-    importers, accumulators = [], []
+    # engine/stages/aggregate.py's GroupTable, where a group is one slot
+    # list (no accumulator class) and the result is built as columns (no
+    # module-level finalize, no row-to-column transpose); the reference
+    # evaluator shares no code with any engine, so only the package export
+    # may import it.
+    importers, accumulators, transposes = [], [], []
     for path in SRC.rglob("*.py"):
         rel = path.relative_to(SRC).as_posix()
         text = path.read_text()
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        if rel == "engine/stages/aggregate.py":
+            kernel = {n.name for n in tree.body if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            assert "GroupTable" in kernel
+            assert not kernel & {"accumulate", "compile_values", "finalize", "_final"}
+        if "from_rows" in text:
+            transposes.append(rel)
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names = [node.module or ""]
             elif isinstance(node, ast.Import):
@@ -226,6 +235,7 @@ def test_one_aggregation_kernel():
             accumulators.append(rel)
     assert not importers
     assert not accumulators
+    assert not transposes
 
 
 def test_one_fluid_pool():

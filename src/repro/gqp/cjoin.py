@@ -28,7 +28,7 @@ from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
 from repro.engine.stages.aggregate import GroupTable
 from repro.gqp.bitmap import SlotAllocator
-from repro.query.expr import column_indices, compile_positions
+from repro.query.expr import compile_positions
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.packed import take_values
 from repro.storage.page import ColumnBatch
@@ -116,9 +116,11 @@ class _QueryState:
 class _WorkItem:
     """One tagged fact page moving through the pipeline.
 
-    Nothing is read as rows: the item holds the page's column vectors
-    (``cols``, shared with the page, read-only) and carries its surviving
-    tuples as three *parallel lists* -- ``pos`` (positions in the page),
+    Nothing is read as rows and nothing is sliced: the item holds the
+    fact table's column vectors (``cols``, shared with the table and all
+    its pages, read-only) and carries the page's surviving tuples as three
+    *parallel lists* -- ``pos`` (their positions in the table, starting as
+    the page's row range),
     ``bms`` (per-tuple query bitmaps) and ``dims`` (per-tuple tuples of
     joined dimension-row positions, one per filter passed, ``None`` where
     the filter had no entry).  A filter reads only its foreign-key column
@@ -148,7 +150,7 @@ class _WorkItem:
         filter_pos: dict[str, int],
         high_slots: int,
     ):
-        self.cols = page.columns
+        self.cols = page.vectors
         self.weight = page.weight
         self.mask = mask
         self.addressed = addressed
@@ -156,7 +158,7 @@ class _WorkItem:
         self.filter_pos = filter_pos
         self.high_slots = high_slots
         n = len(page)
-        self.pos: Sequence[int] = range(n)
+        self.pos: Sequence[int] = range(page.start, page.stop)
         self.bms = [mask] * n
         self.dims: list[tuple] = [()] * n
 
@@ -515,7 +517,7 @@ class CJoinPipeline:
         add_pos = new_pos.append
         add_bm = new_bms.append
         add_dim = new_dims.append
-        # The probe keys: the page's FK column at the surviving positions
+        # The probe keys: the FK column at the surviving positions
         # (a transient list, dropped with this pass).
         entries = map(flt.ht.get, take_values(item.cols[flt.fact_fk_idx], pos))
         for p, entry, bm, dims in zip(pos, entries, item.bms, item.dims):
@@ -619,7 +621,7 @@ class CJoinPipeline:
                 cmds = []
                 if sel and pred is not None:
                     cmds.append(cost.predicate(len(sel), w, max(state.fact_pred_terms, 1)))
-                    # Over the page's columns at the survivors' positions.
+                    # Over the fact columns at the survivors' positions.
                     at = [pos[j] for j in sel]
                     kept = pred(cols, at)
                     if len(kept) < len(at):
@@ -686,15 +688,15 @@ class CJoinPipeline:
 
     def _make_projector(self, node: "CJoinNode") -> Callable:
         """``project(cols, at, dims, filter_pos, weight)``: the query's
-        output batch (``node.schema``) for the tuples at page positions
+        output batch (``node.schema``) for the tuples at fact-table positions
         ``at`` joined to the dimension positions ``dims``.  Each payload
         column is gathered as one vector, so only the fact and dimension
         columns the query projects are read, and no row tuple is built."""
-        fact_idx = column_indices(self.fact.schema, node.fact_payload)
+        fact_idx = self.fact.schema.indices(node.fact_payload)
         dim_proj: list[tuple[str, list]] = []
         for d in node.dims:
             dim = self.storage.table(d.dim_table)
-            payload = [dim.columns()[i] for i in column_indices(dim.schema, d.payload)]
+            payload = [dim.columns()[i] for i in dim.schema.indices(d.payload)]
             if payload:
                 dim_proj.append((d.dim_table, payload))
 

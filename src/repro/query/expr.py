@@ -26,8 +26,9 @@ traffic: "One selection entry point" in ``docs/performance.md``):
 
 1. **bitmap** -- a batch with no selection vector yet (a page view)
    whose referenced columns are all dictionary-encoded: a leaf is
-   :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized per page by
-   signature, so a predicate recurring across concurrent queries is
+   :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized by
+   signature on the table's column and shifted down to the page's rows,
+   so a predicate recurring across pages and concurrent queries is
    scanned once), ``And`` / ``Or`` are ``&`` / ``|`` on ints -- the only
    columnar form ``Or`` has;
 2. **positions** -- any other batch, for a leaf or a conjunction of
@@ -50,9 +51,8 @@ raise where the oracle answers: a pass table fails closed on ``TypeError``
 (:meth:`~repro.storage.packed.Dictionary.pass_table`), the bitmap form then
 declines and the positions form tests the survivors only.
 
-The module also hosts the shared schema->column-index helpers
-(:func:`column_indices`, :func:`value_column`) used by
-the aggregation stage and the CJOIN distributor."""
+The module also hosts :func:`value_column` (a value expression evaluated
+as one column vector), used by the aggregation stage."""
 
 from __future__ import annotations
 
@@ -79,12 +79,6 @@ _ARITH_OPS: dict[str, Callable[[Any, Any], Any]] = {
     "*": operator.mul,
     "/": operator.truediv,
 }
-
-# -- shared schema->column-index resolution ------------------------------
-def column_indices(schema: "Schema", names: Sequence[str]) -> tuple[int, ...]:
-    """Tuple positions of ``names`` in ``schema`` (in the given order)."""
-    return tuple(schema.index(n) for n in names)
-
 
 def value_column(expr: "Expr", schema: "Schema", column_of: Callable, n: int):
     """Evaluate ``expr`` as one column vector over a columnar batch.

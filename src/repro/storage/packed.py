@@ -5,8 +5,9 @@ Python objects, column vectors are held as
 
 * :class:`PackedNumeric` -- an ``array.array`` of machine ints (``'q'``)
   or doubles (``'d'``), 8 bytes per value.  Slicing goes through
-  ``memoryview`` so shard range-partitions and page slices are **views**
-  over the parent buffer (zero copies, fork-COW friendly);
+  ``memoryview`` so shard range-partitions and a page's transient column
+  slices are **views** over the parent buffer (zero copies, fork-COW
+  friendly);
 * :class:`DictColumn` -- dictionary encoding for low-cardinality columns
   (at most :data:`DICT_MAX_CARD` distinct values): a ``bytes`` code
   vector (1 byte per row) plus a shared, interned :class:`Dictionary`
@@ -20,9 +21,10 @@ Selection on a dictionary column never touches decoded values: a
 predicate is evaluated once per **distinct value** into a 256-byte pass
 table, then a whole page is filtered with ``codes.translate(table)`` (a
 single C call) + ``itertools.compress`` -- or folded into an int bitmap
-via :meth:`DictColumn.mask_for`, which memoizes the per-page mask by
-predicate signature so recurring predicates across concurrent queries
-AND/OR single ints instead of re-scanning.
+via :meth:`DictColumn.mask_for`, which memoizes one mask per table column
+by predicate signature (a page's slice shifts its rows out of it) so
+recurring predicates across pages and concurrent queries AND/OR single
+ints instead of re-scanning.
 
 Decoding contract: ``decode(encode(col)) == col`` element for element --
 values round-trip exactly (dictionary columns return the *original*
@@ -113,13 +115,22 @@ class DictColumn:
     plus the packed-specific operations: ``gather`` (single-pass hash
     partitioning) and ``mask_for`` (predicate result as an int bitmap,
     memoized by predicate signature).  Boxed values are decoded on demand
-    by :func:`take_values`, never memoized on the column."""
+    by :func:`take_values`, never memoized on the column.
 
-    __slots__ = ("codes", "dictionary", "_masks")
+    A contiguous slice copies its code bytes but remembers where they come
+    from: ``base`` is the owning column (``None`` on the owner itself, and
+    on a gather, which owns its codes) and ``start`` the slice's first row
+    in it.  Slices of slices compose, so a page of a range-partitioned
+    shard still names the unpartitioned column, and every slice answers
+    ``mask_for`` out of that one column's memo."""
+
+    __slots__ = ("codes", "dictionary", "base", "start", "_masks")
 
     def __init__(self, codes: bytes, dictionary: Dictionary):
         self.codes = codes
         self.dictionary = dictionary
+        self.base: DictColumn | None = None
+        self.start = 0
         self._masks: dict[Any, int] | None = None
 
     def __len__(self) -> int:
@@ -127,7 +138,13 @@ class DictColumn:
 
     def __getitem__(self, j):
         if type(j) is slice:
-            return DictColumn(self.codes[j], self.dictionary)
+            out = DictColumn(self.codes[j], self.dictionary)
+            start, _, step = j.indices(len(self.codes))
+            if step == 1:
+                base = self.base
+                out.base = self if base is None else base
+                out.start = self.start + start
+            return out
         return self.dictionary.values[self.codes[j]]
 
     def __iter__(self) -> Iterator[Any]:
@@ -140,10 +157,18 @@ class DictColumn:
 
     def mask_for(self, key: Any, value_pred: Callable[[Any], bool]) -> int | None:
         """The predicate's pass positions as an int bitmap (bit ``j`` =
-        row ``j`` passes), memoized by ``key``.  Concurrent queries with
-        an equal predicate share the mask; conjunction chains AND the
-        cached ints instead of re-filtering.  ``None`` when the dictionary
-        has no pass table for the predicate (see :class:`Dictionary`)."""
+        row ``j`` passes), memoized by ``key`` on the owning column: a
+        slice shifts the owner's mask down to its own rows.  Concurrent
+        queries with an equal predicate share the mask; conjunction
+        chains AND the cached ints instead of re-filtering.  ``None`` when
+        the dictionary has no pass table for the predicate (see
+        :class:`Dictionary`)."""
+        base = self.base
+        if base is not None:
+            m = base.mask_for(key, value_pred)
+            if m is None:
+                return None
+            return (m >> self.start) & ((1 << len(self.codes)) - 1)
         masks = self._masks
         if masks is None:
             masks = self._masks = {}
@@ -160,15 +185,15 @@ class DictColumn:
         return f"<DictColumn rows={len(self.codes)} card={len(self.dictionary.values)}>"
 
 
+#: Flag byte 0/1 -> ASCII '0'/'1' (the other byte values never occur).
+_FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _flags_to_mask(flags: bytes) -> int:
-    """Fold a 0/1 flag byte per row into an int bitmap (bit j = row j)."""
-    mask = 0
-    bit = 1
-    for f in flags:
-        if f:
-            mask |= bit
-        bit <<= 1
-    return mask
+    """Fold a 0/1 flag byte per row into an int bitmap (bit j = row j):
+    the flags as binary digits, row 0 last -- one C-level pass each for
+    the translate, the reversal and the parse."""
+    return int(flags.translate(_FLAG_DIGITS)[::-1], 2) if flags else 0
 
 
 class PackedNumeric:
@@ -346,22 +371,25 @@ def pack_columns(columns: Sequence[Sequence[Any]], schema) -> tuple:
 def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
     """The boxed values of ``col`` at positions ``idx``, as a fresh
     sequence: one C-level ``itemgetter`` pass over the array buffer, the
-    code bytes (then the value table) or the boxed vector -- a whole-page
-    ``range`` of a typed array is one ``tolist``.  Nothing is memoized on
-    the column, so a caller that keeps only what it needs keeps no
-    decoded copy."""
+    code bytes (then the value table) or the boxed vector -- a contiguous
+    ``range`` (a page's rows of its table) is a slice instead: one
+    ``tolist`` of a typed array's view, the codes read off a bytes slice.
+    Nothing is memoized on the column, so a caller that keeps only what
+    it needs keeps no decoded copy."""
     n = len(idx)
     t = type(col)
+    run = type(idx) is range and idx.step == 1
     if t is DictColumn:
         values = col.dictionary.values
         codes = col.codes
         if n > 1:
-            return itemgetter(*itemgetter(*idx)(codes))(values)
+            picked = codes[idx.start : idx.stop] if run else itemgetter(*idx)(codes)
+            return itemgetter(*picked)(values)
         return [values[codes[idx[0]]]] if n else []
     if t is PackedNumeric:
         col = col.data
-        if type(idx) is range and idx == range(len(col)):
-            return col.tolist()
+        if run:
+            return memoryview(col)[idx.start : idx.stop].tolist()
     if n > 1:
         return itemgetter(*idx)(col)
     # itemgetter of one position would return the bare value

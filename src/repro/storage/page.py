@@ -1,9 +1,13 @@
-"""Pages and batches: column-stored pages, late-materialized batches.
+"""Pages and batches: row ranges of a table, late-materialized batches.
 
-A :class:`ColumnPage` (exported as :data:`Page`) is a fixed slice of a
-table -- the unit of buffer-pool residency and disk I/O.  It stores one
-layout, a tuple of per-column vectors (slices of the table's packed or
-boxed columns, see :mod:`repro.storage.table`).  Its ``.rows`` is a view
+A :class:`ColumnPage` (exported as :data:`Page`) is a fixed row range of a
+table -- the unit of buffer-pool residency and disk I/O.  It stores no
+vector of its own: it keeps its table's column tuple (see
+:mod:`repro.storage.table`) and the range ``[start, stop)``, and slices
+the columns when asked (:attr:`ColumnPage.columns`).  Those slices live
+as long as the scan's batch that holds them (CJOIN's work items read the
+table's vectors at table positions and slice nothing), so the base data
+is held once, by the table, however many pages cut it up.  Its ``.rows`` is a view
 for the reference evaluator only (``Table.iter_rows``): built on first
 access and cached, because the reference re-reads a table once per
 distinct query.  No engine path reads it -- scans, CJOIN's filters and
@@ -35,8 +39,8 @@ Both pages and batches carry a ``weight``: the number of real rows each
 generated row represents (see the scale substitution in DESIGN.md), so CPU
 and I/O charges reflect paper-scale data volumes.
 
-Immutability contract: a ``ColumnPage``'s columns are shared, never
-copied, between the page and the batches viewing it.
+Immutability contract: a table's column vectors are shared, never
+copied, between the table, its pages and the batches viewing them.
 Operators must never mutate a batch's ``rows``, ``cols``, ``sel`` or
 ``tail`` in place (they build new selections and new batches); the one
 place that needs a private, independently-owned copy -- push-based SP
@@ -84,33 +88,43 @@ def mask_to_sel(mask: int, n: int) -> list[int]:
 
 
 class ColumnPage:
-    """An immutable slice of a table, stored as per-column vectors.
+    """An immutable row range ``[start, stop)`` of a table's column vectors.
 
-    Columns are *the* stored form.  Given ``rows`` instead, the constructor
-    transposes them once; :attr:`rows` is the one derived view, built on
-    first access and cached for the reference evaluator (both directions
-    are pure ``zip`` transposes, so a round trip reproduces the input
-    exactly -- the property suite in ``tests/storage`` holds it to that)."""
+    ``vectors`` is the table's own column tuple, shared by all its pages;
+    :attr:`columns` slices it on each access (a view for a typed array,
+    a code-bytes copy that still answers ``mask_for`` out of the table
+    column's memo for a dictionary column).  :attr:`rows` is the one
+    cached view, built on first access for the reference evaluator (a
+    pure ``zip`` transpose, so columns -> rows -> columns reproduces the
+    input exactly -- the property suite in ``tests/storage`` holds it to
+    that)."""
 
-    __slots__ = ("table_name", "index", "weight", "real_bytes", "columns", "_rows")
+    __slots__ = ("table_name", "index", "weight", "real_bytes", "vectors", "start", "stop", "_rows")
 
     def __init__(
         self,
         table_name: str,
         index: int,
-        rows: Sequence[tuple] | None,
+        vectors: tuple[Sequence[Any], ...],
+        start: int,
+        stop: int,
         weight: float,
         real_bytes: float,
-        columns: Sequence[Sequence[Any]] | None = None,
     ):
-        if (rows is None) == (columns is None):
-            raise ValueError("exactly one of rows/columns must be given")
         self.table_name = table_name
         self.index = index
+        self.vectors = vectors
+        self.start = start
+        self.stop = stop
         self.weight = weight
         self.real_bytes = real_bytes
-        self.columns = tuple(zip(*rows)) if columns is None else tuple(columns)
         self._rows: tuple[tuple, ...] | None = None
+
+    @property
+    def columns(self) -> tuple[Sequence[Any], ...]:
+        """This page's slice of every column vector (built per call)."""
+        start, stop = self.start, self.stop
+        return tuple([col[start:stop] for col in self.vectors])
 
     @property
     def rows(self) -> tuple[tuple, ...]:
@@ -121,15 +135,14 @@ class ColumnPage:
         return rows
 
     def __len__(self) -> int:
-        cols = self.columns
-        return len(cols[0]) if cols else 0
+        return self.stop - self.start
 
     # -- batches --------------------------------------------------------
     def to_batch(self) -> "ColumnBatch":
-        """A :class:`ColumnBatch` viewing this page -- zero-copy: the batch
-        shares the page's column vectors (safe because batches are never
-        mutated in place; see the module docstring).  Its ``.rows`` is the
-        batch's own, never the page's cache."""
+        """A :class:`ColumnBatch` over this page's column slices -- views
+        of the table's vectors, not copies of the values (safe because
+        batches are never mutated in place; see the module docstring).
+        Its ``.rows`` is the batch's own, never the page's cache."""
         return ColumnBatch(self.columns, None, self.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

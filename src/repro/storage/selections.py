@@ -7,7 +7,8 @@ and over (CJOIN's shared filters, QPipe-SP's shared build sides).  One
 :class:`~repro.storage.manager.StorageManager`, holds the answer for both
 engines as the *positions* of the passing rows: a CJOIN admission inserts
 :meth:`Selection.keys` with those positions (its distributor gathers the
-dimension payload from the table's columns), a QPipe hash join probes
+dimension payload from the table's columns; the keys of a packed numeric
+column stay a typed array), a QPipe hash join probes
 :meth:`Selection.by_key`, and a predicate first seen by one is an exact
 hit for the other.  Row tuples are built only for a view that hands rows
 out (``rows``, ``by_key``): the table's rows once per run, shared by
@@ -26,7 +27,7 @@ from __future__ import annotations
 from array import array
 from typing import TYPE_CHECKING, Any, Sequence
 
-from repro.storage.packed import take_values
+from repro.storage.packed import PackedNumeric, take_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.query.expr import Expr
@@ -101,13 +102,18 @@ class Selection:
             self._views[("by_key", column)] = view
         return view
 
-    def keys(self, column: str) -> list[Any]:
+    def keys(self, column: str) -> Sequence[Any]:
         """``column`` of every selected row, in table order (what a CJOIN
-        admission inserts)."""
+        admission inserts): a typed ``array`` for a packed numeric column
+        -- 8 bytes a key, no boxed int held -- else a list."""
         keys = self._views.get(("keys", column))
         if keys is None:
             col = self.table.columns()[self.table.schema.index(column)]
-            keys = self._views[("keys", column)] = list(take_values(col, self.positions))
+            if type(col) is PackedNumeric:
+                keys = array(col.typecode, map(col.data.__getitem__, self.positions))
+            else:
+                keys = list(take_values(col, self.positions))
+            self._views[("keys", column)] = keys
         return keys
 
 

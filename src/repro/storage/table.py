@@ -7,10 +7,11 @@ paper-scale volumes.
 
 A table *is* its column vectors -- packed where the data allows (see
 :mod:`repro.storage.packed`), boxed lists otherwise -- and its pages are
-:class:`~repro.storage.page.ColumnPage` slices of them.  Both constructors
-end in the same page-slicing path: ``Table(...)`` transposes the given rows
-once, :meth:`Table.from_columns` takes the vectors as they are (the
-zero-copy path the shard tier uses to hand out fact partitions).
+:class:`~repro.storage.page.ColumnPage` row ranges of them: the table holds
+the one copy of its data, a page only its bounds.  Both constructors end
+in the same paging path: ``Table(...)`` transposes the given rows once,
+:meth:`Table.from_columns` takes the vectors as they are (the zero-copy
+path the shard tier uses to hand out fact partitions).
 """
 
 from __future__ import annotations
@@ -76,9 +77,9 @@ class Table:
     ) -> None:
         """The one construction path: validate, pack (a column the data
         does not let :func:`~repro.storage.packed.pack_column` pack stays a
-        boxed list), then slice every ``tuples_per_page`` rows into a page
-        (a C-level slice per column per page; zero-copy ``memoryview``
-        slices for packed arrays)."""
+        boxed list), then cut the rows into pages of ``tuples_per_page``:
+        each page is the packed column tuple plus its row range, so paging
+        copies and slices nothing."""
         if row_weight <= 0:
             raise ValueError("row_weight must be positive")
         if tuples_per_page < 1:
@@ -107,10 +108,11 @@ class Table:
                 Page(
                     table_name=name,
                     index=len(self.pages),
-                    rows=None,
+                    vectors=cols,
+                    start=start,
+                    stop=end,
                     weight=self.row_weight,
                     real_bytes=(end - start) * self.row_weight * schema.row_bytes,
-                    columns=tuple(col[start:end] for col in cols),
                 )
             )
 
@@ -139,7 +141,7 @@ class Table:
             yield from p.rows
 
     def columns(self) -> tuple[Sequence[Any], ...]:
-        """Full-table column vectors (the pages hold slices of these).
+        """Full-table column vectors (the pages are row ranges of these).
         Zero-copy shard partitioning slices and gathers from them."""
         return self._cols
 
@@ -156,8 +158,11 @@ class Table:
         *honestly* -- array buffers, dictionary code bytes, value tables
         and their boxed numeric entries, not just the outer containers.
         String payloads are excluded from both (shared references either
-        way).  ``column_layouts`` breaks the packed side down by
-        representation."""
+        way).  ``pages_bytes`` is what the page list keeps alive beyond
+        the column vectors: the list, each page object and the numbers it
+        owns (the reference evaluator's cached row views are priced by
+        ``rows_bytes``, not here).  ``column_layouts`` breaks the packed
+        side down by representation."""
         import sys
 
         numeric = tuple(c.kind in ("int", "float") for c in self.schema.columns)
@@ -181,9 +186,15 @@ class Table:
                 layouts["array"] += 1
             else:
                 layouts["boxed"] += 1
+        pages_bytes = sys.getsizeof(self.pages)
+        for page in self.pages:
+            pages_bytes += sys.getsizeof(page) + sum(
+                map(sys.getsizeof, (page.index, page.start, page.stop, page.real_bytes))
+            )
         return {
             "rows_bytes": rows_bytes,
             "columns_bytes": columns_bytes,
+            "pages_bytes": pages_bytes,
             "column_layouts": layouts,
         }
 

@@ -106,22 +106,29 @@ def test_column_built_table_round_trips_through_rows(rows, tpp):
 
 
 @settings(max_examples=60, deadline=None)
-@given(rows=st.lists(st.tuples(st.integers(), st.integers()), min_size=1, max_size=40))
-def test_page_dual_cache_agrees_both_directions(rows):
+@given(
+    rows=st.lists(st.tuples(st.integers(), st.integers()), min_size=1, max_size=40),
+    data=st.data(),
+)
+def test_page_dual_cache_agrees_both_directions(rows, data):
     # min_size=1: a rowless page cannot reconstruct column arity (the
     # table layer always knows it from the schema, pages need the data).
-    schema_cols = tuple(zip(*rows))
-    from_rows = ColumnPage("t", 0, rows=list(rows), weight=1.0, real_bytes=0.0)
-    from_cols = ColumnPage(
-        "t", 0, rows=None, weight=1.0, real_bytes=0.0, columns=schema_cols
-    )
-    # One stored layout: rows given to the constructor are transposed
-    # there, and the row view is derived (then cached) on first access.
-    assert from_rows.columns == from_cols.columns == schema_cols
-    assert from_rows._rows is None and from_cols._rows is None
-    assert list(from_cols.rows) == list(from_rows.rows) == rows
-    assert from_cols.rows is from_cols.rows
-    assert len(from_rows) == len(from_cols) == len(rows)
+    # One stored form: a page is a row range of column vectors, and the
+    # row view is derived (then cached) on first access.
+    cols = tuple(zip(*rows))
+    page = ColumnPage("t", 0, cols, 0, len(rows), 1.0, 0.0)
+    assert page.columns == cols
+    assert page._rows is None
+    assert list(page.rows) == rows
+    assert page.rows is page.rows
+    assert len(page) == len(rows)
+    # A range of longer vectors reads as a page over that range alone.
+    start = data.draw(st.integers(0, len(rows)))
+    stop = data.draw(st.integers(start, len(rows)))
+    part = ColumnPage("t", 1, cols, start, stop, 1.0, 0.0)
+    assert part.columns == tuple(c[start:stop] for c in cols)
+    assert list(part.rows) == rows[start:stop]
+    assert len(part) == stop - start
 
 
 # ----------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
 from repro.sim import CostModel, Simulator
 from repro.storage import StorageManager
+from repro.storage.page import ColumnPage
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from tests.boxed import boxed_layout
@@ -59,8 +60,9 @@ def test_one_selection_kernel_one_page_layout():
         if hasattr(cls, method)
     ]
     assert not per_node
-    # However a table is built, its pages store column vectors and derive
-    # rows from them.
+    # However a table is built, its pages are one form: a row range of the
+    # table's own column tuple.  A page stores no vector of its own; its
+    # columns are sliced on demand and its rows derived from them.
     schema = Schema([Column("k"), Column("tag", "str")])
     rows = [(i, "ab"[i % 2]) for i in range(150)]
     cols = [list(c) for c in zip(*rows)]
@@ -69,8 +71,10 @@ def test_one_selection_kernel_one_page_layout():
     for table in (Table("t", schema, rows), Table.from_columns("t", schema, cols), *boxed):
         assert table.num_pages == 3
         for page in table.pages:
-            assert "columns" in page.__slots__ and len(page.columns) == 2
+            assert type(page) is ColumnPage and "columns" not in page.__slots__
+            assert page.vectors is table.columns() and len(page.columns) == 2
             assert page._rows is None  # rows are derived on demand
+        assert [(p.start, p.stop) for p in table.pages] == [(0, 64), (64, 128), (128, 150)]
         assert list(table.iter_rows()) == rows
     for table in boxed:
         assert all(type(c) is list for page in table.pages for c in page.columns)

@@ -17,7 +17,7 @@ from repro.engine.qpipe import QueryHandle
 from repro.engine.stages.aggregate import GroupTable
 from repro.engine.stages.join import probe
 from repro.engine.stages.sort import order_by
-from repro.query.expr import compile_selection
+from repro.query.expr import compile_selection, select_batch
 from repro.query.plan import (
     AggregateNode,
     CJoinNode,
@@ -156,7 +156,7 @@ class VolcanoEngine:
                 yield cost.predicate(
                     len(result), result.weight, max(nd.predicate.terms, 1)
                 )
-                result = compile_selection(nd.predicate, nd.child.schema)(result)
+                result = select_batch(compile_selection(nd.predicate, nd.child.schema), result)
             elif isinstance(nd, HashJoinNode):
                 if phase == 0:
                     stack.append((nd, 1, None))

@@ -74,7 +74,7 @@ class CacheEntry:
         tables: frozenset[str],
         stage: str,
         seq: int,
-        node=None,
+        node,
     ):
         self.key = key
         self.batches = batches
@@ -85,10 +85,9 @@ class CacheEntry:
         self.hits = 0
         self.last_used = seq
         self.seq = seq
-        # The plan node this entry materialized, when the filler recorded
-        # it: subsumption probes (repro.query.subsume) need the structure,
-        # not just the signature hash.  Entries without a node only serve
-        # exact hits.
+        # The plan node this entry materialized: subsumption probes
+        # (repro.query.subsume) need the structure, not just the signature
+        # hash.
         self.node = node
 
     def benefit_per_byte(self) -> float:
@@ -101,7 +100,7 @@ class CacheEntry:
 
 
 def _indexed(entry: CacheEntry) -> bool:
-    return True  # only entries that recorded their plan node are indexed
+    return True  # every entry is a fold provider
 
 
 def _entry_rank(entry: CacheEntry) -> tuple:
@@ -127,8 +126,7 @@ class ResultCache:
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self._entries: dict[tuple, CacheEntry] = {}  # insertion-ordered
-        # The entries that recorded their plan node, searchable by
-        # subsumption (entries without one only serve exact hits).
+        # Every entry, searchable by subsumption.
         self._fold_index = FoldIndex()
         self._filling: set[tuple] = set()  # keys with an in-flight fill
         self._bytes = 0.0
@@ -202,8 +200,8 @@ class ResultCache:
         nbytes: float,
         cost_seconds: float,
         tables: frozenset[str],
-        stage: str = "",
-        node=None,
+        stage: str,
+        node,
     ) -> bool:
         """Insert a materialized result, evicting by policy to fit."""
         if not self.fits_entry(nbytes):
@@ -216,10 +214,9 @@ class ResultCache:
             self._evict_one()
         self._tick += 1
         entry = self._entries[key] = CacheEntry(
-            key, batches, nbytes, cost_seconds, tables, stage, self._tick, node=node
+            key, batches, nbytes, cost_seconds, tables, stage, self._tick, node
         )
-        if node is not None:
-            self._fold_index.add(node, entry)
+        self._fold_index.add(node, entry)
         self._bytes += nbytes
         self.insertions += 1
         self.sim.metrics.bump("result_cache_insertions")

@@ -7,8 +7,10 @@ in SelectNodes -- evaluates the fused predicate, charging per predicate
 term.  Keeping predicate evaluation on the *consumer* side is what lets a
 raw circular scan be shared by queries with different predicates.
 
-Selection runs through :func:`repro.query.expr.compile_selection` -- one
-call per batch -- and the read + predicate cycle charges are fused into a
+Selection runs through the one selection kernel
+(:func:`repro.query.expr.compile_selection`, applied by
+:func:`~repro.query.expr.select_batch`) -- one call per batch -- and the
+read + predicate cycle charges are fused into a
 single simulator command (one pool entry of their summed cycles, each part
 metered into its own category), handed back from the cost model's fused
 memo."""
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.engine.exchange import END
-from repro.query.expr import Expr, compile_selection
+from repro.query.expr import Expr, compile_selection, select_batch
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import Simulator
@@ -76,9 +78,10 @@ class FilteredInput:
         if self._select is None:
             return batch, (cost.fused(rc, read_cmd) if rc is not None else read_cmd)
         pred_cmd = cost.predicate(n, batch.weight, max(self.terms, 1))
+        out = select_batch(self._select, batch)
         if rc is not None:
-            return self._select(batch), cost.fused(rc, read_cmd, pred_cmd)
-        return self._select(batch), cost.fused(read_cmd, pred_cmd)
+            return out, cost.fused(rc, read_cmd, pred_cmd)
+        return out, cost.fused(read_cmd, pred_cmd)
 
     def fuse_next_lock(self, cmd):
         """Fuse the *next* read's SPL lock charge as the last part of

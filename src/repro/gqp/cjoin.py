@@ -28,7 +28,7 @@ from repro.sim.commands import SLEEP
 from repro.sim.sync import Channel, Condition
 from repro.engine.stages.aggregate import GroupTable
 from repro.gqp.bitmap import SlotAllocator
-from repro.query.expr import compile_positions
+from repro.query.expr import compile_selection
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.packed import take_values
 from repro.storage.page import ColumnBatch
@@ -438,7 +438,7 @@ class CJoinPipeline:
         state = _QueryState(packet, slot, pages_left=self.fact.num_pages)
         state.projector = self._make_projector(node)
         if node.fact_predicate is not None:
-            state.fact_pred = compile_positions(node.fact_predicate, self.fact.schema)
+            state.fact_pred = compile_selection(node.fact_predicate, self.fact.schema)
             state.fact_pred_terms = node.fact_predicate.terms
         if agg_node is not None:
             schema = node.schema  # the projected (payload) schema

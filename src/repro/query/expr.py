@@ -15,34 +15,40 @@ One selection kernel
 A predicate describes itself once.  A *leaf* -- ``Cmp(Col, Const)``,
 ``Between``, ``InSet`` -- states ``leaf() -> (column, value -> bool)`` and
 nothing else (its ``signature`` is the memo key); ``And`` / ``Or`` state
-only how their parts combine.  Every operator that filters --
-consumer-side inputs, the Volcano baseline, fold residuals, CJOIN's
-admission scans -- goes through :func:`compile_selection`, which derives
-all three evaluation forms from that description here and lets the *data*
-(selection present, column encoding -- never configuration) pick one per
-batch, always keeping exactly the rows ``compile`` would
-keep, in the same order (decision record with the measured selection
-traffic: "One selection entry point" in ``docs/performance.md``):
+only how their parts combine.  :func:`compile_selection` derives one
+kernel from that description, ``(cols, at) -> the positions in at whose
+rows pass``: ``cols`` are column vectors (a table's own, or a batch's),
+``at`` is ``None`` (every row), a ``range`` (a page of the table) or a list
+of positions, and the survivors come back in ``at``'s order.  Base data has
+one coordinate system -- a scan batch is its table's vectors at the page's
+range -- so every operator that filters (consumer-side inputs, the Volcano
+baseline, fold residuals, CJOIN's distributor, the dimension-selection
+memo) calls this kernel, and the *data* (``at``'s shape, column encoding --
+never configuration) picks one of three forms per call, always keeping
+exactly the rows ``compile`` would keep, in the same order ("One selection
+kernel" and the decision record "One coordinate system for base data" in
+``docs/performance.md``):
 
-1. **bitmap** -- a batch with no selection vector yet (a page view)
-   whose referenced columns are all dictionary-encoded: a leaf is
+1. **bitmap** -- ``at`` is contiguous (``None`` or a range) and every
+   referenced column is dictionary-encoded: a leaf is the table column's
    :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized by
-   signature on the table's column and shifted down to the page's rows,
-   so a predicate recurring across pages and concurrent queries is
-   scanned once), ``And`` / ``Or`` are ``&`` / ``|`` on ints -- the only
-   columnar form ``Or`` has;
-2. **positions** -- any other batch, for a leaf or a conjunction of
-   leaves: each conjunct refines the previous one's survivor positions; a
+   signature, so a predicate recurring across pages and concurrent queries
+   is scanned once), shifted down to the range; ``And`` / ``Or`` are ``&``
+   / ``|`` on ints -- the only columnar form ``Or`` has -- and
+   :func:`~repro.storage.page.mask_to_sel` decodes the result at the
+   range's start;
+2. **positions** -- any other ``at``, for a leaf or a conjunction of
+   leaves: each conjunct refines the previous one's survivors; a
    dictionary-encoded column is filtered on its raw code bytes through the
-   dictionary's pass table, any other vector by the value test itself;
-3. **rows** -- every other predicate shape: the oracle over ``.rows``,
-   kept as the sub-batch of its passing positions.
+   dictionary's pass table, any other vector by the value test itself (a
+   range through one C-level ``compress``);
+3. **oracle** -- every other predicate shape: ``compile`` over tuples of
+   just the predicate's own columns at ``at`` (no row is built for a
+   column the predicate does not name).
 
-:func:`compile_positions` is the same kernel for callers that hold column
-vectors and positions rather than a batch (the dimension-selection memo,
-CJOIN's distributor): the positions form over the raw vectors, else the
-oracle over tuples of just the predicate's columns -- no row is built for
-a column the predicate does not name.
+A batch is filtered by :func:`select_batch`: without a tail it hands its
+``(cols, sel)`` to the kernel as they are; with one (a join's output) it
+hands over the predicate's gathered columns at ``range(len(batch))``.
 
 The dictionary forms evaluate a leaf over every *distinct value* of a
 column, the oracle only over the rows that reach it, so a guarded
@@ -61,7 +67,7 @@ from itertools import compress, repeat
 from typing import Any, Callable, Sequence
 
 from repro.storage.packed import DictColumn, PackedNumeric, take_values
-from repro.storage.page import ColumnBatch
+from repro.storage.page import ColumnBatch, mask_to_sel
 from repro.storage.schema import Schema
 
 _CMP_OPS: dict[str, Callable[[Any, Any], bool]] = {
@@ -104,81 +110,65 @@ def value_column(expr: "Expr", schema: "Schema", column_of: Callable, n: int):
 
 def compile_selection(
     predicate: "Expr", schema: "Schema"
-) -> Callable[[ColumnBatch], ColumnBatch]:
-    """The selection operator for ``predicate`` over batches of ``schema``:
-    ``batch -> the sub-batch of passing rows`` (same rows, same order as
-    filtering with ``predicate.compile``).  Pure computation -- callers
-    charge the predicate cycles.  See the module docstring for how the
-    bitmap / positions / row form is picked per batch."""
+) -> Callable[[Sequence[Sequence[Any]], Sequence[int] | None], list[int]]:
+    """The selection kernel for ``predicate`` over column vectors laid out
+    as ``schema``: ``(cols, at) -> the positions in at whose rows pass``,
+    in ``at``'s order (``at`` is ``None`` for every row, a ``range`` or a
+    list of positions).  ``cols`` needs only the predicate's own columns;
+    the kernel's ``reads`` names them.  Pure computation -- callers charge
+    the predicate cycles.  See the module docstring for how the bitmap /
+    positions / oracle form is picked per call."""
+    used = predicate.columns()
+    reads = tuple(i for i, c in enumerate(schema.columns) if c.name in used)
     bitmap = _bitmap_form(predicate, schema)
     positions = _positions_form(predicate, schema)
-    keep = predicate.compile(schema)
+    keep = predicate.compile(Schema([schema.columns[i] for i in reads]))
 
-    def select(batch):
-        if bitmap is not None and batch.sel is None:
-            # Unselected view: the columns are the base vectors (mask bit
-            # p == base row p).  A selected batch would have to gather its
-            # columns just to find they are not encoded.
-            mask = bitmap(batch.cols)
-            if mask is not None:
-                return batch.take_mask(mask)
-        if positions is not None:
-            return batch.take(positions(batch.column, len(batch), None))
-        return batch.take([p for p, r in enumerate(batch.rows) if keep(r)])
-
-    return select
-
-
-def compile_positions(
-    predicate: "Expr", schema: "Schema"
-) -> Callable[[Sequence[Sequence[Any]], Sequence[int] | None], list[int]]:
-    """The same selection in *position space*, for callers that hold a
-    table's or a page's column vectors and a set of positions rather than a
-    batch (the dimension-selection memo, CJOIN's distributor):
-    ``(cols, at) -> the positions in at whose rows pass``, ascending ``at``
-    (``None`` = every row) in, the survivors in the same order out.  The
-    positions form reads the columns at ``at`` directly (a dictionary
-    column through its pass table on the raw codes); a predicate shape
-    without one runs the oracle over tuples of just its own columns."""
-    positions = _positions_form(predicate, schema)
-    if positions is not None:
-
-        def at_positions(cols, at):
-            def col_of(i):
-                c = cols[i]
-                return c.data if type(c) is PackedNumeric else c  # C-level indexing
-
-            return positions(col_of, len(cols[0]) if cols else 0, at)
-
-        return at_positions
-    used = predicate.columns()
-    idx = [i for i, c in enumerate(schema.columns) if c.name in used]
-    keep = predicate.compile(Schema([schema.columns[i] for i in idx]))
-
-    def oracle(cols, at):
+    def kernel(cols, at):
         if at is None:
             at = range(len(cols[0]) if cols else 0)
-        vecs = [take_values(cols[i], at) for i in idx]
+        if bitmap is not None and type(at) is range:
+            n = len(at)
+            mask = bitmap(cols, at.start, (1 << n) - 1)
+            if mask is not None:
+                return mask_to_sel(mask, n, at.start)
+        if positions is not None:
+            return positions(cols, at)
+        vecs = [take_values(cols[i], at) for i in reads]
         args = zip(*vecs) if vecs else repeat((), len(at))
         return [p for p, a in zip(at, args) if keep(a)]
 
-    return oracle
+    kernel.reads = reads  # type: ignore[attr-defined]
+    return kernel
+
+
+def select_batch(kernel: Callable, batch: ColumnBatch) -> ColumnBatch:
+    """The sub-batch of ``batch`` whose rows pass ``kernel`` (a
+    :func:`compile_selection` kernel), same rows in the same order."""
+    if batch.tail is None:
+        return ColumnBatch(batch.cols, kernel(batch.cols, batch.sel), batch.weight)
+    gathered = {i: batch.column(i) for i in kernel.reads}
+    return batch.take(kernel(gathered, range(len(batch))))
 
 
 def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
-    """``cols -> int bitmap | None`` over the base vectors of an unselected
-    batch (bit ``p`` = row ``p`` passes), or ``None`` when ``expr`` is not
-    built from leaves and ``And`` / ``Or`` alone.  The kernel
-    *declines* (returns ``None``) when a referenced column is not
-    dictionary-encoded or has no pass table for the leaf: a bitmap covers
-    every distinct value, so it needs the value test to answer for all."""
+    """``(cols, start, low) -> int bitmap | None`` over a contiguous run of
+    rows (bit ``p`` = row ``start + p`` passes; ``low`` has one bit per row
+    of the run), or ``None`` when ``expr`` is not built from leaves and
+    ``And`` / ``Or`` alone.  The kernel *declines* (returns ``None``) when
+    a referenced column is not dictionary-encoded or has no pass table for
+    the leaf: a bitmap covers every distinct value, so it needs the value
+    test to answer for all."""
     leaf = expr.leaf()
     if leaf is not None:
         i, key, test = schema.index(leaf[0]), expr.signature, leaf[1]
 
-        def leaf_bitmap(cols):
+        def leaf_bitmap(cols, start, low):
             c = cols[i]
-            return c.mask_for(key, test) if type(c) is DictColumn else None
+            if type(c) is not DictColumn:
+                return None
+            m = c.mask_for(key, test)
+            return None if m is None else (m >> start) & low
 
         return leaf_bitmap
     if not isinstance(expr, _Junction):
@@ -188,10 +178,10 @@ def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
         return None
     conj = isinstance(expr, And)
 
-    def combine(cols):
+    def combine(cols, start, low):
         m = -1 if conj else 0  # the identity of & / |
         for kernel in kernels:
-            part = kernel(cols)
+            part = kernel(cols, start, low)
             if part is None:
                 return None
             m = m & part if conj else m | part
@@ -203,30 +193,32 @@ def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
 
 
 def _positions_form(expr: "Expr", schema: "Schema") -> Callable | None:
-    """``(col_of, n, sel) -> passing positions`` over logical columns --
-    ``col_of(i)`` yields column ``i`` of an ``n``-row batch, ``sel`` (or
-    ``None`` for all rows) restricts evaluation to a previous conjunct's
-    survivors -- or ``None`` when ``expr`` is not a leaf or a conjunction
-    of leaves.  A dictionary-encoded column is filtered on its raw code
-    bytes through the pass table; without one (plain vector, typed array,
-    a dictionary value the test cannot answer for) the value test runs
-    over the vector, on survivors only, as the oracle would."""
+    """``(cols, at) -> passing positions`` -- ``at`` a range or a list of
+    positions; a conjunct after the first gets the previous one's
+    survivors -- or
+    ``None`` when ``expr`` is not a leaf or a conjunction of leaves.  A
+    dictionary-encoded column is filtered on its raw code bytes through the
+    pass table; without one (plain vector, typed array, a dictionary value
+    the test cannot answer for) the value test runs over the vector at
+    ``at``, on survivors only, as the oracle would."""
     leaf = expr.leaf()
     if leaf is not None:
         i, key, test = schema.index(leaf[0]), expr.signature, leaf[1]
 
-        def leaf_positions(col_of, n, sel):
-            c = col_of(i)
+        def leaf_positions(cols, at):
+            c = cols[i]
             if type(c) is DictColumn:
                 table = c.dictionary.pass_table(key, test)
                 if table is not None:
                     codes = c.codes
-                    if sel is None:
-                        return list(compress(range(n), codes.translate(table)))
-                    return [j for j in sel if table[codes[j]]]
-            if sel is None:
-                return list(compress(range(n), map(test, c)))
-            return [j for j in sel if test(c[j])]
+                    if type(at) is range:
+                        return list(compress(at, codes[at.start : at.stop].translate(table)))
+                    return [j for j in at if table[codes[j]]]
+            if type(at) is range:
+                return list(compress(at, map(test, take_values(c, at))))
+            if type(c) is PackedNumeric:
+                c = c.data  # C-level indexing
+            return [j for j in at if test(c[j])]
 
         return leaf_positions
     if not isinstance(expr, And):
@@ -235,12 +227,12 @@ def _positions_form(expr: "Expr", schema: "Schema") -> Callable | None:
     if None in kernels:
         return None
 
-    def refine(col_of, n, sel):
+    def refine(cols, at):
         for kernel in kernels:
-            sel = kernel(col_of, n, sel)
-            if not sel:
+            at = kernel(cols, at)
+            if not at:
                 break
-        return sel
+        return at
 
     return refine
 

@@ -59,6 +59,7 @@ from repro.query.expr import (
     Expr,
     InSet,
     compile_selection,
+    select_batch,
 )
 from repro.query.plan import (
     AggregateNode,
@@ -774,7 +775,7 @@ class ResidualOperator:
         """Filter + project one batch (the projection gathers the kept
         columns through the selection; a full view shares them)."""
         if self._select is not None:
-            batch = self._select(batch)
+            batch = select_batch(self._select, batch)
         idx = self.plan.project
         if idx is not None and len(batch):
             batch = ColumnBatch(tuple(map(batch.column, idx)), None, batch.weight)

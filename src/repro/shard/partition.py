@@ -54,6 +54,43 @@ def assign_shards(n_rows: int, n_shards: int, mode: str = "hash", salt: int = 0)
     raise ValueError(f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})")
 
 
+def _shard_rows(n_rows: int, n_shards: int, mode: str, salt: int) -> list:
+    """Each shard's rows of the table: a ``range`` per shard in ``range``
+    mode, an ascending index list per shard in ``hash`` mode."""
+    if mode == "range":
+        block = -(-n_rows // n_shards) if n_rows else 1
+        bounds = [min(k * block, n_rows) for k in range(n_shards)] + [n_rows]
+        return [range(bounds[k], bounds[k + 1]) for k in range(n_shards)]
+    if mode == "hash":
+        index: list[list[int]] = [[] for _ in range(n_shards)]
+        for i, shard in enumerate(assign_shards(n_rows, n_shards, mode, salt)):
+            index[shard].append(i)
+        return index
+    raise ValueError(
+        f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})"
+    )
+
+
+def _shard_table(table: Table, rows) -> Table:
+    """The rows of ``table`` at ``rows`` (see :func:`_shard_rows`) as a
+    table of their own: a range *slices* each column vector (a typed
+    array's slice is a view), an index list *gathers* through it --
+    :func:`~repro.storage.packed.gather_column` keeps packed layouts
+    packed (dictionary columns gather their byte codes, sharing the value
+    table; typed arrays gather into typed arrays)."""
+    if type(rows) is range:
+        cols = tuple(col[rows.start : rows.stop] for col in table.columns())
+    else:
+        cols = tuple(packedmod.gather_column(col, rows) for col in table.columns())
+    return Table.from_columns(
+        table.name,
+        table.schema,
+        cols,
+        row_weight=table.row_weight,
+        tuples_per_page=table.tuples_per_page,
+    )
+
+
 def partition_table(
     table: Table, n_shards: int, mode: str = "hash", salt: int = 0
 ) -> list[Table]:
@@ -61,48 +98,15 @@ def partition_table(
     weight and page granularity; possibly empty -- a shard with no fact
     rows is legal and handled by the worker).
 
-    Shards are built column-wise from the parent table's cached column
-    vectors and row tuples are never materialized: ``range`` mode *slices*
-    each vector (one C-level copy of the references per column per shard
-    -- the page-range path), ``hash`` mode *gathers* through a per-shard
-    index list.  Both feed :meth:`Table.from_columns`, whose pages carry
-    the same row counts, weights and byte accounting as the row
-    constructor's, so simulated charges do not depend on how a shard was
-    built."""
-    cols = table.columns()
-    n = table.num_rows
-    builds: list[tuple] = []
-    if mode == "range":
-        block = -(-n // n_shards) if n else 1
-        for k in range(n_shards):
-            start = min(k * block, n)
-            end = n if k == n_shards - 1 else min((k + 1) * block, n)
-            builds.append(tuple(col[start:end] for col in cols))
-    elif mode == "hash":
-        assignment = assign_shards(n, n_shards, mode, salt)
-        index: list[list[int]] = [[] for _ in range(n_shards)]
-        for i, shard in enumerate(assignment):
-            index[shard].append(i)
-        for idx in index:
-            # gather_column keeps packed layouts packed: dictionary
-            # columns gather their byte codes (sharing the value table),
-            # typed arrays gather into typed arrays -- the shard inherits
-            # the parent's representation instead of falling back to
-            # boxed lists.
-            builds.append(tuple(packedmod.gather_column(col, idx) for col in cols))
-    else:
-        raise ValueError(
-            f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})"
-        )
+    Shards are built column-wise from the parent table's column vectors
+    and row tuples are never materialized: ``range`` mode slices each
+    vector, ``hash`` mode gathers through a per-shard index list.  Both
+    feed :meth:`Table.from_columns`, whose pages carry the same row
+    counts, weights and byte accounting as the row constructor's, so
+    simulated charges do not depend on how a shard was built."""
     return [
-        Table.from_columns(
-            table.name,
-            table.schema,
-            shard_cols,
-            row_weight=table.row_weight,
-            tuples_per_page=table.tuples_per_page,
-        )
-        for shard_cols in builds
+        _shard_table(table, rows)
+        for rows in _shard_rows(table.num_rows, n_shards, mode, salt)
     ]
 
 
@@ -151,11 +155,14 @@ def shard_tables(
     salt: int = 0,
 ) -> dict[str, Table]:
     """One shard's view of the database: its fact partition plus every
-    dimension replicated (shared by reference -- tables are immutable)."""
+    dimension replicated (shared by reference -- tables are immutable).
+    Builds this shard's partition alone; it equals
+    ``partition_table(...)[shard_id]``."""
     if fact_table not in tables:
         raise ValueError(f"unknown fact table {fact_table!r}")
     if not 0 <= shard_id < n_shards:
         raise ValueError(f"shard_id {shard_id} out of range for {n_shards} shards")
     out = dict(tables)
-    out[fact_table] = partition_table(tables[fact_table], n_shards, mode, salt)[shard_id]
+    fact = tables[fact_table]
+    out[fact_table] = _shard_table(fact, _shard_rows(fact.num_rows, n_shards, mode, salt)[shard_id])
     return out

@@ -5,9 +5,8 @@ Python objects, column vectors are held as
 
 * :class:`PackedNumeric` -- an ``array.array`` of machine ints (``'q'``)
   or doubles (``'d'``), 8 bytes per value.  Slicing goes through
-  ``memoryview`` so shard range-partitions and a page's transient column
-  slices are **views** over the parent buffer (zero copies, fork-COW
-  friendly);
+  ``memoryview`` so shard range-partitions are **views** over the parent
+  buffer (zero copies, fork-COW friendly);
 * :class:`DictColumn` -- dictionary encoding for low-cardinality columns
   (at most :data:`DICT_MAX_CARD` distinct values): a ``bytes`` code
   vector (1 byte per row) plus a shared, interned :class:`Dictionary`
@@ -21,10 +20,13 @@ Selection on a dictionary column never touches decoded values: a
 predicate is evaluated once per **distinct value** into a 256-byte pass
 table, then a whole page is filtered with ``codes.translate(table)`` (a
 single C call) + ``itertools.compress`` -- or folded into an int bitmap
-via :meth:`DictColumn.mask_for`, which memoizes one mask per table column
-by predicate signature (a page's slice shifts its rows out of it) so
-recurring predicates across pages and concurrent queries AND/OR single
-ints instead of re-scanning.
+via :meth:`DictColumn.mask_for`, which memoizes one mask per column by
+predicate signature (the selection kernel shifts a page's rows out of the
+table column's mask) so recurring predicates across pages and concurrent
+queries AND/OR single ints instead of re-scanning.  Pages are read at
+table positions, so the only slices of a dictionary column are the shard
+tier's range partitions: plain copies of their codes that memoize masks
+of their own.
 
 Decoding contract: ``decode(encode(col)) == col`` element for element --
 values round-trip exactly (dictionary columns return the *original*
@@ -115,36 +117,22 @@ class DictColumn:
     plus the packed-specific operations: ``gather`` (single-pass hash
     partitioning) and ``mask_for`` (predicate result as an int bitmap,
     memoized by predicate signature).  Boxed values are decoded on demand
-    by :func:`take_values`, never memoized on the column.
+    by :func:`take_values`, never memoized on the column.  A slice or a
+    gather owns a copy of its codes and shares the value table."""
 
-    A contiguous slice copies its code bytes but remembers where they come
-    from: ``base`` is the owning column (``None`` on the owner itself, and
-    on a gather, which owns its codes) and ``start`` the slice's first row
-    in it.  Slices of slices compose, so a page of a range-partitioned
-    shard still names the unpartitioned column, and every slice answers
-    ``mask_for`` out of that one column's memo."""
-
-    __slots__ = ("codes", "dictionary", "base", "start", "_masks")
+    __slots__ = ("codes", "dictionary", "_masks")
 
     def __init__(self, codes: bytes, dictionary: Dictionary):
         self.codes = codes
         self.dictionary = dictionary
-        self.base: DictColumn | None = None
-        self.start = 0
-        self._masks: dict[Any, int] | None = None
+        self._masks: dict[Any, int] = {}
 
     def __len__(self) -> int:
         return len(self.codes)
 
     def __getitem__(self, j):
         if type(j) is slice:
-            out = DictColumn(self.codes[j], self.dictionary)
-            start, _, step = j.indices(len(self.codes))
-            if step == 1:
-                base = self.base
-                out.base = self if base is None else base
-                out.start = self.start + start
-            return out
+            return DictColumn(self.codes[j], self.dictionary)
         return self.dictionary.values[self.codes[j]]
 
     def __iter__(self) -> Iterator[Any]:
@@ -157,21 +145,12 @@ class DictColumn:
 
     def mask_for(self, key: Any, value_pred: Callable[[Any], bool]) -> int | None:
         """The predicate's pass positions as an int bitmap (bit ``j`` =
-        row ``j`` passes), memoized by ``key`` on the owning column: a
-        slice shifts the owner's mask down to its own rows.  Concurrent
+        row ``j`` passes), memoized by ``key`` on this column.  Concurrent
         queries with an equal predicate share the mask; conjunction
         chains AND the cached ints instead of re-filtering.  ``None`` when
         the dictionary has no pass table for the predicate (see
         :class:`Dictionary`)."""
-        base = self.base
-        if base is not None:
-            m = base.mask_for(key, value_pred)
-            if m is None:
-                return None
-            return (m >> self.start) & ((1 << len(self.codes)) - 1)
         masks = self._masks
-        if masks is None:
-            masks = self._masks = {}
         m = masks.get(key)
         if m is None:
             table = self.dictionary.pass_table(key, value_pred)
@@ -199,8 +178,8 @@ def _flags_to_mask(flags: bytes) -> int:
 class PackedNumeric:
     """A typed numeric vector: ``array('q')`` machine ints or ``array('d')``
     doubles, 8 unboxed bytes per value.  ``data`` is either the owning
-    ``array`` or a ``memoryview`` slice of an ancestor's buffer (page
-    slices and shard range-partitions are views -- zero copies)."""
+    ``array`` or a ``memoryview`` slice of an ancestor's buffer (shard
+    range-partitions are views -- zero copies)."""
 
     __slots__ = ("data", "typecode")
 
@@ -373,7 +352,8 @@ def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
     sequence: one C-level ``itemgetter`` pass over the array buffer, the
     code bytes (then the value table) or the boxed vector -- a contiguous
     ``range`` (a page's rows of its table) is a slice instead: one
-    ``tolist`` of a typed array's view, the codes read off a bytes slice.
+    ``tolist`` of a typed array's view, the codes read off a bytes slice,
+    a slice of a boxed vector.
     Nothing is memoized on the column, so a caller that keeps only what
     it needs keeps no decoded copy."""
     n = len(idx)
@@ -390,6 +370,8 @@ def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
         col = col.data
         if run:
             return memoryview(col)[idx.start : idx.stop].tolist()
+    elif run:
+        return col[idx.start : idx.stop]
     if n > 1:
         return itemgetter(*idx)(col)
     # itemgetter of one position would return the bare value

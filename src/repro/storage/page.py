@@ -2,38 +2,38 @@
 
 A :class:`ColumnPage` (exported as :data:`Page`) is a fixed row range of a
 table -- the unit of buffer-pool residency and disk I/O.  It stores no
-vector of its own: it keeps its table's column tuple (see
-:mod:`repro.storage.table`) and the range ``[start, stop)``, and slices
-the columns when asked (:attr:`ColumnPage.columns`).  Those slices live
-as long as the scan's batch that holds them (CJOIN's work items read the
-table's vectors at table positions and slice nothing), so the base data
-is held once, by the table, however many pages cut it up.  Its ``.rows`` is a view
-for the reference evaluator only (``Table.iter_rows``): built on first
-access and cached, because the reference re-reads a table once per
-distinct query.  No engine path reads it -- scans, CJOIN's filters and
-distributor, and the dimension-selection memo all work on the columns --
-so during a run no page holds a row tuple.
+vector of its own and slices none: it keeps its table's column tuple (see
+:mod:`repro.storage.table`) and the range ``[start, stop)``, and a scan
+reads it as :meth:`ColumnPage.to_batch` -- the table's own vectors at the
+page's positions.  Base data has one coordinate system, table positions:
+scan batches, CJOIN's work items and the dimension-selection memo all
+address the table's vectors by them, so the data is held once, by the
+table, however many pages and consumers cut it up.  Its ``.rows`` is a
+view for the reference evaluator only (``Table.iter_rows``): built on
+first access and cached, because the reference re-reads a table once per
+distinct query.  No engine path reads it, so during a run no page holds a
+row tuple.
 
 Batches are the unit of data flow between operators (through FIFO buffers
 and Shared Pages Lists), and there is one batch type, :class:`ColumnBatch`:
 column vectors plus a *selection vector* (``sel``) of live positions and
-an optional per-row ``tail`` of join-attached payload tuples.  Scans view
-a page's columns; aggregates build their finalized columns straight from
-their group table (:class:`repro.engine.stages.aggregate.GroupTable`);
-sort emits a permutation over the columns it collected, and CJOIN's
-distributor, fold residuals and cache replay emit gathered or shared
-columns directly.  Selections
-shrink ``sel`` without touching the columns, joins append to ``tail``
-without rebuilding wide row tuples, and ``.rows`` materializes lazily only
-where rows are the product or the oracle (client result collection,
-join build payloads, predicate shapes without a column form) -- late
-materialization.  Rows are the *product* in two places only: the
-reference evaluator's page view (:attr:`ColumnPage.rows`) and the client's
-results.
+an optional per-row ``tail`` of join-attached payload tuples.  Scans emit
+a page's range of the table's vectors; aggregates build their finalized
+columns straight from their group table
+(:class:`repro.engine.stages.aggregate.GroupTable`); sort emits a
+permutation over the columns it collected, and CJOIN's distributor, fold
+residuals and cache replay emit gathered or shared columns directly.
+Selections shrink ``sel`` without touching the columns, joins append to
+``tail`` without rebuilding wide row tuples, and ``.rows`` materializes
+lazily only where rows are the product or a row closure's input (client
+result collection, join build payloads, aggregate expressions without a
+column form) -- late materialization.  Rows are the *product* in two places
+only: the reference evaluator's page view (:attr:`ColumnPage.rows`) and
+the client's results.
 
 Live masks: the canonical mask over a batch is the selection vector (the
 fastest representation for CPython's list comprehensions); the bitmap
-selection kernels' int masks decode to it through :func:`mask_to_sel`.
+selection kernel's int masks decode to it through :func:`mask_to_sel`.
 
 Both pages and batches carry a ``weight``: the number of real rows each
 generated row represents (see the scale substitution in DESIGN.md), so CPU
@@ -68,15 +68,15 @@ _BYTE_SEL: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def mask_to_sel(mask: int, n: int) -> list[int]:
-    """The ascending positions of set bits among the low ``n`` bits.
+def mask_to_sel(mask: int, n: int, base: int = 0) -> list[int]:
+    """The ascending positions of set bits among the low ``n`` bits, plus
+    ``base`` (bit ``p`` stands for position ``base + p``).
 
     Decodes a byte at a time through a 256-entry offset table instead of
     probing all ``n`` bit positions -- sparse masks (selective
     predicates) cost proportional to survivors, not page size."""
     mask &= (1 << n) - 1
     out: list[int] = []
-    base = 0
     table = _BYTE_SEL
     while mask:
         b = mask & 0xFF
@@ -91,10 +91,8 @@ class ColumnPage:
     """An immutable row range ``[start, stop)`` of a table's column vectors.
 
     ``vectors`` is the table's own column tuple, shared by all its pages;
-    :attr:`columns` slices it on each access (a view for a typed array,
-    a code-bytes copy that still answers ``mask_for`` out of the table
-    column's memo for a dictionary column).  :attr:`rows` is the one
-    cached view, built on first access for the reference evaluator (a
+    :meth:`to_batch` reads it at the page's range.  :attr:`rows` is the
+    one cached view, built on first access for the reference evaluator (a
     pure ``zip`` transpose, so columns -> rows -> columns reproduces the
     input exactly -- the property suite in ``tests/storage`` holds it to
     that)."""
@@ -121,17 +119,11 @@ class ColumnPage:
         self._rows: tuple[tuple, ...] | None = None
 
     @property
-    def columns(self) -> tuple[Sequence[Any], ...]:
-        """This page's slice of every column vector (built per call)."""
-        start, stop = self.start, self.stop
-        return tuple([col[start:stop] for col in self.vectors])
-
-    @property
     def rows(self) -> tuple[tuple, ...]:
         """Row tuples (materialized from the columns on first access)."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = tuple(zip(*self.columns))
+            rows = self._rows = tuple(self.to_batch().rows)
         return rows
 
     def __len__(self) -> int:
@@ -139,11 +131,11 @@ class ColumnPage:
 
     # -- batches --------------------------------------------------------
     def to_batch(self) -> "ColumnBatch":
-        """A :class:`ColumnBatch` over this page's column slices -- views
-        of the table's vectors, not copies of the values (safe because
-        batches are never mutated in place; see the module docstring).
-        Its ``.rows`` is the batch's own, never the page's cache."""
-        return ColumnBatch(self.columns, None, self.weight)
+        """A :class:`ColumnBatch` of the table's own vectors at this page's
+        positions -- nothing sliced, nothing copied (safe because batches
+        are never mutated in place; see the module docstring).  Its
+        ``.rows`` is the batch's own, never the page's cache."""
+        return ColumnBatch(self.vectors, range(self.start, self.stop), self.weight)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Page {self.table_name}[{self.index}] rows={len(self)}>"
@@ -161,7 +153,8 @@ class ColumnBatch:
         tuple(col[sel[p]] for col in cols) + tail[p]
 
     with ``sel is None`` meaning the identity selection (all base rows in
-    order) and ``tail is None`` meaning no join-attached payload.  The
+    order), a ``range`` a contiguous run of them (a scan's page of its
+    table), and ``tail is None`` meaning no join-attached payload.  The
     base ``cols`` are shared, never copied: a selection produces a new
     batch with a smaller ``sel`` over the *same* columns, and a hash join
     produces a new ``sel`` (probe-side positions, one per match) plus a
@@ -169,8 +162,7 @@ class ColumnBatch:
 
     ``column(i)`` gathers one logical column; ``.rows`` materializes the
     full row view once and caches it (consumers that need tuples -- client
-    result collection, join build payloads, the row oracle -- pay only at
-    that point).
+    result collection, join build payloads -- pay only at that point).
     """
 
     __slots__ = ("cols", "sel", "tail", "weight", "_rows")
@@ -225,13 +217,6 @@ class ColumnBatch:
         new_tail = None if tail is None else [tail[p] for p in positions]
         return ColumnBatch(self.cols, new_sel, self.weight, new_tail)
 
-    def take_mask(self, mask: int) -> "ColumnBatch":
-        """The sub-batch whose logical positions are the set bits of
-        ``mask`` (bit ``p`` = logical row ``p``) -- the bitmap-native
-        selection path mask kernels feed (equivalent to ``take`` of the
-        mask's ascending positions)."""
-        return self.take(mask_to_sel(mask, len(self)))
-
     @property
     def rows(self) -> Sequence[tuple]:
         """The materialized row view (computed once, then cached)."""
@@ -260,7 +245,7 @@ class ColumnBatch:
         tail = self.tail
         return ColumnBatch(
             self.cols,
-            None if sel is None else list(sel),
+            None if sel is None else sel[:],  # a range stays a range
             self.weight,
             None if tail is None else list(tail),
         )

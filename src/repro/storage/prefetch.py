@@ -46,19 +46,12 @@ class PageSource:
             sim.spawn(self._read_ahead(self.position), name=f"{name}.fetcher", daemon=True)
 
     # ------------------------------------------------------------------
-    def next(self, latch_prepaid: bool = False) -> Iterator[Any]:
-        """Generator: fetch the page at the current position and advance.
-
-        ``latch_prepaid`` is only meaningful on a source without read-ahead
-        (``next`` then reads synchronously through the buffer pool): it
-        means the caller fused the buffer-pool latch charge into the tail
-        of its preceding CPU command (see ``BufferPool.read_page``)."""
+    def next(self) -> Iterator[Any]:
+        """Generator: fetch the page at the current position and advance."""
         if self._chan is not None:
             page = yield from self._chan.get()
         else:
-            page = yield from self.storage.read_page(
-                self.table, self.position, latch_prepaid=latch_prepaid
-            )
+            page = yield from self.storage.read_page(self.table, self.position)
         self.position = (self.position + 1) % self.table.num_pages
         return page
 

@@ -162,10 +162,10 @@ class SelectionMemo:
         if predicate is None:
             positions: Sequence[int] = range(table.num_rows)
         else:
-            from repro.query.expr import compile_positions  # deferred: query imports storage
+            from repro.query.expr import compile_selection  # deferred: query imports storage
 
             # Held as a typed array: 8 bytes a position, no boxed ints.
-            positions = array("q", compile_positions(predicate, table.schema)(table.columns(), source))
+            positions = array("q", compile_selection(predicate, table.schema)(table.columns(), source))
         selection = entries[predicate] = Selection(positions, served, table, {}, self._table_rows)
         if len(entries) > MAX_ENTRIES_PER_TABLE:
             del entries[next(iter(entries))]

@@ -8,7 +8,9 @@ paper-scale volumes.
 A table *is* its column vectors -- packed where the data allows (see
 :mod:`repro.storage.packed`), boxed lists otherwise -- and its pages are
 :class:`~repro.storage.page.ColumnPage` row ranges of them: the table holds
-the one copy of its data, a page only its bounds.  Both constructors end
+the one copy of its data, a page only its bounds, and every reader (a
+scan's batch, a CJOIN work item, the dimension-selection memo) addresses
+the vectors by table position.  Both constructors end
 in the same paging path: ``Table(...)`` transposes the given rows once,
 :meth:`Table.from_columns` takes the vectors as they are (the zero-copy
 path the shard tier uses to hand out fact partitions).
@@ -168,7 +170,7 @@ class Table:
         numeric = tuple(c.kind in ("int", "float") for c in self.schema.columns)
         rows_bytes = 0
         for page in self.pages:
-            rows = tuple(zip(*page.columns))  # measured, not cached on the page
+            rows = tuple(page.to_batch().rows)  # measured, not cached on the page
             rows_bytes += sys.getsizeof(rows)
             for r in rows:
                 rows_bytes += sys.getsizeof(r)

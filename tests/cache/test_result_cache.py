@@ -66,7 +66,7 @@ class TestProbeAndFill:
         key = ("sort", "x")
         assert probe(cache, key) is None
         assert cache.misses == 1
-        cache.admit(key, entry_batches(), 100.0, 0.5, frozenset({"t"}), "sort")
+        cache.admit(key, entry_batches(), 100.0, 0.5, frozenset({"t"}), "sort", SCAN)
         entry = probe(cache, key)
         assert entry is not None
         assert entry.hits == 1
@@ -77,7 +77,7 @@ class TestProbeAndFill:
     def test_contains_is_silent(self):
         sim, cache = make_cache()
         key = ("agg", "y")
-        cache.admit(key, entry_batches(), 10.0, 0.1, frozenset(), "aggregate")
+        cache.admit(key, entry_batches(), 10.0, 0.1, frozenset(), "aggregate", SCAN)
         entry = cache._entries[key]
         found = cache.lookup(SimpleNamespace(signature=key), fold=False)
         assert found == ("cache_hit", entry, FoldPlan(), 0)
@@ -97,15 +97,15 @@ class TestProbeAndFill:
         sim, cache = make_cache(capacity=1000.0)
         assert not cache.fits_entry(501.0)
         assert cache.fits_entry(500.0)
-        assert not cache.admit(("k",), entry_batches(), 501.0, 1.0, frozenset(), "sort")
+        assert not cache.admit(("k",), entry_batches(), 501.0, 1.0, frozenset(), "sort", SCAN)
         assert cache.rejected == 1
         assert len(cache._entries) == 0
 
     def test_readmit_replaces(self):
         _, cache = make_cache()
         key = ("sort", "x")
-        cache.admit(key, entry_batches(1), 100.0, 0.5, frozenset(), "sort")
-        cache.admit(key, entry_batches(3), 200.0, 0.7, frozenset(), "sort")
+        cache.admit(key, entry_batches(1), 100.0, 0.5, frozenset(), "sort", SCAN)
+        cache.admit(key, entry_batches(3), 200.0, 0.7, frozenset(), "sort", SCAN)
         assert len(cache._entries) == 1
         assert cache._bytes == 200.0
 
@@ -114,37 +114,37 @@ class TestProbeAndFill:
 class TestEviction:
     def test_lru_evicts_least_recently_probed(self):
         _, cache = make_cache(capacity=1000.0, policy="lru")
-        cache.admit(("a",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
-        cache.admit(("b",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
+        cache.admit(("a",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
+        cache.admit(("b",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
         probe(cache, ("a",))  # "a" is now more recent than "b"
-        cache.admit(("c",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
+        cache.admit(("c",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
         assert list(cache._entries) == [("a",), ("c",)]
         assert cache.evictions == 1
 
     def test_benefit_evicts_cheapest_per_byte(self):
         _, cache = make_cache(capacity=1000.0, policy="benefit")
         # "cheap" is large and cost little to make; "dear" is small and slow.
-        cache.admit(("cheap",), entry_batches(), 400.0, 0.01, frozenset(), "sort")
-        cache.admit(("dear",), entry_batches(), 100.0, 5.0, frozenset(), "sort")
-        cache.admit(("new",), entry_batches(), 600.0, 1.0, frozenset(), "sort")
+        cache.admit(("cheap",), entry_batches(), 400.0, 0.01, frozenset(), "sort", SCAN)
+        cache.admit(("dear",), entry_batches(), 100.0, 5.0, frozenset(), "sort", SCAN)
+        cache.admit(("new",), entry_batches(), 600.0, 1.0, frozenset(), "sort", SCAN)
         assert ("cheap",) not in cache._entries
         assert ("dear",) in cache._entries
 
     def test_benefit_weighs_observed_reuse(self):
         _, cache = make_cache(capacity=1000.0, policy="benefit")
         # Equal cost and size: the probed entry must survive the unprobed.
-        cache.admit(("cold",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
-        cache.admit(("hot",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
+        cache.admit(("cold",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
+        cache.admit(("hot",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
         for _ in range(3):
             probe(cache, ("hot",))
-        cache.admit(("new",), entry_batches(), 400.0, 1.0, frozenset(), "sort")
+        cache.admit(("new",), entry_batches(), 400.0, 1.0, frozenset(), "sort", SCAN)
         assert ("hot",) in cache._entries
         assert ("cold",) not in cache._entries
 
     def test_eviction_keeps_budget(self):
         _, cache = make_cache(capacity=1000.0)
         for i in range(10):
-            cache.admit((i,), entry_batches(), 300.0, 1.0, frozenset(), "sort")
+            cache.admit((i,), entry_batches(), 300.0, 1.0, frozenset(), "sort", SCAN)
         assert cache._bytes <= 1000.0
         assert len(cache._entries) == 3
 
@@ -152,8 +152,8 @@ class TestEviction:
 class TestInvalidation:
     def test_invalidate_by_table(self):
         sim, cache = make_cache()
-        cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset({"lineorder", "date"}), "sort")
-        cache.admit(("b",), entry_batches(), 10.0, 1.0, frozenset({"part"}), "sort")
+        cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset({"lineorder", "date"}), "sort", SCAN)
+        cache.admit(("b",), entry_batches(), 10.0, 1.0, frozenset({"part"}), "sort", SCAN)
         assert cache.invalidate_table("lineorder") == 1
         assert list(cache._entries) == [("b",)]
         assert cache.invalidated == 1
@@ -162,6 +162,8 @@ class TestInvalidation:
 
 
 YEARS = Table("years", Schema([Column("year"), Column("v")], row_bytes=16), [])
+#: The plan node the exact-probe tests file their entries under.
+SCAN = ScanNode(YEARS)
 
 
 def yearly(lo, hi):
@@ -196,7 +198,6 @@ class TestSubsumingProbes:
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1992, 1997))
         admit_node(cache, yearly(1994, 1994))  # too narrow to serve the lookup
-        cache.admit(("no", "node"), entry_batches(), 10.0, 1.0, frozenset(), "sort")
         consumer = yearly(1993, 1995)
         assert cache.lookup(consumer, first=True) is not None
         mechanism, entry, plan, examined = cache.lookup(consumer)
@@ -247,7 +248,7 @@ class TestSubsumingProbes:
         assert len(cache._fold_index) == 0
         admit_node(cache, yearly(1990, 1999))
         # A full-capacity entry clears every other one out.
-        cache.admit(("big",), entry_batches(), 10_000.0, 1.0, frozenset(), "sort")
+        cache.admit(("big",), entry_batches(), 10_000.0, 1.0, frozenset(), "sort", SCAN)
         assert list(cache._entries) == [("big",)]
         assert cache.lookup(yearly(1993, 1995)) is None
 
@@ -255,7 +256,7 @@ class TestSubsumingProbes:
 class TestStats:
     def test_stats_snapshot(self):
         _, cache = make_cache(capacity=500.0, policy="lru")
-        cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset(), "sort")
+        cache.admit(("a",), entry_batches(), 10.0, 1.0, frozenset(), "sort", SCAN)
         probe(cache, ("a",))
         probe(cache, ("b",))
         stats = cache.stats()

@@ -7,7 +7,8 @@ counterexamples is a separate, explicit activity:
 
     PYTHONPATH=src python -m pytest tests/sim tests/query tests/storage tests/data \
         tests/engine/test_sharing_decision.py tests/engine/test_aggregate_kernel.py \
-        tests/engine/test_property_equivalence.py --hypothesis-profile=explore
+        tests/engine/test_property_equivalence.py tests/shard/test_partition.py \
+        --hypothesis-profile=explore
 
 (the hypothesis pytest plugin's own option; it is applied after this file
 is imported, so it overrides the default loaded below).  A counterexample

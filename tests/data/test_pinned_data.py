@@ -130,8 +130,7 @@ def test_every_exchanged_batch_is_a_column_batch(monkeypatch):
     assert any(k.startswith("fold_attach:") for k in service.sim.metrics.counts)
     assert set(emitted) == {"ColumnBatch"}
 
-    columns = [c for t in tables.values() for p in t.pages for c in p.columns]
-    columns += [c for t in tables.values() for c in t.columns()]
+    columns = [c for t in tables.values() for p in t.pages for c in p.to_batch().cols]
     packed = [c for c in columns if type(c) in (DictColumn, PackedNumeric)]
     assert packed
     memos = [

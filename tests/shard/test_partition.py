@@ -10,6 +10,7 @@ algebraic core of the shard tier's byte-identical determinism contract).
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -75,12 +76,41 @@ def test_shard_tables_replicates_dims_and_validates():
     view = shard_tables({"f": fact, "d": dim}, "f", 0, 2, "range")
     assert view["d"] is dim  # replicated by reference
     assert view["f"].num_rows == 5
-    import pytest
-
     with pytest.raises(ValueError):
         shard_tables({"f": fact}, "nope", 0, 2)
     with pytest.raises(ValueError):
         shard_tables({"f": fact}, "f", 2, 2)
+
+
+@given(
+    n_rows=st.integers(0, 120),
+    mode=st.sampled_from(PARTITION_MODES),
+    salt=st.integers(0, 1000),
+    low_card=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_shard_tables_builds_only_the_requested_partition(n_rows, mode, salt, low_card):
+    # Low-cardinality columns dictionary-encode, the others are typed arrays.
+    rows = [(i % 7 if low_card else i, float(i % 5)) for i in range(n_rows)]
+    fact = Table("f", _SCHEMA, rows, tuples_per_page=16)
+    for n_shards in range(1, 5):
+        parts = partition_table(fact, n_shards, mode, salt)
+        for k in range(n_shards):
+            built = []
+            real = Table.from_columns.__func__
+
+            def counting(cls, *args, **kwargs):
+                built.append(args[0])
+                return real(cls, *args, **kwargs)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(Table, "from_columns", classmethod(counting))
+                view = shard_tables({"f": fact}, "f", k, n_shards, mode, salt)
+            assert built == ["f"]  # one partition built, not n_shards
+            got, want = view["f"], parts[k]
+            assert [type(c) for c in got.columns()] == [type(c) for c in want.columns()]
+            assert [list(c) for c in got.columns()] == [list(c) for c in want.columns()]
+            assert got.num_pages == want.num_pages and got.real_bytes == want.real_bytes
 
 
 # ---------------------------------------------------------------------------

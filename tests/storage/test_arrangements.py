@@ -203,7 +203,7 @@ def test_containment_chain_in_every_order_gives_identical_selections(vals, lo, s
 def test_derivation_reads_the_smallest_subsuming_entry(monkeypatch):
     table = build_table(unique_rows(0, list(range(-5, 6)) * 4), packed=True)
     filtered: list[int] = []  # size of every source the memo filters
-    real = expr.compile_positions
+    real = expr.compile_selection
 
     def recording_positions(predicate, schema):
         select = real(predicate, schema)
@@ -214,7 +214,7 @@ def test_derivation_reads_the_smallest_subsuming_entry(monkeypatch):
 
         return recording
 
-    monkeypatch.setattr(expr, "compile_positions", recording_positions)
+    monkeypatch.setattr(expr, "compile_selection", recording_positions)
     memo = SelectionMemo()
     for insert_order in ([(-4, 4), (-1, 1)], [(-1, 1), (-4, 4)]):
         memo.drop_table("dim")

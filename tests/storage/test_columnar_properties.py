@@ -7,11 +7,11 @@ generated inputs:
   column vectors, a table built from columns exposes exactly the zipped
   row tuples, and a page built either way stores columns and derives the
   same rows.
-* **Selection equivalence** -- for any predicate and data,
-  ``compile_selection`` over a column batch of boxed vectors keeps the
-  rows (and, while the batch stays columnar, the positions) row-at-a-time
-  ``Expr.compile`` evaluation keeps, in the same order, both on a full
-  batch and when refining a prior selection vector; likewise over a row
+* **Selection equivalence** -- for any predicate and data, the one
+  selection kernel (``compile_selection``) over boxed vectors keeps the
+  positions row-at-a-time ``Expr.compile`` evaluation keeps, in the same
+  order, over every row, over a page's range and when refining a prior
+  selection vector, and ``select_batch`` keeps the same rows of a column
   batch.  (``test_packed_properties`` repeats this over packed vectors.)
 
 Plus the mask helpers (selection vector <-> int bitmap) and the shard
@@ -22,7 +22,7 @@ two invariants.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.query.expr import And, Between, Cmp, InSet, Or, compile_positions, compile_selection
+from repro.query.expr import And, Between, Cmp, InSet, Or, compile_selection, select_batch
 from repro.shard.partition import assign_shards, partition_table
 from repro.storage.page import ColumnBatch, ColumnPage, mask_to_sel
 from repro.storage.schema import Column, Schema
@@ -100,7 +100,7 @@ def test_column_built_table_round_trips_through_rows(rows, tpp):
     assert table.num_pages == row_table.num_pages
     for cp, rp in zip(table.pages, row_table.pages):
         assert list(cp.rows) == list(rp.rows)
-        assert tuple(map(list, cp.columns)) == tuple(map(list, rp.columns))
+        assert page_columns(cp) == page_columns(rp)
         assert cp.real_bytes == rp.real_bytes
         assert cp.weight == rp.weight
 
@@ -117,7 +117,7 @@ def test_page_dual_cache_agrees_both_directions(rows, data):
     # row view is derived (then cached) on first access.
     cols = tuple(zip(*rows))
     page = ColumnPage("t", 0, cols, 0, len(rows), 1.0, 0.0)
-    assert page.columns == cols
+    assert page_columns(page) == tuple(map(list, cols))
     assert page._rows is None
     assert list(page.rows) == rows
     assert page.rows is page.rows
@@ -126,31 +126,41 @@ def test_page_dual_cache_agrees_both_directions(rows, data):
     start = data.draw(st.integers(0, len(rows)))
     stop = data.draw(st.integers(start, len(rows)))
     part = ColumnPage("t", 1, cols, start, stop, 1.0, 0.0)
-    assert part.columns == tuple(c[start:stop] for c in cols)
+    assert page_columns(part) == tuple(list(c[start:stop]) for c in cols)
     assert list(part.rows) == rows[start:stop]
     assert len(part) == stop - start
 
 
+def page_columns(page):
+    """A page's columns as a scan reads them (through its batch)."""
+    batch = page.to_batch()
+    return tuple(list(batch.column(k)) for k in range(len(batch.cols)))
+
+
 # ----------------------------------------------------------------------
-# compile_selection == row-wise predicates
+# The selection kernel == row-wise predicates
 # ----------------------------------------------------------------------
 def boxed_cols(rows):
     return tuple(zip(*rows)) if rows else ((), (), ())
 
 
 def check_selection(expr, cols, rows, sel=None):
-    """``compile_selection`` over ``ColumnBatch(cols, sel)`` keeps the
-    oracle's rows in order -- and its positions, whenever the result is
-    still a column batch over the same base vectors; ``compile_positions``
-    over the same vectors keeps exactly those positions."""
+    """The kernel over ``(cols, sel)`` keeps exactly the oracle's
+    positions, in order -- and over a page's range of the same vectors,
+    the oracle's positions in that range; ``select_batch`` over
+    ``ColumnBatch(cols, sel)`` keeps those rows as a selection over the
+    same base vectors."""
     pred = expr.compile(SCHEMA)
+    kernel = compile_selection(expr, SCHEMA)
     positions = range(len(rows)) if sel is None else sel
     expected = [j for j in positions if pred(rows[j])]
-    assert compile_positions(expr, SCHEMA)(cols, sel) == expected
-    out = compile_selection(expr, SCHEMA)(ColumnBatch(cols, sel))
+    assert kernel(cols, sel) == expected
+    if sel is None:
+        page = range(len(rows) // 3, len(rows) - len(rows) // 4)
+        assert kernel(cols, page) == [j for j in page if pred(rows[j])]
+    out = select_batch(kernel, ColumnBatch(cols, sel))
     assert list(out.rows) == [rows[j] for j in expected]
-    if type(out) is ColumnBatch:
-        assert out.cols is cols and out.sel == expected
+    assert out.cols is cols and out.sel == expected
     return out
 
 
@@ -172,7 +182,7 @@ def test_column_kernel_refines_selection_like_row_wise(rows, expr, data):
 @given(rows=rows_strategy, expr=predicates)
 def test_batch_kernel_positions_equal_row_wise(rows, expr):
     pred = expr.compile(SCHEMA)
-    out = compile_selection(expr, SCHEMA)(ColumnBatch(boxed_cols(rows), None, 2.0))
+    out = select_batch(compile_selection(expr, SCHEMA), ColumnBatch(boxed_cols(rows), None, 2.0))
     assert type(out) is ColumnBatch and out.weight == 2.0
     assert list(out.rows) == [r for r in rows if pred(r)]
 

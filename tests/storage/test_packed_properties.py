@@ -7,10 +7,11 @@ Holds the invariants packed column storage rests on, over
   with exact types preserved (``1`` / ``1.0`` / ``True`` never alias);
   slices, gathers and iteration agree with the boxed column.
 * **Selection equivalence** -- for any predicate and data,
-  ``compile_selection`` over *packed* vectors (dictionary columns, typed
+  the selection kernel over *packed* vectors (dictionary columns, typed
   arrays) keeps exactly the positions row-at-a-time evaluation keeps, in
-  the same order; over unselected dictionary columns every generated
-  shape is answered from the memoized per-column bitmaps.
+  the same order; over every row (or a page's range) of dictionary
+  columns every generated shape is answered from the memoized per-column
+  bitmaps.
 * **Partition-layout equality** -- shard partitions of a packed-built
   table hold row-for-row the same data as partitions of a boxed-built
   table, for either placement mode and any shard count, and range
@@ -40,6 +41,7 @@ from tests.boxed import boxed_table
 from tests.storage.test_columnar_properties import (
     SCHEMA,
     check_selection,
+    page_columns,
     predicates,
     reference_partitions,
     rows_strategy,
@@ -248,10 +250,10 @@ def test_column_kernel_on_packed_refines_selection_like_row_wise(rows, expr, dat
 @settings(max_examples=120, deadline=None)
 @given(rows=rows_strategy, expr=predicates)
 def test_mask_kernel_on_packed_equals_row_wise(rows, expr):
-    """Unselected dictionary columns take the bitmap form for every shape
-    built from leaves and And / Or (all that ``predicates``
-    generates): the result stays columnar, and a leaf's bitmap is left
-    memoized on its column under the predicate's signature."""
+    """Every row of dictionary columns takes the bitmap form for every
+    shape built from leaves and And / Or (all that ``predicates``
+    generates), and a leaf's bitmap is left memoized on its column under
+    the predicate's signature."""
     cols = packed_cols(rows)
     assert all(type(c) is DictColumn for c in cols)
     out = check_selection(expr, cols, rows)
@@ -278,7 +280,7 @@ def test_packed_table_round_trips_rows_and_columns(rows, tpp):
     assert packed_t.num_pages == boxed_t.num_pages
     for pp, bp in zip(packed_t.pages, boxed_t.pages):
         assert list(pp.rows) == list(bp.rows)
-        assert tuple(map(list, pp.columns)) == tuple(map(list, bp.columns))
+        assert page_columns(pp) == page_columns(bp)
         assert pp.real_bytes == bp.real_bytes and pp.weight == bp.weight
     if rows:
         assert all(is_packed(c) for c in packed_t.columns())

@@ -1,12 +1,14 @@
-"""Pages are row ranges of their table's column vectors.
+"""A scan batch is the table's vectors at the page's range.
 
-A page keeps its table's column tuple and its bounds; the column slices a
-scan or a CJOIN work item reads are built on demand.  This suite holds that
-form to the per-page slices tables used to store (same vectors, same rows),
-holds a dictionary slice's mask -- answered out of the owning column's memo
--- to the mask of the slice's own codes, pins the bitmap fold to its
-row-at-a-time definition, and budgets what pages and selection keys keep
-alive.
+Base data has one coordinate system, table positions: a page keeps its
+table's column tuple and its bounds, and a scan reads it as
+``ColumnBatch(table vectors, range(start, stop))`` -- nothing sliced, no
+column remembering where it came from.  This suite holds that form to the
+per-page slices it builds itself as the reference (same rows, same
+selections, for packed, boxed and typed tables), holds each range
+partition's dictionary masks to the masks of its own codes, pins the
+bitmap fold to its row-at-a-time definition, and budgets what pages and
+selection keys keep alive.
 """
 
 import tracemalloc
@@ -16,15 +18,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data.ssb import generate_ssb
+from repro.query.expr import Cmp, compile_selection, select_batch
 from repro.shard.partition import partition_table
 from repro.storage.packed import DictColumn, _flags_to_mask, take_values
+from repro.storage.page import ColumnBatch
 from repro.storage.selections import SelectionMemo
 from repro.storage.table import Table
 from tests.boxed import boxed_table
 from tests.storage.test_columnar_properties import SCHEMA, rows_strategy
 from tests.storage.test_packed_properties import typed_cols
 
-#: Cutoffs of a ``v <= cutoff`` leaf over the suite's small-int columns.
+#: Cutoffs of a ``b <= cutoff`` leaf over the suite's small-int columns.
 CUTOFFS = st.integers(-6, 10)
 
 
@@ -37,56 +41,53 @@ def _tables(rows, tpp):
     )
 
 
-def _check_slice_masks(col, cutoff):
-    """A dictionary slice's mask equals the mask of an owning column over
-    the same codes, and is served from the unsliced column's memo."""
-    if type(col) is not DictColumn:
-        return
-    key = ("le", cutoff)
-    pred = lambda v: v <= cutoff  # noqa: E731
-    got = col.mask_for(key, pred)
-    assert got == DictColumn(col.codes, col.dictionary).mask_for(key, pred)
-    assert got == sum(1 << j for j, v in enumerate(col) if pred(v))
-    if col.base is not None:
-        assert col.base.base is None and key in col.base._masks
-        assert col.base.codes[col.start : col.start + len(col)] == col.codes
-
-
 @settings(max_examples=60, deadline=None)
 @given(rows=rows_strategy, tpp=st.integers(1, 17), cutoff=CUTOFFS)
 def test_pages_read_as_the_per_page_slices(rows, tpp, cutoff):
+    select = compile_selection(Cmp("<=", "b", cutoff), SCHEMA)
     for table in _tables(rows, tpp):
         vectors = table.columns()
         for i, page in enumerate(table.pages):
             start, stop = i * tpp, min((i + 1) * tpp, len(rows))
-            old = tuple(col[start:stop] for col in vectors)
             assert (page.start, page.stop, len(page)) == (start, stop, stop - start)
-            assert tuple(map(list, page.columns)) == tuple(map(list, old))
-            assert list(page.rows) == list(zip(*old)) == rows[start:stop]
-            for col, vector in zip(page.columns, vectors):
-                if type(col) is DictColumn:
-                    assert col.base is vector and col.start == start
-                _check_slice_masks(col, cutoff)
-                # CJOIN reads a page as the table's rows at the page's range.
-                assert list(take_values(vector, range(start, stop))) == list(col)
+            batch = page.to_batch()
+            assert batch.cols is vectors and batch.sel == range(start, stop)
+            assert batch.weight == page.weight and batch.tail is None
+            # The reference: this page's own slice of every vector.
+            sliced = ColumnBatch(tuple(col[start:stop] for col in vectors))
+            assert [list(batch.column(k)) for k in range(3)] == [
+                list(sliced.column(k)) for k in range(3)
+            ]
+            assert list(page.rows) == list(batch.rows) == list(sliced.rows) == rows[start:stop]
+            # Selecting over the page range keeps the slice's rows, at
+            # table positions.
+            got = select_batch(select, batch)
+            ref = select_batch(select, sliced)
+            assert got.cols is vectors and got.sel == [start + j for j in ref.sel]
+            assert list(got.rows) == list(ref.rows)
+            # CJOIN reads a page the same way.
+            for col, ref_col in zip(vectors, sliced.cols):
+                assert list(take_values(col, range(start, stop))) == list(ref_col)
+
+
+def _check_own_masks(col, cutoff):
+    """A dictionary column's mask is the mask of its own codes."""
+    if type(col) is not DictColumn:
+        return
+    pred = lambda v: v <= cutoff  # noqa: E731
+    got = col.mask_for(("le", cutoff), pred)
+    assert got == sum(1 << j for j, v in enumerate(col) if pred(v))
+    assert got == DictColumn(col.codes, col.dictionary).mask_for(("le", cutoff), pred)
 
 
 @settings(max_examples=40, deadline=None)
 @given(rows=rows_strategy, n_shards=st.integers(1, 4), cutoff=CUTOFFS)
-def test_range_partition_page_masks_compose_offsets(rows, n_shards, cutoff):
+def test_range_partition_columns_mask_their_own_codes(rows, n_shards, cutoff):
     table = Table("fact", SCHEMA, rows, tuples_per_page=7)
-    parent = table.columns()
-    for shard in partition_table(table, n_shards, "range"):
-        for page in shard.pages:
-            for k, col in enumerate(page.columns):
-                assert type(col) is DictColumn and col.base is parent[k]
-                _check_slice_masks(col, cutoff)
-    for shard in partition_table(table, n_shards, "hash"):
-        # Hash gathers own their codes: their pages answer from them.
-        assert not any(type(c) is DictColumn and c.base for c in shard.columns())
-        for page in shard.pages:
-            for col in page.columns:
-                _check_slice_masks(col, cutoff)
+    for mode in ("range", "hash"):
+        for shard in partition_table(table, n_shards, mode):
+            for col in shard.columns():
+                _check_own_masks(col, cutoff)
 
 
 def _flags_to_mask_loop(flags: bytes) -> int:

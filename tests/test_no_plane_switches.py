@@ -24,7 +24,8 @@ from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
 from repro.sim import CostModel, Simulator
 from repro.storage import StorageManager
-from repro.storage.page import ColumnPage
+from repro.storage.packed import DictColumn
+from repro.storage.page import ColumnBatch, ColumnPage
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 from tests.boxed import boxed_layout
@@ -52,7 +53,8 @@ def test_no_execution_plane_switches():
 
 def test_one_selection_kernel_one_page_layout():
     # Predicate nodes describe themselves (``leaf`` / ``compile``); the
-    # bitmap / positions / row forms are derived in compile_selection.
+    # bitmap / positions / oracle forms are derived in compile_selection,
+    # the one public selection compile function.
     per_node = [
         (name, method)
         for name, cls in inspect.getmembers(expr, inspect.isclass)
@@ -60,9 +62,18 @@ def test_one_selection_kernel_one_page_layout():
         if hasattr(cls, method)
     ]
     assert not per_node
+    compilers = [
+        name
+        for name, fn in inspect.getmembers(expr, inspect.isfunction)
+        if fn.__module__ == expr.__name__ and name.startswith("compile")
+    ]
+    assert compilers == ["compile_selection"]
     # However a table is built, its pages are one form: a row range of the
-    # table's own column tuple.  A page stores no vector of its own; its
-    # columns are sliced on demand and its rows derived from them.
+    # table's own column tuple, read at table positions.  A page stores no
+    # vector and slices none, and no column slice remembers where it came
+    # from.
+    assert not hasattr(ColumnPage, "columns") and not hasattr(ColumnBatch, "take_mask")
+    assert not {"base", "start"} & set(DictColumn.__slots__)
     schema = Schema([Column("k"), Column("tag", "str")])
     rows = [(i, "ab"[i % 2]) for i in range(150)]
     cols = [list(c) for c in zip(*rows)]
@@ -71,13 +82,14 @@ def test_one_selection_kernel_one_page_layout():
     for table in (Table("t", schema, rows), Table.from_columns("t", schema, cols), *boxed):
         assert table.num_pages == 3
         for page in table.pages:
-            assert type(page) is ColumnPage and "columns" not in page.__slots__
-            assert page.vectors is table.columns() and len(page.columns) == 2
+            assert type(page) is ColumnPage and page.vectors is table.columns()
+            batch = page.to_batch()
+            assert batch.cols is table.columns() and batch.sel == range(page.start, page.stop)
             assert page._rows is None  # rows are derived on demand
         assert [(p.start, p.stop) for p in table.pages] == [(0, 64), (64, 128), (128, 150)]
         assert list(table.iter_rows()) == rows
     for table in boxed:
-        assert all(type(c) is list for page in table.pages for c in page.columns)
+        assert all(type(c) is list for c in table.columns())
 
 
 def test_one_batch_type():

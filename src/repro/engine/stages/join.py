@@ -57,9 +57,8 @@ def probe(
     if single is not None:
         ms = list(map(single.get, keys))
         if tails is None:
-            if src is None or type(src) is range:  # a full batch or a scan's page
-                start = 0 if src is None else src.start
-                out_sel = [j for j, m in enumerate(ms, start) if m is not None]
+            if src is None:
+                out_sel = [j for j, m in enumerate(ms) if m is not None]
             else:
                 out_sel = [j for j, m in zip(src, ms) if m is not None]
             out_tail = [m for m in ms if m is not None]

@@ -352,8 +352,7 @@ def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
     sequence: one C-level ``itemgetter`` pass over the array buffer, the
     code bytes (then the value table) or the boxed vector -- a contiguous
     ``range`` (a page's rows of its table) is a slice instead: one
-    ``tolist`` of a typed array's view, the codes read off a bytes slice,
-    a slice of a boxed vector.
+    ``tolist`` of a typed array's view, the codes read off a bytes slice.
     Nothing is memoized on the column, so a caller that keeps only what
     it needs keeps no decoded copy."""
     n = len(idx)
@@ -370,8 +369,6 @@ def take_values(col: Any, idx: Sequence[int]) -> Sequence[Any]:
         col = col.data
         if run:
             return memoryview(col)[idx.start : idx.stop].tolist()
-    elif run:
-        return col[idx.start : idx.stop]
     if n > 1:
         return itemgetter(*idx)(col)
     # itemgetter of one position would return the bare value

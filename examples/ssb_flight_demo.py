@@ -44,7 +44,7 @@ def main(config_name: str = "cjoin-sp") -> None:
     print(f"{'query':>6s} {'rows':>6s} {'response (s)':>13s}")
     for name, handle in handles.items():
         print(f"{name:>6s} {len(handle.results):6d} {handle.response_time:13.2f}")
-    sharing = engine.sharing_summary()
+    sharing = sim.metrics.sharing_events
     if sharing:
         print("\nsharing events:", ", ".join(f"{k}={v}" for k, v in sorted(sharing.items())))
     else:

@@ -55,6 +55,10 @@ CACHE_POLICIES = {
     "benefit": "evict the lowest cost x frequency / size entry first",
 }
 
+#: The run counters :meth:`ResultCache.stats` reports, in its key order;
+#: each is ``sim.metrics.counts["result_cache_<name>"]``.
+STAT_COUNTERS = ("hits", "misses", "insertions", "evictions", "rejected", "invalidated", "fold_hits")
+
 #: Largest admissible entry, as a fraction of the byte budget.
 MAX_ENTRY_FRACTION = 0.5
 
@@ -131,13 +135,6 @@ class ResultCache:
         self._filling: set[tuple] = set()  # keys with an in-flight fill
         self._bytes = 0.0
         self._tick = 0  # logical clock: deterministic LRU / tie-breaks
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.rejected = 0  # entries larger than the per-entry bound
-        self.invalidated = 0
-        self.fold_hits = 0  # partial hits served through a subsuming entry
 
     # -- lookup ---------------------------------------------------------
     def lookup(self, node, fold: bool = True, first: bool = False) -> Decision | None:
@@ -163,17 +160,11 @@ class ResultCache:
         self._tick += 1
         entry.hits += 1
         entry.last_used = self._tick
-        if folded:
-            self.fold_hits += 1
-            self.sim.metrics.bump("result_cache_fold_hits")
-        else:
-            self.hits += 1
-            self.sim.metrics.bump("result_cache_hits")
+        self.sim.metrics.bump("result_cache_fold_hits" if folded else "result_cache_hits")
 
     def record_miss(self) -> None:
         """Account a lookup with no exact entry."""
         self._tick += 1
-        self.misses += 1
         self.sim.metrics.bump("result_cache_misses")
 
     # -- fills ----------------------------------------------------------
@@ -205,7 +196,6 @@ class ResultCache:
     ) -> bool:
         """Insert a materialized result, evicting by policy to fit."""
         if not self.fits_entry(nbytes):
-            self.rejected += 1
             self.sim.metrics.bump("result_cache_rejected")
             return False
         if key in self._entries:
@@ -218,7 +208,6 @@ class ResultCache:
         )
         self._fold_index.add(node, entry)
         self._bytes += nbytes
-        self.insertions += 1
         self.sim.metrics.bump("result_cache_insertions")
         return True
 
@@ -228,7 +217,6 @@ class ResultCache:
         else:  # benefit per byte; seq breaks exact-score ties deterministically
             victim = min(self._entries.values(), key=lambda e: (e.benefit_per_byte(), e.seq))
         self._drop(victim.key)
-        self.evictions += 1
         self.sim.metrics.bump("result_cache_evictions")
 
     # -- invalidation ---------------------------------------------------
@@ -239,7 +227,6 @@ class ResultCache:
         for key in dead:
             self._drop(key)
         if dead:
-            self.invalidated += len(dead)
             self.sim.metrics.bump("result_cache_invalidated", len(dead))
         return len(dead)
 
@@ -251,19 +238,16 @@ class ResultCache:
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
-        """JSON-safe counter snapshot (exported by the service layer)."""
+        """JSON-safe snapshot (exported by the service layer): the resident
+        state, plus the run's ``result_cache_*`` counters read from
+        ``sim.metrics`` -- a view, never a second copy of them."""
+        counts = self.sim.metrics.counts
         return {
             "policy": self.policy,
             "capacity_bytes": self.capacity_bytes,
             "resident_bytes": self._bytes,
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "rejected": self.rejected,
-            "invalidated": self.invalidated,
-            "fold_hits": self.fold_hits,
+            **{name: counts.get(f"result_cache_{name}", 0) for name in STAT_COUNTERS},
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -112,7 +112,6 @@ class FifoExchange:
         self.name = name
         self._slots: list[_ConsumerSlot] = []
         self._closed = False
-        self.pages_emitted = 0
         # Fixed per-page bookkeeping charge (the cost model's instance).
         self._overhead_charge = cost.fifo_overhead_charge
 
@@ -144,7 +143,6 @@ class FifoExchange:
         ``lead`` is an extra CPU charge fused in front of the
         bookkeeping charge -- legal because nothing observable happens
         between those yields."""
-        self.pages_emitted += 1
         overhead = self._overhead_charge
         yield self.cost.fused(lead, overhead) if lead is not None else overhead
         for slot in self._slots:

@@ -56,13 +56,6 @@ class QueryHandle:
     gate: Gate
     root_packet: Packet | None = None
     results: list = field(default_factory=list)
-    #: ``(rows, weight)`` per root-exchange batch, recorded only when the
-    #: query was submitted with ``collect_batches=True``.  Weighted batches
-    #: are what the shard tier's partial-aggregate merge consumes: each
-    #: generated row stands for ``weight`` real rows, and additive
-    #: aggregates must scale by it (exactly as the aggregation stage does).
-    #: ``rows`` is the batch's own cached row view: read it, never mutate it.
-    batches: list[tuple[list, float]] | None = None
 
     def wait(self) -> Iterator[Any]:
         """Generator: block (in simulated time) until the query completes."""
@@ -122,13 +115,8 @@ class QPipeEngine:
         plan: PlanNode,
         label: str = "",
         spec: StarQuerySpec | None = None,
-        collect_batches: bool = False,
     ) -> QueryHandle:
-        """Submit an explicit physical plan (e.g. TPC-H Q1).
-
-        ``collect_batches=True`` additionally records each root-exchange
-        batch as ``(rows, weight)`` on the handle (see
-        :attr:`QueryHandle.batches`)."""
+        """Submit an explicit physical plan (e.g. TPC-H Q1)."""
         query = Query(
             query_id=next(self._query_ids),
             spec=spec,
@@ -138,8 +126,6 @@ class QPipeEngine:
         )
         root = self._build(plan, query)
         handle = QueryHandle(query=query, gate=Gate(self.sim, f"q{query.query_id}.done"), root_packet=root)
-        if collect_batches:
-            handle.batches = []
         self.handles.append(handle)
         self.sim.spawn(
             self._client(query, root, handle),
@@ -155,8 +141,6 @@ class QPipeEngine:
             batch = yield from reader.read()
             if batch is END:
                 break
-            if handle.batches is not None:
-                handle.batches.append((batch.rows, batch.weight))
             query.results.extend(batch.rows)
         query.finish_time = self.sim.now
         handle.results = query.results
@@ -239,8 +223,3 @@ class QPipeEngine:
         child_packet = self._build(inner, query)
         reader = child_packet.connect(budget=self._budget_for(inner))
         return FilteredInput(self.sim, reader, predicate, inner.schema)
-
-    # ------------------------------------------------------------------
-    def sharing_summary(self) -> dict[str, int]:
-        """Sharing events recorded so far, keyed by stage:label."""
-        return dict(self.sim.metrics.sharing_events)

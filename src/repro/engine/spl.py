@@ -127,7 +127,6 @@ class SharedPagesList:
         self._lock = Lock(sim, f"{self.name}.lock", charge=cost.spl_latch_charge)
         self._not_empty = Condition(sim, f"{self.name}.ne")
         self._not_full = Condition(sim, f"{self.name}.nf")
-        self.pages_emitted = 0
         # The cost model's fixed charges: every SPL of a run yields the
         # same instances, so the fusions below are memo hits.
         self._read_charge = cost.spl_read_charge
@@ -197,7 +196,6 @@ class SharedPagesList:
                             # Finishing packet: stop addressing it.
                             c.closed_for_new = True
             self._head_seq += 1
-            self.pages_emitted += 1
             self._not_empty.notify_all()
         finally:
             self._lock.release()

@@ -80,9 +80,6 @@ class Stage:
             "join": cfg.sp_join,
             "cjoin": cfg.sp_cjoin,
         }.get(name, False)
-        self.packets_admitted = 0
-        self.packets_shared = 0
-        self.packets_cached = 0
 
     def result_cache(self) -> "ResultCache | None":
         """The shared result cache, when one exists and this stage is
@@ -127,7 +124,6 @@ class Stage:
     def admit(self, packet: Packet) -> bool:
         """Register ``packet``; returns True if its sub-plan must not be
         built -- :meth:`decide` found a host or a cache entry to serve it."""
-        self.packets_admitted += 1
         won = self.decide(packet)
         mechanism = won.mechanism if won is not None else None
         cache = self.result_cache()
@@ -140,7 +136,6 @@ class Stage:
                     cache.record_hit(won.provider, folded=True)
         if mechanism == "wop_attach":
             won.provider.attach_satellite(packet)
-            self.packets_shared += 1
             self._record_sharing(packet)
             return True
         # A fold reader is opened before the host can emit (the decision
@@ -152,8 +147,6 @@ class Stage:
             self.engine.sim.metrics.bump(f"{key}:{self._sharing_label(packet)}")
         if mechanism in ("cache_hit", "cache_fold"):
             packet.query.cache_served = True
-            if mechanism == "cache_hit":
-                self.packets_cached += 1
             self.spawn_worker(packet, self._replay(packet, won))
             return True
         # A computed or folded packet is a full host for its own exact

@@ -55,7 +55,6 @@ class TableScanStage(Stage):
     def submit_scan(self, node: "ScanNode", query: "Query") -> Packet:
         """Admit a scan packet; returns the packet whose exchange consumers
         should read (with budget = the table's page count)."""
-        self.packets_admitted += 1
         packet = self.make_packet(node, query)
         table = node.table
         if self.sp_enabled:
@@ -63,7 +62,6 @@ class TableScanStage(Stage):
             live = state is not None and not state.exchange.closed
             if live and self._predicts_sharing(node, state):
                 state.packet.attach_satellite(packet)
-                self.packets_shared += 1
                 self._record_sharing(packet)
                 return packet
             packet.exchange = self.engine.new_exchange(f"scan.{table.name}.p{packet.packet_id}")

@@ -30,11 +30,11 @@ kernel" and the decision record "One coordinate system for base data" in
 ``docs/performance.md``):
 
 1. **bitmap** -- ``at`` is contiguous (``None`` or a range) and every
-   referenced column is dictionary-encoded: a leaf is the table column's
-   :meth:`~repro.storage.packed.DictColumn.mask_for` (memoized by
-   signature, so a predicate recurring across pages and concurrent queries
-   is scanned once), shifted down to the range; ``And`` / ``Or`` are ``&``
-   / ``|`` on ints -- the only columnar form ``Or`` has -- and
+   referenced column is dictionary-encoded: a leaf is the range's own code
+   bytes through the dictionary's pass table (memoized by signature, so a
+   predicate recurring across pages and concurrent queries is evaluated
+   once per distinct value), folded into an int; ``And`` / ``Or`` are
+   ``&`` / ``|`` on ints -- the only columnar form ``Or`` has -- and
    :func:`~repro.storage.page.mask_to_sel` decodes the result at the
    range's start;
 2. **positions** -- any other ``at``, for a leaf or a conjunction of
@@ -66,7 +66,7 @@ import operator
 from itertools import compress, repeat
 from typing import Any, Callable, Sequence
 
-from repro.storage.packed import DictColumn, PackedNumeric, take_values
+from repro.storage.packed import DictColumn, PackedNumeric, flags_to_mask, take_values
 from repro.storage.page import ColumnBatch, mask_to_sel
 from repro.storage.schema import Schema
 
@@ -128,10 +128,9 @@ def compile_selection(
         if at is None:
             at = range(len(cols[0]) if cols else 0)
         if bitmap is not None and type(at) is range:
-            n = len(at)
-            mask = bitmap(cols, at.start, (1 << n) - 1)
+            mask = bitmap(cols, at.start, at.stop)
             if mask is not None:
-                return mask_to_sel(mask, n, at.start)
+                return mask_to_sel(mask, len(at), at.start)
         if positions is not None:
             return positions(cols, at)
         vecs = [take_values(cols[i], at) for i in reads]
@@ -152,23 +151,23 @@ def select_batch(kernel: Callable, batch: ColumnBatch) -> ColumnBatch:
 
 
 def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
-    """``(cols, start, low) -> int bitmap | None`` over a contiguous run of
-    rows (bit ``p`` = row ``start + p`` passes; ``low`` has one bit per row
-    of the run), or ``None`` when ``expr`` is not built from leaves and
-    ``And`` / ``Or`` alone.  The kernel *declines* (returns ``None``) when
-    a referenced column is not dictionary-encoded or has no pass table for
-    the leaf: a bitmap covers every distinct value, so it needs the value
-    test to answer for all."""
+    """``(cols, start, stop) -> int bitmap | None`` over the rows
+    ``start:stop`` (bit ``p`` = row ``start + p`` passes), or ``None``
+    when ``expr`` is not built from leaves and ``And`` / ``Or`` alone.
+    The kernel *declines* (returns ``None``) when a referenced column is
+    not dictionary-encoded or has no pass table for the leaf: a pass table
+    covers every distinct value, so it needs the value test to answer for
+    all."""
     leaf = expr.leaf()
     if leaf is not None:
         i, key, test = schema.index(leaf[0]), expr.signature, leaf[1]
 
-        def leaf_bitmap(cols, start, low):
+        def leaf_bitmap(cols, start, stop):
             c = cols[i]
             if type(c) is not DictColumn:
                 return None
-            m = c.mask_for(key, test)
-            return None if m is None else (m >> start) & low
+            table = c.dictionary.pass_table(key, test)
+            return None if table is None else flags_to_mask(c.codes[start:stop].translate(table))
 
         return leaf_bitmap
     if not isinstance(expr, _Junction):
@@ -178,10 +177,10 @@ def _bitmap_form(expr: "Expr", schema: "Schema") -> Callable | None:
         return None
     conj = isinstance(expr, And)
 
-    def combine(cols, start, low):
+    def combine(cols, start, stop):
         m = -1 if conj else 0  # the identity of & / |
         for kernel in kernels:
-            part = kernel(cols, start, low)
+            part = kernel(cols, start, stop)
             if part is None:
                 return None
             m = m & part if conj else m | part

@@ -36,7 +36,6 @@ class ServiceMetrics(Metrics):
     admitted: int = 0
     dropped: int = 0
     timed_out: int = 0
-    completed: int = 0
     #: completed queries per routing decision (e.g. "query-centric", "gqp")
     routed: dict[str, int] = field(default_factory=dict)
     #: queries routed query-centric by the cache discount (a likely result-
@@ -71,7 +70,6 @@ class ServiceMetrics(Metrics):
         self.cache_routed += 1
 
     def record_completion(self, latency: float, cache_served: bool = False) -> None:
-        self.completed += 1
         self.latencies.append(latency)
         if cache_served:
             self.cache_hit_latencies.append(latency)
@@ -79,6 +77,11 @@ class ServiceMetrics(Metrics):
             self.cache_miss_latencies.append(latency)
 
     # -- derived --------------------------------------------------------
+    @property
+    def completed(self) -> int:
+        """Completed queries: one latency each."""
+        return len(self.latencies)
+
     @property
     def in_system(self) -> int:
         """Admitted queries not yet completed or shed (0 after a clean

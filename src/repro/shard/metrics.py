@@ -63,8 +63,6 @@ class ShardServiceMetrics(ServiceMetrics):
     shard_respawns: int = 0
     #: stuck-shard timeouts (each kills + respawns the worker, no retry)
     shard_timeouts: int = 0
-    #: queries that ended in a structured failure instead of a result
-    failed: int = 0
     #: structured failure records: seq, shard, kind, detail, deadline view
     failures: list[dict[str, Any]] = field(default_factory=list)
 
@@ -94,10 +92,15 @@ class ShardServiceMetrics(ServiceMetrics):
             self.peak_shard_backlog_s = backlog_s
 
     def record_failure(self, record: dict[str, Any]) -> None:
-        self.failed += 1
         self.failures.append(record)
 
     # -- derived --------------------------------------------------------
+    @property
+    def failed(self) -> int:
+        """Queries that ended in a structured failure instead of a
+        result: one record each."""
+        return len(self.failures)
+
     def per_shard_percentiles(self) -> dict[str, dict[str, float]]:
         """``{"shard0": {count, p50, p95, p99}, ...}`` of simulated service
         seconds -- the balance view (skew shows up as unequal p99s)."""

@@ -21,6 +21,7 @@ dataset spec alone; no row data ever crosses a pipe.
 
 from __future__ import annotations
 
+import functools
 import zlib
 
 from repro.storage import packed as packedmod
@@ -31,6 +32,7 @@ __all__ = [
     "assign_shards",
     "partition_shipping",
     "partition_table",
+    "shard_rows",
     "shard_tables",
 ]
 
@@ -54,9 +56,13 @@ def assign_shards(n_rows: int, n_shards: int, mode: str = "hash", salt: int = 0)
     raise ValueError(f"unknown partition mode {mode!r} (choose from: {', '.join(PARTITION_MODES)})")
 
 
-def _shard_rows(n_rows: int, n_shards: int, mode: str, salt: int) -> list:
+@functools.cache
+def shard_rows(n_rows: int, n_shards: int, mode: str, salt: int) -> list:
     """Each shard's rows of the table: a ``range`` per shard in ``range``
-    mode, an ascending index list per shard in ``hash`` mode."""
+    mode, an ascending index list per shard in ``hash`` mode.  Memoized:
+    :class:`~repro.shard.service.ShardService` computes the placement once
+    before its workers fork, and each worker's :func:`shard_tables`
+    inherits it instead of hashing every row again.  Read-only."""
     if mode == "range":
         block = -(-n_rows // n_shards) if n_rows else 1
         bounds = [min(k * block, n_rows) for k in range(n_shards)] + [n_rows]
@@ -72,7 +78,7 @@ def _shard_rows(n_rows: int, n_shards: int, mode: str, salt: int) -> list:
 
 
 def _shard_table(table: Table, rows) -> Table:
-    """The rows of ``table`` at ``rows`` (see :func:`_shard_rows`) as a
+    """The rows of ``table`` at ``rows`` (see :func:`shard_rows`) as a
     table of their own: a range *slices* each column vector (a typed
     array's slice is a view), an index list *gathers* through it --
     :func:`~repro.storage.packed.gather_column` keeps packed layouts
@@ -106,7 +112,7 @@ def partition_table(
     simulated charges do not depend on how a shard was built."""
     return [
         _shard_table(table, rows)
-        for rows in _shard_rows(table.num_rows, n_shards, mode, salt)
+        for rows in shard_rows(table.num_rows, n_shards, mode, salt)
     ]
 
 
@@ -164,5 +170,5 @@ def shard_tables(
         raise ValueError(f"shard_id {shard_id} out of range for {n_shards} shards")
     out = dict(tables)
     fact = tables[fact_table]
-    out[fact_table] = _shard_table(fact, _shard_rows(fact.num_rows, n_shards, mode, salt)[shard_id])
+    out[fact_table] = _shard_table(fact, shard_rows(fact.num_rows, n_shards, mode, salt)[shard_id])
     return out

@@ -51,6 +51,7 @@ from repro.server.arrivals import make_arrivals
 from repro.server.config import ServiceConfig
 from repro.server.service import Service, ServiceReport, job_factory
 from repro.shard.metrics import ShardServiceMetrics
+from repro.shard.partition import shard_rows
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
 from repro.shard.worker import shard_worker_main
 from repro.sim.engine import Simulator
@@ -168,9 +169,14 @@ class ShardService(Service):
         cost = self.sim.cost
         arrange_cycles = 0.0
         for name in sorted(ds.tables):
-            if name == config.fact_table:
-                continue
             table = ds.tables[name]
+            if name == config.fact_table:
+                # Likewise the fact placement: hashed once here, inherited
+                # by every worker's shard_tables instead of per worker.
+                shard_rows(
+                    table.num_rows, config.n_shards, config.partition, config.partition_salt
+                )
+                continue
             ARRANGEMENTS.release(ARRANGEMENTS.acquire(table, table.schema.columns[0].name))
             arrange_cycles += cost.arrange_cycles(table.real_rows)
         self.workers = [

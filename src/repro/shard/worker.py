@@ -62,10 +62,12 @@ def execute_shard_query(
     sim = Simulator(config.machine)
     storage = StorageManager(sim, sim.cost, tables, config.storage)
     engine = QPipeEngine(sim, storage, engine_config)
-    handle = engine.submit_plan(plan, label=spec.label, spec=spec, collect_batches=True)
+    handle = engine.submit_plan(plan, label=spec.label, spec=spec)
     sim.run()
-    for rows, weight in handle.batches:
-        agg.consume(rows, weight)
+    # Every root batch of a join-only plan carries the fact's row weight
+    # (a join emits at its probe batch's weight, CJOIN's distributor at
+    # the fact page's), so the rows fold at that one weight.
+    agg.consume(handle.results, fact.row_weight)
     return agg.state(), handle.response_time
 
 

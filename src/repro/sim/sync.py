@@ -40,8 +40,6 @@ class Lock:
         # A plain list, as Condition's: queues stay short, and an empty
         # deque would preallocate ~0.5 KiB on every lock of a run.
         self._waiters: list["SimThread"] = []
-        self.acquisitions = 0
-        self.contentions = 0
 
     def take_or_enqueue(self, me: "SimThread") -> bool:
         """Post-charge half of ``acquire``: take the free lock (True) or
@@ -51,9 +49,7 @@ class Lock:
         acquisition; the yielded commands are identical either way."""
         if self._owner is None:
             self._owner = me
-            self.acquisitions += 1
             return True
-        self.contentions += 1
         self._waiters.append(me)
         return False
 
@@ -61,7 +57,6 @@ class Lock:
         """Second half of a contended inline acquire, after the BLOCK."""
         if self._owner is not me:  # pragma: no cover - invariant
             raise AssertionError("woken without ownership")
-        self.acquisitions += 1
 
     def acquire(self) -> Iterator[Any]:
         """Generator: take the lock, queueing FIFO under contention."""

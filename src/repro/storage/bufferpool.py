@@ -40,8 +40,6 @@ class BufferPool:
         self._latch = Lock(sim, name="bufferpool", charge=cost.bufferpool_latch_charge)
         # Fixed per-page lookup charge (the cost model's instance).
         self._page_charge = cost.bufferpool_lookup_charge
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     def read_page(
@@ -76,15 +74,12 @@ class BufferPool:
         try:
             yield self._page_charge
             if ram_resident:
-                self.hits += 1
                 self.sim.metrics.bump("bufferpool_hits")
                 return page
             if key in self._resident:
-                self.hits += 1
                 self.sim.metrics.bump("bufferpool_hits")
                 self._resident.move_to_end(key)
                 return page
-            self.misses += 1
             self.sim.metrics.bump("bufferpool_misses")
         finally:
             self._latch.release()

@@ -33,18 +33,14 @@ class OsPageCache:
         self.capacity_bytes = capacity_bytes
         self._resident: OrderedDict[tuple[str, int], float] = OrderedDict()
         self._bytes = 0.0
-        self.hits = 0
-        self.misses = 0
 
     # ------------------------------------------------------------------
     def read(self, key: tuple[str, int], nbytes: float) -> Iterator[Any]:
         """Read a page through the cache (generator: may block on disk)."""
         if key in self._resident:
-            self.hits += 1
             self.sim.metrics.bump("os_cache_hits")
             self._resident.move_to_end(key)
             return
-        self.misses += 1
         self.sim.metrics.bump("os_cache_misses")
         yield IO(nbytes)
         self._insert(key, nbytes)

@@ -19,14 +19,11 @@ Python objects, column vectors are held as
 Selection on a dictionary column never touches decoded values: a
 predicate is evaluated once per **distinct value** into a 256-byte pass
 table, then a whole page is filtered with ``codes.translate(table)`` (a
-single C call) + ``itertools.compress`` -- or folded into an int bitmap
-via :meth:`DictColumn.mask_for`, which memoizes one mask per column by
-predicate signature (the selection kernel shifts a page's rows out of the
-table column's mask) so recurring predicates across pages and concurrent
-queries AND/OR single ints instead of re-scanning.  Pages are read at
+single C call) + ``itertools.compress`` -- or, by the selection kernel,
+folded into an int bitmap of the page's rows (:func:`flags_to_mask`) so
+conjunctions and disjunctions AND/OR single ints.  Pages are read at
 table positions, so the only slices of a dictionary column are the shard
-tier's range partitions: plain copies of their codes that memoize masks
-of their own.
+tier's range partitions: plain copies of their codes.
 
 Decoding contract: ``decode(encode(col)) == col`` element for element --
 values round-trip exactly (dictionary columns return the *original*
@@ -55,6 +52,7 @@ __all__ = [
     "DictColumn",
     "PackedNumeric",
     "column_nbytes",
+    "flags_to_mask",
     "gather_column",
     "pack_column",
     "pack_columns",
@@ -114,18 +112,16 @@ class DictColumn:
 
     Supports the read-only sequence protocol the rest of the data plane
     expects from a column vector (len / int index / slice / iteration),
-    plus the packed-specific operations: ``gather`` (single-pass hash
-    partitioning) and ``mask_for`` (predicate result as an int bitmap,
-    memoized by predicate signature).  Boxed values are decoded on demand
+    plus the packed-specific ``gather`` (single-pass hash partitioning).
+    Boxed values are decoded on demand
     by :func:`take_values`, never memoized on the column.  A slice or a
     gather owns a copy of its codes and shares the value table."""
 
-    __slots__ = ("codes", "dictionary", "_masks")
+    __slots__ = ("codes", "dictionary")
 
     def __init__(self, codes: bytes, dictionary: Dictionary):
         self.codes = codes
         self.dictionary = dictionary
-        self._masks: dict[Any, int] = {}
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -143,23 +139,6 @@ class DictColumn:
         (a single C-level pass -- the shard tier's hash-partition path)."""
         return DictColumn(bytes(map(self.codes.__getitem__, idx)), self.dictionary)
 
-    def mask_for(self, key: Any, value_pred: Callable[[Any], bool]) -> int | None:
-        """The predicate's pass positions as an int bitmap (bit ``j`` =
-        row ``j`` passes), memoized by ``key`` on this column.  Concurrent
-        queries with an equal predicate share the mask; conjunction
-        chains AND the cached ints instead of re-filtering.  ``None`` when
-        the dictionary has no pass table for the predicate (see
-        :class:`Dictionary`)."""
-        masks = self._masks
-        m = masks.get(key)
-        if m is None:
-            table = self.dictionary.pass_table(key, value_pred)
-            if table is None:
-                return None
-            m = _flags_to_mask(self.codes.translate(table))
-            masks[key] = m
-        return m
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<DictColumn rows={len(self.codes)} card={len(self.dictionary.values)}>"
 
@@ -168,7 +147,7 @@ class DictColumn:
 _FLAG_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _flags_to_mask(flags: bytes) -> int:
+def flags_to_mask(flags: bytes) -> int:
     """Fold a 0/1 flag byte per row into an int bitmap (bit j = row j):
     the flags as binary digits, row 0 last -- one C-level pass each for
     the translate, the reversal and the parse."""

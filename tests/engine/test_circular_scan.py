@@ -49,7 +49,7 @@ class TestCircularScan:
         sim.run()
         assert norm(holder["h"].results) == oracle_b
         # B attached to A's in-flight scans (linear WoP).
-        assert eng.sharing_summary().get("tablescan", 0) >= 1
+        assert eng.sim.metrics.sharing_events.get("tablescan", 0) >= 1
 
     def test_scan_position_persists_across_drivers(self, ssb):
         """When all consumers finish, the driver retires but the circular

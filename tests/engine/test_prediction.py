@@ -57,14 +57,14 @@ class TestPredictionModel:
         """Few queries, idle machine: private evaluation predicted cheaper
         -- the model 'falls back to the line of No SP (FIFO)'."""
         _, eng, _ = run(tpch, CS_FIFO_PRED, 3)
-        assert eng.sharing_summary().get("tablescan", 0) == 0
+        assert eng.sim.metrics.sharing_events.get("tablescan", 0) == 0
 
     def test_shares_at_high_concurrency(self, tpch):
         """Once the machine saturates, the model starts attaching
         satellites (each satellite raises the copy burden, so the model is
         deliberately conservative about piling more on)."""
         _, eng, _ = run(tpch, CS_FIFO_PRED, 48)
-        assert eng.sharing_summary().get("tablescan", 0) >= 5
+        assert eng.sim.metrics.sharing_events.get("tablescan", 0) >= 5
 
     def test_tracks_lower_envelope(self, tpch):
         """Response time with prediction ~ min(No-SP, always-share) at both
@@ -85,4 +85,4 @@ class TestPredictionModel:
         inert and sharing always happens."""
         cfg = dataclasses.replace(QPIPE_CS, sp_prediction=True)
         _, eng, _ = run(tpch, cfg, 3)
-        assert eng.sharing_summary().get("tablescan", 0) == 2
+        assert eng.sim.metrics.sharing_events.get("tablescan", 0) == 2

@@ -117,7 +117,7 @@ class TestSharingBehavior:
         for _ in range(4):
             eng.submit(spec)
         sim.run()
-        assert eng.sharing_summary() == {}
+        assert eng.sim.metrics.sharing_events == {}
 
     def test_circular_scan_shares_across_different_predicates(self, ssb):
         """Linear WoP: scans share even when queries differ entirely."""
@@ -125,7 +125,7 @@ class TestSharingBehavior:
         eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
         eng.submit(q32("JAPAN", "BRAZIL", 1992, 1994))
         sim.run()
-        share = eng.sharing_summary()
+        share = eng.sim.metrics.sharing_events
         # Second query re-used all four table scans.
         assert share.get("tablescan", 0) == 4
 
@@ -135,7 +135,7 @@ class TestSharingBehavior:
         for _ in range(5):
             eng.submit(spec)
         sim.run()
-        share = eng.sharing_summary()
+        share = eng.sim.metrics.sharing_events
         # Identical plans share at the top join (hj3); deeper joins are
         # cancelled along with the satellites' sub-plans.
         assert share.get("join:hj3", 0) == 4
@@ -147,7 +147,7 @@ class TestSharingBehavior:
         eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
         eng.submit(q32("CHINA", "FRANCE", 1992, 1996))  # different date pred
         sim.run()
-        share = eng.sharing_summary()
+        share = eng.sim.metrics.sharing_events
         assert share.get("join:hj2", 0) == 1
         assert "join:hj3" not in share
 
@@ -157,7 +157,7 @@ class TestSharingBehavior:
         for _ in range(6):
             eng.submit(spec)
         sim.run()
-        assert eng.sharing_summary().get("cjoin", 0) == 5
+        assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 5
         # Only one admission batch with one real query happened.
         assert sim.metrics.counts["cjoin_queries_admitted"] == 1
 

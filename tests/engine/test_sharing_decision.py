@@ -241,7 +241,7 @@ def test_a_fixed_stream_runs_every_mechanism(ssb, monkeypatch):
     times += [60.0, 60.001, 80.0] + [100.0 + 0.004 * k for k in range(6)]
     service, seen = serve_checked(ssb, specs, times, 1024.0, 4, True, monkeypatch)
     assert set(seen) >= {"cache_hit", "wop_attach", "host_fold", "cache_fold", "computed"}, seen
-    assert service.storage.result_cache.evictions > 0
+    assert service.sim.metrics.counts.get("result_cache_evictions", 0) > 0
 
 
 def test_a_live_host_fold_outranks_a_cache_fold(ssb, monkeypatch):

@@ -53,7 +53,7 @@ class TestRegistry:
         assert norm(late["a"].results) == oracle
         assert norm(late["b"].results) == oracle
         # Exactly one sharing event: b attached to a (not to the dead h1).
-        assert eng.sharing_summary().get("join:hj3", 0) == 1
+        assert eng.sim.metrics.sharing_events.get("join:hj3", 0) == 1
 
     def test_registry_empty_without_sp(self, ssb):
         sim, eng = make_engine(ssb, QPIPE)
@@ -61,14 +61,20 @@ class TestRegistry:
         sim.run()
         assert eng.join_stage._registry == {}
 
-    def test_stage_counters(self, ssb):
+    def test_stage_counters(self, ssb, monkeypatch):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
         sim, eng = make_engine(ssb)
+        scans = []
+        submit_scan = eng.scan_stage.submit_scan
+        monkeypatch.setattr(
+            eng.scan_stage, "submit_scan", lambda *args: scans.append(args) or submit_scan(*args)
+        )
         for _ in range(3):
             eng.submit(spec)
         sim.run()
-        assert eng.join_stage.packets_shared == 2
-        assert eng.scan_stage.packets_admitted >= 4  # fact + 3 dims (host only)
+        # Both later queries attach at the top join; nothing else is shared.
+        assert sim.metrics.sharing_events == {"join:hj3": 2}
+        assert len(scans) == 4  # fact + 3 dims (host only)
 
 
 class TestErrorPaths:

@@ -133,7 +133,7 @@ class TestEdgeCases:
         sim.run()
         for h in handles:
             assert norm(h.results) == oracle
-        assert eng.sharing_summary().get("cjoin", 0) == 2
+        assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 2
 
     def test_single_dim_star_query(self, ssb):
         spec = q11(1994, 1.0, 3.0, 25)

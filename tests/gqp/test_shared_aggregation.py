@@ -76,13 +76,15 @@ class TestCorrectness:
 
 
 class TestBehavior:
-    def test_no_query_centric_agg_packets(self, ssb):
+    def test_no_query_centric_agg_packets(self, ssb, monkeypatch):
         """The aggregation runs inside the distributor: the aggregate stage
         admits nothing."""
         sim, eng = make_engine(ssb, CJOIN_SHAGG)
+        admitted = []
+        monkeypatch.setattr(eng.agg_stage, "admit", admitted.append)
         eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
         sim.run()
-        assert eng.agg_stage.packets_admitted == 0
+        assert admitted == []
 
     def test_full_step_wop_for_sp(self, ssb):
         """Results are buffered until completion, so the whole execution is
@@ -104,7 +106,7 @@ class TestBehavior:
         sim.run()
         assert norm(h1.results) == oracle
         assert norm(late["h"].results) == oracle
-        assert eng.sharing_summary().get("cjoin", 0) == 1
+        assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 1
         assert sim.metrics.counts["cjoin_queries_admitted"] == 1
 
     def test_aggregation_cpu_attributed(self, ssb):

@@ -97,7 +97,7 @@ class TestVertical:
         sim.run()
         for h in handles:
             assert norm(h.results) == oracle
-        assert eng.sharing_summary().get("cjoin", 0) == 2
+        assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 2
 
     def test_config_validation(self):
         from repro.engine.config import EngineConfig

@@ -305,8 +305,8 @@ def test_the_data_picks_the_form():
             assert seen and all(len(r) == 2 for r in seen), name  # (k, v), no tag
             bitmap = name == "dict" and type(at) is not list
             assert (not oracle_rows(disj, at_cols)) is bitmap, (name, at)
-    # A bitmap leaves its leaf masks memoized on the table's columns.
-    assert Cmp("=", "tag", "red").signature in layouts["dict"][2]._masks
+    # A bitmap leaves its leaves' pass tables memoized on the dictionary.
+    assert Cmp("=", "tag", "red").signature in layouts["dict"][2].dictionary._pass_tables
     # A batch with a tail hands over its gathered columns: no bitmap.
     batch, _ = preselected(layouts["dict"], rows)
     in_batch = lambda kernel: select_batch(kernel, batch)  # noqa: E731

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.query.expr import Col
 from repro.query.merge import PartialAggregator, finalize_rows, merge_states
 from repro.query.plan import AggSpec
+from repro.shard import partition
 from repro.shard.partition import PARTITION_MODES, assign_shards, partition_table, shard_tables
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
@@ -111,6 +112,22 @@ def test_shard_tables_builds_only_the_requested_partition(n_rows, mode, salt, lo
             assert [type(c) for c in got.columns()] == [type(c) for c in want.columns()]
             assert [list(c) for c in got.columns()] == [list(c) for c in want.columns()]
             assert got.num_pages == want.num_pages and got.real_bytes == want.real_bytes
+
+
+def test_hash_placement_is_computed_once_for_every_shard(monkeypatch):
+    """The shard views of one placement read one memoized assignment: the
+    service computes it before its workers fork, so n workers do not hash
+    every fact row n times."""
+    calls = []
+    real = partition.assign_shards
+    monkeypatch.setattr(partition, "assign_shards", lambda *args: calls.append(args) or real(*args))
+    partition.shard_rows.cache_clear()
+    fact = Table("f", _SCHEMA, [(i, float(i)) for i in range(50)])
+    n_shards = 4
+    views = [shard_tables({"f": fact}, "f", k, n_shards, "hash", 7) for k in range(n_shards)]
+    assert calls == [(50, n_shards, "hash", 7)]
+    scattered = [r for view in views for r in view["f"].iter_rows()]
+    assert sorted(scattered) == list(fact.iter_rows())
 
 
 # ---------------------------------------------------------------------------

@@ -69,20 +69,24 @@ class TestLock:
         sim.run()
         assert sim.metrics.cpu_cycles_by_category["locks"] == 5000
 
-    def test_contention_counter(self):
+    def test_contended_acquire_is_handed_off_in_fifo_order(self):
         sim = make_sim()
         lock = Lock(sim)
+        taken = []
 
-        def worker():
+        def worker(name):
             yield from lock.acquire()
+            taken.append((name, sim.now))
             yield SLEEP(0.5)
             lock.release()
 
-        sim.spawn(worker(), "a")
-        sim.spawn(worker(), "b")
+        for name in "abc":
+            sim.spawn(worker(name), name)
         sim.run()
-        assert lock.acquisitions == 2
-        assert lock.contentions == 1
+        # One free take, then each queued waiter in arrival order, handed
+        # the lock at the instant its predecessor released it.
+        assert taken == [("a", 0.0), ("b", 0.5), ("c", 1.0)]
+        assert lock._owner is None and not lock._waiters
 
 
 class TestCondition:

@@ -50,8 +50,8 @@ class TestBufferPool:
         out = []
         run_reads(sim, storage, table, [0, 0, 0], out)
         assert out == [0, 0, 0]
-        assert storage.bufferpool.misses == 1
-        assert storage.bufferpool.hits == 2
+        assert sim.metrics.counts.get("bufferpool_misses", 0) == 1
+        assert sim.metrics.counts.get("bufferpool_hits", 0) == 2
         # Only one disk transfer happened.
         assert sim.disk.bytes_delivered == pytest.approx(table.page(0).real_bytes)
 
@@ -60,7 +60,7 @@ class TestBufferPool:
         out = []
         run_reads(sim, storage, table, list(range(10)) * 2, out)
         assert sim.disk.bytes_delivered == 0
-        assert storage.bufferpool.misses == 0
+        assert sim.metrics.counts.get("bufferpool_misses", 0) == 0
 
     def test_eviction_under_tiny_capacity(self):
         # Each page: 10 rows * weight 10 * 1000 B = 100 KB. Pool of 150 KB
@@ -68,14 +68,14 @@ class TestBufferPool:
         sim, storage, table = make_env(bp_bytes=150e3, cache_bytes=100)
         out = []
         run_reads(sim, storage, table, [0, 1, 0], out)
-        assert storage.bufferpool.misses == 3  # page 0 was evicted by 1
+        assert sim.metrics.counts.get("bufferpool_misses", 0) == 3  # page 0 was evicted by 1
 
     def test_os_cache_absorbs_bufferpool_evictions(self):
         sim, storage, table = make_env(bp_bytes=150e3, cache_bytes=1e9)
         run_reads(sim, storage, table, [0, 1, 0], [])
         # Third read misses the pool but hits the OS cache: still 1 disk
         # read for page 0.
-        assert storage.os_cache.hits == 1
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 1
         assert sim.disk.bytes_delivered == pytest.approx(
             table.page(0).real_bytes + table.page(1).real_bytes
         )
@@ -83,7 +83,7 @@ class TestBufferPool:
     def test_direct_io_bypasses_os_cache(self):
         sim, storage, table = make_env(bp_bytes=150e3, cache_bytes=1e9, direct_io=True)
         run_reads(sim, storage, table, [0, 1, 0], [])
-        assert storage.os_cache.hits == 0
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 0
         assert sim.disk.bytes_delivered == pytest.approx(
             2 * table.page(0).real_bytes + table.page(1).real_bytes
         )

@@ -29,8 +29,8 @@ class TestZeroCapacity:
                 yield from cache.read(("t", 0), 1000.0)
 
         drive(sim, reads())
-        assert cache.hits == 0
-        assert cache.misses == 3
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 0
+        assert sim.metrics.counts.get("os_cache_misses", 0) == 3
         assert cache._bytes == 0.0
         assert sim.disk.bytes_delivered == pytest.approx(3000.0)
 
@@ -48,8 +48,8 @@ class TestOversizedPage:
             yield from cache.read(("t", 0), 1000.0)  # must miss again
 
         drive(sim, reads())
-        assert cache.misses == 2
-        assert cache.hits == 0
+        assert sim.metrics.counts.get("os_cache_misses", 0) == 2
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 0
         assert ("t", 0) not in cache._resident
         assert cache._bytes == 0.0
 
@@ -62,8 +62,8 @@ class TestOversizedPage:
             yield from cache.read(("t", 1), 400.0)  # hit
 
         drive(sim, reads())
-        assert cache.hits == 1
-        assert cache.misses == 2
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 1
+        assert sim.metrics.counts.get("os_cache_misses", 0) == 2
         assert cache._bytes == 400.0
 
 
@@ -76,8 +76,8 @@ class TestReadDirect:
             yield from cache.read_direct(1000.0)
 
         drive(sim, reads())
-        assert cache.hits == 0
-        assert cache.misses == 0
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 0
+        assert sim.metrics.counts.get("os_cache_misses", 0) == 0
         assert cache._bytes == 0.0
         assert "os_cache_hits" not in sim.metrics.counts
         assert "os_cache_misses" not in sim.metrics.counts
@@ -92,8 +92,8 @@ class TestReadDirect:
             yield from cache.read(("t", 0), 1000.0)  # still a miss
 
         drive(sim, reads())
-        assert cache.misses == 1
-        assert cache.hits == 0
+        assert sim.metrics.counts.get("os_cache_misses", 0) == 1
+        assert sim.metrics.counts.get("os_cache_hits", 0) == 0
 
 
 class TestMetricsCounters:

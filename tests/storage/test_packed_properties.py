@@ -10,8 +10,8 @@ Holds the invariants packed column storage rests on, over
   the selection kernel over *packed* vectors (dictionary columns, typed
   arrays) keeps exactly the positions row-at-a-time evaluation keeps, in
   the same order; over every row (or a page's range) of dictionary
-  columns every generated shape is answered from the memoized per-column
-  bitmaps.
+  columns every generated shape is answered as a bitmap of the rows'
+  codes through the dictionary's memoized pass tables.
 * **Partition-layout equality** -- shard partitions of a packed-built
   table hold row-for-row the same data as partitions of a boxed-built
   table, for either placement mode and any shard count, and range
@@ -25,11 +25,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.query.expr import _bitmap_form
 from repro.shard.partition import partition_shipping, partition_table
 from repro.storage.packed import (
     DICT_MAX_CARD,
     DictColumn,
     PackedNumeric,
+    flags_to_mask,
     column_nbytes,
     gather_column,
     pack_column,
@@ -206,7 +208,7 @@ def test_low_cardinality_columns_dictionary_encode(col):
     assert len(packed.dictionary.values) == len({v for v in col}) <= DICT_MAX_CARD
     assert list(packed) == col
     # All slices/gathers share one Dictionary object (memoized pass
-    # tables and masks are computed once per table).
+    # tables are computed once per table).
     assert packed[: len(col) // 2].dictionary is packed.dictionary
     assert packed.gather([0]).dictionary is packed.dictionary
 
@@ -221,11 +223,12 @@ def test_dictionary_mask_matches_row_wise_predicate(col, cutoff):
     assert type(packed) is DictColumn
     pred = lambda v: v <= cutoff  # noqa: E731
     expected = [j for j, v in enumerate(col) if pred(v)]
-    mask = packed.mask_for(("test-le", cutoff), pred)
+    table = packed.dictionary.pass_table(("test-le", cutoff), pred)
+    mask = flags_to_mask(packed.codes.translate(table))
     assert mask_to_sel(mask, len(col)) == expected
-    # Memoized: the second call must return the identical mask without
+    # Memoized: the second call must return the identical table without
     # re-evaluating (hand it a predicate that would change the answer).
-    assert packed.mask_for(("test-le", cutoff), lambda v: False) == mask
+    assert packed.dictionary.pass_table(("test-le", cutoff), lambda v: False) is table
 
 
 # ----------------------------------------------------------------------
@@ -252,20 +255,14 @@ def test_column_kernel_on_packed_refines_selection_like_row_wise(rows, expr, dat
 def test_mask_kernel_on_packed_equals_row_wise(rows, expr):
     """Every row of dictionary columns takes the bitmap form for every
     shape built from leaves and And / Or (all that ``predicates``
-    generates), and a leaf's bitmap is left memoized on its column under
-    the predicate's signature."""
+    generates): it answers, with exactly the kept rows' bits."""
     cols = packed_cols(rows)
     assert all(type(c) is DictColumn for c in cols)
     out = check_selection(expr, cols, rows)
     assert type(out) is ColumnBatch
-    leaf = expr.leaf()
-    if leaf is not None:
-        def unreachable(v):
-            raise AssertionError("the bitmap was not memoized")
-
-        memo = cols[SCHEMA.index(leaf[0])].mask_for(expr.signature, unreachable)
-        assert memo == sum(1 << j for j in out.sel)
-        assert mask_to_sel(memo, len(rows)) == out.sel
+    mask = _bitmap_form(expr, SCHEMA)(cols, 0, len(rows))
+    assert mask == sum(1 << j for j in out.sel)
+    assert mask_to_sel(mask, len(rows)) == out.sel
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ table's column tuple and its bounds, and a scan reads it as
 ``ColumnBatch(table vectors, range(start, stop))`` -- nothing sliced, no
 column remembering where it came from.  This suite holds that form to the
 per-page slices it builds itself as the reference (same rows, same
-selections, for packed, boxed and typed tables), holds each range
-partition's dictionary masks to the masks of its own codes, pins the
+selections, for packed, boxed and typed tables), holds the selection
+kernel over each partition's dictionary columns to its own rows, pins the
 bitmap fold to its row-at-a-time definition, and budgets what pages and
 selection keys keep alive.
 """
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.data.ssb import generate_ssb
 from repro.query.expr import Cmp, compile_selection, select_batch
 from repro.shard.partition import partition_table
-from repro.storage.packed import DictColumn, _flags_to_mask, take_values
+from repro.storage.packed import DictColumn, flags_to_mask, take_values
 from repro.storage.page import ColumnBatch
 from repro.storage.selections import SelectionMemo
 from repro.storage.table import Table
@@ -70,24 +70,23 @@ def test_pages_read_as_the_per_page_slices(rows, tpp, cutoff):
                 assert list(take_values(col, range(start, stop))) == list(ref_col)
 
 
-def _check_own_masks(col, cutoff):
-    """A dictionary column's mask is the mask of its own codes."""
-    if type(col) is not DictColumn:
-        return
-    pred = lambda v: v <= cutoff  # noqa: E731
-    got = col.mask_for(("le", cutoff), pred)
-    assert got == sum(1 << j for j, v in enumerate(col) if pred(v))
-    assert got == DictColumn(col.codes, col.dictionary).mask_for(("le", cutoff), pred)
-
-
 @settings(max_examples=40, deadline=None)
 @given(rows=rows_strategy, n_shards=st.integers(1, 4), cutoff=CUTOFFS)
 def test_range_partition_columns_mask_their_own_codes(rows, n_shards, cutoff):
+    """A partition's dictionary column is filtered on its own codes: the
+    bitmap form over every row and over each page keeps the partition's
+    own passing rows."""
+    select = compile_selection(Cmp("<=", "b", cutoff), SCHEMA)
     table = Table("fact", SCHEMA, rows, tuples_per_page=7)
     for mode in ("range", "hash"):
         for shard in partition_table(table, n_shards, mode):
-            for col in shard.columns():
-                _check_own_masks(col, cutoff)
+            cols = shard.columns()
+            assert type(cols[SCHEMA.index("b")]) is DictColumn or not shard.num_rows
+            own = list(shard.iter_rows())
+            assert select(cols, None) == [j for j, r in enumerate(own) if r[1] <= cutoff]
+            for page in shard.pages:
+                at = range(page.start, page.stop)
+                assert select(cols, at) == [j for j in at if own[j][1] <= cutoff]
 
 
 def _flags_to_mask_loop(flags: bytes) -> int:
@@ -103,7 +102,7 @@ def _flags_to_mask_loop(flags: bytes) -> int:
 @settings(max_examples=200, deadline=None)
 @given(flags=st.lists(st.integers(0, 1), max_size=600).map(bytes))
 def test_flags_to_mask_equals_the_bit_loop(flags):
-    assert _flags_to_mask(flags) == _flags_to_mask_loop(flags)
+    assert flags_to_mask(flags) == _flags_to_mask_loop(flags)
 
 
 def _held_bytes(build):

@@ -4,8 +4,9 @@ Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one batch type, one dimension-selection
 memo, one router, one sharing decision, one aggregation kernel, one fluid
-pool, one worker-process layer and one cost-model owner -- so a later
-change cannot quietly re-add a second way of doing the same thing."""
+pool, one worker-process layer, one cost-model owner and one holder per
+run counter -- so a later change cannot quietly re-add a second way of
+doing the same thing."""
 
 import ast
 import dataclasses
@@ -18,12 +19,25 @@ import pytest
 import repro
 from repro import storage
 from repro.bench.runner import HYBRID
+from repro.bench.workload import QueryJob
+from repro.cache import ResultCache
+from repro.data import generate_ssb
 from repro.engine import QPipeEngine
 from repro.engine.config import EngineConfig
+from repro.engine.exchange import FifoExchange
+from repro.engine.qpipe import QueryHandle
+from repro.engine.spl import SharedPagesList
 from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
+from repro.query.ssb_queries import q32
+from repro.server import QueryService, ServiceConfig, StaticThresholdPolicy, TraceArrivals
+from repro.server.metrics import ServiceMetrics
+from repro.server.router import GQP, QUERY_CENTRIC
+from repro.shard.metrics import ShardServiceMetrics
 from repro.sim import CostModel, Simulator
-from repro.storage import StorageManager
+from repro.sim.machine import PAPER_MACHINE
+from repro.sim.sync import Lock
+from repro.storage import StorageConfig, StorageManager
 from repro.storage.packed import DictColumn
 from repro.storage.page import ColumnBatch, ColumnPage
 from repro.storage.schema import Column, Schema
@@ -344,3 +358,62 @@ def test_storage_cost_alias_is_the_simulators_model():
     storage = StorageManager(recalibrated, recalibrated.cost, {})
     assert storage.bufferpool._page_charge is recalibrated.cost.bufferpool_lookup_charge
     assert QPipeEngine(recalibrated, storage).cost is recalibrated.cost
+
+
+def test_one_holder_per_count():
+    # Every run counter lives in sim.metrics alone: no component keeps a
+    # second copy that could disagree with it, and ResultCache.stats() is
+    # a view over the tree, not a holder.
+    ssb = generate_ssb(0.5, seed=23)
+    a, b = q32("CHINA", "FRANCE", 1993, 1996), q32("JAPAN", "BRAZIL", 1992, 1995)
+    specs = [a, b, a, b]
+    service = QueryService(
+        ssb.tables,
+        # Threshold 1: the second of two concurrent arrivals goes to the GQP.
+        StaticThresholdPolicy(PAPER_MACHINE, threshold=1),
+        ServiceConfig(queue_capacity=len(specs)),
+        storage_config=StorageConfig(resident="memory", result_cache_bytes=32 << 20),
+    )
+    arrivals = TraceArrivals([0.0, 0.0, 100.0, 100.0])
+    service.run(lambda k: QueryJob(spec=specs[k]), arrivals, None)
+    assert set(service.metrics.routed) == {QUERY_CENTRIC, GQP}
+    cache = service.storage.result_cache
+    counts = service.sim.metrics.counts
+    stats = cache.stats()
+    assert stats["hits"] > 0 and stats["insertions"] > 0
+    cache_counters = ("hits", "misses", "insertions", "evictions", "rejected", "invalidated", "fold_hits")
+    assert {name: stats[name] for name in cache_counters} == {
+        name: counts.get(f"result_cache_{name}", 0) for name in cache_counters
+    }
+
+    sim = service.sim
+    stage_counters = ("packets_admitted", "packets_shared", "packets_cached")
+    shadows = [
+        (cache, cache_counters),
+        (service.storage.bufferpool, ("hits", "misses")),
+        (service.storage.os_cache, ("hits", "misses")),
+        (FifoExchange(sim, 1, "fifo"), ("pages_emitted",)),
+        (SharedPagesList(sim, 1), ("pages_emitted",)),
+        (Lock(sim), ("acquisitions", "contentions")),
+    ]
+    for engine in (service.query_centric, service.gqp):
+        shadows.append((engine, ("sharing_summary",)))
+        for stage in (engine.scan_stage, engine.join_stage, engine.agg_stage, engine.sort_stage):
+            shadows.append((stage, stage_counters))
+    shadows.append((service.gqp.cjoin_stage, stage_counters))
+    kept = [(type(obj).__name__, name) for obj, names in shadows for name in names if hasattr(obj, name)]
+    assert not kept
+    # A count that is the length of a list the metrics keep is read from it.
+    assert isinstance(inspect.getattr_static(ServiceMetrics, "completed"), property)
+    assert isinstance(inspect.getattr_static(ShardServiceMetrics, "failed"), property)
+    assert service.metrics.completed == len(service.metrics.latencies) == len(specs)
+    # One client loop: a query's answer is its rows, nothing collected beside.
+    assert "batches" not in {f.name for f in dataclasses.fields(QueryHandle)}
+    assert "collect_batches" not in inspect.signature(QPipeEngine.submit_plan).parameters
+
+    # A view inserts no key: counts is a defaultdict, so a reader that
+    # indexed it would add the counter (golden_metrics.json pins the keys).
+    fresh = Simulator()
+    before = fresh.metrics.to_dict()
+    assert ResultCache(fresh, 1000.0).stats()["hits"] == 0
+    assert fresh.metrics.to_dict() == before

@@ -5,9 +5,16 @@ with the staged engine, the CJOIN pipeline or the Volcano baseline, so the
 integration suite can assert that all engines -- with and without sharing --
 produce byte-identical results.  Sharing must never change answers; this is
 the paper's implicit correctness invariant.
+
+Aggregation is the engines' definition computed the slow, obvious way
+(finite values only): every product ``v * w`` is a float, and sums and
+counts add as :class:`~fractions.Fraction` and round once, so an engine's
+answer must equal this one bit for bit.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from repro.query.plan import (
     AggregateNode,
@@ -116,17 +123,17 @@ def _aggregate(node: AggregateNode, rows: list[tuple], weight: float, schema) ->
 
 
 def _new_acc(spec: AggSpec) -> dict:
-    return {"sum": 0.0, "count": 0, "min": None, "max": None}
+    return {"sum": Fraction(0), "count": 0, "min": None, "max": None}
 
 
 def _update(acc: dict, spec: AggSpec, fn, row: tuple, weight: float) -> None:
-    if spec.func == "count":
-        acc["count"] += weight
-        return
+    if spec.func in ("count", "avg"):
+        acc["count"] += weight if isinstance(weight, int) else Fraction(weight)
+        if spec.func == "count":
+            return
     v = fn(row)
     if spec.func in ("sum", "avg"):
-        acc["sum"] += v * weight
-        acc["count"] += weight
+        acc["sum"] += Fraction(float(v * weight))
     elif spec.func == "min":
         acc["min"] = v if acc["min"] is None else min(acc["min"], v)
     else:
@@ -135,11 +142,11 @@ def _update(acc: dict, spec: AggSpec, fn, row: tuple, weight: float) -> None:
 
 def _final(acc: dict, spec: AggSpec):
     if spec.func == "sum":
-        return acc["sum"]
+        return float(acc["sum"])
     if spec.func == "count":
-        return acc["count"]
+        return acc["count"] if isinstance(acc["count"], int) else float(acc["count"])
     if spec.func == "avg":
-        return acc["sum"] / acc["count"] if acc["count"] else 0.0
+        return float(acc["sum"] / acc["count"]) if acc["count"] else 0.0
     if spec.func == "min":
         return acc["min"]
     return acc["max"]

@@ -364,7 +364,7 @@ def _sweep(args, experiments: dict, names: list[str]) -> int:
 IN_PROCESS_ONLY = (
     "policy", "threshold", "disk", "direct_io", "bufferpool_gb", "result_cache_mb", "cache_policy",
 )
-SHARDED_ONLY = ("partition", "shard_engine", "shard_timeout", "fingerprints")
+SHARDED_ONLY = ("partition", "shard_engine", "shard_timeout")
 
 
 def cmd_serve(args) -> int:
@@ -468,7 +468,6 @@ def cmd_list(_args) -> int:
             [
                 ["--partition", "hash (spread, default) | range (contiguous blocks)"],
                 ["--shard-engine", "cjoin-sp (default) | qpipe-sp, one engine per shard"],
-                ["--fingerprints PATH", "per-query sha256 lines; identical for any N"],
             ],
         )
     )
@@ -585,8 +584,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--shard-timeout", type=float, default=60.0,
                          help="wall-clock seconds before a stuck shard is killed (--shards)")
     p_serve.add_argument("--fingerprints", default=None, metavar="PATH",
-                         help="write one '<seq> <sha256>' line per merged query "
-                         "(--shards; CI diffs these across shard counts)")
+                         help="write one '<seq> <sha256>' line per answered query "
+                         "(CI diffs these across executors and shard counts)")
     p_serve.add_argument("--json", action="store_true", help="dump the report as JSON")
     p_serve.add_argument("--profile", action="store_true",
                          help="cProfile the run and print the hottest functions")

@@ -21,7 +21,8 @@ records the new query's point of entry on the fact table's circular scan.
 from __future__ import annotations
 
 from functools import reduce
-from operator import or_
+from itertools import compress, repeat
+from operator import and_, or_
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Sequence
 
 from repro.sim.commands import SLEEP
@@ -43,27 +44,23 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.storage.table import Table
 
 
-class _Entry:
-    """One dimension tuple resident in a filter's hash table: its position
-    in the dimension table (the distributor gathers payload columns there)
-    and the bitmap of queries that selected it."""
-
-    __slots__ = ("pos", "bitmap")
-
-    def __init__(self, pos: int, bitmap: int):
-        self.pos = pos
-        self.bitmap = bitmap
-
-
 class Filter:
     """Shared scan + shared selection + shared hash-join for one dimension
-    (CJOIN groups the three into a 'filter')."""
+    (CJOIN groups the three into a 'filter').
+
+    Each resident dimension tuple has one key in two dicts: ``ht`` maps it
+    to the bitmap of queries that selected it, ``at`` to its position in
+    the dimension table (the distributor gathers payload columns there).
+    Both change only at admission and slot reclaim, with the pipeline
+    paused and drained, so the distributor reads the positions the filter
+    pass saw."""
 
     __slots__ = (
         "dim_name",
         "fact_fk_idx",
         "weight",
         "ht",
+        "at",
         "pass_mask",
         "referencing",
     )
@@ -72,7 +69,8 @@ class Filter:
         self.dim_name = dim_name
         self.fact_fk_idx = fact_fk_idx
         self.weight = weight  # dim row weight, for bookkeeping charges
-        self.ht: dict[Any, _Entry] = {}
+        self.ht: dict[Any, int] = {}
+        self.at: dict[Any, int] = {}
         self.pass_mask = 0  # bits of queries that do not reference this dim
         self.referencing: set[int] = set()  # slots that do
 
@@ -118,28 +116,16 @@ class _WorkItem:
 
     Nothing is read as rows and nothing is sliced: the item holds the
     fact table's column vectors (``cols``, shared with the table and all
-    its pages, read-only) and carries the page's surviving tuples as three
+    its pages, read-only) and carries the page's surviving tuples as two
     *parallel lists* -- ``pos`` (their positions in the table, starting as
-    the page's row range),
-    ``bms`` (per-tuple query bitmaps) and ``dims`` (per-tuple tuples of
-    joined dimension-row positions, one per filter passed, ``None`` where
-    the filter had no entry).  A filter reads only its foreign-key column
-    at ``pos``, the distributor only the fact and dimension columns a
-    query's predicate and projection name, and the bitmap pass is a
-    single comprehension over ``bms`` with no per-tuple unpacking."""
+    the page's row range) and ``bms`` (per-tuple query bitmaps).  A filter
+    reads only its foreign-key column at ``pos``, the distributor only the
+    fact columns a query's predicate and projection name (and finds the
+    joined dimension rows through each filter's ``at``), and the bitmap
+    pass is a single comprehension over ``bms`` with no per-tuple
+    unpacking."""
 
-    __slots__ = (
-        "cols",
-        "weight",
-        "mask",
-        "addressed",
-        "filters",
-        "filter_pos",
-        "high_slots",
-        "pos",
-        "bms",
-        "dims",
-    )
+    __slots__ = ("cols", "weight", "mask", "addressed", "filters", "high_slots", "pos", "bms")
 
     def __init__(
         self,
@@ -147,7 +133,6 @@ class _WorkItem:
         mask: int,
         addressed: list[_QueryState],
         filters: list[Filter],
-        filter_pos: dict[str, int],
         high_slots: int,
     ):
         self.cols = page.vectors
@@ -155,12 +140,9 @@ class _WorkItem:
         self.mask = mask
         self.addressed = addressed
         self.filters = filters
-        self.filter_pos = filter_pos
         self.high_slots = high_slots
-        n = len(page)
         self.pos: Sequence[int] = range(page.start, page.stop)
-        self.bms = [mask] * n
-        self.dims: list[tuple] = [()] * n
+        self.bms = [mask] * len(page)
 
 
 class CJoinPipeline:
@@ -177,10 +159,9 @@ class CJoinPipeline:
         self.filters: dict[str, Filter] = {}  # insertion-ordered chain
         #: snapshot of the filter chain handed to every work item.  The
         #: chain only changes during admission/retirement (pipeline paused),
-        #: so the preprocessor reuses one (list, position-map) pair instead
-        #: of rebuilding both for every fact page; work items must treat
-        #: them as read-only.
-        self._chain_snapshot: tuple[list[Filter], dict[str, int]] | None = None
+        #: so the preprocessor reuses one list instead of rebuilding it for
+        #: every fact page; work items must treat it as read-only.
+        self._chain_snapshot: list[Filter] | None = None
         self.active: dict[int, _QueryState] = {}
         self.pending: list["Packet"] = []
         self.slots = SlotAllocator()
@@ -216,13 +197,11 @@ class CJoinPipeline:
         self.pending.append(packet)
         self._work.notify_all()
 
-    def _filter_chain(self) -> tuple[list[Filter], dict[str, int]]:
-        """The cached (chain, name->position) snapshot for work items."""
+    def _filter_chain(self) -> list[Filter]:
+        """The cached chain snapshot for work items."""
         snap = self._chain_snapshot
         if snap is None:
-            filters = list(self.filters.values())
-            snap = (filters, {name: i for i, name in enumerate(self.filters)})
-            self._chain_snapshot = snap
+            snap = self._chain_snapshot = list(self.filters.values())
         return snap
 
     # ------------------------------------------------------------------
@@ -262,13 +241,11 @@ class CJoinPipeline:
                 if state.pages_left == 0:
                     state.no_more_pages = True  # wrapped to its point of entry
                 addressed.append(state)
-            filters, filter_pos = self._filter_chain()
             item = _WorkItem(
                 page=page,
                 mask=mask,
                 addressed=addressed,
-                filters=filters,
-                filter_pos=filter_pos,
+                filters=self._filter_chain(),
                 high_slots=max(self.slots.high_water, 1),
             )
             self.inflight += 1
@@ -382,7 +359,7 @@ class CJoinPipeline:
         referenced = {d.dim_table for d, _ in plans}
         for dimspec, selection in plans:
             flt = self._ensure_filter(dimspec)
-            ht = flt.ht
+            ht, at = flt.ht, flt.at
             inserts = 0
             annotations = 0
             selected = selection.positions
@@ -393,7 +370,7 @@ class CJoinPipeline:
             # Base-key uniqueness makes every selected subset unique, so
             # the set-equality check is skipped (it would always pass).
             # Transient pin: held only across the lookup; the extended
-            # filter owns its own _Entry table.
+            # filter owns its own tables.
             arr = ARRANGEMENTS.acquire(
                 self.storage.table(dimspec.dim_table), dimspec.dim_key
             )
@@ -403,22 +380,24 @@ class CJoinPipeline:
                 # Unique keys (dimensions keyed by primary key -- the
                 # common case): probe the hash table in one C-level map
                 # pass, then branch only on the precomputed entries.
-                entries = list(map(ht.get, keys))
-                inserts = entries.count(None)
+                bitmaps = list(map(ht.get, keys))
+                inserts = bitmaps.count(None)
                 annotations = len(keys) - inserts
-                for key, p, entry in zip(keys, selected, entries):
-                    if entry is None:
-                        ht[key] = _Entry(p, bit)
+                for key, p, bm in zip(keys, selected, bitmaps):
+                    if bm is None:
+                        ht[key] = bit
+                        at[key] = p
                     else:
-                        entry.bitmap |= bit
+                        ht[key] = bm | bit
             else:
                 for key, p in zip(keys, selected):
-                    entry = ht.get(key)
-                    if entry is None:
-                        ht[key] = _Entry(p, bit)
+                    bm = ht.get(key)
+                    if bm is None:
+                        ht[key] = bit
+                        at[key] = p
                         inserts += 1
                     else:
-                        entry.bitmap |= bit
+                        ht[key] = bm | bit
                         annotations += 1
             cmds = []
             if inserts:
@@ -471,14 +450,18 @@ class CJoinPipeline:
             return
         keep = ~stale
         for flt in self.filters.values():
-            entries = len(flt.ht)
+            ht, at = flt.ht, flt.at
+            entries = len(ht)
             dead = []
-            for key, entry in flt.ht.items():
-                entry.bitmap &= keep
-                if entry.bitmap == 0:
+            for key, bm in ht.items():
+                bm &= keep
+                if bm:
+                    ht[key] = bm
+                else:
                     dead.append(key)
             for key in dead:
-                del flt.ht[key]
+                del ht[key]
+                del at[key]
             flt.pass_mask &= keep
             flt.referencing -= {s for s in flt.referencing if stale >> s & 1}
             if entries:
@@ -510,27 +493,13 @@ class CJoinPipeline:
         n = len(pos)
         if n == 0:
             return
-        pass_mask = flt.pass_mask
-        new_pos: list[int] = []
-        new_bms: list[int] = []
-        new_dims: list[tuple] = []
-        add_pos = new_pos.append
-        add_bm = new_bms.append
-        add_dim = new_dims.append
-        # The probe keys: the FK column at the surviving positions
-        # (a transient list, dropped with this pass).
-        entries = map(flt.ht.get, take_values(item.cols[flt.fact_fk_idx], pos))
-        for p, entry, bm, dims in zip(pos, entries, item.bms, item.dims):
-            if entry is None:
-                bm &= pass_mask
-                dim_pos = None
-            else:
-                bm &= entry.bitmap | pass_mask
-                dim_pos = entry.pos
-            if bm:
-                add_pos(p)
-                add_bm(bm)
-                add_dim(dims + (dim_pos,))
+        # Each tuple keeps the queries that selected its dimension row (no
+        # row: none) or do not reference this dimension, in C-level maps
+        # over the FK column at the surviving positions.
+        keys = take_values(item.cols[flt.fact_fk_idx], pos)
+        found = map(flt.ht.get, keys, repeat(0))
+        bms = list(map(and_, item.bms, map(or_, found, repeat(flt.pass_mask))))
+        new_pos = list(compress(pos, bms))
         hashing = cost.hashing(n, w)
         probing = cost.probe(n, w, shared=True)
         bitmaps = cost.bitmap_and(n, w, item.high_slots)
@@ -541,7 +510,7 @@ class CJoinPipeline:
             yield cost.fused(hashing, probing, bitmaps, cost.emit_join(len(new_pos), w))
         else:
             yield cost.fused(hashing, probing, bitmaps)
-        item.pos, item.bms, item.dims = new_pos, new_bms, new_dims
+        item.pos, item.bms = new_pos, list(filter(None, bms))
 
     def _filter_worker(self) -> Iterator[Any]:
         """Horizontal configuration: each worker carries a page through the
@@ -603,8 +572,6 @@ class CJoinPipeline:
             cols = item.cols
             pos = item.pos
             bms = item.bms
-            dims = item.dims
-            filter_pos = item.filter_pos
             # Most addressed queries have no surviving tuple on a given
             # page: one OR over the page's bitmaps tells which do (with a
             # single addressed query the pass below is that same one pass).
@@ -629,9 +596,7 @@ class CJoinPipeline:
                         sel = [j for j, p in zip(sel, at) if p in keep]
                 out = None
                 if sel:
-                    out = state.projector(
-                        cols, [pos[j] for j in sel], [dims[j] for j in sel], filter_pos, w
-                    )
+                    out = state.projector(cols, [pos[j] for j in sel], w)
                     cmds.append(cost.distribute(len(sel), w))
                     if state.agg is not None:
                         cmds.append(cost.shared_aggregate(len(sel), w, len(state.agg.specs)))
@@ -687,31 +652,30 @@ class CJoinPipeline:
         return node, None
 
     def _make_projector(self, node: "CJoinNode") -> Callable:
-        """``project(cols, at, dims, filter_pos, weight)``: the query's
-        output batch (``node.schema``) for the tuples at fact-table positions
-        ``at`` joined to the dimension positions ``dims``.  Each payload
-        column is gathered as one vector, so only the fact and dimension
-        columns the query projects are read, and no row tuple is built."""
+        """``project(cols, at, weight)``: the query's output batch
+        (``node.schema``) for the tuples at fact-table positions ``at``,
+        joined to each dimension's row through its filter's ``at``.  Each
+        payload column is gathered as one vector, so only the fact and
+        dimension columns the query projects are read, and no row tuple is
+        built.  Built at admission, once the query's filters exist; a filter
+        lives while a query references it."""
         fact_idx = self.fact.schema.indices(node.fact_payload)
-        dim_proj: list[tuple[str, list]] = []
+        dim_proj: list[tuple[Filter, list]] = []
         for d in node.dims:
             dim = self.storage.table(d.dim_table)
             payload = [dim.columns()[i] for i in dim.schema.indices(d.payload)]
             if payload:
-                dim_proj.append((d.dim_table, payload))
+                dim_proj.append((self.filters[d.dim_table], payload))
 
-        def project(
-            cols, at: list[int], dims: list[tuple], filter_pos: dict[str, int], weight: float
-        ) -> ColumnBatch:
+        def project(cols, at: list[int], weight: float) -> ColumnBatch:
             # Plain loops: most calls carry a single survivor, where a
             # comprehension's own frame would cost more than its body.
             out = []
             add = out.append
             for i in fact_idx:
                 add(take_values(cols[i], at))
-            for name, payload in dim_proj:
-                k = filter_pos[name]
-                dim_at = [d[k] for d in dims]
+            for flt, payload in dim_proj:
+                dim_at = list(map(flt.at.__getitem__, take_values(cols[flt.fact_fk_idx], at)))
                 for col in payload:
                     add(take_values(col, dim_at))
             return ColumnBatch(tuple(out), None if out else range(len(at)), weight)

@@ -2,131 +2,43 @@
 
 The shard tier (:mod:`repro.shard`) splits a star query's fact table across
 N workers; each worker evaluates the query's selections and joins on its
-own engine and reduces the joined rows to a **partial aggregate**.  The
-gather stage merges the N partials and finalizes exactly one answer.  Two
-properties make that sound:
+own engine and folds the joined rows through the one aggregation kernel,
+:class:`~repro.engine.stages.aggregate.GroupTable`, whose exact state is
+the shard's **partial aggregate**.  The gather stage merges the N partials
+and finalizes exactly one answer.  Two properties make that sound:
 
 * **Decomposability** -- every supported aggregate merges from per-shard
   partials: ``sum``/``count`` add, ``min``/``max`` compare, and ``avg``
   carries (sum, count) and divides only at finalize time.
-* **Exactness** -- partial sums accumulate as :class:`fractions.Fraction`
-  (binary floats convert exactly), so accumulation is associative and
-  commutative and the merged value is *independent of how rows were
-  partitioned*: the N-shard answer is byte-identical to the 1-shard answer
-  for any N and any partitioning.  The single float rounding happens once,
-  at finalize.  (The in-engine aggregation stage accumulates in row order
-  with per-step float rounding, so its answer can differ from the merged
-  one by float-accumulation error -- the merged value is the correctly
-  rounded exact sum; tests hold them together to relative 1e-9.)
+* **Exactness** -- the kernel sums exactly and rounds once, so the merge
+  is associative and commutative and the merged answer is *independent of
+  how rows were partitioned*: the N-shard answer is byte-identical to the
+  1-shard answer and to the in-process engines' for any N and any
+  partitioning.
 
-Finalized rows are emitted in a **canonical order**: rows are first sorted
-by their group key, then by the query's ``ORDER BY`` (successive stable
-sorts, exactly like the sort stage), so gather output never depends on
-group-table insertion order or shard count.
+Finalized rows are emitted in a **canonical order** (:func:`canonical_rows`),
+so gather output never depends on group-table insertion order or shard
+count; the in-process service orders its answers the same way before it
+fingerprints them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Any, Sequence
+from typing import Sequence
 
+from repro.engine.stages.aggregate import finalize_groups, merge_groups
 from repro.query.plan import AggSpec
-from repro.storage.schema import Schema
 
 __all__ = [
     "PartialAggState",
-    "PartialAggregator",
+    "canonical_rows",
     "finalize_rows",
     "merge_states",
 ]
 
-#: One group's accumulators: a tuple with one slot per :class:`AggSpec`.
-#: ``sum``/``count`` slots hold a :class:`Fraction`; ``avg`` holds a
-#: ``(sum, count)`` Fraction pair; ``min``/``max`` hold the raw extremum
-#: (``None`` until the first value).  The whole state is plain picklable
-#: data -- it is the shard tier's wire format for partial results.
-PartialAggState = dict[tuple, tuple]
-
-_ZERO = Fraction(0)
-
-
-def _fresh_slots(aggregates: Sequence[AggSpec]) -> tuple:
-    slots: list[Any] = []
-    for a in aggregates:
-        if a.func == "avg":
-            slots.append((_ZERO, _ZERO))
-        elif a.func in ("sum", "count"):
-            slots.append(_ZERO)
-        else:  # min | max
-            slots.append(None)
-    return tuple(slots)
-
-
-class PartialAggregator:
-    """Reduce weighted row batches to one shard's partial-aggregate state.
-
-    Mirrors the aggregation stage's semantics: each generated row stands
-    for ``weight`` real rows, so additive aggregates scale by the batch
-    weight (``count`` adds the weight; ``sum``/``avg`` add ``value *
-    weight``); ``min``/``max`` ignore it.
-    """
-
-    def __init__(self, group_by: Sequence[str], aggregates: Sequence[AggSpec], schema: Schema):
-        self.group_by = tuple(group_by)
-        self.aggregates = tuple(aggregates)
-        self._group_idx = schema.indices(self.group_by)
-        self._value_fns = [
-            a.expr.compile(schema) if a.expr is not None else None for a in self.aggregates
-        ]
-        self.groups: PartialAggState = {}
-
-    def consume(self, rows: Sequence[tuple], weight: float) -> None:
-        """Fold one weighted batch of joined rows into the partial state."""
-        if not rows:
-            return
-        w = Fraction(weight)
-        group_idx = self._group_idx
-        specs = self.aggregates
-        fns = self._value_fns
-        groups = self.groups
-        for r in rows:
-            key = tuple(r[i] for i in group_idx)
-            slots = groups.get(key)
-            if slots is None:
-                slots = _fresh_slots(specs)
-            new_slots = list(slots)
-            for i, spec in enumerate(specs):
-                func = spec.func
-                if func == "count":
-                    new_slots[i] = new_slots[i] + w
-                    continue
-                v = fns[i](r)
-                if func == "sum":
-                    new_slots[i] = new_slots[i] + Fraction(v) * w
-                elif func == "avg":
-                    s, c = new_slots[i]
-                    new_slots[i] = (s + Fraction(v) * w, c + w)
-                elif func == "min":
-                    new_slots[i] = v if new_slots[i] is None else min(new_slots[i], v)
-                else:  # max
-                    new_slots[i] = v if new_slots[i] is None else max(new_slots[i], v)
-            groups[key] = tuple(new_slots)
-
-    def state(self) -> PartialAggState:
-        """This shard's partial state (picklable; ship it to the gather)."""
-        return self.groups
-
-
-def _merge_slot(spec: AggSpec, a: Any, b: Any) -> Any:
-    if spec.func in ("sum", "count"):
-        return a + b
-    if spec.func == "avg":
-        return (a[0] + b[0], a[1] + b[1])
-    if b is None:
-        return a
-    if a is None:
-        return b
-    return min(a, b) if spec.func == "min" else max(a, b)
+#: One shard's partial aggregate: a ``GroupTable``'s ``groups`` (group key
+#: -> slot list; plain picklable data -- the shard tier's wire format).
+PartialAggState = dict[tuple, list]
 
 
 def merge_states(
@@ -134,27 +46,26 @@ def merge_states(
 ) -> PartialAggState:
     """Merge per-shard partial states (associative and commutative; the
     gather stage still applies it in shard order for reproducible logs)."""
-    merged: PartialAggState = {}
-    for state in states:
-        for key, slots in state.items():
-            have = merged.get(key)
-            if have is None:
-                merged[key] = slots
-            else:
-                merged[key] = tuple(
-                    _merge_slot(spec, a, b)
-                    for spec, a, b in zip(aggregates, have, slots)
-                )
-    return merged
+    return merge_groups(aggregates, states)
 
 
-def _finalize_slot(spec: AggSpec, slot: Any) -> Any:
-    if spec.func in ("sum", "count"):
-        return float(slot)
-    if spec.func == "avg":
-        s, c = slot
-        return float(s / c) if c else 0.0
-    return slot  # min | max: the raw extremum
+def canonical_rows(
+    rows: Sequence[tuple],
+    group_by: Sequence[str],
+    aggregates: Sequence[AggSpec],
+    order_by: Sequence[tuple[str, bool]],
+) -> list[tuple]:
+    """An aggregate query's answer rows (group-by columns first, then one
+    column per aggregate) in canonical order: sorted by their group key
+    (total within a query: group keys are unique), then by the query's
+    ``ORDER BY`` as successive stable sorts, like the sort stage."""
+    out = sorted(rows, key=lambda r: r[: len(group_by)])
+    if order_by:
+        names = list(group_by) + [a.name for a in aggregates]
+        for col, ascending in reversed(tuple(order_by)):
+            i = names.index(col)
+            out.sort(key=lambda r, i=i: r[i], reverse=not ascending)
+    return out
 
 
 def finalize_rows(
@@ -166,18 +77,6 @@ def finalize_rows(
     """Finalize a merged state into canonical result rows.
 
     Output schema matches the in-engine :class:`AggregateNode`: group-by
-    columns first, then one column per aggregate.  Rows come out in the
-    canonical order described in the module docstring."""
-    rows = [
-        key + tuple(_finalize_slot(spec, slot) for spec, slot in zip(aggregates, slots))
-        for key, slots in state.items()
-    ]
-    # Canonical base order: the group key (total within a query: group keys
-    # are unique), so nothing depends on dict insertion order.
-    rows.sort(key=lambda r: r[: len(group_by)])
-    if order_by:
-        names = list(group_by) + [a.name for a in aggregates]
-        for col, ascending in reversed(tuple(order_by)):
-            i = names.index(col)
-            rows.sort(key=lambda r, i=i: r[i], reverse=not ascending)
-    return rows
+    columns first, then one column per aggregate."""
+    rows = finalize_groups(aggregates, len(group_by), state).rows
+    return canonical_rows(rows, group_by, aggregates, order_by)

@@ -23,14 +23,17 @@ serving benchmarks call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator
+import hashlib
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable, Iterator
 
 from repro.bench.workload import QueryJob
 from repro.cache import cached_query_centric_plan
 from repro.data.rng import make_rng
 from repro.engine.config import CJOIN_SP, QPIPE_SP
 from repro.engine.qpipe import QPipeEngine, QueryHandle
+from repro.query.merge import canonical_rows
 from repro.query.ssb_queries import q32, random_q11, random_q21, random_q32
 from repro.server.admission import AdmissionQueue, QueuedQuery
 from repro.server.arrivals import ArrivalProcess, make_arrivals
@@ -42,9 +45,6 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.machine import PAPER_MACHINE, MachineSpec
 from repro.sim.sync import Condition
 from repro.storage.manager import StorageConfig, StorageManager
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.shard.service import MergedResult
 
 #: Workloads the service can synthesize (deterministic per-query RNG
 #: streams, so a served run replays exactly for any prefix length).
@@ -308,8 +308,13 @@ class QueryService(Service):
         self.query_centric = QPipeEngine(self.sim, self.storage, qc_config)
         self.gqp = QPipeEngine(self.sim, self.storage, gqp_config)
         self.policy = make_policy(policy, machine) if isinstance(policy, str) else policy
-        #: the engines' handles, in dispatch order
-        self.handles: list[QueryHandle] = []
+        #: ``seq`` -> the engine's handle, in dispatch order
+        self.dispatched: dict[int, QueryHandle] = {}
+
+    @property
+    def handles(self) -> list[QueryHandle]:
+        """The engines' handles, in dispatch order."""
+        return list(self.dispatched.values())
 
     def _execute(self, item: QueuedQuery) -> str:
         job = item.job
@@ -340,7 +345,7 @@ class QueryService(Service):
             handle = engine.submit(job.spec, label=job.label or None)
         else:
             handle = engine.submit_plan(job.plan, label=job.label)
-        self.handles.append(handle)
+        self.dispatched[item.seq] = handle
         self.sim.spawn(
             self._watch(handle, item),
             name=f"service-watch-s{item.seq}",
@@ -352,17 +357,52 @@ class QueryService(Service):
         yield from handle.wait()
         self._complete(item, cache_served=handle.query.cache_served)
 
+    def answers(self) -> list[MergedResult]:
+        """Every dispatched query's answer by ``seq``, a star query's rows in
+        the shard gather's canonical order (after :meth:`run`, which drains)."""
+        out = []
+        for seq, handle in self.dispatched.items():
+            rows, spec = handle.results, handle.query.spec
+            if spec is not None:
+                rows = canonical_rows(rows, spec.group_by, spec.aggregates, spec.order_by)
+            out.append(MergedResult(seq, handle.query.label, list(rows)))
+        return out
+
 
 # ---------------------------------------------------------------------------
 # The report and the one-call entry point
 # ---------------------------------------------------------------------------
 
 
+def fingerprint_rows(rows: list[tuple]) -> str:
+    """sha256 over the canonical repr of answer rows.  ``repr`` of a float
+    is its shortest round-trip form, so equal values fingerprint equally
+    across processes, shard counts and executors."""
+    h = hashlib.sha256()
+    for r in rows:
+        h.update(repr(r).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+@dataclass(frozen=True)
+class MergedResult:
+    """One answered query: its rows in canonical order (a shard gather's
+    merged answer, or an in-process engine's) and their fingerprint."""
+
+    seq: int
+    label: str
+    rows: list[tuple]
+
+    @property
+    def fingerprint(self) -> str:
+        return fingerprint_rows(self.rows)
+
+
 @dataclass
 class ServiceReport:
     """Everything one served run measured, either executor: what served
-    it, the run's identification, its metrics and -- scatter/gather only --
-    the merged answers."""
+    it, the run's identification, its metrics and the answers."""
 
     #: the executor's identification: ``{"policy": ...}`` plus the
     #: simulator's load, or the shard topology
@@ -375,7 +415,13 @@ class ServiceReport:
     window: float
     metrics: ServiceMetrics
     machine_hz: float
-    results: list["MergedResult"] = field(default_factory=list)
+    #: called on the first read of :attr:`results`: unread, no rows are sorted
+    answers: Callable[[], list[MergedResult]] = list
+
+    @cached_property
+    def results(self) -> list[MergedResult]:
+        """Every answered query's rows in canonical order, by ``seq``."""
+        return self.answers()
 
     @property
     def throughput_qps(self) -> float:
@@ -401,8 +447,9 @@ class ServiceReport:
         return format_table(f"serve: {self.workload}", ["metric", "value"], rows)
 
     def fingerprint_lines(self) -> list[str]:
-        """``"<seq> <sha256>"`` per merged query -- the artifact CI diffs
-        between ``--shards 1`` and ``--shards N`` runs of one trace."""
+        """``"<seq> <sha256>"`` per answered query -- the artifact CI diffs
+        between in-process, ``--shards 1`` and ``--shards N`` runs of one
+        trace."""
         return [f"{r.seq} {r.fingerprint}" for r in self.results]
 
     def write_fingerprints(self, path: str) -> None:
@@ -464,4 +511,5 @@ def serve(
         window=window,
         metrics=service.metrics,
         machine_hz=machine.hz,
+        answers=service.answers,
     )

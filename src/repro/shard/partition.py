@@ -62,7 +62,8 @@ def shard_rows(n_rows: int, n_shards: int, mode: str, salt: int) -> list:
     mode, an ascending index list per shard in ``hash`` mode.  Memoized:
     :class:`~repro.shard.service.ShardService` computes the placement once
     before its workers fork, and each worker's :func:`shard_tables`
-    inherits it instead of hashing every row again.  Read-only."""
+    inherits it instead of hashing every row again; the service clears the
+    memo once every worker has handshaken.  Read-only."""
     if mode == "range":
         block = -(-n_rows // n_shards) if n_rows else 1
         bounds = [min(k * block, n_rows) for k in range(n_shards)] + [n_rows]

@@ -39,7 +39,6 @@ Failure semantics (exercised in ``tests/shard/test_failures.py``):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
@@ -49,7 +48,7 @@ from repro.query.star import StarQuerySpec
 from repro.server.admission import QueuedQuery
 from repro.server.arrivals import make_arrivals
 from repro.server.config import ServiceConfig
-from repro.server.service import Service, ServiceReport, job_factory
+from repro.server.service import MergedResult, Service, ServiceReport, job_factory
 from repro.shard.metrics import ShardServiceMetrics
 from repro.shard.partition import shard_rows
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
@@ -62,27 +61,6 @@ __all__ = ["MergedResult", "ShardBacklog", "ShardService", "serve_sharded"]
 #: Wall-clock budget for a worker's spawn-time handshake (dataset
 #: generation included on a cold, non-fork start).
 SPAWN_TIMEOUT_S = 120.0
-
-
-def fingerprint_rows(rows: list[tuple]) -> str:
-    """sha256 over the canonical repr of merged result rows.  ``repr`` of
-    a float is its shortest round-trip form, so equal values fingerprint
-    equally across processes and shard counts."""
-    h = hashlib.sha256()
-    for r in rows:
-        h.update(repr(r).encode())
-        h.update(b"\n")
-    return h.hexdigest()
-
-
-@dataclass(frozen=True)
-class MergedResult:
-    """One gathered query: canonical rows plus their fingerprint."""
-
-    seq: int
-    label: str
-    rows: list[tuple]
-    fingerprint: str
 
 
 class ShardBacklog:
@@ -191,6 +169,10 @@ class ShardService(Service):
             for h in self.workers:
                 h.kill()  # idempotent, and a no-op on a never-started handle
             raise
+        finally:
+            # Every worker has its placement now; a respawned one
+            # recomputes its own in the child.
+            shard_rows.cache_clear()
         # Scatter-cost model: each worker reported what building its fact
         # partition actually shipped (packed buffers make the byte counts
         # real -- zero-copy range views ship nothing, hash gathers ship
@@ -280,7 +262,7 @@ class ShardService(Service):
         merged = merge_states(spec.aggregates, [o.response.state for o in outcomes])
         rows = finalize_rows(spec.group_by, spec.aggregates, spec.order_by, merged)
         self.results.append(
-            MergedResult(item.seq, item.job.label or spec.label, rows, fingerprint_rows(rows))
+            MergedResult(item.seq, item.job.label or spec.label, rows)
         )
         self.sim.call_at(g, lambda: self._complete(item))
         return cfg.engine
@@ -408,5 +390,5 @@ def serve_sharded(
         window=service.window(duration),
         metrics=service.metrics,
         machine_hz=shard_config.machine.hz,
-        results=service.results,
+        answers=service.results.copy,
     )

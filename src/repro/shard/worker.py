@@ -13,8 +13,10 @@ closes (the request loop is :func:`repro.parallel.workers.serve`).
 Per request it runs the query's **join-only plan** on a *fresh* simulator
 and engine (service time depends only on the spec and the shard's data,
 never on what ran before -- the determinism the backlog timeline needs)
-and reduces the joined batches to an exact partial aggregate at the shard
-boundary (:mod:`repro.query.merge`).  A worker whose fact partition is
+and folds the joined rows through the one aggregation kernel,
+:class:`~repro.engine.stages.aggregate.GroupTable`, host-side at the shard
+boundary; the table's exact state is the partial aggregate the gather
+merges (:mod:`repro.query.merge`).  A worker whose fact partition is
 empty skips the engine entirely (CJOIN has no work to pipeline over zero
 fact pages) and answers with an empty state at zero service time.
 
@@ -30,14 +32,15 @@ import time
 from typing import Any
 
 from repro.engine.qpipe import QPipeEngine
+from repro.engine.stages.aggregate import GroupTable
 from repro.parallel.workers import serve
-from repro.query.merge import PartialAggregator
 from repro.query.star import StarQuerySpec
 from repro.shard.partition import partition_shipping, shard_tables
 from repro.shard.spec import ShardConfig, ShardRequest, ShardResponse
 from repro.sim.engine import Simulator
 from repro.storage.arrangements import ARRANGEMENTS
 from repro.storage.manager import StorageManager
+from repro.storage.page import ColumnBatch
 from repro.storage.table import Table
 
 __all__ = ["execute_shard_query", "shard_worker_main"]
@@ -54,11 +57,12 @@ def execute_shard_query(
     fact = tables[config.fact_table]
     engine_config = config.engine_config
     plan = spec.to_join_only_plan(tables, use_cjoin=engine_config.use_cjoin)
-    agg = PartialAggregator(spec.group_by, spec.aggregates, plan.schema)
+    schema = plan.schema
+    table = GroupTable(spec.aggregates, schema.indices(spec.group_by), schema)
     if fact.num_rows == 0:
         # Nothing to join: an empty partition is a legal shard (CJOIN has
         # no fact pages to pipeline over and would not start cleanly).
-        return agg.state(), 0.0
+        return table.groups, 0.0
     sim = Simulator(config.machine)
     storage = StorageManager(sim, sim.cost, tables, config.storage)
     engine = QPipeEngine(sim, storage, engine_config)
@@ -66,9 +70,13 @@ def execute_shard_query(
     sim.run()
     # Every root batch of a join-only plan carries the fact's row weight
     # (a join emits at its probe batch's weight, CJOIN's distributor at
-    # the fact page's), so the rows fold at that one weight.
-    agg.consume(handle.results, fact.row_weight)
-    return agg.state(), handle.response_time
+    # the fact page's), so the rows fold at that one weight; rows that
+    # project no column (a bare ``count(*)``) keep their number as a selection.
+    rows = handle.results
+    if rows:
+        cols = tuple(zip(*rows))
+        table.add(ColumnBatch(cols, None if cols else range(len(rows)), fact.row_weight))
+    return table.groups, handle.response_time
 
 
 def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:

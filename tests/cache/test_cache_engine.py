@@ -11,17 +11,12 @@ from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
 from repro.data import generate_ssb
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=23)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, cache_bytes=32 * 1024 * 1024, policy="benefit", config=QPIPE_SP):
@@ -58,7 +53,7 @@ class TestFillAndReplay:
         assert sim.metrics.counts.get("result_cache_hits", 0) > 0
         assert h2.query.cache_served
         assert not h1.query.cache_served
-        assert norm(h2.results) == norm(h1.results)
+        assert sorted_rows(h2.results) == sorted_rows(h1.results)
         # Replay at memory-read cost beats recomputation by a wide margin.
         assert t2 < t1 * 0.5
 
@@ -107,7 +102,7 @@ class TestBoundedSpill:
         h2 = engine.submit(q32(*SPEC_ARGS))
         sim.run()
         assert not h2.query.cache_served
-        assert norm(h2.results) == norm(h1.results)
+        assert sorted_rows(h2.results) == sorted_rows(h1.results)
 
     def test_concurrent_identical_hosts_fill_once(self, ssb):
         sim, storage, engine = make_engine(ssb)
@@ -168,6 +163,6 @@ class TestGqpRoute:
         h2 = engine.submit(q32(*SPEC_ARGS))
         sim.run()
         assert h2.query.cache_served
-        assert norm(h2.results) == norm(h1.results)
+        assert sorted_rows(h2.results) == sorted_rows(h1.results)
         # The replayed query never paid CJOIN admission again.
         assert sim.metrics.counts["cjoin_queries_admitted"] == 1

@@ -1,10 +1,12 @@
 """The one aggregation kernel (:class:`GroupTable`) against the reference
-evaluator's independent per-row loop, and its memory budget.
+evaluator's independent per-row loop (exact ``Fraction`` sums, rounded
+once), and its memory budget.
 
 Every engine folds its groups through ``engine/stages/aggregate.py``: the
-aggregate stage, CJOIN's shared aggregation and the Volcano baseline.  The
-engines' integration tests reach the kernel only through plans, and the
-workload's plans almost always take its one-sum/avg fast path.  Here the
+aggregate stage, CJOIN's shared aggregation, the Volcano baseline and the
+shard workers.  The engines' integration tests reach the kernel only
+through plans, and the workload's plans almost always take its one-sum
+fast path.  Here the
 kernel is called directly on generated batches -- spec tuples mixing sum,
 count, avg, min and max over column, arithmetic and row-closure
 expressions, several batches of different (int and float) weights,
@@ -19,8 +21,13 @@ SPL's lock queues its waiters in a plain list like its conditions do.
 The table's result is built as columns: no row tuple per group."""
 
 import gc
+import itertools
+import math
 import sys
 import tracemalloc
+from fractions import Fraction
+
+import pytest
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -138,6 +145,13 @@ FIVE = (
     AggSpec("min", Col("s"), "v3"),
     AggSpec("max", Cmp(">", "a", 2), "v4"),
 )
+FIVE_ON_B = (
+    AggSpec("sum", Col("b"), "v0"),
+    AggSpec("avg", Col("b"), "v1"),
+    AggSpec("count", None, "v2"),
+    AggSpec("min", Col("b"), "v3"),
+    AggSpec("max", Col("b"), "v4"),
+)
 # Groups first seen in the middle of a batch, a second batch of another
 # weight type, and an empty batch in between.
 MID = [
@@ -155,6 +169,44 @@ MID = [
 @example(batches=MID, group_by=(), specs=FIVE)
 def test_kernel_equals_reference_loop(batches, group_by, specs):
     assert typed(kernel(batches, group_by, specs)) == typed(reference(batches, group_by, specs))
+
+
+#: A row-order float sum of these products is not the correctly rounded
+#: one: at weight 3.0, 3e16 + 3.0 rounds the 3.0 away before -3e16 cancels.
+CANCELLING = (1e16, 1.0, -1e16, 0.1)
+
+
+@pytest.mark.parametrize("specs", [ONE_SUM, FIVE_ON_B], ids=["one-sum", "five"])
+def test_row_order_and_batch_splits_do_not_change_a_bit(specs):
+    w = 3.0
+    rows = [(1, "x", k, v) for k, v in enumerate(CANCELLING)]
+    want = reference([(rows, w, None)], ("g",), specs)
+    exact = Fraction(0)
+    for v in CANCELLING:
+        exact += Fraction(v * w)
+    assert want[0][1] == float(exact) != sum(v * w for v in CANCELLING)
+    for perm in itertools.permutations(rows):
+        for cut in range(len(perm) + 1):
+            batches = [(list(perm[:cut]), w, None), ([], w, None), (list(perm[cut:]), w, None)]
+            assert typed(kernel(batches, ("g",), specs)) == typed(want)
+
+
+@pytest.mark.parametrize(
+    "values, total, mean",
+    [
+        ((1e308, 1e308, -1e308), 1e308, 1e308 / 3),  # a float sum overflows on the way
+        ((1e308, 1e308), math.inf, 1e308),  # only the sum rounds past the largest float
+        ((1.0, math.inf, 2.5), math.inf, math.inf),
+        ((math.inf, 1e308, -math.inf), math.nan, math.nan),
+        ((math.nan, 1.0, -1.0), math.nan, math.nan),
+    ],
+)
+def test_overflow_nan_and_infinities_do_not_depend_on_row_order(values, total, mean):
+    specs = (AggSpec("sum", Col("b"), "v0"), AggSpec("avg", Col("b"), "v1"))
+    for perm in itertools.permutations(values):
+        rows = [(1, "x", 0, v) for v in perm]
+        ((_, *got),) = kernel([(rows, 1.0, None)], ("g",), specs)
+        assert [repr(v) for v in got] == [repr(total), repr(mean)]
 
 
 def test_an_int_weight_keeps_an_int_count():
@@ -198,16 +250,16 @@ def _groups_of(specs):
 
 def test_a_one_sum_group_is_its_key_and_one_slot_list():
     # Key tuple 1 block, the [sum, count] list 2 (object + items), and
-    # the float sum and the float count 1 each.  A group object holding
-    # four per-spec lists took 12.
+    # the float sum 1 (a sum's count slot stays None).  A group object
+    # holding four per-spec lists took 12.
     specs = (AggSpec("sum", Col("v"), "s"),)
     assert _blocks_per(_groups_of(specs)) < 5.5
 
 
 def test_a_five_spec_group_is_its_key_and_one_slot_list():
-    # Key 1 + list 2 + the five floats the additive specs write (sum and
-    # count of sum and avg, count's count); min and max hold the batch's
-    # own values.  A group object with four per-spec lists took 15.
+    # Key 1 + list 2 + the sums of sum and avg; a first count is the
+    # batch weight itself, and min and max hold the batch's own values.
+    # A group object with four per-spec lists took 15.
     specs = (
         AggSpec("sum", Col("v"), "s"),
         AggSpec("count", None, "c"),

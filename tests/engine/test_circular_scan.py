@@ -11,17 +11,12 @@ from repro.sim.commands import SLEEP
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=77)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, resident="memory"):
@@ -36,7 +31,7 @@ class TestCircularScan:
         of entry around the circle -- results must be exact."""
         spec_a = q32("CHINA", "FRANCE", 1993, 1996)
         spec_b = q32("JAPAN", "BRAZIL", 1992, 1995)
-        oracle_b = norm(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
+        oracle_b = sorted_rows(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         eng.submit(spec_a)
         holder = {}
@@ -47,7 +42,7 @@ class TestCircularScan:
 
         sim.spawn(late(), "late")
         sim.run()
-        assert norm(holder["h"].results) == oracle_b
+        assert sorted_rows(holder["h"].results) == oracle_b
         # B attached to A's in-flight scans (linear WoP).
         assert eng.sim.metrics.sharing_events.get("tablescan", 0) >= 1
 
@@ -69,7 +64,7 @@ class TestCircularScan:
         sim.run()
         # New driver was spawned (no live state to share with), position
         # resumed mid-table, and results are still exact.
-        assert norm(holder["h"].results) == norm(h1.results)
+        assert sorted_rows(holder["h"].results) == sorted_rows(h1.results)
         pos = eng.scan_stage._positions["lineorder"]
         assert 0 <= pos < ssb.lineorder.num_pages
 

@@ -21,17 +21,12 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=41)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config):
@@ -109,7 +104,7 @@ class TestScaling:
         assert sum(v for k, v in sim.metrics.counts.items() if k.startswith("fold_attach:")) > 0
         # ...and every answer is the reference evaluator's.
         for spec, handle in zip(specs, handles):
-            assert norm(handle.results) == norm(
+            assert sorted_rows(handle.results) == sorted_rows(
                 evaluate_plan(spec.to_query_centric_plan(ssb.tables))
             )
 

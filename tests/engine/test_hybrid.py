@@ -12,6 +12,7 @@ from repro.server import QueryService, ServiceConfig, StaticThresholdPolicy, Tra
 from repro.server.router import GQP, QUERY_CENTRIC, saturation_threshold
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig
+from tests.answers import sorted_rows
 
 MACHINE = MachineSpec()
 
@@ -22,12 +23,6 @@ LATER = 100.0
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=23)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def serve_trace(tables, queries, times, threshold=None):
@@ -74,15 +69,15 @@ class TestRouting:
 
     def test_results_exact_on_both_paths(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         # in flight 0 < 1: query-centric; then in flight 1 >= 1: GQP
         service = serve_trace(ssb.tables, [spec, spec], [0, 0], threshold=1)
         assert routes(service) == (1, 1)
         h_qc, h_gqp = service.handles
         assert h_qc in service.query_centric.handles
         assert h_gqp in service.gqp.handles
-        assert norm(h_qc.results) == oracle
-        assert norm(h_gqp.results) == oracle
+        assert sorted_rows(h_qc.results) == oracle
+        assert sorted_rows(h_gqp.results) == oracle
 
     def test_exactly_at_threshold_routes_gqp(self, ssb):
         """The boundary is >=: the arrival that finds in_flight == threshold
@@ -95,11 +90,11 @@ class TestRouting:
 
     def test_threshold_zero_always_gqp(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         service = serve_trace(ssb.tables, [spec] * 3, [0] * 3, threshold=0)
         assert routes(service) == (0, 3)
         for h in service.handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     def test_engines_share_one_storage_manager(self, ssb):
         """Both engines must sit on the same StorageManager -- circular
@@ -128,7 +123,7 @@ class TestRouting:
         after = memo.stats()
         assert after["exact"] == seen["exact"] + len(spec.dims)
         assert (after["computed"], after["derived"]) == (seen["computed"], seen["derived"])
-        assert norm(h_gqp.results) == norm(h_qc.results)
+        assert sorted_rows(h_gqp.results) == sorted_rows(h_qc.results)
 
     def test_default_threshold_is_saturation(self, ssb):
         service = QueryService(ssb.tables, "static", machine=MACHINE)

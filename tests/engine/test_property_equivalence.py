@@ -39,12 +39,7 @@ from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
+from tests.answers import sorted_rows
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,7 @@ def run_qpipe(tables, spec, config):
     eng = QPipeEngine(sim, storage, config)
     handles = [eng.submit(spec) for _ in range(2)]  # two, to exercise sharing
     sim.run()
-    return [norm(h.results) for h in handles]
+    return [sorted_rows(h.results) for h in handles]
 
 
 class TestEquivalence:
@@ -165,9 +160,9 @@ class TestEquivalence:
     @given(case=star_case())
     def test_all_engines_match_oracle(self, case):
         tables, spec = case
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(tables)))
         # GQP plan through the oracle too (independent code path).
-        assert norm(evaluate_plan(spec.to_gqp_plan(tables))) == oracle
+        assert sorted_rows(evaluate_plan(spec.to_gqp_plan(tables))) == oracle
 
         for config in (
             QPIPE,
@@ -185,7 +180,7 @@ class TestEquivalence:
         pg = VolcanoEngine(sim, storage)
         h = pg.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
         # The router: query-centric, then (saturated at threshold 1) the
         # GQP, then -- long after both finished -- the cache discount.
@@ -201,7 +196,7 @@ class TestEquivalence:
         assert service.metrics.routed == {QUERY_CENTRIC: 2, GQP: 1}
         assert service.metrics.cache_routed == 1
         for h in service.handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     @settings(
         max_examples=10,
@@ -213,7 +208,7 @@ class TestEquivalence:
         """Arrival timing (and hence which WoPs are open) must never change
         answers."""
         tables, spec = case
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(tables)))
         sim = Simulator(MachineSpec(cores=8))
         storage = StorageManager(sim, DEFAULT_COST_MODEL, tables, StorageConfig(resident="memory"))
         eng = QPipeEngine(sim, storage, CJOIN_SP)
@@ -229,4 +224,4 @@ class TestEquivalence:
         sim.spawn(submitter(), "sub")
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle

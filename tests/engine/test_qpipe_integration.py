@@ -19,6 +19,7 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 ALL_CONFIGS = (QPIPE, QPIPE_CS, QPIPE_SP, CJOIN, CJOIN_SP)
 
@@ -26,13 +27,6 @@ ALL_CONFIGS = (QPIPE, QPIPE_CS, QPIPE_SP, CJOIN, CJOIN_SP)
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=21)
-
-
-def norm(rows):
-    """Order-insensitive, float-tolerant normal form of a result set."""
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config, resident="memory"):
@@ -48,56 +42,56 @@ class TestCorrectnessMatrix:
     @pytest.mark.parametrize("comm", ["spl", "fifo"])
     def test_q32_matches_oracle(self, ssb, config, comm):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, dataclasses.replace(config, comm=comm))
         handles = [eng.submit(spec) for _ in range(3)]
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=lambda c: c.name)
     def test_mixed_workload_matches_oracle(self, ssb, config):
         rng = random.Random(4)
         specs = [random_q32(rng) for _ in range(4)]
         specs += [q11(1993, 1.0, 3.0, 25), q21("MFGR#12", "AMERICA")]
-        oracles = [norm(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
+        oracles = [sorted_rows(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
         sim, eng = make_engine(ssb, config)
         handles = [eng.submit(s) for s in specs]
         sim.run()
         for h, o in zip(handles, oracles):
-            assert norm(h.results) == o
+            assert sorted_rows(h.results) == o
 
     def test_gqp_plan_oracle_agrees_with_query_centric_oracle(self, ssb):
         """The reference evaluator itself is cross-checked on both plan
         shapes."""
         for spec in (q32("CHINA", "FRANCE", 1993, 1996), q11(1994, 2.0, 4.0, 30)):
-            a = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
-            b = norm(evaluate_plan(spec.to_gqp_plan(ssb.tables)))
+            a = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+            b = sorted_rows(evaluate_plan(spec.to_gqp_plan(ssb.tables)))
             assert a == b
 
     def test_disk_resident_results_identical(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         for config in (QPIPE_SP, CJOIN_SP):
             sim, eng = make_engine(ssb, config, resident="disk")
             h = eng.submit(spec)
             sim.run()
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     def test_volcano_matches_oracle(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim = Simulator(MachineSpec())
         storage = StorageManager(sim, DEFAULT_COST_MODEL, ssb.tables, StorageConfig())
         pg = VolcanoEngine(sim, storage)
         h = pg.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_tpch_q1_all_comms(self):
         ds = generate_tpch(0.5, seed=9)
         plan = tpch_q1_plan(ds.lineitem)
-        oracle = norm(evaluate_plan(plan))
+        oracle = sorted_rows(evaluate_plan(plan))
         assert oracle  # non-empty result
         for comm in ("spl", "fifo"):
             for config in (QPIPE, QPIPE_CS):
@@ -107,7 +101,7 @@ class TestCorrectnessMatrix:
                 hs = [eng.submit_plan(plan) for _ in range(4)]
                 sim.run()
                 for h in hs:
-                    assert norm(h.results) == oracle
+                    assert sorted_rows(h.results) == oracle
 
 
 class TestSharingBehavior:
@@ -179,7 +173,7 @@ class TestSharingBehavior:
             sim, eng = make_engine(ssb, config)
             handles = [eng.submit(s) for s in specs]
             sim.run()
-            results[config.name] = [norm(h.results) for h in handles]
+            results[config.name] = [sorted_rows(h.results) for h in handles]
         assert results["QPipe"] == results["QPipe-SP"]
 
 

@@ -37,6 +37,7 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 MACHINE = MachineSpec()
 CACHE_MECHANISMS = ("cache_hit", "cache_fold")
@@ -45,12 +46,6 @@ CACHE_MECHANISMS = ("cache_hit", "cache_fold")
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.2, seed=37)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 # ----------------------------------------------------------------------
@@ -264,4 +259,4 @@ def test_a_live_host_fold_outranks_a_cache_fold(ssb, monkeypatch):
     handle = engine.submit(narrow)
     sim.run()
     assert seen["host_fold_over_cache"] == 1, seen
-    assert norm(handle.results) == norm(evaluate_plan(narrow.to_query_centric_plan(ssb.tables)))
+    assert sorted_rows(handle.results) == sorted_rows(evaluate_plan(narrow.to_query_centric_plan(ssb.tables)))

@@ -13,17 +13,12 @@ from repro.sim.commands import SLEEP
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=41)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config=QPIPE_SP):
@@ -37,7 +32,7 @@ class TestRegistry:
         """When the first host's step WoP closes, the next identical packet
         becomes the new host and subsequent arrivals share with *it*."""
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         h1 = eng.submit(spec)
         late = {}
@@ -50,8 +45,8 @@ class TestRegistry:
 
         sim.spawn(late_pair(), "late")
         sim.run()
-        assert norm(late["a"].results) == oracle
-        assert norm(late["b"].results) == oracle
+        assert sorted_rows(late["a"].results) == oracle
+        assert sorted_rows(late["b"].results) == oracle
         # Exactly one sharing event: b attached to a (not to the dead h1).
         assert eng.sim.metrics.sharing_events.get("join:hj3", 0) == 1
 

@@ -13,6 +13,7 @@ from repro.sim.commands import SLEEP
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 CJOIN_BATCHED = dataclasses.replace(CJOIN, gqp_batched_execution=True, name="CJOIN-batched")
 
@@ -20,12 +21,6 @@ CJOIN_BATCHED = dataclasses.replace(CJOIN, gqp_batched_execution=True, name="CJO
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=61)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config):
@@ -37,12 +32,12 @@ def make_engine(ssb, config):
 class TestBatchedExecution:
     def test_results_exact(self, ssb):
         specs = [q32("CHINA", "FRANCE", 1993, 1996), q32("JAPAN", "BRAZIL", 1992, 1995)]
-        oracles = [norm(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
+        oracles = [sorted_rows(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
         sim, eng = make_engine(ssb, CJOIN_BATCHED)
         handles = [eng.submit(s) for s in specs]
         sim.run()
         for h, o in zip(handles, oracles):
-            assert norm(h.results) == o
+            assert sorted_rows(h.results) == o
 
     def test_late_arrival_waits_for_generation(self, ssb):
         """A query arriving mid-batch is not admitted until the running

@@ -11,17 +11,12 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=33)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config=CJOIN, resident="memory"):
@@ -114,11 +109,11 @@ class TestPipelineLifecycle:
         """Q1.1 has fact predicates; CJOIN applies them on output tuples
         (Section 3.2) -- results must still match the oracle."""
         spec = q11(1993, 1.0, 3.0, 25)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_interleaved_admission_mid_scan(self, ssb):
         """A query submitted while the circular fact scan is mid-flight is
@@ -126,7 +121,7 @@ class TestPipelineLifecycle:
         of entry wraps around)."""
         spec_a = q32("CHINA", "FRANCE", 1993, 1996)
         spec_b = q32("JAPAN", "BRAZIL", 1992, 1995)
-        oracle_b = norm(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
+        oracle_b = sorted_rows(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
 
         sim, eng = make_engine(ssb)
         eng.submit(spec_a)
@@ -141,7 +136,7 @@ class TestPipelineLifecycle:
 
         sim.spawn(late_submitter(), "late")
         sim.run()
-        assert norm(h_holder["h"].results) == oracle_b
+        assert sorted_rows(h_holder["h"].results) == oracle_b
         assert sim.metrics.counts["cjoin_admission_batches"] == 2
 
     def test_bitmap_width_tracks_concurrency(self, ssb):

@@ -14,17 +14,12 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=13)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config=CJOIN, resident="memory", **storage_kwargs):
@@ -68,13 +63,13 @@ class TestEdgeCases:
 
     def test_empty_alongside_nonempty(self, ssb):
         good = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(good.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(good.to_query_centric_plan(ssb.tables)))
         bad = q11(1993, 99.0, 100.0, 0)
         sim, eng = make_engine(ssb)
         h_good = eng.submit(good)
         h_bad = eng.submit(bad)
         sim.run()
-        assert norm(h_good.results) == oracle
+        assert sorted_rows(h_good.results) == oracle
         assert h_bad.results == []
 
     def test_sequential_waves_reuse_slots_many_times(self, ssb):
@@ -86,7 +81,7 @@ class TestEdgeCases:
             q32("JAPAN", "BRAZIL", 1992, 1995),
             q32("KENYA", "PERU", 1994, 1997),
         ]
-        oracles = [norm(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
+        oracles = [sorted_rows(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
 
         results = {}
 
@@ -94,7 +89,7 @@ class TestEdgeCases:
             for i, spec in enumerate(specs):
                 h = eng.submit(spec)
                 yield from h.wait()
-                results[i] = norm(h.results)
+                results[i] = sorted_rows(h.results)
 
         sim.spawn(waves(), "waves")
         sim.run()
@@ -104,11 +99,11 @@ class TestEdgeCases:
 
     def test_direct_io_admission_still_correct(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, resident="disk", direct_io=True)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_direct_io_slower_than_buffered(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
@@ -127,21 +122,21 @@ class TestEdgeCases:
         import dataclasses
 
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, dataclasses.replace(CJOIN_SP, comm="fifo"))
         handles = [eng.submit(spec) for _ in range(3)]
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
         assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 2
 
     def test_single_dim_star_query(self, ssb):
         spec = q11(1994, 1.0, 3.0, 25)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_queries_with_disjoint_dims_share_pipeline(self, ssb):
         """Two queries referencing different dimensions coexist in one GQP:
@@ -161,14 +156,14 @@ class TestEdgeCases:
             group_by=("s_nation",),
             aggregates=(AggSpec("sum", Col("lo_revenue"), "revenue"),),
         )
-        oracle_a = norm(evaluate_plan(a.to_query_centric_plan(ssb.tables)))
-        oracle_b = norm(evaluate_plan(b.to_query_centric_plan(ssb.tables)))
+        oracle_a = sorted_rows(evaluate_plan(a.to_query_centric_plan(ssb.tables)))
+        oracle_b = sorted_rows(evaluate_plan(b.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         h_a = eng.submit(a)
         h_b = eng.submit(b)
         sim.run()
-        assert norm(h_a.results) == oracle_a
-        assert norm(h_b.results) == oracle_b
+        assert sorted_rows(h_a.results) == oracle_a
+        assert sorted_rows(h_b.results) == oracle_b
 
     def test_notify_update_drops_memoized_dim_selections(self, ssb):
         """An update to a dimension must reach the admission's selection

@@ -32,6 +32,7 @@ from repro.storage import StorageConfig, StorageManager
 from repro.storage.packed import DictColumn, PackedNumeric
 from repro.storage.table import Table
 from tests.boxed import boxed_layout
+from tests.answers import sorted_rows
 
 N_ROWS = 1500
 CARD = 200  # <= 256 distinct values per column: every column can dict-encode
@@ -120,10 +121,6 @@ def specs() -> list[StarQuerySpec]:
     ]
 
 
-def norm(rows):
-    return sorted(tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows)
-
-
 @pytest.mark.parametrize("layout", ["array", "dict", "boxed"])
 @pytest.mark.parametrize("threads", ["horizontal", "vertical"])
 @pytest.mark.parametrize("shared_aggregation", [False, True])
@@ -140,6 +137,6 @@ def test_cjoin_sp_matches_reference_on_every_layout(ssb, layout, threads, shared
     sim.run()
     assert not any(p._rows for p in tables["lineorder"].pages)  # read as columns only
     for spec, handle in zip(queries, handles):
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(tables)))
         assert oracle, spec.label  # every query selects something
-        assert norm(handle.results) == oracle, spec.label
+        assert sorted_rows(handle.results) == oracle, spec.label

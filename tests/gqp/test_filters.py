@@ -12,17 +12,12 @@ from repro.sim.commands import SLEEP
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=88)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb):
@@ -45,7 +40,7 @@ class TestFilterState:
             pipeline = eng.cjoin_stage.pipeline_for("lineorder")
             flt = pipeline.filters["customer"]
             probe["entries"] = len(flt.ht)
-            probe["bitmaps"] = {e.bitmap for e in flt.ht.values()}
+            probe["bitmaps"] = set(flt.ht.values())
             probe["pass"] = flt.pass_mask
 
         sim.spawn(snapshot(), "snap")
@@ -68,7 +63,7 @@ class TestFilterState:
         def snapshot():
             yield SLEEP(0.5)
             flt = eng.cjoin_stage.pipeline_for("lineorder").filters["customer"]
-            probe["bitmaps"] = {e.bitmap for e in flt.ht.values()}
+            probe["bitmaps"] = set(flt.ht.values())
 
         sim.spawn(snapshot(), "snap")
         sim.run()
@@ -94,22 +89,22 @@ class TestFilterState:
         )
         nation_query = q32("CHINA", "CHINA", 1993, 1996)
         oracles = [
-            norm(evaluate_plan(s.to_query_centric_plan(ssb.tables)))
+            sorted_rows(evaluate_plan(s.to_query_centric_plan(ssb.tables)))
             for s in (region_query, nation_query)
         ]
         sim, eng = make_engine(ssb)
         h1 = eng.submit(region_query)
         h2 = eng.submit(nation_query)
         sim.run()
-        assert norm(h1.results) == oracles[0]
-        assert norm(h2.results) == oracles[1]
+        assert sorted_rows(h1.results) == oracles[0]
+        assert sorted_rows(h2.results) == oracles[1]
 
     def test_stale_bits_scrubbed_before_slot_reuse(self, ssb):
         """A completed query's bits must not leak into a later query that
         reuses its slot."""
         spec_a = q32("CHINA", "FRANCE", 1993, 1996)
         spec_b = q32("JAPAN", "BRAZIL", 1992, 1995)
-        oracle_b = norm(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
+        oracle_b = sorted_rows(evaluate_plan(spec_b.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb)
         results = {}
 
@@ -118,7 +113,7 @@ class TestFilterState:
             yield from h_a.wait()
             h_b = eng.submit(spec_b)  # reuses slot 0 after reclamation
             yield from h_b.wait()
-            results["b"] = norm(h_b.results)
+            results["b"] = sorted_rows(h_b.results)
             pipeline = eng.cjoin_stage.pipeline_for("lineorder")
             results["slot_reused"] = pipeline.slots.high_water == 1
 

@@ -15,6 +15,7 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 CJOIN_SHAGG = dataclasses.replace(CJOIN, shared_aggregation=True, name="CJOIN+shagg")
 CJOIN_SP_SHAGG = dataclasses.replace(CJOIN_SP, shared_aggregation=True, name="CJOIN-SP+shagg")
@@ -23,12 +24,6 @@ CJOIN_SP_SHAGG = dataclasses.replace(CJOIN_SP, shared_aggregation=True, name="CJ
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=71)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config):
@@ -40,39 +35,39 @@ def make_engine(ssb, config):
 class TestCorrectness:
     def test_q32_matches_oracle(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_SHAGG)
         handles = [eng.submit(spec) for _ in range(3)]
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     def test_fact_predicates_still_applied(self, ssb):
         spec = q11(1993, 1.0, 3.0, 25)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_SHAGG)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     @pytest.mark.parametrize("name", ["Q1.2", "Q2.1", "Q3.1", "Q4.2"])
     def test_suite_queries(self, ssb, name):
         spec = default_instance(name)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_SHAGG)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_mixed_queries_concurrently(self, ssb):
         specs = [q32("CHINA", "FRANCE", 1993, 1996), q11(1994, 2.0, 4.0, 30),
                  default_instance("Q4.1")]
-        oracles = [norm(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
+        oracles = [sorted_rows(evaluate_plan(s.to_query_centric_plan(ssb.tables))) for s in specs]
         sim, eng = make_engine(ssb, CJOIN_SHAGG)
         handles = [eng.submit(s) for s in specs]
         sim.run()
         for h, o in zip(handles, oracles):
-            assert norm(h.results) == o
+            assert sorted_rows(h.results) == o
 
 
 class TestBehavior:
@@ -91,7 +86,7 @@ class TestBehavior:
         inside the WoP: a late identical query still shares (the paper's
         Section 3.1 'maximum benefit' case)."""
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_SP_SHAGG)
         h1 = eng.submit(spec)
         late = {}
@@ -104,8 +99,8 @@ class TestBehavior:
 
         sim.spawn(late_submit(), "late")
         sim.run()
-        assert norm(h1.results) == oracle
-        assert norm(late["h"].results) == oracle
+        assert sorted_rows(h1.results) == oracle
+        assert sorted_rows(late["h"].results) == oracle
         assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 1
         assert sim.metrics.counts["cjoin_queries_admitted"] == 1
 

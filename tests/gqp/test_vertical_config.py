@@ -13,6 +13,7 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 CJOIN_V = dataclasses.replace(CJOIN, cjoin_threads="vertical", name="CJOIN-vertical")
 
@@ -20,12 +21,6 @@ CJOIN_V = dataclasses.replace(CJOIN, cjoin_threads="vertical", name="CJOIN-verti
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=19)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def make_engine(ssb, config):
@@ -37,20 +32,20 @@ def make_engine(ssb, config):
 class TestVertical:
     def test_matches_oracle_multi_dim(self, ssb):
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_V)
         handles = [eng.submit(spec) for _ in range(2)]
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
 
     def test_matches_oracle_single_dim_with_fact_pred(self, ssb):
         spec = q11(1993, 1.0, 3.0, 25)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, CJOIN_V)
         h = eng.submit(spec)
         sim.run()
-        assert norm(h.results) == oracle
+        assert sorted_rows(h.results) == oracle
 
     def test_horizontal_and_vertical_agree(self, ssb):
         specs = [q32("CHINA", "FRANCE", 1993, 1996), q32("JAPAN", "BRAZIL", 1992, 1995)]
@@ -59,7 +54,7 @@ class TestVertical:
             sim, eng = make_engine(ssb, cfg)
             handles = [eng.submit(s) for s in specs]
             sim.run()
-            results[cfg.name] = [norm(h.results) for h in handles]
+            results[cfg.name] = [sorted_rows(h.results) for h in handles]
         assert results["CJOIN"] == results["CJOIN-vertical"]
 
     def test_one_thread_per_filter_spawned(self, ssb):
@@ -79,24 +74,24 @@ class TestVertical:
             yield from h1.wait()
             h2 = eng.submit(q32("CHINA", "FRANCE", 1993, 1996))  # 3 filters
             yield from h2.wait()
-            results["h2"] = norm(h2.results)
+            results["h2"] = sorted_rows(h2.results)
 
         sim.spawn(waves(), "waves")
         sim.run()
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        assert results["h2"] == norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        assert results["h2"] == sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         vthreads = [t for t in sim.threads if "vflt" in t.name]
         assert len(vthreads) >= 3
 
     def test_works_with_sp(self, ssb):
         cfg = dataclasses.replace(CJOIN_SP, cjoin_threads="vertical", name="CJOIN-SP-v")
         spec = q32("CHINA", "FRANCE", 1993, 1996)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         sim, eng = make_engine(ssb, cfg)
         handles = [eng.submit(spec) for _ in range(3)]
         sim.run()
         for h in handles:
-            assert norm(h.results) == oracle
+            assert sorted_rows(h.results) == oracle
         assert eng.sim.metrics.sharing_events.get("cjoin", 0) == 2
 
     def test_config_validation(self):

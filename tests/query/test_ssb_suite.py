@@ -11,17 +11,12 @@ from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.machine import MachineSpec
 from repro.storage import StorageConfig, StorageManager
+from tests.answers import sorted_rows
 
 
 @pytest.fixture(scope="module")
 def ssb():
     return generate_ssb(0.5, seed=101)
-
-
-def norm(rows):
-    return sorted(
-        tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows
-    )
 
 
 def run_engine(ssb, config, spec):
@@ -30,7 +25,7 @@ def run_engine(ssb, config, spec):
     eng = QPipeEngine(sim, storage, config)
     h = eng.submit(spec)
     sim.run()
-    return norm(h.results)
+    return sorted_rows(h.results)
 
 
 class TestSuiteStructure:
@@ -61,10 +56,10 @@ class TestSuiteStructure:
 class TestSuiteCorrectness:
     def test_query_centric_matches_oracle(self, ssb, name):
         spec = default_instance(name)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         assert run_engine(ssb, QPIPE_SP, spec) == oracle
 
     def test_gqp_matches_oracle(self, ssb, name):
         spec = default_instance(name)
-        oracle = norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        oracle = sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
         assert run_engine(ssb, CJOIN_SP, spec) == oracle

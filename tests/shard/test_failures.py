@@ -21,6 +21,7 @@ from repro.parallel import DatasetSpec, WorkerCrashed, WorkerUnresponsive
 from repro.server.config import ServiceConfig
 from repro.shard import ShardConfig, ShardService, serve_sharded
 from repro.shard import service as shard_service
+from repro.shard.partition import shard_rows
 
 SF = 0.2
 FAST = dict(duration=1.0, rate=4.0, sf=SF, workload="q32-random", arrival="uniform")
@@ -40,6 +41,13 @@ def test_crash_midquery_is_retried_to_the_identical_answer():
     assert report.fingerprint_lines() == clean.fingerprint_lines()
     # ... but it is not free: the respawn penalty lands on the timeline.
     assert report.metrics.latencies[1] > clean.metrics.latencies[1]
+
+
+def test_the_placement_memo_is_dropped_once_every_worker_has_forked():
+    # Only the fork needs the parent's placement memo: a respawned worker
+    # (the crash tests here) recomputes its placement in the child.
+    with ShardService(ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", SF, 42))):
+        assert shard_rows.cache_info().currsize == 0
 
 
 def test_second_crash_becomes_a_structured_failure_with_deadlines():

@@ -1,13 +1,11 @@
 """The worker-boundary aggregation path against the in-engine answer.
 
 The shard tier runs join-only plans in the workers and aggregates at the
-shard boundary with exact arithmetic (:mod:`repro.query.merge`).  These
-tests pin the contract to the engines:
+shard boundary through the engines' own exact kernel (``GroupTable``;
+:mod:`repro.query.merge`).  These tests pin the contract to the engines:
 
-* the partial-aggregate answer matches the engine's own aggregate/sort
-  answer on the same data -- group keys and counts exactly, float sums to
-  within accumulation rounding (the merged value is the correctly rounded
-  exact sum; the engine rounds per row);
+* the partial-aggregate answer equals the engine's own aggregate/sort
+  answer on the same data, bit for bit;
 * both shard engine configurations (query-centric chain and CJOIN) yield
   EXACTLY the same partial state -- they join the same rows;
 * per-shard states merge to exactly the whole-table state;
@@ -23,7 +21,8 @@ from repro.data.ssb import generate_ssb
 from repro.engine.config import QPIPE_SP
 from repro.engine.qpipe import QPipeEngine
 from repro.parallel.cells import DatasetSpec
-from repro.query.merge import PartialAggregator, finalize_rows, merge_states
+from repro.engine.stages.aggregate import GroupTable
+from repro.query.merge import canonical_rows, finalize_rows, merge_states
 from repro.query.ssb_queries import q32
 from repro.shard.partition import shard_tables
 from repro.shard.spec import ShardConfig
@@ -64,15 +63,10 @@ def test_partial_aggregate_matches_engine_answer(tables):
     merged_rows = finalize_rows(SPEC.group_by, SPEC.aggregates, SPEC.order_by, state)
     assert svc > 0.0
     assert len(merged_rows) == len(engine_rows)
+    assert merged_rows == canonical_rows(
+        engine_rows, SPEC.group_by, SPEC.aggregates, SPEC.order_by
+    )
     k = len(SPEC.group_by)
-    # Values: compare per group key (both answers cover the same groups).
-    by_key_engine = {r[:k]: r[k:] for r in engine_rows}
-    by_key_merged = {r[:k]: r[k:] for r in merged_rows}
-    assert by_key_engine.keys() == by_key_merged.keys()
-    for key, engine_aggs in by_key_engine.items():
-        merged_aggs = by_key_merged[key]
-        for e, m in zip(engine_aggs, merged_aggs):
-            assert m == pytest.approx(e, rel=1e-9)
     # Ordering: the canonical order obeys the query's ORDER BY.
     sort_view = [(r[k - 1], -r[k]) for r in merged_rows]  # (d_year asc, revenue desc)
     assert sort_view == sorted(sort_view)
@@ -114,6 +108,7 @@ def test_weighted_batches_scale_additive_aggregates():
     # must scale, min/max must not (mirrors the engine's AggregateStage).
     from repro.query.expr import Col
     from repro.query.plan import AggSpec
+    from repro.storage.page import ColumnBatch
     from repro.storage.schema import Column, Schema
 
     schema = Schema([Column("g", "int"), Column("v", "float")], row_bytes=16.0)
@@ -124,7 +119,7 @@ def test_weighted_batches_scale_additive_aggregates():
         AggSpec("min", Col("v"), "lo"),
         AggSpec("max", Col("v"), "hi"),
     )
-    agg = PartialAggregator(("g",), aggs, schema)
-    agg.consume([(1, 2.0), (1, 4.0)], weight=1000.0)
-    rows = finalize_rows(("g",), aggs, (), agg.state())
+    table = GroupTable(aggs, (0,), schema)
+    table.add(ColumnBatch(([1, 1], [2.0, 4.0]), None, 1000.0))
+    rows = finalize_rows(("g",), aggs, (), table.groups)
     assert rows == [(1, 6000.0, 2000.0, 3.0, 2.0, 4.0)]

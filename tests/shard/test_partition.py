@@ -3,8 +3,9 @@
 Property-based (hypothesis): for ANY row count, shard count, placement
 mode and salt, the assignment is a true partition of the rows; and partial
 aggregates computed over ANY partition of a weighted row multiset merge to
-EXACTLY the state of aggregating the whole multiset at once (exact
-arithmetic makes the reduction associative and commutative -- this is the
+EXACTLY the state of aggregating the whole multiset at once (the one
+aggregation kernel, ``GroupTable``, sums exactly, which makes the
+reduction associative and commutative -- this is the
 algebraic core of the shard tier's byte-identical determinism contract).
 """
 
@@ -15,10 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.query.expr import Col
-from repro.query.merge import PartialAggregator, finalize_rows, merge_states
+from repro.engine.stages.aggregate import GroupTable
+from repro.query.merge import finalize_rows, merge_states
 from repro.query.plan import AggSpec
 from repro.shard import partition
 from repro.shard.partition import PARTITION_MODES, assign_shards, partition_table, shard_tables
+from repro.storage.page import ColumnBatch
 from repro.storage.schema import Column, Schema
 from repro.storage.table import Table
 
@@ -152,22 +155,29 @@ _batch = st.tuples(
 )
 
 
+def _table(aggs):
+    return GroupTable(aggs, _SCHEMA.indices(("k",)), _SCHEMA)
+
+
+def _fold(table, rows, weight):
+    table.add(ColumnBatch(tuple(zip(*rows)), None, weight))
+
+
 @given(batches=st.lists(_batch, max_size=12), n_shards=st.integers(1, 8))
 @settings(max_examples=120)
 def test_merged_partials_equal_unsharded_state_exactly(batches, n_shards):
-    shards = [PartialAggregator(("k",), _AGGS, _SCHEMA) for _ in range(n_shards)]
-    whole = PartialAggregator(("k",), _AGGS, _SCHEMA)
+    shards = [_table(_AGGS) for _ in range(n_shards)]
+    whole = _table(_AGGS)
     for rows, weight, shard in batches:
-        rows = [(k, v) for k, v in rows]
-        shards[shard % n_shards].consume(rows, weight)
-        whole.consume(rows, weight)
-    merged = merge_states(_AGGS, [s.state() for s in shards])
-    # EXACT equality of the Fraction states -- not approximate: this is
-    # what makes N-shard answers byte-identical to 1-shard answers.
-    assert merged == whole.state()
+        _fold(shards[shard % n_shards], rows, weight)
+        _fold(whole, rows, weight)
+    merged = merge_states(_AGGS, [s.groups for s in shards])
+    # EXACT equality of the states -- not approximate: this is what makes
+    # N-shard answers byte-identical to 1-shard answers.
+    assert merged == whole.groups
     order = (("s", False), ("k", True))
     assert finalize_rows(("k",), _AGGS, order, merged) == finalize_rows(
-        ("k",), _AGGS, order, whole.state()
+        ("k",), _AGGS, order, whole.groups
     )
 
 
@@ -176,8 +186,8 @@ def test_merge_order_does_not_matter(perm):
     aggs = (AggSpec("sum", Col("v"), "s"), AggSpec("count", None, "n"))
     parts = []
     for i in range(5):
-        a = PartialAggregator(("k",), aggs, _SCHEMA)
-        a.consume([(i % 2, 0.1 * (i + 1))], weight=3.0)
-        parts.append(a.state())
+        a = _table(aggs)
+        _fold(a, [(i % 2, 0.1 * (i + 1))], 3.0)
+        parts.append(a.groups)
     base = merge_states(aggs, parts)
     assert merge_states(aggs, [parts[i] for i in perm]) == base

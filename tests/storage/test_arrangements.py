@@ -46,6 +46,7 @@ from repro.storage.schema import Column, Schema
 from repro.storage.selections import MAX_ENTRIES_PER_TABLE, SelectionMemo
 from repro.storage.table import Table
 from tests.boxed import boxed_table
+from tests.answers import sorted_rows
 
 SCHEMA = Schema([Column("k"), Column("v"), Column("w")], row_bytes=24)
 
@@ -254,10 +255,6 @@ def date_star(lo: int, hi: int) -> StarQuerySpec:
     )
 
 
-def norm(rows):
-    return sorted(tuple(round(v, 6) if isinstance(v, float) else v for v in row) for row in rows)
-
-
 @pytest.mark.parametrize("config", [CJOIN_SP, QPIPE_SP], ids=["cjoin-sp", "qpipe-sp"])
 def test_memo_stays_under_its_cap_and_answers_stay_exact(ssb, config):
     """More distinct date ranges than the cap, nested so that derivations
@@ -284,7 +281,7 @@ def test_memo_stays_under_its_cap_and_answers_stay_exact(ssb, config):
         # its own join (WoP), and they would never reach the memo.
         handle = engine.submit(spec)
         sim.run()
-        assert norm(handle.results) == norm(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
+        assert sorted_rows(handle.results) == sorted_rows(evaluate_plan(spec.to_query_centric_plan(ssb.tables)))
     assert max(sizes) == MAX_ENTRIES_PER_TABLE
     assert memo.evictions == n - MAX_ENTRIES_PER_TABLE
     assert memo.derived > 0

@@ -117,7 +117,6 @@ class TestCommands:
             (["--partition", "range"], "--partition needs --shards N"),
             (["--shard-engine", "qpipe-sp"], "--shard-engine needs --shards N"),
             (["--shard-timeout", "5"], "--shard-timeout needs --shards N"),
-            (["--fingerprints", "fp.txt"], "--fingerprints needs --shards N"),
         ],
     )
     def test_serve_rejects_flags_of_the_other_executor(self, flags, message):
@@ -125,6 +124,20 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             main(["serve", *fast, *flags])
         assert exc.value.code == f"repro serve: {message}"
+
+    def test_serve_fingerprints_are_the_same_in_process_and_sharded(self, tmp_path, capsys):
+        # The CI shard-smoke trace: one '<seq> <sha256>' line per answered
+        # query, and the in-process engines' answers are the shard
+        # gather's, bit for bit.
+        trace = ["--arrival", "uniform", "--rate", "4", "--duration", "1", "--sf", "0.2",
+                 "--seed", "5", "--workload", "q32-random"]
+        inproc, sharded = tmp_path / "fp-inproc.txt", tmp_path / "fp-1shard.txt"
+        assert main(["serve", *trace, "--fingerprints", str(inproc)]) == 0
+        assert main(["serve", "--shards", "1", *trace, "--fingerprints", str(sharded)]) == 0
+        capsys.readouterr()
+        lines = inproc.read_text().splitlines()
+        assert [line.split()[0] for line in lines] == ["0", "1", "2"]
+        assert lines == sharded.read_text().splitlines()
 
     @pytest.mark.parametrize(
         "argv, message",

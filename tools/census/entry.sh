@@ -34,6 +34,8 @@ for n in 1 2; do
     repro serve --shards $n --arrival uniform --rate 4 --duration 1 --sf 0.2 --seed 5 \
         --workload q32-random --fingerprints "$tmp/fp$n.txt"
 done
+repro serve --arrival uniform --rate 4 --duration 1 --sf 0.2 --seed 5 \
+    --workload q32-random --fingerprints "$tmp/fp-inproc.txt"
 repro list
 repro sweep fig13 interarrival --jobs 2 --json-dir "$tmp/skill"
 repro run --config cjoin-sp --workload ssb-mix -n 8 --sf 0.5

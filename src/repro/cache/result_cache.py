@@ -18,10 +18,13 @@ query-centric path is visible to a query routed anywhere.
 
 Mechanics (all in simulated time, fully deterministic):
 
-* **lookup** -- one pure :meth:`ResultCache.lookup`: the entry under the
-  packet's own signature (an exact hit, the empty fold), else, under
-  query folding, the best entry whose plan subsumes it.  ``Stage.decide``
-  and the router's :func:`cached_query_centric_plan` both call it;
+* **lookup** -- every resident entry sits in the run's one provider set
+  (:class:`~repro.query.subsume.ProviderSet`) beside the live WoP hosts,
+  and one pure :meth:`~repro.query.subsume.ProviderSet.lookup` finds the
+  entry under the packet's own signature (an exact hit, the empty fold),
+  else, under query folding, the best entry whose plan subsumes it.
+  ``Stage.decide`` makes that lookup for a packet, and the router's
+  :func:`cached_query_centric_plan` makes it for the cache alone;
   admission accounts the outcome, and a hit replays the cached pages
   through the packet's exchange.
 * **fill** -- a miss with an eligible sub-plan opens one extra consumer on
@@ -43,10 +46,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.query.subsume import Decision, FoldIndex, lookup
 from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.query.subsume import ProviderSet
     from repro.sim.engine import Simulator
 
 #: name -> one-line description, for ``python -m repro list``.
@@ -99,16 +102,16 @@ class CacheEntry:
         entry would cost, per resident byte, weighted by observed reuse."""
         return self.cost_seconds * (1.0 + self.hits) / max(self.nbytes, 1.0)
 
+    def fold_eligible(self) -> bool:
+        return True  # a resident entry serves every consumer it subsumes
+
+    def fold_rank(self) -> tuple:
+        """Tie-break among entries leaving equal residuals: the smallest,
+        then the highest benefit per byte, then the oldest."""
+        return (self.nbytes, -self.benefit_per_byte(), self.seq)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CacheEntry {self.stage} pages={len(self.batches)} hits={self.hits}>"
-
-
-def _indexed(entry: CacheEntry) -> bool:
-    return True  # every entry is a fold provider
-
-
-def _entry_rank(entry: CacheEntry) -> tuple:
-    return (entry.nbytes, -entry.benefit_per_byte(), entry.seq)
 
 
 class ResultCache:
@@ -117,6 +120,7 @@ class ResultCache:
     def __init__(
         self,
         sim: "Simulator",
+        providers: "ProviderSet",
         capacity_bytes: float,
         policy: str = "benefit",
     ):
@@ -127,33 +131,16 @@ class ResultCache:
                 f"unknown cache policy {policy!r} (choose from: {', '.join(CACHE_POLICIES)})"
             )
         self.sim = sim
+        #: the run's provider set, which holds every entry for lookups
+        self.providers = providers
         self.capacity_bytes = capacity_bytes
         self.policy = policy
         self._entries: dict[tuple, CacheEntry] = {}  # insertion-ordered
-        # Every entry, searchable by subsumption.
-        self._fold_index = FoldIndex()
         self._filling: set[tuple] = set()  # keys with an in-flight fill
         self._bytes = 0.0
         self._tick = 0  # logical clock: deterministic LRU / tie-breaks
 
-    # -- lookup ---------------------------------------------------------
-    def lookup(self, node, fold: bool = True, first: bool = False) -> Decision | None:
-        """The entry that would serve ``node``: the one under its own
-        signature (``cache_hit``), else, when ``fold``, the best whose plan
-        subsumes it (``cache_fold``): fewest residual terms, then smallest,
-        then highest benefit-per-byte, then insertion order.  Pure:
-        :meth:`record_hit` / :meth:`record_miss` account the outcome."""
-        return lookup(
-            node,
-            self._entries.get(node.signature),
-            self._fold_index,
-            ("cache_hit", "cache_fold"),
-            _indexed,
-            _entry_rank,
-            fold,
-            first,
-        )
-
+    # -- accounting -----------------------------------------------------
     def record_hit(self, entry: CacheEntry, folded: bool = False) -> None:
         """Account a lookup that served from ``entry`` (exactly, or
         through a fold)."""
@@ -206,7 +193,7 @@ class ResultCache:
         entry = self._entries[key] = CacheEntry(
             key, batches, nbytes, cost_seconds, tables, stage, self._tick, node
         )
-        self._fold_index.add(node, entry)
+        self.providers.add(self, key, entry, indexed=True)
         self._bytes += nbytes
         self.sim.metrics.bump("result_cache_insertions")
         return True
@@ -234,7 +221,7 @@ class ResultCache:
         """Remove the entry under ``key`` from every structure."""
         entry = self._entries.pop(key)
         self._bytes -= entry.nbytes
-        self._fold_index.discard(entry)
+        self.providers.discard(self, key, entry)
 
     # -- introspection --------------------------------------------------
     def stats(self) -> dict:
@@ -259,9 +246,9 @@ class ResultCache:
 
 def cached_query_centric_plan(storage, spec, query_folding: bool):
     """The spec's query-centric plan when its admission would be served
-    from ``storage``'s cache -- :meth:`ResultCache.lookup` finds an entry
-    for its root or, under a sort root, the aggregate below -- else
-    ``None``.
+    from ``storage``'s cache -- the provider set's lookup, restricted to
+    the cache's entries, finds one for its root or, under a sort root, the
+    aggregate below -- else ``None``.
 
     This is the routing layer's cache discount (``QueryService._execute``
     calls it before the policy): a likely hit replays materialized pages
@@ -281,6 +268,9 @@ def cached_query_centric_plan(storage, spec, query_folding: bool):
     # folds only exactly, and a sort miss admits the aggregate below it --
     # the aggregate's, exact or (under query folding) through a fold.
     nodes = (plan, plan.child) if isinstance(plan, SortNode) else (plan,)
-    if any(cache.lookup(node, query_folding, first=True) is not None for node in nodes):
+    if any(
+        storage.providers.lookup(node, None, cache, query_folding, first=True) is not None
+        for node in nodes
+    ):
         return plan
     return None

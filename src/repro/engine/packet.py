@@ -62,6 +62,16 @@ class Packet:
             return True
         return False
 
+    def fold_eligible(self) -> bool:
+        """May a newcomer still fold into this host?  Inside its WoP, not
+        yet emitting (pages before the attach point would be lost), and
+        pull-model only: a FIFO host would pay the copies."""
+        return not self.started_emitting and self.can_attach() and self.exchange.kind == "spl"
+
+    def fold_rank(self) -> int:
+        """Tie-break among hosts leaving equal residuals: the oldest."""
+        return self.packet_id
+
     def effective_exchange(self) -> Any:
         """The exchange consumers should read: the host's when satellite."""
         packet = self

@@ -1,33 +1,34 @@
 """Stage base: packet admission, the sharing decision, worker spawning.
 
-Each stage keeps a registry of in-flight host packets keyed by plan
-signature.  Admitting a packet whose signature matches a registered host
+Each sharing stage registers its in-flight host packets, by plan
+signature, in the run's one provider set
+(:class:`~repro.query.subsume.ProviderSet`, on the storage manager).
+Admitting a packet whose signature matches a host of the same stage
 *inside the host's Window of Opportunity* attaches it as a satellite: its
 whole sub-plan is cancelled and its consumers reuse the host's results
 (paper Section 2.3).
 
-Cache-eligible stages also consult the shared result cache
-(:mod:`repro.cache`): a *hit* replays the materialized pages through the
-packet's own exchange at memory-read cost -- the sub-plan is cancelled as
-for a satellite, with no host in flight: sharing beyond the Window of
-Opportunity.  A miss that becomes a host spills its output into the cache
-through one extra SPL consumer; the SPL's pull model keeps the producer's
-critical path untouched (the Section 4 argument) and its bounded size
-still governs producer pacing.
+Cache-eligible stages also read the shared result cache
+(:mod:`repro.cache`), whose entries sit in the same set: a *hit* replays
+the materialized pages through the packet's own exchange at memory-read
+cost -- the sub-plan is cancelled as for a satellite, with no host in
+flight: sharing beyond the Window of Opportunity.  A miss that becomes a
+host spills its output into the cache through one extra SPL consumer; the
+SPL's pull model keeps the producer's critical path untouched (the
+Section 4 argument) and its bounded size still governs producer pacing.
 
 Under query folding (``EngineConfig.query_folding``; see
 :mod:`repro.query.subsume`) both providers also serve by *subsumption*: a
 host or entry whose plan subsumes the packet's feeds it through a residual
 operator (post-filter + projection) at memory-read + residual cost.  An
 exact match is the fold with the empty residual, so :meth:`Stage.decide`
-searches the registry and the cache through one lookup each (exact
-signature, then the :class:`~repro.query.subsume.FoldIndex` beside it) and
-picks one winner by a fixed precedence: exact cache hit, exact WoP attach,
-host fold, cache fold.  :meth:`Stage.admit` runs the winner, or computes
-the packet when there is none.  A folded packet still registers its own
-exact signature (identical arrivals attach to it) and still spills to the
-cache, so one broad host seeds both layers for its whole cone of narrower
-queries.
+is one :meth:`~repro.query.subsume.ProviderSet.lookup` -- the same call
+the router's cache probe makes -- which picks one winner by a fixed
+precedence: exact cache hit, exact WoP attach, host fold, cache fold.
+:meth:`Stage.admit` runs the winner, or computes the packet when there is
+none.  A folded packet still registers its own exact signature (identical
+arrivals attach to it) and still spills to the cache, so one broad host
+seeds both layers for its whole cone of narrower queries.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from repro.engine.exchange import END
 from repro.engine.packet import Packet
 from repro.engine.wop import STAGE_WOP, WindowOfOpportunity
 from repro.query.plan import referenced_tables
-from repro.query.subsume import Decision, FoldIndex, ResidualOperator, lookup
+from repro.query.subsume import Decision, ResidualOperator
 from repro.storage.page import ColumnBatch
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -71,9 +72,7 @@ class Stage:
         self.engine = engine
         self.name = name
         self.wop = STAGE_WOP.get(name, WindowOfOpportunity.NONE)
-        self._registry: dict[tuple, Packet] = {}
-        # The registry's hosts again, searchable by subsumption.
-        self._fold_index = FoldIndex()
+        self.providers = engine.storage.providers
         cfg = engine.config
         self.sp_enabled: bool = {
             "tablescan": cfg.sp_scan,
@@ -93,33 +92,16 @@ class Stage:
 
     def decide(self, packet: Packet) -> Decision | None:
         """The one sharing decision for ``packet``: the mechanism, provider
-        and fold that serve it, or None when it must be computed.  Each
-        provider is searched by one lookup (exact signature, then its fold
-        index); precedence is exact cache hit, exact WoP attach, host fold,
-        cache fold.  Pure: :meth:`admit` accounts and runs the winner."""
-        node = packet.node
-        fold = self.engine.config.query_folding
-        cache = self.result_cache()
-        if cache is not None:
-            hit = cache.lookup(node, fold=False)
-            if hit is not None:
-                return hit
-        if self.sp_enabled:
-            host = self._registry.get(packet.signature)
-            found = lookup(
-                node,
-                host if host is not None and host.can_attach() else None,
-                self._fold_index,
-                ("wop_attach", "host_fold"),
-                _fold_eligible,
-                _packet_rank,
-                fold,
-            )
-            if found is not None:
-                return found
-        if fold and cache is not None:
-            return cache.lookup(node)
-        return None
+        and fold that serve it, or None when it must be computed -- one
+        lookup over this stage's hosts (when it shares) and the cache's
+        entries (when it may read them).  Pure: :meth:`admit` accounts and
+        runs the winner."""
+        return self.providers.lookup(
+            packet.node,
+            self if self.sp_enabled else None,
+            self.result_cache(),
+            self.engine.config.query_folding,
+        )
 
     def admit(self, packet: Packet) -> bool:
         """Register ``packet``; returns True if its sub-plan must not be
@@ -152,8 +134,9 @@ class Stage:
         # A computed or folded packet is a full host for its own exact
         # signature: identical arrivals attach to it, and it may spill to
         # the cache.
-        if self.sp_enabled:
-            self._register(packet)
+        if self.sp_enabled:  # replacing a host that fell out of its WoP, if any
+            folds = self.engine.config.query_folding  # a fold-off engine's host attaches only
+            self.providers.add(self, packet.signature, packet, indexed=folds)
         if cache is not None and self._fill_eligible(packet, cache):
             self.engine.sim.spawn(
                 self._fill_cache(packet, cache),
@@ -164,20 +147,9 @@ class Stage:
             return True
         return False
 
-    def _register(self, packet: Packet) -> None:
-        """Make ``packet`` the host for its signature, replacing a host
-        that fell out of its WoP, if any."""
-        old = self._registry.get(packet.signature)
-        if old is not None:
-            self._fold_index.discard(old)
-        self._registry[packet.signature] = packet
-        self._fold_index.add(packet.node, packet)
-
     def unregister(self, packet: Packet) -> None:
-        """Remove a host from the registry (step WoP: on first output)."""
-        if self._registry.get(packet.signature) is packet:
-            del self._registry[packet.signature]
-            self._fold_index.discard(packet)
+        """Retire a host (step WoP: on first output)."""
+        self.providers.discard(self, packet.signature, packet)
 
     def spawn_worker(self, packet: Packet, gen: Generator[Any, Any, Any]) -> None:
         self.engine.sim.spawn(
@@ -315,18 +287,4 @@ class Stage:
         self.engine.sim.metrics.record_sharing(self._sharing_label(packet))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Stage {self.name} hosts={len(self._registry)}>"
-
-
-def _fold_eligible(host: Packet) -> bool:
-    """May a newcomer still fold into ``host``?  Inside its WoP, not yet
-    emitting (pages before the attach point would be lost), and pull-model
-    only: a FIFO host would pay the copies."""
-    if host.started_emitting or not host.can_attach():
-        return False
-    exchange = host.exchange
-    return exchange is not None and exchange.kind == "spl"
-
-
-def _packet_rank(host: Packet) -> int:
-    return host.packet_id
+        return f"<Stage {self.name}>"

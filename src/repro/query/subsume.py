@@ -26,17 +26,20 @@ that all three layers consult:
   aggregations with the same grouping.  Returns a :class:`FoldPlan`: the
   residual filter and an optional output projection, or ``None`` when the
   provider cannot serve the consumer.
-* :class:`FoldIndex` -- the search structure behind the WoP registry and
-  the result cache: providers bucketed by plan *shape* and posted under
-  the values of one finite-value constraint, so an admission runs
-  :func:`fold_plan` on a handful of candidates instead of every in-flight
-  host or cache entry.  Both sides of every test read per-node and
-  per-predicate summaries derived once and memoized on the (immutable)
-  node or expression.
-* :func:`lookup` -- the one search both run: the provider under the
-  consumer's own signature (the empty fold), else the indexed provider
-  whose fold leaves the fewest residual terms; :class:`ResidualOperator`
-  is the compiled runtime form the engine workers stream batches through.
+* :class:`FoldIndex` -- the search structure: providers bucketed by plan
+  *shape* and posted under the values of one finite-value constraint, so
+  an admission runs :func:`fold_plan` on a handful of candidates instead
+  of every in-flight host or cache entry.  Both sides of every test read
+  per-node and per-predicate summaries derived once and memoized on the
+  (immutable) node or expression.
+* :class:`ProviderSet` -- the run's one set of providers: every WoP host
+  of every stage and every result-cache entry, by exact signature and in
+  one :class:`FoldIndex`.  Its :meth:`~ProviderSet.lookup` makes every
+  reuse decision -- ``Stage.decide`` and the router's cache probe alike:
+  a provider under the consumer's own signature (the empty fold), else
+  the provider whose fold leaves the fewest residual terms, by a fixed
+  mechanism precedence.  :class:`ResidualOperator` is the compiled
+  runtime form the engine workers stream batches through.
 
 Everything here is pure bookkeeping over immutable plan/expression
 structures -- no simulated time.  The *engine* charges fold-search and
@@ -48,7 +51,7 @@ consumer sites.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple
 
 from repro.query.expr import (
     And,
@@ -77,11 +80,11 @@ __all__ = [
     "Decision",
     "FoldIndex",
     "FoldPlan",
+    "ProviderSet",
     "ResidualOperator",
     "and_of",
     "conjuncts",
     "fold_plan",
-    "lookup",
     "predicate_subsumes",
 ]
 
@@ -590,7 +593,7 @@ def fold_plan(consumer: PlanNode, provider: PlanNode) -> FoldPlan | None:
 
 
 # ---------------------------------------------------------------------------
-# Search: one index behind the WoP registry and the result cache
+# Search: the one index behind the run's provider set
 # ---------------------------------------------------------------------------
 class _Bucket:
     """The providers of one shape: ``posted`` maps a provider's posting
@@ -630,10 +633,6 @@ class FoldIndex:
 
     def __len__(self) -> int:
         return len(self._pending) + len(self._posted)
-
-    def __iter__(self) -> Iterator:
-        yield from self._pending
-        yield from self._posted
 
     def add(self, node: PlanNode, token: Any) -> None:
         """Index ``node`` as a provider; ``token`` is what
@@ -700,7 +699,7 @@ class FoldIndex:
 
 
 # ---------------------------------------------------------------------------
-# The one lookup + runtime operator
+# The run's one provider set + runtime operator
 # ---------------------------------------------------------------------------
 class Decision(NamedTuple):
     """Which mechanism serves a consumer, from which provider, through
@@ -713,46 +712,79 @@ class Decision(NamedTuple):
     examined: int
 
 
-def lookup(
-    node: PlanNode,
-    exact: Any,
-    index: FoldIndex,
-    mechanisms: tuple[str, str],
-    usable: Callable[[Any], bool],
-    rank: Callable[[Any], Any],
-    fold: bool = True,
-    first: bool = False,
-) -> Decision | None:
-    """The provider that serves ``node`` best, as ``mechanisms[0]``
-    (exact) or ``mechanisms[1]`` (fold).  ``exact``, the usable provider
-    under ``node``'s own signature (or None), wins with the empty fold.
-    Else, when ``fold``, each ``usable`` provider the index proposes is
-    tested: fewest residual terms wins, then lowest ``rank`` (unique, so
-    iteration order never matters).  Only once a fold has won are the
-    ``usable`` providers in ``index`` counted, as ``examined``.  An
-    exact-shape consumer (a sort) is never searched.  ``first`` stops at
-    the first fold found (an existence test).  Pure."""
-    if exact is not None:
-        return Decision(mechanisms[0], exact, FoldPlan(), 0)
-    if not fold or _summary(node).shape[0] == "exact":
+class ProviderSet:
+    """The run's providers (owned by its
+    :class:`~repro.storage.manager.StorageManager`): the WoP hosts every
+    stage of every engine registered, and every resident result-cache
+    entry.  Each is held under its *owner* -- the registering stage, or the
+    cache -- by the signature it serves exactly and, when it may serve
+    folds, in the one :class:`FoldIndex` as an ``(owner, provider)`` token.
+    A provider has ``node``, ``fold_eligible()`` and a unique ``fold_rank()``."""
+
+    __slots__ = ("_exact", "_index")
+
+    def __init__(self) -> None:
+        self._exact: dict[Any, dict[tuple, Any]] = {}  # owner -> signature -> provider
+        self._index = FoldIndex()
+
+    def add(self, owner: Any, key: tuple, provider: Any, indexed: bool) -> None:
+        """Make ``provider`` ``owner``'s provider for signature ``key``,
+        replacing the one held there; ``indexed``: it may serve folds."""
+        held = self._exact.setdefault(owner, {})
+        self._index.discard((owner, held.get(key)))
+        held[key] = provider
+        if indexed:
+            self._index.add(provider.node, (owner, provider))
+
+    def discard(self, owner: Any, key: tuple, provider: Any) -> None:
+        """Forget ``provider`` unless another has replaced it under ``key``."""
+        held = self._exact.get(owner)
+        if held is not None and held.get(key) is provider:
+            del held[key]
+            self._index.discard((owner, provider))
+
+    def lookup(
+        self, node: PlanNode, stage: Any, cache: Any, fold: bool, first: bool = False
+    ) -> Decision | None:
+        """The one reuse decision for ``node`` over ``stage``'s hosts and
+        ``cache``'s entries (either None: not a candidate owner), by
+        precedence ``cache_hit``, ``wop_attach``, ``host_fold``,
+        ``cache_fold``; a fold is searched (only when ``fold``) when no
+        mechanism above it won.  A fold is the owner's eligible provider
+        with the fewest residual terms, then the lowest rank; only once it
+        has won are the owner's eligible providers counted, as
+        ``examined``.  A sort is never searched.  ``first`` stops at the
+        first fold found (an existence test).  Pure."""
+        sig = node.signature
+        entry = self._exact.get(cache, {}).get(sig)
+        if entry is not None:
+            return Decision("cache_hit", entry, FoldPlan(), 0)
+        host = self._exact.get(stage, {}).get(sig)
+        if host is not None and host.can_attach():
+            return Decision("wop_attach", host, FoldPlan(), 0)
+        if not fold or (stage is None and cache is None) or _summary(node).shape[0] == "exact":
+            return None
+        # A provider may be proposed more than once (posted under several keys).
+        candidates = dict.fromkeys(self._index.candidates(node))
+        for mechanism, owner in (("host_fold", stage), ("cache_fold", cache)):
+            if owner is None:
+                continue
+            best: tuple | None = None
+            for held_by, provider in candidates:
+                if held_by is not owner or not provider.fold_eligible():
+                    continue
+                plan = fold_plan(node, provider.node)
+                if plan is None:
+                    continue
+                key = (plan.residual_terms, provider.fold_rank())
+                if best is None or key < best[0]:
+                    best = (key, provider, plan)
+                    if first:
+                        break
+            if best is not None:
+                examined = sum(1 for p in self._exact[owner].values() if p.fold_eligible())
+                return Decision(mechanism, best[1], best[2], examined)
         return None
-    best: tuple | None = None
-    # A provider may be proposed more than once (posted under several keys).
-    for provider in dict.fromkeys(index.candidates(node)):
-        if not usable(provider):
-            continue
-        plan = fold_plan(node, provider.node)
-        if plan is None:
-            continue
-        key = (plan.residual_terms, rank(provider))
-        if best is None or key < best[0]:
-            best = (key, provider, plan)
-            if first:
-                break
-    if best is None:
-        return None
-    examined = sum(1 for provider in index if usable(provider))
-    return Decision(mechanisms[1], best[1], best[2], examined)
 
 
 class ResidualOperator:

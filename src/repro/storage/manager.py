@@ -77,6 +77,11 @@ class StorageManager:
         self.config = config
         self.os_cache = OsPageCache(sim, config.os_cache_bytes)
         self.bufferpool = BufferPool(sim, config.bufferpool_bytes, self.os_cache)
+        from repro.query.subsume import ProviderSet  # deferred: query imports storage
+
+        #: every stage's WoP hosts and every result-cache entry: one set,
+        #: one lookup for every reuse decision of both engines
+        self.providers = ProviderSet()
         #: shared result cache (None when result_cache_bytes is 0).  It
         #: lives here -- not on an engine -- because the query service
         #: runs two engines over one storage manager: a result filled by the
@@ -86,7 +91,7 @@ class StorageManager:
             from repro.cache import ResultCache  # deferred: cache imports storage
 
             self.result_cache = ResultCache(
-                sim, config.result_cache_bytes, config.result_cache_policy
+                sim, self.providers, config.result_cache_bytes, config.result_cache_policy
             )
         #: memoized dimension selections; here -- not on an engine or a
         #: CJOIN pipeline -- so a predicate first seen by a QPipe join is an

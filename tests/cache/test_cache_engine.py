@@ -129,7 +129,7 @@ class TestInvalidation:
         assert not h.query.cache_served
 
     def test_update_retires_subsuming_entries_from_the_fold_search(self, ssb):
-        """``notify_update`` must reach the cache's fold index too: after
+        """``notify_update`` must reach the provider set's index too: after
         it no probe may be answered from a dropped, merely *subsuming*
         entry, and a refill is searchable again."""
         sim, storage, engine = make_engine(ssb)
@@ -137,14 +137,15 @@ class TestInvalidation:
         narrow = q32("CHINA", "FRANCE", 1994, 1995).to_query_centric_plan(ssb.tables).child
         engine.submit(q32(*SPEC_ARGS))
         sim.run()
-        assert cache.lookup(narrow).mechanism == "cache_fold"
+        lookup = storage.providers.lookup
+        assert lookup(narrow, None, cache, True).mechanism == "cache_fold"
         storage.notify_update("date")
-        assert len(cache._entries) == len(cache._fold_index) == 0
-        assert cache.lookup(narrow, first=True) is None
-        assert cache.lookup(narrow) is None
+        assert len(cache._entries) == len(storage.providers._index) == 0
+        assert lookup(narrow, None, cache, True, first=True) is None
+        assert lookup(narrow, None, cache, True) is None
         engine.submit(q32(*SPEC_ARGS))
         sim.run()
-        assert cache.lookup(narrow).mechanism == "cache_fold"
+        assert lookup(narrow, None, cache, True).mechanism == "cache_fold"
 
     def test_notify_update_without_cache_is_noop(self, ssb):
         sim = Simulator(MachineSpec())

@@ -90,7 +90,8 @@ class TestHybridDiscount:
             qc_config=replace(QPIPE_SP, query_folding=False),
         )
         cache = service.storage.result_cache
-        assert cache.lookup(narrow.to_query_centric_plan(ssb.tables).child).mechanism == "cache_fold"
+        child = narrow.to_query_centric_plan(ssb.tables).child
+        assert service.storage.providers.lookup(child, None, cache, True).mechanism == "cache_fold"
         assert service.metrics.cache_routed == 0
         assert service.metrics.routed == {QUERY_CENTRIC: 2, GQP: 1}
         h = service.handles[2]

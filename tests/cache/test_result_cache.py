@@ -8,7 +8,7 @@ import pytest
 from repro.cache import CACHE_POLICIES, ResultCache, result_cache
 from repro.query.expr import Between, Col
 from repro.query.plan import AggregateNode, AggSpec, ScanNode, SelectNode
-from repro.query.subsume import FoldPlan, fold_plan
+from repro.query.subsume import FoldPlan, ProviderSet, fold_plan
 from repro.sim import Simulator
 from repro.sim.machine import MachineSpec
 from repro.storage.page import ColumnBatch
@@ -18,7 +18,13 @@ from repro.storage.table import Table
 
 def make_cache(capacity=1000.0, policy="benefit"):
     sim = Simulator(MachineSpec(cores=2))
-    return sim, ResultCache(sim, capacity, policy)
+    return sim, ResultCache(sim, ProviderSet(), capacity, policy)
+
+
+def lookup(cache, node, fold=True, first=False):
+    """The provider set's lookup, restricted to ``cache``'s entries (what
+    the router asks)."""
+    return cache.providers.lookup(node, None, cache, fold, first)
 
 
 @pytest.fixture
@@ -38,7 +44,7 @@ def count(cache, name):
 
 def probe(cache, key):
     """An admission's exact lookup of ``key``, accounted: the entry or None."""
-    found = cache.lookup(SimpleNamespace(signature=key), fold=False)
+    found = lookup(cache, SimpleNamespace(signature=key), fold=False)
     if found is None:
         cache.record_miss()
         return None
@@ -50,14 +56,14 @@ class TestConstruction:
     def test_rejects_bad_capacity(self):
         sim = Simulator(MachineSpec(cores=2))
         with pytest.raises(ValueError):
-            ResultCache(sim, 0.0)
+            ResultCache(sim, ProviderSet(), 0.0)
         with pytest.raises(ValueError):
-            ResultCache(sim, -1.0)
+            ResultCache(sim, ProviderSet(), -1.0)
 
     def test_rejects_unknown_policy(self):
         sim = Simulator(MachineSpec(cores=2))
         with pytest.raises(ValueError, match="unknown cache policy"):
-            ResultCache(sim, 100.0, "fifo")
+            ResultCache(sim, ProviderSet(), 100.0, "fifo")
 
     def test_policies_registry_matches(self):
         for policy in CACHE_POLICIES:
@@ -83,9 +89,9 @@ class TestProbeAndFill:
         key = ("agg", "y")
         cache.admit(key, entry_batches(), 10.0, 0.1, frozenset(), "aggregate", SCAN)
         entry = cache._entries[key]
-        found = cache.lookup(SimpleNamespace(signature=key), fold=False)
+        found = lookup(cache, SimpleNamespace(signature=key), fold=False)
         assert found == ("cache_hit", entry, FoldPlan(), 0)
-        assert cache.lookup(SimpleNamespace(signature=("other",)), fold=False) is None
+        assert lookup(cache, SimpleNamespace(signature=("other",)), fold=False) is None
         assert count(cache, "hits") == 0 and count(cache, "misses") == 0 and entry.hits == 0
         assert cache._tick == 1  # the admission's only
 
@@ -194,8 +200,8 @@ def admit_node(cache, node, nbytes=100.0, key=None):
 
 @pytest.mark.usefixtures("whole_budget")
 class TestSubsumingProbes:
-    """A folding ``lookup`` searches an index kept beside the entries: it
-    must follow every way an entry leaves the cache."""
+    """A folding ``lookup`` searches the provider set's index, which holds
+    every entry: it must follow every way an entry leaves the cache."""
 
     def test_probe_finds_the_cheapest_subsuming_entry(self):
         _, cache = make_cache(capacity=10_000.0)
@@ -203,8 +209,8 @@ class TestSubsumingProbes:
         admit_node(cache, yearly(1992, 1997))
         admit_node(cache, yearly(1994, 1994))  # too narrow to serve the lookup
         consumer = yearly(1993, 1995)
-        assert cache.lookup(consumer, first=True) is not None
-        mechanism, entry, plan, examined = cache.lookup(consumer)
+        assert lookup(cache, consumer, first=True) is not None
+        mechanism, entry, plan, examined = lookup(cache, consumer)
         assert mechanism == "cache_fold"
         # Equal residual cost and bytes: benefit-per-byte ties, insertion order wins.
         assert entry.key == yearly(1990, 1999).signature
@@ -221,40 +227,40 @@ class TestSubsumingProbes:
         admit_node(cache, yearly(1990, 1999))
         admit_node(cache, yearly(1993, 1995))
         exact = cache._entries[yearly(1993, 1995).signature]
-        assert cache.lookup(yearly(1993, 1995)) == ("cache_hit", exact, FoldPlan(), 0)
+        assert lookup(cache, yearly(1993, 1995)) == ("cache_hit", exact, FoldPlan(), 0)
 
     def test_evicted_entry_is_never_returned(self):
         _, cache = make_cache(capacity=250.0, policy="lru")
         admit_node(cache, yearly(1990, 1999))
-        assert cache.lookup(yearly(1993, 1995), first=True)  # indexes the entry
+        assert lookup(cache, yearly(1993, 1995), first=True)  # indexes the entry
         admit_node(cache, yearly(2000, 2009))
         admit_node(cache, yearly(2010, 2019))  # evicts the 1990s
         assert count(cache, "evictions") == 1
-        assert cache.lookup(yearly(1993, 1995), first=True) is None
-        assert cache.lookup(yearly(1993, 1995)) is None
-        assert len(cache._fold_index) == len(cache._entries) == 2
+        assert lookup(cache, yearly(1993, 1995), first=True) is None
+        assert lookup(cache, yearly(1993, 1995)) is None
+        assert len(cache.providers._index) == len(cache._entries) == 2
 
     def test_readmitted_key_serves_the_new_entry_only(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
-        stale = cache.lookup(yearly(1993, 1995)).provider
+        stale = lookup(cache, yearly(1993, 1995)).provider
         admit_node(cache, yearly(1990, 1999), nbytes=200.0)  # same key, new entry
-        fresh = cache.lookup(yearly(1993, 1995)).provider
+        fresh = lookup(cache, yearly(1993, 1995)).provider
         assert fresh is not stale and fresh.nbytes == 200.0
-        assert len(cache._fold_index) == 1
+        assert len(cache.providers._index) == 1
 
     def test_invalidated_and_cleared_entries_are_never_returned(self):
         _, cache = make_cache(capacity=10_000.0)
         admit_node(cache, yearly(1990, 1999))
-        assert cache.lookup(yearly(1993, 1995), first=True)
+        assert lookup(cache, yearly(1993, 1995), first=True)
         assert cache.invalidate_table("years") == 1
-        assert cache.lookup(yearly(1993, 1995), first=True) is None
-        assert len(cache._fold_index) == 0
+        assert lookup(cache, yearly(1993, 1995), first=True) is None
+        assert len(cache.providers._index) == 0
         admit_node(cache, yearly(1990, 1999))
         # A full-capacity entry clears every other one out.
         cache.admit(("big",), entry_batches(), 10_000.0, 1.0, frozenset(), "sort", SCAN)
         assert list(cache._entries) == [("big",)]
-        assert cache.lookup(yearly(1993, 1995)) is None
+        assert lookup(cache, yearly(1993, 1995)) is None
 
 
 class TestStats:

@@ -1,8 +1,10 @@
-"""The fold search behind the WoP registry: index lifecycle and scaling.
+"""The fold search behind the WoP hosts: index lifecycle and scaling.
 
-``Stage`` keeps a :class:`~repro.query.subsume.FoldIndex` beside its
-signature registry.  These tests pin what the index may never do --
-return a host that left the registry, or outlive a drained batch -- and
+Every stage registers its hosts in the run's one
+:class:`~repro.query.subsume.ProviderSet`, by signature and in its one
+:class:`~repro.query.subsume.FoldIndex`.  These tests pin what the index
+may never do -- return a host that was retired, or outlive a drained
+batch -- and
 gate the point of having it: the number of full subsumption tests per
 admission must not grow with the number of in-flight hosts, and a search
 that finds no fold checks no host the index did not propose.
@@ -10,12 +12,12 @@ that finds no fold checks no host the index did not propose.
 
 import pytest
 
-import repro.engine.stage as stage_module
 import repro.query.subsume as subsume
 from repro.baselines import evaluate_plan
 from repro.bench.workload import q32_random_workload
 from repro.data import generate_ssb
 from repro.engine import CJOIN_SP, QPIPE_SP, QPipeEngine
+from repro.engine.packet import Packet
 from repro.query.ssb_queries import q32
 from repro.sim import Simulator
 from repro.sim.costmodel import DEFAULT_COST_MODEL
@@ -35,32 +37,34 @@ def make_engine(ssb, config):
     return sim, QPipeEngine(sim, storage, config)
 
 
-def stages(engine):
-    found = [engine.scan_stage, engine.join_stage, engine.agg_stage, engine.sort_stage]
-    if engine.cjoin_stage is not None:
-        found.append(engine.cjoin_stage)
-    return found
+def hosts(providers):
+    """Every registered host, over every owner."""
+    return [host for held in providers._exact.values() for host in held.values()]
+
+
+def candidates(providers, node):
+    return [provider for _owner, provider in providers._index.candidates(node)]
 
 
 class TestIndexLifecycle:
     @pytest.mark.parametrize("config", [QPIPE_SP, CJOIN_SP], ids=lambda c: c.name)
     def test_index_tracks_the_registry_and_drains_empty(self, ssb, config):
         sim, engine = make_engine(ssb, config)
+        providers = engine.storage.providers
         for job in q32_random_workload(64, seed=5):
             engine.submit(job.spec)
-        for stage in stages(engine):  # mid-flight: one token per registered host
-            assert len(stage._fold_index) == len(stage._registry)
+        # Mid-flight: one token per registered host.
+        assert len(providers._index) == len(hosts(providers)) > 0
         sim.run()
         assert sum(v for k, v in sim.metrics.counts.items() if k.startswith("fold_attach:")) > 0
-        for stage in stages(engine):
-            assert stage._registry == {}, stage.name
-            assert len(stage._fold_index) == 0, stage.name
+        assert hosts(providers) == []
+        assert len(providers._index) == 0
 
     def test_unregistered_and_overwritten_hosts_are_never_candidates(self, ssb):
         """``unregister`` and the same-signature overwrite (a new host
         replacing one that fell out of its WoP) both retire the old token."""
         sim, engine = make_engine(ssb, CJOIN_SP)
-        stage = engine.cjoin_stage
+        stage, providers = engine.cjoin_stage, engine.storage.providers
         broad = q32("CHINA", "FRANCE", 1992, 1997).to_gqp_plan(ssb.tables).child.child
         narrow = q32("CHINA", "FRANCE", 1993, 1995).to_gqp_plan(ssb.tables).child.child
         query = engine.submit(q32("JAPAN", "JAPAN", 1992, 1992)).query
@@ -71,16 +75,16 @@ class TestIndexLifecycle:
             return packet
 
         first = host()
-        assert stage._fold_index.candidates(narrow) == [first]
+        assert candidates(providers, narrow) == [first]
         first.finished = True  # fell out of its WoP without unregistering
         second = host()  # same signature: overwrites the registry slot
-        assert stage._registry[broad.signature] is second
-        assert stage._fold_index.candidates(narrow) == [second]
+        assert providers._exact[stage][broad.signature] is second
+        assert candidates(providers, narrow) == [second]
         stage.unregister(first)  # stale unregister: must not touch the new host
-        assert stage._fold_index.candidates(narrow) == [second]
+        assert candidates(providers, narrow) == [second]
         stage.unregister(second)
-        assert stage._fold_index.candidates(narrow) == []
-        assert len(stage._fold_index) == len(stage._registry)
+        assert candidates(providers, narrow) == []
+        assert len(providers._index) == len(hosts(providers))
 
 
 class TestScaling:
@@ -118,21 +122,25 @@ class TestSearchBudget:
         each; the eligible hosts ``fold_search`` charges for are counted
         only after a fold has won."""
         searches = []
-        real = stage_module.lookup
+        real = subsume.ProviderSet.lookup
+        real_eligible = Packet.fold_eligible
+        checks = []
 
-        def counting_lookup(node, exact, index, mechanisms, usable, *rest):
-            proposed = len(set(index.candidates(node))) if exact is None else 0
-            checks = []
-
-            def counted(provider):
-                checks.append(provider)
-                return usable(provider)
-
-            found = real(node, exact, index, mechanisms, counted, *rest)
+        def counting_lookup(providers, node, stage, *rest):
+            mine = {p for owner, p in providers._index.candidates(node) if owner is stage}
+            exact = providers._exact.get(stage, {}).get(node.signature)
+            proposed = 0 if exact is not None and exact.can_attach() else len(mine)
+            checks.clear()
+            found = real(providers, node, stage, *rest)
             searches.append((found, len(checks), proposed))
             return found
 
-        monkeypatch.setattr(stage_module, "lookup", counting_lookup)
+        def counted(host):
+            checks.append(host)
+            return real_eligible(host)
+
+        monkeypatch.setattr(subsume.ProviderSet, "lookup", counting_lookup)
+        monkeypatch.setattr(Packet, "fold_eligible", counted)
         sim, engine = make_engine(ssb, config)
         for job in q32_random_workload(64, seed=5):
             engine.submit(job.spec)

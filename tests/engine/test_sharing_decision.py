@@ -5,7 +5,8 @@ hand-ordered cascade: an exact result-cache probe, an exact WoP attach, a
 fold onto a subsuming live host (``FoldPlanner`` over the registry's
 index, then a second pass over the registry to count eligible hosts) and
 a fold onto a subsuming cache entry (``probe_subsuming``).  That cascade
-is kept here, as :func:`cascade`, reading the stage's raw structures.
+is kept here, as :func:`cascade`, reading the raw structures of the run's
+provider set: each owner's hosts or entries, and the fold index.
 Generated arrival streams -- random Q3.2 instances plus broad templates,
 their re-issues and their narrowings, served through both engines with a
 result cache small enough to evict -- are replayed with every admission
@@ -70,6 +71,12 @@ def _cheapest(node, providers, tie_break):
     return best
 
 
+def proposed(stage, owner, node):
+    """The providers of ``owner`` the run's fold index proposes for ``node``."""
+    tokens = stage.providers._index.candidates(node)
+    return [provider for held_by, provider in dict.fromkeys(tokens) if held_by is owner]
+
+
 def cascade(stage, packet):
     """``(mechanism, provider, plan, examined)`` or None, as the four-step
     cascade decided it."""
@@ -80,26 +87,24 @@ def cascade(stage, packet):
         entry = cache._entries.get(packet.signature)
         if entry is not None:
             return ("cache_hit", entry, FoldPlan(), 0)
-    registry = stage._registry
+    registry = stage.providers._exact.get(stage, {})
     if stage.sp_enabled:
         host = registry.get(packet.signature)
         if host is not None and host.can_attach():
             return ("wop_attach", host, FoldPlan(), 0)
     if folding and stage.sp_enabled:
         exact = registry.get(packet.signature)
-        candidates = [
-            h for h in stage._fold_index.candidates(node) if h is not exact and _fold_eligible(h)
-        ]
+        candidates = [h for h in proposed(stage, stage, node) if h is not exact and _fold_eligible(h)]
         best = _cheapest(node, candidates, lambda h: (h.packet_id,))
         if best is not None:
             examined = sum(1 for h in registry.values() if h is not exact and _fold_eligible(h))
             return ("host_fold", best[1], best[2], examined)
     if folding and cache is not None:
         exact = cache._entries.get(node.signature)
-        candidates = [e for e in cache._fold_index.candidates(node) if e is not exact]
+        candidates = [e for e in proposed(stage, cache, node) if e is not exact]
         best = _cheapest(node, candidates, lambda e: (e.nbytes, -e.benefit_per_byte(), e.seq))
         if best is not None:
-            examined = len(cache._fold_index)
+            examined = len(cache._entries)
             if exact is not None and exact.node is not None:
                 examined -= 1
             return ("cache_fold", best[1], best[2], examined)
@@ -157,7 +162,7 @@ def check_admissions(monkeypatch):
         seen[won.mechanism if won is not None else "computed"] += 1
         cache = stage.result_cache()
         if won is not None and won.mechanism == "host_fold" and cache is not None:
-            seen["host_fold_over_cache"] += cache.lookup(packet.node) is not None
+            seen["host_fold_over_cache"] += stage.providers.lookup(packet.node, None, cache, True) is not None
         return admit(stage, packet)
 
     monkeypatch.setattr(Stage, "admit", checked_admit)

@@ -54,7 +54,7 @@ class TestRegistry:
         sim, eng = make_engine(ssb, QPIPE)
         eng.submit(q32("CHINA", "FRANCE", 1993, 1996))
         sim.run()
-        assert eng.join_stage._registry == {}
+        assert not eng.storage.providers._exact.get(eng.join_stage)
 
     def test_stage_counters(self, ssb, monkeypatch):
         spec = q32("CHINA", "FRANCE", 1993, 1996)

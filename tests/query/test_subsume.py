@@ -14,16 +14,16 @@ checked here over arbitrary generated predicates and relations:
   provider's output equals direct evaluation of the consumer (both
   kernel and row-closure filter paths).
 * **Aggregate fold exactness** -- filtering and projecting a provider's
-  finalized groups equals direct aggregation of the consumer,
-  value-for-value (exact ``Fraction`` arithmetic) and in the same
-  emission order; a coarser grouping (a roll-up) is refused.
+  finalized groups equals direct aggregation of the consumer by the
+  reference evaluator (:mod:`repro.baselines.reference`), value for value
+  and in the same emission order; a coarser grouping (a roll-up) is
+  refused.
 """
 
-from fractions import Fraction
-
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import evaluate_plan
 from repro.query.expr import And, Between, Cmp, InSet, Or
 from repro.query.plan import (
     AggregateNode,
@@ -38,11 +38,11 @@ from repro.query.plan import (
 from repro.query.subsume import (
     FoldIndex,
     FoldPlan,
+    ProviderSet,
     ResidualOperator,
     and_of,
     conjuncts,
     fold_plan,
-    lookup,
     predicate_subsumes,
 )
 from repro.query.subsume import _classify  # the unmemoized primitive, for the reference
@@ -178,29 +178,6 @@ def _aggs():
     )
 
 
-def direct_agg(rows, group_by, aggs):
-    """Reference aggregation: exact Fractions, first-occurrence group
-    order (what the engine's hash aggregation emits)."""
-    idx = {c.name: i for i, c in enumerate(SCHEMA.columns)}
-    groups: dict[tuple, list] = {}
-    for r in rows:
-        key = tuple(r[idx[g]] for g in group_by)
-        acc = groups.get(key)
-        if acc is None:
-            acc = groups[key] = [None] * len(aggs)
-        for i, a in enumerate(aggs):
-            v = r[idx[a.expr.name]] if a.expr is not None else None
-            if a.func == "sum":
-                acc[i] = (acc[i] or Fraction(0)) + Fraction(v)
-            elif a.func == "count":
-                acc[i] = (acc[i] or Fraction(0)) + Fraction(1)
-            elif a.func == "min":
-                acc[i] = v if acc[i] is None else min(acc[i], v)
-            elif a.func == "max":
-                acc[i] = v if acc[i] is None else max(acc[i], v)
-    return [key + tuple(acc) for key, acc in groups.items()]
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     rows=rows_strategy,
@@ -209,11 +186,18 @@ def direct_agg(rows, group_by, aggs):
     consumer_groups=st.sampled_from([("a", "b"), ("b", "a")]),
     agg_mask=st.integers(1, 15),
 )
+@example(  # a fold that must drop a whole group through its residual
+    rows=[(1, 0, 5), (2, 0, 7), (1, 1, 2)],
+    weak=Cmp(">=", "b", 0),
+    extra=[Between("a", 1, 1)],
+    consumer_groups=("b", "a"),
+    agg_mask=15,
+)
 def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_mask):
     """Fold a consumer aggregate into a provider with the same grouping:
     the ResidualOperator over the provider's finalized groups must equal
-    direct aggregation of the consumer's input, exactly (Fraction
-    arithmetic) and in the same emission order."""
+    the reference evaluator's answer for the consumer, exactly and in the
+    same emission order."""
     aggs = _aggs()
     consumer_aggs = tuple(a for i, a in enumerate(aggs) if agg_mask >> i & 1)
     table = boxed_table("t", SCHEMA, rows)
@@ -228,16 +212,11 @@ def test_aggregate_fold_equals_direct(rows, weak, extra, consumer_groups, agg_ma
     plan = fold_plan(consumer, provider)
     assume(plan is not None)  # conservative misses are allowed, silence isn't
 
-    provider_out = direct_agg(
-        [rows[i] for i in passing(weak, rows)], ("a", "b"), aggs
-    )
+    provider_out = evaluate_plan(provider)
     width = len(provider.schema.columns)
     out = ColumnBatch(tuple(zip(*provider_out)) or ((),) * width, None, 1.0)
     folded = list(ResidualOperator(plan, provider.schema).apply(out).rows)
-    direct = direct_agg(
-        [rows[i] for i in passing(strong, rows)], consumer_groups, consumer_aggs
-    )
-    assert folded == direct
+    assert folded == evaluate_plan(consumer)
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,19 +257,32 @@ def test_rollup_residual_on_nongroup_column_is_rejected(rows, weak, extra):
 # ----------------------------------------------------------------------
 # Lookup ranking
 # ----------------------------------------------------------------------
-class Provider:
-    """A lookup provider: a plan node and a unique rank."""
+#: Two owners of one provider set: a sharing stage and a result cache.
+HOST, CACHE = "host-owner", "cache-owner"
 
-    def __init__(self, node, position):
+
+class Provider:
+    """A provider set member: a plan node, a unique rank, eligibility."""
+
+    def __init__(self, node, position, eligible=True):
         self.node = node
         self.position = position
+        self.eligible = eligible
 
-    def rank(self):
+    def fold_eligible(self):
+        return self.eligible
+
+    def fold_rank(self):
         return self.position
 
 
-def usable(provider):
-    return True
+def holding(providers, owner_of):
+    """A provider set holding each provider under ``owner_of(provider)``,
+    keyed apart from every signature (so nothing matches exactly)."""
+    held = ProviderSet()
+    for provider in providers:
+        held.add(owner_of(provider), ("provider", provider.position), provider, True)
+    return held
 
 
 def test_lookup_prefers_fewest_residual_terms():
@@ -308,12 +300,9 @@ def test_lookup_prefers_fewest_residual_terms():
     near = AggregateNode(
         SelectNode(scan, Between("a", 1, 4)), ("a", "b"), aggs
     )  # residual: b only
-    index = FoldIndex()
     providers = [Provider(far, 0), Provider(near, 1)]  # "far" wins every tie
-    for provider in providers:
-        index.add(provider.node, provider)
-    won = lookup(consumer, None, index, ("exact", "fold"), usable, Provider.rank)
-    assert won.provider is providers[1] and won.mechanism == "fold"
+    won = holding(providers, lambda p: CACHE).lookup(consumer, None, CACHE, True)
+    assert won.provider is providers[1] and won.mechanism == "cache_fold"
     assert won.plan.residual.columns() == {"b"}
     assert won.examined == 2
 
@@ -511,36 +500,55 @@ def test_index_candidates_are_a_superset_of_every_subsuming_provider(plans):
 @settings(max_examples=150, deadline=None)
 @given(plans=plan_families(), data=st.data())
 def test_lookup_fed_from_index_picks_what_a_full_walk_picks(plans, data):
-    """Over every usable provider, the fold with the fewest residual
-    terms and then the lowest rank; exact-shape consumers (sorts, scans)
-    are served by their own signature only, so they are never searched."""
-    providers = [Provider(p, i) for i, p in enumerate(plans)]
-    index = FoldIndex()
-    for provider in providers:
-        index.add(provider.node, provider)
-    unusable = set(data.draw(st.lists(st.sampled_from(providers), unique=True)))
-    ok = lambda provider: provider not in unusable  # noqa: E731
+    """Over the eligible providers of the deciding owners, a host fold
+    outranks a cache fold; inside one mechanism, the fewest residual terms
+    and then the lowest rank win, and ``examined`` counts that owner's
+    eligible providers.  Exact-shape consumers (sorts, scans) are served
+    by their own signature only, so they are never searched."""
+    picks = st.lists(st.sampled_from(range(len(plans))), unique=True)
+    unusable, hosted = set(data.draw(picks)), set(data.draw(picks))
+    providers = [Provider(p, i, i not in unusable) for i, p in enumerate(plans)]
+
+    def owner_of(provider):
+        return HOST if provider.position in hosted else CACHE
+
+    held = holding(providers, owner_of)
     for consumer in plans:
-        walk = [
-            ((plan.residual_terms, p.rank()), p, plan)
-            for p in providers
-            if ok(p) and (plan := fold_plan(consumer, p.node)) is not None
-        ]
-        best = min(walk, key=lambda t: t[0], default=None)
-        won = lookup(consumer, None, index, ("exact", "fold"), ok, Provider.rank)
-        exists = lookup(consumer, None, index, ("exact", "fold"), ok, Provider.rank, first=True)
+
+        def walk(owner):
+            return min(
+                (
+                    ((plan.residual_terms, p.fold_rank()), p, plan)
+                    for p in providers
+                    if owner_of(p) == owner
+                    and p.fold_eligible()
+                    and (plan := fold_plan(consumer, p.node)) is not None
+                ),
+                key=lambda t: t[0],
+                default=None,
+            )
+
+        won = held.lookup(consumer, HOST, CACHE, True)
+        exists = held.lookup(consumer, None, CACHE, True, first=True)
         if isinstance(consumer, (SortNode, ScanNode)):
             assert won is None and exists is None
-            assert all(p.node.signature == consumer.signature for _, p, _ in walk)
+            assert all(
+                p.node.signature == consumer.signature
+                for p in providers
+                if fold_plan(consumer, p.node) is not None
+            )
             continue
-        assert (exists is None) == (best is None)
-        if best is None:
+        host, cache = walk(HOST), walk(CACHE)
+        assert (exists is None) == (cache is None)
+        if host is None and cache is None:
             assert won is None
             continue
-        assert (won.provider, won.plan) == (best[1], best[2])
-        assert won.examined == len(providers) - len(unusable)
-        exact = lookup(consumer, providers[0], index, ("exact", "fold"), ok, Provider.rank)
-        assert exact == ("exact", providers[0], FoldPlan(), 0)
+        mechanism, owner, best = ("host_fold", HOST, host) if host else ("cache_fold", CACHE, cache)
+        assert (won.mechanism, won.provider, won.plan) == (mechanism, best[1], best[2])
+        assert won.examined == sum(1 for p in providers if owner_of(p) == owner and p.fold_eligible())
+        exact = ProviderSet()
+        exact.add(CACHE, consumer.signature, providers[0], True)
+        assert exact.lookup(consumer, HOST, CACHE, True) == ("cache_hit", providers[0], FoldPlan(), 0)
 
 
 @settings(max_examples=150, deadline=None)

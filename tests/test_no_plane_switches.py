@@ -3,7 +3,8 @@
 Pins ROADMAP item 2's exit condition -- no execution-plane value reaches
 the engines from the environment or from module state, there is one
 selection kernel, one page layout, one batch type, one dimension-selection
-memo, one router, one sharing decision, one aggregation kernel, one fluid
+memo, one router, one sharing decision over one provider set, one
+aggregation kernel, one fluid
 pool, one worker-process layer, one cost-model owner and one holder per
 run counter -- so a later change cannot quietly re-add a second way of
 doing the same thing."""
@@ -30,6 +31,7 @@ from repro.engine.spl import SharedPagesList
 from repro.parallel import CellSpec, DatasetSpec, WorkloadSpec
 from repro.query import expr
 from repro.query.ssb_queries import q32
+from repro.query.subsume import FoldIndex, ProviderSet
 from repro.server import QueryService, ServiceConfig, StaticThresholdPolicy, TraceArrivals
 from repro.server.metrics import ServiceMetrics
 from repro.server.router import GQP, QUERY_CENTRIC
@@ -197,11 +199,10 @@ def test_one_router():
 def test_one_sharing_decision():
     # Whether a packet is served by a cache entry or a live host, exactly
     # or through a fold, is decided in Stage.decide; the router asks the
-    # cache the same lookup.  No other caller, and none of the cascade's
-    # per-mechanism searches may come back.
+    # provider set the same lookup.  No other caller, and none of the
+    # cascade's per-mechanism searches may come back.
     allowed = {
         ("engine/stage.py", "decide"),
-        ("cache/result_cache.py", "lookup"),
         ("cache/result_cache.py", "cached_query_centric_plan"),
     }
     gone = (
@@ -232,6 +233,46 @@ def test_one_sharing_decision():
                 callers.append((rel, node.lineno))
     assert not callers
     assert not leftovers
+
+
+def test_one_provider_set(monkeypatch):
+    # Every WoP host of every stage of both engines and every result-cache
+    # entry sit in the storage manager's one ProviderSet: a run builds one
+    # FoldIndex, no stage keeps a registry or an index of its own, and the
+    # cache has no index or lookup beside the set's.
+    built = []
+    init = FoldIndex.__init__
+    monkeypatch.setattr(FoldIndex, "__init__", lambda index: built.append(index) or init(index))
+    ssb = generate_ssb(0.5, seed=23)
+    broad, narrow = q32("CHINA", "FRANCE", 1992, 1997), q32("CHINA", "FRANCE", 1993, 1995)
+    specs = [broad, narrow, q32("JAPAN", "BRAZIL", 1992, 1995), narrow, broad]
+    service = QueryService(
+        ssb.tables,
+        StaticThresholdPolicy(PAPER_MACHINE, threshold=1),
+        ServiceConfig(queue_capacity=len(specs)),
+        storage_config=StorageConfig(resident="memory", result_cache_bytes=32 << 20),
+    )
+    arrivals = TraceArrivals([0.0, 0.0, 0.0, 100.0, 100.0])
+    service.run(lambda k: QueryJob(spec=specs[k]), arrivals, None)
+    assert service.query_centric.config.query_folding and service.gqp.config.query_folding
+    counts = service.sim.metrics.counts
+    assert counts.get("result_cache_fold_hits", 0) + counts.get("result_cache_hits", 0) > 0
+    assert len(built) == 1
+    stages = [service.gqp.cjoin_stage]
+    for engine in (service.query_centric, service.gqp):
+        stages += [engine.scan_stage, engine.join_stage, engine.agg_stage, engine.sort_stage]
+    for stage in stages:
+        assert stage.providers is service.storage.providers
+        assert not hasattr(stage, "_fold_index") and not hasattr(stage, "_registry")
+        assert not any(isinstance(value, FoldIndex) for value in vars(stage).values())
+    cache = service.storage.result_cache
+    assert not hasattr(cache, "_fold_index") and not hasattr(cache, "lookup")
+    sites = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "FoldIndex":
+                sites.append((path.relative_to(SRC).as_posix(), node.lineno))
+    assert len(sites) == 1, sites
 
 
 def test_one_aggregation_kernel():
@@ -415,5 +456,5 @@ def test_one_holder_per_count():
     # indexed it would add the counter (golden_metrics.json pins the keys).
     fresh = Simulator()
     before = fresh.metrics.to_dict()
-    assert ResultCache(fresh, 1000.0).stats()["hits"] == 0
+    assert ResultCache(fresh, ProviderSet(), 1000.0).stats()["hits"] == 0
     assert fresh.metrics.to_dict() == before

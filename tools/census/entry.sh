@@ -27,6 +27,7 @@ repro serve --policy adaptive --arrival poisson --rate 2 --duration 1 --sf 0.5 -
 repro serve --policy static --arrival burst --rate 2 --duration 1 --sf 0.5 --seed 5
 repro serve --workload recurring:0.5 --result-cache-mb 1 --rate 2 --duration 2 --sf 0.5 --seed 5
 repro serve --workload recurring:0.5 --result-cache-mb 1 --rate 2 --duration 2 --sf 0.5 --seed 5 --json
+repro serve --workload folding:0.75 --result-cache-mb 1 --rate 30 --duration 4 --sf 0.5 --seed 5 --policy static --json
 repro sweep fig13 interarrival --jobs 1 --quiet --json-dir "$tmp/serial"
 repro sweep fig13 interarrival --jobs 2 --quiet --json-dir "$tmp/parallel"
 repro sweep fig13 interarrival --jobs 2 --timeout 600 --quiet --json-dir "$tmp/timeout"

@@ -35,18 +35,28 @@ Failure semantics (exercised in ``tests/shard/test_failures.py``):
   is killed and respawned; the request is NOT retried (it may be what
   wedged the worker) and the query fails structurally.  The gather never
   hangs and later queries still complete.
+
+Host execution: each shard runs on ``R = replicas_per_shard(n_shards)``
+identical workers (one per usable core, at most two); request ``seq``
+goes to replica ``seq % R``, and while query ``k`` is gathered, queries
+``k+1 .. k+R-1`` already compute on the other replicas.  A shard's
+answer depends only on the spec and its data, so nothing simulated moves
+(``docs/sharding.md``).
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Iterator
 
+from repro.bench.workload import QueryJob
 from repro.parallel.workers import WorkerCrashed, WorkerHandle, WorkerUnresponsive
 from repro.query.merge import merge_states, finalize_rows
 from repro.query.star import StarQuerySpec
 from repro.server.admission import QueuedQuery
-from repro.server.arrivals import make_arrivals
+from repro.server.arrivals import ArrivalProcess, make_arrivals
 from repro.server.config import ServiceConfig
 from repro.server.service import MergedResult, Service, ServiceReport, job_factory
 from repro.shard.metrics import ShardServiceMetrics
@@ -56,11 +66,105 @@ from repro.shard.worker import shard_worker_main
 from repro.sim.engine import Simulator
 from repro.storage.arrangements import ARRANGEMENTS
 
-__all__ = ["MergedResult", "ShardBacklog", "ShardService", "serve_sharded"]
+__all__ = [
+    "MergedResult",
+    "ShardBacklog",
+    "ShardService",
+    "replicas_per_shard",
+    "serve_sharded",
+    "usable_cores",
+]
 
 #: Wall-clock budget for a worker's spawn-time handshake (dataset
 #: generation included on a cold, non-fork start).
 SPAWN_TIMEOUT_S = 120.0
+
+#: The fault a request carries on its first attempt, by injected kind
+#: (``"crash2"`` crashes the retry too; see :meth:`ShardService._retry_after_crash`).
+_FIRST_ATTEMPT = {"crash": "crash", "crash2": "crash", "hang": "hang"}
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity, else the host's
+    count.  The shard tier's replica count is derived from it alone."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+#: Most workers a shard runs on.  Two is the count measured (host time,
+#: CPU time, summed worker RSS; docs/performance.md).  A constant, not a
+#: setting: the affinity ignores a cgroup CPU quota, and in hash mode each
+#: replica gathers a private copy of its fact partition, so memory grows
+#: with the count.
+MAX_REPLICAS = 2
+
+
+def replicas_per_shard(n_shards: int) -> int:
+    """``R``: the workers each of ``n_shards`` shards runs on -- one per
+    usable core, at most :data:`MAX_REPLICAS`, at least one."""
+    return max(1, min(MAX_REPLICAS, usable_cores() // n_shards))
+
+
+class _ReadAhead(ArrivalProcess):
+    """One pass over a job source and its arrival gaps that the executor
+    may read ahead of the serving core's source thread.
+
+    The core pulls gaps (:meth:`gaps`) and jobs (:meth:`job`) through it
+    exactly as from the originals -- each gap and each job is produced
+    once, in order -- and :meth:`peek` shows the executor the job of a
+    later arrival.  Entries below the last dispatched ``seq`` are dropped."""
+
+    def __init__(
+        self, jobs: Callable[[int], QueryJob], arrivals: ArrivalProcess, duration: float | None
+    ):
+        self._make = jobs
+        self._gaps = arrivals.gaps()
+        self._duration = duration
+        #: arrival time of the last buffered entry, summed as the source sleeps
+        self._now = 0.0
+        #: ``[gap, arrives, job]`` per buffered arrival, from ``seq == self._base``
+        self._buf: deque[list] = deque()
+        self._base = 0
+        self._made = 0
+
+    def _entry(self, seq: int) -> list | None:
+        while self._base + len(self._buf) <= seq:
+            gap = next(self._gaps, None)
+            if gap is None:
+                return None
+            if gap > 0:
+                self._now += gap
+            arrives = self._duration is None or self._now < self._duration
+            self._buf.append([gap, arrives, None])
+        return self._buf[seq - self._base]
+
+    def gaps(self) -> Iterator[float]:
+        seq = 0
+        while (entry := self._entry(seq)) is not None:
+            yield entry[0]
+            seq += 1
+
+    def job(self, seq: int) -> QueryJob:
+        while self._made <= seq:
+            self._entry(self._made)[2] = self._make(self._made)
+            self._made += 1
+        return self._entry(seq)[2]
+
+    def peek(self, seq: int) -> QueryJob | None:
+        """The job of arrival ``seq``, or ``None`` if the stream ends or the
+        serving window closes before it arrives."""
+        entry = self._entry(seq)
+        if entry is None or not entry[1]:
+            return None
+        return self.job(seq)
+
+    def dispatched(self, seq: int) -> None:
+        """Query ``seq`` was dispatched: no arrival before it is read again."""
+        while self._base < seq and self._buf:
+            self._buf.popleft()
+            self._base += 1
 
 
 class ShardBacklog:
@@ -157,14 +261,24 @@ class ShardService(Service):
                 continue
             ARRANGEMENTS.release(ARRANGEMENTS.acquire(table, table.schema.columns[0].name))
             arrange_cycles += cost.arrange_cycles(table.real_rows)
-        self.workers = [
-            WorkerHandle(shard_worker_main, args=(i, config), name=f"shard-{i}")
-            for i in range(config.n_shards)
+        #: ``replicas[r][i]``: shard ``i``'s worker serving every ``seq``
+        #: with ``seq % R == r`` (identical data, forked after the prewarm)
+        self.replicas = [
+            [
+                WorkerHandle(shard_worker_main, args=(i, config), name=f"shard-{i}.{r}")
+                for i in range(config.n_shards)
+            ]
+            for r in range(replicas_per_shard(config.n_shards))
         ]
+        self.workers = [h for replica in self.replicas for h in replica]
+        #: the ``seq`` whose answer each worker still owes (at most one)
+        self._owed: dict[WorkerHandle, int] = {}
+        self._ahead: _ReadAhead | None = None
         try:
             for h in self.workers:
                 h.start()
-            shippings = [self._await_ready(h) for h in self.workers]
+            # Every replica of a shard ships the same partition.
+            shippings = [self._await_ready(h) for h in self.workers][: config.n_shards]
         except BaseException:
             for h in self.workers:
                 h.kill()  # idempotent, and a no-op on a never-started handle
@@ -214,6 +328,17 @@ class ShardService(Service):
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+    def run(
+        self,
+        jobs: Callable[[int], QueryJob],
+        arrivals: ArrivalProcess,
+        duration: float | None,
+    ) -> float:
+        """:meth:`Service.run` over a read-ahead buffer of ``jobs`` and
+        ``arrivals``, so the executor can send later queries early."""
+        self._ahead = _ReadAhead(jobs, arrivals, duration)
+        return super().run(self._ahead.job, self._ahead, duration)
 
     # -- the executor: scatter, gather, merge, account ---------------------
     def _execute(self, item: QueuedQuery) -> str:
@@ -268,25 +393,61 @@ class ShardService(Service):
         return cfg.engine
 
     def _scatter_gather(self, seq: int, spec: StarQuerySpec) -> list[_ShardOutcome]:
-        """Real execution: scatter to all shards, then gather in shard
+        """Real execution: scatter to all shards (unless ``seq`` went
+        ahead), send the next queries ahead, then gather ``seq`` in shard
         order (the workers run concurrently; collection order only
         affects bookkeeping)."""
+        handles = self.replicas[seq % len(self.replicas)]
         faults = [self.config.fault_injection.get((seq, i)) for i in range(self.config.n_shards)]
-        for h, fault in zip(self.workers, faults):
-            first_fault = {"crash": "crash", "crash2": "crash", "hang": "hang"}.get(fault)
-            try:
-                h.send(ShardRequest(seq, spec, first_fault))
-            except WorkerCrashed:
-                pass  # surfaces as an immediate crash in the gather below
+        for h, fault in zip(handles, faults):
+            if self._owed.get(h) != seq:
+                self._send(h, ShardRequest(seq, spec, _FIRST_ATTEMPT.get(fault)))
+        self._send_ahead(seq)
         return [
             self._gather_one(h, seq, spec, fault)
-            for h, fault in zip(self.workers, faults)
+            for h, fault in zip(handles, faults)
         ]
+
+    def _send_ahead(self, seq: int) -> None:
+        """Make sure queries ``seq+1 .. seq+R-1`` are out, one per replica,
+        so they compute while ``seq`` is gathered.  A request carrying an
+        injected fault is never sent ahead: it goes at its dispatch, as
+        with one replica."""
+        ahead = self._ahead
+        if ahead is None:
+            return
+        ahead.dispatched(seq)
+        n_replicas = len(self.replicas)
+        for later in range(seq + 1, seq + n_replicas):
+            job = ahead.peek(later)
+            if job is None:
+                return
+            if job.spec is None:
+                continue
+            for i, h in enumerate(self.replicas[later % n_replicas]):
+                if self._owed.get(h) != later and (later, i) not in self.config.fault_injection:
+                    self._send(h, ShardRequest(later, job.spec))
+
+    def _send(self, handle: WorkerHandle, request: ShardRequest) -> None:
+        """Send ``request``; first drain and discard the answer ``handle``
+        still owes a query that was shed after its request went ahead."""
+        if handle in self._owed:
+            del self._owed[handle]
+            try:
+                handle.recv(timeout=self.config.shard_timeout_s)
+            except (WorkerCrashed, WorkerUnresponsive):
+                self._respawn(handle)
+        self._owed[handle] = request.seq
+        try:
+            handle.send(request)
+        except WorkerCrashed:
+            pass  # surfaces as an immediate crash in the gather
 
     def _gather_one(
         self, handle: WorkerHandle, seq: int, spec: StarQuerySpec, fault: str | None
     ) -> _ShardOutcome:
         cfg = self.config
+        del self._owed[handle]
         try:
             resp = handle.recv(timeout=cfg.shard_timeout_s)
         except WorkerUnresponsive as exc:

@@ -112,7 +112,10 @@ class ShardRequest:
 
 @dataclass(frozen=True)
 class ShardResponse:
-    """One shard's answer to a :class:`ShardRequest`."""
+    """One shard's answer to a :class:`ShardRequest`: the partial
+    aggregate and the simulated service time, nothing host-side but the
+    arrangement-hit count (the partition's size travels once, in the
+    spawn handshake)."""
 
     seq: int
     shard_id: int
@@ -120,14 +123,9 @@ class ShardResponse:
     state: PartialAggState
     #: simulated seconds the shard's engine took on its join-only plan
     svc_seconds: float
-    #: host wall-clock seconds spent in the worker (attribution only --
-    #: never part of any simulated measurement)
-    wall_s: float
-    #: generated fact rows in this worker's partition (0 is legal)
-    fact_rows: int
     #: shared-arrangement cache hits this request scored in the worker
-    #: (host-side attribution, like ``wall_s``: the fork-COW prewarmed
-    #: arrangements make reuse the steady state)
+    #: (host-side attribution: the fork-COW prewarmed arrangements make
+    #: reuse the steady state)
     arrange_hits: int = 0
     #: set instead of ``state`` when plan build/execution raised: the
     #: structured failure travels the pipe, it never kills the worker

@@ -91,8 +91,7 @@ def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
         config.partition_salt,
     )
     fact = tables[config.fact_table]
-    fact_rows = fact.num_rows
-    conn.send(("ready", shard_id, fact_rows, partition_shipping(fact)))
+    conn.send(("ready", shard_id, fact.num_rows, partition_shipping(fact)))
 
     def answer(req: ShardRequest) -> ShardResponse:
         if req.fault == "crash":
@@ -102,7 +101,6 @@ def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
             # timeout kills this process.
             while True:
                 time.sleep(3600)
-        t0 = time.perf_counter()
         hits0 = ARRANGEMENTS.hits
         try:
             state, svc = execute_shard_query(tables, req.spec, config)
@@ -114,8 +112,6 @@ def shard_worker_main(conn: Any, shard_id: int, config: ShardConfig) -> None:
             shard_id=shard_id,
             state=state,
             svc_seconds=svc,
-            wall_s=time.perf_counter() - t0,
-            fact_rows=fact_rows,
             arrange_hits=ARRANGEMENTS.hits - hits0,
             error=error,
         )

@@ -11,6 +11,9 @@ worker never needs crash memory:
   structured failure with both reasons and deadline accounting.
 * ``"hang"``   -- the worker sleeps; after ``shard_timeout_s`` wall-clock
   seconds it is killed and respawned, the query fails, later queries run.
+
+The fault tests run at one and at two replicas per shard: a faulted
+request is never sent ahead, so every count and record is R's invariant.
 """
 
 from __future__ import annotations
@@ -22,13 +25,19 @@ from repro.server.config import ServiceConfig
 from repro.shard import ShardConfig, ShardService, serve_sharded
 from repro.shard import service as shard_service
 from repro.shard.partition import shard_rows
+from tests.shard.conftest import force_replicas
 
 SF = 0.2
 FAST = dict(duration=1.0, rate=4.0, sf=SF, workload="q32-random", arrival="uniform")
 # FAST admits queries at t=0.25/0.50/0.75 => seqs 0..2 on every run.
 
 
-def test_crash_midquery_is_retried_to_the_identical_answer():
+REPLICAS = pytest.mark.parametrize("replicas", [1, 2], ids=["R1", "R2"])
+
+
+@REPLICAS
+def test_crash_midquery_is_retried_to_the_identical_answer(monkeypatch, replicas):
+    force_replicas(monkeypatch, replicas, 2)
     clean = serve_sharded(2, **FAST)
     report = serve_sharded(2, fault_injection={(1, 0): "crash"}, **FAST)
     m = report.metrics
@@ -50,7 +59,9 @@ def test_the_placement_memo_is_dropped_once_every_worker_has_forked():
         assert shard_rows.cache_info().currsize == 0
 
 
-def test_second_crash_becomes_a_structured_failure_with_deadlines():
+@REPLICAS
+def test_second_crash_becomes_a_structured_failure_with_deadlines(monkeypatch, replicas):
+    force_replicas(monkeypatch, replicas, 2)
     config = ServiceConfig(queue_timeout=0.2)
     report = serve_sharded(
         2, fault_injection={(1, 0): "crash2"}, config=config, **FAST
@@ -76,7 +87,9 @@ def test_second_crash_becomes_a_structured_failure_with_deadlines():
     )
 
 
-def test_stuck_shard_times_out_without_wedging_the_gather():
+@REPLICAS
+def test_stuck_shard_times_out_without_wedging_the_gather(monkeypatch, replicas):
+    force_replicas(monkeypatch, replicas, 2)
     report = serve_sharded(
         2, fault_injection={(1, 1): "hang"}, shard_timeout_s=3.0, **FAST
     )
@@ -113,9 +126,11 @@ def test_faulty_and_clean_runs_drain_cleanly():
 def test_a_failed_spawn_handshake_kills_every_started_worker(
     monkeypatch, owner, constant, value, raised
 ):
-    # No worker may outlive a constructor that raised; the autouse
-    # fixture in tests/parallel/conftest.py asserts none is left.  The
-    # workers fork after the patch, so they see it too.
+    # No worker -- no replica: two per shard here -- may outlive a
+    # constructor that raised; the autouse fixture in
+    # tests/parallel/conftest.py asserts none is left.  The workers fork
+    # after the patch, so they see it too.
+    force_replicas(monkeypatch, 2, 2)
     monkeypatch.setattr(owner, constant, value)
     config = ShardConfig(n_shards=2, dataset=DatasetSpec("ssb", SF, 42))
     with pytest.raises(raised):

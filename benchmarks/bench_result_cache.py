@@ -11,14 +11,7 @@ random instances -- with the cache off and on, and checks:
   paths; probes are signature lookups);
 * p95 improvement grows monotonically with the recurrence rate;
 * at 50% recurrence the cache cuts p95 by at least 20%.
-
-Runs standalone too (the CI smoke): ``python benchmarks/bench_result_cache.py --fast``.
 """
-
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.reporting import format_table
 from repro.data import generate_ssb
@@ -120,22 +113,3 @@ def bench_result_cache(once, save_report, full_mode):
     rates, cells = once(sweep, full=full_mode)
     save_report("result_cache", render(rates, cells))
     check(rates, cells)
-
-
-def main(argv=None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", help="CI smoke parameters (default)")
-    mode.add_argument("--full", action="store_true", help="paper-scale sweep")
-    args = parser.parse_args(argv)
-    rates, cells = sweep(full=args.full)
-    print(render(rates, cells))
-    check(rates, cells)
-    print("OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

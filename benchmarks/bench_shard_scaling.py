@@ -1,4 +1,3 @@
-#!/usr/bin/env python
 """Shard-tier scaling benchmark: throughput vs shard count.
 
 Serves one fixed seeded workload (random SSB Q3.2 instances under a
@@ -16,29 +15,12 @@ Asserted invariants (the shard tier's contract):
   saturates a single shard, so extra shards shorten the drain window).
 
 All measurements are simulated seconds composed on the virtual timeline;
-worker processes execute for real, but no wall clock reaches
-``BENCH_shard_scaling.json``, so the artifact is stable across hosts.
-
-Usage::
-
-    python benchmarks/bench_shard_scaling.py --fast    # CI smoke: 1,2 shards
-    python benchmarks/bench_shard_scaling.py --full    # 1,2,4,8 shards
+worker processes execute for real, but no wall clock reaches the table,
+so it is the same on every host (shards 1, 2 fast; 1, 2, 4, 8 full).
 """
-
-from __future__ import annotations
-
-import argparse
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.reporting import format_table
 from repro.shard import serve_sharded
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-OUT_PATH = ROOT / "BENCH_shard_scaling.json"
 
 SF = 0.2
 SEED = 42
@@ -108,67 +90,8 @@ def check(reports) -> None:
         assert m.completed + m.timed_out == m.admitted, "run did not drain"
 
 
-def to_artifact(reports) -> dict:
-    """Simulated measurements only -- stable across hosts and runs."""
-    out: dict = {
-        "sf": SF,
-        "seed": SEED,
-        "rate": RATE,
-        "duration": DURATION,
-        "workload": "q32-random",
-        "points": {},
-    }
-    for n, r in sorted(reports.items()):
-        m = r.metrics
-        lat = m.latency_percentiles()
-        out["points"][str(n)] = {
-            "completed": m.completed,
-            "throughput_qps": round(r.throughput_qps, 6),
-            "sim_seconds": round(r.sim_seconds, 6),
-            "latency_p50_s": round(lat["p50"], 6),
-            "latency_p95_s": round(lat["p95"], 6),
-            "scatter_overhead_s": round(m.scatter_overhead_s, 6),
-            "gather_overhead_s": round(m.gather_overhead_s, 6),
-            "prewarm_scatter_s": round(m.prewarm_scatter_s, 6),
-            "partition_shipped_bytes": sum(
-                s["shipped_bytes"] for s in m.partition_shipping.values()
-            ),
-            "peak_shard_backlog_s": round(m.peak_shard_backlog_s, 6),
-            "stragglers": {str(k): v for k, v in sorted(m.straggler_counts.items())},
-            "result_digest": r.fingerprint_lines()[-1].split()[1] if r.results else "",
-        }
-    base = min(reports)
-    out["speedup"] = {
-        str(n): round(reports[n].throughput_qps / reports[base].throughput_qps, 4)
-        for n in sorted(reports)
-    }
-    return out
-
-
 def bench_shard_scaling(once, save_report, full_mode):
     """pytest-benchmark entry point (see conftest.py)."""
     reports = once(sweep, FULL_SHARDS if full_mode else FAST_SHARDS)
     save_report("shard_scaling", render(reports))
     check(reports)
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[1])
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--fast", action="store_true", help="CI smoke: shards 1,2 (default)")
-    mode.add_argument("--full", action="store_true", help="full sweep: shards 1,2,4,8")
-    parser.add_argument("--out", type=pathlib.Path, default=OUT_PATH,
-                        help=f"artifact path (default {OUT_PATH.name} at repo root)")
-    args = parser.parse_args(argv)
-
-    reports = sweep(FULL_SHARDS if args.full else FAST_SHARDS)
-    print(render(reports))
-    check(reports)
-    args.out.write_text(json.dumps(to_artifact(reports), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {args.out}")
-    print("OK")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,16 +13,11 @@ Commands
 
         python -m repro query Q3.2 --config cjoin-sp --sf 1
 
-``experiment``
-    Regenerate a paper figure/table::
-
-        python -m repro experiment fig6
-        python -m repro experiment fig10 --full
-
 ``sweep``
-    Regenerate many figures/tables at once on the parallel fabric, with
-    ordered per-cell progress and a wall-clock summary::
+    Regenerate paper figures/tables on the parallel fabric, with ordered
+    per-cell progress and a wall-clock summary::
 
+        python -m repro sweep fig6 --chart             # one figure, charted
         python -m repro sweep --jobs 4                 # every experiment
         python -m repro sweep fig10 fig13 --jobs 4 --full
         python -m repro sweep fig13 --jobs 2 --json-dir out/
@@ -202,7 +197,7 @@ def cmd_query(args) -> int:
     return 0
 
 
-def _experiment_kwargs(fn, full: bool, jobs: int | None) -> dict:
+def _experiment_kwargs(fn, full: bool, jobs: int) -> dict:
     """Pass ``full``/``jobs`` only to experiments that take them (fig2 and
     other derived tables have no sweep to parallelize)."""
     import inspect
@@ -211,55 +206,19 @@ def _experiment_kwargs(fn, full: bool, jobs: int | None) -> dict:
     kwargs = {}
     if full and "full" in params:
         kwargs["full"] = True
-    if jobs is not None and "jobs" in params:
+    if "jobs" in params:
         kwargs["jobs"] = jobs
     return kwargs
 
 
-def _fabric_jobs(command: str, jobs: int | None) -> int:
-    """The sweep fabric's worker count, with ``--jobs`` / ``REPRO_JOBS`` and
-    the cell timeout (``--timeout`` / ``REPRO_CELL_TIMEOUT``) checked up
-    front: a bad value exits with one line, not a traceback."""
-    from repro.bench.experiments import cell_timeout
-    from repro.parallel import ParallelRunner
-
-    try:
-        return ParallelRunner(jobs, cell_timeout()).jobs
-    except ValueError as exc:
-        raise SystemExit(f"repro {command}: {exc}")
-
-
-def cmd_experiment(args) -> int:
-    """Regenerate a paper figure/table (optionally charted / as JSON)."""
-    _fabric_jobs("experiment", args.jobs)
-    experiments = _experiments()
-    fn = experiments[args.name]
-    result = fn(**_experiment_kwargs(fn, args.full, args.jobs))
-    print(result.render())
-    if args.chart:
-        from repro.bench.charts import chart_for
-
-        chart = chart_for(result)
-        if chart:
-            print()
-            print(chart)
-        else:
-            print("\n(no chartable response-time series in this experiment)")
-    if args.json:
-        from repro.bench.export import experiment_to_json
-
-        print()
-        print(experiment_to_json(result))
-    return 0
-
-
 def cmd_sweep(args) -> int:
-    """Regenerate many figures/tables at once on the parallel fabric.
+    """Regenerate figures/tables on the parallel fabric.
 
     Runs each named experiment (default: all of them) with ``--jobs``
-    worker processes, prints ordered per-cell progress (unless
-    ``--quiet``), optionally writes per-experiment JSON artifacts, and
-    ends with a wall-clock summary table."""
+    worker processes, prints ordered per-cell progress and each rendered
+    result (unless ``--quiet``), optionally an ASCII chart of each and
+    per-experiment JSON artifacts, and ends with a wall-clock summary
+    table."""
     import os
 
     from repro.parallel import JOBS_ENV
@@ -299,10 +258,16 @@ def _sweep(args, experiments: dict, names: list[str]) -> int:
     import os
     import time
 
+    from repro.bench.experiments import cell_timeout
     from repro.bench.reporting import format_sweep_summary
-    from repro.parallel import SweepError
+    from repro.parallel import ParallelRunner, SweepError
 
-    jobs = _fabric_jobs("sweep", args.jobs)
+    # A bad --jobs / REPRO_JOBS or cell timeout exits with one line up
+    # front, not a traceback per cell.
+    try:
+        jobs = ParallelRunner(args.jobs, cell_timeout()).jobs
+    except ValueError as exc:
+        raise SystemExit(f"repro sweep: {exc}")
     if args.json_dir:
         os.makedirs(args.json_dir, exist_ok=True)
 
@@ -332,6 +297,11 @@ def _sweep(args, experiments: dict, names: list[str]) -> int:
         wall = time.perf_counter() - start
         if not args.quiet:
             print(result.render())
+            print()
+        if args.chart:
+            from repro.bench.charts import chart_for
+
+            print(chart_for(result) or "(no chartable response-time series in this experiment)")
             print()
         timings = result.timings or {}
         cells = timings.get("cells", {})
@@ -516,18 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("--bufferpool-gb", type=float, default=48.0)
     p_query.set_defaults(fn=cmd_query)
 
-    p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
-    p_exp.add_argument("name", choices=sorted(_experiments()))
-    p_exp.add_argument("--full", action="store_true", help="paper-scale parameters")
-    p_exp.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for the sweep (default: REPRO_JOBS or 1)")
-    p_exp.add_argument("--chart", action="store_true", help="also draw an ASCII chart")
-    p_exp.add_argument("--json", action="store_true", help="also dump machine-readable JSON")
-    p_exp.set_defaults(fn=cmd_experiment)
-
     p_sweep = sub.add_parser(
         "sweep",
-        help="regenerate many figures/tables on the parallel fabric",
+        help="regenerate paper figures/tables on the parallel fabric",
         description="Run each named experiment (default: all) with --jobs "
         "worker processes; results are byte-identical for any jobs count.",
     )
@@ -543,6 +504,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "attribution) artifacts into this directory")
     p_sweep.add_argument("--quiet", action="store_true",
                          help="suppress per-cell progress and rendered tables")
+    p_sweep.add_argument("--chart", action="store_true",
+                         help="also draw each experiment's ASCII chart")
     p_sweep.add_argument("--fail-fast", action="store_true",
                          help="stop at the first failed experiment")
     p_sweep.set_defaults(fn=cmd_sweep)

@@ -36,10 +36,18 @@ class TestParser:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_experiment_choices(self):
-        args = build_parser().parse_args(["experiment", "fig6"])
-        assert args.name == "fig6"
+        args = build_parser().parse_args(["sweep", "fig6"])
+        assert args.names == ["fig6"]
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "fig99"])
+        assert exc.value.code == "repro sweep: unknown experiment(s) fig99 (see: repro list)"
+
+    def test_experiment_subcommand_is_gone(self, capsys):
+        # `repro sweep NAME` is the one CLI runner of a registered figure.
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["experiment", "fig99"])
+            build_parser().parse_args(["experiment", "fig6"])
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "'experiment'" in err
 
 
 class TestCommands:
@@ -88,23 +96,22 @@ class TestCommands:
             main(["query", "Q3.2", "--config", "postgres", "--sf", "0.5"])
 
     def test_experiment_fig2(self, capsys):
-        rc = main(["experiment", "fig2"])
+        rc = main(["sweep", "fig2"])
         assert rc == 0
         assert "Window of Opportunity" in capsys.readouterr().out
 
     def test_experiment_spl_maxsize(self, capsys):
-        rc = main(["experiment", "spl-maxsize"])
+        rc = main(["sweep", "spl-maxsize"])
         assert rc == 0
         assert "SPL maximum size" in capsys.readouterr().out
 
-    def test_experiment_json_flag(self, capsys):
+    def test_experiment_json_dir(self, tmp_path, capsys):
         import json
 
-        rc = main(["experiment", "spl-maxsize", "--json"])
+        rc = main(["sweep", "spl-maxsize", "--quiet", "--json-dir", str(tmp_path)])
         assert rc == 0
-        out = capsys.readouterr().out
-        payload = out[out.index("{") :]
-        assert json.loads(payload)["experiment"] == "spl_maxsize"
+        capsys.readouterr()
+        assert json.loads((tmp_path / "spl-maxsize.json").read_text())["experiment"] == "spl_maxsize"
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -187,11 +194,10 @@ class TestCommands:
                 {"REPRO_CELL_TIMEOUT": "abc"},
                 "repro sweep: REPRO_CELL_TIMEOUT='abc' is not a number",
             ),
-            (["experiment", "fig2", "--jobs", "0"], {}, "repro experiment: jobs must be >= 1, got 0"),
             (
-                ["experiment", "fig2"],
+                ["sweep", "fig2"],
                 {"REPRO_CELL_TIMEOUT": "0"},
-                "repro experiment: timeout must be > 0 seconds, got 0.0",
+                "repro sweep: timeout must be > 0 seconds, got 0.0",
             ),
         ],
         ids=[
@@ -200,8 +206,7 @@ class TestCommands:
             "timeout-nan",
             "jobs-0",
             "env-timeout-not-a-number",
-            "experiment-jobs-0",
-            "experiment-env-timeout-0",
+            "env-timeout-0",
         ],
     )
     def test_bad_sweep_settings_exit_with_one_line(self, monkeypatch, argv, env, message):
@@ -216,7 +221,7 @@ class TestCommands:
         assert exc.value.code == message
 
     def test_experiment_chart_flag(self, capsys):
-        rc = main(["experiment", "fig6", "--chart"])
+        rc = main(["sweep", "fig6", "--chart"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "CS(SPL)" in out

@@ -38,7 +38,7 @@ done
 repro serve --arrival uniform --rate 4 --duration 1 --sf 0.2 --seed 5 \
     --workload q32-random --fingerprints "$tmp/fp-inproc.txt"
 repro list
-repro sweep fig13 interarrival --jobs 2 --json-dir "$tmp/skill"
+repro sweep fig13 interarrival --jobs 2 --chart --json-dir "$tmp/skill"
 repro run --config cjoin-sp --workload ssb-mix -n 8 --sf 0.5
 repro query Q3.2 --config qpipe-sp --sf 0.5
 repro serve --policy adaptive --rate 4 --duration 2 --sf 0.5 --json
